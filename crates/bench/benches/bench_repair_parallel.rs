@@ -1,15 +1,14 @@
 //! EXP-P1: the parallel repair layer — `repair_batch` over a 32-request
-//! batch with a 1/2/4-worker ablation, plus the in-search parallel
-//! frontier on a single request. Results are bit-identical across every
-//! worker count (asserted by `tests/parallel_differential.rs`); this
-//! bench measures only wall-clock. On a single-core container the
+//! batch with a 1/2/4-worker ablation. Results are bit-identical across
+//! every worker count (asserted by `tests/parallel_differential.rs`);
+//! this bench measures only wall-clock. On a single-core container the
 //! ablation degenerates to ~1×, so quote the numbers together with the
 //! machine's core count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmt_bench::{broken_workload, paper_transformation};
 use mmt_core::Shape;
-use mmt_enforce::{RepairEngine, RepairOptions, RepairRequest, SearchEngine};
+use mmt_enforce::{RepairEngine, RepairRequest, SearchEngine};
 use mmt_gen::Injection;
 
 fn requests_32() -> Vec<RepairRequest> {
@@ -37,29 +36,14 @@ fn bench_repair_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("repair_parallel");
     group.sample_size(10);
     // Batch fan-out: 32 independent requests across 1/2/4 workers.
+    let engine = SearchEngine::default();
     for jobs in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("batch32", jobs), &jobs, |b, &jobs| {
-            let engine = SearchEngine::new(RepairOptions {
-                jobs,
-                ..RepairOptions::default()
-            });
             b.iter(|| {
-                let outs = engine.repair_batch(t.hir_arc(), &requests);
+                let outs = engine.repair_batch(t.hir_arc(), &requests, jobs);
                 assert!(outs.iter().all(|o| o.is_ok()));
                 outs.len()
             })
-        });
-    }
-    // In-search frontier ablation on one deeper request.
-    let single = broken_workload(7, 2, 53, Injection::NewMandatoryInFm);
-    let targets = Shape::of(&[0, 1]).targets();
-    for jobs in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("frontier", jobs), &jobs, |b, &jobs| {
-            let engine = SearchEngine::new(RepairOptions {
-                jobs,
-                ..RepairOptions::default()
-            });
-            b.iter(|| engine.repair(t.hir_arc(), &single.models, targets).unwrap())
         });
     }
     group.finish();

@@ -523,9 +523,8 @@ fn unregister(index: &mut FxHashMap<(DomIdx, ObjId), Vec<u32>>, key: (DomIdx, Ob
 /// by a long-lived session without pinning any borrowed transformation
 /// on the stack. It is also `Send + Sync`: the compiled statics are
 /// immutable behind [`Arc`], and the evaluation stack has no interior
-/// mutability. The enforcement search's parallel frontier shares a node
-/// arena of checkers across worker threads and clones from it
-/// concurrently.
+/// mutability, so sync sessions that own a checker can be shared across
+/// a hub's threads.
 #[derive(Clone, Debug)]
 pub struct DeltaChecker {
     hir: Arc<Hir>,

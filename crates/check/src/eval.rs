@@ -254,8 +254,7 @@ type CallKey = (RelId, u64, u8, Vec<Slot>);
 /// lives in plain fields behind `&mut self` — there is no interior
 /// mutability, so `EvalCtx` is `Send + Sync` and a `&EvalCtx` can be
 /// shared across threads (each thread evaluating through its own
-/// context). The enforcement search relies on this to expand frontier
-/// states on worker threads.
+/// context).
 pub struct EvalCtx<'a> {
     /// The transformation.
     pub hir: &'a Hir,

@@ -343,8 +343,8 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
 
     /// The whole checking stack is free of interior mutability: checkers
     /// (and the eval context itself) can cross and be shared between
-    /// threads. The enforcement search's parallel frontier relies on
-    /// `DeltaChecker: Send + Sync`.
+    /// threads. Sync sessions, each owning a `DeltaChecker`, rely on
+    /// this to be shared across a hub's threads.
     #[test]
     fn checkers_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

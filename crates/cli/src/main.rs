@@ -70,7 +70,7 @@ const USAGE_ENFORCE: &str = r#"mmt enforce — least-change repair of one model 
 USAGE:
   mmt enforce -t <spec.qvtr> -M <mm>... -m <model>... --targets <names>
               [--engine sat|search] [--max-cost <n>] [--weights <w,...>]
-              [--jobs <n>] [--out <dir>]
+              [--out <dir>]
 
 `--targets` takes comma-separated model parameter names (the repair
 shape: which models the repair may rewrite). With `--out <dir>` the
@@ -99,8 +99,7 @@ const USAGE_SYNC: &str = r#"mmt sync — drive a stateful session from an edit/r
 USAGE:
   mmt sync <script> -t <spec.qvtr> -M <mm>... -m <model>...
            [--json] [--engine sat|search] [--max-cost <n>]
-           [--weights <w,...>] [--jobs <n>] [--out <dir>]
-           [--store <dir>]
+           [--weights <w,...>] [--out <dir>] [--store <dir>]
 
 Opens one warm synchronization session over the model tuple (one cold
 start, then O(|edit|) per command) and executes the script line by
@@ -139,7 +138,7 @@ const USAGE_SERVE: &str = r#"mmt serve — serve concurrent sessions over a JSON
 USAGE:
   mmt serve -t <spec.qvtr> -M <mm>... -m <model>...
             [--engine sat|search] [--max-cost <n>] [--weights <w,...>]
-            [--jobs <n>] [--out <dir>] [--store <dir>]
+            [--out <dir>] [--store <dir>]
 
 Loads the transformation once, then reads one JSON request per line
 from stdin and writes one JSON response per line to stdout, serving
@@ -416,12 +415,10 @@ fn shape_of_names(t: &Transformation, names: &str) -> Result<Shape, String> {
     Ok(Shape::of(&indices))
 }
 
-/// Engine options from the shared flags (`--max-cost`, `--weights`,
-/// `--jobs`).
+/// Engine options from the shared flags (`--max-cost`, `--weights`).
 fn repair_options(t: &Transformation, p: &Parsed) -> Result<RepairOptions, String> {
     let mut opts = RepairOptions {
         max_cost: p.max_cost,
-        jobs: p.jobs,
         ..RepairOptions::default()
     };
     if let Some(ws) = &p.weights {
@@ -606,7 +603,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     EngineKind::Search => "search",
                 }
             );
-            let outcomes = t.enforce_batch(&requests, engine, opts);
+            let outcomes = t.enforce_batch(&requests, engine, opts, p.jobs);
             let mut all_repaired = true;
             for (name, outcome) in names.iter().zip(&outcomes) {
                 match outcome {

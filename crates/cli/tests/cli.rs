@@ -132,8 +132,8 @@ fn repair_batch_fans_requests_across_workers() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Without `--batch`, `mmt repair` is a single-request enforce (and
-/// accepts `--jobs` for the parallel search frontier).
+/// Without `--batch`, `mmt repair` is a single-request enforce; it
+/// accepts `--jobs`, which only batch mode reads.
 #[test]
 fn repair_without_batch_is_single_request_enforce() {
     let mut args = vec!["repair".to_string()];

@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, PoisonError};
 
-use crate::mmt_sync::{Mutex, MutexGuard, RwLock};
+use mmt_model::mmt_sync::{Mutex, MutexGuard, RwLock};
 
 /// Typed errors of the hub registry layer. Session-internal failures
 /// (bad edits, poisoned checkers, unrepairable shapes) stay

@@ -22,7 +22,6 @@
 //! ```
 
 pub mod hub;
-pub mod mmt_sync;
 pub mod session;
 
 pub use hub::{HubError, SessionHandle, SyncHub};
@@ -401,20 +400,21 @@ impl Transformation {
     }
 
     /// Runs §3 enforcement over a batch of independent model tuples,
-    /// fanning the requests across [`RepairOptions::jobs`] worker
-    /// threads ([`mmt_enforce::RepairEngine::repair_batch`]). Slot `i`
-    /// of the result is exactly what [`Transformation::enforce_with`]
-    /// would return for request `i` — the worker pool changes wall-clock
-    /// time, never outcomes.
+    /// fanning the requests across `jobs` worker threads
+    /// ([`mmt_enforce::RepairEngine::repair_batch`]). Slot `i` of the
+    /// result is exactly what [`Transformation::enforce_with`] would
+    /// return for request `i` — the worker pool changes wall-clock time,
+    /// never outcomes.
     pub fn enforce_batch(
         &self,
         requests: &[RepairRequest],
         engine: EngineKind,
         opts: RepairOptions,
+        jobs: usize,
     ) -> Vec<Result<Option<RepairOutcome>, RepairError>> {
         match engine {
-            EngineKind::Search => SearchEngine::new(opts).repair_batch(&self.hir, requests),
-            EngineKind::Sat => SatEngine::new(opts).repair_batch(&self.hir, requests),
+            EngineKind::Search => SearchEngine::new(opts).repair_batch(&self.hir, requests, jobs),
+            EngineKind::Sat => SatEngine::new(opts).repair_batch(&self.hir, requests, jobs),
         }
     }
 
@@ -566,11 +566,8 @@ mod tests {
             .collect();
         for engine in [EngineKind::Search, EngineKind::Sat] {
             for jobs in [1usize, 3] {
-                let opts = RepairOptions {
-                    jobs,
-                    ..RepairOptions::default()
-                };
-                let batch = t.enforce_batch(&requests, engine, opts.clone());
+                let opts = RepairOptions::default();
+                let batch = t.enforce_batch(&requests, engine, opts.clone(), jobs);
                 assert_eq!(batch.len(), requests.len());
                 for (i, (req, out)) in requests.iter().zip(&batch).enumerate() {
                     let single = t

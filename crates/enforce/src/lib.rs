@@ -53,13 +53,13 @@
 //! assert!(out.deltas[0].is_empty()); // cf1 untouched
 //! ```
 
-pub mod mmt_sync;
 pub mod search;
 
 use mmt_check::{CheckError, DeltaChecker, EvalError};
 use mmt_deps::DomSet;
 use mmt_dist::{CostModel, Delta, TupleCost};
 use mmt_ground::{GroundError, GroundOptions, GroundProblem, Scope};
+use mmt_model::mmt_sync;
 use mmt_model::{Model, ModelError};
 use mmt_qvtr::Hir;
 use std::fmt;
@@ -110,30 +110,12 @@ pub struct RepairOptions {
     /// violation first; lower values keep expansion cheap but may
     /// detour through longer edit sequences.
     pub violations_per_check: usize,
-    /// Search engine: use the incremental
-    /// [`DeltaChecker`] oracle (default
-    /// `true`). Each search state then carries its parent's checker
-    /// state plus one applied edit, making the per-state oracle cost
-    /// proportional to the edit instead of the model tuple — ≥5× faster
-    /// on the paper-scale enforce benches. `false` restores the PR 1
-    /// from-scratch oracle (every state re-checks everything): slower,
-    /// but useful for ablation measurements and as a differential
-    /// reference.
-    pub incremental_oracle: bool,
     /// SAT engine: universe slack (fresh objects per class). Grounding
     /// size — and thus CNF size and solve time — grows roughly linearly
     /// in the slack per quantifier nest; repairs that must *create*
     /// more than this many objects in one class are invisible to the
     /// SAT engine.
     pub slack_objs: usize,
-    /// Worker threads (default 1 = fully sequential). Two things
-    /// parallelize under `jobs > 1`: the search engine's frontier (safe
-    /// batches of states expanded concurrently, merged in deterministic
-    /// order — see `mmt_enforce::search`) and
-    /// [`RepairEngine::repair_batch`]'s fan-out over independent
-    /// requests. Parallelism only changes wall-clock time: results are
-    /// bit-identical for every value of `jobs`.
-    pub jobs: usize,
 }
 
 impl Default for RepairOptions {
@@ -145,9 +127,7 @@ impl Default for RepairOptions {
             fresh_strings: 1,
             max_states: 200_000,
             violations_per_check: 4,
-            incremental_oracle: true,
             slack_objs: 2,
-            jobs: 1,
         }
     }
 }
@@ -269,13 +249,6 @@ pub trait RepairEngine: Sync {
     /// Engine name (for reports and benches).
     fn name(&self) -> &'static str;
 
-    /// Worker threads [`RepairEngine::repair_batch`] fans requests
-    /// across (engines expose their [`RepairOptions::jobs`] here).
-    /// Defaults to 1: sequential.
-    fn jobs(&self) -> usize {
-        1
-    }
-
     /// Repairs `models` so that every directional check of `hir` holds,
     /// changing only the models in `targets`. Returns `None` when no
     /// repair exists within the engine's bounds.
@@ -292,14 +265,15 @@ pub trait RepairEngine: Sync {
     ) -> Result<Option<RepairOutcome>, RepairError>;
 
     /// Repairs a batch of independent requests, fanning them across
-    /// [`RepairEngine::jobs`] worker threads. Results come back in
-    /// request order and each slot is exactly what [`RepairEngine::repair`]
-    /// would have returned for that request — the worker pool changes
-    /// wall-clock time, never outcomes.
+    /// `jobs` worker threads (`jobs <= 1` runs them in turn on the
+    /// calling thread). Results come back in request order and each slot
+    /// is exactly what [`RepairEngine::repair`] would have returned for
+    /// that request — the worker pool changes wall-clock time, never
+    /// outcomes.
     ///
     /// ```
     /// use mmt_deps::{DomIdx, DomSet};
-    /// use mmt_enforce::{RepairEngine, RepairOptions, RepairRequest, SearchEngine};
+    /// use mmt_enforce::{RepairEngine, RepairRequest, SearchEngine};
     /// use mmt_model::text::{parse_metamodel, parse_model};
     /// use mmt_qvtr::parse_and_resolve;
     ///
@@ -325,8 +299,7 @@ pub trait RepairEngine: Sync {
     ///         targets: DomSet::single(DomIdx(1)),
     ///     }
     /// }).collect();
-    /// let engine = SearchEngine::new(RepairOptions { jobs: 2, ..Default::default() });
-    /// let outcomes = engine.repair_batch(&hir, &requests);
+    /// let outcomes = SearchEngine::default().repair_batch(&hir, &requests, 2);
     /// assert_eq!(outcomes.len(), 2);
     /// for out in outcomes {
     ///     assert_eq!(out.unwrap().expect("repairable").cost, 2);
@@ -336,8 +309,9 @@ pub trait RepairEngine: Sync {
         &self,
         hir: &Arc<Hir>,
         requests: &[RepairRequest],
+        jobs: usize,
     ) -> Vec<Result<Option<RepairOutcome>, RepairError>> {
-        pooled_map(requests, self.jobs(), |_, r| {
+        pooled_map(requests, jobs, |_, r| {
             self.repair(hir, &r.models, r.targets)
         })
     }
@@ -364,19 +338,6 @@ pub trait RepairEngine: Sync {
     ) -> Result<Option<RepairOutcome>, RepairError> {
         self.repair(root.hir_arc(), root.models(), targets)
     }
-
-    /// As [`RepairEngine::repair_batch`], but over pre-warmed roots:
-    /// each `(checker, targets)` pair is one independent request, fanned
-    /// across [`RepairEngine::jobs`] workers. Slot `i` is exactly what
-    /// [`RepairEngine::repair_warm`] returns for pair `i`.
-    fn repair_batch_warm(
-        &self,
-        roots: &[(DeltaChecker, DomSet)],
-    ) -> Vec<Result<Option<RepairOutcome>, RepairError>> {
-        pooled_map(roots, self.jobs(), |_, (root, targets)| {
-            self.repair_warm(root, *targets)
-        })
-    }
 }
 
 /// Model-check-only window onto [`pooled_map`]: the root `model_check`
@@ -391,12 +352,11 @@ pub fn pooled_map_modeled<T: Sync, R: Send>(
     pooled_map(items, jobs, f)
 }
 
-/// The deterministic worker pool shared by [`RepairEngine::repair_batch`]
-/// and the search engine's parallel frontier: maps `f` over `items` on
-/// up to `jobs` threads draining an atomic cursor. Each result slot is
-/// written exactly once, so output order is item order by construction —
-/// thread scheduling never leaks into the results. `jobs <= 1` (or a
-/// single item) runs inline without spawning.
+/// The deterministic worker pool behind [`RepairEngine::repair_batch`]:
+/// maps `f` over `items` on up to `jobs` threads draining an atomic
+/// cursor. Each result slot is written exactly once, so output order is
+/// item order by construction — thread scheduling never leaks into the
+/// results. `jobs <= 1` (or a single item) runs inline without spawning.
 pub(crate) fn pooled_map<T: Sync, R: Send>(
     items: &[T],
     jobs: usize,
@@ -434,7 +394,7 @@ pub(crate) fn pooled_map<T: Sync, R: Send>(
 /// The uniform-cost search engine (§3 run natively): explores edit
 /// sequences in order of increasing weighted distance, with an
 /// incremental [`mmt_check::DeltaChecker`] as the per-state consistency
-/// oracle (see [`RepairOptions::incremental_oracle`]).
+/// oracle (see [`search`]).
 ///
 /// ```
 /// use mmt_model::text::{parse_metamodel, parse_model};
@@ -488,10 +448,6 @@ impl RepairEngine for SearchEngine {
         "search"
     }
 
-    fn jobs(&self) -> usize {
-        self.opts.jobs
-    }
-
     fn repair(
         &self,
         hir: &Arc<Hir>,
@@ -509,32 +465,9 @@ impl RepairEngine for SearchEngine {
         search::repair_search(hir, models, targets, &opts)
     }
 
-    /// Batch fan-out parallelizes at the coarsest level: the worker pool
-    /// runs each request's *search* sequentially (`jobs = 1` inside),
-    /// because request-level parallelism already saturates the workers
-    /// and nested frontier batching would only add thread-scope
-    /// overhead. Outcomes are identical either way.
-    fn repair_batch(
-        &self,
-        hir: &Arc<Hir>,
-        requests: &[RepairRequest],
-    ) -> Vec<Result<Option<RepairOutcome>, RepairError>> {
-        let inner = SearchEngine::new(RepairOptions {
-            jobs: 1,
-            ..self.opts.clone()
-        });
-        pooled_map(requests, self.opts.jobs, |_, r| {
-            inner.repair(hir, &r.models, r.targets)
-        })
-    }
-
     /// Seeds the incremental search from a fork of `root` — no initial
     /// full check runs, which is the whole point of keeping a session's
-    /// checker warm. With `incremental_oracle: false` the warm state is
-    /// unusable (the scratch oracle re-checks every state from the
-    /// models alone), so the call degrades to a cold
-    /// [`SearchEngine::repair`] over `root.models()` — same outcome,
-    /// cold-start price.
+    /// checker warm.
     fn repair_warm(
         &self,
         root: &DeltaChecker,
@@ -543,30 +476,12 @@ impl RepairEngine for SearchEngine {
         if targets.is_empty() {
             return Err(RepairError::NoTargets);
         }
-        if !self.opts.incremental_oracle {
-            return self.repair(root.hir_arc(), root.models(), targets);
-        }
         let mut opts = self.opts.clone();
         opts.tuple = opts
             .tuple
             .resolved(root.models().len())
             .map_err(RepairError::Tuple)?;
         search::search_from_root(root.fork(), targets, &opts)
-    }
-
-    /// As [`SearchEngine::repair_batch`]: request-level fan-out with
-    /// `jobs = 1` inside each warm search.
-    fn repair_batch_warm(
-        &self,
-        roots: &[(DeltaChecker, DomSet)],
-    ) -> Vec<Result<Option<RepairOutcome>, RepairError>> {
-        let inner = SearchEngine::new(RepairOptions {
-            jobs: 1,
-            ..self.opts.clone()
-        });
-        pooled_map(roots, self.opts.jobs, |_, (root, targets)| {
-            inner.repair_warm(root, *targets)
-        })
     }
 }
 
@@ -622,10 +537,6 @@ impl SatEngine {
 impl RepairEngine for SatEngine {
     fn name(&self) -> &'static str {
         "sat"
-    }
-
-    fn jobs(&self) -> usize {
-        self.opts.jobs
     }
 
     fn repair(
@@ -931,23 +842,30 @@ transformation G(cf1 : CF, fm : FM) {
             cf_model(&cf, "cf1", &["engine"]),
             fm_model(&fm, &[("radio", false)]),
         ];
-        for incremental in [true, false] {
-            let engine = SearchEngine::new(RepairOptions {
-                cost: mmt_dist::CostModel {
-                    set_attr: 4,
-                    ..Default::default()
-                },
-                tuple: TupleCost::weighted(vec![1, u64::MAX / 4 + 1]),
-                max_cost: 30,
-                incremental_oracle: incremental,
-                ..RepairOptions::default()
-            });
-            let err = engine
-                .repair(&hir, &models, targets(&[0, 1]))
-                .expect_err("overflowing weights are a configuration error");
+        let opts = RepairOptions {
+            cost: mmt_dist::CostModel {
+                set_attr: 4,
+                ..Default::default()
+            },
+            tuple: TupleCost::weighted(vec![1, u64::MAX / 4 + 1]),
+            max_cost: 30,
+            ..RepairOptions::default()
+        };
+        let tg = targets(&[0, 1]);
+        for (oracle, res) in [
+            (
+                "incremental",
+                SearchEngine::new(opts.clone()).repair(&hir, &models, tg),
+            ),
+            (
+                "reference",
+                search::reference_search(&hir, &models, tg, &opts),
+            ),
+        ] {
+            let err = res.expect_err("overflowing weights are a configuration error");
             assert!(
                 matches!(err, RepairError::CostOverflow),
-                "incremental={incremental}: unexpected error {err}"
+                "{oracle}: unexpected error {err}"
             );
         }
     }

@@ -16,10 +16,9 @@
 //!
 //! ## The incremental oracle
 //!
-//! With [`RepairOptions::incremental_oracle`] (the default), every
-//! search state carries a [`mmt_check::DeltaChecker`] — its parent's
-//! checker state plus the one edit that produced it — so the per-state
-//! consistency oracle costs O(edit) instead of re-running every
+//! Every search state carries a [`mmt_check::DeltaChecker`] — its
+//! parent's checker state plus the one edit that produced it — so the
+//! per-state consistency oracle costs O(edit) instead of re-running every
 //! directional check against the whole tuple. Two further consequences
 //! of the incremental design:
 //!
@@ -32,41 +31,10 @@
 //!   for `DelObj`, whose scrub touches every incoming link — without
 //!   applying the edit.
 //!
-//! The legacy from-scratch oracle is kept behind
-//! `incremental_oracle: false` for ablation benchmarks
-//! (`enforce_search_incremental`) and differential testing.
-//!
-//! ## The parallel frontier
-//!
-//! With [`RepairOptions::jobs`] > 1 the incremental search expands
-//! frontier states on worker threads while staying **bit-identical** to
-//! the sequential engine. The argument:
-//!
-//! 1. States are ordered by `(cost, sequence)`, where `sequence` is the
-//!    order in which states were pushed. A *safe batch* is a prefix of
-//!    that order whose costs all lie below `c_min + min_step`, where
-//!    `min_step` is the cheapest possible candidate edit (minimum op
-//!    price × minimum target-model weight). No child generated by a
-//!    batch member can be cheaper than any batch member — and an
-//!    equal-cost child always carries a larger sequence number — so the
-//!    sequential engine would pop exactly this batch, in exactly this
-//!    order, no matter how expansions interleave.
-//! 2. Expansion (checker clone, edit application, violation collection,
-//!    candidate derivation, child fingerprints) is pure with respect to
-//!    the shared search state: workers only *read* the node arena and
-//!    the fingerprint filter.
-//! 3. All mutation happens in a serial **merge** step that consumes the
-//!    batch's expansions in `(cost, sequence)` order: budget accounting,
-//!    solution detection, duplicate-filter inserts, and child pushes are
-//!    therefore deterministic. Sequence numbers are assigned at merge
-//!    time, so the tie-break among equal costs is the canonical
-//!    candidate-derivation order (violation order × constraint order) —
-//!    never thread-scheduling order.
-//!
-//! The duplicate filter is sharded by `fp % shards`
-//! (`ShardedSeen`); workers consult it lock-free as a pre-filter
-//! (the set only grows, so a hit can never be rescinded) and the merge
-//! step performs the authoritative inserts.
+//! [`reference_search`] runs the same search with a from-scratch oracle
+//! (every state stores a full tuple and re-checks every directional
+//! check). It is slow and exists only as the reference that tests
+//! compare [`repair_search`] against.
 
 use crate::{RepairError, RepairOptions, RepairOutcome};
 use mmt_check::{Binding, CheckOptions, DeltaChecker, DeltaError, EvalCtx, ModelIndex, Slot};
@@ -86,19 +54,20 @@ struct Candidate {
     op: EditOp,
 }
 
-/// Uniform-cost search for a least-change repair. Dispatches on
-/// [`RepairOptions::incremental_oracle`].
+/// Uniform-cost search for a least-change repair, with the incremental
+/// oracle: builds the root checker over `originals` and searches from it.
 pub fn repair_search(
     hir: &Arc<Hir>,
     originals: &[Model],
     targets: DomSet,
     opts: &RepairOptions,
 ) -> Result<Option<RepairOutcome>, RepairError> {
-    if opts.incremental_oracle {
-        repair_search_incremental(hir, originals, targets, opts)
-    } else {
-        repair_search_scratch(hir, originals, targets, opts)
-    }
+    let check_opts = CheckOptions {
+        memoize: true,
+        max_violations: opts.violations_per_check,
+    };
+    let root = DeltaChecker::with_options(hir, originals, check_opts).map_err(delta_repair_err)?;
+    search_from_root(root, targets, opts)
 }
 
 fn delta_repair_err(e: DeltaError) -> RepairError {
@@ -118,99 +87,46 @@ struct PendingState {
     fp: u64,
 }
 
-/// The duplicate-state filter: fingerprints sharded by `fp % shards`.
-///
-/// During parallel expansion the workers read it lock-free (the set only
-/// grows, and the serial merge step between batches is the only writer,
-/// holding `&mut`): a fingerprint already present can never become
-/// absent, so a worker-side hit is always a correct reason to drop a
-/// child early. The merge performs the authoritative inserts in
-/// deterministic pop order.
-struct ShardedSeen {
-    shards: Vec<HashSet<u64>>,
-}
-
-impl ShardedSeen {
-    fn new(jobs: usize) -> ShardedSeen {
-        let n = jobs.max(1).next_power_of_two();
-        ShardedSeen {
-            shards: vec![HashSet::new(); n],
-        }
-    }
-
-    fn shard(&self, fp: u64) -> usize {
-        (fp % self.shards.len() as u64) as usize
-    }
-
-    fn contains(&self, fp: u64) -> bool {
-        self.shards[self.shard(fp)].contains(&fp)
-    }
-
-    fn insert(&mut self, fp: u64) -> bool {
-        let s = self.shard(fp);
-        self.shards[s].insert(fp)
-    }
-}
-
-/// Where a popped state's checker comes from: the root checker (moved in,
-/// first pop only) or a parent in the node arena (cloned).
-enum StateSource<'a> {
-    Root(Box<DeltaChecker>),
-    Parent(&'a DeltaChecker),
-}
-
-/// One surviving repair candidate of an expanded state.
+/// One repair candidate of an expanded state, not yet filtered for
+/// duplicates.
 struct Child {
     cand: Candidate,
     cost: u64,
     fp: u64,
 }
 
-/// Everything the serial merge step needs to know about one expanded
-/// state. Computed on worker threads; consumed in `(cost, sequence)`
-/// pop order.
+/// What expanding one popped state found.
 enum Expansion {
-    /// The pending edit no longer applies to the parent state.
-    Stale,
-    /// Evaluation failed; the search aborts with this error.
-    Failed(RepairError),
     /// Every directional check holds: this state is a repair.
-    Solved(Box<DeltaChecker>),
+    Solved(DeltaChecker),
     /// Some violated check touches no editable model (the paper's "not
     /// all update directions are able to restore consistency").
     Unrepairable,
-    /// Inconsistent; `children` are the surviving repair candidates in
-    /// canonical derivation order (violation order × constraint order).
+    /// Inconsistent; `children` are its repair candidates in canonical
+    /// derivation order (violation order × constraint order).
     Open {
-        checker: Box<DeltaChecker>,
+        checker: DeltaChecker,
         children: Vec<Child>,
     },
 }
 
-/// Materializes one state (clone parent + apply edit), runs the
-/// incremental oracle, and derives its children. Pure with respect to
-/// the shared search state — safe to run on worker threads.
-#[allow(clippy::too_many_arguments)]
+/// Applies a popped state's edit to its materialized parent checker,
+/// runs the incremental oracle, and derives the state's children.
+/// `None` when the edit no longer applies to the parent (a stale state).
 fn expand_state(
     hir: &Hir,
-    source: StateSource<'_>,
-    cand: Option<&Candidate>,
+    mut checker: DeltaChecker,
+    st: &PendingState,
     cost: u64,
-    fp: u64,
     targets: DomSet,
     opts: &RepairOptions,
     pool: &ValuePool,
-    seen: &ShardedSeen,
-) -> Expansion {
-    let mut checker = match source {
-        StateSource::Root(c) => *c,
-        StateSource::Parent(p) => p.clone(),
-    };
-    if let Some(cand) = cand {
+) -> Result<Option<Expansion>, RepairError> {
+    if let Some(cand) = &st.cand {
         match checker.apply(cand.model, &cand.op) {
             Ok(()) => {}
-            Err(DeltaError::Model(_)) => return Expansion::Stale,
-            Err(e) => return Expansion::Failed(delta_repair_err(e)),
+            Err(DeltaError::Model(_)) => return Ok(None),
+            Err(e) => return Err(delta_repair_err(e)),
         }
     }
     // Oracle: the cached (incrementally maintained) violations.
@@ -222,56 +138,25 @@ fn expand_state(
             binding: binding.clone(),
         });
     });
-    for v in &violations {
-        if participating_models(hir.relation(v.rel), v.dep)
-            .intersect(targets)
-            .is_empty()
-        {
-            return Expansion::Unrepairable;
-        }
+    if violations.iter().any(|v| !repairable(hir, v, targets)) {
+        return Ok(Some(Expansion::Unrepairable));
     }
     if violations.is_empty() {
-        return Expansion::Solved(Box::new(checker));
+        return Ok(Some(Expansion::Solved(checker)));
     }
     let mut children: Vec<Child> = Vec::new();
     if cost < opts.max_cost {
-        // Generate repair-guided candidates from every violation. The
-        // fresh-id allocator spans the whole pass so no two fresh-object
-        // candidates of this state collide.
-        let mut candidates: Vec<Candidate> = Vec::new();
-        let mut fresh = FreshAllocator::new(checker.models());
-        for v in &violations {
-            derive_candidates(
-                hir,
-                checker.models(),
-                targets,
-                v,
-                pool,
-                &mut fresh,
-                &mut candidates,
-            );
-        }
-        let mut dedup: HashSet<Candidate> = HashSet::with_capacity(candidates.len());
-        for cand in candidates {
-            if !dedup.insert(cand) {
-                continue;
-            }
-            let Some(step) = checked_step(&cand, opts) else {
-                return Expansion::Failed(RepairError::CostOverflow);
-            };
-            let Some(total) = cost.checked_add(step) else {
-                return Expansion::Failed(RepairError::CostOverflow);
-            };
+        for cand in candidates_of(hir, checker.models(), targets, &violations, pool) {
+            let total = checked_step(&cand, opts)
+                .and_then(|step| cost.checked_add(step))
+                .ok_or(RepairError::CostOverflow)?;
             if total > opts.max_cost {
                 continue;
             }
             // O(touched) child fingerprint — no clone, no edit replay.
-            let Some(child_fp) = fingerprint_apply(checker.models(), fp, &cand) else {
+            let Some(child_fp) = fingerprint_apply(checker.models(), st.fp, &cand) else {
                 continue; // stale candidate
             };
-            if seen.contains(child_fp) {
-                continue; // known duplicate (authoritative re-check at merge)
-            }
             children.push(Child {
                 cand,
                 cost: total,
@@ -279,91 +164,21 @@ fn expand_state(
             });
         }
     }
-    Expansion::Open {
-        checker: Box::new(checker),
-        children,
-    }
-}
-
-/// Expands a safe batch on up to `jobs` worker threads. Results come
-/// back indexed by batch position, so the merge consumes them in the
-/// deterministic pop order regardless of which thread ran what.
-#[allow(clippy::too_many_arguments)]
-fn expand_batch(
-    hir: &Hir,
-    batch: &[(u64, usize)],
-    pending: &[PendingState],
-    nodes: &[DeltaChecker],
-    targets: DomSet,
-    opts: &RepairOptions,
-    pool: &ValuePool,
-    seen: &ShardedSeen,
-    jobs: usize,
-) -> Vec<Expansion> {
-    crate::pooled_map(batch, jobs, |_, &(cost, idx)| {
-        let st = &pending[idx];
-        let parent = st
-            .parent
-            .expect("only the root has no parent, and it is popped as a singleton batch");
-        expand_state(
-            hir,
-            StateSource::Parent(&nodes[parent]),
-            st.cand.as_ref(),
-            cost,
-            st.fp,
-            targets,
-            opts,
-            pool,
-            seen,
-        )
-    })
-}
-
-/// The smallest weighted cost any candidate edit can have. A batch of
-/// states whose costs all lie strictly below `c_min + min_step` is safe
-/// to expand concurrently: no child generated inside the batch can pop
-/// before any batch member does.
-fn min_candidate_step(opts: &RepairOptions, targets: DomSet) -> u64 {
-    let c = &opts.cost;
-    let min_op = [c.add_obj, c.del_obj, c.set_attr, c.add_link, c.del_link]
-        .into_iter()
-        .min()
-        .unwrap_or(1);
-    let min_w = targets
-        .iter()
-        .map(|t| opts.tuple.weight(t.index()))
-        .min()
-        .unwrap_or(1);
-    min_op.saturating_mul(min_w)
-}
-
-/// Incremental-oracle search: states carry their parent's
-/// [`DeltaChecker`] plus one applied edit. With
-/// [`RepairOptions::jobs`] > 1, frontier states are expanded on worker
-/// threads in deterministic safe batches (see the module docs) — the
-/// result is bit-identical for every job count.
-fn repair_search_incremental(
-    hir: &Arc<Hir>,
-    originals: &[Model],
-    targets: DomSet,
-    opts: &RepairOptions,
-) -> Result<Option<RepairOutcome>, RepairError> {
-    let check_opts = CheckOptions {
-        memoize: true,
-        max_violations: opts.violations_per_check,
-    };
-    let root = DeltaChecker::with_options(hir, originals, check_opts).map_err(delta_repair_err)?;
-    search_from_root(root, targets, opts)
+    Ok(Some(Expansion::Open { checker, children }))
 }
 
 /// Incremental-oracle search seeded from a **pre-warmed root checker**
-/// (the hot half of [`repair_search_incremental`], which builds its
-/// root from scratch and delegates here). The root's owned tuple is
-/// taken as the originals; no initial full check runs. Because
+/// (the hot half of [`repair_search`], which builds its root from
+/// scratch and delegates here). The root's owned tuple is taken as the
+/// originals; no initial full check runs. Because
 /// [`DeltaChecker::for_each_violation`] enumerates violations in
 /// canonical (binding-sorted) order, a warm root and a freshly built
 /// one drive the search identically — the outcome is byte-for-byte the
 /// same as a cold [`repair_search`] over the root's models.
+///
+/// States pop in `(cost, sequence)` order, where `sequence` is push
+/// order, so ties between equal-cost states break by candidate
+/// derivation order.
 pub(crate) fn search_from_root(
     root: DeltaChecker,
     targets: DomSet,
@@ -372,13 +187,9 @@ pub(crate) fn search_from_root(
     let hir: Arc<Hir> = Arc::clone(root.hir_arc());
     let hir = &*hir;
     let originals: Vec<Model> = root.models().to_vec();
-    let originals = &originals[..];
-    let value_pool = collect_value_pool(originals, hir, opts.fresh_strings);
-    let mut root_checker = Some(root);
-    let root_fp = fingerprint(originals, targets);
-    let jobs = opts.jobs.max(1);
-    let batch_cap = if jobs == 1 { 1 } else { jobs * 4 };
-    let min_step = min_candidate_step(opts, targets);
+    let value_pool = collect_value_pool(&originals, hir, opts.fresh_strings);
+    let root_fp = fingerprint(&originals, targets);
+    let mut root = Some(root);
     // Materialized (popped) states, kept alive as clone sources.
     let mut nodes: Vec<DeltaChecker> = Vec::new();
     let mut pending: Vec<PendingState> = vec![PendingState {
@@ -388,112 +199,45 @@ pub(crate) fn search_from_root(
     }];
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     heap.push(Reverse((0, 0)));
-    let mut seen = ShardedSeen::new(jobs);
+    let mut seen: HashSet<u64> = HashSet::new();
     seen.insert(root_fp);
     let mut expanded: u64 = 0;
-    while let Some(Reverse((cost0, idx0))) = heap.pop() {
-        // Assemble a safe batch: the next states in (cost, sequence)
-        // order whose costs stay below cost0 + min_step — exactly the
-        // states the sequential engine would pop next no matter what the
-        // expansions push.
-        let mut batch: Vec<(u64, usize)> = vec![(cost0, idx0)];
-        let threshold = if min_step == 0 {
-            cost0
-        } else {
-            cost0.saturating_add(min_step - 1)
+    while let Some(Reverse((cost, idx))) = heap.pop() {
+        let st = &pending[idx];
+        let checker = match st.parent {
+            None => root.take().expect("the root is popped exactly once"),
+            Some(p) => nodes[p].clone(),
         };
-        while batch.len() < batch_cap {
-            match heap.peek() {
-                Some(&Reverse((c, _))) if c <= threshold => {
-                    let Reverse(entry) = heap.pop().expect("peeked entry");
-                    batch.push(entry);
-                }
-                _ => break,
-            }
+        let Some(exp) = expand_state(hir, checker, st, cost, targets, opts, &value_pool)? else {
+            continue; // stale states do not count against the budget
+        };
+        expanded += 1;
+        if expanded > opts.max_states {
+            return Err(RepairError::SearchBudgetExhausted {
+                states: opts.max_states,
+            });
         }
-        // Expand the batch (in parallel when it pays off).
-        let expansions: Vec<Expansion> = if batch.len() == 1 || jobs == 1 {
-            batch
-                .iter()
-                .map(|&(cost, idx)| {
-                    let source = match pending[idx].parent {
-                        None => StateSource::Root(Box::new(
-                            root_checker.take().expect("root is popped exactly once"),
-                        )),
-                        Some(p) => StateSource::Parent(&nodes[p]),
-                    };
-                    expand_state(
-                        hir,
-                        source,
-                        pending[idx].cand.as_ref(),
-                        cost,
-                        pending[idx].fp,
-                        targets,
-                        opts,
-                        &value_pool,
-                        &seen,
-                    )
-                })
-                .collect()
-        } else {
-            expand_batch(
-                hir,
-                &batch,
-                &pending,
-                &nodes,
-                targets,
-                opts,
-                &value_pool,
-                &seen,
-                jobs,
-            )
-        };
-        // Serial merge, in (cost, sequence) pop order: all search-state
-        // mutation happens here, so the outcome is deterministic.
-        for ((cost, _idx), exp) in batch.into_iter().zip(expansions) {
-            match exp {
-                Expansion::Stale => continue,
-                Expansion::Failed(e) => return Err(e),
-                exp => {
-                    expanded += 1;
-                    if expanded > opts.max_states {
-                        return Err(RepairError::SearchBudgetExhausted {
-                            states: opts.max_states,
+        match exp {
+            Expansion::Unrepairable => return Ok(None),
+            Expansion::Solved(checker) => {
+                return outcome(&originals, checker.models().to_vec(), cost).map(Some)
+            }
+            Expansion::Open { checker, children } => {
+                let before = pending.len();
+                for ch in children {
+                    if seen.insert(ch.fp) {
+                        pending.push(PendingState {
+                            parent: Some(nodes.len()),
+                            cand: Some(ch.cand),
+                            fp: ch.fp,
                         });
+                        heap.push(Reverse((ch.cost, pending.len() - 1)));
                     }
-                    match exp {
-                        Expansion::Unrepairable => return Ok(None),
-                        Expansion::Solved(checker) => {
-                            let models = checker.models().to_vec();
-                            let mut deltas = Vec::with_capacity(models.len());
-                            for (o, n) in originals.iter().zip(&models) {
-                                deltas.push(Delta::between(o, n)?);
-                            }
-                            return Ok(Some(RepairOutcome {
-                                cost,
-                                models,
-                                deltas,
-                            }));
-                        }
-                        Expansion::Open { checker, children } => {
-                            if children.is_empty() {
-                                continue;
-                            }
-                            nodes.push(*checker);
-                            let node_idx = nodes.len() - 1;
-                            for ch in children {
-                                if seen.insert(ch.fp) {
-                                    pending.push(PendingState {
-                                        parent: Some(node_idx),
-                                        cand: Some(ch.cand),
-                                        fp: ch.fp,
-                                    });
-                                    heap.push(Reverse((ch.cost, pending.len() - 1)));
-                                }
-                            }
-                        }
-                        Expansion::Stale | Expansion::Failed(_) => unreachable!(),
-                    }
+                }
+                // Keep the checker only as the clone source of pushed
+                // children.
+                if pending.len() > before {
+                    nodes.push(checker);
                 }
             }
         }
@@ -501,10 +245,12 @@ pub(crate) fn search_from_root(
     Ok(None)
 }
 
-/// From-scratch-oracle search (the PR 1 baseline, kept for ablation and
-/// differential testing): every state stores a full model tuple and
-/// re-checks every directional check.
-fn repair_search_scratch(
+/// The same uniform-cost search with a from-scratch oracle: every state
+/// stores a full model tuple and re-checks every directional check.
+/// Tests compare [`repair_search`] against it; `opts.tuple` must already
+/// be resolved against the tuple's arity (or be
+/// [`mmt_dist::TupleCost::auto`]).
+pub fn reference_search(
     hir: &Hir,
     originals: &[Model],
     targets: DomSet,
@@ -528,47 +274,16 @@ fn repair_search_scratch(
         }
         // Oracle: collect violations (with Slot-level bindings).
         let violations = collect_violations(hir, &models, opts)?;
-        for v in &violations {
-            if participating_models(hir.relation(v.rel), v.dep)
-                .intersect(targets)
-                .is_empty()
-            {
-                return Ok(None);
-            }
+        if violations.iter().any(|v| !repairable(hir, v, targets)) {
+            return Ok(None);
         }
         if violations.is_empty() {
-            let mut deltas = Vec::with_capacity(models.len());
-            for (o, n) in originals.iter().zip(&models) {
-                deltas.push(Delta::between(o, n)?);
-            }
-            return Ok(Some(RepairOutcome {
-                cost,
-                models,
-                deltas,
-            }));
+            return outcome(originals, models, cost).map(Some);
         }
         if cost >= opts.max_cost {
             continue;
         }
-        // Generate repair-guided candidates from every violation.
-        let mut candidates: Vec<Candidate> = Vec::new();
-        let mut fresh = FreshAllocator::new(&models);
-        for v in &violations {
-            derive_candidates(
-                hir,
-                &models,
-                targets,
-                v,
-                &value_pool,
-                &mut fresh,
-                &mut candidates,
-            );
-        }
-        let mut dedup: HashSet<Candidate> = HashSet::with_capacity(candidates.len());
-        for cand in candidates {
-            if !dedup.insert(cand) {
-                continue;
-            }
+        for cand in candidates_of(hir, &models, targets, &violations, &value_pool) {
             let total = checked_step(&cand, opts)
                 .and_then(|step| cost.checked_add(step))
                 .ok_or(RepairError::CostOverflow)?;
@@ -587,6 +302,54 @@ fn repair_search_scratch(
         }
     }
     Ok(None)
+}
+
+/// A repair outcome: `models` and the per-model deltas that reach them
+/// from `originals`.
+fn outcome(
+    originals: &[Model],
+    models: Vec<Model>,
+    cost: u64,
+) -> Result<RepairOutcome, RepairError> {
+    let deltas = originals
+        .iter()
+        .zip(&models)
+        .map(|(o, n)| Delta::between(o, n))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(RepairOutcome {
+        cost,
+        models,
+        deltas,
+    })
+}
+
+/// False when `v`'s directional check reads no model in `targets`: no
+/// edit the repair may make can fix it.
+fn repairable(hir: &Hir, v: &Violation, targets: DomSet) -> bool {
+    !participating_models(hir.relation(v.rel), v.dep)
+        .intersect(targets)
+        .is_empty()
+}
+
+/// The repair-guided candidates of one state, deduplicated, in canonical
+/// derivation order (violation order × constraint order). One fresh-id
+/// allocator spans the whole pass, so no two fresh-object candidates of
+/// the state collide.
+fn candidates_of(
+    hir: &Hir,
+    models: &[Model],
+    targets: DomSet,
+    violations: &[Violation],
+    pool: &ValuePool,
+) -> Vec<Candidate> {
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut fresh = FreshAllocator::new(models);
+    for v in violations {
+        derive_candidates(hir, models, targets, v, pool, &mut fresh, &mut candidates);
+    }
+    let mut dedup: HashSet<Candidate> = HashSet::with_capacity(candidates.len());
+    candidates.retain(|c| dedup.insert(*c));
+    candidates
 }
 
 /// The weighted price of one candidate edit: op price × model weight,
@@ -1252,16 +1015,14 @@ transformation C2T(uml : UML, rdb : RDB) {
         let m_rdb = parse_model("model r : RDB { }", &rdb).unwrap();
         let models = [m_uml, m_rdb];
         let targets = DomSet::single(DomIdx(1));
-        for incremental in [true, false] {
-            let opts = RepairOptions {
-                incremental_oracle: incremental,
-                ..RepairOptions::default()
-            };
-            let out = repair_search(&hir, &models, targets, &opts)
-                .unwrap()
-                .expect("a fresh Table + Column repair exists");
+        let opts = RepairOptions::default();
+        for (oracle, out) in [
+            ("incremental", repair_search(&hir, &models, targets, &opts)),
+            ("reference", reference_search(&hir, &models, targets, &opts)),
+        ] {
+            let out = out.unwrap().expect("a fresh Table + Column repair exists");
             // AddObj ×2, SetAttr name ×2, AddLink: the minimal witness.
-            assert_eq!(out.cost, 5, "incremental={incremental}");
+            assert_eq!(out.cost, 5, "{oracle}");
             let adds: Vec<ObjId> = out.deltas[1]
                 .ops()
                 .iter()
@@ -1270,13 +1031,13 @@ transformation C2T(uml : UML, rdb : RDB) {
                     _ => None,
                 })
                 .collect();
-            assert_eq!(adds.len(), 2, "incremental={incremental}");
-            assert_ne!(adds[0], adds[1], "incremental={incremental}");
+            assert_eq!(adds.len(), 2, "{oracle}");
+            assert_ne!(adds[0], adds[1], "{oracle}");
             let check = mmt_check::Checker::new(&hir, &out.models)
                 .unwrap()
                 .check()
                 .unwrap();
-            assert!(check.consistent(), "incremental={incremental}\n{check}");
+            assert!(check.consistent(), "{oracle}\n{check}");
         }
     }
 

@@ -2,6 +2,7 @@
 //! the checking engine, across seeded workloads and injections.
 
 use mmtf::dist::Delta;
+use mmtf::enforce::search::reference_search;
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
 use mmtf::prelude::*;
@@ -275,8 +276,8 @@ fn reported_deltas_replay() {
 /// Search and SAT agree on minimal *weighted* tuple distances — PR 1
 /// only differentially tested the uniform case. Also cross-checks the
 /// reported cost against an independent `tuple_distance` recomputation
-/// over the returned deltas, and runs the search engine under both
-/// oracles (incremental and from-scratch).
+/// over the returned deltas, and runs the incremental search against
+/// the from-scratch `reference_search`.
 #[test]
 fn engines_agree_under_weighted_tuple_costs() {
     let injections = [
@@ -302,17 +303,12 @@ fn engines_agree_under_weighted_tuple_costs() {
                 max_cost: 40,
                 ..RepairOptions::default()
             };
-            let scratch_opts = RepairOptions {
-                incremental_oracle: false,
-                ..opts.clone()
-            };
             let shape = Shape::all(3);
             let inc = t
                 .enforce_with(&w.models, shape, EngineKind::Search, opts.clone())
                 .expect("incremental search runs");
-            let scr = t
-                .enforce_with(&w.models, shape, EngineKind::Search, scratch_opts)
-                .expect("scratch search runs");
+            let scr = reference_search(t.hir(), &w.models, shape.targets(), &opts)
+                .expect("reference search runs");
             let sat = t
                 .enforce_with(&w.models, shape, EngineKind::Sat, opts.clone())
                 .expect("sat runs");
@@ -346,6 +342,123 @@ fn engines_agree_under_weighted_tuple_costs() {
             }
         }
     }
+}
+
+/// Renders every pinned search repair: cost and per-model edit scripts,
+/// one `== <case>` block each. The cases: eight seeded random-edit
+/// requests on the paper's feature tuple; the four injections over six
+/// feature workloads, repaired into every model (at uniform and at
+/// `1,3,7` tuple weights) and into the configurations only; and every
+/// corpus scenario at four seeds after a seeded `random_edits` drift,
+/// under `all` and `all_but` shapes.
+fn render_pinned_search_repairs() -> String {
+    let mut out = String::new();
+    let mut push = |case: String, res: Result<Option<RepairOutcome>, CoreError>| {
+        out.push_str(&format!("== {case}\n"));
+        match res {
+            Err(e) => out.push_str(&format!("error: {e}\n")),
+            Ok(None) => out.push_str("unrepairable\n"),
+            Ok(Some(o)) => {
+                out.push_str(&format!("cost {}\n", o.cost));
+                for d in &o.deltas {
+                    out.push_str(&format!("{d}\n"));
+                }
+            }
+        }
+    };
+    let search = EngineKind::Search;
+    let bounded = RepairOptions {
+        max_cost: 8,
+        max_states: 20_000,
+        ..RepairOptions::default()
+    };
+    for seed in 0..8u64 {
+        let mut w = feature_workload(FeatureSpec {
+            n_features: 3,
+            k_configs: 2,
+            mandatory_ratio: 0.4,
+            select_prob: 0.4,
+            seed: seed * 11 + 1,
+        });
+        let m = (seed as usize) % w.models.len();
+        let mut drift = Delta::new();
+        for op in random_edits(&w.models[m], 2, seed * 31 + m as u64) {
+            drift.push(op);
+        }
+        drift.apply(&mut w.models[m]).unwrap();
+        let t = Transformation::from_hir(w.hir.clone());
+        let res = t.enforce_with(&w.models, Shape::all(3), search, bounded.clone());
+        push(format!("random-edit seed={seed}"), res);
+    }
+    let injections = [
+        Injection::NewMandatoryInFm,
+        Injection::RenameInConfig { config: 0 },
+        Injection::SelectEverywhere,
+        Injection::SelectUnknown { config: 1 },
+    ];
+    let weighted = RepairOptions {
+        tuple: TupleCost::weighted(vec![1, 3, 7]),
+        max_cost: 40,
+        ..RepairOptions::default()
+    };
+    for seed in 0..6u64 {
+        for (i, &injection) in injections.iter().enumerate() {
+            let mut w = feature_workload(FeatureSpec {
+                n_features: 3 + (seed as usize % 3),
+                k_configs: 2,
+                mandatory_ratio: 0.4,
+                select_prob: 0.4,
+                seed: seed * 13 + i as u64,
+            });
+            inject(&mut w, injection);
+            let t = Transformation::from_hir(w.hir.clone());
+            for (label, shape, opts) in [
+                ("all", Shape::all(3), RepairOptions::default()),
+                ("all weights=1,3,7", Shape::all(3), weighted.clone()),
+                ("cf1,cf2", Shape::of(&[0, 1]), RepairOptions::default()),
+            ] {
+                let res = t.enforce_with(&w.models, shape, search, opts);
+                push(format!("{injection:?} seed={seed} shape={label}"), res);
+            }
+        }
+    }
+    for sc in mmtf::gen::scenario::all_scenarios() {
+        for seed in 0..4u64 {
+            let w = sc.workload(seed);
+            let arity = w.models.len();
+            let t = Transformation::from_hir(w.hir.clone());
+            let target = (seed as usize) % arity;
+            let mut models = w.models.clone();
+            let mut drift = Delta::new();
+            for op in random_edits(&models[target], 1 + seed as usize, seed * 7 + 3) {
+                drift.push(op);
+            }
+            drift.apply(&mut models[target]).unwrap();
+            for (label, shape) in [
+                ("all".to_string(), Shape::all(arity)),
+                (format!("all_but({target})"), Shape::all_but(target, arity)),
+            ] {
+                let res = t.enforce(&models, shape, search);
+                push(format!("{} seed={seed} shape={label}", sc.name()), res);
+            }
+        }
+    }
+    out
+}
+
+/// Search outcomes are pinned byte for byte: the rendered cost and edit
+/// scripts of a fixed set of repairs must equal the text recorded in
+/// `tests/pins/search_repairs.txt`. Refactors of the search loop must
+/// leave it unchanged; a deliberate change of search order re-records
+/// the file and says why.
+#[test]
+fn search_repairs_match_pinned_outcomes() {
+    let got = render_pinned_search_repairs();
+    let want = include_str!("pins/search_repairs.txt");
+    for (g, w) in got.split("== ").zip(want.split("== ")) {
+        assert_eq!(g, w, "pinned search outcome changed");
+    }
+    assert_eq!(got, want, "pinned case list changed");
 }
 
 /// An explicit tuple weighting of the wrong arity is an error on both

@@ -2,7 +2,7 @@
 //!
 //! Compiled only under `--features model-check`, which swaps the hub's,
 //! interner's, and fan-out's primitives for loomlite's instrumented ones
-//! (see the `mmt_sync` shim modules).  Each test explores *every* schedule
+//! (see `mmt_model::mmt_sync`).  Each test explores *every* schedule
 //! reachable with the default preemption bound and asserts an invariant in
 //! all of them; `seeded_*` tests plant a known bug in a local replica of the
 //! pattern and assert the checker reports it (failing-before evidence that

@@ -1,14 +1,13 @@
 //! Differential testing of the parallel repair layer: `repair_batch`
-//! and the parallel search frontier must be **byte-identical** to the
-//! sequential engine for every worker count, across the PR 2
-//! random-edit scenarios.
+//! must be **byte-identical** to request-by-request repair for every
+//! worker count, across seeded random-edit scenarios.
 
 use mmtf::dist::Delta;
 use mmtf::gen::{feature_workload, random_edits, FeatureSpec};
 use mmtf::model::text::print_model;
 use mmtf::prelude::*;
 
-/// The PR 2 random-edit scenarios: seeded feature workloads driven into
+/// The random-edit scenarios: seeded feature workloads driven into
 /// arbitrary states by seeded random edit scripts on every component.
 fn random_edit_requests() -> (std::sync::Arc<Hir>, Vec<RepairRequest>) {
     let mut requests = Vec::new();
@@ -42,9 +41,8 @@ fn random_edit_requests() -> (std::sync::Arc<Hir>, Vec<RepairRequest>) {
 
 /// Bounds that keep adversarial random states cheap: differential
 /// equality — not repair depth — is what this suite exercises.
-fn bounded(incremental: bool) -> RepairOptions {
+fn bounded() -> RepairOptions {
     RepairOptions {
-        incremental_oracle: incremental,
         max_cost: 8,
         max_states: 20_000,
         ..RepairOptions::default()
@@ -74,37 +72,25 @@ fn render(out: &Result<Option<RepairOutcome>, mmtf::enforce::RepairError>) -> St
 }
 
 /// `repair_batch` with 1, 2 and 4 workers returns byte-identical
-/// outcomes to the sequential engine, for both search oracles.
+/// outcomes to the engine run request by request.
 #[test]
 fn search_batch_is_byte_identical_to_sequential() {
     let (hir, requests) = random_edit_requests();
-    for incremental in [true, false] {
-        let base_opts = bounded(incremental);
-        // Ground truth: the sequential engine, request by request.
-        let sequential: Vec<String> = requests
-            .iter()
-            .map(|r| {
-                render(&SearchEngine::new(base_opts.clone()).repair(&hir, &r.models, r.targets))
-            })
-            .collect();
-        assert!(
-            sequential.iter().any(|s| s.starts_with("cost")),
-            "the scenario set must contain repairable requests"
-        );
-        for jobs in [1usize, 2, 4] {
-            let engine = SearchEngine::new(RepairOptions {
-                jobs,
-                ..base_opts.clone()
-            });
-            let batch = engine.repair_batch(&hir, &requests);
-            assert_eq!(batch.len(), requests.len());
-            for (i, out) in batch.iter().enumerate() {
-                assert_eq!(
-                    render(out),
-                    sequential[i],
-                    "incremental={incremental} jobs={jobs} request {i}"
-                );
-            }
+    let engine = SearchEngine::new(bounded());
+    // Ground truth: the engine, request by request.
+    let sequential: Vec<String> = requests
+        .iter()
+        .map(|r| render(&engine.repair(&hir, &r.models, r.targets)))
+        .collect();
+    assert!(
+        sequential.iter().any(|s| s.starts_with("cost")),
+        "the scenario set must contain repairable requests"
+    );
+    for jobs in [1usize, 2, 4] {
+        let batch = engine.repair_batch(&hir, &requests, jobs);
+        assert_eq!(batch.len(), requests.len());
+        for (i, out) in batch.iter().enumerate() {
+            assert_eq!(render(out), sequential[i], "jobs={jobs} request {i}");
         }
     }
 }
@@ -113,37 +99,15 @@ fn search_batch_is_byte_identical_to_sequential() {
 #[test]
 fn sat_batch_is_byte_identical_to_sequential() {
     let (hir, requests) = random_edit_requests();
+    let engine = SatEngine::new(bounded());
     let sequential: Vec<String> = requests
         .iter()
-        .map(|r| render(&SatEngine::new(bounded(true)).repair(&hir, &r.models, r.targets)))
+        .map(|r| render(&engine.repair(&hir, &r.models, r.targets)))
         .collect();
     for jobs in [2usize, 4] {
-        let engine = SatEngine::new(RepairOptions {
-            jobs,
-            ..bounded(true)
-        });
-        let batch = engine.repair_batch(&hir, &requests);
+        let batch = engine.repair_batch(&hir, &requests, jobs);
         for (i, out) in batch.iter().enumerate() {
             assert_eq!(render(out), sequential[i], "jobs={jobs} request {i}");
-        }
-    }
-}
-
-/// The parallel search *frontier* (jobs > 1 inside one repair) is
-/// byte-identical to the sequential frontier on every scenario.
-#[test]
-fn parallel_frontier_is_byte_identical_to_sequential() {
-    let (hir, requests) = random_edit_requests();
-    for (i, r) in requests.iter().enumerate() {
-        let sequential =
-            render(&SearchEngine::new(bounded(true)).repair(&hir, &r.models, r.targets));
-        for jobs in [2usize, 4] {
-            let engine = SearchEngine::new(RepairOptions {
-                jobs,
-                ..bounded(true)
-            });
-            let parallel = render(&engine.repair(&hir, &r.models, r.targets));
-            assert_eq!(parallel, sequential, "jobs={jobs} request {i}");
         }
     }
 }
@@ -155,12 +119,9 @@ fn parallel_frontier_is_byte_identical_to_sequential() {
 #[test]
 fn batch_costs_agree_with_sat_oracle() {
     let (hir, requests) = random_edit_requests();
-    let search = SearchEngine::new(RepairOptions {
-        jobs: 4,
-        ..bounded(true)
-    });
-    let sat = SatEngine::new(bounded(true));
-    let batch = search.repair_batch(&hir, &requests);
+    let search = SearchEngine::new(bounded());
+    let sat = SatEngine::new(bounded());
+    let batch = search.repair_batch(&hir, &requests, 4);
     for (i, (req, out)) in requests.iter().zip(&batch).enumerate() {
         let (Ok(Some(a)), Ok(Some(b))) = (out, &sat.repair(&hir, &req.models, req.targets)) else {
             continue;

@@ -3,8 +3,8 @@
 //!
 //! * **warmth** — [`SyncSession::repair`] must be byte-identical (cost +
 //!   printed models + rendered deltas) to the stateless
-//!   [`Transformation::enforce_with`] on the same tuple, under both
-//!   search oracles and the SAT engine, with `jobs ∈ {1, 2}`;
+//!   [`Transformation::enforce_with`] on the same tuple, under the
+//!   search and the SAT engine;
 //! * **journal replay** — replaying [`SyncSession::journal_script`]
 //!   over the seed tuple reproduces the live tuple byte for byte, and
 //!   `rollback_all` restores the seed exactly (via `Delta::inverse`);
@@ -47,23 +47,10 @@ fn deltas_text(deltas: &[Delta]) -> Vec<String> {
 
 /// Drives one session + one stateless mirror through a generated
 /// script, asserting warm ≡ cold at every repair checkpoint.
-fn assert_session_matches_stateless(
-    engine: EngineKind,
-    incremental_oracle: bool,
-    jobs: usize,
-    seed: u64,
-) {
+fn assert_session_matches_stateless(engine: EngineKind, seed: u64) {
     let (t, seed_models) = fixture(seed);
     let targets = DomSet::from_iter([mmtf::deps::DomIdx(0), mmtf::deps::DomIdx(1)]);
-    assert_session_matches_stateless_on(
-        &t,
-        &seed_models,
-        targets,
-        engine,
-        incremental_oracle,
-        jobs,
-        seed,
-    );
+    assert_session_matches_stateless_on(&t, &seed_models, targets, engine, seed);
 }
 
 /// The scenario-generic core of the warmth differential: any
@@ -73,15 +60,9 @@ fn assert_session_matches_stateless_on(
     seed_models: &[Model],
     targets: DomSet,
     engine: EngineKind,
-    incremental_oracle: bool,
-    jobs: usize,
     seed: u64,
 ) {
-    let repair = RepairOptions {
-        incremental_oracle,
-        jobs,
-        ..RepairOptions::default()
-    };
+    let repair = RepairOptions::default();
     let opts = SessionOptions {
         engine,
         repair: repair.clone(),
@@ -90,9 +71,7 @@ fn assert_session_matches_stateless_on(
     let mut stateless: Vec<Model> = seed_models.to_vec();
     let mut gen = SessionScriptGen::new(targets, 3, seed.wrapping_mul(31).wrapping_add(7));
     let full = DomSet::full(t.arity());
-    let ctx = |step: usize| {
-        format!("engine={engine:?} incremental={incremental_oracle} jobs={jobs} seed={seed} step={step}")
-    };
+    let ctx = |step: usize| format!("engine={engine:?} seed={seed} step={step}");
     for step_no in 0..18 {
         match gen.next_step(session.models()) {
             SessionStep::Edit { model, op } => {
@@ -151,16 +130,12 @@ fn assert_session_matches_stateless_on(
     }
 }
 
-/// The warmth differential, full matrix: both search oracles and the
-/// SAT engine, jobs ∈ {1, 2}.
+/// The warmth differential over both engines.
 #[test]
 fn warm_repair_is_byte_identical_to_stateless_enforce() {
     for seed in [1u64, 2, 3] {
-        for jobs in [1usize, 2] {
-            assert_session_matches_stateless(EngineKind::Search, true, jobs, seed);
-            assert_session_matches_stateless(EngineKind::Search, false, jobs, seed);
-            assert_session_matches_stateless(EngineKind::Sat, true, jobs, seed);
-        }
+        assert_session_matches_stateless(EngineKind::Search, seed);
+        assert_session_matches_stateless(EngineKind::Sat, seed);
     }
 }
 
@@ -168,49 +143,29 @@ fn warm_repair_is_byte_identical_to_stateless_enforce() {
 #[test]
 fn warm_incremental_search_over_more_seeds() {
     for seed in [4u64, 5, 6, 7, 8] {
-        assert_session_matches_stateless(EngineKind::Search, true, 1, seed);
+        assert_session_matches_stateless(EngineKind::Search, seed);
     }
 }
 
 /// The scenario sweep: warm ≡ cold byte-identity over one named
-/// corpus scenario, under both search oracles and the SAT engine.
+/// corpus scenario, under the search and the SAT engine.
 fn scenario_sweep(name: &str) {
     let sc = scenario_named(name).expect("known scenario");
     for seed in [1u64, 2] {
         let w = sc.workload(seed);
         let t = Transformation::from_hir(w.hir.clone());
-        let targets = sc.repair_targets();
         assert_session_matches_stateless_on(
             &t,
             &w.models,
-            targets,
+            sc.repair_targets(),
             EngineKind::Search,
-            true,
-            1,
-            seed,
-        );
-        assert_session_matches_stateless_on(
-            &t,
-            &w.models,
-            targets,
-            EngineKind::Search,
-            false,
-            1,
             seed,
         );
     }
     // One SAT pass per scenario (grounding is the expensive path).
     let w = sc.workload(1);
     let t = Transformation::from_hir(w.hir.clone());
-    assert_session_matches_stateless_on(
-        &t,
-        &w.models,
-        sc.repair_targets(),
-        EngineKind::Sat,
-        true,
-        1,
-        1,
-    );
+    assert_session_matches_stateless_on(&t, &w.models, sc.repair_targets(), EngineKind::Sat, 1);
 }
 
 #[test]
@@ -274,51 +229,5 @@ fn journal_replays_and_rolls_back_exactly() {
             assert!(orig.graph_eq(live), "seed={seed} model {i}");
         }
         assert!(session.status().consistent, "seed={seed}");
-    }
-}
-
-/// `repair_batch_warm` over forked session checkers matches per-root
-/// `repair_warm` and the stateless batch, at 1 and 2 workers.
-#[test]
-fn warm_batch_matches_stateless_batch() {
-    use mmtf::enforce::{RepairEngine, SearchEngine};
-    let (t, seed_models) = fixture(21);
-    let targets = DomSet::from_iter([mmtf::deps::DomIdx(0), mmtf::deps::DomIdx(1)]);
-    // Build several drifted sessions (different edit prefixes).
-    let mut roots = Vec::new();
-    let mut tuples = Vec::new();
-    for seed in [31u64, 32, 33, 34] {
-        let mut session = t.session(&seed_models).unwrap();
-        let mut gen = SessionScriptGen::new(targets, 0, seed);
-        for _ in 0..3 {
-            if let SessionStep::Edit { model, op } = gen.next_step(session.models()) {
-                session.apply(model, op).unwrap();
-            }
-        }
-        tuples.push(session.models().to_vec());
-        roots.push((session.checker().fork(), targets));
-    }
-    for jobs in [1usize, 2] {
-        let engine = SearchEngine::new(RepairOptions {
-            jobs,
-            ..RepairOptions::default()
-        });
-        let warm = engine.repair_batch_warm(&roots);
-        for (i, (out, tuple)) in warm.iter().zip(&tuples).enumerate() {
-            let cold = engine.repair(t.hir_arc(), tuple, targets);
-            match (out, &cold) {
-                (Ok(None), Ok(None)) => {}
-                (Ok(Some(w)), Ok(Some(c))) => {
-                    assert_eq!(w.cost, c.cost, "jobs={jobs} root {i}");
-                    assert_eq!(prints(&w.models), prints(&c.models), "jobs={jobs} root {i}");
-                    assert_eq!(
-                        deltas_text(&w.deltas),
-                        deltas_text(&c.deltas),
-                        "jobs={jobs} root {i}"
-                    );
-                }
-                (w, c) => panic!("jobs={jobs} root {i}: {w:?} vs {c:?}"),
-            }
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! persisted, dropped, and reopened mid-flight must be observably
 //! identical — status, fingerprint, rendered journal, and the final
 //! written tuple, byte for byte — to one uninterrupted in-memory
-//! session, under both search oracles and the SAT engine. Plus the
+//! session, under the search and the SAT engine. Plus the
 //! `rollback(n)` edge cases: saturation past the journal start,
 //! rolling back across a persisted/recovered boundary, and
 //! rollback-then-new-edits reusing the committed WAL prefix.
@@ -13,7 +13,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mmtf::core::{SessionOptions, Shape, SyncSession, SyncStatus, Transformation};
-use mmtf::enforce::RepairOptions;
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, FeatureSpec, SessionScriptGen, SessionStep};
 use mmtf::model::text::print_model;
@@ -66,43 +65,25 @@ fn scratch(tag: &str) -> PathBuf {
 /// through the *same* generated script, persisting + dropping +
 /// reopening the durable one at every `reopen_every` steps, and
 /// asserts they are observably identical after every step.
-fn assert_persisted_equals_uninterrupted(
-    engine: EngineKind,
-    incremental_oracle: bool,
-    seed: u64,
-    tag: &str,
-) {
+fn assert_persisted_equals_uninterrupted(engine: EngineKind, seed: u64, tag: &str) {
     let (t, seed_models) = fixture(seed);
     let targets = DomSet::from_iter([mmtf::deps::DomIdx(0), mmtf::deps::DomIdx(1)]);
-    assert_persisted_equals_uninterrupted_on(
-        &t,
-        &seed_models,
-        targets,
-        engine,
-        incremental_oracle,
-        seed,
-        tag,
-    );
+    assert_persisted_equals_uninterrupted_on(&t, &seed_models, targets, engine, seed, tag);
 }
 
 /// The scenario-generic core of the persistence differential: any
 /// transformation, any seed tuple, any repair-target set.
-#[allow(clippy::too_many_arguments)]
 fn assert_persisted_equals_uninterrupted_on(
     t: &Arc<Transformation>,
     seed_models: &[Model],
     targets: DomSet,
     engine: EngineKind,
-    incremental_oracle: bool,
     seed: u64,
     tag: &str,
 ) {
     let opts = SessionOptions {
         engine,
-        repair: RepairOptions {
-            incremental_oracle,
-            ..RepairOptions::default()
-        },
+        ..SessionOptions::default()
     };
     let mut live = SyncSession::with_options(Arc::clone(t), seed_models, opts.clone()).unwrap();
     let mut durable = SyncSession::with_options(Arc::clone(t), seed_models, opts.clone()).unwrap();
@@ -110,9 +91,7 @@ fn assert_persisted_equals_uninterrupted_on(
     let mut store = PersistentSession::create(&dir, &durable).unwrap();
 
     let mut gen = SessionScriptGen::new(targets, 3, seed.wrapping_mul(31).wrapping_add(7));
-    let ctx = |step: usize| {
-        format!("engine={engine:?} incremental={incremental_oracle} seed={seed} step={step}")
-    };
+    let ctx = |step: usize| format!("engine={engine:?} seed={seed} step={step}");
     for step_no in 0..18 {
         // The generator is fed the *reference* models; both sessions
         // apply the identical step.
@@ -162,27 +141,20 @@ fn assert_persisted_equals_uninterrupted_on(
 #[test]
 fn search_incremental_survives_reopen() {
     for seed in [3, 17] {
-        assert_persisted_equals_uninterrupted(EngineKind::Search, true, seed, "search-inc");
-    }
-}
-
-#[test]
-fn search_scratch_oracle_survives_reopen() {
-    for seed in [3, 17] {
-        assert_persisted_equals_uninterrupted(EngineKind::Search, false, seed, "search-cold");
+        assert_persisted_equals_uninterrupted(EngineKind::Search, seed, "search-inc");
     }
 }
 
 #[test]
 fn sat_engine_survives_reopen() {
     for seed in [3, 17] {
-        assert_persisted_equals_uninterrupted(EngineKind::Sat, true, seed, "sat");
+        assert_persisted_equals_uninterrupted(EngineKind::Sat, seed, "sat");
     }
 }
 
 /// The scenario sweep: persist-reopen ≡ uninterrupted over one named
 /// corpus scenario, crash-recovering mid-script, under the warm search
-/// oracle and the SAT engine.
+/// and the SAT engine.
 fn scenario_sweep(name: &str) {
     let sc = scenario_named(name).expect("known scenario");
     for seed in [3u64, 17] {
@@ -193,7 +165,6 @@ fn scenario_sweep(name: &str) {
             &w.models,
             sc.repair_targets(),
             EngineKind::Search,
-            true,
             seed,
             &format!("scn-{name}-search-{seed}"),
         );
@@ -205,7 +176,6 @@ fn scenario_sweep(name: &str) {
         &w.models,
         sc.repair_targets(),
         EngineKind::Sat,
-        true,
         3,
         &format!("scn-{name}-sat"),
     );
