@@ -193,19 +193,18 @@ struct CachedCheck {
 /// whose *witness* read that object. Below the threshold the maps stay
 /// empty and lookups scan the slab directly: for the tiny match states
 /// of interactive sessions the scan is cheaper than the hashing and
-/// per-bucket allocations (and makes cloning the state — which repair
-/// search does per explored candidate — a pair of memcpys). The switch
-/// is one-way: a state that has been indexed stays indexed.
+/// per-bucket allocations (and makes forking the state a pair of
+/// memcpys). The switch is one-way: a state that has been indexed stays
+/// indexed, even after undo edits shrink it again.
 ///
 /// The violation count is a plain counter (`n_violating`), maintained
 /// as an incremental delta at every mutation — never recomputed by
 /// scanning (debug builds assert it against a scan after each update).
 /// The sorted `violating` slot vec exists only in indexed mode: below
 /// [`INDEX_THRESHOLD`] a slab scan enumerates violations just as fast,
-/// and skipping the vec keeps the per-check mutation path (and every
-/// repair-search clone of the state) free of its memmoves and heap
-/// allocation — maintaining it unconditionally was measured at a
-/// 15–20% warm-session checkpoint regression.
+/// and skipping the vec keeps the per-check mutation path free of its
+/// memmoves and heap allocation — maintaining it unconditionally was
+/// measured at a 15–20% warm-session checkpoint regression.
 #[derive(Clone, Debug, Default)]
 struct MatchState {
     slab: Vec<Option<MatchEntry>>,
@@ -513,9 +512,11 @@ fn unregister(index: &mut FxHashMap<(DomIdx, ObjId), Vec<u32>>, key: (DomIdx, Ob
 /// tuple. See the [module docs](self) for the invalidation model and a
 /// worked example.
 ///
-/// Cloning a `DeltaChecker` is O(tuple) and shares the compiled check
-/// statics — the enforcement search clones one checker per explored
-/// state and applies a single edit to each clone.
+/// Cloning a `DeltaChecker` ([`DeltaChecker::fork`]) is O(tuple) and
+/// shares the compiled check statics. The enforcement search holds one
+/// checker per repair (built over the originals, or forked from a
+/// session) and moves it between search states by exact inverse edits,
+/// so a state costs O(|edit|), not O(tuple).
 ///
 /// `DeltaChecker` owns its whole world — the model tuple and a shared
 /// handle on the transformation ([`Arc<Hir>`]) — so it is `'static`:
@@ -538,9 +539,9 @@ pub struct DeltaChecker {
 }
 
 /// Reusable buffers for the partial-update passes, cleared per edit but
-/// never shrunk — the steady-state edit path allocates nothing. Cloning
-/// a checker (repair search forks one per explored candidate) resets
-/// them to empty.
+/// never shrunk — the steady-state edit path allocates nothing, undo
+/// edits of the repair search included. Cloning a checker resets them
+/// to empty.
 #[derive(Debug, Default)]
 struct UpdateScratch {
     /// Slots invalidated by a universal-side edit.
@@ -851,6 +852,15 @@ impl DeltaChecker {
     /// hands its live state to a repair engine while keeping its own.
     pub fn fork(&self) -> DeltaChecker {
         self.clone()
+    }
+
+    /// Drops trailing tombstones of the model at `model` down to
+    /// `bound` ([`Model::truncate_tombstones`]). Exact undo of an
+    /// `AddObj` past the id bound ends with this, so ids minted from
+    /// `id_bound()` afterwards are the ones minted before the edit. The
+    /// match state and indexes need no update: tombstones match nothing.
+    pub fn truncate_tombstones(&mut self, model: DomIdx, bound: usize) {
+        self.models[model.index()].truncate_tombstones(bound);
     }
 
     /// Cumulative incremental-update statistics.

@@ -22,10 +22,10 @@
 //!   exact inverse edits ([`Delta::inverse`]) through the same path.
 //!
 //! Every mutation lands in the **journal** in an *expanded*, exactly
-//! invertible form: a `DelObj` of an object that still carries links or
-//! non-default attributes is journaled as explicit `DelLink` /
-//! `SetAttr`-to-default ops followed by the bare deletion, so
-//! [`Delta::inverse`] restores the object perfectly. Replaying
+//! invertible form ([`expand_op`]): a `DelObj` of an object that still
+//! carries links or non-default attributes is journaled as explicit
+//! `DelLink` / `SetAttr`-to-default ops followed by the bare deletion,
+//! so [`Delta::inverse`] restores the object perfectly. Replaying
 //! [`SyncSession::journal_script`] over the seed tuple reproduces the
 //! live tuple byte for byte.
 //!
@@ -43,7 +43,7 @@
 use crate::{CoreError, EngineKind, Shape, Transformation};
 use mmt_check::{CheckOptions, CheckReport, DeltaChecker, DeltaError};
 use mmt_deps::{DomIdx, DomSet};
-use mmt_dist::{Delta, EditOp};
+use mmt_dist::{expand_op, Delta, EditOp};
 use mmt_enforce::search::{fingerprint_step, state_fingerprint};
 use mmt_enforce::{RepairEngine, RepairError, RepairOptions, SatEngine, SearchEngine};
 use mmt_model::Model;
@@ -482,7 +482,9 @@ impl SyncSession {
     ) -> Result<(), CoreError> {
         let m = model.index();
         assert!(m < self.t.arity(), "model index out of range");
-        for e in expand_op(&self.checker.models()[m], op) {
+        let mut script = Vec::new();
+        expand_op(&self.checker.models()[m], op, &mut script);
+        for e in script {
             let next = fingerprint_step(self.checker.models(), self.fp, model, &e);
             self.checker.apply(model, &e).map_err(delta_core_err)?;
             if let Some(next) = next {
@@ -502,83 +504,6 @@ impl std::fmt::Debug for SyncSession {
             .field("journal_len", &self.journal.len())
             .field("fingerprint", &self.fp)
             .finish()
-    }
-}
-
-/// Expands one op into its journal form against the pre-edit model:
-///
-/// * no-op edits expand to nothing;
-/// * `SetAttr` is normalized so `old` is the *actual* current value
-///   (exact inversion never trusts the caller's claim);
-/// * `DelObj` of an object still carrying links or non-default
-///   attributes becomes explicit `DelLink`s (incoming then outgoing)
-///   and `SetAttr`-to-default ops followed by the bare deletion, so the
-///   whole expansion inverts exactly op by op;
-/// * invalid ops (missing objects, …) pass through unchanged — the
-///   checker's own application surfaces the error.
-fn expand_op(m: &Model, op: &EditOp) -> Vec<EditOp> {
-    match *op {
-        EditOp::SetAttr {
-            id, attr, value, ..
-        } => match m.attr(id, attr) {
-            Ok(cur) if cur == value => Vec::new(),
-            Ok(cur) => vec![EditOp::SetAttr {
-                id,
-                attr,
-                value,
-                old: cur,
-            }],
-            Err(_) => vec![*op],
-        },
-        EditOp::AddLink { src, r, dst } => {
-            if m.contains(src) && m.contains(dst) && m.has_link(src, r, dst) {
-                Vec::new()
-            } else {
-                vec![*op]
-            }
-        }
-        EditOp::DelLink { src, r, dst } => {
-            if m.contains(src) && m.contains(dst) && !m.has_link(src, r, dst) {
-                Vec::new()
-            } else {
-                vec![*op]
-            }
-        }
-        EditOp::DelObj { id, .. } => {
-            let Ok(class) = m.class_of(id) else {
-                return vec![*op]; // missing object: let the checker error
-            };
-            let meta = m.metamodel();
-            let mut out = Vec::new();
-            // Incoming links (the ones deletion would scrub) — O(degree)
-            // via the model's inverse link index.
-            for &(src, r) in m.incoming(id) {
-                if src != id {
-                    out.push(EditOp::DelLink { src, r, dst: id });
-                }
-            }
-            // Outgoing links and non-default attributes.
-            let obj = m.get(id).expect("class_of succeeded");
-            for (slot, &r) in meta.class(class).all_refs.iter().enumerate() {
-                for &dst in &obj.refs[slot] {
-                    out.push(EditOp::DelLink { src: id, r, dst });
-                }
-            }
-            let defaults = meta.default_attrs(class);
-            for (slot, &attr) in meta.class(class).all_attrs.iter().enumerate() {
-                if obj.attrs[slot] != defaults[slot] {
-                    out.push(EditOp::SetAttr {
-                        id,
-                        attr,
-                        value: defaults[slot],
-                        old: obj.attrs[slot],
-                    });
-                }
-            }
-            out.push(EditOp::DelObj { id, class });
-            out
-        }
-        EditOp::AddObj { .. } => vec![*op],
     }
 }
 

@@ -199,9 +199,8 @@ impl EditOp {
     /// non-default attributes or links: deletion scrubs those for free,
     /// and a single `AddObj` cannot restore them. Callers that need
     /// exact undo of arbitrary deletions must *expand* the deletion
-    /// first (explicit `DelLink`/`SetAttr`-to-default ops before the
-    /// `DelObj`), which is what the session journal in `mmt-core` does —
-    /// its entries invert exactly through [`Delta::inverse`].
+    /// first ([`expand_op`]), as the session journal in `mmt-core` and
+    /// the repair search in `mmt-enforce` do.
     pub fn inverse(&self) -> EditOp {
         match *self {
             EditOp::AddObj { id, class } => EditOp::DelObj { id, class },
@@ -220,6 +219,82 @@ impl EditOp {
             EditOp::AddLink { src, r, dst } => EditOp::DelLink { src, r, dst },
             EditOp::DelLink { src, r, dst } => EditOp::AddLink { src, r, dst },
         }
+    }
+}
+
+/// Appends to `out` the form of `op` that inverts exactly op by op,
+/// expanded against the pre-edit model `m`:
+///
+/// * no-op edits expand to nothing;
+/// * `SetAttr` is normalized so `old` is the *actual* current value
+///   (exact inversion never trusts the caller's claim);
+/// * `DelObj` of an object still carrying links or non-default
+///   attributes becomes explicit `DelLink`s (incoming then outgoing)
+///   and `SetAttr`-to-default ops followed by the bare deletion, so
+///   [`EditOp::inverse`] of each op, in reverse order, restores the
+///   object with everything it carried;
+/// * invalid ops (missing objects, …) pass through unchanged — applying
+///   them surfaces the error.
+///
+/// O(degree + attributes) for deletions (incoming links come from the
+/// model's inverse link index), O(1) otherwise.
+pub fn expand_op(m: &Model, op: &EditOp, out: &mut Vec<EditOp>) {
+    match *op {
+        EditOp::SetAttr {
+            id, attr, value, ..
+        } => match m.attr(id, attr) {
+            Ok(cur) if cur == value => {}
+            Ok(cur) => out.push(EditOp::SetAttr {
+                id,
+                attr,
+                value,
+                old: cur,
+            }),
+            Err(_) => out.push(*op),
+        },
+        EditOp::AddLink { src, r, dst } => {
+            if !(m.contains(src) && m.contains(dst) && m.has_link(src, r, dst)) {
+                out.push(*op);
+            }
+        }
+        EditOp::DelLink { src, r, dst } => {
+            if !(m.contains(src) && m.contains(dst) && !m.has_link(src, r, dst)) {
+                out.push(*op);
+            }
+        }
+        EditOp::DelObj { id, .. } => {
+            let Some(obj) = m.get(id) else {
+                out.push(*op); // missing object: applying it errors
+                return;
+            };
+            let class = obj.class;
+            let meta = m.metamodel();
+            // Incoming links (the ones deletion would scrub); self-loops
+            // are outgoing links too and go out with those.
+            for &(src, r) in m.incoming(id) {
+                if src != id {
+                    out.push(EditOp::DelLink { src, r, dst: id });
+                }
+            }
+            for (slot, &r) in meta.class(class).all_refs.iter().enumerate() {
+                for &dst in &obj.refs[slot] {
+                    out.push(EditOp::DelLink { src: id, r, dst });
+                }
+            }
+            let defaults = meta.default_attrs(class);
+            for (slot, &attr) in meta.class(class).all_attrs.iter().enumerate() {
+                if obj.attrs[slot] != defaults[slot] {
+                    out.push(EditOp::SetAttr {
+                        id,
+                        attr,
+                        value: defaults[slot],
+                        old: obj.attrs[slot],
+                    });
+                }
+            }
+            out.push(EditOp::DelObj { id, class });
+        }
+        EditOp::AddObj { .. } => out.push(*op),
     }
 }
 
@@ -591,8 +666,8 @@ impl Delta {
     /// object still carried attributes or links at deletion time
     /// (possible in [`Delta::between`] scripts, where scrubbed structure
     /// rides the deletion for free) inverts to a bare `AddObj` and loses
-    /// that structure. Scripts built op-by-op against a live model with
-    /// deletions expanded — the form the `mmt-core` session journal
+    /// that structure. Scripts built op-by-op against a live model
+    /// through [`expand_op`] — the form the `mmt-core` session journal
     /// stores — invert exactly; for arbitrary diffs, use
     /// `Delta::between(new, old)` instead.
     pub fn inverse(&self) -> Delta {
@@ -1140,6 +1215,86 @@ mod tests {
         assert!(edited.graph_eq(&m), "inverse replay:\n{inv}");
         // Involution at the script level.
         assert_eq!(inv.inverse(), d);
+    }
+
+    /// `expand_op` turns a structure-carrying deletion into the form
+    /// `delta_inverse_undoes_expanded_scripts` inverts exactly, drops
+    /// no-ops and corrects a `SetAttr`'s claimed `old`.
+    #[test]
+    fn expand_op_makes_deletions_invert_exactly() {
+        let meta = mm();
+        let mut m = Model::new("m", Arc::clone(&meta));
+        let fm = meta.class_named("FeatureModel").unwrap();
+        let features = meta.ref_of(fm, mmt_model::Sym::new("features")).unwrap();
+        let feat_class = meta.class_named("Feature").unwrap();
+        let name = meta
+            .attr_of(feat_class, mmt_model::Sym::new("name"))
+            .unwrap();
+        let root = m.add(fm).unwrap();
+        let f = feature(&mut m, "engine");
+        m.add_link(root, features, f).unwrap();
+        let expand = |op: EditOp| {
+            let mut out = Vec::new();
+            expand_op(&m, &op, &mut out);
+            out
+        };
+        let del = EditOp::DelObj {
+            id: f,
+            class: feat_class,
+        };
+        let script = expand(del);
+        assert_eq!(
+            script,
+            [
+                EditOp::DelLink {
+                    src: root,
+                    r: features,
+                    dst: f
+                },
+                EditOp::SetAttr {
+                    id: f,
+                    attr: name,
+                    value: Value::str(""),
+                    old: Value::str("engine"),
+                },
+                del,
+            ]
+        );
+        let mut edited = m.clone();
+        for op in &script {
+            Delta { ops: vec![*op] }.apply(&mut edited).unwrap();
+        }
+        for op in script.iter().rev() {
+            Delta {
+                ops: vec![op.inverse()],
+            }
+            .apply(&mut edited)
+            .unwrap();
+        }
+        assert!(edited.graph_eq(&m));
+        // No-ops vanish; a wrong `old` is replaced by the real value.
+        let link = EditOp::AddLink {
+            src: root,
+            r: features,
+            dst: f,
+        };
+        assert!(expand(link).is_empty());
+        let rename = |old| EditOp::SetAttr {
+            id: f,
+            attr: name,
+            value: Value::str("gps"),
+            old,
+        };
+        assert_eq!(
+            expand(rename(Value::str("?"))),
+            [rename(Value::str("engine"))]
+        );
+        // Ops on missing objects pass through for the apply to reject.
+        let gone = EditOp::DelObj {
+            id: ObjId(9),
+            class: feat_class,
+        };
+        assert_eq!(expand(gone), [gone]);
     }
 
     /// The documented caveat: inverting a `between` script whose

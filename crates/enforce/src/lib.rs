@@ -254,9 +254,9 @@ pub trait RepairEngine: Sync {
     /// repair exists within the engine's bounds.
     ///
     /// The transformation is passed as a shared [`Arc`] handle: engines
-    /// that build long-lived oracle state (the incremental search keeps
-    /// a [`DeltaChecker`] per explored state) clone the handle instead
-    /// of borrowing the caller's stack frame.
+    /// that build long-lived oracle state (the incremental search owns
+    /// one [`DeltaChecker`] and moves it between explored states) clone
+    /// the handle instead of borrowing the caller's stack frame.
     fn repair(
         &self,
         hir: &Arc<Hir>,
@@ -467,7 +467,7 @@ impl RepairEngine for SearchEngine {
 
     /// Seeds the incremental search from a fork of `root` — no initial
     /// full check runs, which is the whole point of keeping a session's
-    /// checker warm.
+    /// checker warm. The fork is the only checker the search holds.
     fn repair_warm(
         &self,
         root: &DeltaChecker,

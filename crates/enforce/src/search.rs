@@ -14,22 +14,31 @@
 //! keeps the branching factor proportional to the number of violations.
 //! The SAT engine ([`crate::SatEngine`]) is the complete reference.
 //!
-//! ## The incremental oracle
+//! ## One checker, moved by exact edits
 //!
-//! Every search state carries a [`mmt_check::DeltaChecker`] — its
-//! parent's checker state plus the one edit that produced it — so the
-//! per-state consistency oracle costs O(edit) instead of re-running every
-//! directional check against the whole tuple. Two further consequences
-//! of the incremental design:
+//! The search owns one [`mmt_check::DeltaChecker`] — built over the
+//! originals, or forked from a sync session's warm checker — and keeps
+//! its states in a tree whose nodes are `(parent, depth, candidate,
+//! fingerprint)`. To expand a popped state, the checker walks the tree
+//! from the state it holds: it undoes edits up to the common ancestor,
+//! redoes them down to the popped state's parent, and applies the
+//! popped state's edit. That is at most 2 × depth edits, each O(|edit|)
+//! through the incremental oracle, where a checker clone per state
+//! would cost O(tuple).
 //!
-//! * **lazy materialization** — a pushed-but-unpopped state is just
-//!   `(parent, edit, cost, fingerprint)`; models are only cloned when a
-//!   state is actually popped for expansion;
-//! * **incremental fingerprints** — the duplicate-state filter uses a
-//!   commutative (per-object sum) hash, so a candidate's fingerprint is
-//!   computed from its parent's in O(touched objects) — one model scan
-//!   for `DelObj`, whose scrub touches every incoming link — without
-//!   applying the edit.
+//! Undo is exact. An edit lands in the expanded form of
+//! [`mmt_dist::expand_op`] (a deletion first strips the links and
+//! attribute values it would scrub), so the inverse ops, in reverse
+//! order, restore every object; dropping the tombstones an undone
+//! `AddObj` leaves behind restores the id bound fresh ids are minted
+//! from. Violations are enumerated in canonical order
+//! ([`mmt_check::DeltaChecker::for_each_violation`]), so the checker's
+//! internal match order after a walk cannot change which repair wins.
+//!
+//! The duplicate-state filter uses a commutative (per-object sum) hash,
+//! so a candidate's fingerprint is computed from its parent's in
+//! O(touched objects) without applying the edit — for `DelObj`, the
+//! object and the sources of its incoming links.
 //!
 //! [`reference_search`] runs the same search with a from-scratch oracle
 //! (every state stores a full tuple and re-checks every directional
@@ -39,12 +48,14 @@
 use crate::{RepairError, RepairOptions, RepairOutcome};
 use mmt_check::{Binding, CheckOptions, DeltaChecker, DeltaError, EvalCtx, ModelIndex, Slot};
 use mmt_deps::{Dep, DomIdx, DomSet};
-use mmt_dist::{Delta, EditOp};
+use mmt_dist::{expand_op, Delta, EditOp};
+use mmt_model::fx::FxHashSet;
 use mmt_model::{AttrType, ClassId, Model, ObjId, Object, Sym, Value};
 use mmt_qvtr::{Atom, Constraint, Hir, HirExpr, HirRelation, VarTy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One candidate edit on a specific model.
@@ -78,93 +89,146 @@ fn delta_repair_err(e: DeltaError) -> RepairError {
     }
 }
 
-/// A not-yet-materialized search state: its parent in the node arena,
-/// the one edit that distinguishes it, and the incrementally computed
-/// duplicate-filter fingerprint.
-struct PendingState {
-    parent: Option<usize>,
+/// One state of the search tree: the state it extends, its depth, the
+/// one candidate edit that distinguishes it (`None` at the root), and
+/// its duplicate-filter fingerprint. Once the state has been applied,
+/// `script` names the edit as it landed (expanded, in
+/// [`SearchTree::ops`]) and `prior_bound` the edited model's
+/// `id_bound()` before it — together they undo the edit exactly.
+struct Node {
+    parent: usize,
+    depth: usize,
     cand: Option<Candidate>,
     fp: u64,
+    script: Range<usize>,
+    prior_bound: usize,
 }
 
-/// One repair candidate of an expanded state, not yet filtered for
-/// duplicates.
-struct Child {
-    cand: Candidate,
-    cost: u64,
-    fp: u64,
+/// The search states, and the one checker's position among them.
+struct SearchTree {
+    nodes: Vec<Node>,
+    /// The scripts of every applied state, back to back.
+    ops: Vec<EditOp>,
+    /// The state the checker holds.
+    at: usize,
+    /// Scratch for [`SearchTree::goto`]: states to redo, deepest first.
+    down: Vec<usize>,
 }
 
-/// What expanding one popped state found.
-enum Expansion {
-    /// Every directional check holds: this state is a repair.
-    Solved(DeltaChecker),
-    /// Some violated check touches no editable model (the paper's "not
-    /// all update directions are able to restore consistency").
-    Unrepairable,
-    /// Inconsistent; `children` are its repair candidates in canonical
-    /// derivation order (violation order × constraint order).
-    Open {
-        checker: DeltaChecker,
-        children: Vec<Child>,
-    },
-}
-
-/// Applies a popped state's edit to its materialized parent checker,
-/// runs the incremental oracle, and derives the state's children.
-/// `None` when the edit no longer applies to the parent (a stale state).
-fn expand_state(
-    hir: &Hir,
-    mut checker: DeltaChecker,
-    st: &PendingState,
-    cost: u64,
-    targets: DomSet,
-    opts: &RepairOptions,
-    pool: &ValuePool,
-) -> Result<Option<Expansion>, RepairError> {
-    if let Some(cand) = &st.cand {
-        match checker.apply(cand.model, &cand.op) {
-            Ok(()) => {}
-            Err(DeltaError::Model(_)) => return Ok(None),
-            Err(e) => return Err(delta_repair_err(e)),
+impl SearchTree {
+    /// A tree holding only the root state, which the checker holds.
+    fn new(root_fp: u64) -> SearchTree {
+        SearchTree {
+            nodes: vec![Node {
+                parent: 0,
+                depth: 0,
+                cand: None,
+                fp: root_fp,
+                script: 0..0,
+                prior_bound: 0,
+            }],
+            ops: Vec::new(),
+            at: 0,
+            down: Vec::new(),
         }
     }
-    // Oracle: the cached (incrementally maintained) violations.
-    let mut violations: Vec<Violation> = Vec::new();
-    checker.for_each_violation(opts.violations_per_check, |rel, dep, binding| {
-        violations.push(Violation {
-            rel,
-            dep,
-            binding: binding.clone(),
+
+    /// Adds the state `cand` leads to from `parent`; returns its index.
+    fn push(&mut self, parent: usize, cand: Candidate, fp: u64) -> usize {
+        let depth = self.nodes[parent].depth + 1;
+        self.nodes.push(Node {
+            parent,
+            depth,
+            cand: Some(cand),
+            fp,
+            script: 0..0,
+            prior_bound: 0,
         });
-    });
-    if violations.iter().any(|v| !repairable(hir, v, targets)) {
-        return Ok(Some(Expansion::Unrepairable));
+        self.nodes.len() - 1
     }
-    if violations.is_empty() {
-        return Ok(Some(Expansion::Solved(checker)));
-    }
-    let mut children: Vec<Child> = Vec::new();
-    if cost < opts.max_cost {
-        for cand in candidates_of(hir, checker.models(), targets, &violations, pool) {
-            let total = checked_step(&cand, opts)
-                .and_then(|step| cost.checked_add(step))
-                .ok_or(RepairError::CostOverflow)?;
-            if total > opts.max_cost {
-                continue;
+
+    /// Moves `checker` to the state `idx` and reports whether it got
+    /// there: `false` when `idx`'s edit no longer applies to its parent
+    /// (a stale state), which leaves the checker at the parent. The
+    /// first visit applies the edit in expanded form and records it;
+    /// `idx` must not have been visited before.
+    fn enter(&mut self, checker: &mut DeltaChecker, idx: usize) -> Result<bool, DeltaError> {
+        let Some(cand) = self.nodes[idx].cand else {
+            self.goto(checker, idx)?;
+            return Ok(true);
+        };
+        self.goto(checker, self.nodes[idx].parent)?;
+        let start = self.ops.len();
+        let model = &checker.models()[cand.model.index()];
+        let prior_bound = model.id_bound();
+        expand_op(model, &cand.op, &mut self.ops);
+        for k in start..self.ops.len() {
+            match checker.apply(cand.model, &self.ops[k]) {
+                Ok(()) => {}
+                Err(DeltaError::Model(_)) => {
+                    undo_ops(checker, cand.model, &self.ops[start..k], prior_bound)?;
+                    self.ops.truncate(start);
+                    return Ok(false);
+                }
+                Err(e) => return Err(e),
             }
-            // O(touched) child fingerprint — no clone, no edit replay.
-            let Some(child_fp) = fingerprint_apply(checker.models(), st.fp, &cand) else {
-                continue; // stale candidate
-            };
-            children.push(Child {
-                cand,
-                cost: total,
-                fp: child_fp,
-            });
         }
+        let node = &mut self.nodes[idx];
+        node.script = start..self.ops.len();
+        node.prior_bound = prior_bound;
+        self.at = idx;
+        Ok(true)
     }
-    Ok(Some(Expansion::Open { checker, children }))
+
+    /// Moves `checker` from the state it holds to `target`, which must
+    /// have been entered before: undo up to the common ancestor, then
+    /// redo down to `target`.
+    fn goto(&mut self, checker: &mut DeltaChecker, target: usize) -> Result<(), DeltaError> {
+        let (mut up, mut down) = (self.at, target);
+        self.down.clear();
+        while up != down {
+            if self.nodes[up].depth >= self.nodes[down].depth {
+                let (model, script) = self.landed(up);
+                undo_ops(checker, model, script, self.nodes[up].prior_bound)?;
+                up = self.nodes[up].parent;
+            } else {
+                self.down.push(down);
+                down = self.nodes[down].parent;
+            }
+        }
+        for &n in self.down.iter().rev() {
+            let (model, script) = self.landed(n);
+            for op in script {
+                checker.apply(model, op)?;
+            }
+        }
+        self.at = target;
+        Ok(())
+    }
+
+    /// The model an entered state's edit landed on, and the edit as it
+    /// landed.
+    fn landed(&self, n: usize) -> (DomIdx, &[EditOp]) {
+        let node = &self.nodes[n];
+        let model = node.cand.expect("only the root has no edit").model;
+        (model, &self.ops[node.script.clone()])
+    }
+}
+
+/// Undoes `script`, which landed on the model at `model` when its
+/// `id_bound()` was `prior_bound`: the inverse ops in reverse order,
+/// then the tombstones an undone `AddObj` left behind.
+fn undo_ops(
+    checker: &mut DeltaChecker,
+    model: DomIdx,
+    script: &[EditOp],
+    prior_bound: usize,
+) -> Result<(), DeltaError> {
+    for op in script.iter().rev() {
+        checker.apply(model, &op.inverse())?;
+    }
+    checker.truncate_tombstones(model, prior_bound);
+    Ok(())
 }
 
 /// Incremental-oracle search seeded from a **pre-warmed root checker**
@@ -176,69 +240,73 @@ fn expand_state(
 /// one drive the search identically — the outcome is byte-for-byte the
 /// same as a cold [`repair_search`] over the root's models.
 ///
+/// The search moves `checker` itself between states (see the module
+/// docs) and holds no other checker or tuple copy; it consumes the
+/// checker because an error can leave it between states.
+///
 /// States pop in `(cost, sequence)` order, where `sequence` is push
 /// order, so ties between equal-cost states break by candidate
 /// derivation order.
 pub(crate) fn search_from_root(
-    root: DeltaChecker,
+    mut checker: DeltaChecker,
     targets: DomSet,
     opts: &RepairOptions,
 ) -> Result<Option<RepairOutcome>, RepairError> {
-    let hir: Arc<Hir> = Arc::clone(root.hir_arc());
+    let hir: Arc<Hir> = Arc::clone(checker.hir_arc());
     let hir = &*hir;
-    let originals: Vec<Model> = root.models().to_vec();
-    let value_pool = collect_value_pool(&originals, hir, opts.fresh_strings);
-    let root_fp = fingerprint(&originals, targets);
-    let mut root = Some(root);
-    // Materialized (popped) states, kept alive as clone sources.
-    let mut nodes: Vec<DeltaChecker> = Vec::new();
-    let mut pending: Vec<PendingState> = vec![PendingState {
-        parent: None,
-        cand: None,
-        fp: root_fp,
-    }];
+    let value_pool = collect_value_pool(checker.models(), hir, opts.fresh_strings);
+    let root_fp = fingerprint(checker.models(), targets);
+    let mut tree = SearchTree::new(root_fp);
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     heap.push(Reverse((0, 0)));
     let mut seen: HashSet<u64> = HashSet::new();
     seen.insert(root_fp);
     let mut expanded: u64 = 0;
+    let mut violations: Vec<Violation> = Vec::new();
     while let Some(Reverse((cost, idx))) = heap.pop() {
-        let st = &pending[idx];
-        let checker = match st.parent {
-            None => root.take().expect("the root is popped exactly once"),
-            Some(p) => nodes[p].clone(),
-        };
-        let Some(exp) = expand_state(hir, checker, st, cost, targets, opts, &value_pool)? else {
+        if !tree.enter(&mut checker, idx).map_err(delta_repair_err)? {
             continue; // stale states do not count against the budget
-        };
+        }
         expanded += 1;
         if expanded > opts.max_states {
             return Err(RepairError::SearchBudgetExhausted {
                 states: opts.max_states,
             });
         }
-        match exp {
-            Expansion::Unrepairable => return Ok(None),
-            Expansion::Solved(checker) => {
-                return outcome(&originals, checker.models().to_vec(), cost).map(Some)
+        // Oracle: the cached (incrementally maintained) violations.
+        violations.clear();
+        checker.for_each_violation(opts.violations_per_check, |rel, dep, binding| {
+            violations.push(Violation {
+                rel,
+                dep,
+                binding: binding.clone(),
+            });
+        });
+        if violations.iter().any(|v| !repairable(hir, v, targets)) {
+            return Ok(None);
+        }
+        if violations.is_empty() {
+            let repaired = checker.models().to_vec();
+            tree.goto(&mut checker, 0).map_err(delta_repair_err)?;
+            return outcome(checker.models(), repaired, cost).map(Some);
+        }
+        if cost >= opts.max_cost {
+            continue;
+        }
+        let fp = tree.nodes[idx].fp;
+        for cand in candidates_of(hir, checker.models(), targets, &violations, &value_pool) {
+            let total = checked_step(&cand, opts)
+                .and_then(|step| cost.checked_add(step))
+                .ok_or(RepairError::CostOverflow)?;
+            if total > opts.max_cost {
+                continue;
             }
-            Expansion::Open { checker, children } => {
-                let before = pending.len();
-                for ch in children {
-                    if seen.insert(ch.fp) {
-                        pending.push(PendingState {
-                            parent: Some(nodes.len()),
-                            cand: Some(ch.cand),
-                            fp: ch.fp,
-                        });
-                        heap.push(Reverse((ch.cost, pending.len() - 1)));
-                    }
-                }
-                // Keep the checker only as the clone source of pushed
-                // children.
-                if pending.len() > before {
-                    nodes.push(checker);
-                }
+            // O(touched) child fingerprint — the edit is not applied.
+            let Some(child_fp) = fingerprint_apply(checker.models(), fp, &cand) else {
+                continue; // stale candidate
+            };
+            if seen.insert(child_fp) {
+                heap.push(Reverse((total, tree.push(idx, cand, child_fp))));
             }
         }
     }
@@ -452,20 +520,32 @@ struct ValuePool {
     ints: Vec<Value>,
 }
 
+/// Both boolean values, in pool order.
+const BOOLS: [Value; 2] = [Value::Bool(false), Value::Bool(true)];
+
+/// The value pool of one search: every string and int attribute value
+/// of `models`, the literals the spec compares attributes with, and
+/// `fresh_strings` fresh strings — each once, in first-seen order
+/// (candidate order, and with it which repair wins, follows it).
 fn collect_value_pool(models: &[Model], hir: &Hir, fresh_strings: usize) -> ValuePool {
-    let mut strings = Vec::new();
-    let mut ints = Vec::new();
+    let mut pool = ValuePool {
+        strings: Vec::new(),
+        ints: Vec::new(),
+    };
+    let mut seen: FxHashSet<Value> = FxHashSet::default();
+    let mut add = |v: Value| {
+        let list = match v.ty() {
+            AttrType::Str => &mut pool.strings,
+            AttrType::Int => &mut pool.ints,
+            AttrType::Bool => return,
+        };
+        if seen.insert(v) {
+            list.push(v);
+        }
+    };
     for m in models {
-        let meta = m.metamodel();
         for (_, obj) in m.objects() {
-            for (slot, &attr) in meta.class(obj.class).all_attrs.iter().enumerate() {
-                let v = obj.attrs[slot];
-                match meta.attr(attr).ty {
-                    AttrType::Str if !strings.contains(&v) => strings.push(v),
-                    AttrType::Int if !ints.contains(&v) => ints.push(v),
-                    _ => {}
-                }
-            }
+            obj.attrs.iter().copied().for_each(&mut add);
         }
     }
     for rel in &hir.relations {
@@ -475,30 +555,23 @@ fn collect_value_pool(models: &[Model], hir: &Hir, fresh_strings: usize) -> Valu
                     rhs: Atom::Lit(v), ..
                 } = c
                 {
-                    match v.ty() {
-                        AttrType::Str if !strings.contains(v) => strings.push(*v),
-                        AttrType::Int if !ints.contains(v) => ints.push(*v),
-                        _ => {}
-                    }
+                    add(*v);
                 }
             }
         }
     }
     for i in 0..fresh_strings {
-        let v = Value::Str(Sym::new(&format!("$new{i}")));
-        if !strings.contains(&v) {
-            strings.push(v);
-        }
+        add(Value::Str(Sym::new(&format!("$new{i}"))));
     }
-    ValuePool { strings, ints }
+    pool
 }
 
 impl ValuePool {
-    fn of(&self, ty: AttrType) -> Vec<Value> {
+    fn of(&self, ty: AttrType) -> &[Value] {
         match ty {
-            AttrType::Str => self.strings.clone(),
-            AttrType::Int => self.ints.clone(),
-            AttrType::Bool => vec![Value::Bool(false), Value::Bool(true)],
+            AttrType::Str => &self.strings,
+            AttrType::Int => &self.ints,
+            AttrType::Bool => &BOOLS,
         }
     }
 }
@@ -555,7 +628,7 @@ fn derive_candidates(
                 Constraint::AttrEq { obj, attr, .. } => {
                     if let Some(Slot::Obj(o)) = v.binding[obj.index()] {
                         if let Ok(cur) = m.attr(o, attr) {
-                            for val in pool.of(cur.ty()) {
+                            for &val in pool.of(cur.ty()) {
                                 if val != cur {
                                     out.push(Candidate {
                                         model: s,
@@ -664,7 +737,7 @@ fn witness_candidates(
                             let Ok(cur) = m.attr(o, attr) else {
                                 continue; // unreadable slot: no candidate
                             };
-                            for val in pool.of(ty) {
+                            for &val in pool.of(ty) {
                                 if val != cur {
                                     out.push(Candidate {
                                         model: t,
@@ -733,10 +806,10 @@ fn where_candidates(
             if model != t {
                 return;
             }
-            let desired: Vec<Value> = match other {
-                HirExpr::Lit(val) => vec![*val],
-                HirExpr::Var(pv) => match binding[pv.index()] {
-                    Some(Slot::Val(val)) => vec![val],
+            let desired: &[Value] = match other {
+                HirExpr::Lit(val) => std::slice::from_ref(val),
+                HirExpr::Var(pv) => match &binding[pv.index()] {
+                    Some(Slot::Val(val)) => std::slice::from_ref(val),
                     _ => pool.of(models[t.index()].metamodel().attr(attr).ty),
                 },
                 _ => return,
@@ -746,7 +819,7 @@ fn where_candidates(
                 let Ok(cur) = m.attr(o, attr) else {
                     continue; // unreadable slot: no candidate
                 };
-                for &val in &desired {
+                for &val in desired {
                     if val != cur {
                         out.push(Candidate {
                             model: t,
@@ -816,11 +889,13 @@ fn fingerprint(models: &[Model], targets: DomSet) -> u64 {
 }
 
 /// The fingerprint of the state reached by applying `cand` to `models`
-/// (which fingerprint to `fp`), computed without cloning or mutating
-/// anything — O(touched objects) for every op except `DelObj`, whose
-/// arm scans the model once for incoming links (deletion scrubs them). Returns `None` when the candidate is
-/// stale (its object vanished, the link already exists, …) — exactly
-/// the cases where [`apply_candidate`] would fail or no-op.
+/// (which fingerprint to `fp`), computed without cloning the tuple or
+/// mutating anything, in O(touched objects): for `DelObj`, the victim
+/// and the distinct sources of its incoming links, found through the
+/// model's inverse link index (deletion scrubs those links). Returns
+/// `None` when the candidate is stale (its object vanished, the link
+/// already exists, …) — exactly the cases where [`apply_candidate`]
+/// would fail or no-op.
 fn fingerprint_apply(models: &[Model], fp: u64, cand: &Candidate) -> Option<u64> {
     let t = cand.model;
     let m = &models[t.index()];
@@ -841,18 +916,22 @@ fn fingerprint_apply(models: &[Model], fp: u64, cand: &Candidate) -> Option<u64>
             let obj = m.get(id)?;
             let mut fp = fp.wrapping_sub(obj_fp(t, id, obj));
             // Deletion scrubs incoming links: survivors pointing at `id`
-            // change too.
-            for (oid, o) in m.objects() {
-                if oid == id || !o.refs.iter().any(|s| s.contains(&id)) {
+            // change too. `incoming` is sorted by source, so each
+            // distinct source is one run of entries.
+            let mut last: Option<ObjId> = None;
+            for &(src, _) in m.incoming(id) {
+                if src == id || last == Some(src) {
                     continue;
                 }
+                last = Some(src);
+                let o = m.get(src).expect("link source is live");
                 let mut o2 = o.clone();
                 for s in o2.refs.iter_mut() {
                     s.retain(|&d| d != id);
                 }
                 fp = fp
-                    .wrapping_sub(obj_fp(t, oid, o))
-                    .wrapping_add(obj_fp(t, oid, &o2));
+                    .wrapping_sub(obj_fp(t, src, o))
+                    .wrapping_add(obj_fp(t, src, &o2));
             }
             Some(fp)
         }
@@ -910,9 +989,9 @@ pub fn state_fingerprint(models: &[Model], targets: DomSet) -> u64 {
 /// Advances a [`state_fingerprint`] by one edit **without applying it**:
 /// given the pre-edit `models` (fingerprinting to `fp` over `targets`
 /// that include `model`), returns the fingerprint of the tuple after
-/// `op` lands on the model at `model` — O(touched objects), except
-/// `DelObj`, which scans the model once for the incoming links its
-/// scrub rewires. Returns `None` when the op is stale or a no-op
+/// `op` lands on the model at `model` — O(touched objects), where a
+/// `DelObj` touches its object and the sources of the incoming links
+/// its scrub rewires. Returns `None` when the op is stale or a no-op
 /// (object missing, link already present/absent, attribute unchanged):
 /// the fingerprint is unchanged in that case.
 ///
@@ -1137,18 +1216,20 @@ mod fp_tests {
     use mmt_model::Sym;
 
     /// `fingerprint_apply` agrees with applying the edit and
-    /// re-fingerprinting from scratch, for every op kind.
+    /// re-fingerprinting from scratch, for every op kind — deletions
+    /// included of an object with a self-loop that another object links
+    /// through two references.
     #[test]
     fn incremental_fingerprint_matches_recompute() {
         let mm = parse_metamodel(
-            "metamodel X { class Node { attr name: Str; ref next: Node [0..*]; } }",
+            "metamodel X { class Node { attr name: Str; ref next: Node [0..*]; ref alt: Node [0..*]; } }",
         )
         .unwrap();
         let m = parse_model(
             r#"model m : X {
-                a = Node { name = "a", next = [b] }
+                a = Node { name = "a", next = [a, b] }
                 b = Node { name = "b" }
-                c = Node { name = "c", next = [a, b] }
+                c = Node { name = "c", next = [a, b], alt = [a] }
             }"#,
             &mm,
         )
@@ -1164,6 +1245,10 @@ mod fp_tests {
             },
             EditOp::DelObj {
                 id: ObjId(1),
+                class: node,
+            },
+            EditOp::DelObj {
+                id: ObjId(0),
                 class: node,
             },
             EditOp::SetAttr {
@@ -1224,6 +1309,253 @@ mod fp_tests {
                 }
             )
             .is_none());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tree_tests {
+    use super::*;
+    use mmt_gen::random_edits;
+    use mmt_gen::scenario::all_scenarios;
+    use mmt_model::text::{parse_metamodel, parse_model, print_model};
+    use mmt_qvtr::parse_and_resolve;
+
+    /// What exact undo must restore: printed models, id bounds, the
+    /// search fingerprint and the canonical violation sequence.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        printed: Vec<String>,
+        id_bounds: Vec<usize>,
+        fp: u64,
+        violations: Vec<String>,
+    }
+
+    fn snapshot(checker: &DeltaChecker, targets: DomSet) -> Snapshot {
+        let mut violations = Vec::new();
+        checker.for_each_violation(usize::MAX, |rel, dep, b| {
+            violations.push(format!("{rel:?} {dep:?} {b:?}"));
+        });
+        Snapshot {
+            printed: checker.models().iter().map(print_model).collect(),
+            id_bounds: checker.models().iter().map(Model::id_bound).collect(),
+            fp: state_fingerprint(checker.models(), targets),
+            violations,
+        }
+    }
+
+    fn checker_over(hir: &Arc<Hir>, models: &[Model]) -> DeltaChecker {
+        let opts = CheckOptions {
+            memoize: true,
+            max_violations: usize::MAX,
+        };
+        DeltaChecker::with_options(hir, models, opts).unwrap()
+    }
+
+    const NODES_MM: &str =
+        "metamodel X { class Node { attr name: Str; attr w: Int; ref next: Node [0..*]; } }";
+    const NODES_SRC: &str = r#"
+transformation T(a : X, b : X) {
+  top relation Named {
+    n : Str;
+    domain a p : Node { name = n };
+    domain b q : Node { name = n };
+  }
+  top relation Linked {
+    n, m : Str;
+    domain a p : Node { name = n, next = p2 : Node { name = m } };
+    domain b q : Node { name = n, next = q2 : Node { name = m } };
+  }
+}
+"#;
+
+    /// Every candidate kind lands and is undone exactly: a fresh
+    /// `AddObj` past a gap, a `DelObj` of an object with incoming and
+    /// outgoing links (a self-loop among them) and non-default
+    /// attributes, `SetAttr`, `AddLink` and `DelLink`.
+    #[test]
+    fn every_candidate_kind_undoes_exactly() {
+        let mm = parse_metamodel(NODES_MM).unwrap();
+        let hir = Arc::new(parse_and_resolve(NODES_SRC, &[mm.clone(), mm.clone()]).unwrap());
+        let a = parse_model(
+            r#"model a : X {
+                x = Node { name = "x", w = 3, next = [x, y] }
+                y = Node { name = "y", next = [x] }
+                z = Node { name = "z", next = [x, y] }
+                gone = Node { name = "gone" }
+            }"#,
+            &mm,
+        )
+        .unwrap();
+        let b = parse_model(
+            r#"model b : X {
+                x = Node { name = "x", next = [y] }
+                y = Node { name = "y" }
+            }"#,
+            &mm,
+        )
+        .unwrap();
+        let mut models = vec![a, b];
+        // A trailing tombstone below the id bound, as deletions leave.
+        models[0].delete(ObjId(3)).unwrap();
+        let node = mm.class_named("Node").unwrap();
+        let name = mm.attr_of(node, Sym::new("name")).unwrap();
+        let next = mm.ref_of(node, Sym::new("next")).unwrap();
+        let (x, y, z) = (ObjId(0), ObjId(1), ObjId(2));
+        let fresh = ObjId(models[0].id_bound() as u32 + 1);
+        let ops = [
+            EditOp::AddObj {
+                id: fresh,
+                class: node,
+            },
+            EditOp::DelObj { id: x, class: node },
+            EditOp::SetAttr {
+                id: y,
+                attr: name,
+                value: Value::str("w"),
+                old: Value::str("y"),
+            },
+            EditOp::AddLink {
+                src: y,
+                r: next,
+                dst: z,
+            },
+            EditOp::DelLink {
+                src: z,
+                r: next,
+                dst: x,
+            },
+        ];
+        let targets = DomSet::full(2);
+        for op in ops {
+            let cand = Candidate {
+                model: DomIdx(0),
+                op,
+            };
+            let mut checker = checker_over(&hir, &models);
+            let before = snapshot(&checker, targets);
+            assert!(!before.violations.is_empty(), "the tuple is inconsistent");
+            let mut tree = SearchTree::new(before.fp);
+            let fp = fingerprint_apply(checker.models(), before.fp, &cand).expect("applies");
+            let idx = tree.push(0, cand, fp);
+            assert!(tree.enter(&mut checker, idx).unwrap(), "{op}");
+            // The edit landed as the bare candidate would: same models,
+            // same violations as a checker built on the edited tuple.
+            let mut edited = models.clone();
+            apply_candidate(&mut edited[0], &op).unwrap();
+            let after = snapshot(&checker, targets);
+            assert_eq!(
+                after,
+                snapshot(&checker_over(&hir, &edited), targets),
+                "{op}"
+            );
+            assert_eq!(after.fp, fp, "{op}");
+            assert_ne!(after, before, "{op}");
+            tree.goto(&mut checker, 0).unwrap();
+            assert_eq!(snapshot(&checker, targets), before, "undo of {op}");
+        }
+    }
+
+    /// Small deterministic generator for the walk below.
+    fn next(state: &mut u64, bound: usize) -> usize {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((*state >> 33) % bound as u64) as usize
+    }
+
+    /// Hops one checker between random states of a search tree over
+    /// every corpus scenario: wherever it lands, it must look exactly
+    /// like a fresh checker over the tuple reached by applying the
+    /// state's path of candidates to a copy of the originals.
+    #[test]
+    fn seeded_walk_matches_fresh_checkers() {
+        for sc in all_scenarios() {
+            for seed in 0..3u64 {
+                let w = sc.workload(seed);
+                let hir = &w.hir;
+                // Drift every model, so the walk starts among violations.
+                let mut originals = w.models.clone();
+                for (i, m) in originals.iter_mut().enumerate() {
+                    for op in random_edits(m, 3, seed * 5 + i as u64) {
+                        apply_candidate(m, &op).unwrap();
+                    }
+                }
+                let targets = DomSet::full(originals.len());
+                let pool = collect_value_pool(&originals, hir, 1);
+                let mut checker = checker_over(hir, &originals);
+                assert!(!checker.consistent(), "{} seed={seed}: drift", sc.name());
+                let mut tree = SearchTree::new(fingerprint(&originals, targets));
+                // The replayed tuple of every state the walk entered.
+                let mut tuples: Vec<Option<Vec<Model>>> = vec![Some(originals.clone())];
+                let mut entered = vec![0usize];
+                let mut pending: Vec<usize> = Vec::new();
+                let mut rng = seed ^ 0x5eed;
+                let ctx = |step: usize| format!("{} seed={seed} step={step}", sc.name());
+                for step in 0..80 {
+                    if pending.is_empty() || next(&mut rng, 3) == 0 {
+                        // Expand a random entered state.
+                        let n = entered[next(&mut rng, entered.len())];
+                        tree.goto(&mut checker, n).unwrap();
+                        let want = tuples[n].as_ref().unwrap();
+                        assert_eq!(
+                            snapshot(&checker, targets),
+                            snapshot(&checker_over(hir, want), targets),
+                            "{}",
+                            ctx(step)
+                        );
+                        let mut violations = Vec::new();
+                        checker.for_each_violation(4, |rel, dep, binding| {
+                            violations.push(Violation {
+                                rel,
+                                dep,
+                                binding: binding.clone(),
+                            });
+                        });
+                        let cands =
+                            candidates_of(hir, checker.models(), targets, &violations, &pool);
+                        for _ in 0..cands.len().min(3) {
+                            let cand = cands[next(&mut rng, cands.len())];
+                            let fp = tree.nodes[n].fp;
+                            if let Some(fp) = fingerprint_apply(checker.models(), fp, &cand) {
+                                pending.push(tree.push(n, cand, fp));
+                                tuples.push(None);
+                            }
+                        }
+                    } else {
+                        // Enter a random pushed state from wherever the
+                        // checker is.
+                        let i = pending.swap_remove(next(&mut rng, pending.len()));
+                        let parent = tree.nodes[i].parent;
+                        let cand = tree.nodes[i].cand.unwrap();
+                        let mut want = tuples[parent].clone().unwrap();
+                        let applies = apply_candidate(&mut want[cand.model.index()], &cand.op);
+                        let landed = tree.enter(&mut checker, i).unwrap();
+                        assert_eq!(landed, applies.is_ok(), "{}", ctx(step));
+                        if landed {
+                            assert_eq!(tree.nodes[i].fp, fingerprint(&want, targets));
+                            tuples[i] = Some(want);
+                            entered.push(i);
+                        }
+                        let at = if landed { i } else { parent };
+                        let want = tuples[at].as_ref().unwrap();
+                        assert_eq!(
+                            snapshot(&checker, targets),
+                            snapshot(&checker_over(hir, want), targets),
+                            "{}",
+                            ctx(step)
+                        );
+                    }
+                }
+                assert!(entered.len() > 5, "{}: the walk went somewhere", sc.name());
+                tree.goto(&mut checker, 0).unwrap();
+                assert_eq!(
+                    snapshot(&checker, targets),
+                    snapshot(&checker_over(hir, &originals), targets),
+                    "{} seed={seed}: back at the root",
+                    sc.name()
+                );
+            }
         }
     }
 }

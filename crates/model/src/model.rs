@@ -118,10 +118,11 @@ pub struct Model {
     /// `incoming[dst]` = sorted `(src, ref)` pairs with `dst ∈
     /// src.refs[ref]`. Sparse: objects with no incoming links carry no
     /// entry, so ref-less metamodels pay nothing. Behind [`Arc`] with
-    /// copy-on-write semantics: cloning a model — which the enforcement
-    /// search does for every explored candidate — shares the index, and
-    /// only link-mutating edits ([`Model::link`], [`Model::unlink`],
-    /// [`Model::delete`]) pay for the deep copy.
+    /// copy-on-write semantics: cloning a model — forking a session's
+    /// checker as a repair root, or snapshotting a tuple — shares the
+    /// index, and only the first link-mutating edit on the copy
+    /// ([`Model::add_link`], [`Model::remove_link`], [`Model::delete`])
+    /// pays for the deep copy.
     incoming: Arc<FxHashMap<ObjId, Vec<(ObjId, RefId)>>>,
 }
 
@@ -212,6 +213,19 @@ impl Model {
         });
         self.live += 1;
         Ok(())
+    }
+
+    /// Drops trailing tombstones until [`Model::id_bound`] is `bound`,
+    /// stopping early at a live object (which is never dropped).
+    ///
+    /// Undo of an `add_at` past the id bound needs this: deleting the
+    /// object again leaves it, and the padding before it, as tombstones,
+    /// so the next [`Model::add`] (or any id minted from `id_bound()`)
+    /// would land elsewhere than before the edit.
+    pub fn truncate_tombstones(&mut self, bound: usize) {
+        while self.objs.len() > bound && matches!(self.objs.last(), Some(None)) {
+            self.objs.pop();
+        }
     }
 
     /// Deletes `obj` and removes every link that targets it.
@@ -569,6 +583,37 @@ mod tests {
         assert_ne!(a, b);
         // Deleting twice errors.
         assert!(m.delete(a).is_err());
+    }
+
+    /// Truncation drops trailing tombstones only: it restores the id
+    /// bound an `add_at` past a gap raised, and never drops a live
+    /// object or a tombstone below a live one.
+    #[test]
+    fn truncate_tombstones_drops_trailing_tombstones_only() {
+        let (meta, f, _, _, _, _) = mm();
+        let mut m = Model::new("m", meta);
+        let a = m.add(f).unwrap();
+        let b = m.add(f).unwrap();
+        m.delete(a).unwrap();
+        let bound = m.id_bound();
+        // A fresh object two ids past the bound pads one tombstone.
+        let fresh = ObjId(bound as u32 + 1);
+        m.add_at(fresh, f).unwrap();
+        assert_eq!(m.id_bound(), bound + 2);
+        // A live object blocks truncation entirely.
+        m.truncate_tombstones(bound);
+        assert_eq!(m.id_bound(), bound + 2);
+        assert!(m.contains(fresh));
+        // Once it is deleted, the bound comes back — but not past `b`,
+        // and the tombstone of `a` below it stays.
+        m.delete(fresh).unwrap();
+        m.truncate_tombstones(bound);
+        assert_eq!(m.id_bound(), bound);
+        m.truncate_tombstones(0);
+        assert_eq!(m.id_bound(), b.index() + 1);
+        assert!(m.contains(b) && !m.contains(a));
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.add(f).unwrap(), ObjId(bound as u32));
     }
 
     #[test]
