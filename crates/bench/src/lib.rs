@@ -1,14 +1,11 @@
-//! Shared fixtures for the benchmark harness and the experiment report.
-//!
-//! Every experiment in DESIGN.md §3 maps to a function here; the criterion
-//! benches measure them, and `cargo run -p mmt-bench --bin report` prints
-//! the paper-style tables and series.
+//! Shared fixtures for the benchmark harness: the paper's transformation,
+//! seeded feature workloads and the §2.1 loophole triple. The paper's
+//! claims themselves are asserted by `tests/paper_scenarios.rs`.
 
-use mmt_core::{EngineKind, Shape, Transformation};
+use mmt_core::Transformation;
 use mmt_gen::{feature_workload, inject, FeatureSpec, FeatureWorkload, Injection};
 use mmt_model::text::{parse_metamodel, parse_model};
-use mmt_model::{Metamodel, Model};
-use std::sync::Arc;
+use mmt_model::Model;
 
 /// The paper's `F = MF ∧ OF` for `k` configurations, via `mmt_gen`.
 pub fn paper_transformation(k: usize) -> Transformation {
@@ -42,17 +39,10 @@ pub fn broken_workload(
     w
 }
 
-/// The (CF, FM) metamodels parsed fresh.
-pub fn metamodels() -> (Arc<Metamodel>, Arc<Metamodel>) {
-    (
-        parse_metamodel(mmt_gen::CF_METAMODEL).expect("static"),
-        parse_metamodel(mmt_gen::FM_METAMODEL).expect("static"),
-    )
-}
-
 /// The §2.1 loophole triple: empty configurations, one mandatory feature.
 pub fn loophole_models() -> [Model; 3] {
-    let (cf, fm) = metamodels();
+    let cf = parse_metamodel(mmt_gen::CF_METAMODEL).expect("static");
+    let fm = parse_metamodel(mmt_gen::FM_METAMODEL).expect("static");
     [
         parse_model("model cf1 : CF { }", &cf).expect("static"),
         parse_model("model cf2 : CF { }", &cf).expect("static"),
@@ -62,18 +52,6 @@ pub fn loophole_models() -> [Model; 3] {
         )
         .expect("static"),
     ]
-}
-
-/// Runs one repair and returns its minimal cost (None = unrepairable).
-pub fn repair_cost(
-    t: &Transformation,
-    models: &[Model],
-    shape: Shape,
-    engine: EngineKind,
-) -> Option<u64> {
-    t.enforce(models, shape, engine)
-        .expect("engine runs")
-        .map(|o| o.cost)
 }
 
 #[cfg(test)]

@@ -11,8 +11,10 @@
 //! mmt deps    -t F.qvtr -M CF.mm FM.mm
 //! ```
 
+mod json;
 mod serve;
 
+use json::{journal_json, lint_json, status_json};
 use mmt_core::{
     EngineKind, LintCode, LintOptions, RepairRequest, SessionOptions, Shape, SyncSession,
     Transformation,
@@ -22,9 +24,32 @@ use mmt_enforce::RepairOptions;
 use mmt_model::text::{parse_metamodel, parse_model, print_model};
 use mmt_model::{AttrType, Metamodel, Model, ObjId, Sym, Value};
 use mmt_store::PersistentSession;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// Prints one line of command output through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes command output to stdout, checked: `println!` would panic on a
+/// write error. A closed pipe (`mmt sync … | head -1`) ends the process
+/// quietly with status 0; any other write error exits 2 with
+/// `error: stdout: …`, as `mmt serve`'s response loop does.
+fn emit(args: std::fmt::Arguments) {
+    let written = std::io::stdout().lock().write_fmt(args);
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: stdout: {e}");
+        std::process::exit(2);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -350,7 +375,7 @@ fn parse_flags(args: &[String]) -> Result<Parsed, String> {
 }
 
 fn print_version() {
-    println!("mmt {}", env!("CARGO_PKG_VERSION"));
+    outln!("mmt {}", env!("CARGO_PKG_VERSION"));
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -439,7 +464,7 @@ fn repair_options(t: &Transformation, p: &Parsed) -> Result<RepairOptions, Strin
 /// its stdout is the protocol stream and must stay pure JSON.
 fn write_models(dir: &Path, t: &Transformation, models: &[Model]) -> Result<(), String> {
     for path in write_models_quiet(dir, t, models)? {
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
     Ok(())
 }
@@ -462,7 +487,7 @@ fn write_models_quiet(
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = args.first() else {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     };
     match cmd.as_str() {
@@ -471,7 +496,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             return Ok(ExitCode::SUCCESS);
         }
         "help" | "--help" | "-h" => {
-            println!(
+            outln!(
                 "{}",
                 usage_for(args.get(1).map(String::as_str).unwrap_or(""))
             );
@@ -485,7 +510,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     if p.help {
-        println!("{}", usage_for(cmd));
+        outln!("{}", usage_for(cmd));
         return Ok(ExitCode::SUCCESS);
     }
     if cmd != "sync" {
@@ -510,7 +535,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 ));
             }
             let report = t.check(&models).map_err(|e| e.to_string())?;
-            println!("{report}");
+            outln!("{report}");
             Ok(if report.consistent() {
                 ExitCode::SUCCESS
             } else {
@@ -527,14 +552,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .map_err(|e| e.to_string())?
             {
                 None => {
-                    println!("no repair within the given shape and cost bound");
+                    outln!("no repair within the given shape and cost bound");
                     Ok(ExitCode::from(1))
                 }
                 Some(out) => {
-                    println!("repaired at distance {}", out.cost);
+                    outln!("repaired at distance {}", out.cost);
                     for (param, delta) in t.hir().models.iter().zip(&out.deltas) {
                         if !delta.is_empty() {
-                            println!("--- {} ---\n{delta}", param.name);
+                            outln!("--- {} ---\n{delta}", param.name);
                         }
                     }
                     if let Some(dir) = &p.out {
@@ -594,7 +619,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 });
             }
             let engine = p.engine.unwrap_or(EngineKind::Sat);
-            println!(
+            outln!(
                 "repairing {} requests with {} worker(s) [{} engine]",
                 requests.len(),
                 p.jobs,
@@ -609,11 +634,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 match outcome {
                     Err(e) => return Err(format!("{name}: {e}")),
                     Ok(None) => {
-                        println!("{name}: no repair within the given shape and cost bound");
+                        outln!("{name}: no repair within the given shape and cost bound");
                         all_repaired = false;
                     }
                     Ok(Some(out)) => {
-                        println!("{name}: repaired at distance {}", out.cost);
+                        outln!("{name}: repaired at distance {}", out.cost);
                         if let Some(dir) = &p.out {
                             write_models(&Path::new(dir).join(name), &t, &out.models)?;
                         }
@@ -639,9 +664,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             let report = t.lint_with(&opts);
             if p.json {
-                println!("{}", report.render_json());
+                outln!("{}", lint_json(&report));
             } else {
-                print!("{}", report.render_text());
+                emit(format_args!("{}", report.render_text()));
             }
             Ok(if report.has_errors() {
                 ExitCode::from(1)
@@ -650,25 +675,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "deps" => {
-            let spec_path = p
-                .spec
-                .as_ref()
-                .ok_or_else(|| missing("-t <spec.qvtr>", cmd))?;
-            let spec_src = read(spec_path)?;
-            let mm_srcs: Vec<String> = p
-                .metamodels
-                .iter()
-                .map(|m| read(m))
-                .collect::<Result<_, _>>()?;
-            let metamodels: Vec<Arc<Metamodel>> = mm_srcs
-                .iter()
-                .map(|s| parse_metamodel(s).map_err(|e| e.to_string()))
-                .collect::<Result<_, _>>()?;
-            let hir =
-                mmt_qvtr::parse_and_resolve(&spec_src, &metamodels).map_err(|e| e.to_string())?;
-            println!("{}", mmt_qvtr::print_hir(&hir));
-            for rel in &hir.relations {
-                println!(
+            let (t, _) = load(&p, cmd)?;
+            outln!("{}", mmt_qvtr::print_hir(t.hir()));
+            for rel in &t.hir().relations {
+                outln!(
                     "relation {}{}: deps {} ({})",
                     rel.name,
                     if rel.is_top { " (top)" } else { "" },
@@ -752,7 +762,7 @@ fn run_sync(p: &Parsed) -> Result<ExitCode, String> {
     }
     let status = session.status();
     if !p.json {
-        println!(
+        outln!(
             "final: {} ({} journal entr{})",
             if status.consistent {
                 "consistent".to_string()
@@ -805,13 +815,13 @@ fn exec_sync_line(
     match words.next() {
         Some("status") => {
             if json {
-                println!("{}", status_json(session));
+                outln!("{}", status_json(session));
             } else {
                 let s = session.status();
                 if s.consistent {
-                    println!("status: consistent");
+                    outln!("status: consistent");
                 } else {
-                    println!("status: INCONSISTENT ({} violations)", s.violations);
+                    outln!("status: INCONSISTENT ({} violations)", s.violations);
                 }
             }
             Ok(())
@@ -821,13 +831,13 @@ fn exec_sync_line(
             let shape = shape_of_names(t, names)?;
             match session.repair(shape).map_err(|e| e.to_string())? {
                 None => {
-                    println!("repair {names}: no repair within the given shape and cost bound");
+                    outln!("repair {names}: no repair within the given shape and cost bound");
                 }
                 Some(out) => {
-                    println!("repair {names}: repaired at distance {}", out.cost);
+                    outln!("repair {names}: repaired at distance {}", out.cost);
                     for (param, delta) in t.hir().models.iter().zip(&out.deltas) {
                         if !delta.is_empty() {
-                            println!("--- {} ---\n{delta}", param.name);
+                            outln!("--- {} ---\n{delta}", param.name);
                         }
                     }
                 }
@@ -843,7 +853,7 @@ fn exec_sync_line(
                     .map_err(|e| format!("bad count: {e}"))?
             };
             let undone = session.rollback(n).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "rollback: undid {undone} entr{}",
                 if undone == 1 { "y" } else { "ies" }
             );
@@ -851,16 +861,16 @@ fn exec_sync_line(
         }
         Some("journal") => {
             if json {
-                println!("{}", journal_json(session));
+                outln!("{}", journal_json(session));
             } else {
                 let entries = session.journal().len();
-                println!(
+                outln!(
                     "journal: {entries} entr{}",
                     if entries == 1 { "y" } else { "ies" }
                 );
                 for (param, delta) in t.hir().models.iter().zip(&session.journal_script()) {
                     if !delta.is_empty() {
-                        println!("--- {} ---\n{delta}", param.name);
+                        outln!("--- {} ---\n{delta}", param.name);
                     }
                 }
             }
@@ -1018,90 +1028,4 @@ fn parse_value(raw: &str, ty: AttrType) -> Result<Value, String> {
             .map(Value::Int)
             .map_err(|e| format!("bad int `{raw}`: {e}")),
     }
-}
-
-/// The `--json` status dump: consistency, journal size, fingerprint,
-/// and every violating binding.
-fn status_json(session: &SyncSession) -> String {
-    let status = session.status();
-    let report = session.report();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"consistent\":{},\"violations\":{},\"journal\":{},\"fingerprint\":{},\"checks\":[",
-        status.consistent,
-        status.violations,
-        session.journal().len(),
-        session.fingerprint(),
-    ));
-    let mut first_check = true;
-    for check in &report.checks {
-        if !first_check {
-            out.push(',');
-        }
-        first_check = false;
-        out.push_str(&format!(
-            "{{\"relation\":{},\"dep\":{},\"holds\":{},\"violations\":[",
-            json_str(&check.relation_name.to_string()),
-            json_str(&check.dep.to_string()),
-            check.holds,
-        ));
-        let mut first_v = true;
-        for v in &check.violations {
-            if !first_v {
-                out.push(',');
-            }
-            first_v = false;
-            out.push('{');
-            let mut first_b = true;
-            for (var, val) in &v.vars {
-                if !first_b {
-                    out.push(',');
-                }
-                first_b = false;
-                out.push_str(&format!("{}:{}", json_str(&var.to_string()), json_str(val)));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// The `--json` journal dump (also the `serve` protocol's `journal`
-/// result): entry count plus the flattened per-model replay script, in
-/// model-space order.
-fn journal_json(session: &SyncSession) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"entries\":{},\"script\":[",
-        session.journal().len()
-    ));
-    for (i, delta) in session.journal_script().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_str(&delta.to_string()));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -22,10 +22,10 @@
 //! Errors answer `{"ok":false,"error":...}` and the loop keeps
 //! serving; EOF exits 0.
 
-use crate::{
-    apply_session_edit, journal_json, json_str, load, repair_options, shape_of_names, status_json,
-    write_models_quiet, Parsed,
+use crate::json::{
+    field, journal_json, json_str, lint_json, parse_request, status_json, str_field, Json,
 };
+use crate::{apply_session_edit, load, repair_options, shape_of_names, write_models_quiet, Parsed};
 use mmt_core::{EngineKind, SessionHandle, SessionOptions, SyncHub, Transformation};
 use mmt_model::Model;
 use mmt_store::{write_hub_manifest, HubStore, PersistentSession};
@@ -33,271 +33,6 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// A parsed JSON value — the minimal self-contained reader the request
-/// side of the protocol needs (the build environment vendors no serde).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Renders back to JSON text (used to echo request ids verbatim).
-    fn render(&self) -> String {
-        match self {
-            Json::Null => "null".into(),
-            Json::Bool(b) => b.to_string(),
-            Json::Int(i) => i.to_string(),
-            Json::Str(s) => json_str(s),
-            Json::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Json::render).collect();
-                format!("[{}]", inner.join(","))
-            }
-            Json::Obj(fields) => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", json_str(k), v.render()))
-                    .collect();
-                format!("{{{}}}", inner.join(","))
-            }
-        }
-    }
-}
-
-/// Hard ceiling on container nesting. Real requests nest two levels;
-/// without a cap a hostile line of `[[[[…` recurses once per bracket
-/// and takes the whole serve loop down with a stack overflow.
-const MAX_DEPTH: usize = 64;
-
-/// Recursive-descent JSON reader over one request line.
-struct JsonReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> JsonReader<'a> {
-    fn new(src: &'a str) -> JsonReader<'a> {
-        JsonReader {
-            bytes: src.as_bytes(),
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(got) if got == c => {
-                self.pos += 1;
-                Ok(())
-            }
-            got => Err(format!(
-                "expected `{}` at byte {}, found {:?}",
-                c as char,
-                self.pos,
-                got.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(c @ (b'{' | b'[')) => {
-                if self.depth >= MAX_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let v = if c == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                v
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err("non-integer numbers are not part of the protocol".into());
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<i64>().ok())
-            .map(Json::Int)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogate pairs are outside the protocol's
-                            // needs; reject rather than mis-decode.
-                            out.push(
-                                char::from_u32(hex).ok_or("surrogate \\u escapes unsupported")?,
-                            );
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                }
-                Some(&c) => {
-                    // Multi-byte UTF-8 passes through untouched.
-                    let ch_len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + ch_len)
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                        .ok_or("bad utf-8 in string")?;
-                    out.push_str(chunk);
-                    self.pos += ch_len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected `,` or `]`, found {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_request(src: &str) -> Result<Vec<(String, Json)>, String> {
-        let mut r = JsonReader::new(src);
-        let v = r.value()?;
-        r.skip_ws();
-        if r.pos != r.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", r.pos));
-        }
-        match v {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err("request must be a JSON object".into()),
-        }
-    }
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_field(obj: &[(String, Json)], key: &str) -> Result<String, String> {
-    match field(obj, key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("field \"{key}\" must be a string")),
-        None => Err(format!("missing field \"{key}\"")),
-    }
-}
 
 /// The durable side of a serving hub: the store directory plus the open
 /// per-session stores the loop commits to after every mutating request.
@@ -423,7 +158,7 @@ fn respond(
     store: &mut Option<ServeStore>,
     line: &str,
 ) -> String {
-    let (id, outcome) = match JsonReader::parse_request(line) {
+    let (id, outcome) = match parse_request(line) {
         Err(e) => (Json::Null, Err(format!("bad request: {e}"))),
         Ok(obj) => {
             let id = field(&obj, "id").cloned().unwrap_or(Json::Null);
@@ -455,7 +190,7 @@ fn dispatch(
     if cmd == "lint" {
         // The report recorded when the spec was registered; no session.
         let report = hub.lint_report("default").map_err(|e| e.to_string())?;
-        return Ok(report.render_json());
+        return Ok(lint_json(&report));
     }
     let name = str_field(obj, "session")?;
     match cmd.as_str() {
@@ -594,7 +329,7 @@ mod tests {
 
     #[test]
     fn json_reader_roundtrips_protocol_shapes() {
-        let obj = JsonReader::parse_request(
+        let obj = parse_request(
             r#" {"id": 7, "cmd":"edit", "session":"a", "edit":"fm set @0.name = \"a#b\\\\c\"", "flag": true, "n": null, "list": [1, -2, "x"]} "#,
         )
         .unwrap();
@@ -631,7 +366,7 @@ mod tests {
             "{\"a\":\"unterminated}",
             "{'a':1}",
         ] {
-            assert!(JsonReader::parse_request(bad).is_err(), "{bad:?}");
+            assert!(parse_request(bad).is_err(), "{bad:?}");
         }
     }
 }

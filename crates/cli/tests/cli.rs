@@ -1086,3 +1086,49 @@ fn serve_answers_lint_requests() {
         assert!(line.starts_with("{\"id\":"), "non-protocol stdout: {line}");
     }
 }
+
+/// Command output goes through one checked writer. A reader that closes
+/// the pipe early (`mmt sync … | head -1`) ends the run quietly with
+/// status 0 instead of a panic.
+#[test]
+fn closed_stdout_pipe_ends_quietly() {
+    // About 180 KB of status lines: more than a pipe buffer holds, so a
+    // write fails once the read end is gone.
+    let script = write_script("closed-pipe", &"status\n".repeat(5_000));
+    let mut args = vec!["sync".to_string(), script.to_string_lossy().into_owned()];
+    args.extend(data_args());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mmt"))
+        .args(&args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    std::fs::remove_file(&script).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Any other stdout write error is reported: a full device exits 2 with
+/// `error: stdout: …`.
+#[cfg(target_os = "linux")]
+#[test]
+fn full_stdout_exits_two_with_an_error() {
+    let mut args = vec!["check".to_string()];
+    args.extend(data_args());
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("/dev/full opens");
+    let out = Command::new(env!("CARGO_BIN_EXE_mmt"))
+        .args(&args)
+        .stdout(full)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: stdout:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

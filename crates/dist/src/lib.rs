@@ -136,48 +136,13 @@ impl EditOp {
     ///
     /// For link edits that is the *source* object — link sets are stored
     /// on the source side, so `AddLink`/`DelLink` leave the target
-    /// object's slots untouched. Incremental consumers (the
-    /// `DeltaChecker` in `mmt-check`) use this as the seed of the edit's
-    /// write-set.
+    /// object's slots untouched.
     pub fn primary_obj(&self) -> ObjId {
         match *self {
             EditOp::AddObj { id, .. } | EditOp::DelObj { id, .. } | EditOp::SetAttr { id, .. } => {
                 id
             }
             EditOp::AddLink { src, .. } | EditOp::DelLink { src, .. } => src,
-        }
-    }
-
-    /// The class whose extent this edit grows or shrinks (`AddObj` /
-    /// `DelObj` only).
-    ///
-    /// A check whose read-set contains a superclass of this class must be
-    /// re-evaluated; attribute and link edits never change extents.
-    pub fn touched_class(&self) -> Option<ClassId> {
-        match *self {
-            EditOp::AddObj { class, .. } | EditOp::DelObj { class, .. } => Some(class),
-            _ => None,
-        }
-    }
-
-    /// The attribute slot this edit overwrites (`SetAttr` only).
-    pub fn touched_attr(&self) -> Option<AttrId> {
-        match *self {
-            EditOp::SetAttr { attr, .. } => Some(attr),
-            _ => None,
-        }
-    }
-
-    /// The reference this edit rewires (`AddLink` / `DelLink` only).
-    ///
-    /// Note that `DelObj` *also* rewires references — deletion scrubs
-    /// every incoming link — but which references those are depends on
-    /// the model state, not the op; consumers must consult the pre-edit
-    /// model (see `DeltaChecker::apply` in `mmt-check`).
-    pub fn touched_ref(&self) -> Option<RefId> {
-        match *self {
-            EditOp::AddLink { r, .. } | EditOp::DelLink { r, .. } => Some(r),
-            _ => None,
         }
     }
 
@@ -678,8 +643,7 @@ impl Delta {
 
     /// The distinct objects whose slots this script writes, ascending
     /// (the union of [`EditOp::primary_obj`] over the ops, plus link
-    /// targets). The coarse write-set incremental checkers intersect
-    /// against their per-check read-sets.
+    /// targets).
     pub fn touched_objs(&self) -> Vec<ObjId> {
         let mut out: Vec<ObjId> = Vec::with_capacity(self.ops.len());
         for op in &self.ops {
@@ -1090,11 +1054,6 @@ mod tests {
             r,
             dst: id,
         };
-        assert_eq!(add.touched_class(), Some(class));
-        assert_eq!(add.touched_attr(), None);
-        assert_eq!(set.touched_attr(), Some(attr));
-        assert_eq!(set.touched_class(), None);
-        assert_eq!(link.touched_ref(), Some(r));
         assert_eq!(link.primary_obj(), ObjId(1));
         assert_eq!(set.primary_obj(), id);
         assert!(del.is_destructive_only());

@@ -254,17 +254,6 @@ impl<'a> GroundProblem<'a> {
         None
     }
 
-    /// Solves with cost ≤ `k`; returns the decoded tuple if satisfiable.
-    pub fn solve_at_most(&mut self, k: u64) -> Option<Vec<Model>> {
-        let k = k.min(self.opts.max_cost);
-        let assumption = self.cost_outs[k as usize].negate();
-        if self.builder.solver.solve_with(&[assumption]) == SatResult::Sat {
-            Some(self.decode())
-        } else {
-            None
-        }
-    }
-
     /// Decodes the current SAT model into a full model tuple (targets
     /// rebuilt from the assignment, non-targets cloned).
     fn decode(&self) -> Vec<Model> {

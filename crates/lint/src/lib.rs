@@ -2,8 +2,8 @@
 //!
 //! A diagnostics engine over the resolved [`Hir`]: every finding is a
 //! [`Lint`] with a stable code (`MMT001`…), a [`Severity`], and a
-//! human-readable message, collected into a [`LintReport`] with text and
-//! JSON renderers. Three families:
+//! human-readable message, collected into a [`LintReport`] with a text
+//! renderer. Three families:
 //!
 //! - **Well-formedness** (`MMT001`–`MMT007`): unused variables,
 //!   primitive variables no domain can bind, statically-unsatisfiable
@@ -266,52 +266,6 @@ impl LintReport {
         ));
         out
     }
-
-    /// Renders the report as a single JSON object (stable field order).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"errors\":{},\"warnings\":{},\"infos\":{},\"lints\":[",
-            self.errors(),
-            self.warnings(),
-            self.infos()
-        ));
-        for (i, l) in self.lints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"relation\":{},\"message\":{}}}",
-                json_str(l.code.code()),
-                json_str(&l.severity().to_string()),
-                match &l.relation {
-                    Some(r) => json_str(r),
-                    None => "null".into(),
-                },
-                json_str(&l.message)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Grounding degree (universal + witness object variables) at which

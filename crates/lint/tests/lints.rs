@@ -531,6 +531,8 @@ fn allow_suppresses_codes() {
     assert!(quiet.is_clean(), "{}", quiet.render_text());
 }
 
+/// The JSON rendering lives in the `mmt` CLI, which owns the wire
+/// format, and is tested there (`lint_json_renders_every_field`).
 #[test]
 fn report_renders_text_and_json() {
     let r = run(
@@ -548,11 +550,6 @@ fn report_renders_text_and_json() {
     let text = r.render_text();
     assert!(text.contains("error[MMT003] relation `R`:"), "{text}");
     assert!(text.contains("1 error(s)"), "{text}");
-    let json = r.render_json();
-    assert!(json.starts_with("{\"errors\":1,"), "{json}");
-    assert!(json.contains("\"code\":\"MMT003\""), "{json}");
-    assert!(json.contains("\"severity\":\"error\""), "{json}");
-    assert!(json.contains("\"relation\":\"R\""), "{json}");
 }
 
 #[test]

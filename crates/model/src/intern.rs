@@ -96,11 +96,6 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| RwLock::new(Interner::default()))
 }
 
-/// Number of distinct symbols interned so far (diagnostics only).
-pub fn interned_count() -> usize {
-    interner().read().expect("interner poisoned").strings.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

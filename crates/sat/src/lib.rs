@@ -20,8 +20,6 @@
 //! assert_eq!(s.value(b), Some(true));
 //! ```
 
-pub mod dimacs;
-
 use std::fmt;
 
 /// A propositional variable.

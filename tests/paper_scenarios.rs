@@ -3,15 +3,36 @@
 
 use mmtf::gen::scenario::{scenario_named, COMPANY_METAMODEL, WORLD_METAMODEL};
 use mmtf::gen::{
-    feature_workload, inject, transformation_source, FeatureSpec, Injection, CF_METAMODEL,
-    FM_METAMODEL,
+    feature_workload, inject, transformation_source, FeatureSpec, FeatureWorkload, Injection,
+    CF_METAMODEL, FM_METAMODEL,
 };
+use mmtf::ground::{GroundOptions, GroundProblem, Scope};
+use mmtf::model::conformance::is_conformant;
 use mmtf::model::Value;
 use mmtf::prelude::*;
 
 fn paper_t(k: usize) -> Transformation {
     Transformation::from_sources(&transformation_source(k), &[CF_METAMODEL, FM_METAMODEL])
         .expect("paper transformation resolves")
+}
+
+/// A consistent k = 2 feature workload (mandatory ratio 0.35, selection
+/// probability 0.45).
+fn workload(n_features: usize, seed: u64) -> FeatureWorkload {
+    feature_workload(FeatureSpec {
+        n_features,
+        k_configs: 2,
+        mandatory_ratio: 0.35,
+        select_prob: 0.45,
+        seed,
+    })
+}
+
+/// [`workload`] with one §1/§3 inconsistency injected.
+fn broken(n_features: usize, seed: u64, injection: Injection) -> FeatureWorkload {
+    let mut w = workload(n_features, seed);
+    inject(&mut w, injection);
+    w
 }
 
 /// §2.1: the standard checking semantics cannot express MF — the
@@ -43,9 +64,40 @@ fn s21_standard_semantics_loophole() {
     );
 }
 
-/// §2.2: conservativity — a relation carrying the standard dependency set
-/// behaves exactly like the unextended standard, across random workloads
-/// and injections.
+/// §2.1, the other face of the loophole: on a consistent tuple with
+/// asymmetric selections the standardized `OF` gains a spurious
+/// `cf2 fm → cf1` direction and rejects it. The standard semantics is
+/// too strong as well as too weak.
+#[test]
+fn s21_standard_semantics_is_too_strong() {
+    let t = paper_t(2);
+    let w = workload(4, 3);
+    assert!(
+        t.check(&w.models).unwrap().consistent(),
+        "extended dependencies must accept"
+    );
+    assert!(
+        !t.standardized().check(&w.models).unwrap().consistent(),
+        "standard semantics must reject (spurious direction)"
+    );
+}
+
+/// §2.1: a feature selected in every configuration but not mandatory
+/// is an inconsistency both semantics see.
+#[test]
+fn s21_both_semantics_reject_an_unmandated_common_selection() {
+    let t = paper_t(2);
+    let w = broken(4, 3, Injection::SelectEverywhere);
+    assert!(!t.check(&w.models).unwrap().consistent(), "extended");
+    assert!(
+        !t.standardized().check(&w.models).unwrap().consistent(),
+        "standard"
+    );
+}
+
+/// §2.2: standardizing is idempotent on verdicts — the standardized
+/// transformation agrees with itself standardized again, across random
+/// workloads and injections.
 #[test]
 fn s22_conservativity_on_random_workloads() {
     for seed in 0..20u64 {
@@ -76,6 +128,38 @@ fn s22_conservativity_on_random_workloads() {
                 );
             }
         }
+    }
+}
+
+/// §2.2: the extension is conservative. The paper's spec with every
+/// `depend` clause stripped (the parser's default dependency sets) gives
+/// the same verdict as its own `standardized()` on 40 tuples: even seeds
+/// consistent, odd seeds with one injection each.
+#[test]
+fn s22_relations_without_depend_keep_the_standard_verdicts() {
+    let src = transformation_source(2)
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("depend"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let implicit = Transformation::from_sources(&src, &[CF_METAMODEL, FM_METAMODEL]).unwrap();
+    let explicit = implicit.standardized();
+    let injections = [
+        Injection::NewMandatoryInFm,
+        Injection::SelectEverywhere,
+        Injection::SelectUnknown { config: 0 },
+    ];
+    for seed in 0..40u64 {
+        let w = if seed % 2 == 0 {
+            workload(5, seed)
+        } else {
+            broken(5, seed, injections[(seed % 3) as usize])
+        };
+        assert_eq!(
+            implicit.check(&w.models).unwrap().consistent(),
+            explicit.check(&w.models).unwrap().consistent(),
+            "seed={seed}"
+        );
     }
 }
 
@@ -111,28 +195,71 @@ fn s23_entailment_rules() {
     );
 }
 
+/// A caller checked `a → b` that invokes `S`, whose dependency set is
+/// `callee_deps`.
+fn call_spec(callee_deps: &str) -> String {
+    format!(
+        r#"
+transformation T(a : CF, b : CF) {{
+  relation S {{
+    n : Str;
+    domain a x : Feature {{ name = n }};
+    domain b y : Feature {{ name = n }};
+    {callee_deps}
+  }}
+  top relation R {{
+    m : Str;
+    domain a u : Feature {{ name = m }};
+    domain b v : Feature {{ name = m }};
+    depend a -> b;
+    where {{ S(u, v) }}
+  }}
+}}
+"#
+    )
+}
+
 /// §2.3: the reversed-call typing error, surfaced by the front-end.
 #[test]
 fn s23_reversed_call_is_a_static_error() {
-    let src = r#"
-transformation T(a : CF, b : CF) {
+    let err =
+        Transformation::from_sources(&call_spec("depend b -> a;"), &[CF_METAMODEL]).unwrap_err();
+    assert!(err.to_string().contains("direction"), "{err}");
+}
+
+/// §2.3: a call type-checks when the callee's dependencies entail the
+/// caller's: `{a→b}`, `{a→b, b→a}`, and across three models
+/// `{a→b, b→c}` under `depend a -> c`.
+#[test]
+fn s23_entailed_calls_are_accepted() {
+    for deps in ["depend a -> b;", "depend a -> b;\n    depend b -> a;"] {
+        if let Err(e) = Transformation::from_sources(&call_spec(deps), &[CF_METAMODEL]) {
+            panic!("{deps}: {e}");
+        }
+    }
+    let three = r#"
+transformation T(a : CF, b : CF, c : CF) {
   relation S {
     n : Str;
     domain a x : Feature { name = n };
     domain b y : Feature { name = n };
-    depend b -> a;
+    domain c z : Feature { name = n };
+    depend a -> b;
+    depend b -> c;
   }
   top relation R {
     m : Str;
     domain a u : Feature { name = m };
     domain b v : Feature { name = m };
-    depend a -> b;
-    where { S(u, v) }
+    domain c w : Feature { name = m };
+    depend a -> c;
+    where { S(u, v, w) }
   }
 }
 "#;
-    let err = Transformation::from_sources(src, &[CF_METAMODEL]).unwrap_err();
-    assert!(err.to_string().contains("direction"), "{err}");
+    if let Err(e) = Transformation::from_sources(three, &[CF_METAMODEL]) {
+        panic!("transitive call: {e}");
+    }
 }
 
 /// §3: the four transformation shapes on the paper's own update
@@ -182,6 +309,78 @@ fn s3_shapes_and_scenarios() {
             .unwrap()
             .expect("towards FM works");
         assert!(t.check(&out.models).unwrap().consistent());
+    }
+}
+
+/// §3: an unknown feature selected in one configuration is repaired
+/// towards the feature model alone (→F_FM).
+#[test]
+fn s3_unknown_selection_repairs_towards_fm() {
+    let t = paper_t(2);
+    let w = broken(4, 17, Injection::SelectUnknown { config: 0 });
+    for engine in [EngineKind::Search, EngineKind::Sat] {
+        let out = t
+            .enforce(&w.models, Shape::towards(2), engine)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{engine:?}: towards FM must repair"));
+        assert!(t.check(&out.models).unwrap().consistent(), "{engine:?}");
+    }
+}
+
+/// §3: as the feature model grows, search and SAT still agree on the
+/// minimal cost of adding a new mandatory feature to every configuration.
+#[test]
+fn s3_search_and_sat_agree_as_features_grow() {
+    let t = paper_t(2);
+    for n in [3, 5, 7, 9] {
+        let w = broken(n, 53, Injection::NewMandatoryInFm);
+        let [search, sat] = [EngineKind::Search, EngineKind::Sat].map(|engine| {
+            t.enforce(&w.models, Shape::of(&[0, 1]), engine)
+                .unwrap()
+                .map(|o| o.cost)
+        });
+        assert!(search.is_some(), "n={n}: repairable");
+        assert_eq!(search, sat, "n={n}");
+    }
+}
+
+/// §3 (bounded scope): with one to four fresh objects per class the
+/// grounding grows with the slack and always finds a repair, at one
+/// minimal cost.
+#[test]
+fn s3_grounding_finds_a_repair_at_every_slack() {
+    let t = paper_t(2);
+    let w = broken(5, 71, Injection::NewMandatoryInFm);
+    let mut last: Option<(usize, u64)> = None;
+    for slack_objs in 1..=4 {
+        let opts = GroundOptions {
+            scope: Scope {
+                slack_objs,
+                fresh_strings: 1,
+            },
+            ..GroundOptions::default()
+        };
+        let mut p =
+            GroundProblem::build(t.hir(), &w.models, Shape::of(&[0, 1]).targets(), opts).unwrap();
+        let vars = p.stats().vars;
+        let (cost, _) = p
+            .solve_min_cost()
+            .unwrap_or_else(|| panic!("slack={slack_objs}: no repair"));
+        if let Some((prev_vars, prev_cost)) = last {
+            assert!(vars > prev_vars, "slack={slack_objs}: grounding grows");
+            assert_eq!(cost, prev_cost, "slack={slack_objs}: same minimum");
+        }
+        last = Some((vars, cost));
+    }
+}
+
+/// Figure 1: generated feature workloads conform to the CF and FM
+/// metamodels.
+#[test]
+fn fig1_generated_workloads_conform() {
+    let w = workload(6, 1);
+    for m in &w.models {
+        assert!(is_conformant(m), "{}", m.name);
     }
 }
 
@@ -243,6 +442,30 @@ fn s3_weighted_distance() {
         .expect("repairable");
     assert!(out.deltas[2].is_empty(), "expensive FM must stay untouched");
     assert!(t.check(&out.models).unwrap().consistent());
+}
+
+/// §3: tuple weights steer one repair between models. For an unknown
+/// selection, weights (50, 50, 1) leave both configurations untouched,
+/// and weights (1, 1, 50) leave the feature model untouched.
+#[test]
+fn s3_weighted_distance_steers_the_repair() {
+    let t = paper_t(2);
+    let w = broken(4, 41, Injection::SelectUnknown { config: 0 });
+    let touched = |weights: Vec<u64>| {
+        let opts = RepairOptions {
+            tuple: TupleCost::weighted(weights),
+            max_cost: 120,
+            ..RepairOptions::default()
+        };
+        let out = t
+            .enforce_with(&w.models, Shape::all(3), EngineKind::Sat, opts)
+            .unwrap()
+            .expect("repairable");
+        assert!(t.check(&out.models).unwrap().consistent());
+        out.deltas.iter().map(|d| !d.is_empty()).collect::<Vec<_>>()
+    };
+    assert_eq!(touched(vec![50, 50, 1])[..2], [false, false], "configs");
+    assert!(!touched(vec![1, 1, 50])[2], "feature model");
 }
 
 /// The Company HR synchronization history (the classic bx example the
