@@ -65,6 +65,14 @@ impl ServeStore {
     }
 }
 
+/// Removes a session store directory, if there is one.
+fn remove_store_dir(dir: &Path) -> Result<(), String> {
+    if dir.exists() {
+        std::fs::remove_dir_all(dir).map_err(|e| format!("store: {}: {e}", dir.display()))?;
+    }
+    Ok(())
+}
+
 /// The serve loop: reads one JSON request per stdin line, writes one
 /// JSON response per stdout line. See [`crate::USAGE_SERVE`] and the
 /// module docs for the protocol.
@@ -222,9 +230,16 @@ fn dispatch(
                 // Snapshot the fresh session; if the store cannot hold
                 // it, the open fails as a whole (close the hub slot so
                 // memory and disk never disagree about what exists).
-                let created = handle
-                    .with(|s| PersistentSession::create(&st.dir.join("sessions").join(&name), s))
-                    .map_err(|e| format!("store: {e}"))
+                // The hub manifest is the visibility point, and it does
+                // not name this session: a directory left under its name
+                // by an `open` or `close` cut short belongs to no one.
+                let dir = st.dir.join("sessions").join(&name);
+                let created = remove_store_dir(&dir)
+                    .and_then(|()| {
+                        handle
+                            .with(|s| PersistentSession::create(&dir, s))
+                            .map_err(|e| format!("store: {e}"))
+                    })
                     .and_then(|ps| {
                         st.sessions.insert(name.clone(), ps);
                         st.sync_manifest(hub)
@@ -307,15 +322,13 @@ fn dispatch(
             }
             hub.close(&name).map_err(|e| e.to_string())?;
             if let Some(st) = store {
-                // A closed session's story is over: retire its store and
-                // drop it from the manifest.
+                // A closed session's story is over: drop it from the
+                // manifest first (the visibility point), then retire its
+                // store. A crash in between leaves a directory no manifest
+                // names, which the next `open` of the name removes.
                 st.sessions.remove(&name);
-                let dir = st.dir.join("sessions").join(&name);
-                if dir.exists() {
-                    std::fs::remove_dir_all(&dir)
-                        .map_err(|e| format!("store: {}: {e}", dir.display()))?;
-                }
                 st.sync_manifest(hub)?;
+                remove_store_dir(&st.dir.join("sessions").join(&name))?;
             }
             Ok(format!("{{\"closed\":{}}}", json_str(&name)))
         }

@@ -928,6 +928,134 @@ fn serve_store_recovers_after_kill() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// `mmt serve` arguments over the checked-in data with `--store dir`.
+fn serve_store_args(dir: &std::path::Path) -> Vec<String> {
+    let mut args = vec!["serve".to_string()];
+    args.extend(data_args());
+    args.push("--store".into());
+    args.push(dir.to_string_lossy().into_owned());
+    args
+}
+
+/// A SIGKILL after a rollback and a new edit: the second life recovers
+/// the rewritten tail, not the rolled-back entry.
+#[test]
+fn serve_store_recovers_a_rewritten_tail_after_kill() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::process::Stdio;
+
+    let store = std::env::temp_dir().join(format!("mmt-cli-serve-rewrite-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let args = serve_store_args(&store);
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mmt"))
+        .args(&argrefs)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let set = |id: u32, to: &str| {
+        format!(
+            "{{\"id\":{id},\"cmd\":\"edit\",\"session\":\"s\",\"edit\":\"cf1 set @0.name = \\\"{to}\\\"\"}}\n"
+        )
+    };
+    let script = [
+        "{\"id\":1,\"cmd\":\"open\",\"session\":\"s\"}\n".to_string(),
+        set(2, "motor"),
+        set(3, "gearbox"),
+        "{\"id\":4,\"cmd\":\"rollback\",\"session\":\"s\",\"n\":1}\n".to_string(),
+        set(5, "clutch"),
+        "{\"id\":6,\"cmd\":\"status\",\"session\":\"s\"}\n".to_string(),
+    ];
+    stdin.write_all(script.concat().as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    let mut first_life = Vec::new();
+    for _ in 0..script.len() {
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        first_life.push(line.trim_end().to_string());
+    }
+    child.kill().unwrap();
+    child.wait().unwrap();
+    let first_life = first_life.join("\n");
+    for id in 1..=6 {
+        serve_result(&first_life, id);
+    }
+
+    let (out2, err2, code2) = mmt_with_stdin(
+        &argrefs,
+        "{\"id\":6,\"cmd\":\"status\",\"session\":\"s\"}\n{\"id\":7,\"cmd\":\"journal\",\"session\":\"s\"}\n",
+    );
+    assert_eq!(code2, Some(0), "{out2}\n{err2}");
+    assert_eq!(
+        serve_result(&out2, 6),
+        serve_result(&first_life, 6),
+        "recovered status diverged from the killed session's"
+    );
+    let journal = serve_result(&out2, 7);
+    assert!(journal.contains("motor"), "{journal}");
+    assert!(journal.contains("clutch"), "{journal}");
+    assert!(!journal.contains("gearbox"), "{journal}");
+
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// The hub manifest is the one visibility point of `serve --store`: a
+/// session directory it does not name, left by an `open` or a `close`
+/// that was cut short, neither stops a restart nor blocks a later
+/// `open` of that name.
+#[test]
+fn serve_store_reclaims_a_directory_the_manifest_does_not_name() {
+    let store = std::env::temp_dir().join(format!("mmt-cli-serve-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let args = serve_store_args(&store);
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (out, err, code) = mmt_with_stdin(
+        &argrefs,
+        "{\"id\":1,\"cmd\":\"open\",\"session\":\"a\"}\n{\"id\":2,\"cmd\":\"open\",\"session\":\"b\"}\n",
+    );
+    assert_eq!(code, Some(0), "{out}\n{err}");
+    serve_result(&out, 1);
+    serve_result(&out, 2);
+
+    // Leave `a` as a `close` cut short would: gone from the manifest,
+    // its directory half removed.
+    let hub = store.join("hub");
+    let manifest = std::fs::read_to_string(&hub).unwrap();
+    let kept: String = manifest
+        .lines()
+        .filter(|l| !l.starts_with("session a "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_ne!(kept, manifest);
+    std::fs::write(&hub, kept).unwrap();
+    std::fs::remove_file(store.join("sessions").join("a").join("wal")).unwrap();
+
+    let (out, err, code) = mmt_with_stdin(
+        &argrefs,
+        "{\"id\":3,\"cmd\":\"status\",\"session\":\"b\"}\n{\"id\":4,\"cmd\":\"open\",\"session\":\"a\"}\n{\"id\":5,\"cmd\":\"edit\",\"session\":\"a\",\"edit\":\"cf1 set @0.name = \\\"motor\\\"\"}\n",
+    );
+    assert_eq!(code, Some(0), "{out}\n{err}");
+    serve_result(&out, 3);
+    serve_result(&out, 4);
+    serve_result(&out, 5);
+
+    // The reopened `a` is a whole store again: both sessions recover.
+    let (out, err, code) = mmt_with_stdin(
+        &argrefs,
+        "{\"id\":6,\"cmd\":\"status\",\"session\":\"a\"}\n{\"id\":7,\"cmd\":\"status\",\"session\":\"b\"}\n",
+    );
+    assert_eq!(code, Some(0), "{out}\n{err}");
+    assert!(serve_result(&out, 6).contains("\"journal\":1"), "{out}");
+    assert!(serve_result(&out, 7).contains("\"journal\":0"), "{out}");
+
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 /// Durable session names must be filesystem- and manifest-safe:
 /// whitespace is rejected up front (only when a store is attached).
 #[test]

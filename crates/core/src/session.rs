@@ -47,7 +47,14 @@ use mmt_dist::{expand_op, Delta, EditOp};
 use mmt_enforce::search::{fingerprint_step, state_fingerprint};
 use mmt_enforce::{RepairEngine, RepairError, RepairOptions, SatEngine, SearchEngine};
 use mmt_model::Model;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The next journal-entry serial. One counter for the whole process, so
+/// no two entries of any two sessions ever share a serial; 0 is never
+/// issued. `Relaxed` is enough: `fetch_add` hands out distinct values
+/// under any ordering, and a serial publishes no other data.
+static NEXT_SERIAL: AtomicU64 = AtomicU64::new(1);
 
 fn delta_core_err(e: DeltaError) -> CoreError {
     match e {
@@ -175,6 +182,8 @@ pub struct SyncSession {
     t: Arc<Transformation>,
     checker: DeltaChecker,
     journal: Vec<JournalEntry>,
+    /// One serial per journal entry, in journal order.
+    serials: Vec<u64>,
     fp: u64,
     opts: SessionOptions,
 }
@@ -213,6 +222,7 @@ impl SyncSession {
             t,
             checker,
             journal: Vec::new(),
+            serials: Vec::new(),
             fp,
             opts,
         })
@@ -235,6 +245,19 @@ impl SyncSession {
     /// actions and cost-0 repairs are not journaled).
     pub fn journal(&self) -> &[JournalEntry] {
         &self.journal
+    }
+
+    /// One serial per [`SyncSession::journal`] entry, in journal order.
+    /// A serial names one push of one entry: it is drawn from a
+    /// process-wide counter when the entry is journaled (by the live
+    /// path or by [`SyncSession::replay_entry`]), leaves with the entry
+    /// on [`SyncSession::rollback`], and is never issued again, in this
+    /// session or any other. Two equal serials at the same index
+    /// therefore mean the same entry, which lets a durable store find
+    /// what changed since its last commit without comparing entries.
+    /// Serials are never 0.
+    pub fn journal_serials(&self) -> &[u64] {
+        &self.serials
     }
 
     /// The session's commutative state fingerprint over the whole
@@ -372,6 +395,7 @@ impl SyncSession {
         let n = n.min(self.journal.len());
         for _ in 0..n {
             let entry = self.journal.pop().expect("n is bounded by the length");
+            self.serials.pop();
             for (i, delta) in entry.deltas.iter().enumerate() {
                 let model = DomIdx(i as u8);
                 for op in delta.inverse().ops() {
@@ -395,7 +419,8 @@ impl SyncSession {
     /// Replays one **already-expanded** journal entry — the exact form
     /// [`SyncSession::journal`] stores and a durable store persists —
     /// through the incremental path, then pushes the entry onto the
-    /// journal verbatim.
+    /// journal verbatim, under a fresh
+    /// [serial](SyncSession::journal_serials).
     ///
     /// Unlike [`SyncSession::apply`], ops are *not* re-expanded or
     /// no-op-filtered: expanded entries are fixpoints of expansion, so
@@ -424,9 +449,7 @@ impl SyncSession {
                 }
             }
         }
-        if entry.deltas.iter().any(|d| !d.is_empty()) {
-            self.journal.push(entry);
-        }
+        self.commit_entry(entry.kind, entry.deltas);
         Ok(self.status())
     }
 
@@ -464,10 +487,13 @@ impl SyncSession {
         out
     }
 
-    /// Pushes a journal entry unless it is empty (pure no-op action).
+    /// Pushes a journal entry under a fresh serial unless it is empty
+    /// (pure no-op action).
     fn commit_entry(&mut self, kind: JournalKind, deltas: Vec<Delta>) {
         if deltas.iter().any(|d| !d.is_empty()) {
             self.journal.push(JournalEntry { kind, deltas });
+            self.serials
+                .push(NEXT_SERIAL.fetch_add(1, Ordering::Relaxed));
         }
     }
 
@@ -721,6 +747,49 @@ mod tests {
         assert_eq!(session.rollback(5).unwrap(), 1); // saturates
         assert!(session.models()[0].graph_eq(&w.models[0]));
         assert_eq!(session.rollback(1).unwrap(), 0);
+    }
+
+    #[test]
+    fn journal_serials_are_never_reused() {
+        let (t, w) = fixture();
+        let fm = w.fm.class_named("Feature").unwrap();
+        let name = w.fm.attr_of(fm, Sym::new("name")).unwrap();
+        let rename = |s: &mut SyncSession, to: &str| {
+            let old = s.models()[2].attr(ObjId(0), name).unwrap();
+            s.apply(
+                DomIdx(2),
+                EditOp::SetAttr {
+                    id: ObjId(0),
+                    attr: name,
+                    value: Value::str(to),
+                    old,
+                },
+            )
+            .unwrap();
+        };
+        let mut a = t.session(&w.models).unwrap();
+        let mut b = t.session(&w.models).unwrap();
+        rename(&mut a, "x");
+        rename(&mut a, "y");
+        rename(&mut b, "x");
+        assert_eq!(a.journal_serials().len(), 2);
+        let first = a.journal_serials().to_vec();
+        // A rollback takes the serial with the entry; the identical edit
+        // comes back under a new one.
+        a.rollback(1).unwrap();
+        assert_eq!(a.journal_serials(), &first[..1]);
+        rename(&mut a, "y");
+        assert_eq!(a.journal_serials()[0], first[0]);
+        assert!(a.journal_serials()[1] > first[1]);
+        // Sessions never share a serial.
+        assert!(!a.journal_serials().contains(&b.journal_serials()[0]));
+        // Replay draws fresh serials too.
+        let mut c = t.session(&w.models).unwrap();
+        for entry in a.journal() {
+            c.replay_entry(entry.clone()).unwrap();
+        }
+        assert!(c.journal_serials()[0] > a.journal_serials()[1]);
+        assert!(!c.journal_serials().contains(&0));
     }
 
     #[test]

@@ -863,12 +863,21 @@ fn participating_models(rel: &HirRelation, dep: Dep) -> DomSet {
 }
 
 /// Hash of one object's full state, tagged with its model position.
+/// Strings hash by content, not by [`Sym`] index: indices follow the
+/// order strings were first interned in, so a recovered session, which
+/// never interned the values its crashed twin rolled back, would
+/// otherwise fingerprint the same tuple differently.
 fn obj_fp(t: DomIdx, id: ObjId, obj: &Object) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     t.0.hash(&mut h);
     id.hash(&mut h);
     obj.class.hash(&mut h);
-    obj.attrs.hash(&mut h);
+    for v in &obj.attrs {
+        match v {
+            Value::Str(s) => s.with_str(|s| s.hash(&mut h)),
+            v => v.hash(&mut h),
+        }
+    }
     obj.refs.hash(&mut h);
     h.finish()
 }

@@ -31,8 +31,16 @@ const MANIFEST_VERSION: &str = "mmt-store 1";
 pub struct PersistentSession {
     dir: PathBuf,
     wal: Wal,
+    /// The [journal serial](SyncSession::journal_serials) of the entry
+    /// each WAL record holds, one per record. A record that holds no
+    /// journal entry (one that replayed as empty) gets [`NO_ENTRY`].
+    serials: Vec<u64>,
     arity: usize,
 }
+
+/// The serial of a WAL record that holds no journal entry: never issued
+/// to one, so such a record never matches.
+const NO_ENTRY: u64 = 0;
 
 impl PersistentSession {
     /// True iff `dir` holds a completed session store (its manifest —
@@ -78,6 +86,7 @@ impl PersistentSession {
         Ok(PersistentSession {
             dir: dir.to_path_buf(),
             wal,
+            serials: session.journal_serials().to_vec(),
             arity: session.transformation().arity(),
         })
     }
@@ -87,7 +96,9 @@ impl PersistentSession {
     /// [`SyncSession::replay_entry`] into the warm checker. The result
     /// is fingerprint-, status-, and journal-identical to the session
     /// that last committed — or a typed [`StoreError`]; never a
-    /// silently diverged session.
+    /// silently diverged session. The store remembers the serial each
+    /// record was replayed under, so the returned pair commits by
+    /// appending, as the crashed one did.
     pub fn open(
         dir: &Path,
         t: &Arc<Transformation>,
@@ -117,22 +128,27 @@ impl PersistentSession {
         }
         let mut session = SyncSession::with_options(Arc::clone(t), &models, opts)?;
         let wal_path = dir.join("wal");
-        let wal = Wal::open(&wal_path)?;
-        for (record, payload) in wal.payloads().iter().enumerate() {
+        let (wal, payloads) = Wal::open(&wal_path)?;
+        let mut serials = Vec::with_capacity(payloads.len());
+        for (record, payload) in payloads.iter().enumerate() {
             let entry =
                 parse_entry(payload, t.metamodels()).map_err(|detail| StoreError::Corrupt {
                     path: wal_path.clone(),
                     offset: wal.end_of(record),
                     detail,
                 })?;
+            let before = session.journal().len();
             session
                 .replay_entry(entry)
                 .map_err(|source| StoreError::Replay { record, source })?;
+            let journaled = session.journal_serials().get(before);
+            serials.push(journaled.copied().unwrap_or(NO_ENTRY));
         }
         Ok((
             PersistentSession {
                 dir: dir.to_path_buf(),
                 wal,
+                serials,
                 arity,
             },
             session,
@@ -145,30 +161,40 @@ impl PersistentSession {
     }
 
     /// Makes the WAL agree with `session`'s journal, then fsyncs — the
-    /// commit point. Diffs by longest common prefix, so the ordinary
-    /// edit/repair case is a pure append and a rollback (possibly
-    /// followed by new edits) truncates once and appends the divergent
-    /// tail.
+    /// commit point. The WAL keeps the records the two still share, is
+    /// cut back where they diverge, and gets the journal's later entries
+    /// appended, each rendered once. Records and entries are matched by
+    /// [journal serial](SyncSession::journal_serials), never by content,
+    /// so the work is the number of entries journaled since the last
+    /// commit plus one `fdatasync`, whatever the journal's length. A
+    /// commit with nothing new writes and syncs nothing.
+    ///
+    /// Serials are unique across sessions, so committing a session other
+    /// than the one this store was created or opened with is still
+    /// correct: no serial matches, and the WAL is rewritten from its
+    /// first record.
     pub fn commit(&mut self, session: &SyncSession) -> Result<(), StoreError> {
         assert_eq!(
             session.transformation().arity(),
             self.arity,
             "committed session matches the store arity"
         );
-        let target: Vec<String> = session.journal().iter().map(render_entry).collect();
-        let keep = self
-            .wal
-            .payloads()
-            .iter()
-            .zip(&target)
-            .take_while(|(a, b)| a == b)
-            .count();
-        if keep == self.wal.payloads().len() && keep == target.len() {
+        let target = session.journal_serials();
+        // Entries journaled after the last commit carry serials the WAL
+        // has never seen, so the shared prefix ends at the first
+        // mismatch from the top and this loop runs once per such entry.
+        let mut keep = self.serials.len().min(target.len());
+        while keep > 0 && self.serials[keep - 1] != target[keep - 1] {
+            keep -= 1;
+        }
+        if keep == self.serials.len() && keep == target.len() {
             return Ok(()); // nothing moved since the last commit
         }
         self.wal.truncate_to(keep)?;
-        for payload in &target[keep..] {
-            self.wal.append(payload)?;
+        self.serials.truncate(keep);
+        for (entry, &serial) in session.journal()[keep..].iter().zip(&target[keep..]) {
+            self.wal.append(&render_entry(entry))?;
+            self.serials.push(serial);
         }
         self.wal.sync()
     }
@@ -220,10 +246,12 @@ fn read_manifest(path: &Path) -> Result<(String, usize), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_core::Transformation;
-    use mmt_deps::DomIdx;
+    use mmt_core::{Shape, Transformation};
+    use mmt_deps::{DomIdx, DomSet};
     use mmt_dist::EditOp;
-    use mmt_gen::{feature_workload, FeatureSpec, CF_METAMODEL, FM_METAMODEL};
+    use mmt_gen::{
+        feature_workload, FeatureSpec, SessionScriptGen, SessionStep, CF_METAMODEL, FM_METAMODEL,
+    };
     use mmt_model::{ObjId, Value};
 
     fn fixture() -> (Arc<Transformation>, mmt_gen::FeatureWorkload) {
@@ -260,6 +288,176 @@ mod tests {
                 },
             )
             .unwrap();
+    }
+
+    /// Sets the name of feature `@0` in the feature model to `to`.
+    fn rename(session: &mut SyncSession, to: &str) {
+        let fm = session.transformation().metamodels()[2].clone();
+        let feature = fm.class_named("Feature").unwrap();
+        let name = fm.attr_of(feature, mmt_model::Sym::new("name")).unwrap();
+        let old = session.models()[2].attr(ObjId(0), name).unwrap();
+        session
+            .apply(
+                DomIdx(2),
+                EditOp::SetAttr {
+                    id: ObjId(0),
+                    attr: name,
+                    value: Value::str(to),
+                    old,
+                },
+            )
+            .unwrap();
+    }
+
+    /// Reopens the WAL in `dir` and asserts that it holds exactly
+    /// `session`'s journal, and that the file ends at its last record.
+    fn assert_wal_is_journal(dir: &Path, session: &SyncSession, ctx: &str) {
+        let path = dir.join("wal");
+        let file_len = fs::metadata(&path).unwrap().len();
+        let (wal, payloads) = Wal::open(&path).unwrap();
+        let journal: Vec<String> = session.journal().iter().map(render_entry).collect();
+        assert_eq!(payloads, journal, "{ctx}");
+        assert_eq!(file_len, wal.end_of(wal.records()), "{ctx}");
+    }
+
+    /// One move of a session's journal: a push of one entry, or a pop
+    /// of `n`.
+    #[derive(Clone, Copy, Debug)]
+    enum Move {
+        Push,
+        Pop(usize),
+    }
+
+    /// Runs `action` on `session`, records how it moved the journal, and
+    /// says whether it journaled an entry.
+    fn track(
+        session: &mut SyncSession,
+        moves: &mut Vec<Move>,
+        action: impl FnOnce(&mut SyncSession),
+    ) -> bool {
+        let before = session.journal().len();
+        action(session);
+        let after = session.journal().len();
+        if after < before {
+            moves.push(Move::Pop(before - after));
+        }
+        if after > before {
+            assert_eq!(after, before + 1, "one action journals one entry");
+            moves.push(Move::Push);
+        }
+        after > before
+    }
+
+    #[test]
+    fn wal_equals_the_journal_after_every_commit() {
+        let (t, _) = fixture();
+        let w = feature_workload(FeatureSpec {
+            n_features: 5,
+            ..FeatureSpec::default()
+        });
+        let mut session = t.session(&w.models).unwrap();
+        let dir = tmp("walk");
+        let mut store = PersistentSession::create(&dir, &session).unwrap();
+        let targets = DomSet::from_iter([DomIdx(0), DomIdx(1)]);
+        let mut gen = SessionScriptGen::new(targets, 4, 11);
+        let mut moves = Vec::new();
+        let (mut redone, mut repaired, mut idle) = (0, 0, 0);
+        for step in 0..40 {
+            let ctx = format!("step {step}");
+            match gen.next_step(session.models()) {
+                SessionStep::Edit { model, op } => {
+                    let pushed = track(&mut session, &mut moves, |s| {
+                        s.apply(model, op).unwrap();
+                    });
+                    if pushed && step % 5 == 1 {
+                        // Rollback 1, then the identical edit: the same
+                        // bytes come back under a new serial.
+                        track(&mut session, &mut moves, |s| {
+                            s.rollback(1).unwrap();
+                        });
+                        track(&mut session, &mut moves, |s| {
+                            s.apply(model, op).unwrap();
+                        });
+                        redone += 1;
+                    }
+                }
+                SessionStep::Repair { targets } => {
+                    let pushed = track(&mut session, &mut moves, |s| {
+                        s.repair(Shape::from_targets(targets)).unwrap();
+                    });
+                    repaired += usize::from(pushed);
+                }
+            }
+            if step % 7 == 6 {
+                track(&mut session, &mut moves, |s| {
+                    s.rollback(2).unwrap();
+                });
+            }
+            if step == 25 {
+                // Past the start: the WAL is cut back to its header.
+                track(&mut session, &mut moves, |s| {
+                    s.rollback(s.journal().len() + 3).unwrap();
+                });
+            }
+            store.commit(&session).unwrap();
+            assert_wal_is_journal(&dir, &session, &ctx);
+            if step % 8 == 3 {
+                // Nothing changed: the file must not move either.
+                let len = fs::metadata(dir.join("wal")).unwrap().len();
+                store.commit(&session).unwrap();
+                assert_eq!(fs::metadata(dir.join("wal")).unwrap().len(), len);
+                assert_wal_is_journal(&dir, &session, &ctx);
+                idle += 1;
+            }
+        }
+        assert!(
+            redone > 0 && repaired > 0 && idle > 0,
+            "the walk covers its cases"
+        );
+        assert!(!session.journal().is_empty());
+
+        // A sibling on the same seed moves its journal exactly as the
+        // walk did, with other content. Per-session counters would give
+        // it the walk's serials, and the commit would keep the walk's
+        // records; process-wide serials make it rewrite them all.
+        let mut sibling = t.session(&w.models).unwrap();
+        for (i, m) in moves.iter().enumerate() {
+            match *m {
+                Move::Push => rename(&mut sibling, &format!("sibling{i}")),
+                Move::Pop(n) => assert_eq!(sibling.rollback(n).unwrap(), n),
+            }
+        }
+        assert_eq!(sibling.journal().len(), session.journal().len());
+        store.commit(&sibling).unwrap();
+        assert_wal_is_journal(&dir, &sibling, "sibling");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_that_replays_empty_is_rewritten_by_the_next_commit() {
+        let (t, w) = fixture();
+        let mut session = t.session(&w.models).unwrap();
+        drift(&mut session);
+        let dir = tmp("empty-record");
+        drop(PersistentSession::create(&dir, &session).unwrap());
+        // A CRC-valid `edit` record with no ops parses to an entry that
+        // replay skips, so WAL records and journal entries no longer
+        // line up one to one after it.
+        let mut wal = Wal::create(&dir.join("wal")).unwrap();
+        let journal: Vec<String> = session.journal().iter().map(render_entry).collect();
+        wal.append(&journal[0]).unwrap();
+        wal.append("edit\n").unwrap();
+        wal.append(&journal[1]).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+
+        let (mut store, mut back) =
+            PersistentSession::open(&dir, &t, SessionOptions::default()).unwrap();
+        assert_eq!(back.journal().len(), 2);
+        rename(&mut back, "renamed");
+        store.commit(&back).unwrap();
+        assert_wal_is_journal(&dir, &back, "after recovery");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -49,16 +49,16 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// An open WAL file plus its decoded committed records.
+/// An open WAL file and where each of its committed records ends. The
+/// payloads themselves are not kept: [`Wal::open`] hands them out once,
+/// for replay, and [`crate::PersistentSession`] knows which journal
+/// entry each record holds.
 #[derive(Debug)]
 pub(crate) struct Wal {
     path: PathBuf,
     file: File,
-    /// Committed file length (end of the last intact record).
-    len: u64,
-    /// Record payloads, in order.
-    payloads: Vec<String>,
-    /// File offset just past each record.
+    /// File offset just past each record, in order. The last one (or
+    /// the header's end, with no records) is the committed file length.
     ends: Vec<u64>,
 }
 
@@ -76,15 +76,14 @@ impl Wal {
         Ok(Wal {
             path: path.to_path_buf(),
             file,
-            len: HEADER,
-            payloads: Vec::new(),
             ends: Vec::new(),
         })
     }
 
-    /// Opens an existing WAL, scanning every record. Drops (and
+    /// Opens an existing WAL, scanning every record, and returns it with
+    /// the decoded record payloads in commit order. Drops (and
     /// truncates away) a torn tail; errors on mid-record corruption.
-    pub fn open(path: &Path) -> Result<Wal, StoreError> {
+    pub fn open(path: &Path) -> Result<(Wal, Vec<String>), StoreError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -144,26 +143,26 @@ impl Wal {
             file.set_len(len).map_err(|e| io_err(path, e))?;
             file.sync_data().map_err(|e| io_err(path, e))?;
         }
-        Ok(Wal {
+        let wal = Wal {
             path: path.to_path_buf(),
             file,
-            len,
-            payloads,
             ends,
-        })
+        };
+        Ok((wal, payloads))
     }
 
-    /// The decoded record payloads, in commit order.
-    pub fn payloads(&self) -> &[String] {
-        &self.payloads
+    /// How many records the log holds.
+    pub fn records(&self) -> usize {
+        self.ends.len()
     }
 
-    /// File offset just past record `i` (for error reporting).
-    pub fn end_of(&self, i: usize) -> u64 {
-        if i == 0 {
+    /// File offset just past the first `n` records: where record `n`
+    /// starts, and the file length once the log is cut back to `n`.
+    pub fn end_of(&self, n: usize) -> u64 {
+        if n == 0 {
             HEADER
         } else {
-            self.ends[i - 1]
+            self.ends[n - 1]
         }
     }
 
@@ -174,28 +173,25 @@ impl Wal {
         rec.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         rec.extend_from_slice(&crc32(bytes).to_le_bytes());
         rec.extend_from_slice(bytes);
+        let end = self.end_of(self.records());
         self.file
-            .seek(SeekFrom::Start(self.len))
+            .seek(SeekFrom::Start(end))
             .and_then(|_| self.file.write_all(&rec))
             .map_err(|e| io_err(&self.path, e))?;
-        self.len += rec.len() as u64;
-        self.payloads.push(payload.to_string());
-        self.ends.push(self.len);
+        self.ends.push(end + rec.len() as u64);
         Ok(())
     }
 
     /// Truncates the log back to its first `n` records (rollback made
-    /// durable, or the divergence point of a commit-by-diff).
+    /// durable, or the divergence point of a commit).
     pub fn truncate_to(&mut self, n: usize) -> Result<(), StoreError> {
-        assert!(n <= self.payloads.len());
-        if n == self.payloads.len() {
+        assert!(n <= self.records());
+        if n == self.records() {
             return Ok(());
         }
-        self.len = self.end_of(n);
         self.file
-            .set_len(self.len)
+            .set_len(self.end_of(n))
             .map_err(|e| io_err(&self.path, e))?;
-        self.payloads.truncate(n);
         self.ends.truncate(n);
         Ok(())
     }
@@ -227,11 +223,16 @@ mod tests {
     fn append_reopen_round_trips() {
         let path = tmp("roundtrip");
         let mut w = Wal::create(&path).unwrap();
-        w.append("edit\nm0\n+ @0 : class#0\n").unwrap();
-        w.append("repair 0,1 3\nm1\n- @1 : class#1\n").unwrap();
+        let records = [
+            "edit\nm0\n+ @0 : class#0\n",
+            "repair 0,1 3\nm1\n- @1 : class#1\n",
+        ];
+        for r in records {
+            w.append(r).unwrap();
+        }
         w.sync().unwrap();
-        let r = Wal::open(&path).unwrap();
-        assert_eq!(r.payloads(), w.payloads());
+        let (_, payloads) = Wal::open(&path).unwrap();
+        assert_eq!(payloads, records);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
@@ -248,12 +249,12 @@ mod tests {
         let boundaries: Vec<u64> = (0..=records.len()).map(|i| w.end_of(i)).collect();
         for cut in HEADER as usize..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let r = Wal::open(&path).unwrap();
+            let (_, payloads) = Wal::open(&path).unwrap();
             // The recovered prefix is the number of whole records below
             // the cut — never more, never a partial record.
             let expect = boundaries.iter().filter(|&&b| b <= cut as u64).count() - 1;
-            assert_eq!(r.payloads().len(), expect, "cut at {cut}");
-            assert_eq!(r.payloads(), &records[..expect], "cut at {cut}");
+            assert_eq!(payloads.len(), expect, "cut at {cut}");
+            assert_eq!(payloads, &records[..expect], "cut at {cut}");
             // And the torn tail was truncated away on disk.
             assert_eq!(
                 std::fs::metadata(&path).unwrap().len(),
@@ -307,8 +308,8 @@ mod tests {
         w.truncate_to(1).unwrap();
         w.append("b2\n").unwrap();
         w.sync().unwrap();
-        let r = Wal::open(&path).unwrap();
-        assert_eq!(r.payloads(), ["a\n".to_string(), "b2\n".to_string()]);
+        let (_, payloads) = Wal::open(&path).unwrap();
+        assert_eq!(payloads, ["a\n".to_string(), "b2\n".to_string()]);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }
