@@ -1,9 +1,8 @@
 //! EXP-F4 (§2): checking wall-time vs workload size, with the
-//! dependency-direction and memoization ablations.
+//! dependency-direction ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmt_bench::{consistent_workload, paper_transformation};
-use mmt_check::CheckOptions;
 use mmt_core::Transformation;
 use mmt_gen::scenario::all_scenarios;
 
@@ -23,23 +22,6 @@ fn bench_check(c: &mut Criterion) {
             BenchmarkId::new("standard", format!("k{k}_n{n}")),
             &w,
             |b, w| b.iter(|| std_t.check(&w.models).unwrap().consistent()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("memo_off", format!("k{k}_n{n}")),
-            &w,
-            |b, w| {
-                b.iter(|| {
-                    t.check_with(
-                        &w.models,
-                        CheckOptions {
-                            memoize: false,
-                            max_violations: 1,
-                        },
-                    )
-                    .unwrap()
-                    .consistent()
-                })
-            },
         );
     }
     group.finish();

@@ -36,8 +36,8 @@
 //!   witnesses.
 //!
 //! Edits that reach a check through a relation call fall back to a full
-//! re-evaluation of that one check (calls are memoized per update, so
-//! this stays cheap in practice).
+//! re-evaluation of that one check (the call memo lives for one update,
+//! so repeated calls at the same roots are evaluated once).
 //!
 //! ```
 //! use mmt_model::text::{parse_metamodel, parse_model};
@@ -600,7 +600,7 @@ impl DeltaChecker {
         let indexes: Vec<ModelIndex> = models.iter().map(ModelIndex::build).collect();
         let arity = hir.arity();
         let mut checks = Vec::new();
-        let mut ctx = EvalCtx::new(hir, &models, &indexes, opts.memoize);
+        let mut ctx = EvalCtx::new(hir, &models, &indexes);
         for (rid, rel) in hir.top_relations() {
             for &dep in rel.deps.deps() {
                 let statics = Arc::new(compile_check(hir, rid, dep, arity)?);
@@ -727,7 +727,7 @@ impl DeltaChecker {
         scrubbed: &[RefId],
     ) -> Result<(), DeltaError> {
         let m = model.index();
-        let mut ctx = EvalCtx::new(&self.hir, &self.models, &self.indexes, self.opts.memoize);
+        let mut ctx = EvalCtx::new(&self.hir, &self.models, &self.indexes);
         let meta = self.models[m].metamodel();
         let live = &self.models[m];
         for check in &mut self.checks {
@@ -892,7 +892,6 @@ fn binding_key(b: &Binding) -> Vec<(u8, u64)> {
 fn accumulate(into: &mut EvalStats, extra: EvalStats) {
     into.universal_bindings += extra.universal_bindings;
     into.existential_probes += extra.existential_probes;
-    into.witness_hits += extra.witness_hits;
     into.call_hits += extra.call_hits;
 }
 
@@ -952,18 +951,14 @@ fn compile_check(hir: &Hir, rid: RelId, dep: Dep, arity: usize) -> Result<CheckS
 }
 
 /// Full (from-scratch) evaluation of one check: enumerate every
-/// universal binding and probe its witness, memoized on the shared
-/// variables.
+/// universal binding and probe its witness.
 fn full_eval(
     ctx: &mut EvalCtx<'_>,
     rel: &HirRelation,
     st: &CheckStatics,
 ) -> Result<MatchState, EvalError> {
     let mut matches: Vec<MatchEntry> = Vec::new();
-    let mut memo: FxHashMap<Vec<Slot>, WitnessRecord> = FxHashMap::default();
     let mut binding: Binding = vec![None; rel.vars.len()];
-    let shared = &st.plan.shared;
-    let memoize = ctx.memoize;
     ctx.solve(
         rel,
         &st.plan.src_constraints,
@@ -974,21 +969,7 @@ fn full_eval(
                     return Ok(false);
                 }
             }
-            let key: Vec<Slot> = shared
-                .iter()
-                .map(|v| b[v.index()].expect("shared var bound"))
-                .collect();
-            let (witnessed, witness_objs) = if memoize {
-                if let Some(hit) = memo.get(&key) {
-                    hit.clone()
-                } else {
-                    let r = probe_recording(ctx, rel, st, b)?;
-                    memo.insert(key, r.clone());
-                    r
-                }
-            } else {
-                probe_recording(ctx, rel, st, b)?
-            };
+            let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
             matches.push(MatchEntry {
                 binding: b.clone(),
                 witnessed,
@@ -1260,8 +1241,8 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
     /// violation multiset (compared order-insensitively).
     fn assert_agrees(checker: &DeltaChecker, ctx: &str) {
         let opts = CheckOptions {
-            memoize: true,
             max_violations: usize::MAX,
+            ..CheckOptions::default()
         };
         let scratch = Checker::with_options(checker.hir(), checker.models(), opts)
             .unwrap()
@@ -1291,8 +1272,8 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
             hir,
             models,
             CheckOptions {
-                memoize: true,
                 max_violations: usize::MAX,
+                ..CheckOptions::default()
             },
         )
         .unwrap()

@@ -10,10 +10,10 @@
 //!
 //! The enumerator is a backtracking join over the flattened pattern
 //! constraints with greedy generator selection (attribute-index probes
-//! before extent scans, reference traversals before either). Existential
-//! probes are memoized on the values of the variables shared between the
-//! universal binding and the target side; relation invocations are
-//! memoized on `(callee, direction, roots)`.
+//! before extent scans, reference traversals before either). Relation
+//! invocations are cached on `(callee, direction, roots)` in the call
+//! memo; existential probes are not cached, since one check rarely
+//! probes the same witness key twice.
 
 use crate::index::ModelIndex;
 use mmt_deps::{Dep, DomIdx, DomSet};
@@ -95,15 +95,13 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluation statistics (exposed for the ablation benches).
+/// Evaluation statistics.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct EvalStats {
     /// Universal bindings enumerated.
     pub universal_bindings: u64,
-    /// Existential probes executed (after memo).
+    /// Existential probes executed.
     pub existential_probes: u64,
-    /// Existential probes answered from the witness memo.
-    pub witness_hits: u64,
     /// Relation calls answered from the call memo.
     pub call_hits: u64,
 }
@@ -116,8 +114,8 @@ pub(crate) struct Direction {
 }
 
 /// The compiled form of one directional check `R_{S→T}`: the universal
-/// and existential constraint sets, the variables each side binds, and
-/// the witness-memo key. Assembled by [`plan_check`]; consumed by
+/// and existential constraint sets and the variables the universal side
+/// binds. Assembled by [`plan_check`]; consumed by
 /// [`EvalCtx::check_dep_with`] and by the incremental
 /// [`DeltaChecker`](crate::DeltaChecker).
 #[derive(Clone, Debug)]
@@ -128,9 +126,6 @@ pub(crate) struct CheckPlan {
     pub(crate) tgt_constraints: Vec<Constraint>,
     /// Variables bound by the universal side.
     pub(crate) src_vars: Vec<VarId>,
-    /// Universal-side variables the existential side reads (the witness
-    /// memo key).
-    pub(crate) shared: Vec<VarId>,
     /// The projected direction (for relation calls).
     pub(crate) dir: Direction,
 }
@@ -216,23 +211,6 @@ pub(crate) fn plan_check(
             }
         }
     }
-    // Witness memo key: universal-side variables the target side reads.
-    let shared: Vec<VarId> = {
-        let mut reads = tgt_vars.clone();
-        if let Some(w) = &rel.where_ {
-            w.free_vars(&mut reads);
-        }
-        reads.sort_unstable();
-        reads.dedup();
-        let mut pre_bound: Vec<VarId> = binding
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|_| VarId(i as u32)))
-            .collect();
-        pre_bound.extend(src_vars.iter().copied());
-        reads.retain(|v| pre_bound.contains(v));
-        reads
-    };
     let dir = Direction {
         sources: dep.sources,
         target: Some(dep.target),
@@ -241,7 +219,6 @@ pub(crate) fn plan_check(
         src_constraints,
         tgt_constraints,
         src_vars,
-        shared,
         dir,
     })
 }
@@ -262,8 +239,6 @@ pub struct EvalCtx<'a> {
     pub models: &'a [Model],
     /// Indexes, parallel to `models`.
     pub indexes: &'a [ModelIndex],
-    /// Whether to memoize existential probes and calls (ablation toggle).
-    pub memoize: bool,
     call_memo: FxHashMap<CallKey, bool>,
     stats: EvalStats,
     depth: u32,
@@ -273,17 +248,11 @@ const MAX_CALL_DEPTH: u32 = 64;
 
 impl<'a> EvalCtx<'a> {
     /// Creates a context; `indexes` must parallel `models`.
-    pub fn new(
-        hir: &'a Hir,
-        models: &'a [Model],
-        indexes: &'a [ModelIndex],
-        memoize: bool,
-    ) -> EvalCtx<'a> {
+    pub fn new(hir: &'a Hir, models: &'a [Model], indexes: &'a [ModelIndex]) -> EvalCtx<'a> {
         EvalCtx {
             hir,
             models,
             indexes,
-            memoize,
             call_memo: FxHashMap::default(),
             stats: EvalStats::default(),
             depth: 0,
@@ -329,13 +298,11 @@ impl<'a> EvalCtx<'a> {
         let hir = self.hir;
         let rel = hir.relation(rel_id);
         let plan = plan_check(rel, dep, &binding)?;
-        let mut witness_memo: FxHashMap<Vec<Slot>, bool> = FxHashMap::default();
         let mut holds = true;
         let rel_ref = rel;
         let CheckPlan {
             src_constraints,
             tgt_constraints,
-            shared,
             dir,
             ..
         } = plan;
@@ -347,24 +314,7 @@ impl<'a> EvalCtx<'a> {
                     return Ok(false); // continue enumeration
                 }
             }
-            // Existential probe, memoized on the shared variables.
-            let key: Vec<Slot> = shared
-                .iter()
-                .map(|v| b[v.index()].expect("shared var bound"))
-                .collect();
-            let witnessed = if ctx.memoize {
-                if let Some(&w) = witness_memo.get(&key) {
-                    ctx.stats.witness_hits += 1;
-                    w
-                } else {
-                    let w = ctx.probe_witness(rel_ref, &tgt_constraints, b, dir)?;
-                    witness_memo.insert(key, w);
-                    w
-                }
-            } else {
-                ctx.probe_witness(rel_ref, &tgt_constraints, b, dir)?
-            };
-            if !witnessed {
+            if !ctx.probe_witness(rel_ref, &tgt_constraints, b, dir)? {
                 holds = false;
                 let keep_going = on_violation(rel_ref, b);
                 return Ok(!keep_going); // stop if callback is sated
@@ -782,7 +732,7 @@ impl<'a> EvalCtx<'a> {
                     || self.eval_bool(rel, b, binding, dir)?)
             }
             HirExpr::Not(a) => Ok(!self.eval_bool(rel, a, binding, dir)?),
-            HirExpr::Call(rid, args) => self.eval_call(rel, *rid, args, binding, dir),
+            HirExpr::Call(rid, args) => self.eval_call(*rid, args, binding, dir),
         }
     }
 
@@ -818,7 +768,6 @@ impl<'a> EvalCtx<'a> {
     /// `when` (the resolver rejects it in `where`).
     fn eval_call(
         &mut self,
-        caller: &HirRelation,
         rid: RelId,
         args: &[VarId],
         binding: &Binding,
@@ -843,17 +792,14 @@ impl<'a> EvalCtx<'a> {
             proj_target.map(|t| t.0).unwrap_or(u8::MAX),
             roots,
         );
-        if self.memoize {
-            if let Some(&r) = self.call_memo.get(&key) {
-                self.stats.call_hits += 1;
-                return Ok(r);
-            }
+        if let Some(&r) = self.call_memo.get(&key) {
+            self.stats.call_hits += 1;
+            return Ok(r);
         }
         if self.depth >= MAX_CALL_DEPTH {
             return Err(EvalError::RecursionLimit);
         }
         self.depth += 1;
-        let _caller = caller;
         let result = match proj_target {
             Some(t) => {
                 let dep = Dep::new(proj_sources.without(t), t).expect("t not in sources");
@@ -891,9 +837,7 @@ impl<'a> EvalCtx<'a> {
         };
         self.depth -= 1;
         let r = result?;
-        if self.memoize {
-            self.call_memo.insert(key, r);
-        }
+        self.call_memo.insert(key, r);
         Ok(r)
     }
 }

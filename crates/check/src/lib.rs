@@ -53,7 +53,8 @@ use std::fmt;
 /// Options controlling a check run.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckOptions {
-    /// Memoize existential probes and relation calls (ablation toggle).
+    /// Ignored: relation calls are always memoized and witness probes
+    /// never are. Kept only so existing struct literals still compile.
     pub memoize: bool,
     /// Maximum counterexample bindings recorded per directional check.
     pub max_violations: usize,
@@ -244,19 +245,21 @@ impl<'a> Checker<'a> {
 
     /// Runs every directional check of every top relation.
     pub fn check(&self) -> Result<CheckReport, EvalError> {
-        let mut ctx = EvalCtx::new(self.hir, self.models, &self.indexes, self.opts.memoize);
+        let mut ctx = EvalCtx::new(self.hir, self.models, &self.indexes);
         let mut checks = Vec::new();
         for (rid, rel) in self.hir.top_relations() {
             for &dep in rel.deps.deps() {
                 let mut violations = Vec::new();
                 let max = self.opts.max_violations;
                 let holds = ctx.check_dep(rid, dep, &mut |r, binding| {
-                    let vars = binding
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, slot)| slot.map(|s| (r.vars[i].name, s.to_string())))
-                        .collect();
-                    violations.push(ViolationBinding { vars });
+                    if violations.len() < max {
+                        let vars = binding
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(i, slot)| slot.map(|s| (r.vars[i].name, s.to_string())))
+                            .collect();
+                        violations.push(ViolationBinding { vars });
+                    }
                     violations.len() < max
                 })?;
                 checks.push(DirectionalOutcome {
@@ -598,43 +601,6 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
     }
 
     #[test]
-    fn memoization_is_transparent() {
-        let (cf, fm) = metamodels();
-        let hir = parse_and_resolve(MF_EXT, &[cf.clone(), fm.clone()]).unwrap();
-        let models = [
-            cf_model(&cf, "cf1", &["a", "b", "c"]),
-            cf_model(&cf, "cf2", &["a", "b"]),
-            fm_model(&fm, &[("a", true), ("b", true), ("c", false)]),
-        ];
-        let on = Checker::with_options(
-            &hir,
-            &models,
-            CheckOptions {
-                memoize: true,
-                max_violations: 8,
-            },
-        )
-        .unwrap()
-        .check()
-        .unwrap();
-        let off = Checker::with_options(
-            &hir,
-            &models,
-            CheckOptions {
-                memoize: false,
-                max_violations: 8,
-            },
-        )
-        .unwrap()
-        .check()
-        .unwrap();
-        assert_eq!(on.consistent(), off.consistent());
-        for (a, b) in on.checks.iter().zip(&off.checks) {
-            assert_eq!(a.holds, b.holds);
-        }
-    }
-
-    #[test]
     fn report_display_mentions_failures() {
         let (cf, fm) = metamodels();
         let hir = parse_and_resolve(MF_EXT, &[cf.clone(), fm.clone()]).unwrap();
@@ -693,5 +659,83 @@ transformation C2T(uml : UML, rdb : RDB) {
             parse_model(r#"model r : RDB { t1 = Table { name = "Person" } }"#, &rdb).unwrap();
         let models = [m_uml, m_rdb_bad];
         assert!(!Checker::new(&hir, &models).unwrap().consistent().unwrap());
+    }
+
+    /// The call memo pays on a projection spec: the witness of every
+    /// `(class, attribute)` binding calls `SameCols` on its class and
+    /// table, so 3 classes × 4 attributes make 12 calls over 3 distinct
+    /// root pairs, and the memo answers 9 of them. Both checkers agree
+    /// on the verdicts, with and without a missing column.
+    #[test]
+    fn call_memo_answers_repeated_roots() {
+        let uml = parse_metamodel(
+            "metamodel UML { class Class { attr name: Str; ref attrs: Attribute [0..*] containment; } class Attribute { attr name: Str; } }",
+        )
+        .unwrap();
+        let rdb = parse_metamodel(
+            "metamodel RDB { class Table { attr name: Str; ref cols: Column [0..*] containment; } class Column { attr name: Str; } }",
+        )
+        .unwrap();
+        let src = r#"
+transformation P(uml : UML, rdb : RDB) {
+  relation SameCols {
+    n : Str;
+    domain uml k : Class { attrs = x : Attribute { name = n } };
+    domain rdb u : Table { cols = y : Column { name = n } };
+    depend uml -> rdb;
+  }
+  top relation ClassToTable {
+    cn, an : Str;
+    domain uml c : Class { name = cn, attrs = a : Attribute { name = an } };
+    domain rdb t : Table { name = cn };
+    where { SameCols(c, t) }
+    depend uml -> rdb;
+  }
+}
+"#;
+        let hir = Arc::new(parse_and_resolve(src, &[uml.clone(), rdb.clone()]).unwrap());
+        // `cols_of(i)` columns in table `i`, 4 attributes in every class.
+        let tuple = |cols_of: &dyn Fn(usize) -> usize| {
+            let (mut u, mut r) = (String::new(), String::new());
+            for i in 0..3 {
+                let attrs: Vec<String> = (0..4).map(|j| format!("a{i}{j}")).collect();
+                let cols: Vec<String> = (0..cols_of(i)).map(|j| format!("k{i}{j}")).collect();
+                for j in 0..4 {
+                    u.push_str(&format!("a{i}{j} = Attribute {{ name = \"x{j}\" }}\n"));
+                }
+                for j in 0..cols_of(i) {
+                    r.push_str(&format!("k{i}{j} = Column {{ name = \"x{j}\" }}\n"));
+                }
+                u.push_str(&format!(
+                    "c{i} = Class {{ name = \"C{i}\", attrs = [{}] }}\n",
+                    attrs.join(", ")
+                ));
+                r.push_str(&format!(
+                    "t{i} = Table {{ name = \"C{i}\", cols = [{}] }}\n",
+                    cols.join(", ")
+                ));
+            }
+            [
+                parse_model(&format!("model u : UML {{ {u} }}"), &uml).unwrap(),
+                parse_model(&format!("model r : RDB {{ {r} }}"), &rdb).unwrap(),
+            ]
+        };
+        let full = tuple(&|_| 4);
+        let missing = tuple(&|i| if i == 1 { 3 } else { 4 });
+        for (models, consistent) in [(full, true), (missing, false)] {
+            let scratch = Checker::new(&hir, &models).unwrap().check().unwrap();
+            let inc = crate::DeltaChecker::new(&hir, &models).unwrap().report();
+            assert_eq!(scratch.consistent(), consistent, "{scratch}");
+            for (a, b) in scratch.checks.iter().zip(&inc.checks) {
+                assert_eq!(a.holds, b.holds);
+                let mut va: Vec<String> = a.violations.iter().map(|v| v.to_string()).collect();
+                let mut vb: Vec<String> = b.violations.iter().map(|v| v.to_string()).collect();
+                va.sort();
+                vb.sort();
+                assert_eq!(va, vb);
+            }
+            assert_eq!(scratch.stats.call_hits, 12 - 3, "{scratch}");
+            assert_eq!(inc.stats.call_hits, 12 - 3, "{inc}");
+        }
     }
 }

@@ -4,18 +4,17 @@
 
 use mmt_core::{LintReport, SyncSession};
 
-/// The `--json` status dump: consistency, journal size, fingerprint,
-/// and every violating binding.
+/// The `--json` status dump: consistency, journal size, and every
+/// violating binding.
 pub(crate) fn status_json(session: &SyncSession) -> String {
     let status = session.status();
     let report = session.report();
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"consistent\":{},\"violations\":{},\"journal\":{},\"fingerprint\":{},\"checks\":[",
+        "{{\"consistent\":{},\"violations\":{},\"journal\":{},\"checks\":[",
         status.consistent,
         status.violations,
         session.journal().len(),
-        session.fingerprint(),
     ));
     let mut first_check = true;
     for check in &report.checks {

@@ -148,9 +148,9 @@ impl SessionHandle {
     ///   [`SyncSession::repair`], rollback) journals its entry only
     ///   after the checker absorbed the whole op — a panic in *client*
     ///   code between session calls can never leave a half-journaled
-    ///   step, so the fingerprint/journal replay invariant (replaying
-    ///   the journal over the seed tuple ≡ the live state, byte for
-    ///   byte) survives the unwind;
+    ///   step, so the journal replay invariant (replaying the journal
+    ///   over the seed tuple ≡ the live state, byte for byte) survives
+    ///   the unwind;
     /// * a panic *inside* a session call is the session's own error
     ///   path: eval errors poison the session at the session level
     ///   (`CoreError::Eval` marks it unusable), which is stricter than

@@ -42,9 +42,8 @@
 
 use crate::{CoreError, EngineKind, Shape, Transformation};
 use mmt_check::{CheckOptions, CheckReport, DeltaChecker, DeltaError};
-use mmt_deps::{DomIdx, DomSet};
+use mmt_deps::DomIdx;
 use mmt_dist::{expand_op, Delta, EditOp};
-use mmt_enforce::search::{fingerprint_step, state_fingerprint};
 use mmt_enforce::{RepairEngine, RepairError, RepairOptions, SatEngine, SearchEngine};
 use mmt_model::Model;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,8 +130,8 @@ pub struct SyncRepair {
 }
 
 /// A long-lived synchronization session over one model tuple: owns the
-/// warm incremental checker, the commutative state fingerprint, and the
-/// edit journal. See the [module docs](self) for the design.
+/// warm incremental checker and the edit journal. See the
+/// [module docs](self) for the design.
 ///
 /// ```
 /// use mmt_core::{Shape, SyncSession, Transformation};
@@ -184,7 +183,11 @@ pub struct SyncSession {
     journal: Vec<JournalEntry>,
     /// One serial per journal entry, in journal order.
     serials: Vec<u64>,
-    fp: u64,
+    /// Every model's `id_bound()` at open and after each journal entry:
+    /// arity values per state, in journal order. Undoing an entry drops
+    /// the tombstones it leaves past the bounds before it, so ids minted
+    /// afterwards are the ones a replay of the shorter journal mints.
+    bounds: Vec<usize>,
     opts: SessionOptions,
 }
 
@@ -212,18 +215,18 @@ impl SyncSession {
     ) -> Result<SyncSession, CoreError> {
         let t = t.into();
         let check_opts = CheckOptions {
-            memoize: true,
             max_violations: usize::MAX,
+            ..CheckOptions::default()
         };
         let checker =
             DeltaChecker::with_options(t.hir_arc(), models, check_opts).map_err(delta_core_err)?;
-        let fp = state_fingerprint(checker.models(), DomSet::full(t.arity()));
+        let bounds = checker.models().iter().map(Model::id_bound).collect();
         Ok(SyncSession {
             t,
             checker,
             journal: Vec::new(),
             serials: Vec::new(),
-            fp,
+            bounds,
             opts,
         })
     }
@@ -258,16 +261,6 @@ impl SyncSession {
     /// Serials are never 0.
     pub fn journal_serials(&self) -> &[u64] {
         &self.serials
-    }
-
-    /// The session's commutative state fingerprint over the whole
-    /// tuple — maintained incrementally in O(touched objects) per edit;
-    /// always equal to
-    /// [`state_fingerprint`]`(self.models(), DomSet::full(arity))`.
-    /// Server layers use it as a cheap state-identity token (cache keys,
-    /// optimistic-concurrency checks).
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
     }
 
     /// The warm checker itself — a read-only view for callers that want
@@ -389,22 +382,24 @@ impl SyncSession {
 
     /// Undoes the last `n` journal entries (saturating at the journal
     /// length) by replaying exact inverse edits through the incremental
-    /// path. Returns how many entries were undone. `rollback` of
-    /// everything restores the seed tuple's object graph exactly.
+    /// path, then dropping the tombstones each entry left past the id
+    /// bounds it started from. Returns how many entries were undone.
+    /// `rollback` of everything restores the seed tuple exactly, id
+    /// bounds included.
     pub fn rollback(&mut self, n: usize) -> Result<usize, CoreError> {
         let n = n.min(self.journal.len());
         for _ in 0..n {
             let entry = self.journal.pop().expect("n is bounded by the length");
             self.serials.pop();
+            let arity = entry.deltas.len();
+            self.bounds.truncate(self.bounds.len() - arity);
+            let prior = &self.bounds[self.bounds.len() - arity..];
             for (i, delta) in entry.deltas.iter().enumerate() {
                 let model = DomIdx(i as u8);
-                for op in delta.inverse().ops() {
-                    let next = fingerprint_step(self.checker.models(), self.fp, model, op);
-                    self.checker.apply(model, op).map_err(delta_core_err)?;
-                    if let Some(next) = next {
-                        self.fp = next;
-                    }
-                }
+                self.checker
+                    .apply_delta(model, &delta.inverse())
+                    .map_err(delta_core_err)?;
+                self.checker.truncate_tombstones(model, prior[i]);
             }
         }
         Ok(n)
@@ -425,7 +420,7 @@ impl SyncSession {
     /// Unlike [`SyncSession::apply`], ops are *not* re-expanded or
     /// no-op-filtered: expanded entries are fixpoints of expansion, so
     /// re-running them op by op reproduces the original session's
-    /// checker state, fingerprint, and journal bytes exactly. That is
+    /// checker state and journal bytes exactly. That is
     /// the recovery ≡ replay contract crash recovery (`mmt-store`)
     /// builds on. Empty entries are skipped (the live path never
     /// journals them).
@@ -440,14 +435,9 @@ impl SyncSession {
             "journal entry arity matches the session"
         );
         for (i, delta) in entry.deltas.iter().enumerate() {
-            let model = DomIdx(i as u8);
-            for op in delta.ops() {
-                let next = fingerprint_step(self.checker.models(), self.fp, model, op);
-                self.checker.apply(model, op).map_err(delta_core_err)?;
-                if let Some(next) = next {
-                    self.fp = next;
-                }
-            }
+            self.checker
+                .apply_delta(DomIdx(i as u8), delta)
+                .map_err(delta_core_err)?;
         }
         self.commit_entry(entry.kind, entry.deltas);
         Ok(self.status())
@@ -460,12 +450,14 @@ impl SyncSession {
     /// seed without having kept the original models around.
     pub fn seed_models(&self) -> Result<Vec<Model>, CoreError> {
         let mut models = self.checker.models().to_vec();
-        for entry in self.journal.iter().rev() {
+        let arity = models.len();
+        for (e, entry) in self.journal.iter().enumerate().rev() {
             for (i, delta) in entry.deltas.iter().enumerate() {
                 delta
                     .inverse()
                     .apply(&mut models[i])
                     .map_err(CoreError::Model)?;
+                models[i].truncate_tombstones(self.bounds[e * arity + i]);
             }
         }
         Ok(models)
@@ -487,19 +479,21 @@ impl SyncSession {
         out
     }
 
-    /// Pushes a journal entry under a fresh serial unless it is empty
-    /// (pure no-op action).
+    /// Pushes a journal entry under a fresh serial, with the id bounds
+    /// it leaves, unless it is empty (pure no-op action).
     fn commit_entry(&mut self, kind: JournalKind, deltas: Vec<Delta>) {
         if deltas.iter().any(|d| !d.is_empty()) {
             self.journal.push(JournalEntry { kind, deltas });
             self.serials
                 .push(NEXT_SERIAL.fetch_add(1, Ordering::Relaxed));
+            let models = self.checker.models();
+            self.bounds.extend(models.iter().map(Model::id_bound));
         }
     }
 
-    /// Applies one op in expanded form: fingerprint advanced, checker
-    /// updated, effective ops recorded into `entry`. Ops that fail leave
-    /// the session unchanged and unrecorded.
+    /// Applies one op in expanded form: checker updated, effective ops
+    /// recorded into `entry`. Ops that fail leave the session unchanged
+    /// and unrecorded.
     fn apply_into(
         &mut self,
         model: DomIdx,
@@ -511,11 +505,7 @@ impl SyncSession {
         let mut script = Vec::new();
         expand_op(&self.checker.models()[m], op, &mut script);
         for e in script {
-            let next = fingerprint_step(self.checker.models(), self.fp, model, &e);
             self.checker.apply(model, &e).map_err(delta_core_err)?;
-            if let Some(next) = next {
-                self.fp = next;
-            }
             entry[m].push(e);
         }
         Ok(())
@@ -528,7 +518,6 @@ impl std::fmt::Debug for SyncSession {
             .field("arity", &self.t.arity())
             .field("consistent", &self.checker.consistent())
             .field("journal_len", &self.journal.len())
-            .field("fingerprint", &self.fp)
             .finish()
     }
 }
@@ -536,6 +525,7 @@ impl std::fmt::Debug for SyncSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmt_deps::DomSet;
     use mmt_gen::{feature_workload, inject, FeatureSpec, Injection};
     use mmt_model::text::print_model;
     use mmt_model::{ObjId, Sym, Value};
@@ -593,43 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_recomputation() {
-        let (t, w) = fixture();
-        let mut session = t.session(&w.models).unwrap();
-        let full = DomSet::full(t.arity());
-        assert_eq!(
-            session.fingerprint(),
-            state_fingerprint(session.models(), full)
-        );
-        let fm = w.fm.class_named("Feature").unwrap();
-        let name = w.fm.attr_of(fm, Sym::new("name")).unwrap();
-        let id = ObjId(session.models()[2].id_bound() as u32);
-        session
-            .apply(DomIdx(2), EditOp::AddObj { id, class: fm })
-            .unwrap();
-        session
-            .apply(
-                DomIdx(2),
-                EditOp::SetAttr {
-                    id,
-                    attr: name,
-                    value: Value::str("x"),
-                    old: Value::str(""),
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            session.fingerprint(),
-            state_fingerprint(session.models(), full)
-        );
-        session.rollback_all().unwrap();
-        assert_eq!(
-            session.fingerprint(),
-            state_fingerprint(session.models(), full)
-        );
-    }
-
-    #[test]
     fn noop_edits_are_not_journaled() {
         let (t, w) = fixture();
         let mut session = t.session(&w.models).unwrap();
@@ -655,7 +608,8 @@ mod tests {
         let (t, w) = fixture();
         let mut session = t.session(&w.models).unwrap();
         let fm = w.fm.class_named("Feature").unwrap();
-        let before_fp = session.fingerprint();
+        let before: Vec<String> = session.models().iter().map(print_model).collect();
+        let bounds: Vec<usize> = session.models().iter().map(Model::id_bound).collect();
         let err = session.apply(
             DomIdx(2),
             EditOp::DelObj {
@@ -665,7 +619,16 @@ mod tests {
         );
         assert!(matches!(err, Err(CoreError::Model(_))));
         assert!(session.journal().is_empty());
-        assert_eq!(session.fingerprint(), before_fp);
+        let after: Vec<String> = session.models().iter().map(print_model).collect();
+        assert_eq!(after, before);
+        assert_eq!(
+            session
+                .models()
+                .iter()
+                .map(Model::id_bound)
+                .collect::<Vec<_>>(),
+            bounds
+        );
         assert!(session.models()[2].graph_eq(&w.models[2]));
     }
 
@@ -747,6 +710,44 @@ mod tests {
         assert_eq!(session.rollback(5).unwrap(), 1); // saturates
         assert!(session.models()[0].graph_eq(&w.models[0]));
         assert_eq!(session.rollback(1).unwrap(), 0);
+    }
+
+    /// Rollback is exact down to the id bounds: undoing an `AddObj`
+    /// drops its tombstone, so the next fresh object gets the undone
+    /// one's id, while the tombstone of an earlier deletion stays.
+    /// `seed_models` reconstructs the seed's bounds the same way.
+    #[test]
+    fn rollback_restores_id_bounds() {
+        let (t, w) = fixture();
+        let mut session = t.session(&w.models).unwrap();
+        let cf = w.cf.class_named("Feature").unwrap();
+        let bound = session.models()[0].id_bound();
+        let last = ObjId(bound as u32 - 1);
+        session
+            .apply(
+                DomIdx(0),
+                EditOp::DelObj {
+                    id: last,
+                    class: cf,
+                },
+            )
+            .unwrap();
+        for k in 0..2 {
+            let id = ObjId((bound + k) as u32);
+            session
+                .apply(DomIdx(0), EditOp::AddObj { id, class: cf })
+                .unwrap();
+        }
+        assert_eq!(session.models()[0].id_bound(), bound + 2);
+        assert_eq!(session.seed_models().unwrap()[0].id_bound(), bound);
+        session.rollback(1).unwrap();
+        assert_eq!(session.models()[0].id_bound(), bound + 1);
+        session.rollback(1).unwrap();
+        assert_eq!(session.models()[0].id_bound(), bound);
+        assert!(!session.models()[0].contains(last));
+        session.rollback(1).unwrap();
+        assert!(session.models()[0].graph_eq(&w.models[0]));
+        assert_eq!(session.models()[0].id_bound(), bound);
     }
 
     #[test]

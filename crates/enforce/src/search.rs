@@ -74,8 +74,8 @@ pub fn repair_search(
     opts: &RepairOptions,
 ) -> Result<Option<RepairOutcome>, RepairError> {
     let check_opts = CheckOptions {
-        memoize: true,
         max_violations: opts.violations_per_check,
+        ..CheckOptions::default()
     };
     let root = DeltaChecker::with_options(hir, originals, check_opts).map_err(delta_repair_err)?;
     search_from_root(root, targets, opts)
@@ -285,7 +285,9 @@ pub(crate) fn search_from_root(
         if violations.iter().any(|v| !repairable(hir, v, targets)) {
             return Ok(None);
         }
-        if violations.is_empty() {
+        // The goal test reads the uncapped verdicts: with a cap of 0 no
+        // violation is captured, yet the state may be inconsistent.
+        if checker.consistent() {
             let repaired = checker.models().to_vec();
             tree.goto(&mut checker, 0).map_err(delta_repair_err)?;
             return outcome(checker.models(), repaired, cost).map(Some);
@@ -341,11 +343,11 @@ pub fn reference_search(
             });
         }
         // Oracle: collect violations (with Slot-level bindings).
-        let violations = collect_violations(hir, &models, opts)?;
+        let (violations, consistent) = collect_violations(hir, &models, opts)?;
         if violations.iter().any(|v| !repairable(hir, v, targets)) {
             return Ok(None);
         }
-        if violations.is_empty() {
+        if consistent {
             return outcome(originals, models, cost).map(Some);
         }
         if cost >= opts.max_cost {
@@ -486,20 +488,25 @@ struct Violation {
     binding: Binding,
 }
 
+/// Up to `opts.violations_per_check` violations per directional check,
+/// and whether every check holds (uncapped).
 fn collect_violations(
     hir: &Hir,
     models: &[Model],
     opts: &RepairOptions,
-) -> Result<Vec<Violation>, RepairError> {
+) -> Result<(Vec<Violation>, bool), RepairError> {
     let indexes: Vec<ModelIndex> = models.iter().map(ModelIndex::build).collect();
-    let mut ctx = EvalCtx::new(hir, models, &indexes, true);
+    let mut ctx = EvalCtx::new(hir, models, &indexes);
     let mut out = Vec::new();
+    let mut consistent = true;
     for (rid, rel) in hir.top_relations() {
         for &dep in rel.deps.deps() {
             let mut captured: Vec<Binding> = Vec::new();
             let max = opts.violations_per_check;
-            ctx.check_dep(rid, dep, &mut |_, b| {
-                captured.push(b.clone());
+            consistent &= ctx.check_dep(rid, dep, &mut |_, b| {
+                if captured.len() < max {
+                    captured.push(b.clone());
+                }
                 captured.len() < max
             })?;
             for binding in captured {
@@ -511,7 +518,7 @@ fn collect_violations(
             }
         }
     }
-    Ok(out)
+    Ok((out, consistent))
 }
 
 /// The active value pool used for attribute-change candidates.
@@ -863,21 +870,14 @@ fn participating_models(rel: &HirRelation, dep: Dep) -> DomSet {
 }
 
 /// Hash of one object's full state, tagged with its model position.
-/// Strings hash by content, not by [`Sym`] index: indices follow the
-/// order strings were first interned in, so a recovered session, which
-/// never interned the values its crashed twin rolled back, would
-/// otherwise fingerprint the same tuple differently.
+/// Strings hash by interned index, so the hash is stable within one
+/// process only; it never leaves the search.
 fn obj_fp(t: DomIdx, id: ObjId, obj: &Object) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     t.0.hash(&mut h);
     id.hash(&mut h);
     obj.class.hash(&mut h);
-    for v in &obj.attrs {
-        match v {
-            Value::Str(s) => s.with_str(|s| s.hash(&mut h)),
-            v => v.hash(&mut h),
-        }
-    }
+    obj.attrs.hash(&mut h);
     obj.refs.hash(&mut h);
     h.finish()
 }
@@ -988,27 +988,6 @@ fn fingerprint_apply(models: &[Model], fp: u64, cand: &Candidate) -> Option<u64>
             )
         }
     }
-}
-
-/// Exposed for differential tests: the same fingerprint the search uses.
-pub fn state_fingerprint(models: &[Model], targets: DomSet) -> u64 {
-    fingerprint(models, targets)
-}
-
-/// Advances a [`state_fingerprint`] by one edit **without applying it**:
-/// given the pre-edit `models` (fingerprinting to `fp` over `targets`
-/// that include `model`), returns the fingerprint of the tuple after
-/// `op` lands on the model at `model` — O(touched objects), where a
-/// `DelObj` touches its object and the sources of the incoming links
-/// its scrub rewires. Returns `None` when the op is stale or a no-op
-/// (object missing, link already present/absent, attribute unchanged):
-/// the fingerprint is unchanged in that case.
-///
-/// Sync sessions use this to keep their commutative state fingerprint
-/// warm across the edit→check→repair loop instead of re-hashing the
-/// whole tuple per edit.
-pub fn fingerprint_step(models: &[Model], fp: u64, model: DomIdx, op: &EditOp) -> Option<u64> {
-    fingerprint_apply(models, fp, &Candidate { model, op: *op })
 }
 
 #[cfg(test)]
@@ -1348,15 +1327,15 @@ mod tree_tests {
         Snapshot {
             printed: checker.models().iter().map(print_model).collect(),
             id_bounds: checker.models().iter().map(Model::id_bound).collect(),
-            fp: state_fingerprint(checker.models(), targets),
+            fp: fingerprint(checker.models(), targets),
             violations,
         }
     }
 
     fn checker_over(hir: &Arc<Hir>, models: &[Model]) -> DeltaChecker {
         let opts = CheckOptions {
-            memoize: true,
             max_violations: usize::MAX,
+            ..CheckOptions::default()
         };
         DeltaChecker::with_options(hir, models, opts).unwrap()
     }

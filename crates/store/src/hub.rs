@@ -160,10 +160,11 @@ impl HubStore for SyncHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_core::Transformation;
+    use mmt_core::{SyncSession, Transformation};
     use mmt_deps::DomIdx;
     use mmt_dist::EditOp;
     use mmt_gen::{feature_workload, FeatureSpec, CF_METAMODEL, FM_METAMODEL};
+    use mmt_model::text::print_model;
     use mmt_model::ObjId;
     use std::path::PathBuf;
 
@@ -174,6 +175,14 @@ mod tests {
         )
         .unwrap();
         (t, feature_workload(FeatureSpec::default()))
+    }
+
+    /// A session's tuple: each model printed, with its id bound.
+    fn tuple(s: &mut SyncSession) -> Vec<(String, usize)> {
+        s.models()
+            .iter()
+            .map(|m| (print_model(m), m.id_bound()))
+            .collect()
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -195,10 +204,8 @@ mod tests {
         alice
             .with(|s| s.apply(DomIdx(2), EditOp::AddObj { id, class: feature }))
             .unwrap();
-        let (alice_fp, bob_fp) = (
-            alice.with(|s| s.fingerprint()),
-            hub.get("bob").unwrap().with(|s| s.fingerprint()),
-        );
+        let (alice_tuple, bob_tuple) = (alice.with(tuple), hub.get("bob").unwrap().with(tuple));
+        assert_ne!(alice_tuple, bob_tuple);
 
         let dir = tmp("roundtrip");
         assert_eq!(hub.persist_to(&dir).unwrap(), 2);
@@ -210,14 +217,8 @@ mod tests {
             .unwrap();
         assert_eq!(opened.len(), 2);
         assert_eq!(restored.list(), ["alice", "bob"]);
-        assert_eq!(
-            restored.get("alice").unwrap().with(|s| s.fingerprint()),
-            alice_fp
-        );
-        assert_eq!(
-            restored.get("bob").unwrap().with(|s| s.fingerprint()),
-            bob_fp
-        );
+        assert_eq!(restored.get("alice").unwrap().with(tuple), alice_tuple);
+        assert_eq!(restored.get("bob").unwrap().with(tuple), bob_tuple);
         assert_eq!(
             restored.get("alice").unwrap().with(|s| s.journal().len()),
             1

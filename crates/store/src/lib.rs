@@ -12,8 +12,8 @@
 //! * [`PersistentSession::open`] — crash recovery: the seed is reloaded,
 //!   the committed WAL prefix is replayed into a warm
 //!   [`DeltaChecker`](mmt_core::SyncSession::checker) via
-//!   [`mmt_core::SyncSession::replay_entry`], and the recovered session is
-//!   fingerprint-, status-, and journal-identical to the session that
+//!   [`mmt_core::SyncSession::replay_entry`], and the recovered session's
+//!   tuple, status and journal are identical to the session that
 //!   crashed (a torn tail — a record cut mid-write — is dropped, because
 //!   it was never acknowledged as committed);
 //! * [`HubStore`] — whole-hub snapshot/restore for
@@ -24,9 +24,8 @@
 //!
 //! Journal entries are fixpoints of the session's own edit expansion
 //! (`SetAttr` old-values normalized, deletions pre-expanded), so
-//! replaying them verbatim drives the incremental checker and the
-//! commutative fingerprint through *exactly* the states the original
-//! session went through. Recovery therefore has only two outcomes:
+//! replaying them verbatim drives the incremental checker through
+//! *exactly* the states the original session went through. Recovery therefore has only two outcomes:
 //!
 //! 1. the longest committed WAL prefix replays cleanly and the session
 //!    is byte-identical to an uninterrupted session at that prefix, or

@@ -4,23 +4,26 @@
 //! [`Checker`] rebuilt on the edited tuple — same per-check verdicts,
 //! same violation multiset — after *every* edit.
 
-use mmtf::check::{CheckOptions, Checker, DeltaChecker};
+use mmtf::check::{CheckOptions, CheckReport, Checker, DeltaChecker};
 use mmtf::deps::DomIdx;
 use mmtf::dist::{Delta, EditOp};
 use mmtf::gen::scenario::scenario_named;
-use mmtf::gen::{feature_workload, random_edits, FeatureSpec};
+use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
 use mmtf::model::text::{parse_metamodel, parse_model};
 use mmtf::model::Model;
 use mmtf::qvtr::{parse_and_resolve, Hir};
 
-const OPTS: CheckOptions = CheckOptions {
-    memoize: true,
-    max_violations: usize::MAX,
-};
+/// Options that record every counterexample.
+fn uncapped() -> CheckOptions {
+    CheckOptions {
+        max_violations: usize::MAX,
+        ..CheckOptions::default()
+    }
+}
 
 /// Incremental and from-scratch reports agree on `models`.
 fn assert_agrees(checker: &DeltaChecker, models: &[Model], ctx: &str) {
-    let scratch = Checker::with_options(checker.hir(), models, OPTS)
+    let scratch = Checker::with_options(checker.hir(), models, uncapped())
         .unwrap()
         .check()
         .unwrap();
@@ -56,7 +59,7 @@ fn run_sequence(
     seed: u64,
 ) {
     let mut models = models.to_vec();
-    let mut checker = DeltaChecker::with_options(hir, &models, OPTS).unwrap();
+    let mut checker = DeltaChecker::with_options(hir, &models, uncapped()).unwrap();
     let edits = random_edits(&models[target], n_edits, seed);
     for (i, op) in edits.iter().enumerate() {
         checker.apply(DomIdx(target as u8), op).unwrap();
@@ -183,6 +186,60 @@ fn scenario_class2rdbms_incremental_matches_scratch() {
     scenario_sweep("class2rdbms");
 }
 
+/// Both checkers honour the counterexample cap, 0 included: each check
+/// records min(cap, violations) counterexamples and the same verdict.
+#[test]
+fn counterexample_caps_agree() {
+    let injections = [
+        Injection::NewMandatoryInFm,
+        Injection::RenameInConfig { config: 0 },
+        Injection::SelectEverywhere,
+        Injection::SelectUnknown { config: 1 },
+    ];
+    let counts = |r: &CheckReport| -> Vec<(bool, usize)> {
+        r.checks
+            .iter()
+            .map(|c| (c.holds, c.violations.len()))
+            .collect()
+    };
+    for seed in [53u64, 3] {
+        for &injection in &injections {
+            let mut w = feature_workload(FeatureSpec {
+                n_features: 5,
+                k_configs: 2,
+                mandatory_ratio: 0.35,
+                select_prob: 0.45,
+                seed,
+            });
+            inject(&mut w, injection);
+            let all = Checker::with_options(&w.hir, &w.models, uncapped())
+                .unwrap()
+                .check()
+                .unwrap();
+            for cap in [0usize, 1, 2] {
+                let ctx = format!("seed={seed} {injection:?} max_violations={cap}");
+                let want: Vec<(bool, usize)> = counts(&all)
+                    .into_iter()
+                    .map(|(holds, n)| (holds, n.min(cap)))
+                    .collect();
+                let opts = CheckOptions {
+                    max_violations: cap,
+                    ..CheckOptions::default()
+                };
+                let scratch = Checker::with_options(&w.hir, &w.models, opts)
+                    .unwrap()
+                    .check()
+                    .unwrap();
+                let inc = DeltaChecker::with_options(&w.hir, &w.models, opts)
+                    .unwrap()
+                    .report();
+                assert_eq!(counts(&scratch), want, "{ctx}: Checker");
+                assert_eq!(counts(&inc), want, "{ctx}: DeltaChecker");
+            }
+        }
+    }
+}
+
 /// Batch application: a whole [`Delta`] applied via `apply_delta`
 /// agrees with the scratch checker on the final state.
 #[test]
@@ -196,7 +253,7 @@ fn delta_checker_applies_whole_scripts() {
     });
     for target in 0..w.models.len() {
         let mut models = w.models.clone();
-        let mut checker = DeltaChecker::with_options(&w.hir, &models, OPTS).unwrap();
+        let mut checker = DeltaChecker::with_options(&w.hir, &models, uncapped()).unwrap();
         let mut script = Delta::new();
         for op in random_edits(&models[target], 12, 77 + target as u64) {
             script.push(op);
@@ -226,7 +283,7 @@ fn edits_skip_unrelated_checks() {
         select_prob: 0.4,
         seed: 11,
     });
-    let mut checker = DeltaChecker::with_options(&w.hir, &w.models, OPTS).unwrap();
+    let mut checker = DeltaChecker::with_options(&w.hir, &w.models, uncapped()).unwrap();
     // Rename a feature in cf1: MF fm→cf2, MF fm→cf3, OF cf2→fm and
     // OF cf3→fm never read cf1.
     let edits = random_edits(&w.models[0], 6, 99);
@@ -263,7 +320,7 @@ fn delta_checker_tracks_diff_scripts() {
         .set_attr_named(id, "mandatory", mmtf::model::Value::Bool(true))
         .unwrap();
 
-    let mut checker = DeltaChecker::with_options(&w.hir, &w.models, OPTS).unwrap();
+    let mut checker = DeltaChecker::with_options(&w.hir, &w.models, uncapped()).unwrap();
     assert!(checker.consistent());
     let break_script = Delta::between(&w.models[2], &broken[2]).unwrap();
     checker.apply_delta(DomIdx(2), &break_script).unwrap();

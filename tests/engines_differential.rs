@@ -2,7 +2,7 @@
 //! the checking engine, across seeded workloads and injections.
 
 use mmtf::dist::Delta;
-use mmtf::enforce::search::reference_search;
+use mmtf::enforce::search::{reference_search, repair_search};
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
 use mmtf::prelude::*;
@@ -176,47 +176,53 @@ fn fresh_objects_keep_default_int_attrs_on_both_engines() {
     assert_eq!(texts(&search), texts(&sat));
 }
 
-/// The checker's memoized and unmemoized modes agree on every directional
-/// verdict across random (possibly inconsistent) workloads.
+/// §3's correctness law at every counterexample cap: with
+/// `violations_per_check` at 0 or 1, the incremental search and the
+/// from-scratch reference return the same repair, and every repair
+/// either returns checks consistent. A cap of 0 captures no
+/// counterexample, so a search whose goal test is "nothing captured"
+/// accepts the inconsistent root at cost 0.
 #[test]
-fn memoization_is_observationally_equivalent() {
-    for seed in 0..10u64 {
-        let mut w = feature_workload(FeatureSpec {
-            n_features: 6,
-            k_configs: 3,
-            mandatory_ratio: 0.3,
-            select_prob: 0.5,
-            seed,
-        });
-        if seed % 2 == 0 {
-            inject(&mut w, Injection::SelectEverywhere);
-        }
-        let t = Transformation::from_hir(w.hir.clone());
-        let on = t
-            .check_with(
-                &w.models,
-                CheckOptions {
-                    memoize: true,
-                    max_violations: 16,
-                },
-            )
-            .unwrap();
-        let off = t
-            .check_with(
-                &w.models,
-                CheckOptions {
-                    memoize: false,
-                    max_violations: 16,
-                },
-            )
-            .unwrap();
-        assert_eq!(on.consistent(), off.consistent(), "seed={seed}");
-        for (a, b) in on.checks.iter().zip(&off.checks) {
-            assert_eq!(
-                a.holds, b.holds,
-                "seed={seed} {} {}",
-                a.relation_name, a.dep
-            );
+fn search_repairs_are_consistent_at_every_violation_cap() {
+    let injections = [
+        Injection::NewMandatoryInFm,
+        Injection::RenameInConfig { config: 0 },
+        Injection::SelectEverywhere,
+        Injection::SelectUnknown { config: 1 },
+    ];
+    for seed in [53u64, 7] {
+        for &injection in &injections {
+            let mut w = feature_workload(FeatureSpec {
+                n_features: 5,
+                k_configs: 2,
+                mandatory_ratio: 0.35,
+                select_prob: 0.45,
+                seed,
+            });
+            inject(&mut w, injection);
+            let t = Transformation::from_hir(w.hir.clone());
+            let targets = Shape::of(&[0, 1]).targets();
+            for cap in [0usize, 1] {
+                let ctx = format!("seed={seed} {injection:?} violations_per_check={cap}");
+                let opts = RepairOptions {
+                    violations_per_check: cap,
+                    ..RepairOptions::default()
+                };
+                let inc = repair_search(t.hir_arc(), &w.models, targets, &opts).unwrap();
+                let scr = reference_search(t.hir(), &w.models, targets, &opts).unwrap();
+                let render = |o: &RepairOutcome| {
+                    let deltas: Vec<String> = o.deltas.iter().map(|d| d.to_string()).collect();
+                    (o.cost, deltas)
+                };
+                assert_eq!(
+                    inc.as_ref().map(render),
+                    scr.as_ref().map(render),
+                    "{ctx}: oracles disagree"
+                );
+                for out in [&inc, &scr].into_iter().flatten() {
+                    assert!(t.check(&out.models).unwrap().consistent(), "{ctx}");
+                }
+            }
         }
     }
 }

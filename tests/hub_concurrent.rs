@@ -1,8 +1,8 @@
 //! Concurrency coverage for the multi-tenant [`SyncHub`] (ISSUE 5):
 //!
 //! * N threads drive **distinct** named sessions over one shared
-//!   `Arc<Transformation>` — every session's outcome (fingerprint,
-//!   status, journal, printed tuple) is byte-identical to a
+//!   `Arc<Transformation>` — every session's outcome (status,
+//!   journal, printed tuple and id bounds) is byte-identical to a
 //!   single-threaded reference run of the same script;
 //! * open/close races on one name resolve to exactly one winner per
 //!   round, and a handle closed under a client keeps working.
@@ -37,7 +37,7 @@ fn fixture() -> (Transformation, Vec<Model>) {
 /// One deterministic per-session workload: seeded drift with repair
 /// checkpoints, exactly what a client would pump through the serve
 /// protocol. Returns the session's observable outcome.
-fn drive(session: &mut mmtf::core::SyncSession, seed: u64) -> (u64, bool, usize, Vec<String>) {
+fn drive(session: &mut mmtf::core::SyncSession, seed: u64) -> Outcome {
     let targets = DomSet::from_iter([DomIdx(0), DomIdx(1)]);
     let mut gen = SessionScriptGen::new(targets, 3, seed);
     for _ in 0..12 {
@@ -50,11 +50,22 @@ fn drive(session: &mut mmtf::core::SyncSession, seed: u64) -> (u64, bool, usize,
             }
         }
     }
+    observe(session)
+}
+
+/// A session's consistency, journal length, and each model printed with
+/// its id bound.
+type Outcome = (bool, usize, Vec<(String, usize)>);
+
+fn observe(session: &mmtf::core::SyncSession) -> Outcome {
     (
-        session.fingerprint(),
         session.status().consistent,
         session.journal().len(),
-        session.models().iter().map(print_model).collect(),
+        session
+            .models()
+            .iter()
+            .map(|m| (print_model(m), m.id_bound()))
+            .collect(),
     )
 }
 
@@ -248,14 +259,7 @@ fn restore_from_while_sessions_are_driven() {
     assert_eq!(adopted.len(), persisted.len());
     for (name, outcome) in &persisted {
         let handle = hub.get(name).unwrap();
-        let restored = handle.with(|session| {
-            (
-                session.fingerprint(),
-                session.status().consistent,
-                session.journal().len(),
-                session.models().iter().map(print_model).collect::<Vec<_>>(),
-            )
-        });
+        let restored = handle.with(|session| observe(session));
         assert_eq!(&restored, outcome, "{name} restored to a different state");
     }
     let mut names = hub.list();
@@ -266,10 +270,10 @@ fn restore_from_while_sessions_are_driven() {
 
 /// The poisoning policy (see [`SessionHandle::lock`]'s rustdoc): a
 /// client panicking inside `with` — after completed session calls —
-/// leaves the fingerprint/journal replay invariant intact. Proven
-/// differentially: a fresh session replayed from the survivor's seed
-/// tuple + journal reproduces its fingerprint, journal length, and
-/// printed models byte for byte.
+/// leaves the journal replay invariant intact. Proven differentially: a
+/// fresh session replayed from the survivor's seed tuple + journal
+/// reproduces its status, journal length, printed models and id bounds
+/// byte for byte.
 ///
 /// [`SessionHandle::lock`]: mmtf::core::SessionHandle::lock
 #[test]
@@ -301,24 +305,18 @@ fn panic_inside_with_leaves_a_replayable_session() {
     assert!(unwound.is_err(), "the seeded client panic must propagate");
 
     // The handle recovers, and the survivor's state replays exactly.
-    let (fp, journal, seed, printed) = handle.with(|session| {
+    let (journal, seed, survivor) = handle.with(|session| {
         (
-            session.fingerprint(),
             session.journal().to_vec(),
             session.seed_models().unwrap(),
-            session.models().iter().map(print_model).collect::<Vec<_>>(),
+            observe(session),
         )
     });
     let mut fresh = shared.session(&seed).unwrap();
     for entry in journal {
         fresh.replay_entry(entry).unwrap();
     }
-    assert_eq!(fresh.fingerprint(), fp, "replayed fingerprint diverged");
-    assert_eq!(
-        fresh.models().iter().map(print_model).collect::<Vec<_>>(),
-        printed,
-        "replayed models diverged"
-    );
+    assert_eq!(observe(&fresh), survivor, "replayed session diverged");
     // Still fully usable: drive it further and repair to consistency.
     let consistent = handle.with(|session| {
         let targets = DomSet::from_iter([DomIdx(0), DomIdx(1)]);

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use loomlite::sync::atomic::{AtomicUsize, Ordering};
 use loomlite::sync::{Mutex, RwLock};
 use loomlite::thread;
-use mmtf::core::{HubError, SyncHub, Transformation};
+use mmtf::core::{HubError, SyncHub, SyncSession, Transformation};
 use mmtf::gen::{feature_workload, FeatureSpec, SessionScriptGen, SessionStep};
 use mmtf::model::{Model, Sym};
 use mmtf::prelude::{DomIdx, DomSet};
@@ -35,6 +35,19 @@ fn fixture() -> (Arc<Transformation>, Arc<Vec<Model>>) {
         ..FeatureSpec::default()
     });
     (Arc::new(t), Arc::new(w.models))
+}
+
+/// A copy of a session's tuple. Compared with [`same_tuple`], by object
+/// graph and id bound: unlike printing, that reads no interned string,
+/// so it adds no schedule points.
+fn tuple(s: &mut SyncSession) -> Vec<Model> {
+    s.models().to_vec()
+}
+
+fn same_tuple(a: &[Model], b: &[Model]) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| x.graph_eq(y) && x.id_bound() == y.id_bound())
 }
 
 #[test]
@@ -70,16 +83,16 @@ fn close_while_with_keeps_the_session_usable() {
         let hub = Arc::new(SyncHub::new());
         hub.register("t", Arc::clone(&t)).expect("fresh registry");
         let handle = hub.open("s", "t", &models).expect("open");
-        let reference = handle.with(|s| s.fingerprint());
+        let reference = handle.with(tuple);
         let hub2 = Arc::clone(&hub);
         let closer = thread::spawn(move || hub2.close("s").is_ok());
         // The client keeps using its handle while the hub drops the slot.
-        let fp = handle.with(|s| s.fingerprint());
+        let seen = handle.with(tuple);
         let closed = closer.join().expect("no panics");
         if !closed {
             loomlite::fail("close must find the open session");
         }
-        if fp != reference {
+        if !same_tuple(&seen, &reference) {
             loomlite::fail("session state corrupted by a concurrent close");
         }
         if hub.get("s").is_ok() {
@@ -123,7 +136,7 @@ fn snapshot_enumeration_vs_live_edit_sees_consistent_states() {
         let hub = Arc::new(SyncHub::new());
         hub.register("t", Arc::clone(&t)).expect("fresh registry");
         let handle = hub.open("s", "t", &models).expect("open");
-        let before = handle.with(|s| s.fingerprint());
+        let before = handle.with(tuple);
         let editor_handle = Arc::clone(&handle);
         let editor = thread::spawn(move || {
             editor_handle.with(|s| {
@@ -138,19 +151,19 @@ fn snapshot_enumeration_vs_live_edit_sees_consistent_states() {
                         SessionStep::Repair { .. } => continue,
                     }
                 }
-                s.fingerprint()
+                tuple(s)
             })
         });
         // The persist walk: enumerate handles, lock each, read state.
         let mut snapshot = Vec::new();
         for h in hub.sessions() {
-            snapshot.push(h.with(|s| s.fingerprint()));
+            snapshot.push(h.with(tuple));
         }
         let after = editor.join().expect("no panics");
-        // Each snapshotted fingerprint is the pre- or post-edit state,
-        // never a torn intermediate.
-        for fp in snapshot {
-            if fp != before && fp != after {
+        // Each snapshotted tuple is the pre- or post-edit state, never a
+        // torn intermediate.
+        for seen in snapshot {
+            if !same_tuple(&seen, &before) && !same_tuple(&seen, &after) {
                 loomlite::fail("snapshot observed a torn session state");
             }
         }
@@ -178,7 +191,7 @@ fn snapshot_enumeration_vs_concurrent_open() {
             loomlite::fail("enumeration saw an impossible session count");
         }
         for h in &seen {
-            let _ = h.with(|s| s.fingerprint());
+            let _ = h.with(|s| s.status());
         }
         opener.join().expect("no panics");
         if hub.len() != 2 {

@@ -19,15 +19,18 @@ use mmtf::qvtr::Hir;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-const OPTS: CheckOptions = CheckOptions {
-    memoize: true,
-    max_violations: usize::MAX,
-};
+/// Options that record every counterexample.
+fn uncapped() -> CheckOptions {
+    CheckOptions {
+        max_violations: usize::MAX,
+        ..CheckOptions::default()
+    }
+}
 
 /// Incremental and from-scratch reports agree on `models` (same
 /// verdicts, same violation multiset, same tuples).
 fn assert_agrees(checker: &DeltaChecker, models: &[Model], ctx: &str) {
-    let scratch = Checker::with_options(checker.hir(), models, OPTS)
+    let scratch = Checker::with_options(checker.hir(), models, uncapped())
         .unwrap()
         .check()
         .unwrap();
@@ -57,7 +60,7 @@ fn assert_agrees(checker: &DeltaChecker, models: &[Model], ctx: &str) {
 /// differential-checks the final state against a scratch [`Checker`].
 fn run_scale_script(hir: &Arc<Hir>, seed_models: &[Model], n_edits: usize, seed: u64, ctx: &str) {
     let mut models = seed_models.to_vec();
-    let mut checker = DeltaChecker::with_options(hir, &models, OPTS).unwrap();
+    let mut checker = DeltaChecker::with_options(hir, &models, uncapped()).unwrap();
     for (target, model) in models.iter_mut().enumerate() {
         let edits = random_edits(model, n_edits, seed + target as u64);
         for op in edits {
@@ -99,7 +102,7 @@ fn delta_checker_matches_scratch_at_100k() {
         seed: 43,
     });
     let mut models = w.models.to_vec();
-    let mut checker = DeltaChecker::with_options(&w.hir, &models, OPTS).unwrap();
+    let mut checker = DeltaChecker::with_options(&w.hir, &models, uncapped()).unwrap();
     let edits = random_edits(&models[0], 100, 0xBEEF);
     for op in edits {
         checker.apply(DomIdx(0), &op).unwrap();

@@ -7,13 +7,10 @@
 //!   search and the SAT engine;
 //! * **journal replay** — replaying [`SyncSession::journal_script`]
 //!   over the seed tuple reproduces the live tuple byte for byte, and
-//!   `rollback_all` restores the seed exactly (via `Delta::inverse`);
-//! * **fingerprint** — the incrementally maintained session fingerprint
-//!   equals a from-scratch [`state_fingerprint`] at every step.
+//!   `rollback_all` restores the seed exactly (via `Delta::inverse`).
 
 use mmtf::core::{SessionOptions, Shape, Transformation};
 use mmtf::dist::Delta;
-use mmtf::enforce::search::state_fingerprint;
 use mmtf::enforce::RepairOptions;
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, FeatureSpec, SessionScriptGen, SessionStep};
@@ -70,7 +67,6 @@ fn assert_session_matches_stateless_on(
     let mut session = t.session_with(seed_models, opts).unwrap();
     let mut stateless: Vec<Model> = seed_models.to_vec();
     let mut gen = SessionScriptGen::new(targets, 3, seed.wrapping_mul(31).wrapping_add(7));
-    let full = DomSet::full(t.arity());
     let ctx = |step: usize| format!("engine={engine:?} seed={seed} step={step}");
     for step_no in 0..18 {
         match gen.next_step(session.models()) {
@@ -114,16 +110,10 @@ fn assert_session_matches_stateless_on(
                 }
             }
         }
-        // The mirror stayed in lockstep and the fingerprint is exact.
+        // The mirror stayed in lockstep.
         assert_eq!(
             prints(session.models()),
             prints(&stateless),
-            "{}",
-            ctx(step_no)
-        );
-        assert_eq!(
-            session.fingerprint(),
-            state_fingerprint(session.models(), full),
             "{}",
             ctx(step_no)
         );

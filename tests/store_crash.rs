@@ -2,8 +2,8 @@
 //!
 //! * **torn writes** — cutting the journal at every record boundary
 //!   and at offsets *inside* a record header / payload must recover
-//!   exactly the longest committed prefix: fingerprint, status,
-//!   printed models, and rendered journal all equal an in-memory
+//!   exactly the longest committed prefix: status, printed models, id
+//!   bounds, and rendered journal all equal an in-memory
 //!   reference session replayed to that prefix;
 //! * **bit rot** — flipping any single byte of the store either still
 //!   recovers a committed prefix (bitwise equal to the reference) or
@@ -47,18 +47,18 @@ fn fixture(seed: u64) -> (Arc<Transformation>, Vec<Model>) {
 /// Everything observable about a session, for bitwise comparison.
 #[derive(Debug, PartialEq)]
 struct Snapshot {
-    fingerprint: u64,
     status: SyncStatus,
     models: Vec<String>,
+    id_bounds: Vec<usize>,
     journal: Vec<String>,
 }
 
 impl Snapshot {
     fn of(session: &SyncSession) -> Snapshot {
         Snapshot {
-            fingerprint: session.fingerprint(),
             status: session.status(),
             models: session.models().iter().map(print_model).collect(),
+            id_bounds: session.models().iter().map(Model::id_bound).collect(),
             journal: session.journal().iter().map(render_entry).collect(),
         }
     }

@@ -1,9 +1,10 @@
 //! Persistence property testing of the WAL-backed session store
 //! (ISSUE 6): over generated edit/repair scripts, a session that is
 //! persisted, dropped, and reopened mid-flight must be observably
-//! identical — status, fingerprint, rendered journal, and the final
-//! written tuple, byte for byte — to one uninterrupted in-memory
-//! session, under the search and the SAT engine. Plus the
+//! identical — status, printed models and their id bounds, rendered
+//! journal, and the final written tuple, byte for byte — to one
+//! uninterrupted in-memory session, under the search and the SAT
+//! engine. Plus the
 //! `rollback(n)` edge cases: saturation past the journal start,
 //! rolling back across a persisted/recovered boundary, and
 //! rollback-then-new-edits reusing the committed WAL prefix.
@@ -38,18 +39,18 @@ fn fixture(seed: u64) -> (Arc<Transformation>, Vec<Model>) {
 
 #[derive(Debug, PartialEq)]
 struct Snapshot {
-    fingerprint: u64,
     status: SyncStatus,
     models: Vec<String>,
+    id_bounds: Vec<usize>,
     journal: Vec<String>,
 }
 
 impl Snapshot {
     fn of(session: &SyncSession) -> Snapshot {
         Snapshot {
-            fingerprint: session.fingerprint(),
             status: session.status(),
             models: session.models().iter().map(print_model).collect(),
+            id_bounds: session.models().iter().map(Model::id_bound).collect(),
             journal: session.journal().iter().map(render_entry).collect(),
         }
     }
