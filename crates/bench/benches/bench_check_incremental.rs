@@ -2,6 +2,8 @@
 //! whole checkonly evaluation, as the model scale grows. The
 //! incremental path should be roughly flat in model size (the edit
 //! touches one object), while the full recheck grows with `n`.
+//! `tests/work_counts.rs` pins the exact work of the same edit and
+//! recheck at the same sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmt_bench::consistent_workload;

@@ -28,210 +28,18 @@
 //! front), so the measured gap is exactly the per-checkpoint cold
 //! start the session amortizes away. The ISSUE 4 bar: warm beats cold
 //! by ≥ 2× amortized per repair on the n=7 scenario.
+//!
+//! The script and both loops live in `mmt_bench`, so
+//! `tests/work_counts.rs` replays exactly these steps when it pins
+//! their allocation counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmt_bench::{consistent_workload, paper_transformation};
-use mmt_core::{EngineKind, SessionOptions, Shape, Transformation};
-use mmt_deps::{DomIdx, DomSet};
-use mmt_dist::{Delta, EditOp};
-use mmt_enforce::RepairOptions;
+use mmt_bench::{
+    consistent_workload, paper_transformation, run_cold, run_cold_scenario, run_warm,
+    run_warm_scenario,
+};
+use mmt_core::Transformation;
 use mmt_gen::scenario::all_scenarios;
-use mmt_gen::{SessionScriptGen, SessionStep};
-use mmt_model::{Model, ObjId, Sym, Value};
-
-/// The 16-step script: `Some(d)` = drift action `d`, `None` = repair
-/// checkpoint. Five drifts, eleven checkpoints.
-const SCRIPT: [Option<usize>; 16] = [
-    Some(0),
-    None,
-    None,
-    Some(1),
-    None,
-    None,
-    Some(2),
-    None,
-    None,
-    Some(3),
-    None,
-    None,
-    Some(4),
-    None,
-    None,
-    None,
-];
-
-/// Drifts 0..5; breaking ones at 2 and 4 (configurations select a
-/// feature the feature model does not know).
-const BREAKING: [usize; 2] = [2, 4];
-
-/// The `d`-th drift action against the current tuple. Benign drifts
-/// evolve the feature model without breaking consistency: drift 0
-/// creates one fresh *optional* feature (`roam` — nothing selects it),
-/// and later benign drifts rename it. Breaking drifts make a
-/// configuration select a feature the feature model does not know
-/// (create + name, two ops).
-fn drift(d: usize, models: &[Model], roam: ObjId) -> (DomIdx, Delta) {
-    let mut script = Delta::new();
-    if BREAKING.contains(&d) {
-        let target = DomIdx((d % 2) as u8);
-        let m = &models[target.index()];
-        let meta = m.metamodel();
-        let class = meta.class_named("Feature").expect("static class");
-        let attr = meta.attr_of(class, Sym::new("name")).expect("static attr");
-        let id = ObjId(m.id_bound() as u32);
-        script.push(EditOp::AddObj { id, class });
-        script.push(EditOp::SetAttr {
-            id,
-            attr,
-            value: Value::str(&format!("$ghost{d}")),
-            old: Value::str(""),
-        });
-        (target, script)
-    } else {
-        let fm = DomIdx(2);
-        let meta = models[fm.index()].metamodel();
-        let class = meta.class_named("Feature").expect("static class");
-        let attr = meta.attr_of(class, Sym::new("name")).expect("static attr");
-        if d == 0 {
-            script.push(EditOp::AddObj { id: roam, class });
-        } else {
-            script.push(EditOp::SetAttr {
-                id: roam,
-                attr,
-                value: Value::str(&format!("extra{d}")),
-                old: Value::str(""),
-            });
-        }
-        (fm, script)
-    }
-}
-
-/// The warm loop: one session driving the 16-step script, repairs from
-/// the warm checker. Returns the summed repair cost (2 × cost-1
-/// deletions).
-fn run_warm(t: &Transformation, seed_models: &[Model]) -> u64 {
-    let mut session = t
-        .session_with(
-            seed_models,
-            SessionOptions {
-                engine: EngineKind::Search,
-                repair: RepairOptions::default(),
-            },
-        )
-        .expect("session opens");
-    let shape = Shape::of(&[0, 1]);
-    let roam = ObjId(seed_models[2].id_bound() as u32);
-    let mut total_cost = 0u64;
-    for step in SCRIPT {
-        match step {
-            Some(d) => {
-                let (target, script) = drift(d, session.models(), roam);
-                session
-                    .apply_script(target, &script)
-                    .expect("drift applies");
-            }
-            None => {
-                let out = session
-                    .repair(shape)
-                    .expect("engine runs")
-                    .expect("repairable");
-                total_cost += out.cost;
-            }
-        }
-    }
-    total_cost
-}
-
-/// The cold loop: the same script against a plain tuple, every
-/// checkpoint a from-scratch `enforce_with`.
-fn run_cold(t: &Transformation, seed_models: &[Model]) -> u64 {
-    let mut models: Vec<Model> = seed_models.to_vec();
-    let shape = Shape::of(&[0, 1]);
-    let roam = ObjId(seed_models[2].id_bound() as u32);
-    let mut total_cost = 0u64;
-    for step in SCRIPT {
-        match step {
-            Some(d) => {
-                let (target, script) = drift(d, &models, roam);
-                script
-                    .apply(&mut models[target.index()])
-                    .expect("drift applies");
-            }
-            None => {
-                let out = t
-                    .enforce_with(&models, shape, EngineKind::Search, RepairOptions::default())
-                    .expect("engine runs")
-                    .expect("repairable");
-                total_cost += out.cost;
-                models = out.models;
-            }
-        }
-    }
-    total_cost
-}
-
-/// The warm loop over an arbitrary corpus scenario: a seeded
-/// [`SessionScriptGen`] drives 16 steps of drift and repair
-/// checkpoints against one live session. Returns the summed repair
-/// cost so the cold mirror can be asserted identical before timing.
-fn run_warm_scenario(t: &Transformation, seed_models: &[Model], targets: DomSet, seed: u64) -> u64 {
-    let mut session = t
-        .session_with(
-            seed_models,
-            SessionOptions {
-                engine: EngineKind::Search,
-                repair: RepairOptions::default(),
-            },
-        )
-        .expect("session opens");
-    let mut gen = SessionScriptGen::new(targets, 3, seed);
-    let mut total_cost = 0u64;
-    for _ in 0..16 {
-        match gen.next_step(session.models()) {
-            SessionStep::Edit { model, op } => {
-                session.apply(model, op).expect("drift applies");
-            }
-            SessionStep::Repair { targets } => {
-                if let Some(out) = session.repair(Shape::from_targets(targets)).expect("runs") {
-                    total_cost += out.cost;
-                }
-            }
-        }
-    }
-    total_cost
-}
-
-/// The cold mirror: the same generated script, every checkpoint a
-/// from-scratch `enforce_with`.
-fn run_cold_scenario(t: &Transformation, seed_models: &[Model], targets: DomSet, seed: u64) -> u64 {
-    let mut models: Vec<Model> = seed_models.to_vec();
-    let mut gen = SessionScriptGen::new(targets, 3, seed);
-    let mut total_cost = 0u64;
-    for _ in 0..16 {
-        match gen.next_step(&models) {
-            SessionStep::Edit { model, op } => {
-                let mut d = Delta::new();
-                d.push(op);
-                d.apply(&mut models[model.index()]).expect("drift applies");
-            }
-            SessionStep::Repair { targets } => {
-                let out = t
-                    .enforce_with(
-                        &models,
-                        Shape::from_targets(targets),
-                        EngineKind::Search,
-                        RepairOptions::default(),
-                    )
-                    .expect("engine runs");
-                if let Some(out) = out {
-                    total_cost += out.cost;
-                    models = out.models;
-                }
-            }
-        }
-    }
-    total_cost
-}
 
 /// EXP-S1 per corpus scenario (ISSUE 7): the warm-vs-cold gap on every
 /// `Scenario`'s seeded tuple under a generated drift script. Both
@@ -243,7 +51,7 @@ fn bench_session_warm_scenarios(c: &mut Criterion) {
         let w = sc.workload(9);
         let t = Transformation::from_hir(w.hir.clone());
         let targets = sc.repair_targets();
-        let warm = run_warm_scenario(&t, &w.models, targets, 9);
+        let (warm, _) = run_warm_scenario(&t, &w.models, targets, 9);
         let cold = run_cold_scenario(&t, &w.models, targets, 9);
         assert_eq!(warm, cold, "{}: warm and cold loops diverged", sc.name());
         group.bench_with_input(BenchmarkId::new("warm", sc.name()), &w, |b, w| {
@@ -264,7 +72,7 @@ fn bench_session_warm(c: &mut Criterion) {
         let w = consistent_workload(n, 2, 53);
         // The two loops must agree before either is worth timing: two
         // breaking drifts, each repaired at cost 1.
-        assert_eq!(run_warm(&t, &w.models), 2);
+        assert_eq!(run_warm(&t, &w.models).0, 2);
         assert_eq!(run_cold(&t, &w.models), 2);
         group.bench_with_input(BenchmarkId::new("warm", n), &w, |b, w| {
             b.iter(|| run_warm(&t, &w.models))

@@ -1,11 +1,20 @@
 //! Shared fixtures for the benchmark harness: the paper's transformation,
-//! seeded feature workloads and the §2.1 loophole triple. The paper's
-//! claims themselves are asserted by `tests/paper_scenarios.rs`.
+//! seeded feature workloads, the §2.1 loophole triple and the warm and
+//! cold session scripts. The paper's claims themselves are asserted by
+//! `tests/paper_scenarios.rs`; the work counts of these fixtures are
+//! pinned by `tests/work_counts.rs`, which replays the same steps as
+//! the benches.
 
-use mmt_core::Transformation;
-use mmt_gen::{feature_workload, inject, FeatureSpec, FeatureWorkload, Injection};
+use mmt_core::{EngineKind, SessionOptions, Shape, SyncSession, Transformation};
+use mmt_deps::{DomIdx, DomSet};
+use mmt_dist::{Delta, EditOp};
+use mmt_enforce::RepairOptions;
+use mmt_gen::{
+    feature_workload, inject, FeatureSpec, FeatureWorkload, Injection, SessionScriptGen,
+    SessionStep,
+};
 use mmt_model::text::{parse_metamodel, parse_model};
-use mmt_model::Model;
+use mmt_model::{Model, ObjId, Sym, Value};
 
 /// The paper's `F = MF ∧ OF` for `k` configurations, via `mmt_gen`.
 pub fn paper_transformation(k: usize) -> Transformation {
@@ -52,6 +61,217 @@ pub fn loophole_models() -> [Model; 3] {
         )
         .expect("static"),
     ]
+}
+
+/// The `session_warm` script: `Some(d)` = drift action `d`, `None` =
+/// repair checkpoint. Five drifts, eleven checkpoints.
+///
+/// It models synchronization *traffic* rather than catastrophe: every
+/// request that touches the tuple re-establishes consistency before
+/// committing, so most checkpoints hit an already-consistent tuple
+/// (cost-0 repair). Three drifts are benign, two are breaking
+/// (`BREAKING`), each repaired at cost 1.
+const SCRIPT: [Option<usize>; 16] = [
+    Some(0),
+    None,
+    None,
+    Some(1),
+    None,
+    None,
+    Some(2),
+    None,
+    None,
+    Some(3),
+    None,
+    None,
+    Some(4),
+    None,
+    None,
+    None,
+];
+
+/// Drifts 0..5; breaking ones at 2 and 4 (configurations select a
+/// feature the feature model does not know).
+const BREAKING: [usize; 2] = [2, 4];
+
+/// The `d`-th drift action against the current tuple. Benign drifts
+/// evolve the feature model without breaking consistency: drift 0
+/// creates one fresh *optional* feature (`roam` — nothing selects it),
+/// and later benign drifts rename it. Breaking drifts make a
+/// configuration select a feature the feature model does not know
+/// (create + name, two ops).
+fn drift(d: usize, models: &[Model], roam: ObjId) -> (DomIdx, Delta) {
+    let mut script = Delta::new();
+    if BREAKING.contains(&d) {
+        let target = DomIdx((d % 2) as u8);
+        let m = &models[target.index()];
+        let meta = m.metamodel();
+        let class = meta.class_named("Feature").expect("static class");
+        let attr = meta.attr_of(class, Sym::new("name")).expect("static attr");
+        let id = ObjId(m.id_bound() as u32);
+        script.push(EditOp::AddObj { id, class });
+        script.push(EditOp::SetAttr {
+            id,
+            attr,
+            value: Value::str(&format!("$ghost{d}")),
+            old: Value::str(""),
+        });
+        (target, script)
+    } else {
+        let fm = DomIdx(2);
+        let meta = models[fm.index()].metamodel();
+        let class = meta.class_named("Feature").expect("static class");
+        let attr = meta.attr_of(class, Sym::new("name")).expect("static attr");
+        if d == 0 {
+            script.push(EditOp::AddObj { id: roam, class });
+        } else {
+            script.push(EditOp::SetAttr {
+                id: roam,
+                attr,
+                value: Value::str(&format!("extra{d}")),
+                old: Value::str(""),
+            });
+        }
+        (fm, script)
+    }
+}
+
+/// A search-engine session with default repair options.
+fn search_session(t: &Transformation, seed_models: &[Model]) -> SyncSession {
+    t.session_with(
+        seed_models,
+        SessionOptions {
+            engine: EngineKind::Search,
+            repair: RepairOptions::default(),
+        },
+    )
+    .expect("session opens")
+}
+
+/// The warm loop: one session driving the 16-step `session_warm`
+/// script (five drifts, eleven repair checkpoints), repairs from the
+/// warm checker. Returns the summed repair cost (2 × cost-1
+/// deletions) and the session, so callers can read its statistics.
+pub fn run_warm(t: &Transformation, seed_models: &[Model]) -> (u64, SyncSession) {
+    let mut session = search_session(t, seed_models);
+    let shape = Shape::of(&[0, 1]);
+    let roam = ObjId(seed_models[2].id_bound() as u32);
+    let mut total_cost = 0u64;
+    for step in SCRIPT {
+        match step {
+            Some(d) => {
+                let (target, script) = drift(d, session.models(), roam);
+                session
+                    .apply_script(target, &script)
+                    .expect("drift applies");
+            }
+            None => {
+                let out = session
+                    .repair(shape)
+                    .expect("engine runs")
+                    .expect("repairable");
+                total_cost += out.cost;
+            }
+        }
+    }
+    (total_cost, session)
+}
+
+/// The cold loop: the same script against a plain tuple, every
+/// checkpoint a from-scratch `enforce_with`. Returns the summed repair
+/// cost.
+pub fn run_cold(t: &Transformation, seed_models: &[Model]) -> u64 {
+    let mut models: Vec<Model> = seed_models.to_vec();
+    let shape = Shape::of(&[0, 1]);
+    let roam = ObjId(seed_models[2].id_bound() as u32);
+    let mut total_cost = 0u64;
+    for step in SCRIPT {
+        match step {
+            Some(d) => {
+                let (target, script) = drift(d, &models, roam);
+                script
+                    .apply(&mut models[target.index()])
+                    .expect("drift applies");
+            }
+            None => {
+                let out = t
+                    .enforce_with(&models, shape, EngineKind::Search, RepairOptions::default())
+                    .expect("engine runs")
+                    .expect("repairable");
+                total_cost += out.cost;
+                models = out.models;
+            }
+        }
+    }
+    total_cost
+}
+
+/// Steps in a generated scenario script.
+const SCENARIO_STEPS: usize = 16;
+
+/// The warm loop over an arbitrary corpus scenario: a seeded
+/// [`SessionScriptGen`] drives 16 steps of drift and repair
+/// checkpoints against one live session. Returns the summed
+/// repair cost and the session.
+pub fn run_warm_scenario(
+    t: &Transformation,
+    seed_models: &[Model],
+    targets: DomSet,
+    seed: u64,
+) -> (u64, SyncSession) {
+    let mut session = search_session(t, seed_models);
+    let mut gen = SessionScriptGen::new(targets, 3, seed);
+    let mut total_cost = 0u64;
+    for _ in 0..SCENARIO_STEPS {
+        match gen.next_step(session.models()) {
+            SessionStep::Edit { model, op } => {
+                session.apply(model, op).expect("drift applies");
+            }
+            SessionStep::Repair { targets } => {
+                if let Some(out) = session.repair(Shape::from_targets(targets)).expect("runs") {
+                    total_cost += out.cost;
+                }
+            }
+        }
+    }
+    (total_cost, session)
+}
+
+/// The cold mirror of [`run_warm_scenario`]: the same generated
+/// script, every checkpoint a from-scratch `enforce_with`.
+pub fn run_cold_scenario(
+    t: &Transformation,
+    seed_models: &[Model],
+    targets: DomSet,
+    seed: u64,
+) -> u64 {
+    let mut models: Vec<Model> = seed_models.to_vec();
+    let mut gen = SessionScriptGen::new(targets, 3, seed);
+    let mut total_cost = 0u64;
+    for _ in 0..SCENARIO_STEPS {
+        match gen.next_step(&models) {
+            SessionStep::Edit { model, op } => {
+                let mut d = Delta::new();
+                d.push(op);
+                d.apply(&mut models[model.index()]).expect("drift applies");
+            }
+            SessionStep::Repair { targets } => {
+                let out = t
+                    .enforce_with(
+                        &models,
+                        Shape::from_targets(targets),
+                        EngineKind::Search,
+                        RepairOptions::default(),
+                    )
+                    .expect("engine runs");
+                if let Some(out) = out {
+                    total_cost += out.cost;
+                    models = out.models;
+                }
+            }
+        }
+    }
+    total_cost
 }
 
 #[cfg(test)]

@@ -130,7 +130,10 @@ impl From<ModelError> for DeltaError {
     }
 }
 
-/// Incremental-update statistics (exposed for the ablation benches).
+/// Incremental-update counters of a [`DeltaChecker`], cumulative since
+/// it was built ([`DeltaChecker::delta_stats`]). Every applied edit
+/// adds one to exactly one of the last three fields per directional
+/// check.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct DeltaStats {
     /// Edits applied (no-op edits excluded).
@@ -964,6 +967,7 @@ fn full_eval(
         &st.plan.src_constraints,
         &mut binding,
         &mut |ctx, b| {
+            ctx.stats.universal_bindings += 1;
             if let Some(when) = &rel.when {
                 if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
                     return Ok(false);
@@ -992,6 +996,7 @@ fn probe_recording(
     st: &CheckStatics,
     binding: &mut Binding,
 ) -> Result<WitnessRecord, EvalError> {
+    ctx.stats.existential_probes += 1;
     let pre: Vec<bool> = binding.iter().map(Option::is_some).collect();
     let mut out: Option<Vec<(DomIdx, ObjId)>> = None;
     ctx.solve(rel, &st.plan.tgt_constraints, binding, &mut |ctx, b| {
@@ -1065,6 +1070,7 @@ fn universal_update(
                 &st.plan.src_constraints,
                 &mut binding,
                 &mut |ctx, b| {
+                    ctx.stats.universal_bindings += 1;
                     if let Some(when) = &rel.when {
                         if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
                             return Ok(false);

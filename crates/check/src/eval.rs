@@ -95,12 +95,19 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluation statistics.
+/// Evaluation work counters: of one [`Checker::check`](crate::Checker::check),
+/// or of a [`DeltaChecker`](crate::DeltaChecker) cumulatively over its
+/// initial evaluation and every update. A freshly built `DeltaChecker`
+/// reports what a `Checker` over the same tuple reports, as long as
+/// the `Checker` does not stop a check early at
+/// [`CheckOptions::max_violations`](crate::CheckOptions::max_violations).
 #[derive(Clone, Copy, Default, Debug)]
 pub struct EvalStats {
-    /// Universal bindings enumerated.
+    /// Universal bindings enumerated, before the `when` filter. An
+    /// incremental update counts the bindings it re-enumerates.
     pub universal_bindings: u64,
-    /// Existential probes executed.
+    /// Witness probes run: one per universal binding that passes
+    /// `when`, plus the re-probes of an incremental update.
     pub existential_probes: u64,
     /// Relation calls answered from the call memo.
     pub call_hits: u64,
@@ -240,7 +247,7 @@ pub struct EvalCtx<'a> {
     /// Indexes, parallel to `models`.
     pub indexes: &'a [ModelIndex],
     call_memo: FxHashMap<CallKey, bool>,
-    stats: EvalStats,
+    pub(crate) stats: EvalStats,
     depth: u32,
 }
 

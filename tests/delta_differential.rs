@@ -4,10 +4,11 @@
 //! [`Checker`] rebuilt on the edited tuple — same per-check verdicts,
 //! same violation multiset — after *every* edit.
 
-use mmtf::check::{CheckOptions, CheckReport, Checker, DeltaChecker};
+use mmt_bench::consistent_workload;
+use mmtf::check::{CheckOptions, CheckReport, Checker, DeltaChecker, EvalStats};
 use mmtf::deps::DomIdx;
 use mmtf::dist::{Delta, EditOp};
-use mmtf::gen::scenario::scenario_named;
+use mmtf::gen::scenario::{all_scenarios, scenario_named};
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
 use mmtf::model::text::{parse_metamodel, parse_model};
 use mmtf::model::Model;
@@ -237,6 +238,33 @@ fn counterexample_caps_agree() {
                 assert_eq!(counts(&inc), want, "{ctx}: DeltaChecker");
             }
         }
+    }
+}
+
+/// A fresh checker reports the work of its initial evaluation: the
+/// universal bindings, witness probes and call-memo hits of a
+/// from-scratch [`Checker`] over the same consistent tuple (where the
+/// scratch checker never stops early at the counterexample cap).
+#[test]
+fn fresh_checker_stats_match_scratch() {
+    let fields = |s: EvalStats| (s.universal_bindings, s.existential_probes, s.call_hits);
+    let mut tuples: Vec<(String, std::sync::Arc<Hir>, Vec<Model>)> = Vec::new();
+    for sc in all_scenarios() {
+        for seed in 0..4u64 {
+            let w = sc.workload(seed);
+            tuples.push((format!("{} seed={seed}", sc.name()), w.hir, w.models));
+        }
+    }
+    for n in [32usize, 512] {
+        let w = consistent_workload(n, 2, 7);
+        tuples.push((format!("fm n={n}"), w.hir, w.models));
+    }
+    for (ctx, hir, models) in &tuples {
+        let scratch = Checker::new(hir, models).unwrap().check().unwrap();
+        assert!(scratch.consistent(), "{ctx}");
+        let inc = DeltaChecker::new(hir, models).unwrap().report();
+        assert!(scratch.stats.universal_bindings > 0, "{ctx}");
+        assert_eq!(fields(inc.stats), fields(scratch.stats), "{ctx}");
     }
 }
 

@@ -1,0 +1,423 @@
+//! The work-count gate: exact allocation counts and engine statistics
+//! of the benched workloads, pinned in `tests/pins/work_counts.txt`.
+//!
+//! Wall time on a shared host moves by tens of percent between runs of
+//! the same binary; allocation counts and checker statistics repeat
+//! exactly, in debug and release alike. So every benched path is
+//! replayed here and counted, one line per row, and the rendered text
+//! must equal the pin byte for byte. Any increase fails, and so does
+//! any decrease until the pin is re-recorded: paste the text the
+//! failing test prints into the pin file and give the reason in
+//! CHANGES.md.
+//!
+//! Each row is counted after one warm-up pass of the same work, so
+//! first-touch costs (string interning, scratch-buffer growth) do not
+//! count. Allocations are counted per thread, so the tests of this
+//! binary may run in parallel.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Write as _;
+use std::hint::black_box;
+use std::sync::{Arc, OnceLock};
+
+use mmt_bench::{
+    broken_workload, consistent_workload, paper_transformation, run_cold, run_cold_scenario,
+    run_warm, run_warm_scenario,
+};
+use mmtf::check::{Checker, DeltaChecker, DeltaStats, EvalStats};
+use mmtf::core::{EngineKind, Shape, SyncSession, Transformation};
+use mmtf::deps::DomIdx;
+use mmtf::dist::EditOp;
+use mmtf::enforce::RepairOptions;
+use mmtf::gen::scenario::all_scenarios;
+use mmtf::gen::{feature_workload, FeatureSpec, Injection, CF_METAMODEL, FM_METAMODEL};
+use mmtf::ground::{GroundOptions, GroundProblem};
+use mmtf::model::{ObjId, Sym, Value};
+use mmtf::store::PersistentSession;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialized and
+    /// without a destructor, so bumping it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// thread-local integer and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's layout requirements pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocations it made on
+/// this thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+fn delta_fields(d: DeltaStats) -> String {
+    format!(
+        "edits={} skipped={} partial={} full={}",
+        d.edits, d.checks_skipped, d.partial_updates, d.full_reevals
+    )
+}
+
+fn eval_fields(e: EvalStats) -> String {
+    format!(
+        "bindings={} probes={} call_hits={}",
+        e.universal_bindings, e.existential_probes, e.call_hits
+    )
+}
+
+fn delta_diff(after: DeltaStats, before: DeltaStats) -> DeltaStats {
+    DeltaStats {
+        edits: after.edits - before.edits,
+        checks_skipped: after.checks_skipped - before.checks_skipped,
+        partial_updates: after.partial_updates - before.partial_updates,
+        full_reevals: after.full_reevals - before.full_reevals,
+    }
+}
+
+fn eval_diff(after: EvalStats, before: EvalStats) -> EvalStats {
+    EvalStats {
+        universal_bindings: after.universal_bindings - before.universal_bindings,
+        existential_probes: after.existential_probes - before.existential_probes,
+        call_hits: after.call_hits - before.call_hits,
+    }
+}
+
+/// `bench_check_incremental`'s sizes and workload (fm2cfs, k = 2,
+/// seed 7); its full re-check stops at 10⁴.
+const INCREMENTAL_SIZES: [usize; 5] = [32, 128, 512, 10_000, 100_000];
+const FULL_RECHECK_MAX: usize = 10_000;
+
+/// One size of `check_incremental`: the edit pair's allocations and
+/// statistics, and the `full_recheck` row if that size is benched.
+struct IncrementalSize {
+    n: usize,
+    allocs: u64,
+    delta: DeltaStats,
+    eval: EvalStats,
+    full_recheck: Option<String>,
+}
+
+impl IncrementalSize {
+    /// The work the edit pair did, apart from allocating: what must
+    /// not depend on `n`.
+    fn work(&self) -> String {
+        format!("{} {}", delta_fields(self.delta), eval_fields(self.eval))
+    }
+}
+
+/// The bench's edit: toggle `mandatory` on FM feature `@0`, on and
+/// off, each followed by a report. Counted on a checker warmed by one
+/// such pair, as the bench warms it.
+fn measure_incremental(n: usize) -> IncrementalSize {
+    let w = consistent_workload(n, 2, 7);
+    let feature = w.fm.class_named("Feature").unwrap();
+    let mand = w.fm.attr_of(feature, Sym::new("mandatory")).unwrap();
+    let fm = DomIdx((w.models.len() - 1) as u8);
+    let toggle = |flag: bool| EditOp::SetAttr {
+        id: ObjId(0),
+        attr: mand,
+        value: Value::Bool(flag),
+        old: Value::Bool(!flag),
+    };
+    let pair = |checker: &mut DeltaChecker| {
+        for flag in [true, false] {
+            checker.apply(fm, &toggle(flag)).unwrap();
+            black_box(checker.report());
+        }
+    };
+    let mut checker = DeltaChecker::new(&w.hir, &w.models).unwrap();
+    pair(&mut checker);
+    let (d0, e0) = (checker.delta_stats(), checker.report().stats);
+    let (allocs, ()) = counted(|| pair(&mut checker));
+    let delta = delta_diff(checker.delta_stats(), d0);
+    let eval = eval_diff(checker.report().stats, e0);
+    let full_recheck = (n <= FULL_RECHECK_MAX).then(|| {
+        let check = || Checker::new(&w.hir, &w.models).unwrap().check().unwrap();
+        check();
+        let (allocs, report) = counted(check);
+        format!(
+            "check_incremental/full_recheck/{n} allocs={allocs} {}",
+            eval_fields(report.stats)
+        )
+    });
+    IncrementalSize {
+        n,
+        allocs,
+        delta,
+        eval,
+        full_recheck,
+    }
+}
+
+/// Every size, measured once per test binary run.
+fn incremental_sizes() -> &'static [IncrementalSize] {
+    static SIZES: OnceLock<Vec<IncrementalSize>> = OnceLock::new();
+    SIZES.get_or_init(|| INCREMENTAL_SIZES.map(measure_incremental).into())
+}
+
+/// The `session_warm` bench: its 16-step script over the consistent
+/// `(n, k = 2, seed 53)` tuples, through one warm session and through
+/// cold `enforce_with` calls.
+fn session_warm_rows(out: &mut String) {
+    let t = paper_transformation(2);
+    for n in [3usize, 7] {
+        let w = consistent_workload(n, 2, 53);
+        run_warm(&t, &w.models);
+        let (allocs, (cost, session)) = counted(|| run_warm(&t, &w.models));
+        let stats = delta_fields(session.checker().delta_stats());
+        writeln!(
+            out,
+            "session_warm/warm/{n} allocs={allocs} cost={cost} {stats}"
+        )
+        .unwrap();
+        run_cold(&t, &w.models);
+        let (allocs, cost) = counted(|| run_cold(&t, &w.models));
+        writeln!(out, "session_warm/cold/{n} allocs={allocs} cost={cost}").unwrap();
+    }
+}
+
+/// The `session_warm_scenarios` bench: a generated script (seed 9) over
+/// every corpus scenario, warm and cold, plus one `status()` on the
+/// warm session it leaves.
+fn session_warm_scenario_rows(out: &mut String) {
+    for sc in all_scenarios() {
+        let name = sc.name();
+        let w = sc.workload(9);
+        let t = Transformation::from_hir(w.hir.clone());
+        let targets = sc.repair_targets();
+        run_warm_scenario(&t, &w.models, targets, 9);
+        let (allocs, (cost, session)) = counted(|| run_warm_scenario(&t, &w.models, targets, 9));
+        let (status_allocs, _) = counted(|| session.status());
+        let stats = delta_fields(session.checker().delta_stats());
+        writeln!(
+            out,
+            "session_warm_scenarios/warm/{name} allocs={allocs} cost={cost} \
+             status_allocs={status_allocs} {stats}"
+        )
+        .unwrap();
+        run_cold_scenario(&t, &w.models, targets, 9);
+        let (allocs, cost) = counted(|| run_cold_scenario(&t, &w.models, targets, 9));
+        writeln!(
+            out,
+            "session_warm_scenarios/cold/{name} allocs={allocs} cost={cost}"
+        )
+        .unwrap();
+    }
+}
+
+/// A cost-2 repair of a new mandatory feature (fm2cfs, k = 2, seed 53)
+/// into both configurations, through `enforce_with`; the SAT row adds
+/// the grounding statistics of the same problem.
+fn repair_rows(out: &mut String) {
+    let t = paper_transformation(2);
+    let shape = Shape::of(&[0, 1]);
+    for (engine, label, n) in [
+        (EngineKind::Search, "search", 30usize),
+        (EngineKind::Search, "search", 100),
+        (EngineKind::Sat, "sat", 10),
+    ] {
+        let w = broken_workload(n, 2, 53, Injection::NewMandatoryInFm);
+        let repair = || {
+            t.enforce_with(&w.models, shape, engine, RepairOptions::default())
+                .unwrap()
+                .expect("repairable")
+        };
+        repair();
+        let (allocs, repaired) = counted(repair);
+        write!(
+            out,
+            "repair/{label}/fm{n} allocs={allocs} cost={}",
+            repaired.cost
+        )
+        .unwrap();
+        if engine == EngineKind::Sat {
+            let targets = shape.checked_targets(w.models.len()).unwrap();
+            let g = GroundProblem::build(t.hir(), &w.models, targets, GroundOptions::default())
+                .unwrap()
+                .stats();
+            write!(
+                out,
+                " vars={} clauses={} instantiations={} cost_items={}",
+                g.vars, g.clauses, g.universal_instantiations, g.cost_items
+            )
+            .unwrap();
+        }
+        out.push('\n');
+    }
+}
+
+/// The whole pin text, in a fixed row order.
+fn render_work_counts() -> String {
+    let mut out = String::new();
+    for s in incremental_sizes() {
+        writeln!(
+            out,
+            "check_incremental/incremental/{} allocs={} {}",
+            s.n,
+            s.allocs,
+            s.work()
+        )
+        .unwrap();
+    }
+    for row in incremental_sizes()
+        .iter()
+        .filter_map(|s| s.full_recheck.as_ref())
+    {
+        writeln!(out, "{row}").unwrap();
+    }
+    session_warm_rows(&mut out);
+    session_warm_scenario_rows(&mut out);
+    repair_rows(&mut out);
+    out
+}
+
+#[test]
+fn work_counts_match_the_pin() {
+    let got = render_work_counts();
+    let want = include_str!("pins/work_counts.txt");
+    if got != want {
+        let mut changed = String::new();
+        for (g, w) in got.lines().zip(want.lines()) {
+            if g != w {
+                writeln!(changed, "  pinned: {w}\n  now:    {g}").unwrap();
+            }
+        }
+        panic!(
+            "work counts differ from tests/pins/work_counts.txt\n{changed}\
+             If the change is intended, replace the pin with this text and \
+             give the reason in CHANGES.md:\n{got}"
+        );
+    }
+}
+
+/// O(|edit|) as an assertion: the toggle pair touches the same checks
+/// and enumerates the same bindings and probes at every model size, so
+/// no re-pin can accept an edit path that grows with the model.
+/// (Allocations are held exactly by the pin instead: they grow slowly
+/// with `n`.)
+#[test]
+fn incremental_edit_work_is_flat_in_n() {
+    let sizes = incremental_sizes();
+    for s in sizes {
+        assert_eq!(
+            s.work(),
+            sizes[0].work(),
+            "an edit at n = {} does other work than at n = {}",
+            s.n,
+            sizes[0].n
+        );
+    }
+    // Flat at zero would prove nothing: the update must count the
+    // bindings it re-enumerates and the witnesses it probes.
+    let eval = sizes[0].eval;
+    assert!(
+        eval.universal_bindings > 0 && eval.existential_probes > 0,
+        "{}",
+        sizes[0].work()
+    );
+}
+
+/// Mean allocations of a one-entry commit over a journal of `journal`
+/// one-attribute edits. The edits alternate two names of equal length,
+/// so every WAL record has the same size.
+fn allocs_per_commit(t: &Arc<Transformation>, journal: usize, tag: &str) -> f64 {
+    /// Commits measured at each journal length.
+    const COMMITS: usize = 100;
+    let w = feature_workload(FeatureSpec::default());
+    let feature = w.fm.class_named("Feature").unwrap();
+    let name = w.fm.attr_of(feature, Sym::new("name")).unwrap();
+    let (a, b) = (Value::str("alpha"), Value::str("omega"));
+    let mut session = SyncSession::new(Arc::clone(t), &w.models).unwrap();
+    let rename = |session: &mut SyncSession, i: usize| {
+        let (value, old) = if i.is_multiple_of(2) { (a, b) } else { (b, a) };
+        session
+            .apply(
+                DomIdx(2),
+                EditOp::SetAttr {
+                    id: ObjId(0),
+                    attr: name,
+                    value,
+                    old,
+                },
+            )
+            .unwrap();
+    };
+    // Feature @0 starts under neither name, so the first edit counts.
+    for i in 0..journal {
+        rename(&mut session, i);
+    }
+    assert_eq!(session.journal().len(), journal);
+
+    let dir = std::env::temp_dir().join(format!(
+        "mmt-store-commit-cost-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = PersistentSession::create(&dir, &session).unwrap();
+    let mut total = 0;
+    for i in journal..journal + COMMITS {
+        rename(&mut session, i);
+        total += counted(|| store.commit(&session).unwrap()).0;
+    }
+    assert_eq!(session.journal().len(), journal + COMMITS);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    total as f64 / COMMITS as f64
+}
+
+/// A one-entry `PersistentSession::commit` costs the same whatever the
+/// length of the journal behind it.
+#[test]
+fn commit_allocations_do_not_grow_with_the_journal() {
+    let t = Arc::new(
+        Transformation::from_sources(
+            &mmtf::gen::transformation_source(2),
+            &[CF_METAMODEL, FM_METAMODEL],
+        )
+        .unwrap(),
+    );
+    let short = allocs_per_commit(&t, 20, "short");
+    let long = allocs_per_commit(&t, 2000, "long");
+    assert!(
+        (short - long).abs() < 1.0,
+        "a one-entry commit allocates {short} times over 20 entries \
+         but {long} times over 2000"
+    );
+}
