@@ -3,8 +3,7 @@
 //!
 //! * `search/n`, `sat/n` — a cold `enforce` of the paper's `F = MF ∧ OF`
 //!   (k = 2) with one new mandatory feature injected, repaired into the
-//!   configurations (`Shape::of(&[0, 1])`, cost 2). SAT runs at
-//!   n ∈ {3, 5, 7} only: it grounds for seconds beyond that.
+//!   configurations (`Shape::of(&[0, 1])`, cost 2).
 //! * `session/n` — one `SyncSession` over the consistent tuple; each
 //!   iteration adds a fresh mandatory feature to the feature model
 //!   (three edits), repairs it warm under the same shape, and rolls the
@@ -68,12 +67,10 @@ fn bench_enforce(c: &mut Criterion) {
             let engine = SearchEngine::default();
             b.iter(|| engine.repair(t.hir_arc(), &w.models, targets).unwrap())
         });
-        if n <= 7 {
-            group.bench_with_input(BenchmarkId::new("sat", n), &w, |b, w| {
-                let engine = SatEngine::default();
-                b.iter(|| engine.repair(t.hir_arc(), &w.models, targets).unwrap())
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("sat", n), &w, |b, w| {
+            let engine = SatEngine::default();
+            b.iter(|| engine.repair(t.hir_arc(), &w.models, targets).unwrap())
+        });
     }
     for n in [30usize, 100] {
         let w = consistent_workload(n, 2, 53);

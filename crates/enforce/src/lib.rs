@@ -566,10 +566,19 @@ impl RepairEngine for SatEngine {
         let mut problem = GroundProblem::build(hir, models, targets, gopts)?;
         match problem.solve_min_cost() {
             None => Ok(None),
-            Some((cost, repaired)) => {
+            Some((cost, decoded)) => {
+                // The decoded targets start from empty id spaces, so they
+                // lack the originals' trailing tombstones. Replaying each
+                // delta onto its original keeps the id space a session
+                // would have, and with it the ids the next edit mints.
                 let mut deltas = Vec::with_capacity(models.len());
-                for (o, n) in models.iter().zip(&repaired) {
-                    deltas.push(Delta::between(o, n)?);
+                let mut repaired = Vec::with_capacity(models.len());
+                for (o, n) in models.iter().zip(&decoded) {
+                    let delta = Delta::between(o, n)?;
+                    let mut m = o.clone();
+                    delta.apply(&mut m)?;
+                    deltas.push(delta);
+                    repaired.push(m);
                 }
                 Ok(Some(RepairOutcome {
                     cost,

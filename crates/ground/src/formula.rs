@@ -112,6 +112,16 @@ impl CnfBuilder {
         self.solver.new_var()
     }
 
+    /// Allocates `n` fresh variables with consecutive indices and returns
+    /// the first.
+    pub fn fresh_run(&mut self, n: usize) -> Var {
+        let first = Var(self.solver.num_vars() as u32);
+        for _ in 0..n {
+            self.solver.new_var();
+        }
+        first
+    }
+
     /// Adds a raw clause.
     pub fn clause(&mut self, lits: &[Lit]) {
         self.solver.add_clause(lits);

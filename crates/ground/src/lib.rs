@@ -9,23 +9,47 @@
 //! `slack` fresh objects per concrete class. Decision variables encode
 //! object liveness, one-hot attribute values over the active domain
 //! (original values across all models, plus fresh string symbols), and
-//! per-pair links. Every directional check `R_{S→T}` of every top relation
-//! is instantiated over the universe; cost literals mirror
-//! [`mmt_dist::Delta`]'s operation costs; a weighted sequential counter
-//! bounds the total cost, and [`GroundProblem::solve_min_cost`] relaxes
-//! the bound `k = 0, 1, 2, …` — precisely the paper's "iterative process
-//! of searching for all consistent models at increasing distance".
+//! per-pair links. The other models are exact bounds, like the partial
+//! instances Kodkod takes: their patterns fold to constants. Every
+//! directional check `R_{S→T}` of every top relation is instantiated over
+//! the universe; cost literals mirror [`mmt_dist::Delta`]'s operation
+//! costs; a weighted sequential counter bounds the total cost, and
+//! [`GroundProblem::solve_min_cost`] relaxes the bound `k = 0, 1, 2, …` —
+//! precisely the paper's "iterative process of searching for all
+//! consistent models at increasing distance".
+//!
+//! ## Grounding a check by what its witness side reads
+//!
+//! A check reads `∀U. C(U) → ∃E. W`, where `C` is the source patterns
+//! and `when`, and `W` the target pattern and `where`. `W` reads only
+//! part of the universal variables `U`: call it `D`, and `R` the rest.
+//! Since `W` does not depend on `R`,
+//!
+//! ```text
+//! ∀D ∀R. (C → W(D))  ≡  ∀D. ((∃R. C) → W(D))
+//! ```
+//!
+//! and the `∃` distributes over the connected components `Rᵢ` of `R`
+//! under the source constraints and `when` (miniscoping). So the grounder
+//! enumerates `D` once and emits `(C_D ∧ ⋀ᵢ ∃Rᵢ. Cᵢ) → W(D)`, where `C_D`
+//! holds the constraints that read no variable of `R`. A `D`-binding is
+//! skipped when `W` folds to true, as it does whenever a frozen target
+//! holds a witness, and when the antecedent folds to false. The paper's
+//! `MF_{cf1 cf2 → fm}` reads only `n` on its witness side, so it grounds
+//! at most `|Str| × (1 + |U_cf1| + |U_cf2|)` bindings instead of
+//! `|U_cf1| × |Str| × |U_cf2|`.
 
 pub mod formula;
 
 use formula::{CnfBuilder, Formula};
 use mmt_deps::{Dep, DomIdx, DomSet};
 use mmt_dist::{CostModel, TupleCost};
-use mmt_model::{AttrId, AttrType, ClassId, Model, ObjId, RefId, Sym, Upper, Value};
+use mmt_model::fx::FxHashMap;
+use mmt_model::{AttrId, AttrType, ClassId, Metamodel, Model, ObjId, RefId, Sym, Upper, Value};
 use mmt_qvtr::{Atom, CmpOp, Constraint, Hir, HirExpr, HirRelation, RelId, VarId, VarTy};
 use mmt_sat::{Lit, SatResult, Var};
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Universe bounds for the grounding.
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +80,8 @@ pub struct GroundOptions {
     pub tuple: TupleCost,
     /// Maximum total cost considered (the counter's bound).
     pub max_cost: u64,
-    /// Cap on quantifier instantiations (guards against scope blow-ups).
+    /// Cap on instantiations, as [`GroundStats::universal_instantiations`]
+    /// counts them (guards against scope blow-ups).
     pub max_instantiations: u64,
 }
 
@@ -79,7 +104,9 @@ pub struct GroundStats {
     pub vars: usize,
     /// Clauses emitted.
     pub clauses: u64,
-    /// Universal-quantifier instantiations.
+    /// Universal bindings enumerated: each binding of a check's `D` (the
+    /// universal variables its witness side reads) and each binding of a
+    /// connected component of the rest (see the crate docs).
     pub universal_instantiations: u64,
     /// Cost literals (potential edits).
     pub cost_items: usize,
@@ -149,14 +176,139 @@ struct UObj {
     original: bool,
 }
 
-/// Symbolic state of one mutable model.
+/// Symbolic state of one mutable model. Every table is addressed by
+/// universe index and slot, so no clause order depends on hashing.
 struct MutModel {
     universe: Vec<UObj>,
     alive: Vec<Var>,
-    /// `(universe idx, attr) → one-hot (value, var)` list.
-    attr_vars: HashMap<(u32, AttrId), Vec<(Value, Var)>>,
-    /// `(src universe idx, ref, dst universe idx) → var`.
-    link_vars: HashMap<(u32, RefId, u32), Var>,
+    /// Where each universe object's attribute slots start in `attr_vars`.
+    attr_at: Vec<u32>,
+    /// Per attribute slot (in the class's `all_attrs` order), the first of
+    /// its one-hot variables: one per value of the attribute type's
+    /// domain, consecutive, in domain order.
+    attr_vars: Vec<Var>,
+    /// Where each universe object's reference slots start in `links`.
+    link_at: Vec<u32>,
+    /// Per reference slot (in the class's `all_refs` order), the link
+    /// variable to each universe object the reference admits, by
+    /// ascending universe index.
+    links: Vec<Vec<(u32, Var)>>,
+}
+
+impl MutModel {
+    /// The first one-hot variable of object `u`'s `attr`, if its class
+    /// has that attribute.
+    fn attr_base(&self, meta: &Metamodel, u: u32, attr: AttrId) -> Option<Var> {
+        let slot = meta.attr_slot(self.universe[u as usize].class, attr)?;
+        Some(self.attr_vars[self.attr_at[u as usize] as usize + slot])
+    }
+
+    /// The variable of the link `su --r--> du`, if `r` admits it.
+    fn link(&self, meta: &Metamodel, su: u32, r: RefId, du: u32) -> Option<Var> {
+        let slot = meta.ref_slot(self.universe[su as usize].class, r)?;
+        let links = &self.links[self.link_at[su as usize] as usize + slot];
+        let i = links.binary_search_by_key(&du, |&(d, _)| d).ok()?;
+        Some(links[i].1)
+    }
+}
+
+/// The active value domain of each attribute type, and where each value
+/// sits in its type's domain.
+struct Domains {
+    strs: Vec<Value>,
+    ints: Vec<Value>,
+    bools: [Value; 2],
+    pos: FxHashMap<Value, u32>,
+}
+
+impl Domains {
+    /// Every value observed in `models` or written in `hir`, plus
+    /// `fresh_strings` fresh strings and each type's default.
+    fn collect(hir: &Hir, models: &[Model], fresh_strings: usize) -> Domains {
+        let bools = [Value::Bool(false), Value::Bool(true)];
+        let mut d = Domains {
+            strs: Vec::new(),
+            ints: Vec::new(),
+            bools,
+            pos: bools.iter().zip(0..).map(|(&v, i)| (v, i)).collect(),
+        };
+        for m in models {
+            for (_, obj) in m.objects() {
+                for &v in obj.attrs.iter() {
+                    d.push(v);
+                }
+            }
+        }
+        // Literal values mentioned in relation patterns/expressions also
+        // belong to the active domain.
+        for rel in &hir.relations {
+            for dom in &rel.domains {
+                for c in &dom.constraints {
+                    if let Constraint::AttrEq {
+                        rhs: Atom::Lit(v), ..
+                    } = c
+                    {
+                        d.push(*v);
+                    }
+                }
+            }
+            for e in rel.when.iter().chain(rel.where_.iter()) {
+                d.push_literals(e);
+            }
+        }
+        for i in 0..fresh_strings {
+            d.push(Value::Str(Sym::new(&format!("$new{i}"))));
+        }
+        // The empty string (attribute default) must be representable.
+        d.push(Value::Str(Sym::new("")));
+        // Likewise the Int default: a fresh object keeping its zeroed
+        // attribute must cost nothing, so 0 has to be in the domain even
+        // when every observed value (model or literal) is non-zero.
+        d.push(Value::Int(0));
+        d
+    }
+
+    /// Adds a string or integer value to its type's domain, once.
+    fn push(&mut self, v: Value) {
+        let domain = match v.ty() {
+            AttrType::Str => &mut self.strs,
+            AttrType::Int => &mut self.ints,
+            AttrType::Bool => return,
+        };
+        if let std::collections::hash_map::Entry::Vacant(e) = self.pos.entry(v) {
+            e.insert(domain.len() as u32);
+            domain.push(v);
+        }
+    }
+
+    /// Adds the literals of an expression.
+    fn push_literals(&mut self, e: &HirExpr) {
+        match e {
+            HirExpr::Lit(v) => self.push(*v),
+            HirExpr::Cmp(_, a, b)
+            | HirExpr::And(a, b)
+            | HirExpr::Or(a, b)
+            | HirExpr::Implies(a, b) => {
+                self.push_literals(a);
+                self.push_literals(b);
+            }
+            HirExpr::Not(a) => self.push_literals(a),
+            _ => {}
+        }
+    }
+
+    fn of(&self, ty: AttrType) -> &[Value] {
+        match ty {
+            AttrType::Str => &self.strs,
+            AttrType::Int => &self.ints,
+            AttrType::Bool => &self.bools,
+        }
+    }
+
+    /// Where `v` sits in its type's domain, if the domain holds it.
+    fn pos(&self, v: Value) -> Option<u32> {
+        self.pos.get(&v).copied()
+    }
 }
 
 /// A ground value: an object (frozen id or universe index) or a constant.
@@ -172,10 +324,11 @@ type GBinding = Vec<Option<GVal>>;
 /// A built ground problem, ready for minimal-cost solving.
 pub struct GroundProblem<'a> {
     originals: &'a [Model],
-    targets: DomSet,
     opts: GroundOptions,
     builder: CnfBuilder,
-    muts: HashMap<u8, MutModel>,
+    /// Symbolic state of each model, `None` for the frozen ones.
+    muts: Vec<Option<MutModel>>,
+    domains: Domains,
     cost_outs: Vec<Lit>,
     stats: GroundStats,
 }
@@ -202,18 +355,17 @@ impl<'a> GroundProblem<'a> {
         let mut g = Grounder {
             hir,
             models,
-            targets,
             opts: opts.clone(),
             builder: CnfBuilder::new(),
-            muts: HashMap::new(),
-            str_domain: Vec::new(),
-            int_domain: Vec::new(),
+            muts: Vec::with_capacity(models.len()),
+            domains: Domains::collect(hir, models, opts.scope.fresh_strings),
+            extents: Vec::new(),
             cost_items: Vec::new(),
             instantiations: 0,
             depth: 0,
         };
-        g.collect_domains();
-        g.build_universes()?;
+        g.build_universes(targets)?;
+        g.build_extents();
         g.encode_consistency()?;
         let cost_items = std::mem::take(&mut g.cost_items);
         let cost_outs = g.builder.encode_cost_counter(&cost_items, opts.max_cost);
@@ -225,10 +377,10 @@ impl<'a> GroundProblem<'a> {
         };
         Ok(GroundProblem {
             originals: models,
-            targets,
             opts,
             builder: g.builder,
             muts: g.muts,
+            domains: g.domains,
             cost_outs,
             stats,
         })
@@ -258,46 +410,39 @@ impl<'a> GroundProblem<'a> {
     /// rebuilt from the assignment, non-targets cloned).
     fn decode(&self) -> Vec<Model> {
         let solver = &self.builder.solver;
+        let holds = |v: Var| solver.value(v) == Some(true);
         let mut out = Vec::with_capacity(self.originals.len());
-        for (i, orig) in self.originals.iter().enumerate() {
-            let mi = DomIdx(i as u8);
-            if !self.targets.contains(mi) {
+        for (orig, mm) in self.originals.iter().zip(&self.muts) {
+            let Some(mm) = mm else {
                 out.push(orig.clone());
                 continue;
-            }
-            let mm = &self.muts[&mi.0];
+            };
             let meta = orig.metamodel();
-            let mut m = Model::new(&orig.name.resolve(), std::sync::Arc::clone(meta));
-            // Objects.
+            let mut m = Model::new(&orig.name.resolve(), Arc::clone(meta));
             for (u, obj) in mm.universe.iter().enumerate() {
-                if solver.value(mm.alive[u]) == Some(true) {
+                if holds(mm.alive[u]) {
                     m.add_at(obj.id, obj.class).expect("fresh id space");
                 }
             }
-            // Attributes.
             for (u, obj) in mm.universe.iter().enumerate() {
-                if solver.value(mm.alive[u]) != Some(true) {
+                if !holds(mm.alive[u]) {
                     continue;
                 }
-                for &attr in &meta.class(obj.class).all_attrs {
-                    let vars = &mm.attr_vars[&(u as u32, attr)];
-                    for &(v, var) in vars {
-                        if solver.value(var) == Some(true) {
-                            m.set_attr(obj.id, attr, v).expect("typed one-hot");
-                            break;
-                        }
+                let class = meta.class(obj.class);
+                for (slot, &attr) in class.all_attrs.iter().enumerate() {
+                    let base = mm.attr_vars[mm.attr_at[u] as usize + slot];
+                    let domain = self.domains.of(meta.attr(attr).ty);
+                    if let Some(i) = (0..domain.len()).find(|&i| holds(Var(base.0 + i as u32))) {
+                        m.set_attr(obj.id, attr, domain[i]).expect("typed one-hot");
                     }
                 }
-            }
-            // Links.
-            for (&(su, r, du), &var) in &mm.link_vars {
-                if solver.value(var) == Some(true)
-                    && solver.value(mm.alive[su as usize]) == Some(true)
-                    && solver.value(mm.alive[du as usize]) == Some(true)
-                {
-                    let src = mm.universe[su as usize];
-                    let dst = mm.universe[du as usize];
-                    m.add_link(src.id, r, dst.id).expect("typed link var");
+                for (slot, &r) in class.all_refs.iter().enumerate() {
+                    for &(du, var) in &mm.links[mm.link_at[u] as usize + slot] {
+                        if holds(var) && holds(mm.alive[du as usize]) {
+                            let dst = mm.universe[du as usize].id;
+                            m.add_link(obj.id, r, dst).expect("typed link var");
+                        }
+                    }
                 }
             }
             out.push(m);
@@ -310,12 +455,14 @@ impl<'a> GroundProblem<'a> {
 struct Grounder<'a> {
     hir: &'a Hir,
     models: &'a [Model],
-    targets: DomSet,
     opts: GroundOptions,
     builder: CnfBuilder,
-    muts: HashMap<u8, MutModel>,
-    str_domain: Vec<Value>,
-    int_domain: Vec<Value>,
+    /// Symbolic state of each model, `None` for the frozen ones.
+    muts: Vec<Option<MutModel>>,
+    domains: Domains,
+    /// The candidates of an object variable: `extents[model][class]`,
+    /// filled for every pair some relation variable ranges over.
+    extents: Vec<Vec<Vec<GVal>>>,
     cost_items: Vec<(Lit, u64)>,
     instantiations: u64,
     depth: u32,
@@ -323,289 +470,430 @@ struct Grounder<'a> {
 
 const MAX_GROUND_DEPTH: u32 = 16;
 
-impl<'a> Grounder<'a> {
-    fn collect_domains(&mut self) {
-        let mut strs: Vec<Value> = Vec::new();
-        let mut ints: Vec<Value> = Vec::new();
-        for m in self.models {
-            let meta = m.metamodel();
-            for (_, obj) in m.objects() {
-                for (slot, &attr) in meta.class(obj.class).all_attrs.iter().enumerate() {
-                    let v = obj.attrs[slot];
-                    match meta.attr(attr).ty {
-                        AttrType::Str => {
-                            if !strs.contains(&v) {
-                                strs.push(v);
-                            }
-                        }
-                        AttrType::Int => {
-                            if !ints.contains(&v) {
-                                ints.push(v);
-                            }
-                        }
-                        AttrType::Bool => {}
-                    }
+/// A visitor of complete bindings; it returns `true` to stop the
+/// enumeration.
+type Visit<'v, 'a> = dyn FnMut(&mut Grounder<'a>, &mut GBinding) -> Result<bool, GroundError> + 'v;
+
+/// A conjunction of pattern constraints and `when`/`where` expressions,
+/// with the variables an enumeration of it binds.
+#[derive(Default)]
+struct Part<'a> {
+    vars: Vec<VarId>,
+    cons: Vec<Constraint>,
+    exprs: Vec<&'a HirExpr>,
+}
+
+/// A directional check `R_{S→T}` split by what its witness side reads
+/// (see the crate docs).
+struct Split<'a> {
+    /// `D` and `C_D`: the unbound universal variables the witness side
+    /// reads, and the universal constraints (and `when`) that read no
+    /// variable of `R`.
+    d: Part<'a>,
+    /// Each connected component `Rᵢ` of `R`, with the constraints `Cᵢ`
+    /// (and `when`) that read it.
+    comps: Vec<Part<'a>>,
+    /// `W`: the target pattern, a generator for each object variable only
+    /// `where` reads, and `where`. It binds its unbound variables outside
+    /// `D`.
+    witness: Part<'a>,
+}
+
+impl<'a> Split<'a> {
+    /// Splits `rel_{dep}` with the variables of `binding` already bound
+    /// (none for a top-level check; the domain roots for a call).
+    fn new(rel: &'a HirRelation, dep: Dep, binding: &GBinding) -> Option<Split<'a>> {
+        let target = rel.domain_for_model(dep.target)?;
+        let unbound = |v: VarId| binding[v.index()].is_none();
+        // Universal side: the S patterns, plus a generator for each
+        // object variable only `when` reads.
+        let mut src: Vec<Constraint> = Vec::new();
+        for d in &rel.domains {
+            if dep.sources.contains(d.model) {
+                src.extend_from_slice(&d.constraints);
+            }
+        }
+        let mut univ: Vec<VarId> = Vec::new();
+        for c in &src {
+            for v in constraint_vars(c) {
+                if unbound(v) && !univ.contains(&v) {
+                    univ.push(v);
                 }
             }
         }
-        // Literal values mentioned in relation patterns/expressions also
-        // belong to the active domain.
-        for rel in &self.hir.relations {
-            for d in &rel.domains {
-                for c in &d.constraints {
-                    if let Constraint::AttrEq {
-                        rhs: Atom::Lit(v), ..
-                    } = c
-                    {
-                        match v.ty() {
-                            AttrType::Str if !strs.contains(v) => strs.push(*v),
-                            AttrType::Int if !ints.contains(v) => ints.push(*v),
-                            _ => {}
-                        }
-                    }
+        let mut when_vars = Vec::new();
+        if let Some(when) = &rel.when {
+            when.free_vars(&mut when_vars);
+        }
+        for &v in &when_vars {
+            if unbound(v) && !univ.contains(&v) {
+                if let VarTy::Obj { model, class } = rel.vars[v.index()].ty {
+                    src.push(Constraint::Obj {
+                        var: v,
+                        model,
+                        class,
+                    });
+                    univ.push(v);
                 }
             }
-            for e in rel.when.iter().chain(rel.where_.iter()) {
-                collect_expr_lits(e, &mut strs, &mut ints);
+        }
+        // Witness side: the T pattern, plus a generator for each object
+        // variable only `where` reads.
+        let mut witness = Part {
+            cons: target.constraints.clone(),
+            ..Part::default()
+        };
+        let mut reads: Vec<VarId> = Vec::new();
+        for c in &witness.cons {
+            for v in constraint_vars(c) {
+                if !reads.contains(&v) {
+                    reads.push(v);
+                }
             }
         }
-        for i in 0..self.opts.scope.fresh_strings {
-            let v = Value::Str(Sym::new(&format!("$new{i}")));
-            if !strs.contains(&v) {
-                strs.push(v);
-            }
-        }
-        // The empty string (attribute default) must be representable.
-        let empty = Value::Str(Sym::new(""));
-        if !strs.contains(&empty) {
-            strs.push(empty);
-        }
-        // Likewise the Int default: a fresh object keeping its zeroed
-        // attribute must cost nothing, so 0 has to be in the domain even
-        // when every observed value (model or literal) is non-zero.
-        let zero = Value::Int(0);
-        if !ints.contains(&zero) {
-            ints.push(zero);
-        }
-        self.str_domain = strs;
-        self.int_domain = ints;
-    }
-
-    fn domain_of(&self, ty: AttrType) -> Vec<Value> {
-        match ty {
-            AttrType::Str => self.str_domain.clone(),
-            AttrType::Int => self.int_domain.clone(),
-            AttrType::Bool => vec![Value::Bool(false), Value::Bool(true)],
-        }
-    }
-
-    fn build_universes(&mut self) -> Result<(), GroundError> {
-        for t in self.targets.iter() {
-            let model = &self.models[t.index()];
-            let meta = model.metamodel();
-            let mut universe: Vec<UObj> = Vec::new();
-            for (id, obj) in model.objects() {
-                universe.push(UObj {
-                    id,
-                    class: obj.class,
-                    original: true,
-                });
-            }
-            let mut next = model.id_bound() as u32;
-            for (cid, class) in meta.classes() {
-                if class.is_abstract {
+        if let Some(wher) = &rel.where_ {
+            let mut where_vars = Vec::new();
+            wher.free_vars(&mut where_vars);
+            for v in where_vars {
+                if reads.contains(&v) {
                     continue;
                 }
-                for _ in 0..self.opts.scope.slack_objs {
-                    universe.push(UObj {
-                        id: ObjId(next),
-                        class: cid,
-                        original: false,
-                    });
-                    next += 1;
+                if unbound(v) && !univ.contains(&v) {
+                    if let VarTy::Obj { model, class } = rel.vars[v.index()].ty {
+                        witness.cons.push(Constraint::Obj {
+                            var: v,
+                            model,
+                            class,
+                        });
+                    }
+                }
+                reads.push(v);
+            }
+            witness.exprs.push(wher);
+        }
+        for c in &witness.cons {
+            for v in constraint_vars(c) {
+                if unbound(v) && !univ.contains(&v) && !witness.vars.contains(&v) {
+                    witness.vars.push(v);
                 }
             }
-            let mut mm = MutModel {
-                alive: Vec::with_capacity(universe.len()),
-                attr_vars: HashMap::new(),
-                link_vars: HashMap::new(),
-                universe,
+        }
+        let (d_vars, r_vars): (Vec<VarId>, Vec<VarId>) =
+            univ.into_iter().partition(|v| reads.contains(v));
+        // R's components: label each variable, and merge the labels of
+        // the variables one constraint (or `when`) reads together.
+        let mut label: Vec<usize> = (0..r_vars.len()).collect();
+        for c in &src {
+            merge_labels(&mut label, &r_vars, constraint_vars(c));
+        }
+        merge_labels(&mut label, &r_vars, when_vars.iter().copied());
+        let mut comps: Vec<Part<'a>> = Vec::new();
+        let mut comp_of_label: Vec<Option<usize>> = vec![None; r_vars.len()];
+        for (i, &v) in r_vars.iter().enumerate() {
+            let c = *comp_of_label[label[i]].get_or_insert_with(|| {
+                comps.push(Part::default());
+                comps.len() - 1
+            });
+            comps[c].vars.push(v);
+        }
+        let comp_of = |v: VarId| {
+            let i = r_vars.iter().position(|&x| x == v)?;
+            comp_of_label[label[i]]
+        };
+        // What reads a variable of R joins its component; the rest is C_D.
+        let mut d = Part {
+            vars: d_vars,
+            ..Part::default()
+        };
+        for c in src {
+            match constraint_vars(&c).find_map(comp_of) {
+                Some(i) => comps[i].cons.push(c),
+                None => d.cons.push(c),
+            }
+        }
+        if let Some(when) = &rel.when {
+            match when_vars.iter().find_map(|&v| comp_of(v)) {
+                Some(i) => comps[i].exprs.push(when),
+                None => d.exprs.push(when),
+            }
+        }
+        Some(Split { d, comps, witness })
+    }
+}
+
+/// Gives every variable of `vars` that is in `r_vars` one label.
+fn merge_labels(label: &mut [usize], r_vars: &[VarId], vars: impl Iterator<Item = VarId>) {
+    let mut joined: Option<usize> = None;
+    for v in vars {
+        let Some(i) = r_vars.iter().position(|&x| x == v) else {
+            continue;
+        };
+        let old = label[i];
+        match joined {
+            None => joined = Some(old),
+            Some(new) if new != old => {
+                for l in label.iter_mut().filter(|l| **l == old) {
+                    *l = new;
+                }
+            }
+            Some(_) => {}
+        }
+    }
+}
+
+impl<'a> Grounder<'a> {
+    fn build_universes(&mut self, targets: DomSet) -> Result<(), GroundError> {
+        for t in 0..self.models.len() {
+            let mm = if targets.contains(DomIdx(t as u8)) {
+                Some(self.build_universe(t)?)
+            } else {
+                None
             };
-            let weight = self.opts.tuple.weight(t.index());
-            // Liveness + object-level costs.
-            for u in 0..mm.universe.len() {
-                let v = self.builder.fresh();
-                mm.alive.push(v);
-                let obj = mm.universe[u];
-                if obj.original {
-                    self.cost_items
-                        .push((Lit::neg(v), self.opts.cost.del_obj * weight));
-                } else {
-                    self.cost_items
-                        .push((Lit::pos(v), self.opts.cost.add_obj * weight));
-                }
-            }
-            // Attribute one-hots + change costs.
-            for u in 0..mm.universe.len() {
-                let obj = mm.universe[u];
-                for &attr in &meta.class(obj.class).all_attrs {
-                    let ty = meta.attr(attr).ty;
-                    let domain = self.domain_of(ty);
-                    let vars: Vec<(Value, Var)> = domain
-                        .iter()
-                        .map(|&val| (val, self.builder.fresh()))
-                        .collect();
-                    // Exactly one.
-                    let all: Vec<Lit> = vars.iter().map(|&(_, v)| Lit::pos(v)).collect();
-                    self.builder.clause(&all);
-                    for i in 0..vars.len() {
-                        for j in i + 1..vars.len() {
-                            self.builder
-                                .clause(&[Lit::neg(vars[i].1), Lit::neg(vars[j].1)]);
-                        }
-                    }
-                    // Cost: changed ← alive ∧ (value ≠ baseline).
-                    let baseline = if obj.original {
-                        model.attr(obj.id, attr).expect("original object")
-                    } else {
-                        ty.default_value()
-                    };
-                    let chg = Lit::pos(self.builder.fresh());
-                    for &(val, var) in &vars {
-                        if val != baseline {
-                            self.builder
-                                .clause(&[Lit::neg(mm.alive[u]), Lit::neg(var), chg]);
-                        }
-                    }
-                    self.cost_items
-                        .push((chg, self.opts.cost.set_attr * weight));
-                    mm.attr_vars.insert((u as u32, attr), vars);
-                }
-            }
-            // Links + costs + structural constraints.
-            for su in 0..mm.universe.len() {
-                let sobj = mm.universe[su];
-                for &r in &meta.class(sobj.class).all_refs {
-                    let rdecl = meta.reference(r);
-                    let mut slot_lits: Vec<Lit> = Vec::new();
-                    for du in 0..mm.universe.len() {
-                        let dobj = mm.universe[du];
-                        if !meta.conforms(dobj.class, rdecl.target) {
-                            continue;
-                        }
-                        let v = self.builder.fresh();
-                        let l = Lit::pos(v);
-                        // link → both endpoints alive.
-                        self.builder.clause(&[l.negate(), Lit::pos(mm.alive[su])]);
-                        self.builder.clause(&[l.negate(), Lit::pos(mm.alive[du])]);
-                        let originally_linked =
-                            sobj.original && dobj.original && model.has_link(sobj.id, r, dobj.id);
-                        if originally_linked {
-                            // Removal cost, charged only if both endpoints
-                            // survive (otherwise DelObj already paid).
-                            let chg = Lit::pos(self.builder.fresh());
-                            self.builder.clause(&[
-                                Lit::neg(mm.alive[su]),
-                                Lit::neg(mm.alive[du]),
-                                l,
-                                chg,
-                            ]);
-                            self.cost_items
-                                .push((chg, self.opts.cost.del_link * weight));
-                            // A present link defaults to present: no cost
-                            // for keeping it.
-                        } else {
-                            self.cost_items.push((l, self.opts.cost.add_link * weight));
-                        }
-                        slot_lits.push(l);
-                        mm.link_vars.insert((su as u32, r, du as u32), v);
-                    }
-                    // Multiplicity bounds (alive sources only).
-                    match (rdecl.lower, rdecl.upper) {
-                        (0, Upper::Many) => {}
-                        (1, Upper::Many) | (1, Upper::Bounded(1)) | (0, Upper::Bounded(1)) => {
-                            if rdecl.lower == 1 {
-                                // alive → at least one target.
-                                let mut cl = vec![Lit::neg(mm.alive[su])];
-                                cl.extend(slot_lits.iter().copied());
-                                self.builder.clause(&cl);
-                            }
-                            if rdecl.upper == Upper::Bounded(1) {
-                                for i in 0..slot_lits.len() {
-                                    for j in i + 1..slot_lits.len() {
-                                        self.builder.clause(&[
-                                            slot_lits[i].negate(),
-                                            slot_lits[j].negate(),
-                                        ]);
-                                    }
-                                }
-                            }
-                        }
-                        _ => {
-                            return Err(GroundError::UnsupportedMultiplicity {
-                                reference: rdecl.name.resolve(),
-                            })
-                        }
-                    }
-                }
-            }
-            // Single-container constraint for containment references.
-            let mut containment_incoming: HashMap<u32, Vec<Lit>> = HashMap::new();
-            for (&(_, r, du), &v) in &mm.link_vars {
-                if meta.reference(r).containment {
-                    containment_incoming
-                        .entry(du)
-                        .or_default()
-                        .push(Lit::pos(v));
-                }
-            }
-            for (_, incoming) in containment_incoming {
-                for i in 0..incoming.len() {
-                    for j in i + 1..incoming.len() {
-                        self.builder
-                            .clause(&[incoming[i].negate(), incoming[j].negate()]);
-                    }
-                }
-            }
-            self.muts.insert(t.0, mm);
+            self.muts.push(mm);
         }
         Ok(())
     }
 
+    /// The symbolic universe of target model `t`: its variables, the
+    /// costs of changing them, and the metamodel's structural
+    /// constraints.
+    fn build_universe(&mut self, t: usize) -> Result<MutModel, GroundError> {
+        let model = &self.models[t];
+        let meta = model.metamodel();
+        let mut universe: Vec<UObj> = Vec::new();
+        for (id, obj) in model.objects() {
+            universe.push(UObj {
+                id,
+                class: obj.class,
+                original: true,
+            });
+        }
+        let mut next = model.id_bound() as u32;
+        for (cid, class) in meta.classes() {
+            if class.is_abstract {
+                continue;
+            }
+            for _ in 0..self.opts.scope.slack_objs {
+                universe.push(UObj {
+                    id: ObjId(next),
+                    class: cid,
+                    original: false,
+                });
+                next += 1;
+            }
+        }
+        let weight = self.opts.tuple.weight(t);
+        let cost = self.opts.cost;
+        // Liveness + object-level costs.
+        let mut alive = Vec::with_capacity(universe.len());
+        for obj in &universe {
+            let v = self.builder.fresh();
+            alive.push(v);
+            self.cost_items.push(if obj.original {
+                (Lit::neg(v), cost.del_obj * weight)
+            } else {
+                (Lit::pos(v), cost.add_obj * weight)
+            });
+        }
+        // Attribute one-hots + change costs.
+        let mut attr_at = Vec::with_capacity(universe.len());
+        let mut attr_vars = Vec::new();
+        let mut lits: Vec<Lit> = Vec::new();
+        for (u, obj) in universe.iter().enumerate() {
+            attr_at.push(attr_vars.len() as u32);
+            for &attr in &meta.class(obj.class).all_attrs {
+                let ty = meta.attr(attr).ty;
+                let domain = self.domains.of(ty);
+                let base = self.builder.fresh_run(domain.len());
+                attr_vars.push(base);
+                let var = |i: usize| Var(base.0 + i as u32);
+                // Exactly one.
+                lits.clear();
+                lits.extend((0..domain.len()).map(|i| Lit::pos(var(i))));
+                self.builder.clause(&lits);
+                for i in 0..domain.len() {
+                    for j in i + 1..domain.len() {
+                        self.builder.clause(&[Lit::neg(var(i)), Lit::neg(var(j))]);
+                    }
+                }
+                // Cost: changed ← alive ∧ (value ≠ baseline).
+                let baseline = if obj.original {
+                    model.attr(obj.id, attr).expect("original object")
+                } else {
+                    ty.default_value()
+                };
+                let chg = Lit::pos(self.builder.fresh());
+                for (i, &val) in domain.iter().enumerate() {
+                    if val != baseline {
+                        self.builder
+                            .clause(&[Lit::neg(alive[u]), Lit::neg(var(i)), chg]);
+                    }
+                }
+                self.cost_items.push((chg, cost.set_attr * weight));
+            }
+        }
+        // Links + costs + structural constraints.
+        let mut link_at = Vec::with_capacity(universe.len());
+        let mut links: Vec<Vec<(u32, Var)>> = Vec::new();
+        for (su, sobj) in universe.iter().enumerate() {
+            link_at.push(links.len() as u32);
+            for &r in &meta.class(sobj.class).all_refs {
+                let rdecl = meta.reference(r);
+                let mut slot: Vec<(u32, Var)> = Vec::new();
+                for (du, dobj) in universe.iter().enumerate() {
+                    if !meta.conforms(dobj.class, rdecl.target) {
+                        continue;
+                    }
+                    let v = self.builder.fresh();
+                    let l = Lit::pos(v);
+                    // link → both endpoints alive.
+                    self.builder.clause(&[l.negate(), Lit::pos(alive[su])]);
+                    self.builder.clause(&[l.negate(), Lit::pos(alive[du])]);
+                    let originally_linked =
+                        sobj.original && dobj.original && model.has_link(sobj.id, r, dobj.id);
+                    if originally_linked {
+                        // Removal cost, charged only if both endpoints
+                        // survive (otherwise DelObj already paid).
+                        let chg = Lit::pos(self.builder.fresh());
+                        self.builder
+                            .clause(&[Lit::neg(alive[su]), Lit::neg(alive[du]), l, chg]);
+                        self.cost_items.push((chg, cost.del_link * weight));
+                        // A present link defaults to present: no cost
+                        // for keeping it.
+                    } else {
+                        self.cost_items.push((l, cost.add_link * weight));
+                    }
+                    slot.push((du as u32, v));
+                }
+                // Multiplicity bounds (alive sources only).
+                match (rdecl.lower, rdecl.upper) {
+                    (0, Upper::Many) => {}
+                    (1, Upper::Many) | (1, Upper::Bounded(1)) | (0, Upper::Bounded(1)) => {
+                        if rdecl.lower == 1 {
+                            // alive → at least one target.
+                            lits.clear();
+                            lits.push(Lit::neg(alive[su]));
+                            lits.extend(slot.iter().map(|&(_, v)| Lit::pos(v)));
+                            self.builder.clause(&lits);
+                        }
+                        if rdecl.upper == Upper::Bounded(1) {
+                            for i in 0..slot.len() {
+                                for j in i + 1..slot.len() {
+                                    self.builder
+                                        .clause(&[Lit::neg(slot[i].1), Lit::neg(slot[j].1)]);
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        return Err(GroundError::UnsupportedMultiplicity {
+                            reference: rdecl.name.resolve(),
+                        })
+                    }
+                }
+                links.push(slot);
+            }
+        }
+        // Single-container constraint: at most one containment link into
+        // each object.
+        let mut incoming: Vec<Vec<Lit>> = vec![Vec::new(); universe.len()];
+        for (su, sobj) in universe.iter().enumerate() {
+            for (slot, &r) in meta.class(sobj.class).all_refs.iter().enumerate() {
+                if meta.reference(r).containment {
+                    for &(du, v) in &links[link_at[su] as usize + slot] {
+                        incoming[du as usize].push(Lit::pos(v));
+                    }
+                }
+            }
+        }
+        for into in &incoming {
+            for i in 0..into.len() {
+                for j in i + 1..into.len() {
+                    self.builder.clause(&[into[i].negate(), into[j].negate()]);
+                }
+            }
+        }
+        Ok(MutModel {
+            universe,
+            alive,
+            attr_at,
+            attr_vars,
+            link_at,
+            links,
+        })
+    }
+
+    /// Fills `extents` for every `(model, class)` a relation variable
+    /// ranges over: the conforming universe objects of a mutable model,
+    /// the conforming objects of a frozen one.
+    fn build_extents(&mut self) {
+        let mut pairs: Vec<(DomIdx, ClassId)> = Vec::new();
+        for rel in &self.hir.relations {
+            for var in &rel.vars {
+                if let VarTy::Obj { model, class } = var.ty {
+                    pairs.push((model, class));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        self.extents = self
+            .models
+            .iter()
+            .map(|m| vec![Vec::new(); m.metamodel().class_count()])
+            .collect();
+        for (model, class) in pairs {
+            let m = &self.models[model.index()];
+            let extent: Vec<GVal> = match &self.muts[model.index()] {
+                Some(mm) => (0..mm.universe.len() as u32)
+                    .filter(|&u| m.metamodel().conforms(mm.universe[u as usize].class, class))
+                    .map(GVal::MutObj)
+                    .collect(),
+                None => m.objects_of(class).map(GVal::FrozenObj).collect(),
+            };
+            self.extents[model.index()][class.index()] = extent;
+        }
+    }
+
     fn encode_consistency(&mut self) -> Result<(), GroundError> {
-        let top: Vec<RelId> = self.hir.top_relations().map(|(rid, _)| rid).collect();
-        for rid in top {
-            let deps: Vec<Dep> = self.hir.relation(rid).deps.deps().to_vec();
-            for dep in deps {
-                let binding = vec![None; self.hir.relation(rid).vars.len()];
-                let f = self.ground_check(rid, dep, binding)?;
+        let hir = self.hir;
+        for (rid, rel) in hir.top_relations() {
+            for &dep in rel.deps.deps() {
+                let f = self.ground_check(rid, dep, vec![None; rel.vars.len()])?;
                 self.builder.add_formula(f);
             }
         }
         Ok(())
     }
 
-    /// Candidate ground values for a variable.
-    fn candidates(&self, rel: &HirRelation, v: VarId) -> Vec<GVal> {
+    /// The symbolic state of a mutable model.
+    fn mut_model(&self, model: DomIdx) -> &MutModel {
+        self.muts[model.index()]
+            .as_ref()
+            .expect("universe objects live in mutable models")
+    }
+
+    /// Candidate `i` of variable `v`: a value of its type's domain, or an
+    /// object of its class's extent; `None` past the last.
+    fn candidate(&self, rel: &HirRelation, v: VarId, i: usize) -> Option<GVal> {
         match rel.vars[v.index()].ty {
-            VarTy::Prim(ty) => self.domain_of(ty).into_iter().map(GVal::Val).collect(),
+            VarTy::Prim(ty) => self.domains.of(ty).get(i).map(|&val| GVal::Val(val)),
             VarTy::Obj { model, class } => {
-                if let Some(mm) = self.muts.get(&model.0) {
-                    let meta = self.models[model.index()].metamodel();
-                    mm.universe
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, o)| meta.conforms(o.class, class))
-                        .map(|(u, _)| GVal::MutObj(u as u32))
-                        .collect()
-                } else {
-                    self.models[model.index()]
-                        .objects_of(class)
-                        .map(GVal::FrozenObj)
-                        .collect()
-                }
+                self.extents[model.index()][class.index()].get(i).copied()
             }
         }
+    }
+
+    /// Counts one binding of a check's `D` or of one of its components,
+    /// failing past the cap.
+    fn instantiate(&mut self) -> Result<(), GroundError> {
+        self.instantiations += 1;
+        if self.instantiations > self.opts.max_instantiations {
+            return Err(GroundError::ScopeTooLarge {
+                cap: self.opts.max_instantiations,
+            });
+        }
+        Ok(())
     }
 
     /// Grounds the directional check `rel_{dep}` with `binding` pre-fixed
@@ -625,173 +913,140 @@ impl<'a> Grounder<'a> {
         result
     }
 
+    /// `⋀ over D. (C_D ∧ ⋀ᵢ ∃Rᵢ. Cᵢ) → W(D)` (see the crate docs).
     fn ground_check_inner(
         &mut self,
         rid: RelId,
         dep: Dep,
-        binding: GBinding,
+        mut binding: GBinding,
     ) -> Result<Formula, GroundError> {
-        let rel = self.hir.relation(rid).clone();
-        if rel.domain_for_model(dep.target).is_none() {
-            return Err(GroundError::NoTargetDomain { relation: rel.name });
-        }
-        // Universal side: patterns of S-domains + when-only object vars.
-        let mut src_constraints: Vec<Constraint> = Vec::new();
-        for d in &rel.domains {
-            if dep.sources.contains(d.model) {
-                src_constraints.extend_from_slice(&d.constraints);
-            }
-        }
-        let mut src_vars: Vec<VarId> = Vec::new();
-        for c in &src_constraints {
-            constraint_vars(c, &mut src_vars);
-        }
-        if let Some(when) = &rel.when {
-            let mut wv = Vec::new();
-            when.free_vars(&mut wv);
-            for v in wv {
-                if !src_vars.contains(&v) && binding[v.index()].is_none() {
-                    if let VarTy::Obj { model, class } = rel.vars[v.index()].ty {
-                        src_constraints.push(Constraint::Obj {
-                            var: v,
-                            model,
-                            class,
-                        });
-                    }
-                    src_vars.push(v);
-                }
-            }
-        }
-        // Existential side.
-        let tgt_domain = rel
-            .domain_for_model(dep.target)
-            .expect("checked above")
-            .clone();
-        let mut tgt_constraints: Vec<Constraint> = tgt_domain.constraints.clone();
-        let mut tgt_vars: Vec<VarId> = Vec::new();
-        for c in &tgt_constraints {
-            constraint_vars(c, &mut tgt_vars);
-        }
-        if let Some(wher) = &rel.where_ {
-            let mut wv = Vec::new();
-            wher.free_vars(&mut wv);
-            for v in wv {
-                if !src_vars.contains(&v) && !tgt_vars.contains(&v) && binding[v.index()].is_none()
-                {
-                    if let VarTy::Obj { model, class } = rel.vars[v.index()].ty {
-                        tgt_constraints.push(Constraint::Obj {
-                            var: v,
-                            model,
-                            class,
-                        });
-                    }
-                    tgt_vars.push(v);
-                }
-            }
-        }
-        // Enumerate universal bindings with pruning; the `when` condition
-        // and source constraints form the antecedent, the existential
-        // disjunction the consequent.
+        let rel: &'a HirRelation = self.hir.relation(rid);
+        let split = Split::new(rel, dep, &binding)
+            .ok_or(GroundError::NoTargetDomain { relation: rel.name })?;
+        // A frozen witness side folds to a constant, and a true one skips
+        // the antecedent: try it first.
+        let witness_first = self.muts[dep.target.index()].is_none();
         let mut parts: Vec<Formula> = Vec::new();
-        let mut b = binding;
-        let src_c = src_constraints.clone();
-        let tgt_c = tgt_constraints.clone();
-        let rel2 = rel.clone();
-        self.enum_bindings(&rel, &src_constraints, &mut b, &mut |g, b| {
-            g.instantiations += 1;
-            if g.instantiations > g.opts.max_instantiations {
-                return Err(GroundError::ScopeTooLarge {
-                    cap: g.opts.max_instantiations,
-                });
-            }
-            let mut cond_parts: Vec<Formula> = Vec::with_capacity(src_c.len() + 1);
-            for c in &src_c {
-                cond_parts.push(g.constraint_formula(&rel2, c, b));
-            }
-            if let Some(when) = &rel2.when {
-                cond_parts.push(g.expr_formula(&rel2, when, b, dep)?);
-            }
-            let cond = Formula::and(cond_parts);
-            if cond.is_const(false) {
-                return Ok(());
-            }
-            // Existential: Or over witness bindings.
-            let mut wits: Vec<Formula> = Vec::new();
-            let rel3 = rel2.clone();
-            let tgt_cc = tgt_c.clone();
-            g.enum_bindings(&rel2, &tgt_c, b, &mut |g, b| {
-                let mut wparts: Vec<Formula> = Vec::with_capacity(tgt_cc.len() + 1);
-                for c in &tgt_cc {
-                    wparts.push(g.constraint_formula(&rel3, c, b));
+        self.enum_rec(
+            rel,
+            &split.d.cons,
+            &split.d.vars,
+            &mut binding,
+            &mut |g, b| {
+                g.instantiate()?;
+                let c_d = g.conjunction(rel, &split.d, b, dep)?;
+                if c_d.is_const(false) {
+                    return Ok(false);
                 }
-                if let Some(wher) = &rel3.where_ {
-                    wparts.push(g.expr_formula(&rel3, wher, b, dep)?);
+                let mut w = None;
+                if witness_first {
+                    let f = g.exists(rel, &split.witness, b, dep, false)?;
+                    if f.is_const(true) {
+                        return Ok(false);
+                    }
+                    w = Some(f);
                 }
-                let w = Formula::and(wparts);
-                if !w.is_const(false) {
-                    wits.push(w);
+                let mut antecedent = Vec::with_capacity(split.comps.len() + 1);
+                antecedent.push(c_d);
+                for comp in &split.comps {
+                    let e = g.exists(rel, comp, b, dep, true)?;
+                    if e.is_const(false) {
+                        return Ok(false);
+                    }
+                    antecedent.push(e);
                 }
-                Ok(())
-            })?;
-            parts.push(Formula::implies(cond, Formula::or(wits)));
-            Ok(())
-        })?;
+                let w = match w {
+                    Some(w) => w,
+                    None => g.exists(rel, &split.witness, b, dep, false)?,
+                };
+                parts.push(Formula::implies(Formula::and(antecedent), w));
+                Ok(false)
+            },
+        )?;
         Ok(Formula::and(parts))
     }
 
-    /// Enumerates assignments for the unbound variables of `constraints`,
-    /// pruning branches where a fully-bound constraint folds to constant
-    /// false. `visit` is called with the binding completed; the binding is
-    /// restored afterwards.
-    fn enum_bindings(
+    /// `∃ part.vars. part` under `binding`: the disjunction over the
+    /// bindings of the part's variables, stopping at the first that folds
+    /// to true. With `count`, every binding counts as an instantiation.
+    fn exists(
         &mut self,
         rel: &HirRelation,
-        constraints: &[Constraint],
+        part: &Part<'_>,
         binding: &mut GBinding,
-        visit: &mut dyn FnMut(&mut Self, &mut GBinding) -> Result<(), GroundError>,
-    ) -> Result<(), GroundError> {
-        let mut vars: Vec<VarId> = Vec::new();
-        for c in constraints {
-            constraint_vars(c, &mut vars);
-        }
-        vars.retain(|v| binding[v.index()].is_none());
-        self.enum_rec(rel, constraints, &vars, 0, binding, visit)
+        dir: Dep,
+        count: bool,
+    ) -> Result<Formula, GroundError> {
+        let mut alts: Vec<Formula> = Vec::new();
+        self.enum_rec(rel, &part.cons, &part.vars, binding, &mut |g, b| {
+            if count {
+                g.instantiate()?;
+            }
+            let f = g.conjunction(rel, part, b, dir)?;
+            let found = f.is_const(true);
+            if !f.is_const(false) {
+                alts.push(f);
+            }
+            Ok(found)
+        })?;
+        Ok(Formula::or(alts))
     }
 
+    /// The conjunction of a part under a binding of all its variables.
+    fn conjunction(
+        &mut self,
+        rel: &HirRelation,
+        part: &Part<'_>,
+        binding: &GBinding,
+        dir: Dep,
+    ) -> Result<Formula, GroundError> {
+        let mut conj = Vec::with_capacity(part.cons.len() + part.exprs.len());
+        for c in &part.cons {
+            let f = self.constraint_formula(rel, c, binding);
+            if f.is_const(false) {
+                return Ok(f);
+            }
+            conj.push(f);
+        }
+        for e in &part.exprs {
+            conj.push(self.expr_formula(rel, e, binding, dir)?);
+        }
+        Ok(Formula::and(conj))
+    }
+
+    /// Binds each of `vars` in turn to each of its candidates and calls
+    /// `visit` on every complete binding. A branch is pruned as soon as
+    /// a constraint of `cons` that reads the variable just bound has all
+    /// its variables bound and folds to false. Returns `true` when
+    /// `visit` stopped the enumeration. `binding` is restored on return.
     fn enum_rec(
         &mut self,
         rel: &HirRelation,
-        constraints: &[Constraint],
+        cons: &[Constraint],
         vars: &[VarId],
-        at: usize,
         binding: &mut GBinding,
-        visit: &mut dyn FnMut(&mut Self, &mut GBinding) -> Result<(), GroundError>,
-    ) -> Result<(), GroundError> {
-        if at >= vars.len() {
+        visit: &mut Visit<'_, 'a>,
+    ) -> Result<bool, GroundError> {
+        let Some((&v, rest)) = vars.split_first() else {
             return visit(self, binding);
-        }
-        let v = vars[at];
-        let candidates = self.candidates(rel, v);
-        for cand in candidates {
+        };
+        let mut stopped = false;
+        let mut i = 0;
+        while let Some(cand) = self.candidate(rel, v, i) {
+            i += 1;
             binding[v.index()] = Some(cand);
-            // Prune on constant-false fully-bound constraints.
-            let mut dead = false;
-            for c in constraints {
-                let mut cv = Vec::new();
-                constraint_vars(c, &mut cv);
-                if cv.iter().all(|x| binding[x.index()].is_some())
+            let dead = cons.iter().any(|c| {
+                constraint_vars(c).any(|x| x == v)
+                    && constraint_vars(c).all(|x| binding[x.index()].is_some())
                     && self.constraint_formula(rel, c, binding).is_const(false)
-                {
-                    dead = true;
-                    break;
-                }
+            });
+            if !dead && self.enum_rec(rel, cons, rest, binding, visit)? {
+                stopped = true;
+                break;
             }
-            if !dead {
-                self.enum_rec(rel, constraints, vars, at + 1, binding, visit)?;
-            }
-            binding[v.index()] = None;
         }
-        Ok(())
+        binding[v.index()] = None;
+        Ok(stopped)
     }
 
     /// Translates a single constraint under a binding (all its vars bound).
@@ -807,10 +1062,9 @@ impl<'a> Grounder<'a> {
                     )
                 }
                 Some(GVal::MutObj(u)) => {
-                    let mm = &self.muts[&model.0];
+                    let mm = self.mut_model(model);
                     let meta = self.models[model.index()].metamodel();
-                    let obj = mm.universe[u as usize];
-                    if meta.conforms(obj.class, class) {
+                    if meta.conforms(mm.universe[u as usize].class, class) {
                         Formula::Lit(Lit::pos(mm.alive[u as usize]))
                     } else {
                         Formula::Const(false)
@@ -831,17 +1085,7 @@ impl<'a> Grounder<'a> {
                     Some(GVal::FrozenObj(o)) => {
                         Formula::Const(self.models[model.index()].attr(o, attr) == Ok(value))
                     }
-                    Some(GVal::MutObj(u)) => {
-                        let mm = &self.muts[&model.0];
-                        match mm.attr_vars.get(&(u, attr)) {
-                            Some(vars) => vars
-                                .iter()
-                                .find(|&&(v, _)| v == value)
-                                .map(|&(_, var)| Formula::Lit(Lit::pos(var)))
-                                .unwrap_or(Formula::Const(false)),
-                            None => Formula::Const(false),
-                        }
-                    }
+                    Some(GVal::MutObj(u)) => self.slot_eq_const(model, u, attr, value),
                     _ => Formula::Const(false),
                 }
             }
@@ -852,10 +1096,10 @@ impl<'a> Grounder<'a> {
                         Formula::Const(self.models[model.index()].has_link(s, r, d))
                     }
                     (Some(GVal::MutObj(su)), Some(GVal::MutObj(du))) => {
-                        let mm = &self.muts[&model.0];
-                        mm.link_vars
-                            .get(&(su, r, du))
-                            .map(|&v| Formula::Lit(Lit::pos(v)))
+                        let meta = self.models[model.index()].metamodel();
+                        self.mut_model(model)
+                            .link(meta, su, r, du)
+                            .map(|v| Formula::Lit(Lit::pos(v)))
                             .unwrap_or(Formula::Const(false))
                     }
                     _ => Formula::Const(false),
@@ -883,16 +1127,9 @@ impl<'a> Grounder<'a> {
                 Term::Const(Value::Bool(b)) => Formula::Const(b),
                 Term::Const(_) => unreachable!("type checker: boolean attribute"),
                 Term::ObjConst(_) => unreachable!("navigation yields a value"),
-                Term::Slot(model, u) => {
-                    let mm = &self.muts[&model.0];
-                    let vars = &mm.attr_vars[&(u, *attr)];
-                    vars.iter()
-                        .find(|&&(val, _)| val == Value::Bool(true))
-                        .map(|&(_, var)| Formula::Lit(Lit::pos(var)))
-                        .unwrap_or(Formula::Const(false))
-                }
+                Term::Slot(model, u, attr) => self.slot_eq_const(model, u, attr, Value::Bool(true)),
             },
-            HirExpr::Cmp(op, a, b) => self.cmp_formula(rel, *op, a, b, binding)?,
+            HirExpr::Cmp(op, a, b) => self.cmp_formula(rel, *op, a, b, binding),
             HirExpr::And(a, b) => Formula::and(vec![
                 self.expr_formula(rel, a, binding, dir)?,
                 self.expr_formula(rel, b, binding, dir)?,
@@ -918,7 +1155,7 @@ impl<'a> Grounder<'a> {
                     .attr(o, attr)
                     .expect("typed navigation"),
             ),
-            Some(GVal::MutObj(u)) => Term::Slot(model, u),
+            Some(GVal::MutObj(u)) => Term::Slot(model, u, attr),
             _ => unreachable!("navigation on bound object variable"),
         }
     }
@@ -938,29 +1175,32 @@ impl<'a> Grounder<'a> {
     }
 
     fn cmp_formula(
-        &mut self,
+        &self,
         rel: &HirRelation,
         op: CmpOp,
         a: &HirExpr,
         b: &HirExpr,
         binding: &GBinding,
-    ) -> Result<Formula, GroundError> {
+    ) -> Formula {
         let ta = self.value_term(rel, a, binding);
         let tb = self.value_term(rel, b, binding);
-        let eq = |x: &Term, y: &Term, g: &Self| -> Formula {
-            match (x, y) {
+        let eq = |x: &Term, y: &Term| -> Formula {
+            match (*x, *y) {
                 (Term::Const(v1), Term::Const(v2)) => Formula::Const(v1 == v2),
                 (Term::ObjConst(o1), Term::ObjConst(o2)) => Formula::Const(o1 == o2),
-                (Term::Const(v), Term::Slot(model, u)) | (Term::Slot(model, u), Term::Const(v)) => {
-                    g.slot_eq_const(&g.muts[&model.0], *u, *v)
+                (Term::Const(v), Term::Slot(model, u, attr))
+                | (Term::Slot(model, u, attr), Term::Const(v)) => {
+                    self.slot_eq_const(model, u, attr, v)
                 }
-                (Term::Slot(m1, u1), Term::Slot(m2, u2)) => g.slots_eq(*m1, *u1, *m2, *u2),
+                (Term::Slot(m1, u1, a1), Term::Slot(m2, u2, a2)) => {
+                    self.slots_eq((m1, u1, a1), (m2, u2, a2))
+                }
                 _ => Formula::Const(false),
             }
         };
-        Ok(match op {
-            CmpOp::Eq => eq(&ta, &tb, self),
-            CmpOp::Neq => Formula::not(eq(&ta, &tb, self)),
+        match op {
+            CmpOp::Eq => eq(&ta, &tb),
+            CmpOp::Neq => Formula::not(eq(&ta, &tb)),
             CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
                 let cmp_ints = |x: i64, y: i64| match op {
                     CmpOp::Lt => x < y,
@@ -969,29 +1209,30 @@ impl<'a> Grounder<'a> {
                     CmpOp::Ge => x >= y,
                     _ => unreachable!(),
                 };
-                match (&ta, &tb) {
+                match (ta, tb) {
                     (Term::Const(Value::Int(x)), Term::Const(Value::Int(y))) => {
-                        Formula::Const(cmp_ints(*x, *y))
+                        Formula::Const(cmp_ints(x, y))
                     }
                     _ => {
-                        let expand = |t: &Term, g: &Self| -> Vec<(i64, Formula)> {
+                        let expand = |t: Term| -> Vec<(i64, Formula)> {
                             match t {
                                 Term::Const(Value::Int(x)) => {
-                                    vec![(*x, Formula::Const(true))]
+                                    vec![(x, Formula::Const(true))]
                                 }
-                                Term::Slot(model, u) => g
-                                    .int_domain
+                                Term::Slot(model, u, attr) => self
+                                    .domains
+                                    .ints
                                     .iter()
                                     .map(|&v| {
                                         let Value::Int(x) = v else { unreachable!() };
-                                        (x, g.slot_eq_const(&g.muts[&model.0], *u, v))
+                                        (x, self.slot_eq_const(model, u, attr, v))
                                     })
                                     .collect(),
                                 _ => vec![],
                             }
                         };
-                        let xs = expand(&ta, self);
-                        let ys = expand(&tb, self);
+                        let xs = expand(ta);
+                        let ys = expand(tb);
                         let mut alts = Vec::new();
                         for (x, fx) in &xs {
                             for (y, fy) in &ys {
@@ -1004,45 +1245,57 @@ impl<'a> Grounder<'a> {
                     }
                 }
             }
-        })
+        }
     }
 
-    /// `slot == const` using the one-hot list of the slot's attribute.
-    fn slot_eq_const(&self, mm: &MutModel, u: u32, v: Value) -> Formula {
-        for ((uu, _attr), vars) in &mm.attr_vars {
-            if *uu != u {
-                continue;
-            }
-            if let Some(&(_, var)) = vars.iter().find(|&&(val, _)| val == v) {
-                return Formula::Lit(Lit::pos(var));
-            }
+    /// `slot == v`: the one-hot variable of `v` in attribute `attr` of
+    /// universe object `u`, or false when its domain lacks `v`.
+    fn slot_eq_const(&self, model: DomIdx, u: u32, attr: AttrId, v: Value) -> Formula {
+        let meta = self.models[model.index()].metamodel();
+        if meta.attr(attr).ty != v.ty() {
+            return Formula::Const(false);
         }
-        Formula::Const(false)
+        match (
+            self.mut_model(model).attr_base(meta, u, attr),
+            self.domains.pos(v),
+        ) {
+            (Some(base), Some(i)) => Formula::Lit(Lit::pos(Var(base.0 + i))),
+            _ => Formula::Const(false),
+        }
     }
 
-    fn slots_eq(&self, m1: DomIdx, u1: u32, m2: DomIdx, u2: u32) -> Formula {
-        let mm1 = &self.muts[&m1.0];
-        let mm2 = &self.muts[&m2.0];
-        let mut alts = Vec::new();
-        for ((uu, _), vars1) in &mm1.attr_vars {
-            if *uu != u1 {
-                continue;
-            }
-            for &(v, var1) in vars1 {
-                for ((uu2, _), vars2) in &mm2.attr_vars {
-                    if *uu2 != u2 {
-                        continue;
-                    }
-                    if let Some(&(_, var2)) = vars2.iter().find(|&&(val, _)| val == v) {
-                        alts.push(Formula::and(vec![
-                            Formula::Lit(Lit::pos(var1)),
-                            Formula::Lit(Lit::pos(var2)),
-                        ]));
-                    }
-                }
-            }
+    /// `slot1 == slot2`: both attributes hold the same domain value.
+    fn slots_eq(
+        &self,
+        (m1, u1, a1): (DomIdx, u32, AttrId),
+        (m2, u2, a2): (DomIdx, u32, AttrId),
+    ) -> Formula {
+        let (meta1, meta2) = (
+            self.models[m1.index()].metamodel(),
+            self.models[m2.index()].metamodel(),
+        );
+        let ty = meta1.attr(a1).ty;
+        let bases = (
+            self.mut_model(m1).attr_base(meta1, u1, a1),
+            self.mut_model(m2).attr_base(meta2, u2, a2),
+        );
+        let (Some(b1), Some(b2)) = bases else {
+            return Formula::Const(false);
+        };
+        if meta2.attr(a2).ty != ty {
+            return Formula::Const(false);
         }
-        Formula::or(alts)
+        let n = self.domains.of(ty).len() as u32;
+        Formula::or(
+            (0..n)
+                .map(|i| {
+                    Formula::and(vec![
+                        Formula::Lit(Lit::pos(Var(b1.0 + i))),
+                        Formula::Lit(Lit::pos(Var(b2.0 + i))),
+                    ])
+                })
+                .collect(),
+        )
     }
 
     /// Grounds a relation invocation under the caller's direction (§2.3
@@ -1054,67 +1307,48 @@ impl<'a> Grounder<'a> {
         binding: &GBinding,
         dir: Dep,
     ) -> Result<Formula, GroundError> {
-        let callee = self.hir.relation(rid).clone();
+        let callee: &'a HirRelation = self.hir.relation(rid);
         let callee_models = callee.domain_models();
-        let proj_sources = dir.sources.intersect(callee_models);
-        let proj_target = if callee_models.contains(dir.target) {
-            Some(dir.target)
-        } else {
-            None
-        };
         let mut cbinding: GBinding = vec![None; callee.vars.len()];
         for (dom, &arg) in callee.domains.iter().zip(args) {
             cbinding[dom.root.index()] =
                 Some(binding[arg.index()].expect("call arguments are bound"));
         }
-        match proj_target {
-            Some(t) => {
-                let dep = Dep::new(proj_sources.without(t), t).expect("t not in sources");
-                self.ground_check(rid, dep, cbinding)
-            }
-            None => {
-                // Closed predicate: ∃ extension satisfying all patterns +
-                // when + where.
-                let mut all: Vec<Constraint> = Vec::new();
-                for d in &callee.domains {
-                    all.extend_from_slice(&d.constraints);
+        if callee_models.contains(dir.target) {
+            let t = dir.target;
+            let sources = dir.sources.intersect(callee_models).without(t);
+            let dep = Dep::new(sources, t).expect("t not in sources");
+            return self.ground_check(rid, dep, cbinding);
+        }
+        // Closed predicate: ∃ extension satisfying all patterns + when +
+        // where.
+        let mut all = Part::default();
+        for d in &callee.domains {
+            all.cons.extend_from_slice(&d.constraints);
+        }
+        for c in &all.cons {
+            for v in constraint_vars(c) {
+                if cbinding[v.index()].is_none() && !all.vars.contains(&v) {
+                    all.vars.push(v);
                 }
-                let inner_dir = Dep {
-                    sources: callee_models,
-                    target: dir.target,
-                };
-                let mut wits: Vec<Formula> = Vec::new();
-                let mut b = cbinding;
-                let callee2 = callee.clone();
-                let all2 = all.clone();
-                self.enum_bindings(&callee, &all, &mut b, &mut |g, b| {
-                    let mut parts: Vec<Formula> = Vec::new();
-                    for c in &all2 {
-                        parts.push(g.constraint_formula(&callee2, c, b));
-                    }
-                    if let Some(w) = &callee2.when {
-                        parts.push(g.expr_formula(&callee2, w, b, inner_dir)?);
-                    }
-                    if let Some(w) = &callee2.where_ {
-                        parts.push(g.expr_formula(&callee2, w, b, inner_dir)?);
-                    }
-                    let f = Formula::and(parts);
-                    if !f.is_const(false) {
-                        wits.push(f);
-                    }
-                    Ok(())
-                })?;
-                Ok(Formula::or(wits))
             }
         }
+        all.exprs.extend(callee.when.iter().chain(&callee.where_));
+        let inner_dir = Dep {
+            sources: callee_models,
+            target: dir.target,
+        };
+        self.exists(callee, &all, &mut cbinding, inner_dir, false)
     }
 }
 
 /// A symbolic value term in expressions.
+#[derive(Clone, Copy)]
 enum Term {
     Const(Value),
     ObjConst(ObjRef),
-    Slot(DomIdx, u32),
+    /// An attribute of a mutable object: model, universe index, attribute.
+    Slot(DomIdx, u32, AttrId),
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -1130,60 +1364,18 @@ fn obj_model(rel: &HirRelation, v: VarId) -> DomIdx {
     }
 }
 
-fn constraint_vars(c: &Constraint, out: &mut Vec<VarId>) {
-    match *c {
-        Constraint::Obj { var, .. } => {
-            if !out.contains(&var) {
-                out.push(var);
-            }
-        }
-        Constraint::AttrEq { obj, rhs, .. } => {
-            if !out.contains(&obj) {
-                out.push(obj);
-            }
-            if let Atom::Var(v) = rhs {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        Constraint::RefContains { obj, dst, .. } => {
-            if !out.contains(&obj) {
-                out.push(obj);
-            }
-            if !out.contains(&dst) {
-                out.push(dst);
-            }
-        }
-    }
-}
-
-fn collect_expr_lits(e: &HirExpr, strs: &mut Vec<Value>, ints: &mut Vec<Value>) {
-    match e {
-        HirExpr::Lit(v) => match v.ty() {
-            AttrType::Str => {
-                if !strs.contains(v) {
-                    strs.push(*v);
-                }
-            }
-            AttrType::Int => {
-                if !ints.contains(v) {
-                    ints.push(*v);
-                }
-            }
-            AttrType::Bool => {}
+/// The variables a constraint reads: its object, then its value or
+/// target variable.
+fn constraint_vars(c: &Constraint) -> impl Iterator<Item = VarId> {
+    let (obj, other) = match *c {
+        Constraint::Obj { var, .. } => (var, None),
+        Constraint::AttrEq { obj, rhs, .. } => match rhs {
+            Atom::Var(v) => (obj, Some(v)),
+            Atom::Lit(_) => (obj, None),
         },
-        HirExpr::Cmp(_, a, b) => {
-            collect_expr_lits(a, strs, ints);
-            collect_expr_lits(b, strs, ints);
-        }
-        HirExpr::And(a, b) | HirExpr::Or(a, b) | HirExpr::Implies(a, b) => {
-            collect_expr_lits(a, strs, ints);
-            collect_expr_lits(b, strs, ints);
-        }
-        HirExpr::Not(a) => collect_expr_lits(a, strs, ints),
-        _ => {}
-    }
+        Constraint::RefContains { obj, dst, .. } => (obj, Some(dst)),
+    };
+    std::iter::once(obj).chain(other)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Randomized differential testing of the two enforcement engines and
 //! the checking engine, across seeded workloads and injections.
 
+use mmt_bench::broken_workload;
 use mmtf::dist::Delta;
 use mmtf::enforce::search::{reference_search, repair_search};
 use mmtf::gen::scenario::scenario_named;
@@ -350,29 +351,26 @@ fn engines_agree_under_weighted_tuple_costs() {
     }
 }
 
-/// Renders every pinned search repair: cost and per-model edit scripts,
-/// one `== <case>` block each. The cases: eight seeded random-edit
-/// requests on the paper's feature tuple; the four injections over six
-/// feature workloads, repaired into every model (at uniform and at
-/// `1,3,7` tuple weights) and into the configurations only; and every
-/// corpus scenario at four seeds after a seeded `random_edits` drift,
-/// under `all` and `all_but` shapes.
-fn render_pinned_search_repairs() -> String {
-    let mut out = String::new();
-    let mut push = |case: String, res: Result<Option<RepairOutcome>, CoreError>| {
-        out.push_str(&format!("== {case}\n"));
-        match res {
-            Err(e) => out.push_str(&format!("error: {e}\n")),
-            Ok(None) => out.push_str("unrepairable\n"),
-            Ok(Some(o)) => {
-                out.push_str(&format!("cost {}\n", o.cost));
-                for d in &o.deltas {
-                    out.push_str(&format!("{d}\n"));
-                }
-            }
-        }
-    };
-    let search = EngineKind::Search;
+/// One request of the pinned repair lists: a tuple, a shape and the
+/// options to repair it under.
+struct PinnedCase {
+    label: String,
+    t: Transformation,
+    models: Vec<Model>,
+    shape: Shape,
+    opts: RepairOptions,
+}
+
+/// The requests whose search repairs are pinned in
+/// `tests/pins/search_repairs.txt` and whose SAT costs open
+/// `tests/pins/sat_repairs.txt`: eight seeded random-edit requests on
+/// the paper's feature tuple; the four injections over six feature
+/// workloads, repaired into every model (at uniform and at `1,3,7`
+/// tuple weights) and into the configurations only; and every corpus
+/// scenario at four seeds after a seeded `random_edits` drift, under
+/// `all` and `all_but` shapes.
+fn pinned_cases() -> Vec<PinnedCase> {
+    let mut cases = Vec::new();
     let bounded = RepairOptions {
         max_cost: 8,
         max_states: 20_000,
@@ -392,9 +390,13 @@ fn render_pinned_search_repairs() -> String {
             drift.push(op);
         }
         drift.apply(&mut w.models[m]).unwrap();
-        let t = Transformation::from_hir(w.hir.clone());
-        let res = t.enforce_with(&w.models, Shape::all(3), search, bounded.clone());
-        push(format!("random-edit seed={seed}"), res);
+        cases.push(PinnedCase {
+            label: format!("random-edit seed={seed}"),
+            t: Transformation::from_hir(w.hir.clone()),
+            models: w.models,
+            shape: Shape::all(3),
+            opts: bounded.clone(),
+        });
     }
     let injections = [
         Injection::NewMandatoryInFm,
@@ -423,8 +425,13 @@ fn render_pinned_search_repairs() -> String {
                 ("all weights=1,3,7", Shape::all(3), weighted.clone()),
                 ("cf1,cf2", Shape::of(&[0, 1]), RepairOptions::default()),
             ] {
-                let res = t.enforce_with(&w.models, shape, search, opts);
-                push(format!("{injection:?} seed={seed} shape={label}"), res);
+                cases.push(PinnedCase {
+                    label: format!("{injection:?} seed={seed} shape={label}"),
+                    t: t.clone(),
+                    models: w.models.clone(),
+                    shape,
+                    opts,
+                });
             }
         }
     }
@@ -444,8 +451,39 @@ fn render_pinned_search_repairs() -> String {
                 ("all".to_string(), Shape::all(arity)),
                 (format!("all_but({target})"), Shape::all_but(target, arity)),
             ] {
-                let res = t.enforce(&models, shape, search);
-                push(format!("{} seed={seed} shape={label}", sc.name()), res);
+                cases.push(PinnedCase {
+                    label: format!("{} seed={seed} shape={label}", sc.name()),
+                    t: t.clone(),
+                    models: models.clone(),
+                    shape,
+                    opts: RepairOptions::default(),
+                });
+            }
+        }
+    }
+    cases
+}
+
+/// Renders every pinned search repair: cost and per-model edit scripts,
+/// one `== <case>` block each.
+fn render_pinned_search_repairs() -> String {
+    let mut out = String::new();
+    for case in pinned_cases() {
+        let res = case.t.enforce_with(
+            &case.models,
+            case.shape,
+            EngineKind::Search,
+            case.opts.clone(),
+        );
+        out.push_str(&format!("== {}\n", case.label));
+        match res {
+            Err(e) => out.push_str(&format!("error: {e}\n")),
+            Ok(None) => out.push_str("unrepairable\n"),
+            Ok(Some(o)) => {
+                out.push_str(&format!("cost {}\n", o.cost));
+                for d in &o.deltas {
+                    out.push_str(&format!("{d}\n"));
+                }
             }
         }
     }
@@ -465,6 +503,295 @@ fn search_repairs_match_pinned_outcomes() {
         assert_eq!(g, w, "pinned search outcome changed");
     }
     assert_eq!(got, want, "pinned case list changed");
+}
+
+/// Two classes with two string attributes each, one per metamodel.
+const PQ_METAMODELS: [&str; 2] = [
+    "metamodel MA { class P { attr first: Str; attr last: Str; } }",
+    "metamodel MB { class Q { attr first: Str; attr last: Str; } }",
+];
+
+/// As [`PQ_METAMODELS`], with an `Int` attribute for comparisons.
+const PQ_AGE_METAMODELS: [&str; 2] = [
+    "metamodel MA { class P { attr first: Str; attr last: Str; attr age: Int; } }",
+    "metamodel MB { class Q { attr first: Str; attr last: Str; attr age: Int; } }",
+];
+
+/// A `where` that compares an attribute of a universal object with one
+/// of the witness: `q` must copy `p.first` under a shared `last`.
+const NAVIGATED_SPEC: &str = r#"
+transformation N(a : MA, b : MB) {
+  top relation R {
+    n : Str;
+    domain a p : P { last = n };
+    domain b q : Q { last = n };
+    where { p.first = q.first }
+    depend a -> b;
+  }
+}
+"#;
+
+/// A small spec over the P/Q metamodels, its model texts in model-space
+/// order, and the repair shapes to pin.
+struct EdgeSpec {
+    name: &'static str,
+    metamodels: [&'static str; 2],
+    spec: &'static str,
+    models: &'static [&'static str],
+    shapes: &'static [&'static [usize]],
+}
+
+/// Small specs that exercise each way a directional check splits into
+/// what its witness side reads (D) and the rest (R).
+const EDGE_SPECS: [EdgeSpec; 5] = [
+    // The comparison must read `first`, the attribute it navigates, not
+    // whichever attribute of `q` holds the value.
+    EdgeSpec {
+        name: "navigated-attribute",
+        metamodels: PQ_METAMODELS,
+        spec: NAVIGATED_SPEC,
+        models: &[
+            r#"model a : MA { p = P { first = "x", last = "k" } }"#,
+            r#"model b : MB { q = Q { first = "y", last = "k" } }"#,
+        ],
+        shapes: &[&[1], &[0, 1]],
+    },
+    // `when` joins two universal variables that the witness does not
+    // read, so they form one component of R.
+    EdgeSpec {
+        name: "when-joins-universals",
+        metamodels: PQ_METAMODELS,
+        spec: r#"
+transformation J(a : MA, b : MB, c : MB) {
+  top relation Pair {
+    x, y : Str;
+    domain a p : P { first = x };
+    domain b q : Q { first = y };
+    domain c r : Q { first = x, last = y };
+    when { p.last = q.last }
+    depend a b -> c;
+  }
+}
+"#,
+        models: &[
+            r#"model a : MA { p1 = P { first = "p1", last = "k" } p2 = P { first = "p2", last = "m" } }"#,
+            r#"model b : MB { q1 = Q { first = "q1", last = "k" } q2 = Q { first = "q2", last = "z" } }"#,
+            r#"model c : MB { r = Q { first = "p1", last = "zz" } }"#,
+        ],
+        shapes: &[&[2], &[0, 1], &[0, 1, 2]],
+    },
+    // `where` reads a universal object variable (and compares integers),
+    // so that object is in D.
+    EdgeSpec {
+        name: "where-reads-universal",
+        metamodels: PQ_AGE_METAMODELS,
+        spec: r#"
+transformation W(a : MA, b : MB) {
+  top relation Older {
+    n : Str;
+    domain a p : P { last = n };
+    domain b q : Q { last = n };
+    where { p.age <= q.age }
+    depend a -> b;
+    depend b -> a;
+  }
+}
+"#,
+        models: &[
+            r#"model a : MA { p = P { last = "k", age = 3 } s = P { last = "j", age = 1 } }"#,
+            r#"model b : MB { q = Q { last = "k", age = 2 } }"#,
+        ],
+        shapes: &[&[0], &[1], &[0, 1]],
+    },
+    // A relation call in `where`: the callee is grounded under the
+    // caller's direction with its roots bound.
+    EdgeSpec {
+        name: "call-in-where",
+        metamodels: PQ_METAMODELS,
+        spec: r#"
+transformation C(a : MA, b : MB) {
+  relation Same {
+    f : Str;
+    domain a p : P { first = f };
+    domain b q : Q { first = f };
+    depend a -> b;
+  }
+  top relation Outer {
+    n : Str;
+    domain a p : P { last = n };
+    domain b q : Q { last = n };
+    where { Same(p, q) }
+    depend a -> b;
+  }
+}
+"#,
+        models: &[
+            r#"model a : MA { p = P { first = "x", last = "k" } }"#,
+            r#"model b : MB { q = Q { first = "y", last = "k" } }"#,
+        ],
+        shapes: &[&[0], &[1], &[0, 1]],
+    },
+    // The witness side is a target: W is a formula, not a constant.
+    EdgeSpec {
+        name: "mutable-witness",
+        metamodels: PQ_METAMODELS,
+        spec: r#"
+transformation M(a : MA, b : MB) {
+  top relation Tag {
+    n : Str;
+    domain a p : P { first = n };
+    domain b q : Q { first = n, last = "tagged" };
+    depend a -> b;
+  }
+}
+"#,
+        models: &[
+            r#"model a : MA { p1 = P { first = "x" } p2 = P { first = "y" } }"#,
+            r#"model b : MB { q1 = Q { first = "x", last = "tagged" } q2 = Q { first = "y", last = "other" } }"#,
+        ],
+        shapes: &[&[0], &[1], &[0, 1]],
+    },
+];
+
+/// Parses an edge spec into its transformation and models.
+fn edge_tuple(e: &EdgeSpec) -> (Transformation, Vec<Model>) {
+    let t = Transformation::from_sources(e.spec, &e.metamodels).unwrap();
+    let models = e
+        .models
+        .iter()
+        .zip(t.metamodels())
+        .map(|(src, mm)| parse_model(src, mm).unwrap())
+        .collect();
+    (t, models)
+}
+
+/// The SAT pin's case list: [`pinned_cases`], the cost-2 new-mandatory
+/// repair at ten features (the `repair/sat/fm10` work-count row), and
+/// every shape of every [`EDGE_SPECS`] entry.
+fn sat_pinned_cases() -> Vec<PinnedCase> {
+    let mut cases = pinned_cases();
+    let w = broken_workload(10, 2, 53, Injection::NewMandatoryInFm);
+    cases.push(PinnedCase {
+        label: "NewMandatoryInFm fm10 seed=53 shape=cf1,cf2".into(),
+        t: Transformation::from_hir(w.hir.clone()),
+        models: w.models,
+        shape: Shape::of(&[0, 1]),
+        opts: RepairOptions::default(),
+    });
+    for e in &EDGE_SPECS {
+        let (t, models) = edge_tuple(e);
+        for &shape in e.shapes {
+            cases.push(PinnedCase {
+                label: format!("{} shape={shape:?}", e.name),
+                t: t.clone(),
+                models: models.clone(),
+                shape: Shape::of(shape),
+                opts: RepairOptions::default(),
+            });
+        }
+    }
+    cases
+}
+
+/// The repair contract every SAT outcome must meet: the repaired tuple
+/// checks consistent, models outside the shape are byte-identical, and
+/// `models` is exactly the originals with `deltas` applied (printed
+/// text and id space).
+fn assert_outcome_contract(case: &PinnedCase, out: &RepairOutcome) {
+    let ctx = &case.label;
+    assert!(case.t.check(&out.models).unwrap().consistent(), "{ctx}");
+    let targets = case.shape.targets();
+    for (i, orig) in case.models.iter().enumerate() {
+        let (new, delta) = (&out.models[i], &out.deltas[i]);
+        let mut replayed = orig.clone();
+        delta.apply(&mut replayed).unwrap();
+        assert_eq!(print_model(&replayed), print_model(new), "{ctx}: model {i}");
+        assert_eq!(replayed.id_bound(), new.id_bound(), "{ctx}: model {i}");
+        if !targets.contains(DomIdx(i as u8)) {
+            assert!(delta.is_empty(), "{ctx}: model {i} is not a target");
+            assert_eq!(print_model(orig), print_model(new), "{ctx}: model {i}");
+            assert_eq!(orig.id_bound(), new.id_bound(), "{ctx}: model {i}");
+        }
+    }
+}
+
+/// Renders the SAT engine's minimum cost (or `unrepairable`) on every
+/// case of [`sat_pinned_cases`], asserting the repair contract on each
+/// outcome. Costs only: equal-cost repairs may differ with the CNF.
+fn render_sat_costs() -> String {
+    let mut out = String::new();
+    for case in sat_pinned_cases() {
+        let res = case
+            .t
+            .enforce_with(&case.models, case.shape, EngineKind::Sat, case.opts.clone());
+        out.push_str(&format!("== {}\n", case.label));
+        match res {
+            Err(e) => out.push_str(&format!("error: {e}\n")),
+            Ok(None) => out.push_str("unrepairable\n"),
+            Ok(Some(o)) => {
+                assert_outcome_contract(&case, &o);
+                out.push_str(&format!("cost {}\n", o.cost));
+            }
+        }
+    }
+    out
+}
+
+/// SAT minimum costs are pinned in `tests/pins/sat_repairs.txt`. Any
+/// change to grounding or solving must leave every cost as it is.
+#[test]
+fn sat_repairs_match_pinned_costs() {
+    let got = render_sat_costs();
+    let want = include_str!("pins/sat_repairs.txt");
+    for (g, w) in got.split("== ").zip(want.split("== ")) {
+        assert_eq!(g, w, "pinned SAT cost changed");
+    }
+    assert_eq!(got, want, "pinned case list changed");
+}
+
+/// Regression: a SAT comparison on a mutable object read the first
+/// attribute of the object whose domain held the value, in hash-map
+/// order, instead of the attribute it navigates. Repairs of this tuple
+/// came back as none, cost 1 or cost 3 from call to call.
+#[test]
+fn sat_comparisons_read_the_navigated_attribute() {
+    let (t, models) = edge_tuple(&EDGE_SPECS[0]);
+    for call in 0..10 {
+        let out = t
+            .enforce(&models, Shape::towards(1), EngineKind::Sat)
+            .unwrap()
+            .unwrap_or_else(|| panic!("call {call}: repairable"));
+        assert_eq!(out.cost, 1, "call {call}: copy `first` into q");
+        assert!(t.check(&out.models).unwrap().consistent(), "call {call}");
+    }
+}
+
+/// Regression: the SAT engine rebuilt each target from an empty model,
+/// so trailing tombstones of the original were lost and the outcome's
+/// id space (and the ids the next edit mints) differed from the
+/// original with the deltas applied.
+#[test]
+fn sat_outcomes_keep_the_originals_id_space() {
+    let mut w = broken_workload(5, 2, 53, Injection::NewMandatoryInFm);
+    let last = ObjId(w.models[0].id_bound() as u32 - 1);
+    w.models[0].delete(last).unwrap();
+    let t = Transformation::from_hir(w.hir.clone());
+    let out = t
+        .enforce(&w.models, Shape::of(&[0, 1]), EngineKind::Sat)
+        .unwrap()
+        .expect("repairable");
+    let replayed: Vec<usize> = w
+        .models
+        .iter()
+        .zip(&out.deltas)
+        .map(|(m, d)| {
+            let mut m = m.clone();
+            d.apply(&mut m).unwrap();
+            m.id_bound()
+        })
+        .collect();
+    let got: Vec<usize> = out.models.iter().map(Model::id_bound).collect();
+    assert_eq!(got, replayed);
 }
 
 /// An explicit tuple weighting of the wrong arity is an error on both

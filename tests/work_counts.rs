@@ -243,7 +243,7 @@ fn session_warm_scenario_rows(out: &mut String) {
 }
 
 /// A cost-2 repair of a new mandatory feature (fm2cfs, k = 2, seed 53)
-/// into both configurations, through `enforce_with`; the SAT row adds
+/// into both configurations, through `enforce_with`; the SAT rows add
 /// the grounding statistics of the same problem.
 fn repair_rows(out: &mut String) {
     let t = paper_transformation(2);
@@ -252,6 +252,8 @@ fn repair_rows(out: &mut String) {
         (EngineKind::Search, "search", 30usize),
         (EngineKind::Search, "search", 100),
         (EngineKind::Sat, "sat", 10),
+        (EngineKind::Sat, "sat", 30),
+        (EngineKind::Sat, "sat", 100),
     ] {
         let w = broken_workload(n, 2, 53, Injection::NewMandatoryInFm);
         let repair = || {
