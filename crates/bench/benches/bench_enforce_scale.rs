@@ -3,7 +3,8 @@
 //!
 //! * `search/n`, `sat/n` — a cold `enforce` of the paper's `F = MF ∧ OF`
 //!   (k = 2) with one new mandatory feature injected, repaired into the
-//!   configurations (`Shape::of(&[0, 1])`, cost 2).
+//!   configurations (`Shape::of(&[0, 1])`, cost 2). Search runs up to
+//!   n = 1 000, SAT up to n = 100.
 //! * `session/n` — one `SyncSession` over the consistent tuple; each
 //!   iteration adds a fresh mandatory feature to the feature model
 //!   (three edits), repairs it warm under the same shape, and rolls the
@@ -61,18 +62,21 @@ fn bench_enforce(c: &mut Criterion) {
     group.sample_size(10);
     let t = paper_transformation(2);
     let targets = Shape::of(&[0, 1]).targets();
-    for n in [3usize, 5, 7, 30, 100] {
+    for n in [3usize, 5, 7, 30, 100, 300, 1000] {
         let w = broken_workload(n, 2, 53, Injection::NewMandatoryInFm);
         group.bench_with_input(BenchmarkId::new("search", n), &w, |b, w| {
             let engine = SearchEngine::default();
             b.iter(|| engine.repair(t.hir_arc(), &w.models, targets).unwrap())
         });
+    }
+    for n in [3usize, 5, 7, 30, 100] {
+        let w = broken_workload(n, 2, 53, Injection::NewMandatoryInFm);
         group.bench_with_input(BenchmarkId::new("sat", n), &w, |b, w| {
             let engine = SatEngine::default();
             b.iter(|| engine.repair(t.hir_arc(), &w.models, targets).unwrap())
         });
     }
-    for n in [30usize, 100] {
+    for n in [30usize, 100, 1000] {
         let w = consistent_workload(n, 2, 53);
         let mut session = t.session(&w.models).expect("consistent tuples open");
         assert_eq!(new_mandatory_cycle(&mut session), 2, "cost-2 repair");

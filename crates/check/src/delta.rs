@@ -839,6 +839,18 @@ impl DeltaChecker {
         }
     }
 
+    /// The failing directional checks, each once, in check order (top
+    /// relations in declaration order, each relation's dependencies in
+    /// order), uncapped and without allocating: the cached per-check
+    /// violation counts are read, no binding is visited. The enforcement
+    /// search prices its A* bound from these.
+    pub fn failing_checks(&self) -> impl Iterator<Item = (RelId, Dep)> + '_ {
+        self.checks
+            .iter()
+            .filter(|c| c.state.violations() > 0)
+            .map(|c| (c.statics.rel, c.statics.dep))
+    }
+
     /// Number of currently violating universal bindings across every
     /// directional check (uncapped). O(#checks): reads the cached
     /// per-check violation counts, so sessions can poll it per edit

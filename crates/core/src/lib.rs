@@ -173,7 +173,8 @@ impl std::error::Error for ShapeError {}
 /// Which enforcement engine to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineKind {
-    /// Uniform-cost search with the concrete checker as oracle.
+    /// A* search with the concrete checker as oracle, ordered by a lower
+    /// bound on the cost of the target models the failing checks need.
     Search,
     /// Bounded grounding to SAT with a minimal-cost loop.
     Sat,

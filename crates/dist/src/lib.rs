@@ -41,12 +41,12 @@
 //! ([`Delta::cost`]). Two properties matter to the engines:
 //!
 //! 1. **Decomposability.** The cost of a script is the sum of its op
-//!    costs, so uniform-cost search can explore candidate edits in
-//!    increasing cumulative cost and stop at the first consistent
-//!    state, and the SAT grounding can mirror every potential edit as
-//!    one weighted cost literal under a sequential counter. Both
-//!    engines consume *this* crate's prices, which is what makes their
-//!    minima comparable in the differential tests.
+//!    costs, so the A* search can order candidate edits by cumulative
+//!    cost plus a lower bound on the rest and stop at the first
+//!    consistent state, and the SAT grounding can mirror every
+//!    potential edit as one weighted cost literal under a sequential
+//!    counter. Both engines consume *this* crate's prices, which is
+//!    what makes their minima comparable in the differential tests.
 //! 2. **No free structure.** A deleted object does not additionally pay
 //!    for its vanishing links or attribute values, and a fresh object
 //!    pays `add_obj` plus only the attributes that differ from the

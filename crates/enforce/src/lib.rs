@@ -8,10 +8,12 @@
 //!
 //! Two engines implement the common [`RepairEngine`] trait:
 //!
-//! * [`SearchEngine`] — direct uniform-cost search over repair-guided
-//!   edits, with the concrete checker as oracle (the paper's "iterative
-//!   process of searching for all consistent models at increasing
-//!   distance", run natively);
+//! * [`SearchEngine`] — A* search over repair-guided edits, with the
+//!   concrete checker as oracle (the paper's "iterative process of
+//!   searching for all consistent models at increasing distance", run
+//!   natively, and ordered by a lower bound on the distance still to go:
+//!   the cheapest set of target models every failing check still needs
+//!   an edit in);
 //! * [`SatEngine`] — bounded grounding to CNF with a cost counter,
 //!   relaxed `k = 0, 1, 2, …` (the Alloy/Kodkod/PMax-SAT realization
 //!   Echo uses).
@@ -74,16 +76,20 @@ use std::sync::Arc;
 pub struct RepairOptions {
     /// Per-operation costs (the §3 graph-edit distance). Raising one
     /// op's price steers repairs away from that op kind; it does not
-    /// change engine speed, but a coarse price scale deepens the search
-    /// frontier / the SAT cost counter before `max_cost` bites.
+    /// change engine speed, but a coarse price scale deepens the SAT cost
+    /// counter before `max_cost` bites. The search's A* bound prices an
+    /// edit at the cheapest op, so it holds under any prices; raising
+    /// only some of them makes it less tight.
     pub cost: CostModel,
     /// Per-model weight multipliers (§3's weighted tuple distance).
     /// [`TupleCost::auto`] (the default) is uniform at the tuple's
     /// arity; an explicit weighting must match the arity exactly or the
-    /// engines return [`RepairError::Tuple`]. Strongly asymmetric
-    /// weights make the search frontier deeper (cheap models absorb
-    /// many edits before an expensive one is considered), so pair them
-    /// with a proportionally larger `max_cost`.
+    /// engines return [`RepairError::Tuple`]. The search's A* bound
+    /// prices the weights in: a failing check that reads only expensive
+    /// models adds the cheapest of their weighted steps to the bound, so
+    /// cheap models no longer absorb many edits before an expensive one
+    /// is considered. `max_cost` bounds the weighted total, so pair
+    /// heavy weights with a proportionally larger one.
     pub tuple: TupleCost,
     /// Maximum total weighted cost to consider before giving up.
     /// The hard bound on both engines' runtime: search explores
@@ -98,9 +104,11 @@ pub struct RepairOptions {
     /// (SAT grounding); 1 suffices unless a repair must invent several
     /// distinct new names.
     pub fresh_strings: usize,
-    /// Search engine: cap on explored states — the safety net against
-    /// exponential frontiers. When hit, the engine errors with
-    /// [`RepairError::SearchBudgetExhausted`] rather than silently
+    /// Search engine: cap on evaluated states — states the search entered
+    /// and checked, each counted once even when its exact bound sends it
+    /// back to the frontier; states only pushed do not count. The safety
+    /// net against exponential frontiers. When hit, the engine errors
+    /// with [`RepairError::SearchBudgetExhausted`] rather than silently
     /// reporting unrepairable.
     pub max_states: u64,
     /// Search engine: counterexamples consumed per directional check
@@ -391,10 +399,14 @@ pub(crate) fn pooled_map<T: Sync, R: Send>(
         .collect()
 }
 
-/// The uniform-cost search engine (§3 run natively): explores edit
-/// sequences in order of increasing weighted distance, with an
-/// incremental [`mmt_check::DeltaChecker`] as the per-state consistency
-/// oracle (see [`search`]).
+/// The A* search engine (§3 run natively): explores edit sequences in
+/// order of weighted distance plus a lower bound on the distance still
+/// to go — the cheapest set of target models that every failing check
+/// still needs an edit in — with an incremental
+/// [`mmt_check::DeltaChecker`] as the per-state consistency oracle (see
+/// [`search`]). The bound never overestimates and never drops by more
+/// than the price of an edit, so the first consistent state popped is a
+/// least-change repair among those its candidate edits reach.
 ///
 /// ```
 /// use mmt_model::text::{parse_metamodel, parse_model};

@@ -1,9 +1,11 @@
 //! Search-based least-change repair.
 //!
-//! Implements §3's enforcement technique directly: uniform-cost search
-//! over edit sequences applied to the target models, using the concrete
-//! checking engine as the consistency oracle. States are explored in
-//! order of increasing total (weighted) distance from the originals, so
+//! Implements §3's enforcement technique directly: A* search over edit
+//! sequences applied to the target models, using the concrete checking
+//! engine as the consistency oracle. States are explored in order of
+//! f = g + h, where g is the weighted distance from the originals and h
+//! a lower bound on the distance still to go that never overestimates
+//! and never drops by more than the price of an edit (see below), so
 //! the first consistent state found is a least-change repair *within the
 //! generated candidate space*.
 //!
@@ -14,17 +16,44 @@
 //! keeps the branching factor proportional to the number of violations.
 //! The SAT engine ([`crate::SatEngine`]) is the complete reference.
 //!
+//! ## The bound
+//!
+//! A directional check's verdict changes only through an edit in a model
+//! it reads, its *scope* (the models of its dependency and of the
+//! variables its `when` and `where` read, intersected with the targets).
+//! So a repair edits at least one model in the scope of every failing
+//! check, and h prices the cheapest set of target models that hits every
+//! failing scope, each model at its cheapest weighted step (the lowest
+//! [`mmt_dist::CostModel`] price × its [`mmt_dist::TupleCost`] weight).
+//! That makes h admissible. It is also consistent: an edit in model `m`
+//! leaves every failing check whose scope misses `m` failing, so
+//! h(parent) ≤ price(m) + h(child) ≤ step + h(child). In the paper's
+//! new-mandatory repair the two failing checks read `cf1` and `cf2`
+//! respectively, so h(root) = 2, and no cost-1 state that fixes neither
+//! is ever expanded.
+//!
+//! Evaluation is lazy. A child is pushed with the f it is known to meet
+//! without applying its edit: h over the parent's failing scopes that
+//! its edit's model cannot touch. When it pops, the search enters it,
+//! counts it against [`RepairOptions::max_states`] and computes its
+//! exact h; if that raises f, the state goes back on the frontier once
+//! (unless f now exceeds [`RepairOptions::max_cost`]) and is expanded
+//! when it pops again. Pop ties go to the larger g, then to the earlier
+//! push. The duplicate filter keeps the cheapest g seen per state
+//! fingerprint: once h is non-zero, the first path to reach a state
+//! need not be its cheapest.
+//!
 //! ## One checker, moved by exact edits
 //!
 //! The search owns one [`mmt_check::DeltaChecker`] — built over the
 //! originals, or forked from a sync session's warm checker — and keeps
 //! its states in a tree whose nodes are `(parent, depth, candidate,
-//! fingerprint)`. To expand a popped state, the checker walks the tree
-//! from the state it holds: it undoes edits up to the common ancestor,
-//! redoes them down to the popped state's parent, and applies the
-//! popped state's edit. That is at most 2 × depth edits, each O(|edit|)
-//! through the incremental oracle, where a checker clone per state
-//! would cost O(tuple).
+//! fingerprint, g, h)`. To expand a popped state, the checker walks the
+//! tree from the state it holds: it undoes edits up to the common
+//! ancestor, redoes them down to the popped state's parent, and applies
+//! the popped state's edit. That is at most 2 × depth edits, each
+//! O(|edit|) through the incremental oracle, where a checker clone per
+//! state would cost O(tuple).
 //!
 //! Undo is exact. An edit lands in the expanded form of
 //! [`mmt_dist::expand_op`] (a deletion first strips the links and
@@ -40,20 +69,21 @@
 //! O(touched objects) without applying the edit — for `DelObj`, the
 //! object and the sources of its incoming links.
 //!
-//! [`reference_search`] runs the same search with a from-scratch oracle
+//! [`reference_search`] runs the same A* with a from-scratch oracle
 //! (every state stores a full tuple and re-checks every directional
 //! check). It is slow and exists only as the reference that tests
 //! compare [`repair_search`] against.
 
 use crate::{RepairError, RepairOptions, RepairOutcome};
 use mmt_check::{Binding, CheckOptions, DeltaChecker, DeltaError, EvalCtx, ModelIndex, Slot};
-use mmt_deps::{Dep, DomIdx, DomSet};
+use mmt_deps::{Dep, DomIdx, DomSet, MAX_DOMAINS};
 use mmt_dist::{expand_op, Delta, EditOp};
 use mmt_model::fx::FxHashSet;
 use mmt_model::{AttrType, ClassId, Model, ObjId, Object, Sym, Value};
-use mmt_qvtr::{Atom, Constraint, Hir, HirExpr, HirRelation, VarTy};
+use mmt_qvtr::{Atom, Constraint, Hir, HirExpr, HirRelation, RelId, VarTy};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
@@ -65,8 +95,8 @@ struct Candidate {
     op: EditOp,
 }
 
-/// Uniform-cost search for a least-change repair, with the incremental
-/// oracle: builds the root checker over `originals` and searches from it.
+/// A* search for a least-change repair, with the incremental oracle:
+/// builds the root checker over `originals` and searches from it.
 pub fn repair_search(
     hir: &Arc<Hir>,
     originals: &[Model],
@@ -90,16 +120,20 @@ fn delta_repair_err(e: DeltaError) -> RepairError {
 }
 
 /// One state of the search tree: the state it extends, its depth, the
-/// one candidate edit that distinguishes it (`None` at the root), and
-/// its duplicate-filter fingerprint. Once the state has been applied,
-/// `script` names the edit as it landed (expanded, in
-/// [`SearchTree::ops`]) and `prior_bound` the edited model's
-/// `id_bound()` before it — together they undo the edit exactly.
+/// one candidate edit that distinguishes it (`None` at the root), its
+/// duplicate-filter fingerprint and its weighted distance `g` from the
+/// originals. Once the state has been applied, `script` names the edit
+/// as it landed (expanded, in [`SearchTree::ops`]) and `prior_bound` the
+/// edited model's `id_bound()` before it — together they undo the edit
+/// exactly — and `evaluated` is set: its exact bound is known, so when
+/// it pops again it is expanded without another evaluation.
 struct Node {
     parent: usize,
     depth: usize,
     cand: Option<Candidate>,
     fp: u64,
+    g: u64,
+    evaluated: bool,
     script: Range<usize>,
     prior_bound: usize,
 }
@@ -124,6 +158,8 @@ impl SearchTree {
                 depth: 0,
                 cand: None,
                 fp: root_fp,
+                g: 0,
+                evaluated: false,
                 script: 0..0,
                 prior_bound: 0,
             }],
@@ -133,14 +169,17 @@ impl SearchTree {
         }
     }
 
-    /// Adds the state `cand` leads to from `parent`; returns its index.
-    fn push(&mut self, parent: usize, cand: Candidate, fp: u64) -> usize {
+    /// Adds the state `cand` leads to from `parent`, at distance `g`;
+    /// returns its index.
+    fn push(&mut self, parent: usize, cand: Candidate, fp: u64, g: u64) -> usize {
         let depth = self.nodes[parent].depth + 1;
         self.nodes.push(Node {
             parent,
             depth,
             cand: Some(cand),
             fp,
+            g,
+            evaluated: false,
             script: 0..0,
             prior_bound: 0,
         });
@@ -244,9 +283,9 @@ fn undo_ops(
 /// docs) and holds no other checker or tuple copy; it consumes the
 /// checker because an error can leave it between states.
 ///
-/// States pop in `(cost, sequence)` order, where `sequence` is push
-/// order, so ties between equal-cost states break by candidate
-/// derivation order.
+/// States pop lowest f = g + h first ([`Frontier`]); ties go to the
+/// larger g, then to the earlier push, so equal states break by
+/// candidate derivation order.
 pub(crate) fn search_from_root(
     mut checker: DeltaChecker,
     targets: DomSet,
@@ -254,24 +293,46 @@ pub(crate) fn search_from_root(
 ) -> Result<Option<RepairOutcome>, RepairError> {
     let hir: Arc<Hir> = Arc::clone(checker.hir_arc());
     let hir = &*hir;
+    let bound = Bound::new(hir, targets, opts);
     let value_pool = collect_value_pool(checker.models(), hir, opts.fresh_strings);
     let root_fp = fingerprint(checker.models(), targets);
     let mut tree = SearchTree::new(root_fp);
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    heap.push(Reverse((0, 0)));
-    let mut seen: HashSet<u64> = HashSet::new();
-    seen.insert(root_fp);
-    let mut expanded: u64 = 0;
+    let mut open = Frontier::new(root_fp);
+    let mut evaluations: u64 = 0;
     let mut violations: Vec<Violation> = Vec::new();
-    while let Some(Reverse((cost, idx))) = heap.pop() {
-        if !tree.enter(&mut checker, idx).map_err(delta_repair_err)? {
-            continue; // stale states do not count against the budget
+    while let Some((f, idx)) = open.pop() {
+        let Node {
+            fp, g, evaluated, ..
+        } = tree.nodes[idx];
+        if open.superseded(fp, g) {
+            continue; // a cheaper path reached this state since
         }
-        expanded += 1;
-        if expanded > opts.max_states {
-            return Err(RepairError::SearchBudgetExhausted {
-                states: opts.max_states,
-            });
+        if evaluated {
+            tree.goto(&mut checker, idx).map_err(delta_repair_err)?;
+        } else {
+            if !tree.enter(&mut checker, idx).map_err(delta_repair_err)? {
+                continue; // stale states do not count against the budget
+            }
+            evaluations += 1;
+            if evaluations > opts.max_states {
+                return Err(RepairError::SearchBudgetExhausted {
+                    states: opts.max_states,
+                });
+            }
+            let Some(h) = bound.h(|| checker.failing_checks(), DomSet::EMPTY) else {
+                return Ok(None); // a failing check reads no target model
+            };
+            // The goal test reads the uncapped verdicts: with a cap of 0 no
+            // violation is captured, yet the state may be inconsistent.
+            if checker.consistent() {
+                let repaired = checker.models().to_vec();
+                tree.goto(&mut checker, 0).map_err(delta_repair_err)?;
+                return outcome(checker.models(), repaired, g).map(Some);
+            }
+            tree.nodes[idx].evaluated = true;
+            if open.requeue(f, g, h, idx, opts.max_cost) {
+                continue;
+            }
         }
         // Oracle: the cached (incrementally maintained) violations.
         violations.clear();
@@ -282,82 +343,94 @@ pub(crate) fn search_from_root(
                 binding: binding.clone(),
             });
         });
-        if violations.iter().any(|v| !repairable(hir, v, targets)) {
-            return Ok(None);
-        }
-        // The goal test reads the uncapped verdicts: with a cap of 0 no
-        // violation is captured, yet the state may be inconsistent.
-        if checker.consistent() {
-            let repaired = checker.models().to_vec();
-            tree.goto(&mut checker, 0).map_err(delta_repair_err)?;
-            return outcome(checker.models(), repaired, cost).map(Some);
-        }
-        if cost >= opts.max_cost {
-            continue;
-        }
-        let fp = tree.nodes[idx].fp;
+        let lazy = bound.per_model(|| checker.failing_checks());
         for cand in candidates_of(hir, checker.models(), targets, &violations, &value_pool) {
             let total = checked_step(&cand, opts)
-                .and_then(|step| cost.checked_add(step))
+                .and_then(|step| g.checked_add(step))
                 .ok_or(RepairError::CostOverflow)?;
-            if total > opts.max_cost {
+            let f = total.saturating_add(lazy[cand.model.index()]);
+            if f > opts.max_cost {
                 continue;
             }
             // O(touched) child fingerprint — the edit is not applied.
             let Some(child_fp) = fingerprint_apply(checker.models(), fp, &cand) else {
                 continue; // stale candidate
             };
-            if seen.insert(child_fp) {
-                heap.push(Reverse((total, tree.push(idx, cand, child_fp))));
+            if open.improves(child_fp, total) {
+                open.push(f, total, tree.push(idx, cand, child_fp, total));
             }
         }
     }
     Ok(None)
 }
 
-/// The same uniform-cost search with a from-scratch oracle: every state
-/// stores a full model tuple and re-checks every directional check.
-/// Tests compare [`repair_search`] against it; `opts.tuple` must already
-/// be resolved against the tuple's arity (or be
-/// [`mmt_dist::TupleCost::auto`]).
+/// One state of [`reference_search`]: a full tuple, its fingerprint,
+/// its distance `g` and whether its exact bound has been computed.
+struct RefState {
+    models: Vec<Model>,
+    fp: u64,
+    g: u64,
+    evaluated: bool,
+}
+
+/// The same A* — same bound, lazy protocol and tie-breaks — with a
+/// from-scratch oracle: every state stores a full model tuple and
+/// re-checks every directional check whenever it pops. Tests compare
+/// [`repair_search`] against it; `opts.tuple` must already be resolved
+/// against the tuple's arity (or be [`mmt_dist::TupleCost::auto`]).
 pub fn reference_search(
     hir: &Hir,
     originals: &[Model],
     targets: DomSet,
     opts: &RepairOptions,
 ) -> Result<Option<RepairOutcome>, RepairError> {
+    let bound = Bound::new(hir, targets, opts);
     let value_pool = collect_value_pool(originals, hir, opts.fresh_strings);
-    // Model is not Ord, so the heap carries indices into a state arena.
-    let mut states: Vec<Vec<Model>> = vec![originals.to_vec()];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    heap.push(Reverse((0, 0)));
-    seen.insert(fingerprint(originals, targets));
-    let mut expanded: u64 = 0;
-    while let Some(Reverse((cost, state_idx))) = heap.pop() {
-        let models = states[state_idx].clone();
-        expanded += 1;
-        if expanded > opts.max_states {
-            return Err(RepairError::SearchBudgetExhausted {
-                states: opts.max_states,
-            });
-        }
-        // Oracle: collect violations (with Slot-level bindings).
-        let (violations, consistent) = collect_violations(hir, &models, opts)?;
-        if violations.iter().any(|v| !repairable(hir, v, targets)) {
-            return Ok(None);
-        }
-        if consistent {
-            return outcome(originals, models, cost).map(Some);
-        }
-        if cost >= opts.max_cost {
+    let root_fp = fingerprint(originals, targets);
+    // Model is not Ord, so the frontier carries indices into a state arena.
+    let mut states = vec![RefState {
+        models: originals.to_vec(),
+        fp: root_fp,
+        g: 0,
+        evaluated: false,
+    }];
+    let mut open = Frontier::new(root_fp);
+    let mut evaluations: u64 = 0;
+    while let Some((f, idx)) = open.pop() {
+        let RefState {
+            fp, g, evaluated, ..
+        } = states[idx];
+        if open.superseded(fp, g) {
             continue;
         }
+        let models = states[idx].models.clone();
+        // Oracle: collect violations (with Slot-level bindings).
+        let (violations, failing) = collect_violations(hir, &models, opts)?;
+        if !evaluated {
+            evaluations += 1;
+            if evaluations > opts.max_states {
+                return Err(RepairError::SearchBudgetExhausted {
+                    states: opts.max_states,
+                });
+            }
+            let Some(h) = bound.h(|| failing.iter().copied(), DomSet::EMPTY) else {
+                return Ok(None); // a failing check reads no target model
+            };
+            if failing.is_empty() {
+                return outcome(originals, models, g).map(Some);
+            }
+            states[idx].evaluated = true;
+            if open.requeue(f, g, h, idx, opts.max_cost) {
+                continue;
+            }
+        }
+        let lazy = bound.per_model(|| failing.iter().copied());
         for cand in candidates_of(hir, &models, targets, &violations, &value_pool) {
             let total = checked_step(&cand, opts)
-                .and_then(|step| cost.checked_add(step))
+                .and_then(|step| g.checked_add(step))
                 .ok_or(RepairError::CostOverflow)?;
-            if total > opts.max_cost {
+            let f = total.saturating_add(lazy[cand.model.index()]);
+            if f > opts.max_cost {
                 continue;
             }
             let mut next = models.clone();
@@ -365,13 +438,189 @@ pub fn reference_search(
                 continue; // stale candidate (object vanished, etc.)
             }
             let fp = fingerprint(&next, targets);
-            if seen.insert(fp) {
-                states.push(next);
-                heap.push(Reverse((total, states.len() - 1)));
+            if open.improves(fp, total) {
+                states.push(RefState {
+                    models: next,
+                    fp,
+                    g: total,
+                    evaluated: false,
+                });
+                open.push(f, total, states.len() - 1);
             }
         }
     }
     Ok(None)
+}
+
+/// The A* frontier both searches share, with its duplicate filter.
+struct Frontier {
+    /// `(f, g, state)`: the max-heap pops the lowest f, then the highest
+    /// g, then the lowest state index — the earliest push.
+    heap: BinaryHeap<(Reverse<u64>, u64, Reverse<usize>)>,
+    /// The least g pushed per state fingerprint.
+    best: HashMap<u64, u64>,
+}
+
+impl Frontier {
+    /// A frontier holding the root, state 0, at f = g = 0.
+    fn new(root_fp: u64) -> Frontier {
+        let mut frontier = Frontier {
+            heap: BinaryHeap::new(),
+            best: HashMap::new(),
+        };
+        frontier.best.insert(root_fp, 0);
+        frontier.push(0, 0, 0);
+        frontier
+    }
+
+    /// The next state to pop and the f it was pushed with.
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        self.heap
+            .pop()
+            .map(|(Reverse(f), _, Reverse(idx))| (f, idx))
+    }
+
+    fn push(&mut self, f: u64, g: u64, idx: usize) {
+        self.heap.push((Reverse(f), g, Reverse(idx)));
+    }
+
+    /// Records `g` as the distance of the state fingerprinted `fp`;
+    /// false when a path at most as long reached it before.
+    fn improves(&mut self, fp: u64, g: u64) -> bool {
+        match self.best.entry(fp) {
+            Entry::Occupied(e) if *e.get() <= g => false,
+            Entry::Occupied(mut e) => {
+                e.insert(g);
+                true
+            }
+            Entry::Vacant(e) => {
+                e.insert(g);
+                true
+            }
+        }
+    }
+
+    /// Whether a path shorter than `g` reached the state fingerprinted
+    /// `fp` after this one was pushed.
+    fn superseded(&self, fp: u64, g: u64) -> bool {
+        self.best.get(&fp).is_some_and(|&best| best < g)
+    }
+
+    /// After state `idx`, popped at `f`, was evaluated to bound `h`:
+    /// when its exact f = g + h is higher, puts it back at that f — or
+    /// drops it when that f exceeds `max_cost` — and returns true.
+    fn requeue(&mut self, f: u64, g: u64, h: u64, idx: usize, max_cost: u64) -> bool {
+        let exact = g.saturating_add(h);
+        if exact <= f {
+            return false;
+        }
+        if exact <= max_cost {
+            self.push(exact, g, idx);
+        }
+        true
+    }
+}
+
+/// The A* bound's fixed inputs: the models the repair may edit and the
+/// price of the cheapest edit in each.
+struct Bound<'a> {
+    hir: &'a Hir,
+    targets: DomSet,
+    /// The cheapest weighted step per model (see [`Bound::new`]).
+    price: [u64; MAX_DOMAINS],
+}
+
+impl<'a> Bound<'a> {
+    /// Prices each target model at the lowest [`mmt_dist::CostModel`]
+    /// price × its [`mmt_dist::TupleCost`] weight, saturating: a real
+    /// step that overflows is a [`RepairError::CostOverflow`] when it is
+    /// derived.
+    fn new(hir: &'a Hir, targets: DomSet, opts: &RepairOptions) -> Bound<'a> {
+        let c = &opts.cost;
+        let cheapest = [c.add_obj, c.del_obj, c.set_attr, c.add_link, c.del_link]
+            .into_iter()
+            .min()
+            .unwrap_or(0);
+        let mut price = [0; MAX_DOMAINS];
+        for m in targets.iter() {
+            price[m.index()] = cheapest.saturating_mul(opts.tuple.weight(m.index()));
+        }
+        Bound {
+            hir,
+            targets,
+            price,
+        }
+    }
+
+    /// h of a state whose failing checks `failing` yields (afresh on
+    /// every call), given that the models in `hit` are already paid for:
+    /// the least total price of a set of further target models that,
+    /// with `hit`, meets the scope of every failing check. `None` when a
+    /// failing check reads no target model: no edit the repair may make
+    /// can fix it.
+    fn h<I>(&self, failing: impl Fn() -> I + Copy, hit: DomSet) -> Option<u64>
+    where
+        I: Iterator<Item = CheckId>,
+    {
+        let mut best = None;
+        self.cover(failing, hit, 0, &mut best);
+        best
+    }
+
+    /// Branch and bound for [`Bound::h`]: extends `hit`, bought for
+    /// `paid`, by each model of the smallest failing scope it misses in
+    /// turn, keeping the cheapest complete cover in `best`. A branch is
+    /// cut once `paid` plus the dearest cheapest model of a missed scope
+    /// reaches `best`.
+    fn cover<I>(
+        &self,
+        failing: impl Fn() -> I + Copy,
+        hit: DomSet,
+        paid: u64,
+        best: &mut Option<u64>,
+    ) where
+        I: Iterator<Item = CheckId>,
+    {
+        let mut missed: Option<DomSet> = None;
+        let mut floor = 0;
+        for (rel, dep) in failing() {
+            let scope = participating_models(self.hir.relation(rel), dep).intersect(self.targets);
+            if !scope.intersect(hit).is_empty() {
+                continue;
+            }
+            let cheapest = scope.iter().map(|m| self.price[m.index()]).min();
+            floor = floor.max(cheapest.unwrap_or(0));
+            if missed.is_none_or(|s| scope.len() < s.len()) {
+                missed = Some(scope);
+            }
+        }
+        let Some(scope) = missed else {
+            *best = Some(best.map_or(paid, |b| b.min(paid)));
+            return;
+        };
+        // An empty scope is the smallest: a check no target model fixes.
+        if scope.is_empty() || best.is_some_and(|b| paid.saturating_add(floor) >= b) {
+            return;
+        }
+        for m in scope.iter() {
+            let paid = paid.saturating_add(self.price[m.index()]);
+            self.cover(failing, hit.with(m), paid, best);
+        }
+    }
+
+    /// The lazy bound of every child of an inconsistent state, by the
+    /// model its edit lands in: h over the state's failing scopes that
+    /// miss that model, the f a child is pushed with.
+    fn per_model<I>(&self, failing: impl Fn() -> I + Copy) -> [u64; MAX_DOMAINS]
+    where
+        I: Iterator<Item = CheckId>,
+    {
+        let mut lazy = [0; MAX_DOMAINS];
+        for m in self.targets.iter() {
+            lazy[m.index()] = self.h(failing, DomSet::single(m)).unwrap_or(u64::MAX);
+        }
+        lazy
+    }
 }
 
 /// A repair outcome: `models` and the per-model deltas that reach them
@@ -391,14 +640,6 @@ fn outcome(
         models,
         deltas,
     })
-}
-
-/// False when `v`'s directional check reads no model in `targets`: no
-/// edit the repair may make can fix it.
-fn repairable(hir: &Hir, v: &Violation, targets: DomSet) -> bool {
-    !participating_models(hir.relation(v.rel), v.dep)
-        .intersect(targets)
-        .is_empty()
 }
 
 /// The repair-guided candidates of one state, deduplicated, in canonical
@@ -488,27 +729,33 @@ struct Violation {
     binding: Binding,
 }
 
+/// A directional check: a top relation and one of its dependencies.
+type CheckId = (RelId, Dep);
+
 /// Up to `opts.violations_per_check` violations per directional check,
-/// and whether every check holds (uncapped).
+/// and every failing check (uncapped), in check order.
 fn collect_violations(
     hir: &Hir,
     models: &[Model],
     opts: &RepairOptions,
-) -> Result<(Vec<Violation>, bool), RepairError> {
+) -> Result<(Vec<Violation>, Vec<CheckId>), RepairError> {
     let indexes: Vec<ModelIndex> = models.iter().map(ModelIndex::build).collect();
     let mut ctx = EvalCtx::new(hir, models, &indexes);
     let mut out = Vec::new();
-    let mut consistent = true;
+    let mut failing = Vec::new();
     for (rid, rel) in hir.top_relations() {
         for &dep in rel.deps.deps() {
             let mut captured: Vec<Binding> = Vec::new();
             let max = opts.violations_per_check;
-            consistent &= ctx.check_dep(rid, dep, &mut |_, b| {
+            let holds = ctx.check_dep(rid, dep, &mut |_, b| {
                 if captured.len() < max {
                     captured.push(b.clone());
                 }
                 captured.len() < max
             })?;
+            if !holds {
+                failing.push((rid, dep));
+            }
             for binding in captured {
                 out.push(Violation {
                     rel: rid,
@@ -518,7 +765,7 @@ fn collect_violations(
             }
         }
     }
-    Ok((out, consistent))
+    Ok((out, failing))
 }
 
 /// The active value pool used for attribute-change candidates.
@@ -789,7 +1036,7 @@ fn witness_candidates(
 }
 
 /// Candidates from `where` equality constraints on target-side objects,
-/// e.g. `f.mandatory = true`.
+/// e.g. `f.mandatory = true`, or `q.first = p.first` with `p` bound.
 fn where_candidates(
     rel: &HirRelation,
     e: &HirExpr,
@@ -801,27 +1048,43 @@ fn where_candidates(
 ) {
     match e {
         HirExpr::Cmp(mmt_qvtr::CmpOp::Eq, a, b) => {
-            let (nav, other) = match (&**a, &**b) {
-                (HirExpr::Nav(v, attr), o) | (o, HirExpr::Nav(v, attr)) => ((*v, *attr), o),
-                _ => return,
-            };
-            let (v, attr) = nav;
-            let (model, class) = match rel.vars[v.index()].ty {
-                VarTy::Obj { model, class } => (model, class),
-                VarTy::Prim(_) => return,
-            };
-            if model != t {
-                return;
-            }
-            let desired: &[Value] = match other {
-                HirExpr::Lit(val) => std::slice::from_ref(val),
-                HirExpr::Var(pv) => match &binding[pv.index()] {
-                    Some(Slot::Val(val)) => std::slice::from_ref(val),
-                    _ => pool.of(models[t.index()].metamodel().attr(attr).ty),
+            // Navigate from the side whose variable is an object of the
+            // target model; the other side names the value to set.
+            let on_target = |e: &HirExpr| match *e {
+                HirExpr::Nav(v, attr) => match rel.vars[v.index()].ty {
+                    VarTy::Obj { model, class } if model == t => Some((class, attr)),
+                    _ => None,
                 },
-                _ => return,
+                _ => None,
+            };
+            let ((class, attr), other) = match (on_target(a), on_target(b)) {
+                (Some(nav), _) => (nav, &**b),
+                (None, Some(nav)) => (nav, &**a),
+                (None, None) => return,
             };
             let m = &models[t.index()];
+            let read: Value;
+            let desired: &[Value] = match *other {
+                HirExpr::Lit(ref val) => std::slice::from_ref(val),
+                HirExpr::Var(pv) => match &binding[pv.index()] {
+                    Some(Slot::Val(val)) => std::slice::from_ref(val),
+                    _ => pool.of(m.metamodel().attr(attr).ty),
+                },
+                // A navigation on a bound object: copy the value it reads.
+                HirExpr::Nav(w, w_attr) => {
+                    let (Some(Slot::Obj(o)), VarTy::Obj { model, .. }) =
+                        (binding[w.index()], rel.vars[w.index()].ty)
+                    else {
+                        return;
+                    };
+                    let Ok(val) = models[model.index()].attr(o, w_attr) else {
+                        return;
+                    };
+                    read = val;
+                    std::slice::from_ref(&read)
+                }
+                _ => return,
+            };
             for o in m.objects_of(class) {
                 let Ok(cur) = m.attr(o, attr) else {
                     continue; // unreadable slot: no candidate
@@ -851,20 +1114,33 @@ fn where_candidates(
 }
 
 /// The models a directional check can read: dependency sources, the
-/// target, and the models of variables free in `when`/`where`.
+/// target, and the models of the object variables its `when`/`where`
+/// read. A call's arguments bind the callee's domain roots in the
+/// callee's own models, so a call reads no model beyond its arguments'.
 fn participating_models(rel: &HirRelation, dep: Dep) -> DomSet {
-    let mut set = dep.sources.with(dep.target);
-    let mut fv: Vec<mmt_qvtr::VarId> = Vec::new();
-    if let Some(w) = &rel.when {
-        w.free_vars(&mut fv);
-    }
-    if let Some(w) = &rel.where_ {
-        w.free_vars(&mut fv);
-    }
-    for v in fv {
-        if let VarTy::Obj { model, .. } = rel.vars[v.index()].ty {
-            set = set.with(model);
+    fn reads(rel: &HirRelation, e: &HirExpr, set: &mut DomSet) {
+        let mut var = |v: &mmt_qvtr::VarId| {
+            if let VarTy::Obj { model, .. } = rel.vars[v.index()].ty {
+                *set = set.with(model);
+            }
+        };
+        match e {
+            HirExpr::Lit(_) => {}
+            HirExpr::Var(v) | HirExpr::Nav(v, _) => var(v),
+            HirExpr::Call(_, args) => args.iter().for_each(var),
+            HirExpr::Cmp(_, a, b)
+            | HirExpr::And(a, b)
+            | HirExpr::Or(a, b)
+            | HirExpr::Implies(a, b) => {
+                reads(rel, a, set);
+                reads(rel, b, set);
+            }
+            HirExpr::Not(a) => reads(rel, a, set),
         }
+    }
+    let mut set = dep.sources.with(dep.target);
+    for e in rel.when.iter().chain(&rel.where_) {
+        reads(rel, e, &mut set);
     }
     set
 }
@@ -1425,7 +1701,7 @@ transformation T(a : X, b : X) {
             assert!(!before.violations.is_empty(), "the tuple is inconsistent");
             let mut tree = SearchTree::new(before.fp);
             let fp = fingerprint_apply(checker.models(), before.fp, &cand).expect("applies");
-            let idx = tree.push(0, cand, fp);
+            let idx = tree.push(0, cand, fp, 0);
             assert!(tree.enter(&mut checker, idx).unwrap(), "{op}");
             // The edit landed as the bare candidate would: same models,
             // same violations as a checker built on the edited tuple.
@@ -1452,6 +1728,18 @@ transformation T(a : X, b : X) {
         ((*state >> 33) % bound as u64) as usize
     }
 
+    /// `models` with three random edits in every model, so a walk from
+    /// them starts among violations.
+    fn drifted(models: &[Model], seed: u64) -> Vec<Model> {
+        let mut models = models.to_vec();
+        for (i, m) in models.iter_mut().enumerate() {
+            for op in random_edits(m, 3, seed * 5 + i as u64) {
+                apply_candidate(m, &op).unwrap();
+            }
+        }
+        models
+    }
+
     /// Hops one checker between random states of a search tree over
     /// every corpus scenario: wherever it lands, it must look exactly
     /// like a fresh checker over the tuple reached by applying the
@@ -1462,13 +1750,7 @@ transformation T(a : X, b : X) {
             for seed in 0..3u64 {
                 let w = sc.workload(seed);
                 let hir = &w.hir;
-                // Drift every model, so the walk starts among violations.
-                let mut originals = w.models.clone();
-                for (i, m) in originals.iter_mut().enumerate() {
-                    for op in random_edits(m, 3, seed * 5 + i as u64) {
-                        apply_candidate(m, &op).unwrap();
-                    }
-                }
+                let originals = drifted(&w.models, seed);
                 let targets = DomSet::full(originals.len());
                 let pool = collect_value_pool(&originals, hir, 1);
                 let mut checker = checker_over(hir, &originals);
@@ -1506,7 +1788,7 @@ transformation T(a : X, b : X) {
                             let cand = cands[next(&mut rng, cands.len())];
                             let fp = tree.nodes[n].fp;
                             if let Some(fp) = fingerprint_apply(checker.models(), fp, &cand) {
-                                pending.push(tree.push(n, cand, fp));
+                                pending.push(tree.push(n, cand, fp, 0));
                                 tuples.push(None);
                             }
                         }
@@ -1545,5 +1827,101 @@ transformation T(a : X, b : X) {
                 );
             }
         }
+    }
+
+    /// The A* bound's laws on random search states of every corpus
+    /// scenario, under random op prices and model weights. Consistency:
+    /// h(parent) ≤ step + h(child) for every entered child, and the lazy
+    /// bound a child is pushed with never exceeds its exact h. Goal
+    /// detection: h = 0 exactly on consistent states. Admissibility at
+    /// the root: h(root) ≤ the least-change cost of [`reference_search`].
+    #[test]
+    fn bound_is_admissible_and_consistent() {
+        let mut admissible_checked = 0;
+        for sc in all_scenarios() {
+            for seed in 0..3u64 {
+                let w = sc.workload(seed);
+                let hir = &w.hir;
+                let originals = drifted(&w.models, seed);
+                let targets = DomSet::full(originals.len());
+                let mut rng = seed ^ 0xb0_0d;
+                let mut price = || 1 + next(&mut rng, 3) as u64;
+                let cost = mmt_dist::CostModel {
+                    add_obj: price(),
+                    del_obj: price(),
+                    set_attr: price(),
+                    add_link: price(),
+                    del_link: price(),
+                };
+                let weights = (0..originals.len())
+                    .map(|_| [1, 2, 3, 5, 7][next(&mut rng, 5)])
+                    .collect();
+                let opts = RepairOptions {
+                    cost,
+                    tuple: mmt_dist::TupleCost::weighted(weights),
+                    max_cost: 40,
+                    max_states: 5_000,
+                    ..RepairOptions::default()
+                };
+                let ctx = |step: usize| format!("{} seed={seed} step={step}", sc.name());
+                let bound = Bound::new(hir, targets, &opts);
+                let h_of = |checker: &DeltaChecker| {
+                    let h = bound.h(|| checker.failing_checks(), DomSet::EMPTY);
+                    let h = h.expect("every check reads a target");
+                    assert_eq!(h == 0, checker.consistent());
+                    h
+                };
+                let pool = collect_value_pool(&originals, hir, 1);
+                let mut checker = checker_over(hir, &originals);
+                let root_h = h_of(&checker);
+                assert!(root_h > 0, "{}: drift", ctx(0));
+                let mut tree = SearchTree::new(0);
+                let mut entered = vec![(0usize, root_h)];
+                for step in 0..40 {
+                    let (n, h) = entered[next(&mut rng, entered.len())];
+                    tree.goto(&mut checker, n).unwrap();
+                    let mut violations = Vec::new();
+                    checker.for_each_violation(4, |rel, dep, binding| {
+                        violations.push(Violation {
+                            rel,
+                            dep,
+                            binding: binding.clone(),
+                        });
+                    });
+                    let lazy = bound.per_model(|| checker.failing_checks());
+                    let cands = candidates_of(hir, checker.models(), targets, &violations, &pool);
+                    for _ in 0..cands.len().min(4) {
+                        let cand = cands[next(&mut rng, cands.len())];
+                        let child = tree.push(n, cand, 0, 0);
+                        if !tree.enter(&mut checker, child).unwrap() {
+                            continue;
+                        }
+                        let step_cost = checked_step(&cand, &opts).unwrap();
+                        let child_h = h_of(&checker);
+                        assert!(
+                            h <= step_cost + child_h,
+                            "{}: h {h} > step {step_cost} + h {child_h} after {}",
+                            ctx(step),
+                            cand.op
+                        );
+                        assert!(lazy[cand.model.index()] <= child_h, "{}", ctx(step));
+                        entered.push((child, child_h));
+                    }
+                }
+                assert!(entered.len() > 10, "{}: the walk went somewhere", sc.name());
+                match reference_search(hir, &originals, targets, &opts) {
+                    Ok(Some(out)) => {
+                        assert!(root_h <= out.cost, "{}: h(root) {root_h}", ctx(0));
+                        admissible_checked += 1;
+                    }
+                    Ok(None) | Err(RepairError::SearchBudgetExhausted { .. }) => {}
+                    Err(e) => panic!("{}: {e}", ctx(0)),
+                }
+            }
+        }
+        assert!(
+            admissible_checked >= 3,
+            "{admissible_checked} roots repaired"
+        );
     }
 }

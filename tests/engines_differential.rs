@@ -653,9 +653,10 @@ transformation M(a : MA, b : MB) {
     },
 ];
 
-/// Parses an edge spec into its transformation and models.
-fn edge_tuple(e: &EdgeSpec) -> (Transformation, Vec<Model>) {
-    let t = Transformation::from_sources(e.spec, &e.metamodels).unwrap();
+/// Parses `spec` over an edge spec's metamodels into its transformation,
+/// and the edge spec's models.
+fn edge_tuple(e: &EdgeSpec, spec: &str) -> (Transformation, Vec<Model>) {
+    let t = Transformation::from_sources(spec, &e.metamodels).unwrap();
     let models = e
         .models
         .iter()
@@ -679,7 +680,7 @@ fn sat_pinned_cases() -> Vec<PinnedCase> {
         opts: RepairOptions::default(),
     });
     for e in &EDGE_SPECS {
-        let (t, models) = edge_tuple(e);
+        let (t, models) = edge_tuple(e, e.spec);
         for &shape in e.shapes {
             cases.push(PinnedCase {
                 label: format!("{} shape={shape:?}", e.name),
@@ -755,7 +756,7 @@ fn sat_repairs_match_pinned_costs() {
 /// came back as none, cost 1 or cost 3 from call to call.
 #[test]
 fn sat_comparisons_read_the_navigated_attribute() {
-    let (t, models) = edge_tuple(&EDGE_SPECS[0]);
+    let (t, models) = edge_tuple(&EDGE_SPECS[0], NAVIGATED_SPEC);
     for call in 0..10 {
         let out = t
             .enforce(&models, Shape::towards(1), EngineKind::Sat)
@@ -763,6 +764,36 @@ fn sat_comparisons_read_the_navigated_attribute() {
             .unwrap_or_else(|| panic!("call {call}: repairable"));
         assert_eq!(out.cost, 1, "call {call}: copy `first` into q");
         assert!(t.check(&out.models).unwrap().consistent(), "call {call}");
+    }
+}
+
+/// Regression: the search derived no candidate from a `where` that
+/// equates two navigations, so it found no repair of this tuple towards
+/// `b`, where SAT copies `p.first` into `q` at cost 1. Both orientations
+/// of the equation, under both pinned shapes, must repair at SAT's cost,
+/// through the incremental and the reference oracle alike.
+#[test]
+fn search_copies_a_navigated_attribute() {
+    let edge = &EDGE_SPECS[0];
+    for spec in [
+        NAVIGATED_SPEC.to_string(),
+        NAVIGATED_SPEC.replace("p.first = q.first", "q.first = p.first"),
+    ] {
+        let (t, models) = edge_tuple(edge, &spec);
+        for &shape in edge.shapes {
+            let ctx = format!("{spec} shape={shape:?}");
+            let targets = Shape::of(shape).targets();
+            let opts = RepairOptions::default();
+            let out = repair_search(t.hir_arc(), &models, targets, &opts)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{ctx}: repairable"));
+            assert_eq!(out.cost, 1, "{ctx}: copy `first` into q");
+            assert!(t.check(&out.models).unwrap().consistent(), "{ctx}");
+            let reference = reference_search(t.hir(), &models, targets, &opts)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{ctx}: reference repairs"));
+            assert_eq!(out.deltas, reference.deltas, "{ctx}");
+        }
     }
 }
 

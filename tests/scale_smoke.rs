@@ -2,6 +2,7 @@
 //! the paper's illustrative sizes, and the engines stay within sane
 //! budgets at moderate repair scales.
 
+use mmt_bench::broken_workload;
 use mmtf::gen::{feature_workload, inject, FeatureSpec, Injection};
 use mmtf::prelude::*;
 use std::time::Instant;
@@ -71,5 +72,34 @@ fn many_configurations() {
     // Each configuration was touched at most twice (add + name).
     for d in &out.deltas[..k] {
         assert!(d.len() <= 2);
+    }
+}
+
+/// The search's work stays flat in the model size: the cost-2 repair of
+/// a new mandatory feature into both configurations (k = 2, seed 53)
+/// evaluates at most 16 states at 10, 100 and 1 000 features. Its bound
+/// prices the two configurations the failing checks read, so no cost-1
+/// state that fixes neither is expanded; uniform-cost search expanded
+/// every cost-1 state first, 71 of them at 10 features.
+#[test]
+fn search_state_count_is_flat_in_n() {
+    let opts = RepairOptions {
+        max_states: 16,
+        ..RepairOptions::default()
+    };
+    for n in [10, 100, 1000] {
+        let w = broken_workload(n, 2, 53, Injection::NewMandatoryInFm);
+        let t = Transformation::from_hir(w.hir.clone());
+        let out = t
+            .enforce_with(
+                &w.models,
+                Shape::of(&[0, 1]),
+                EngineKind::Search,
+                opts.clone(),
+            )
+            .unwrap_or_else(|e| panic!("n = {n}: {e}"))
+            .unwrap_or_else(|| panic!("n = {n}: repairable"));
+        assert_eq!(out.cost, 2, "n = {n}");
+        assert!(t.check(&out.models).unwrap().consistent(), "n = {n}");
     }
 }

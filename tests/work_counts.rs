@@ -251,6 +251,8 @@ fn repair_rows(out: &mut String) {
     for (engine, label, n) in [
         (EngineKind::Search, "search", 30usize),
         (EngineKind::Search, "search", 100),
+        (EngineKind::Search, "search", 300),
+        (EngineKind::Search, "search", 1000),
         (EngineKind::Sat, "sat", 10),
         (EngineKind::Sat, "sat", 30),
         (EngineKind::Sat, "sat", 100),
