@@ -344,6 +344,49 @@ fn class2rdbms_fixtures_round_trip() {
     }
 }
 
+/// Regression: the search repaired this class↔RDBMS tuple towards `rdb`
+/// at distance 1 by linking table `C1` to table `C0`'s column `x`, which
+/// gave the column a second container. Both engines now repair it at
+/// distance 3: a new column, its name and the link.
+#[test]
+fn class2rdbms_repairs_keep_one_container_per_column() {
+    let dir = std::env::temp_dir().join(format!("mmt-cli-c2t-container-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let uml = dir.join("uml.model");
+    let rdb = dir.join("rdb.model");
+    std::fs::write(
+        &uml,
+        r#"model uml : UML {
+  x0 = Attribute { name = "x" }
+  x1 = Attribute { name = "x" }
+  c0 = Class { name = "C0", attrs = [x0] }
+  c1 = Class { name = "C1", attrs = [x1] }
+}"#,
+    )
+    .unwrap();
+    std::fs::write(
+        &rdb,
+        r#"model rdb : RDB {
+  col = Column { name = "x" }
+  t0 = Table { name = "C0", cols = [col] }
+  t1 = Table { name = "C1" }
+}"#,
+    )
+    .unwrap();
+    for engine in ["search", "sat"] {
+        let mut args = vec!["enforce".to_string()];
+        args.extend(fixture_args("C2T.qvtr", &["UML.mm", "RDB.mm"], &[]));
+        args.extend([&uml, &rdb].map(|p| p.to_string_lossy().into_owned()));
+        let (stdout, _, code) = run(args, &["--targets", "rdb", "--engine", engine]);
+        assert_eq!(code, Some(0), "{engine}: {stdout}");
+        assert!(
+            stdout.contains("repaired at distance 3"),
+            "{engine}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The snippet-2 HR history as one warm `mmt sync` session: repair the
 /// missing hire, push the salary beyond the cap, watch the least-change
 /// clamp bring it back.

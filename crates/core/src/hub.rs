@@ -190,11 +190,17 @@ impl fmt::Debug for SessionHandle {
 /// server process.
 #[derive(Debug, Default)]
 pub struct SyncHub {
-    transformations: RwLock<HashMap<String, Arc<Transformation>>>,
+    transformations: RwLock<HashMap<String, Registered>>,
     sessions: RwLock<HashMap<String, Arc<SessionHandle>>>,
-    /// The lint report of each registered transformation (non-error
-    /// findings; erroring specs never make it into the registry).
-    lint_reports: RwLock<HashMap<String, Arc<LintReport>>>,
+}
+
+/// One registered transformation and the lint report its registration
+/// recorded (non-error findings; erroring specs never make it into the
+/// registry). One entry holds both, so a reader sees both or neither.
+#[derive(Debug)]
+struct Registered {
+    transformation: Arc<Transformation>,
+    lint: Arc<LintReport>,
 }
 
 impl SyncHub {
@@ -229,12 +235,10 @@ impl SyncHub {
         match map.entry(id.to_string()) {
             Entry::Occupied(_) => Err(HubError::DuplicateTransformation(id.to_string())),
             Entry::Vacant(v) => {
-                v.insert(Arc::clone(&t));
-                drop(map);
-                self.lint_reports
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(id.to_string(), Arc::new(report));
+                v.insert(Registered {
+                    transformation: Arc::clone(&t),
+                    lint: Arc::new(report),
+                });
                 Ok(t)
             }
         }
@@ -243,11 +247,11 @@ impl SyncHub {
     /// The lint report recorded when `id` was registered (warnings and
     /// infos only — erroring specs are rejected at registration).
     pub fn lint_report(&self, id: &str) -> Result<Arc<LintReport>, HubError> {
-        self.lint_reports
+        self.transformations
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(id)
-            .cloned()
+            .map(|r| Arc::clone(&r.lint))
             .ok_or_else(|| HubError::UnknownTransformation(id.to_string()))
     }
 
@@ -257,7 +261,7 @@ impl SyncHub {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(id)
-            .cloned()
+            .map(|r| Arc::clone(&r.transformation))
             .ok_or_else(|| HubError::UnknownTransformation(id.to_string()))
     }
 

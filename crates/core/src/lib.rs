@@ -27,7 +27,7 @@ pub mod session;
 pub use hub::{HubError, SessionHandle, SyncHub};
 pub use session::{JournalEntry, JournalKind, SessionOptions, SyncRepair, SyncSession, SyncStatus};
 
-use mmt_check::{CheckError, CheckOptions, CheckReport, Checker, EvalError};
+use mmt_check::{CheckError, CheckOptions, CheckReport, Checker, DeltaError, EvalError};
 use mmt_deps::{DepSet, DomIdx, DomSet};
 pub use mmt_enforce::RepairRequest;
 use mmt_enforce::{
@@ -274,6 +274,16 @@ impl From<RepairError> for CoreError {
 impl From<ModelError> for CoreError {
     fn from(e: ModelError) -> Self {
         CoreError::Model(e)
+    }
+}
+
+impl From<DeltaError> for CoreError {
+    fn from(e: DeltaError) -> Self {
+        match e {
+            DeltaError::Check(e) => CoreError::Check(e),
+            DeltaError::Eval(e) => CoreError::Eval(e),
+            DeltaError::Model(e) => CoreError::Model(e),
+        }
     }
 }
 

@@ -41,7 +41,7 @@
 //! [`crate::SyncHub`], or hold it across await points in a server.
 
 use crate::{CoreError, EngineKind, Shape, Transformation};
-use mmt_check::{CheckOptions, CheckReport, DeltaChecker, DeltaError};
+use mmt_check::{CheckOptions, CheckReport, DeltaChecker};
 use mmt_deps::DomIdx;
 use mmt_dist::{expand_op, Delta, EditOp};
 use mmt_enforce::{RepairEngine, RepairError, RepairOptions, SatEngine, SearchEngine};
@@ -54,14 +54,6 @@ use std::sync::Arc;
 /// issued. `Relaxed` is enough: `fetch_add` hands out distinct values
 /// under any ordering, and a serial publishes no other data.
 static NEXT_SERIAL: AtomicU64 = AtomicU64::new(1);
-
-fn delta_core_err(e: DeltaError) -> CoreError {
-    match e {
-        DeltaError::Check(e) => CoreError::Check(e),
-        DeltaError::Eval(e) => CoreError::Eval(e),
-        DeltaError::Model(e) => CoreError::Model(e),
-    }
-}
 
 /// Options a session is opened with.
 #[derive(Clone, Debug)]
@@ -218,8 +210,7 @@ impl SyncSession {
             max_violations: usize::MAX,
             ..CheckOptions::default()
         };
-        let checker =
-            DeltaChecker::with_options(t.hir_arc(), models, check_opts).map_err(delta_core_err)?;
+        let checker = DeltaChecker::with_options(t.hir_arc(), models, check_opts)?;
         let bounds = checker.models().iter().map(Model::id_bound).collect();
         Ok(SyncSession {
             t,
@@ -396,9 +387,7 @@ impl SyncSession {
             let prior = &self.bounds[self.bounds.len() - arity..];
             for (i, delta) in entry.deltas.iter().enumerate() {
                 let model = DomIdx(i as u8);
-                self.checker
-                    .apply_delta(model, &delta.inverse())
-                    .map_err(delta_core_err)?;
+                self.checker.apply_delta(model, &delta.inverse())?;
                 self.checker.truncate_tombstones(model, prior[i]);
             }
         }
@@ -435,9 +424,7 @@ impl SyncSession {
             "journal entry arity matches the session"
         );
         for (i, delta) in entry.deltas.iter().enumerate() {
-            self.checker
-                .apply_delta(DomIdx(i as u8), delta)
-                .map_err(delta_core_err)?;
+            self.checker.apply_delta(DomIdx(i as u8), delta)?;
         }
         self.commit_entry(entry.kind, entry.deltas);
         Ok(self.status())
@@ -505,7 +492,7 @@ impl SyncSession {
         let mut script = Vec::new();
         expand_op(&self.checker.models()[m], op, &mut script);
         for e in script {
-            self.checker.apply(model, &e).map_err(delta_core_err)?;
+            self.checker.apply(model, &e)?;
             entry[m].push(e);
         }
         Ok(())

@@ -185,6 +185,21 @@ impl EditOp {
             EditOp::DelLink { src, r, dst } => EditOp::AddLink { src, r, dst },
         }
     }
+
+    /// Applies this edit to `m`. `AddObj` creates the object at its own
+    /// id ([`Model::add_at`]), so ids in a script stay meaningful; adding
+    /// a present link or removing an absent one changes nothing.
+    pub fn apply(&self, m: &mut Model) -> Result<(), ModelError> {
+        match *self {
+            EditOp::AddObj { id, class } => m.add_at(id, class),
+            EditOp::DelObj { id, .. } => m.delete(id),
+            EditOp::SetAttr {
+                id, attr, value, ..
+            } => m.set_attr(id, attr, value),
+            EditOp::AddLink { src, r, dst } => m.add_link(src, r, dst).map(drop),
+            EditOp::DelLink { src, r, dst } => m.remove_link(src, r, dst).map(drop),
+        }
+    }
 }
 
 /// Appends to `out` the form of `op` that inverts exactly op by op,
@@ -579,22 +594,7 @@ impl Delta {
     /// `old` side of [`Delta::between`]). Ops are applied in script
     /// order; `between` emits them in a safe order.
     pub fn apply(&self, m: &mut Model) -> Result<(), ModelError> {
-        for op in &self.ops {
-            match *op {
-                EditOp::AddObj { id, class } => m.add_at(id, class)?,
-                EditOp::DelObj { id, .. } => m.delete(id)?,
-                EditOp::SetAttr {
-                    id, attr, value, ..
-                } => m.set_attr(id, attr, value)?,
-                EditOp::AddLink { src, r, dst } => {
-                    m.add_link(src, r, dst)?;
-                }
-                EditOp::DelLink { src, r, dst } => {
-                    m.remove_link(src, r, dst)?;
-                }
-            }
-        }
-        Ok(())
+        self.ops.iter().try_for_each(|op| op.apply(m))
     }
 
     /// Appends one op to the script.

@@ -57,7 +57,7 @@
 
 pub mod search;
 
-use mmt_check::{CheckError, DeltaChecker, EvalError};
+use mmt_check::{CheckError, DeltaChecker, DeltaError, EvalError};
 use mmt_deps::DomSet;
 use mmt_dist::{CostModel, Delta, TupleCost};
 use mmt_ground::{GroundError, GroundOptions, GroundProblem, Scope};
@@ -220,6 +220,16 @@ impl From<GroundError> for RepairError {
 impl From<ModelError> for RepairError {
     fn from(e: ModelError) -> Self {
         RepairError::Model(e)
+    }
+}
+
+impl From<DeltaError> for RepairError {
+    fn from(e: DeltaError) -> Self {
+        match e {
+            DeltaError::Check(e) => RepairError::Check(e),
+            DeltaError::Eval(e) => RepairError::Eval(e),
+            DeltaError::Model(e) => RepairError::Model(e),
+        }
     }
 }
 

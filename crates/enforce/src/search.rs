@@ -15,6 +15,11 @@
 //! a source side — rather than enumerating every conceivable edit. This
 //! keeps the branching factor proportional to the number of violations.
 //! The SAT engine ([`crate::SatEngine`]) is the complete reference.
+//! No candidate breaks a link constraint of the metamodel: none gives an
+//! object a second container or fills a slot past its upper bound, and
+//! none empties a slot below its lower bound, directly or by deleting a
+//! link's target. So moving an object costs an explicit unlink and link,
+//! as in SAT's grounding. Containment cycles are not checked.
 //!
 //! ## The bound
 //!
@@ -64,10 +69,17 @@
 //! ([`mmt_check::DeltaChecker::for_each_violation`]), so the checker's
 //! internal match order after a walk cannot change which repair wins.
 //!
-//! The duplicate-state filter uses a commutative (per-object sum) hash,
-//! so a candidate's fingerprint is computed from its parent's in
-//! O(touched objects) without applying the edit — for `DelObj`, the
-//! object and the sources of its incoming links.
+//! The duplicate-state filter fingerprints a state by the wrapping sum
+//! of the hashes of its target models' *facts*: each object's class,
+//! each attribute value and each link. An edit adds and removes facts,
+//! so a candidate's fingerprint is its parent's plus the hashes of the
+//! facts it adds minus those it removes, known without applying the edit
+//! or copying anything: two for a `SetAttr`, one for a link edit, the
+//! class and default attributes for an `AddObj`, and for a `DelObj` the
+//! victim's facts and the links into it. Only differences from the root
+//! matter, so the root is fingerprint 0 and the tuple is never hashed
+//! whole. Identical candidates of one state reach the same fingerprint
+//! at the same g, so the filter admits only the first.
 //!
 //! [`reference_search`] runs the same A* with a from-scratch oracle
 //! (every state stores a full tuple and re-checks every directional
@@ -75,21 +87,21 @@
 //! compare [`repair_search`] against.
 
 use crate::{RepairError, RepairOptions, RepairOutcome};
-use mmt_check::{Binding, CheckOptions, DeltaChecker, DeltaError, EvalCtx, ModelIndex, Slot};
+use mmt_check::{Binding, DeltaChecker, DeltaError, EvalCtx, ModelIndex, Slot};
 use mmt_deps::{Dep, DomIdx, DomSet, MAX_DOMAINS};
 use mmt_dist::{expand_op, Delta, EditOp};
 use mmt_model::fx::FxHashSet;
-use mmt_model::{AttrType, ClassId, Model, ObjId, Object, Sym, Value};
+use mmt_model::{AttrId, AttrType, ClassId, Model, ObjId, Object, RefId, Sym, Value};
 use mmt_qvtr::{Atom, Constraint, Hir, HirExpr, HirRelation, RelId, VarTy};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// One candidate edit on a specific model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Candidate {
     model: DomIdx,
     op: EditOp,
@@ -103,20 +115,7 @@ pub fn repair_search(
     targets: DomSet,
     opts: &RepairOptions,
 ) -> Result<Option<RepairOutcome>, RepairError> {
-    let check_opts = CheckOptions {
-        max_violations: opts.violations_per_check,
-        ..CheckOptions::default()
-    };
-    let root = DeltaChecker::with_options(hir, originals, check_opts).map_err(delta_repair_err)?;
-    search_from_root(root, targets, opts)
-}
-
-fn delta_repair_err(e: DeltaError) -> RepairError {
-    match e {
-        DeltaError::Check(e) => RepairError::Check(e),
-        DeltaError::Eval(e) => RepairError::Eval(e),
-        DeltaError::Model(e) => RepairError::Model(e),
-    }
+    search_from_root(DeltaChecker::new(hir, originals)?, targets, opts)
 }
 
 /// One state of the search tree: the state it extends, its depth, the
@@ -295,9 +294,9 @@ pub(crate) fn search_from_root(
     let hir = &*hir;
     let bound = Bound::new(hir, targets, opts);
     let value_pool = collect_value_pool(checker.models(), hir, opts.fresh_strings);
-    let root_fp = fingerprint(checker.models(), targets);
-    let mut tree = SearchTree::new(root_fp);
-    let mut open = Frontier::new(root_fp);
+    // Fingerprints are differences from the root (see the module docs).
+    let mut tree = SearchTree::new(0);
+    let mut open = Frontier::new(0);
     let mut evaluations: u64 = 0;
     let mut violations: Vec<Violation> = Vec::new();
     while let Some((f, idx)) = open.pop() {
@@ -308,9 +307,9 @@ pub(crate) fn search_from_root(
             continue; // a cheaper path reached this state since
         }
         if evaluated {
-            tree.goto(&mut checker, idx).map_err(delta_repair_err)?;
+            tree.goto(&mut checker, idx)?;
         } else {
-            if !tree.enter(&mut checker, idx).map_err(delta_repair_err)? {
+            if !tree.enter(&mut checker, idx)? {
                 continue; // stale states do not count against the budget
             }
             evaluations += 1;
@@ -326,7 +325,7 @@ pub(crate) fn search_from_root(
             // violation is captured, yet the state may be inconsistent.
             if checker.consistent() {
                 let repaired = checker.models().to_vec();
-                tree.goto(&mut checker, 0).map_err(delta_repair_err)?;
+                tree.goto(&mut checker, 0)?;
                 return outcome(checker.models(), repaired, g).map(Some);
             }
             tree.nodes[idx].evaluated = true;
@@ -352,7 +351,7 @@ pub(crate) fn search_from_root(
             if f > opts.max_cost {
                 continue;
             }
-            // O(touched) child fingerprint — the edit is not applied.
+            // The child's fingerprint from the facts the edit changes.
             let Some(child_fp) = fingerprint_apply(checker.models(), fp, &cand) else {
                 continue; // stale candidate
             };
@@ -434,7 +433,7 @@ pub fn reference_search(
                 continue;
             }
             let mut next = models.clone();
-            if apply_candidate(&mut next[cand.model.index()], &cand.op).is_err() {
+            if cand.op.apply(&mut next[cand.model.index()]).is_err() {
                 continue; // stale candidate (object vanished, etc.)
             }
             let fp = fingerprint(&next, targets);
@@ -642,10 +641,11 @@ fn outcome(
     })
 }
 
-/// The repair-guided candidates of one state, deduplicated, in canonical
-/// derivation order (violation order × constraint order). One fresh-id
-/// allocator spans the whole pass, so no two fresh-object candidates of
-/// the state collide.
+/// The repair-guided candidates of one state, in canonical derivation
+/// order (violation order × constraint order). A candidate may repeat;
+/// the frontier's duplicate filter admits only its first copy. One
+/// fresh-id allocator spans the whole pass, so no two fresh-object
+/// candidates of the state collide.
 fn candidates_of(
     hir: &Hir,
     models: &[Model],
@@ -658,8 +658,6 @@ fn candidates_of(
     for v in violations {
         derive_candidates(hir, models, targets, v, pool, &mut fresh, &mut candidates);
     }
-    let mut dedup: HashSet<Candidate> = HashSet::with_capacity(candidates.len());
-    candidates.retain(|c| dedup.insert(*c));
     candidates
 }
 
@@ -705,20 +703,6 @@ impl FreshAllocator {
         self.next[m] += 1;
         self.assigned[m].push((class, id));
         id
-    }
-}
-
-fn apply_candidate(m: &mut Model, op: &EditOp) -> Result<(), mmt_model::ModelError> {
-    match *op {
-        // `add_at`, not `add`: the candidate's id is part of its identity
-        // (fingerprints and sibling candidates were computed against it).
-        EditOp::AddObj { id, class } => m.add_at(id, class),
-        EditOp::DelObj { id, .. } => m.delete(id),
-        EditOp::SetAttr {
-            id, attr, value, ..
-        } => m.set_attr(id, attr, value),
-        EditOp::AddLink { src, r, dst } => m.add_link(src, r, dst).map(|_| ()),
-        EditOp::DelLink { src, r, dst } => m.remove_link(src, r, dst).map(|_| ()),
     }
 }
 
@@ -868,9 +852,12 @@ fn derive_candidates(
         for c in &dom.constraints {
             match *c {
                 Constraint::Obj { var, .. } => {
+                    // Deletion scrubs the links into `o`, so every other
+                    // source must be able to spare its link.
                     if let Some(Slot::Obj(o)) = v.binding[var.index()] {
-                        if m.contains(o) {
-                            if let Ok(class) = m.class_of(o) {
+                        let mut into = m.incoming(o).iter();
+                        if let Ok(class) = m.class_of(o) {
+                            if into.all(|&(src, r)| src == o || can_unlink(m, src, r)) {
                                 out.push(Candidate {
                                     model: s,
                                     op: EditOp::DelObj { id: o, class },
@@ -881,35 +868,24 @@ fn derive_candidates(
                 }
                 Constraint::AttrEq { obj, attr, .. } => {
                     if let Some(Slot::Obj(o)) = v.binding[obj.index()] {
-                        if let Ok(cur) = m.attr(o, attr) {
-                            for &val in pool.of(cur.ty()) {
-                                if val != cur {
-                                    out.push(Candidate {
-                                        model: s,
-                                        op: EditOp::SetAttr {
-                                            id: o,
-                                            attr,
-                                            value: val,
-                                            old: cur,
-                                        },
-                                    });
-                                }
-                            }
-                        }
+                        let values = pool.of(m.metamodel().attr(attr).ty);
+                        set_attr_candidates(m, s, [o], attr, values, out);
                     }
                 }
                 Constraint::RefContains { obj, r, dst } => {
                     if let (Some(Slot::Obj(so)), Some(Slot::Obj(dobj))) =
                         (v.binding[obj.index()], v.binding[dst.index()])
                     {
-                        out.push(Candidate {
-                            model: s,
-                            op: EditOp::DelLink {
-                                src: so,
-                                r,
-                                dst: dobj,
-                            },
-                        });
+                        if can_unlink(m, so, r) {
+                            out.push(Candidate {
+                                model: s,
+                                op: EditOp::DelLink {
+                                    src: so,
+                                    r,
+                                    dst: dobj,
+                                },
+                            });
+                        }
                     }
                 }
             }
@@ -917,14 +893,15 @@ fn derive_candidates(
     }
 }
 
+/// Whether `src`'s slot of `r` in `m` can lose one target and still
+/// meet the reference's lower bound.
+fn can_unlink(m: &Model, src: ObjId, r: RefId) -> bool {
+    let lower = m.metamodel().reference(r).lower as usize;
+    m.targets(src, r).is_ok_and(|ds| ds.len() > lower)
+}
+
 /// Candidates that build (or adapt towards) a witness for the target
 /// pattern under the violated binding.
-///
-/// `SetAttr` candidates always record the object's *actual* current
-/// value as `old` — an unreadable attribute slot yields no candidate at
-/// all. Fabricating `old` (the historical `unwrap_or(desired)`) made
-/// the edit non-invertible and minted spuriously distinct candidates
-/// differing only in their bogus `old`.
 #[allow(clippy::too_many_arguments)]
 fn witness_candidates(
     rel: &HirRelation,
@@ -953,69 +930,47 @@ fn witness_candidates(
             }
             Constraint::AttrEq { obj, attr, rhs } => {
                 // Set the pattern attribute of existing candidates to the
-                // value demanded by the binding (or the literal).
-                let desired = match rhs {
-                    Atom::Lit(v) => Some(v),
-                    Atom::Var(pv) => match binding[pv.index()] {
-                        Some(Slot::Val(v)) => Some(v),
-                        _ => None,
-                    },
-                };
+                // value demanded by the binding (or the literal), or, when
+                // the value is existentially free, to each pool value.
                 let class = match rel.vars[obj.index()].ty {
                     VarTy::Obj { class, .. } => class,
                     VarTy::Prim(_) => continue,
                 };
-                match desired {
-                    Some(val) => {
-                        for o in m.objects_of(class) {
-                            let Ok(cur) = m.attr(o, attr) else {
-                                continue; // unreadable slot: no candidate
-                            };
-                            if cur != val {
-                                out.push(Candidate {
-                                    model: t,
-                                    op: EditOp::SetAttr {
-                                        id: o,
-                                        attr,
-                                        value: val,
-                                        old: cur,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    None => {
-                        // Existentially free value: offer the pool.
-                        let ty = meta.attr(attr).ty;
-                        for o in m.objects_of(class) {
-                            let Ok(cur) = m.attr(o, attr) else {
-                                continue; // unreadable slot: no candidate
-                            };
-                            for &val in pool.of(ty) {
-                                if val != cur {
-                                    out.push(Candidate {
-                                        model: t,
-                                        op: EditOp::SetAttr {
-                                            id: o,
-                                            attr,
-                                            value: val,
-                                            old: cur,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
+                let values = match rhs {
+                    Atom::Lit(ref v) => std::slice::from_ref(v),
+                    Atom::Var(pv) => match &binding[pv.index()] {
+                        Some(Slot::Val(v)) => std::slice::from_ref(v),
+                        _ => pool.of(meta.attr(attr).ty),
+                    },
+                };
+                set_attr_candidates(m, t, m.objects_of(class), attr, values, out);
             }
             Constraint::RefContains { obj, r, dst } => {
-                // Offer links between class-compatible pairs.
+                // Offer links between class-compatible pairs that the
+                // metamodel admits: the source's slot has room for one
+                // more target, and a containment's target has no
+                // container yet.
                 let (sc, dc) = match (rel.vars[obj.index()].ty, rel.vars[dst.index()].ty) {
                     (VarTy::Obj { class: sc, .. }, VarTy::Obj { class: dc, .. }) => (sc, dc),
                     _ => continue,
                 };
-                let sources: Vec<ObjId> = m.objects_of(sc).collect();
-                let dests: Vec<ObjId> = m.objects_of(dc).collect();
+                let decl = meta.reference(r);
+                let contained = |d: ObjId| {
+                    m.incoming(d)
+                        .iter()
+                        .any(|&(_, by)| meta.reference(by).containment)
+                };
+                let sources: Vec<ObjId> = m
+                    .objects_of(sc)
+                    .filter(|&so| {
+                        m.targets(so, r)
+                            .is_ok_and(|ds| decl.upper.admits(ds.len() + 1))
+                    })
+                    .collect();
+                let dests: Vec<ObjId> = m
+                    .objects_of(dc)
+                    .filter(|&d| !(decl.containment && contained(d)))
+                    .collect();
                 for &so in &sources {
                     for &dobj in &dests {
                         if !m.has_link(so, r, dobj) {
@@ -1085,24 +1040,7 @@ fn where_candidates(
                 }
                 _ => return,
             };
-            for o in m.objects_of(class) {
-                let Ok(cur) = m.attr(o, attr) else {
-                    continue; // unreadable slot: no candidate
-                };
-                for &val in desired {
-                    if val != cur {
-                        out.push(Candidate {
-                            model: t,
-                            op: EditOp::SetAttr {
-                                id: o,
-                                attr,
-                                value: val,
-                                old: cur,
-                            },
-                        });
-                    }
-                }
-            }
+            set_attr_candidates(m, t, m.objects_of(class), attr, desired, out);
         }
         HirExpr::And(a, b) | HirExpr::Or(a, b) | HirExpr::Implies(a, b) => {
             where_candidates(rel, a, binding, models, t, pool, out);
@@ -1110,6 +1048,38 @@ fn where_candidates(
         }
         HirExpr::Not(a) => where_candidates(rel, a, binding, models, t, pool, out),
         _ => {}
+    }
+}
+
+/// `SetAttr` candidates on the model `m` at `t`: for each of `objs` in
+/// turn, each of `values` that differs from the value the object holds,
+/// in order. `old` is always the value read — fabricating it would make
+/// the edit non-invertible — and an unreadable slot yields no candidate.
+fn set_attr_candidates(
+    m: &Model,
+    t: DomIdx,
+    objs: impl IntoIterator<Item = ObjId>,
+    attr: AttrId,
+    values: &[Value],
+    out: &mut Vec<Candidate>,
+) {
+    for id in objs {
+        let Ok(old) = m.attr(id, attr) else {
+            continue;
+        };
+        for &value in values {
+            if value != old {
+                out.push(Candidate {
+                    model: t,
+                    op: EditOp::SetAttr {
+                        id,
+                        attr,
+                        value,
+                        old,
+                    },
+                });
+            }
+        }
     }
 }
 
@@ -1145,78 +1115,89 @@ fn participating_models(rel: &HirRelation, dep: Dep) -> DomSet {
     set
 }
 
-/// Hash of one object's full state, tagged with its model position.
-/// Strings hash by interned index, so the hash is stable within one
-/// process only; it never leaves the search.
-fn obj_fp(t: DomIdx, id: ObjId, obj: &Object) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    t.0.hash(&mut h);
-    id.hash(&mut h);
-    obj.class.hash(&mut h);
-    obj.attrs.hash(&mut h);
-    obj.refs.hash(&mut h);
+/// One fact of an object of a target model: its class, one attribute
+/// with its value, or one outgoing link.
+#[derive(Hash)]
+enum Fact {
+    Class(ClassId),
+    Attr(AttrId, Value),
+    Link(RefId, ObjId),
+}
+
+/// The hash of `fact` of object `id` of the model at `t`. Strings hash
+/// by interned index, so the hash is stable within one process only; it
+/// never leaves the search.
+fn fact_fp(t: DomIdx, id: ObjId, fact: Fact) -> u64 {
+    let mut h = DefaultHasher::new();
+    (t.0, id, fact).hash(&mut h);
     h.finish()
 }
 
-/// Order-insensitive structural fingerprint of the mutable models: the
-/// wrapping sum of per-object hashes. Commutativity is what makes
-/// [`fingerprint_apply`] possible — an edit's effect on the fingerprint
-/// is the difference of the touched objects' hashes.
+/// The wrapping sum of the facts of `obj`, live at `id` in the model
+/// `m` at `t`: its class, every attribute and every outgoing link.
+fn object_facts(m: &Model, t: DomIdx, id: ObjId, obj: &Object) -> u64 {
+    let class = m.metamodel().class(obj.class);
+    let mut fp = fact_fp(t, id, Fact::Class(obj.class));
+    for (&attr, &value) in class.all_attrs.iter().zip(&obj.attrs) {
+        fp = fp.wrapping_add(fact_fp(t, id, Fact::Attr(attr, value)));
+    }
+    for (&r, dsts) in class.all_refs.iter().zip(&obj.refs) {
+        for &dst in dsts {
+            fp = fp.wrapping_add(fact_fp(t, id, Fact::Link(r, dst)));
+        }
+    }
+    fp
+}
+
+/// Order-insensitive structural fingerprint of the target models, from
+/// scratch: the wrapping sum of their facts' hashes. Commutativity is
+/// what makes [`fingerprint_apply`] possible. The search never needs
+/// it, since its states differ from a root at 0; [`reference_search`]
+/// and the tests use it as an independent check.
 fn fingerprint(models: &[Model], targets: DomSet) -> u64 {
-    let mut fp: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut fp: u64 = 0;
     for t in targets.iter() {
         let m = &models[t.index()];
         for (id, obj) in m.objects() {
-            fp = fp.wrapping_add(obj_fp(t, id, obj));
+            fp = fp.wrapping_add(object_facts(m, t, id, obj));
         }
     }
     fp
 }
 
 /// The fingerprint of the state reached by applying `cand` to `models`
-/// (which fingerprint to `fp`), computed without cloning the tuple or
-/// mutating anything, in O(touched objects): for `DelObj`, the victim
-/// and the distinct sources of its incoming links, found through the
-/// model's inverse link index (deletion scrubs those links). Returns
-/// `None` when the candidate is stale (its object vanished, the link
-/// already exists, …) — exactly the cases where [`apply_candidate`]
-/// would fail or no-op.
+/// (which fingerprint to `fp`): `fp` plus the hashes of the facts the
+/// edit adds, minus those it removes. Nothing is applied, copied or
+/// allocated. A `DelObj` removes the victim's facts and every link into
+/// it from another object, found through the model's inverse link
+/// index (a self-loop is among the victim's own links). Returns `None`
+/// when the candidate is stale (its object vanished, the link already
+/// exists, …) — the cases where applying it would fail or change
+/// nothing.
 fn fingerprint_apply(models: &[Model], fp: u64, cand: &Candidate) -> Option<u64> {
     let t = cand.model;
     let m = &models[t.index()];
     let meta = m.metamodel();
+    let fact = |id, fact| fact_fp(t, id, fact);
     match cand.op {
         EditOp::AddObj { id, class } => {
             if m.contains(id) || meta.class(class).is_abstract {
                 return None;
             }
-            let fresh = Object {
-                class,
-                attrs: meta.default_attrs(class),
-                refs: vec![Vec::new(); meta.class(class).all_refs.len()].into_boxed_slice(),
-            };
-            Some(fp.wrapping_add(obj_fp(t, id, &fresh)))
+            let mut fp = fp.wrapping_add(fact(id, Fact::Class(class)));
+            for &attr in &meta.class(class).all_attrs {
+                let default = meta.attr(attr).ty.default_value();
+                fp = fp.wrapping_add(fact(id, Fact::Attr(attr, default)));
+            }
+            Some(fp)
         }
         EditOp::DelObj { id, .. } => {
             let obj = m.get(id)?;
-            let mut fp = fp.wrapping_sub(obj_fp(t, id, obj));
-            // Deletion scrubs incoming links: survivors pointing at `id`
-            // change too. `incoming` is sorted by source, so each
-            // distinct source is one run of entries.
-            let mut last: Option<ObjId> = None;
-            for &(src, _) in m.incoming(id) {
-                if src == id || last == Some(src) {
-                    continue;
+            let mut fp = fp.wrapping_sub(object_facts(m, t, id, obj));
+            for &(src, r) in m.incoming(id) {
+                if src != id {
+                    fp = fp.wrapping_sub(fact(src, Fact::Link(r, id)));
                 }
-                last = Some(src);
-                let o = m.get(src).expect("link source is live");
-                let mut o2 = o.clone();
-                for s in o2.refs.iter_mut() {
-                    s.retain(|&d| d != id);
-                }
-                fp = fp
-                    .wrapping_sub(obj_fp(t, src, o))
-                    .wrapping_add(obj_fp(t, src, &o2));
             }
             Some(fp)
         }
@@ -1224,44 +1205,28 @@ fn fingerprint_apply(models: &[Model], fp: u64, cand: &Candidate) -> Option<u64>
             id, attr, value, ..
         } => {
             let obj = m.get(id)?;
-            let slot = meta.attr_slot(obj.class, attr)?;
-            if obj.attrs[slot] == value {
+            let old = obj.attrs[meta.attr_slot(obj.class, attr)?];
+            if old == value {
                 return None; // no-op
             }
-            let mut o2 = obj.clone();
-            o2.attrs[slot] = value;
             Some(
-                fp.wrapping_sub(obj_fp(t, id, obj))
-                    .wrapping_add(obj_fp(t, id, &o2)),
+                fp.wrapping_sub(fact(id, Fact::Attr(attr, old)))
+                    .wrapping_add(fact(id, Fact::Attr(attr, value))),
             )
         }
         EditOp::AddLink { src, r, dst } => {
             let obj = m.get(src)?;
-            if !m.contains(dst) {
-                return None;
-            }
             let slot = meta.ref_slot(obj.class, r)?;
-            let pos = match obj.refs[slot].binary_search(&dst) {
-                Ok(_) => return None, // already linked
-                Err(pos) => pos,
-            };
-            let mut o2 = obj.clone();
-            o2.refs[slot].insert(pos, dst);
-            Some(
-                fp.wrapping_sub(obj_fp(t, src, obj))
-                    .wrapping_add(obj_fp(t, src, &o2)),
-            )
+            if !m.contains(dst) || obj.refs[slot].binary_search(&dst).is_ok() {
+                return None; // dangling, or already linked
+            }
+            Some(fp.wrapping_add(fact(src, Fact::Link(r, dst))))
         }
         EditOp::DelLink { src, r, dst } => {
             let obj = m.get(src)?;
             let slot = meta.ref_slot(obj.class, r)?;
-            let pos = obj.refs[slot].binary_search(&dst).ok()?;
-            let mut o2 = obj.clone();
-            o2.refs[slot].remove(pos);
-            Some(
-                fp.wrapping_sub(obj_fp(t, src, obj))
-                    .wrapping_add(obj_fp(t, src, &o2)),
-            )
+            obj.refs[slot].binary_search(&dst).ok()?;
+            Some(fp.wrapping_sub(fact(src, Fact::Link(r, dst))))
         }
     }
 }
@@ -1541,7 +1506,7 @@ mod fp_tests {
             };
             let predicted = fingerprint_apply(&models, fp, &cand).expect("op applies");
             let mut edited = m.clone();
-            apply_candidate(&mut edited, &op).unwrap();
+            op.apply(&mut edited).unwrap();
             let actual = fingerprint(&[edited], targets);
             assert_eq!(predicted, actual, "{op}");
         }
@@ -1580,6 +1545,7 @@ mod fp_tests {
 #[cfg(test)]
 mod tree_tests {
     use super::*;
+    use mmt_check::CheckOptions;
     use mmt_gen::random_edits;
     use mmt_gen::scenario::all_scenarios;
     use mmt_model::text::{parse_metamodel, parse_model, print_model};
@@ -1706,7 +1672,7 @@ transformation T(a : X, b : X) {
             // The edit landed as the bare candidate would: same models,
             // same violations as a checker built on the edited tuple.
             let mut edited = models.clone();
-            apply_candidate(&mut edited[0], &op).unwrap();
+            op.apply(&mut edited[0]).unwrap();
             let after = snapshot(&checker, targets);
             assert_eq!(
                 after,
@@ -1734,16 +1700,43 @@ transformation T(a : X, b : X) {
         let mut models = models.to_vec();
         for (i, m) in models.iter_mut().enumerate() {
             for op in random_edits(m, 3, seed * 5 + i as u64) {
-                apply_candidate(m, &op).unwrap();
+                op.apply(m).unwrap();
             }
         }
         models
     }
 
+    /// Checks [`fingerprint_apply`] on every candidate derived at the
+    /// state `models`, which fingerprints to `fp`, against applying the
+    /// candidate to a copy: an edit that changes the tuple must predict
+    /// the from-scratch fingerprint of the result, and an edit that
+    /// fails or changes nothing must be stale.
+    fn assert_candidate_fingerprints(
+        models: &[Model],
+        fp: u64,
+        cands: &[Candidate],
+        targets: DomSet,
+        ctx: &str,
+    ) {
+        for cand in cands {
+            let mut edited = models.to_vec();
+            let m = cand.model.index();
+            let applied = cand.op.apply(&mut edited[m]).is_ok();
+            let predicted = fingerprint_apply(models, fp, cand);
+            if applied && !edited[m].graph_eq(&models[m]) {
+                let want = fingerprint(&edited, targets);
+                assert_eq!(predicted, Some(want), "{ctx}: {}", cand.op);
+            } else {
+                assert_eq!(predicted, None, "{ctx}: stale {}", cand.op);
+            }
+        }
+    }
+
     /// Hops one checker between random states of a search tree over
     /// every corpus scenario: wherever it lands, it must look exactly
     /// like a fresh checker over the tuple reached by applying the
-    /// state's path of candidates to a copy of the originals.
+    /// state's path of candidates to a copy of the originals, and every
+    /// candidate derived there must fingerprint as its result does.
     #[test]
     fn seeded_walk_matches_fresh_checkers() {
         for sc in all_scenarios() {
@@ -1784,9 +1777,10 @@ transformation T(a : X, b : X) {
                         });
                         let cands =
                             candidates_of(hir, checker.models(), targets, &violations, &pool);
+                        let fp = tree.nodes[n].fp;
+                        assert_candidate_fingerprints(want, fp, &cands, targets, &ctx(step));
                         for _ in 0..cands.len().min(3) {
                             let cand = cands[next(&mut rng, cands.len())];
-                            let fp = tree.nodes[n].fp;
                             if let Some(fp) = fingerprint_apply(checker.models(), fp, &cand) {
                                 pending.push(tree.push(n, cand, fp, 0));
                                 tuples.push(None);
@@ -1799,7 +1793,7 @@ transformation T(a : X, b : X) {
                         let parent = tree.nodes[i].parent;
                         let cand = tree.nodes[i].cand.unwrap();
                         let mut want = tuples[parent].clone().unwrap();
-                        let applies = apply_candidate(&mut want[cand.model.index()], &cand.op);
+                        let applies = cand.op.apply(&mut want[cand.model.index()]);
                         let landed = tree.enter(&mut checker, i).unwrap();
                         assert_eq!(landed, applies.is_ok(), "{}", ctx(step));
                         if landed {

@@ -6,6 +6,7 @@ use mmtf::dist::Delta;
 use mmtf::enforce::search::{reference_search, repair_search};
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
+use mmtf::model::conformance;
 use mmtf::prelude::*;
 
 /// Both engines agree on repairability and minimal cost across a grid of
@@ -464,8 +465,16 @@ fn pinned_cases() -> Vec<PinnedCase> {
     cases
 }
 
+/// Every repaired model must be an instance of its metamodel.
+fn assert_conforms(label: &str, out: &RepairOutcome) {
+    for (i, m) in out.models.iter().enumerate() {
+        let found = conformance::validate(m);
+        assert!(found.is_empty(), "{label}: model {i}: {found:?}");
+    }
+}
+
 /// Renders every pinned search repair: cost and per-model edit scripts,
-/// one `== <case>` block each.
+/// one `== <case>` block each. Every repair must conform.
 fn render_pinned_search_repairs() -> String {
     let mut out = String::new();
     for case in pinned_cases() {
@@ -480,6 +489,7 @@ fn render_pinned_search_repairs() -> String {
             Err(e) => out.push_str(&format!("error: {e}\n")),
             Ok(None) => out.push_str("unrepairable\n"),
             Ok(Some(o)) => {
+                assert_conforms(&case.label, &o);
                 out.push_str(&format!("cost {}\n", o.cost));
                 for d in &o.deltas {
                     out.push_str(&format!("{d}\n"));
@@ -695,12 +705,13 @@ fn sat_pinned_cases() -> Vec<PinnedCase> {
 }
 
 /// The repair contract every SAT outcome must meet: the repaired tuple
-/// checks consistent, models outside the shape are byte-identical, and
-/// `models` is exactly the originals with `deltas` applied (printed
-/// text and id space).
+/// checks consistent and conforms, models outside the shape are
+/// byte-identical, and `models` is exactly the originals with `deltas`
+/// applied (printed text and id space).
 fn assert_outcome_contract(case: &PinnedCase, out: &RepairOutcome) {
     let ctx = &case.label;
     assert!(case.t.check(&out.models).unwrap().consistent(), "{ctx}");
+    assert_conforms(ctx, out);
     let targets = case.shape.targets();
     for (i, orig) in case.models.iter().enumerate() {
         let (new, delta) = (&out.models[i], &out.deltas[i]);
@@ -793,6 +804,183 @@ fn search_copies_a_navigated_attribute() {
                 .unwrap()
                 .unwrap_or_else(|| panic!("{ctx}: reference repairs"));
             assert_eq!(out.deltas, reference.deltas, "{ctx}");
+        }
+    }
+}
+
+/// A tuple that an edit breaking a link constraint of the target's
+/// metamodel repairs at least as cheaply as any conformant repair.
+struct ConformanceCase {
+    name: &'static str,
+    metamodels: [&'static str; 2],
+    spec: &'static str,
+    models: [&'static str; 2],
+    target: usize,
+    cost: CostModel,
+    least: u64,
+}
+
+/// Uniform op prices.
+const UNIFORM: CostModel = CostModel {
+    add_obj: 1,
+    del_obj: 1,
+    set_attr: 1,
+    add_link: 1,
+    del_link: 1,
+};
+
+/// Op prices at which deleting a link is the cheapest edit.
+const CHEAP_UNLINK: CostModel = CostModel {
+    add_obj: 3,
+    del_obj: 3,
+    set_attr: 2,
+    add_link: 1,
+    del_link: 1,
+};
+
+/// Every `A` lists at least one `B`, and every listed `B`'s name must
+/// name a `P`.
+const LISTED_METAMODELS: [&str; 2] = [
+    "metamodel MA { class A { ref items: B [1..*]; } class B { attr name: Str; } }",
+    "metamodel MB { class P { attr name: Str; } }",
+];
+const LISTED_SPEC: &str = r#"
+transformation L(a : MA, b : MB) {
+  top relation Listed {
+    n : Str;
+    domain a x : A { items = y : B { name = n } };
+    domain b p : P { name = n };
+    depend a -> b;
+  }
+}
+"#;
+
+const CONFORMANCE_CASES: [ConformanceCase; 4] = [
+    // Linking the existing column into table C1 would give it a second
+    // container; a conformant repair creates, names and links a column.
+    ConformanceCase {
+        name: "second container",
+        metamodels: [
+            include_str!("../examples/data/UML.mm"),
+            include_str!("../examples/data/RDB.mm"),
+        ],
+        spec: include_str!("../examples/data/C2T.qvtr"),
+        models: [
+            r#"model uml : UML {
+                x0 = Attribute { name = "x" }
+                x1 = Attribute { name = "x" }
+                c0 = Class { name = "C0", attrs = [x0] }
+                c1 = Class { name = "C1", attrs = [x1] }
+            }"#,
+            r#"model rdb : RDB {
+                col = Column { name = "x" }
+                t0 = Table { name = "C0", cols = [col] }
+                t1 = Table { name = "C1" }
+            }"#,
+        ],
+        target: 1,
+        cost: UNIFORM,
+        least: 3,
+    },
+    // `x0` already holds the one item `[0..1]` admits; a conformant
+    // repair creates a second holder for `y1`.
+    ConformanceCase {
+        name: "upper bound",
+        metamodels: [
+            "metamodel MA { class P { attr name: Str; } }",
+            "metamodel MB { class A { ref item: B [0..1]; } class B { attr name: Str; } }",
+        ],
+        spec: r#"
+transformation U(a : MA, b : MB) {
+  top relation Held {
+    n : Str;
+    domain a p : P { name = n };
+    domain b x : A { item = y : B { name = n } };
+    depend a -> b;
+  }
+}
+"#,
+        models: [
+            r#"model a : MA { p0 = P { name = "p" } p1 = P { name = "q" } }"#,
+            r#"model b : MB {
+                y0 = B { name = "p" }
+                y1 = B { name = "q" }
+                x0 = A { item = [y0] }
+            }"#,
+        ],
+        target: 1,
+        cost: UNIFORM,
+        least: 2,
+    },
+    // Unlinking `y0` would leave `x0` below the lower bound of
+    // `[1..*]`; a conformant repair renames `y0` to the name `b` holds.
+    ConformanceCase {
+        name: "lower bound",
+        metamodels: LISTED_METAMODELS,
+        spec: LISTED_SPEC,
+        models: [
+            r#"model a : MA { y0 = B { name = "q" } x0 = A { items = [y0] } }"#,
+            r#"model b : MB { p0 = P { name = "p" } }"#,
+        ],
+        target: 0,
+        cost: CHEAP_UNLINK,
+        least: 2,
+    },
+    // Deleting `y0` would scrub the only item of `x0` and of `x1`; the
+    // conformant repair of the same cost renames `y0`.
+    ConformanceCase {
+        name: "scrubbed link",
+        metamodels: LISTED_METAMODELS,
+        spec: LISTED_SPEC,
+        models: [
+            r#"model a : MA {
+                y0 = B { name = "q" }
+                x0 = A { items = [y0] }
+                x1 = A { items = [y0] }
+            }"#,
+            r#"model b : MB { p0 = P { name = "p" } }"#,
+        ],
+        target: 0,
+        cost: UNIFORM,
+        least: 1,
+    },
+];
+
+/// Regression: the search derived edits that break the target's
+/// metamodel — an `AddLink` that gives an object a second container or
+/// passes a slot's upper bound, a `DelLink` that takes a slot below its
+/// lower bound, a `DelObj` whose scrubbed links do — and so "repaired"
+/// each of [`CONFORMANCE_CASES`] with a model SAT would not return, at
+/// or below the least conformant cost. Both engines must now find a
+/// conformant repair at that cost.
+#[test]
+fn repairs_conform_to_the_metamodel() {
+    for case in &CONFORMANCE_CASES {
+        let t = Transformation::from_sources(case.spec, &case.metamodels).unwrap();
+        let models: Vec<Model> = case
+            .models
+            .iter()
+            .zip(t.metamodels())
+            .map(|(src, mm)| parse_model(src, mm).unwrap())
+            .collect();
+        assert!(
+            models.iter().all(conformance::is_conformant),
+            "{}",
+            case.name
+        );
+        let opts = RepairOptions {
+            cost: case.cost,
+            ..RepairOptions::default()
+        };
+        for engine in [EngineKind::Search, EngineKind::Sat] {
+            let ctx = format!("{} on {engine:?}", case.name);
+            let out = t
+                .enforce_with(&models, Shape::towards(case.target), engine, opts.clone())
+                .unwrap()
+                .unwrap_or_else(|| panic!("{ctx}: repairable"));
+            assert_conforms(&ctx, &out);
+            assert!(t.check(&out.models).unwrap().consistent(), "{ctx}");
+            assert_eq!(out.cost, case.least, "{ctx}: {:?}", out.deltas);
         }
     }
 }

@@ -103,7 +103,7 @@ fn close_while_with_keeps_the_session_usable() {
 }
 
 #[test]
-fn lint_report_is_never_visible_before_its_transformation() {
+fn registration_is_atomic() {
     let (t, _) = fixture();
     let iters = loomlite::explore(move || {
         let hub = Arc::new(SyncHub::new());
@@ -112,21 +112,25 @@ fn lint_report_is_never_visible_before_its_transformation() {
         let writer = thread::spawn(move || {
             hub2.register("t", t2).expect("fresh registry");
         });
-        // register() fills two registries under separate write locks
-        // (transformations first, then lint_reports).  A reader in the gap
-        // may see the transformation without its report — but never the
-        // report without the transformation.
+        // register() publishes the transformation and its lint report as
+        // one registry entry: a reader sees both or neither, in either
+        // read order.
         let report_seen = hub.lint_report("t").is_ok();
         let t_seen = hub.transformation("t").is_ok();
         if report_seen && !t_seen {
             loomlite::fail("lint report visible before its transformation");
+        }
+        let t_seen = hub.transformation("t").is_ok();
+        let report_seen = hub.lint_report("t").is_ok();
+        if t_seen && !report_seen {
+            loomlite::fail("transformation visible without its lint report");
         }
         writer.join().expect("no panics");
         if hub.lint_report("t").is_err() || hub.transformation("t").is_err() {
             loomlite::fail("registration must be complete after join");
         }
     });
-    println!("lint_report_is_never_visible_before_its_transformation: {iters} interleavings");
+    println!("registration_is_atomic: {iters} interleavings");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Same-session A/B of `mmt serve`: a parent revision against the working
-# tree, on one servebench workload, in interleaved pairs.
+# Same-session A/B of `mmt serve`: a parent revision against a snapshot
+# of the working tree, on one servebench workload, in interleaved pairs.
 #
 #   bash tools/ab.sh <parent-rev> <workload> <pairs> [seconds]
 #   bash tools/ab.sh HEAD~1 repair_sat_fm10 5
@@ -8,8 +8,13 @@
 # The parent is exported with `git archive` into
 # ${TMPDIR:-/tmp}/mmt-ab-<commit>/ (kept, so a second run against the
 # same parent skips the export and most of the build) and built into a
-# target directory of its own; the working tree builds into
-# `.bench_build/`, servebench's default. Pair i runs seed i on both
+# target directory of its own. Before anything is built, the working
+# tree's tracked and unignored files are copied, with their mtimes, into
+# ${TMPDIR:-/tmp}/mmt-ab-change/tree, and the change side is built and
+# run from that copy, into the target directory beside it (kept, so
+# unchanged crates stay built). An edit made to the working tree while
+# the script runs therefore never reaches the change side, although
+# servebench/run.sh rebuilds before every run. Pair i runs seed i on both
 # sides for `seconds` (default 20) with `--trace 0`: the parent runs
 # first in odd pairs, the change in even ones. Then, for each
 # end-to-end metric of the result line, the script prints the median
@@ -42,10 +47,22 @@ if [ ! -f "$base/exported" ]; then
 	git -C "$root" archive "$sha" | tar -x -C "$base/tree"
 	touch "$base/exported"
 fi
+change="${TMPDIR:-/tmp}/mmt-ab-change"
+rm -rf "$change/tree"
+mkdir -p "$change/tree"
+git -C "$root" ls-files -z --cached --others --exclude-standard |
+	while IFS= read -r -d '' f; do
+		# A tracked file deleted from the working tree is not copied.
+		if [ -e "$root/$f" ] || [ -L "$root/$f" ]; then printf '%s\0' "$f"; fi
+	done |
+	tar -C "$root" --null -T - -cf - | tar -x -C "$change/tree"
+echo "change: snapshot of $root at $(git -C "$root" rev-parse --short=12 HEAD)," \
+	"$(find "$change/tree" -type f | wc -l) files, in $change/tree; uncommitted:" >&2
+git -C "$root" status --short >&2
 results=$(mktemp -d "${TMPDIR:-/tmp}/mmt-ab-results.XXXXXX")
 
 # side name, tree, target directory
-sides=("parent $base/tree $base/target" "change $root $root/.bench_build")
+sides=("parent $base/tree $base/target" "change $change/tree $change/target")
 
 # Builds what servebench/run.sh builds, so no run pays for compiling.
 for s in "${sides[@]}"; do
@@ -86,7 +103,7 @@ for ((i = 1; i <= pairs; i++)); do
 	fi
 done
 
-echo "# $workload: parent ${sha:0:12} vs working tree, $pairs pairs of ${seconds} s, results in $results"
+echo "# $workload: parent ${sha:0:12} vs snapshot $change/tree, $pairs pairs of ${seconds} s, results in $results"
 awk -v pairs="$pairs" '
 function sort(a, n,    i, j, t) {
 	for (i = 2; i <= n; i++)
