@@ -232,14 +232,16 @@ pub(crate) fn plan_check(
 
 type CallKey = (RelId, u64, u8, Vec<Slot>);
 
-/// Shared evaluation context over one model tuple.
+/// Shared evaluation context over one model tuple, private to the
+/// crate: [`crate::Checker`] and [`crate::DeltaChecker`] each evaluate
+/// through their own.
 ///
 /// The mutable evaluation state (call memo, statistics, recursion depth)
 /// lives in plain fields behind `&mut self` — there is no interior
 /// mutability, so `EvalCtx` is `Send + Sync` and a `&EvalCtx` can be
 /// shared across threads (each thread evaluating through its own
 /// context).
-pub struct EvalCtx<'a> {
+pub(crate) struct EvalCtx<'a> {
     /// The transformation.
     pub hir: &'a Hir,
     /// The bound models, in model-space order.

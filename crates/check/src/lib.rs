@@ -41,10 +41,11 @@ pub mod footprint;
 pub mod index;
 
 pub use delta::{DeltaChecker, DeltaError, DeltaStats};
-pub use eval::{Binding, EvalCtx, EvalError, EvalStats, Slot};
+pub use eval::{Binding, EvalError, EvalStats, Slot};
 pub use footprint::{check_footprints, CheckFootprints, Footprint};
 pub use index::ModelIndex;
 
+use eval::EvalCtx;
 use mmt_deps::Dep;
 use mmt_model::{Model, Sym};
 use mmt_qvtr::{Hir, RelId};
@@ -197,8 +198,8 @@ impl fmt::Display for CheckReport {
 ///
 /// `Checker` is `Send + Sync` (no interior mutability anywhere in the
 /// evaluation stack): one checker can serve concurrent [`Checker::check`]
-/// calls from multiple threads, each running through its own
-/// [`EvalCtx`].
+/// calls from multiple threads, each call evaluating through its own
+/// crate-private context.
 #[derive(Debug)]
 pub struct Checker<'a> {
     hir: &'a Hir,
@@ -355,7 +356,7 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
         assert_send_sync::<Checker<'static>>();
         assert_send_sync::<crate::DeltaChecker>();
         assert_static::<crate::DeltaChecker>();
-        assert_send_sync::<crate::EvalCtx<'static>>();
+        assert_send_sync::<EvalCtx<'static>>();
         assert_send_sync::<CheckReport>();
     }
 

@@ -387,6 +387,68 @@ fn class2rdbms_repairs_keep_one_container_per_column() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Regression: both engines repaired this tuple at distance 1 by linking
+/// `n1` to contain `leaf`, its own container, which closed a containment
+/// cycle. The least conformant repair costs 2 (two renames, or a move).
+#[test]
+fn repairs_close_no_containment_cycle() {
+    let dir = std::env::temp_dir().join(format!("mmt-cli-cycle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let files = [
+        ("Cyc.qvtr", cycle_tuple::SPEC),
+        ("S.mm", cycle_tuple::SOURCE_MM),
+        ("T.mm", cycle_tuple::TARGET_MM),
+        ("a.model", cycle_tuple::MODEL_A),
+        ("b.model", cycle_tuple::MODEL_B),
+    ];
+    for (name, text) in files {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    for engine in ["search", "sat"] {
+        let args = vec![
+            "enforce".to_string(),
+            "-t".into(),
+            path("Cyc.qvtr"),
+            "-M".into(),
+            path("S.mm"),
+            path("T.mm"),
+            "-m".into(),
+            path("a.model"),
+            path("b.model"),
+        ];
+        let (stdout, _, code) = run(args, &["--targets", "b", "--engine", engine]);
+        assert_eq!(code, Some(0), "{engine}: {stdout}");
+        assert!(
+            stdout.contains("repaired at distance 2"),
+            "{engine}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The containment-cycle tuple of [`repairs_close_no_containment_cycle`]:
+/// every `P` named n needs a `Node` named n with a kid named "leaf", and
+/// `b` holds a root `leaf` that contains `n1`.
+mod cycle_tuple {
+    pub const SOURCE_MM: &str = "metamodel S { class P { attr name: Str; } }";
+    pub const TARGET_MM: &str =
+        "metamodel T { class Node { attr name: Str; ref kids: Node [0..*] containment; } }";
+    pub const SPEC: &str = r#"transformation Cyc(a : S, b : T) {
+  top relation Kid {
+    n : Str;
+    domain a p : P { name = n };
+    domain b x : Node { name = n, kids = k : Node { name = "leaf" } };
+    depend a -> b;
+  }
+}"#;
+    pub const MODEL_A: &str = r#"model a : S { p = P { name = "n1" } }"#;
+    pub const MODEL_B: &str = r#"model b : T {
+  n1 = Node { name = "n1" }
+  leaf = Node { name = "leaf", kids = [n1] }
+}"#;
+}
+
 /// The snippet-2 HR history as one warm `mmt sync` session: repair the
 /// missing hire, push the salary beyond the cap, watch the least-change
 /// clamp bring it back.

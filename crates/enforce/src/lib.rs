@@ -19,7 +19,9 @@
 //!   Echo uses).
 //!
 //! Both return the minimal cost, the repaired tuple, and per-model edit
-//! scripts. They are differentially tested against each other.
+//! scripts. They are differentially tested against each other, and both
+//! against an exhaustive least-change oracle over small tuples
+//! (`tests/least_change_oracle.rs` in the workspace root).
 //!
 //! ```
 //! use mmt_model::text::{parse_metamodel, parse_model};
@@ -883,20 +885,16 @@ transformation G(cf1 : CF, fm : FM) {
             ..RepairOptions::default()
         };
         let tg = targets(&[0, 1]);
-        for (oracle, res) in [
-            (
-                "incremental",
-                SearchEngine::new(opts.clone()).repair(&hir, &models, tg),
-            ),
-            (
-                "reference",
-                search::reference_search(&hir, &models, tg, &opts),
-            ),
+        let engine = SearchEngine::new(opts);
+        let root = DeltaChecker::new(&hir, &models).unwrap();
+        for (path, res) in [
+            ("cold", engine.repair(&hir, &models, tg)),
+            ("warm", engine.repair_warm(&root, tg)),
         ] {
             let err = res.expect_err("overflowing weights are a configuration error");
             assert!(
                 matches!(err, RepairError::CostOverflow),
-                "{oracle}: unexpected error {err}"
+                "{path}: unexpected error {err}"
             );
         }
     }

@@ -16,10 +16,12 @@
 //! keeps the branching factor proportional to the number of violations.
 //! The SAT engine ([`crate::SatEngine`]) is the complete reference.
 //! No candidate breaks a link constraint of the metamodel: none gives an
-//! object a second container or fills a slot past its upper bound, and
-//! none empties a slot below its lower bound, directly or by deleting a
-//! link's target. So moving an object costs an explicit unlink and link,
-//! as in SAT's grounding. Containment cycles are not checked.
+//! object a second container, closes a containment cycle or fills a slot
+//! past its upper bound, and none empties a slot below its lower bound,
+//! directly or by deleting a link's target. So moving an object costs an
+//! explicit unlink and link, as in SAT's grounding. `SetAttr` candidates
+//! draw on the same active value domain as SAT's grounding
+//! ([`mmt_ground::ValueDomain`]).
 //!
 //! ## The bound
 //!
@@ -81,18 +83,18 @@
 //! whole. Identical candidates of one state reach the same fingerprint
 //! at the same g, so the filter admits only the first.
 //!
-//! [`reference_search`] runs the same A* with a from-scratch oracle
-//! (every state stores a full tuple and re-checks every directional
-//! check). It is slow and exists only as the reference that tests
-//! compare [`repair_search`] against.
+//! The search is tested against ground truth, not against a copy of
+//! itself: `tests/least_change_oracle.rs` enumerates every edit script
+//! over a closed bounded universe, with no engine code, and checks that
+//! the cold and warm search (and SAT) return its minimum.
 
 use crate::{RepairError, RepairOptions, RepairOutcome};
-use mmt_check::{Binding, DeltaChecker, DeltaError, EvalCtx, ModelIndex, Slot};
+use mmt_check::{Binding, DeltaChecker, DeltaError, Slot};
 use mmt_deps::{Dep, DomIdx, DomSet, MAX_DOMAINS};
 use mmt_dist::{expand_op, Delta, EditOp};
-use mmt_model::fx::FxHashSet;
-use mmt_model::{AttrId, AttrType, ClassId, Model, ObjId, Object, RefId, Sym, Value};
-use mmt_qvtr::{Atom, Constraint, Hir, HirExpr, HirRelation, RelId, VarTy};
+use mmt_ground::ValueDomain;
+use mmt_model::{AttrId, ClassId, Model, ObjId, Object, RefId, Value};
+use mmt_qvtr::{Atom, Constraint, Hir, HirExpr, HirRelation, VarTy};
 use std::cmp::Reverse;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BinaryHeap, HashMap};
@@ -293,10 +295,10 @@ pub(crate) fn search_from_root(
     let hir: Arc<Hir> = Arc::clone(checker.hir_arc());
     let hir = &*hir;
     let bound = Bound::new(hir, targets, opts);
-    let value_pool = collect_value_pool(checker.models(), hir, opts.fresh_strings);
+    let value_pool = ValueDomain::collect(hir, checker.models(), opts.fresh_strings);
     // Fingerprints are differences from the root (see the module docs).
     let mut tree = SearchTree::new(0);
-    let mut open = Frontier::new(0);
+    let mut open = Frontier::new();
     let mut evaluations: u64 = 0;
     let mut violations: Vec<Violation> = Vec::new();
     while let Some((f, idx)) = open.pop() {
@@ -318,7 +320,7 @@ pub(crate) fn search_from_root(
                     states: opts.max_states,
                 });
             }
-            let Some(h) = bound.h(|| checker.failing_checks(), DomSet::EMPTY) else {
+            let Some(h) = bound.h(&checker, DomSet::EMPTY) else {
                 return Ok(None); // a failing check reads no target model
             };
             // The goal test reads the uncapped verdicts: with a cap of 0 no
@@ -342,7 +344,7 @@ pub(crate) fn search_from_root(
                 binding: binding.clone(),
             });
         });
-        let lazy = bound.per_model(|| checker.failing_checks());
+        let lazy = bound.per_model(&checker);
         for cand in candidates_of(hir, checker.models(), targets, &violations, &value_pool) {
             let total = checked_step(&cand, opts)
                 .and_then(|step| g.checked_add(step))
@@ -363,95 +365,7 @@ pub(crate) fn search_from_root(
     Ok(None)
 }
 
-/// One state of [`reference_search`]: a full tuple, its fingerprint,
-/// its distance `g` and whether its exact bound has been computed.
-struct RefState {
-    models: Vec<Model>,
-    fp: u64,
-    g: u64,
-    evaluated: bool,
-}
-
-/// The same A* — same bound, lazy protocol and tie-breaks — with a
-/// from-scratch oracle: every state stores a full model tuple and
-/// re-checks every directional check whenever it pops. Tests compare
-/// [`repair_search`] against it; `opts.tuple` must already be resolved
-/// against the tuple's arity (or be [`mmt_dist::TupleCost::auto`]).
-pub fn reference_search(
-    hir: &Hir,
-    originals: &[Model],
-    targets: DomSet,
-    opts: &RepairOptions,
-) -> Result<Option<RepairOutcome>, RepairError> {
-    let bound = Bound::new(hir, targets, opts);
-    let value_pool = collect_value_pool(originals, hir, opts.fresh_strings);
-    let root_fp = fingerprint(originals, targets);
-    // Model is not Ord, so the frontier carries indices into a state arena.
-    let mut states = vec![RefState {
-        models: originals.to_vec(),
-        fp: root_fp,
-        g: 0,
-        evaluated: false,
-    }];
-    let mut open = Frontier::new(root_fp);
-    let mut evaluations: u64 = 0;
-    while let Some((f, idx)) = open.pop() {
-        let RefState {
-            fp, g, evaluated, ..
-        } = states[idx];
-        if open.superseded(fp, g) {
-            continue;
-        }
-        let models = states[idx].models.clone();
-        // Oracle: collect violations (with Slot-level bindings).
-        let (violations, failing) = collect_violations(hir, &models, opts)?;
-        if !evaluated {
-            evaluations += 1;
-            if evaluations > opts.max_states {
-                return Err(RepairError::SearchBudgetExhausted {
-                    states: opts.max_states,
-                });
-            }
-            let Some(h) = bound.h(|| failing.iter().copied(), DomSet::EMPTY) else {
-                return Ok(None); // a failing check reads no target model
-            };
-            if failing.is_empty() {
-                return outcome(originals, models, g).map(Some);
-            }
-            states[idx].evaluated = true;
-            if open.requeue(f, g, h, idx, opts.max_cost) {
-                continue;
-            }
-        }
-        let lazy = bound.per_model(|| failing.iter().copied());
-        for cand in candidates_of(hir, &models, targets, &violations, &value_pool) {
-            let total = checked_step(&cand, opts)
-                .and_then(|step| g.checked_add(step))
-                .ok_or(RepairError::CostOverflow)?;
-            let f = total.saturating_add(lazy[cand.model.index()]);
-            if f > opts.max_cost {
-                continue;
-            }
-            let mut next = models.clone();
-            if cand.op.apply(&mut next[cand.model.index()]).is_err() {
-                continue; // stale candidate (object vanished, etc.)
-            }
-            let fp = fingerprint(&next, targets);
-            if open.improves(fp, total) {
-                states.push(RefState {
-                    models: next,
-                    fp,
-                    g: total,
-                    evaluated: false,
-                });
-                open.push(f, total, states.len() - 1);
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// The A* frontier both searches share, with its duplicate filter.
+/// The A* frontier, with its duplicate filter.
 struct Frontier {
     /// `(f, g, state)`: the max-heap pops the lowest f, then the highest
     /// g, then the lowest state index — the earliest push.
@@ -461,13 +375,14 @@ struct Frontier {
 }
 
 impl Frontier {
-    /// A frontier holding the root, state 0, at f = g = 0.
-    fn new(root_fp: u64) -> Frontier {
+    /// A frontier holding the root, state 0 at fingerprint 0, at
+    /// f = g = 0.
+    fn new() -> Frontier {
         let mut frontier = Frontier {
             heap: BinaryHeap::new(),
             best: HashMap::new(),
         };
-        frontier.best.insert(root_fp, 0);
+        frontier.best.insert(0, 0);
         frontier.push(0, 0, 0);
         frontier
     }
@@ -551,18 +466,14 @@ impl<'a> Bound<'a> {
         }
     }
 
-    /// h of a state whose failing checks `failing` yields (afresh on
-    /// every call), given that the models in `hit` are already paid for:
-    /// the least total price of a set of further target models that,
-    /// with `hit`, meets the scope of every failing check. `None` when a
-    /// failing check reads no target model: no edit the repair may make
-    /// can fix it.
-    fn h<I>(&self, failing: impl Fn() -> I + Copy, hit: DomSet) -> Option<u64>
-    where
-        I: Iterator<Item = CheckId>,
-    {
+    /// h of the state `checker` holds, given that the models in `hit`
+    /// are already paid for: the least total price of a set of further
+    /// target models that, with `hit`, meets the scope of every failing
+    /// check. `None` when a failing check reads no target model: no edit
+    /// the repair may make can fix it.
+    fn h(&self, checker: &DeltaChecker, hit: DomSet) -> Option<u64> {
         let mut best = None;
-        self.cover(failing, hit, 0, &mut best);
+        self.cover(checker, hit, 0, &mut best);
         best
     }
 
@@ -571,18 +482,10 @@ impl<'a> Bound<'a> {
     /// turn, keeping the cheapest complete cover in `best`. A branch is
     /// cut once `paid` plus the dearest cheapest model of a missed scope
     /// reaches `best`.
-    fn cover<I>(
-        &self,
-        failing: impl Fn() -> I + Copy,
-        hit: DomSet,
-        paid: u64,
-        best: &mut Option<u64>,
-    ) where
-        I: Iterator<Item = CheckId>,
-    {
+    fn cover(&self, checker: &DeltaChecker, hit: DomSet, paid: u64, best: &mut Option<u64>) {
         let mut missed: Option<DomSet> = None;
         let mut floor = 0;
-        for (rel, dep) in failing() {
+        for (rel, dep) in checker.failing_checks() {
             let scope = participating_models(self.hir.relation(rel), dep).intersect(self.targets);
             if !scope.intersect(hit).is_empty() {
                 continue;
@@ -603,20 +506,17 @@ impl<'a> Bound<'a> {
         }
         for m in scope.iter() {
             let paid = paid.saturating_add(self.price[m.index()]);
-            self.cover(failing, hit.with(m), paid, best);
+            self.cover(checker, hit.with(m), paid, best);
         }
     }
 
-    /// The lazy bound of every child of an inconsistent state, by the
-    /// model its edit lands in: h over the state's failing scopes that
-    /// miss that model, the f a child is pushed with.
-    fn per_model<I>(&self, failing: impl Fn() -> I + Copy) -> [u64; MAX_DOMAINS]
-    where
-        I: Iterator<Item = CheckId>,
-    {
+    /// The lazy bound of every child of the inconsistent state `checker`
+    /// holds, by the model its edit lands in: h over the state's failing
+    /// scopes that miss that model, the f a child is pushed with.
+    fn per_model(&self, checker: &DeltaChecker) -> [u64; MAX_DOMAINS] {
         let mut lazy = [0; MAX_DOMAINS];
         for m in self.targets.iter() {
-            lazy[m.index()] = self.h(failing, DomSet::single(m)).unwrap_or(u64::MAX);
+            lazy[m.index()] = self.h(checker, DomSet::single(m)).unwrap_or(u64::MAX);
         }
         lazy
     }
@@ -651,7 +551,7 @@ fn candidates_of(
     models: &[Model],
     targets: DomSet,
     violations: &[Violation],
-    pool: &ValuePool,
+    pool: &ValueDomain,
 ) -> Vec<Candidate> {
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut fresh = FreshAllocator::new(models);
@@ -713,107 +613,6 @@ struct Violation {
     binding: Binding,
 }
 
-/// A directional check: a top relation and one of its dependencies.
-type CheckId = (RelId, Dep);
-
-/// Up to `opts.violations_per_check` violations per directional check,
-/// and every failing check (uncapped), in check order.
-fn collect_violations(
-    hir: &Hir,
-    models: &[Model],
-    opts: &RepairOptions,
-) -> Result<(Vec<Violation>, Vec<CheckId>), RepairError> {
-    let indexes: Vec<ModelIndex> = models.iter().map(ModelIndex::build).collect();
-    let mut ctx = EvalCtx::new(hir, models, &indexes);
-    let mut out = Vec::new();
-    let mut failing = Vec::new();
-    for (rid, rel) in hir.top_relations() {
-        for &dep in rel.deps.deps() {
-            let mut captured: Vec<Binding> = Vec::new();
-            let max = opts.violations_per_check;
-            let holds = ctx.check_dep(rid, dep, &mut |_, b| {
-                if captured.len() < max {
-                    captured.push(b.clone());
-                }
-                captured.len() < max
-            })?;
-            if !holds {
-                failing.push((rid, dep));
-            }
-            for binding in captured {
-                out.push(Violation {
-                    rel: rid,
-                    dep,
-                    binding,
-                });
-            }
-        }
-    }
-    Ok((out, failing))
-}
-
-/// The active value pool used for attribute-change candidates.
-struct ValuePool {
-    strings: Vec<Value>,
-    ints: Vec<Value>,
-}
-
-/// Both boolean values, in pool order.
-const BOOLS: [Value; 2] = [Value::Bool(false), Value::Bool(true)];
-
-/// The value pool of one search: every string and int attribute value
-/// of `models`, the literals the spec compares attributes with, and
-/// `fresh_strings` fresh strings — each once, in first-seen order
-/// (candidate order, and with it which repair wins, follows it).
-fn collect_value_pool(models: &[Model], hir: &Hir, fresh_strings: usize) -> ValuePool {
-    let mut pool = ValuePool {
-        strings: Vec::new(),
-        ints: Vec::new(),
-    };
-    let mut seen: FxHashSet<Value> = FxHashSet::default();
-    let mut add = |v: Value| {
-        let list = match v.ty() {
-            AttrType::Str => &mut pool.strings,
-            AttrType::Int => &mut pool.ints,
-            AttrType::Bool => return,
-        };
-        if seen.insert(v) {
-            list.push(v);
-        }
-    };
-    for m in models {
-        for (_, obj) in m.objects() {
-            obj.attrs.iter().copied().for_each(&mut add);
-        }
-    }
-    for rel in &hir.relations {
-        for d in &rel.domains {
-            for c in &d.constraints {
-                if let Constraint::AttrEq {
-                    rhs: Atom::Lit(v), ..
-                } = c
-                {
-                    add(*v);
-                }
-            }
-        }
-    }
-    for i in 0..fresh_strings {
-        add(Value::Str(Sym::new(&format!("$new{i}"))));
-    }
-    pool
-}
-
-impl ValuePool {
-    fn of(&self, ty: AttrType) -> &[Value] {
-        match ty {
-            AttrType::Str => &self.strings,
-            AttrType::Int => &self.ints,
-            AttrType::Bool => &BOOLS,
-        }
-    }
-}
-
 /// Derives single-op candidates from one violation: witness creation on
 /// the target side, match destruction on mutable source sides. `fresh`
 /// must span every violation of one state so fresh-object ids never
@@ -824,7 +623,7 @@ fn derive_candidates(
     models: &[Model],
     targets: DomSet,
     v: &Violation,
-    pool: &ValuePool,
+    pool: &ValueDomain,
     fresh: &mut FreshAllocator,
     out: &mut Vec<Candidate>,
 ) {
@@ -909,7 +708,7 @@ fn witness_candidates(
     binding: &Binding,
     models: &[Model],
     t: DomIdx,
-    pool: &ValuePool,
+    pool: &ValueDomain,
     fresh: &mut FreshAllocator,
     out: &mut Vec<Candidate>,
 ) {
@@ -949,7 +748,7 @@ fn witness_candidates(
                 // Offer links between class-compatible pairs that the
                 // metamodel admits: the source's slot has room for one
                 // more target, and a containment's target has no
-                // container yet.
+                // container yet and does not enclose the source.
                 let (sc, dc) = match (rel.vars[obj.index()].ty, rel.vars[dst.index()].ty) {
                     (VarTy::Obj { class: sc, .. }, VarTy::Obj { class: dc, .. }) => (sc, dc),
                     _ => continue,
@@ -973,21 +772,45 @@ fn witness_candidates(
                     .collect();
                 for &so in &sources {
                     for &dobj in &dests {
-                        if !m.has_link(so, r, dobj) {
-                            out.push(Candidate {
-                                model: t,
-                                op: EditOp::AddLink {
-                                    src: so,
-                                    r,
-                                    dst: dobj,
-                                },
-                            });
+                        if m.has_link(so, r, dobj) || decl.containment && encloses(m, dobj, so) {
+                            continue;
                         }
+                        out.push(Candidate {
+                            model: t,
+                            op: EditOp::AddLink {
+                                src: so,
+                                r,
+                                dst: dobj,
+                            },
+                        });
                     }
                 }
             }
         }
     }
+}
+
+/// Whether `outer` is `obj` or one of its containers in `m`, found by
+/// walking the containment links into `obj` upwards: a containment link
+/// from `obj` to `outer` would close a cycle. Allocates nothing.
+fn encloses(m: &Model, outer: ObjId, obj: ObjId) -> bool {
+    let meta = m.metamodel();
+    let mut at = obj;
+    // A walk longer than the model is already inside a cycle.
+    for _ in 0..=m.len() {
+        if at == outer {
+            return true;
+        }
+        let container = m
+            .incoming(at)
+            .iter()
+            .find(|&&(_, by)| meta.reference(by).containment);
+        match container {
+            Some(&(src, _)) => at = src,
+            None => return false,
+        }
+    }
+    false
 }
 
 /// Candidates from `where` equality constraints on target-side objects,
@@ -998,7 +821,7 @@ fn where_candidates(
     binding: &Binding,
     models: &[Model],
     t: DomIdx,
-    pool: &ValuePool,
+    pool: &ValueDomain,
     out: &mut Vec<Candidate>,
 ) {
     match e {
@@ -1152,8 +975,9 @@ fn object_facts(m: &Model, t: DomIdx, id: ObjId, obj: &Object) -> u64 {
 /// Order-insensitive structural fingerprint of the target models, from
 /// scratch: the wrapping sum of their facts' hashes. Commutativity is
 /// what makes [`fingerprint_apply`] possible. The search never needs
-/// it, since its states differ from a root at 0; [`reference_search`]
-/// and the tests use it as an independent check.
+/// it, since its states differ from a root at 0; the tests use it as an
+/// independent check.
+#[cfg(test)]
 fn fingerprint(models: &[Model], targets: DomSet) -> u64 {
     let mut fp: u64 = 0;
     for t in targets.iter() {
@@ -1234,6 +1058,7 @@ fn fingerprint_apply(models: &[Model], fp: u64, cand: &Candidate) -> Option<u64>
 #[cfg(test)]
 mod candidate_tests {
     use super::*;
+    use crate::{RepairEngine, SatEngine};
     use mmt_model::text::{parse_metamodel, parse_model};
     use mmt_model::Sym;
     use mmt_qvtr::{parse_and_resolve, HirDomain};
@@ -1274,7 +1099,7 @@ transformation C2T(uml : UML, rdb : RDB) {
         let bound = m_rdb.id_bound() as u32;
         let models = [m_uml, m_rdb];
         let binding: Binding = vec![None; rel.vars.len()];
-        let pool = collect_value_pool(&models, &hir, 1);
+        let pool = ValueDomain::collect(&hir, &models, 1);
         let mut fresh = FreshAllocator::new(&models);
         let mut out = Vec::new();
         witness_candidates(
@@ -1306,7 +1131,7 @@ transformation C2T(uml : UML, rdb : RDB) {
 
     /// End to end: the search builds both fresh objects, names them and
     /// links them — and the repaired delta allocates them at distinct
-    /// ids.
+    /// ids, as SAT's does.
     #[test]
     fn repair_creates_two_fresh_objects_in_one_model() {
         let uml = parse_metamodel(UML_MM).unwrap();
@@ -1325,8 +1150,11 @@ transformation C2T(uml : UML, rdb : RDB) {
         let targets = DomSet::single(DomIdx(1));
         let opts = RepairOptions::default();
         for (oracle, out) in [
-            ("incremental", repair_search(&hir, &models, targets, &opts)),
-            ("reference", reference_search(&hir, &models, targets, &opts)),
+            ("search", repair_search(&hir, &models, targets, &opts)),
+            (
+                "sat",
+                SatEngine::new(opts.clone()).repair(&hir, &models, targets),
+            ),
         ] {
             let out = out.unwrap().expect("a fresh Table + Column repair exists");
             // AddObj ×2, SetAttr name ×2, AddLink: the minimal witness.
@@ -1390,7 +1218,7 @@ transformation T(m1 : X, m2 : X) {
         let m2 = parse_model(r#"model m2 : X { p0 = P { a = "y" } }"#, &x).unwrap();
         let models = [m1, m2.clone()];
         let binding: Binding = vec![None; rel.vars.len()];
-        let pool = collect_value_pool(&models, &hir, 1);
+        let pool = ValueDomain::collect(&hir, &models, 1);
         let mut fresh = FreshAllocator::new(&models);
         let mut out = Vec::new();
         witness_candidates(
@@ -1545,10 +1373,12 @@ mod fp_tests {
 #[cfg(test)]
 mod tree_tests {
     use super::*;
+    use crate::{RepairEngine, SatEngine};
     use mmt_check::CheckOptions;
     use mmt_gen::random_edits;
     use mmt_gen::scenario::all_scenarios;
     use mmt_model::text::{parse_metamodel, parse_model, print_model};
+    use mmt_model::Sym;
     use mmt_qvtr::parse_and_resolve;
 
     /// What exact undo must restore: printed models, id bounds, the
@@ -1745,7 +1575,7 @@ transformation T(a : X, b : X) {
                 let hir = &w.hir;
                 let originals = drifted(&w.models, seed);
                 let targets = DomSet::full(originals.len());
-                let pool = collect_value_pool(&originals, hir, 1);
+                let pool = ValueDomain::collect(hir, &originals, 1);
                 let mut checker = checker_over(hir, &originals);
                 assert!(!checker.consistent(), "{} seed={seed}: drift", sc.name());
                 let mut tree = SearchTree::new(fingerprint(&originals, targets));
@@ -1828,7 +1658,9 @@ transformation T(a : X, b : X) {
     /// h(parent) ≤ step + h(child) for every entered child, and the lazy
     /// bound a child is pushed with never exceeds its exact h. Goal
     /// detection: h = 0 exactly on consistent states. Admissibility at
-    /// the root: h(root) ≤ the least-change cost of [`reference_search`].
+    /// the root: h(root) ≤ SAT's least-change cost under the same
+    /// options. SAT uses no h, so an inadmissible h fails here, where a
+    /// search ordered by h itself never returns a cost below h(root).
     #[test]
     fn bound_is_admissible_and_consistent() {
         let mut admissible_checked = 0;
@@ -1860,12 +1692,12 @@ transformation T(a : X, b : X) {
                 let ctx = |step: usize| format!("{} seed={seed} step={step}", sc.name());
                 let bound = Bound::new(hir, targets, &opts);
                 let h_of = |checker: &DeltaChecker| {
-                    let h = bound.h(|| checker.failing_checks(), DomSet::EMPTY);
+                    let h = bound.h(checker, DomSet::EMPTY);
                     let h = h.expect("every check reads a target");
                     assert_eq!(h == 0, checker.consistent());
                     h
                 };
-                let pool = collect_value_pool(&originals, hir, 1);
+                let pool = ValueDomain::collect(hir, &originals, 1);
                 let mut checker = checker_over(hir, &originals);
                 let root_h = h_of(&checker);
                 assert!(root_h > 0, "{}: drift", ctx(0));
@@ -1882,7 +1714,7 @@ transformation T(a : X, b : X) {
                             binding: binding.clone(),
                         });
                     });
-                    let lazy = bound.per_model(|| checker.failing_checks());
+                    let lazy = bound.per_model(&checker);
                     let cands = candidates_of(hir, checker.models(), targets, &violations, &pool);
                     for _ in 0..cands.len().min(4) {
                         let cand = cands[next(&mut rng, cands.len())];
@@ -1903,12 +1735,12 @@ transformation T(a : X, b : X) {
                     }
                 }
                 assert!(entered.len() > 10, "{}: the walk went somewhere", sc.name());
-                match reference_search(hir, &originals, targets, &opts) {
+                match SatEngine::new(opts.clone()).repair(hir, &originals, targets) {
                     Ok(Some(out)) => {
                         assert!(root_h <= out.cost, "{}: h(root) {root_h}", ctx(0));
                         admissible_checked += 1;
                     }
-                    Ok(None) | Err(RepairError::SearchBudgetExhausted { .. }) => {}
+                    Ok(None) => {}
                     Err(e) => panic!("{}: {e}", ctx(0)),
                 }
             }

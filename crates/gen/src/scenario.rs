@@ -259,9 +259,9 @@ impl Scenario for CompanyHr {
             company
                 .set_attr_named(e, "name", name)
                 .expect("declared attr");
-            // Always within the cap, so the seed tuple is consistent —
-            // and the tuple always carries in-range salaries for the
-            // repair value pool to draw on.
+            // Always within the cap, so the seed tuple is consistent.
+            // (Repairs need no in-range salary here to lower one to:
+            // the cap and the Int default are in every value domain.)
             let salary = rng.gen_range(0..(SALARY_CAP as usize + 1)) as i64;
             company
                 .set_attr_named(e, "salary", Value::Int(salary))

@@ -8,12 +8,13 @@
 //! the grounder builds a symbolic universe: the original objects plus
 //! `slack` fresh objects per concrete class. Decision variables encode
 //! object liveness, one-hot attribute values over the active domain
-//! (original values across all models, plus fresh string symbols), and
-//! per-pair links. The other models are exact bounds, like the partial
-//! instances Kodkod takes: their patterns fold to constants. Every
-//! directional check `R_{S→T}` of every top relation is instantiated over
-//! the universe; cost literals mirror [`mmt_dist::Delta`]'s operation
-//! costs; a weighted sequential counter bounds the total cost, and
+//! ([`ValueDomain`]: original values across all models, the spec's
+//! literals, fresh string symbols and the defaults), and per-pair links.
+//! The other models are exact bounds, like the partial instances Kodkod
+//! takes: their patterns fold to constants. Every directional check
+//! `R_{S→T}` of every top relation is instantiated over the universe;
+//! cost literals mirror [`mmt_dist::Delta`]'s operation costs; a
+//! weighted sequential counter bounds the total cost, and
 //! [`GroundProblem::solve_min_cost`] relaxes the bound `k = 0, 1, 2, …` —
 //! precisely the paper's "iterative process of searching for all
 //! consistent models at increasing distance".
@@ -213,20 +214,26 @@ impl MutModel {
 }
 
 /// The active value domain of each attribute type, and where each value
-/// sits in its type's domain.
-struct Domains {
+/// sits in its type's domain: the values a repair may write. Both
+/// engines draw from it, the grounding for its one-hot attribute
+/// variables and the search for its `SetAttr` candidates, so neither
+/// can reach a value the other cannot.
+pub struct ValueDomain {
     strs: Vec<Value>,
     ints: Vec<Value>,
     bools: [Value; 2],
     pos: FxHashMap<Value, u32>,
 }
 
-impl Domains {
-    /// Every value observed in `models` or written in `hir`, plus
-    /// `fresh_strings` fresh strings and each type's default.
-    fn collect(hir: &Hir, models: &[Model], fresh_strings: usize) -> Domains {
+impl ValueDomain {
+    /// Every value observed in `models` or written in `hir` (pattern
+    /// literals, then `when` and `where` literals, relation by
+    /// relation), plus `fresh_strings` fresh strings and each type's
+    /// default — each once, in first-seen order. Clause order follows
+    /// it, and so does the search's candidate order.
+    pub fn collect(hir: &Hir, models: &[Model], fresh_strings: usize) -> ValueDomain {
         let bools = [Value::Bool(false), Value::Bool(true)];
-        let mut d = Domains {
+        let mut d = ValueDomain {
             strs: Vec::new(),
             ints: Vec::new(),
             bools,
@@ -297,7 +304,8 @@ impl Domains {
         }
     }
 
-    fn of(&self, ty: AttrType) -> &[Value] {
+    /// The domain of attribute type `ty`, in first-seen order.
+    pub fn of(&self, ty: AttrType) -> &[Value] {
         match ty {
             AttrType::Str => &self.strs,
             AttrType::Int => &self.ints,
@@ -328,7 +336,7 @@ pub struct GroundProblem<'a> {
     builder: CnfBuilder,
     /// Symbolic state of each model, `None` for the frozen ones.
     muts: Vec<Option<MutModel>>,
-    domains: Domains,
+    domains: ValueDomain,
     cost_outs: Vec<Lit>,
     stats: GroundStats,
 }
@@ -358,7 +366,7 @@ impl<'a> GroundProblem<'a> {
             opts: opts.clone(),
             builder: CnfBuilder::new(),
             muts: Vec::with_capacity(models.len()),
-            domains: Domains::collect(hir, models, opts.scope.fresh_strings),
+            domains: ValueDomain::collect(hir, models, opts.scope.fresh_strings),
             extents: Vec::new(),
             cost_items: Vec::new(),
             instantiations: 0,
@@ -459,7 +467,7 @@ struct Grounder<'a> {
     builder: CnfBuilder,
     /// Symbolic state of each model, `None` for the frozen ones.
     muts: Vec<Option<MutModel>>,
-    domains: Domains,
+    domains: ValueDomain,
     /// The candidates of an object variable: `extents[model][class]`,
     /// filled for every pair some relation variable ranges over.
     extents: Vec<Vec<Vec<GVal>>>,
@@ -619,6 +627,36 @@ impl<'a> Split<'a> {
         }
         Some(Split { d, comps, witness })
     }
+}
+
+/// Whether class `start` lies on a cycle of the metamodel's class-level
+/// containment graph, whose edges run from a class to every concrete
+/// class one of its containment references admits. Allocates nothing
+/// for a class that contains nothing.
+fn on_containment_cycle(meta: &Metamodel, start: ClassId) -> bool {
+    let contained = |c: ClassId| {
+        meta.class(c)
+            .all_refs
+            .iter()
+            .filter(|&&r| meta.reference(r).containment)
+            .flat_map(|&r| {
+                meta.concrete_subtypes(meta.reference(r).target)
+                    .iter()
+                    .copied()
+            })
+    };
+    let mut seen: Vec<ClassId> = Vec::new();
+    let mut stack: Vec<ClassId> = contained(start).collect();
+    while let Some(c) = stack.pop() {
+        if c == start {
+            return true;
+        }
+        if !seen.contains(&c) {
+            seen.push(c);
+            stack.extend(contained(c));
+        }
+    }
+    false
 }
 
 /// Gives every variable of `vars` that is in `r_vars` one label.
@@ -810,6 +848,45 @@ impl<'a> Grounder<'a> {
             for i in 0..into.len() {
                 for j in i + 1..into.len() {
                     self.builder.clause(&[into[i].negate(), into[j].negate()]);
+                }
+            }
+        }
+        // Acyclic containment, through reach variables over the objects
+        // whose class lies on a containment cycle of the metamodel (no
+        // other object can close one): R(u, v) ⇐ link(u, v),
+        // R(u, w) ⇐ R(u, v) ∧ link(v, w), and ¬R(u, u).
+        let cyclic_classes: Vec<ClassId> = meta
+            .classes()
+            .map(|(c, _)| c)
+            .filter(|&c| on_containment_cycle(meta, c))
+            .collect();
+        let cyclic: Vec<u32> = (0..universe.len() as u32)
+            .filter(|&u| cyclic_classes.contains(&universe[u as usize].class))
+            .collect();
+        let n = cyclic.len();
+        let reach_base = self.builder.fresh_run(n * n);
+        let reach = |i: usize, j: usize| Var(reach_base.0 + (i * n + j) as u32);
+        for i in 0..n {
+            self.builder.clause(&[Lit::neg(reach(i, i))]);
+        }
+        for (i, &su) in cyclic.iter().enumerate() {
+            let refs = &meta.class(universe[su as usize].class).all_refs;
+            for (slot, &r) in refs.iter().enumerate() {
+                if !meta.reference(r).containment {
+                    continue;
+                }
+                for &(du, v) in &links[link_at[su as usize] as usize + slot] {
+                    let Ok(j) = cyclic.binary_search(&du) else {
+                        continue;
+                    };
+                    self.builder.clause(&[Lit::neg(v), Lit::pos(reach(i, j))]);
+                    for k in 0..n {
+                        self.builder.clause(&[
+                            Lit::neg(reach(k, i)),
+                            Lit::neg(v),
+                            Lit::pos(reach(k, j)),
+                        ]);
+                    }
                 }
             }
         }

@@ -14,6 +14,10 @@ use mmtf::model::text::{parse_metamodel, parse_model};
 use mmtf::model::Model;
 use mmtf::qvtr::{parse_and_resolve, Hir};
 
+#[path = "cases/edge.rs"]
+mod edge_specs;
+use edge_specs::{edge_tuple, EDGE_SPECS};
+
 /// Options that record every counterexample.
 fn uncapped() -> CheckOptions {
     CheckOptions {
@@ -185,6 +189,25 @@ fn scenario_company_incremental_matches_scratch() {
 #[test]
 fn scenario_class2rdbms_incremental_matches_scratch() {
     scenario_sweep("class2rdbms");
+}
+
+/// The edge specs read universal objects in `where`, call relations
+/// there and join universals in `when`: random edits of every model a
+/// shape of each may repair must keep the incremental checker equal to
+/// a scratch one.
+#[test]
+fn edge_specs_incremental_matches_scratch() {
+    for e in &EDGE_SPECS {
+        let (t, models) = edge_tuple(e, e.spec);
+        for (i, shape) in e.shapes.iter().enumerate() {
+            for &target in *shape {
+                for seed in 0..4u64 {
+                    let seed = seed * 31 + i as u64 * 7 + target as u64;
+                    run_sequence(t.hir_arc(), &models, target, 8, seed);
+                }
+            }
+        }
+    }
 }
 
 /// Both checkers honour the counterexample cap, 0 included: each check

@@ -3,11 +3,18 @@
 
 use mmt_bench::broken_workload;
 use mmtf::dist::Delta;
-use mmtf::enforce::search::{reference_search, repair_search};
+use mmtf::enforce::search::repair_search;
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
 use mmtf::model::conformance;
 use mmtf::prelude::*;
+
+#[path = "cases/conformance.rs"]
+mod conformance_cases;
+#[path = "cases/edge.rs"]
+mod edge_specs;
+use conformance_cases::CONFORMANCE_CASES;
+use edge_specs::{edge_tuple, EDGE_SPECS, NAVIGATED_SPEC};
 
 /// Both engines agree on repairability and minimal cost across a grid of
 /// random workloads; every repaired tuple re-checks as consistent and the
@@ -179,11 +186,11 @@ fn fresh_objects_keep_default_int_attrs_on_both_engines() {
 }
 
 /// §3's correctness law at every counterexample cap: with
-/// `violations_per_check` at 0 or 1, the incremental search and the
-/// from-scratch reference return the same repair, and every repair
-/// either returns checks consistent. A cap of 0 captures no
-/// counterexample, so a search whose goal test is "nothing captured"
-/// accepts the inconsistent root at cost 0.
+/// `violations_per_check` at 0 or 1, the cold search and the warm one a
+/// sync session runs return the same repair, and every repair checks
+/// consistent. A cap of 0 captures no counterexample, so a search whose
+/// goal test is "nothing captured" accepts the inconsistent root at
+/// cost 0.
 #[test]
 fn search_repairs_are_consistent_at_every_violation_cap() {
     let injections = [
@@ -203,30 +210,47 @@ fn search_repairs_are_consistent_at_every_violation_cap() {
             });
             inject(&mut w, injection);
             let t = Transformation::from_hir(w.hir.clone());
-            let targets = Shape::of(&[0, 1]).targets();
+            let shape = Shape::of(&[0, 1]);
             for cap in [0usize, 1] {
                 let ctx = format!("seed={seed} {injection:?} violations_per_check={cap}");
                 let opts = RepairOptions {
                     violations_per_check: cap,
                     ..RepairOptions::default()
                 };
-                let inc = repair_search(t.hir_arc(), &w.models, targets, &opts).unwrap();
-                let scr = reference_search(t.hir(), &w.models, targets, &opts).unwrap();
-                let render = |o: &RepairOutcome| {
-                    let deltas: Vec<String> = o.deltas.iter().map(|d| d.to_string()).collect();
-                    (o.cost, deltas)
-                };
+                let cold = repair_search(t.hir_arc(), &w.models, shape.targets(), &opts).unwrap();
                 assert_eq!(
-                    inc.as_ref().map(render),
-                    scr.as_ref().map(render),
-                    "{ctx}: oracles disagree"
+                    cold.as_ref().map(render),
+                    warm_search(&t, &w.models, shape, &opts),
+                    "{ctx}: cold and warm disagree"
                 );
-                for out in [&inc, &scr].into_iter().flatten() {
+                if let Some(out) = &cold {
                     assert!(t.check(&out.models).unwrap().consistent(), "{ctx}");
                 }
             }
         }
     }
+}
+
+/// A repair's cost and rendered edit scripts.
+fn render(out: &RepairOutcome) -> (u64, Vec<String>) {
+    (out.cost, out.deltas.iter().map(|d| d.to_string()).collect())
+}
+
+/// The search's repair of `models` under `shape` through a sync session
+/// (the warm path), rendered as [`render`] renders a cold one.
+fn warm_search(
+    t: &Transformation,
+    models: &[Model],
+    shape: Shape,
+    opts: &RepairOptions,
+) -> Option<(u64, Vec<String>)> {
+    let opts = SessionOptions {
+        engine: EngineKind::Search,
+        repair: opts.clone(),
+    };
+    let mut session = SyncSession::with_options(t.clone(), models, opts).unwrap();
+    let out = session.repair(shape).unwrap()?;
+    Some((out.cost, out.deltas.iter().map(|d| d.to_string()).collect()))
 }
 
 /// Repair is idempotent: repairing an already-consistent tuple costs zero
@@ -284,8 +308,7 @@ fn reported_deltas_replay() {
 /// Search and SAT agree on minimal *weighted* tuple distances — PR 1
 /// only differentially tested the uniform case. Also cross-checks the
 /// reported cost against an independent `tuple_distance` recomputation
-/// over the returned deltas, and runs the incremental search against
-/// the from-scratch `reference_search`.
+/// over the returned deltas.
 #[test]
 fn engines_agree_under_weighted_tuple_costs() {
     let injections = [
@@ -312,27 +335,18 @@ fn engines_agree_under_weighted_tuple_costs() {
                 ..RepairOptions::default()
             };
             let shape = Shape::all(3);
-            let inc = t
+            let search = t
                 .enforce_with(&w.models, shape, EngineKind::Search, opts.clone())
-                .expect("incremental search runs");
-            let scr = reference_search(t.hir(), &w.models, shape.targets(), &opts)
-                .expect("reference search runs");
+                .expect("search runs");
             let sat = t
                 .enforce_with(&w.models, shape, EngineKind::Sat, opts.clone())
                 .expect("sat runs");
-            let costs: Vec<Option<u64>> = [&inc, &scr, &sat]
-                .iter()
-                .map(|o| o.as_ref().map(|x| x.cost))
-                .collect();
             assert_eq!(
-                costs[0], costs[1],
-                "seed={seed} {injection:?}: oracles disagree"
-            );
-            assert_eq!(
-                costs[0], costs[2],
+                search.as_ref().map(|x| x.cost),
+                sat.as_ref().map(|x| x.cost),
                 "seed={seed} {injection:?}: search vs sat disagree"
             );
-            for out in [&inc, &scr, &sat].into_iter().flatten() {
+            for out in [&search, &sat].into_iter().flatten() {
                 assert!(
                     t.check(&out.models).unwrap().consistent(),
                     "seed={seed} {injection:?}"
@@ -515,167 +529,6 @@ fn search_repairs_match_pinned_outcomes() {
     assert_eq!(got, want, "pinned case list changed");
 }
 
-/// Two classes with two string attributes each, one per metamodel.
-const PQ_METAMODELS: [&str; 2] = [
-    "metamodel MA { class P { attr first: Str; attr last: Str; } }",
-    "metamodel MB { class Q { attr first: Str; attr last: Str; } }",
-];
-
-/// As [`PQ_METAMODELS`], with an `Int` attribute for comparisons.
-const PQ_AGE_METAMODELS: [&str; 2] = [
-    "metamodel MA { class P { attr first: Str; attr last: Str; attr age: Int; } }",
-    "metamodel MB { class Q { attr first: Str; attr last: Str; attr age: Int; } }",
-];
-
-/// A `where` that compares an attribute of a universal object with one
-/// of the witness: `q` must copy `p.first` under a shared `last`.
-const NAVIGATED_SPEC: &str = r#"
-transformation N(a : MA, b : MB) {
-  top relation R {
-    n : Str;
-    domain a p : P { last = n };
-    domain b q : Q { last = n };
-    where { p.first = q.first }
-    depend a -> b;
-  }
-}
-"#;
-
-/// A small spec over the P/Q metamodels, its model texts in model-space
-/// order, and the repair shapes to pin.
-struct EdgeSpec {
-    name: &'static str,
-    metamodels: [&'static str; 2],
-    spec: &'static str,
-    models: &'static [&'static str],
-    shapes: &'static [&'static [usize]],
-}
-
-/// Small specs that exercise each way a directional check splits into
-/// what its witness side reads (D) and the rest (R).
-const EDGE_SPECS: [EdgeSpec; 5] = [
-    // The comparison must read `first`, the attribute it navigates, not
-    // whichever attribute of `q` holds the value.
-    EdgeSpec {
-        name: "navigated-attribute",
-        metamodels: PQ_METAMODELS,
-        spec: NAVIGATED_SPEC,
-        models: &[
-            r#"model a : MA { p = P { first = "x", last = "k" } }"#,
-            r#"model b : MB { q = Q { first = "y", last = "k" } }"#,
-        ],
-        shapes: &[&[1], &[0, 1]],
-    },
-    // `when` joins two universal variables that the witness does not
-    // read, so they form one component of R.
-    EdgeSpec {
-        name: "when-joins-universals",
-        metamodels: PQ_METAMODELS,
-        spec: r#"
-transformation J(a : MA, b : MB, c : MB) {
-  top relation Pair {
-    x, y : Str;
-    domain a p : P { first = x };
-    domain b q : Q { first = y };
-    domain c r : Q { first = x, last = y };
-    when { p.last = q.last }
-    depend a b -> c;
-  }
-}
-"#,
-        models: &[
-            r#"model a : MA { p1 = P { first = "p1", last = "k" } p2 = P { first = "p2", last = "m" } }"#,
-            r#"model b : MB { q1 = Q { first = "q1", last = "k" } q2 = Q { first = "q2", last = "z" } }"#,
-            r#"model c : MB { r = Q { first = "p1", last = "zz" } }"#,
-        ],
-        shapes: &[&[2], &[0, 1], &[0, 1, 2]],
-    },
-    // `where` reads a universal object variable (and compares integers),
-    // so that object is in D.
-    EdgeSpec {
-        name: "where-reads-universal",
-        metamodels: PQ_AGE_METAMODELS,
-        spec: r#"
-transformation W(a : MA, b : MB) {
-  top relation Older {
-    n : Str;
-    domain a p : P { last = n };
-    domain b q : Q { last = n };
-    where { p.age <= q.age }
-    depend a -> b;
-    depend b -> a;
-  }
-}
-"#,
-        models: &[
-            r#"model a : MA { p = P { last = "k", age = 3 } s = P { last = "j", age = 1 } }"#,
-            r#"model b : MB { q = Q { last = "k", age = 2 } }"#,
-        ],
-        shapes: &[&[0], &[1], &[0, 1]],
-    },
-    // A relation call in `where`: the callee is grounded under the
-    // caller's direction with its roots bound.
-    EdgeSpec {
-        name: "call-in-where",
-        metamodels: PQ_METAMODELS,
-        spec: r#"
-transformation C(a : MA, b : MB) {
-  relation Same {
-    f : Str;
-    domain a p : P { first = f };
-    domain b q : Q { first = f };
-    depend a -> b;
-  }
-  top relation Outer {
-    n : Str;
-    domain a p : P { last = n };
-    domain b q : Q { last = n };
-    where { Same(p, q) }
-    depend a -> b;
-  }
-}
-"#,
-        models: &[
-            r#"model a : MA { p = P { first = "x", last = "k" } }"#,
-            r#"model b : MB { q = Q { first = "y", last = "k" } }"#,
-        ],
-        shapes: &[&[0], &[1], &[0, 1]],
-    },
-    // The witness side is a target: W is a formula, not a constant.
-    EdgeSpec {
-        name: "mutable-witness",
-        metamodels: PQ_METAMODELS,
-        spec: r#"
-transformation M(a : MA, b : MB) {
-  top relation Tag {
-    n : Str;
-    domain a p : P { first = n };
-    domain b q : Q { first = n, last = "tagged" };
-    depend a -> b;
-  }
-}
-"#,
-        models: &[
-            r#"model a : MA { p1 = P { first = "x" } p2 = P { first = "y" } }"#,
-            r#"model b : MB { q1 = Q { first = "x", last = "tagged" } q2 = Q { first = "y", last = "other" } }"#,
-        ],
-        shapes: &[&[0], &[1], &[0, 1]],
-    },
-];
-
-/// Parses `spec` over an edge spec's metamodels into its transformation,
-/// and the edge spec's models.
-fn edge_tuple(e: &EdgeSpec, spec: &str) -> (Transformation, Vec<Model>) {
-    let t = Transformation::from_sources(spec, &e.metamodels).unwrap();
-    let models = e
-        .models
-        .iter()
-        .zip(t.metamodels())
-        .map(|(src, mm)| parse_model(src, mm).unwrap())
-        .collect();
-    (t, models)
-}
-
 /// The SAT pin's case list: [`pinned_cases`], the cost-2 new-mandatory
 /// repair at ten features (the `repair/sat/fm10` work-count row), and
 /// every shape of every [`EDGE_SPECS`] entry.
@@ -782,7 +635,7 @@ fn sat_comparisons_read_the_navigated_attribute() {
 /// equates two navigations, so it found no repair of this tuple towards
 /// `b`, where SAT copies `p.first` into `q` at cost 1. Both orientations
 /// of the equation, under both pinned shapes, must repair at SAT's cost,
-/// through the incremental and the reference oracle alike.
+/// cold and warm alike.
 #[test]
 fn search_copies_a_navigated_attribute() {
     let edge = &EDGE_SPECS[0];
@@ -800,151 +653,11 @@ fn search_copies_a_navigated_attribute() {
                 .unwrap_or_else(|| panic!("{ctx}: repairable"));
             assert_eq!(out.cost, 1, "{ctx}: copy `first` into q");
             assert!(t.check(&out.models).unwrap().consistent(), "{ctx}");
-            let reference = reference_search(t.hir(), &models, targets, &opts)
-                .unwrap()
-                .unwrap_or_else(|| panic!("{ctx}: reference repairs"));
-            assert_eq!(out.deltas, reference.deltas, "{ctx}");
+            let warm = warm_search(&t, &models, Shape::of(shape), &opts);
+            assert_eq!(warm, Some(render(&out)), "{ctx}");
         }
     }
 }
-
-/// A tuple that an edit breaking a link constraint of the target's
-/// metamodel repairs at least as cheaply as any conformant repair.
-struct ConformanceCase {
-    name: &'static str,
-    metamodels: [&'static str; 2],
-    spec: &'static str,
-    models: [&'static str; 2],
-    target: usize,
-    cost: CostModel,
-    least: u64,
-}
-
-/// Uniform op prices.
-const UNIFORM: CostModel = CostModel {
-    add_obj: 1,
-    del_obj: 1,
-    set_attr: 1,
-    add_link: 1,
-    del_link: 1,
-};
-
-/// Op prices at which deleting a link is the cheapest edit.
-const CHEAP_UNLINK: CostModel = CostModel {
-    add_obj: 3,
-    del_obj: 3,
-    set_attr: 2,
-    add_link: 1,
-    del_link: 1,
-};
-
-/// Every `A` lists at least one `B`, and every listed `B`'s name must
-/// name a `P`.
-const LISTED_METAMODELS: [&str; 2] = [
-    "metamodel MA { class A { ref items: B [1..*]; } class B { attr name: Str; } }",
-    "metamodel MB { class P { attr name: Str; } }",
-];
-const LISTED_SPEC: &str = r#"
-transformation L(a : MA, b : MB) {
-  top relation Listed {
-    n : Str;
-    domain a x : A { items = y : B { name = n } };
-    domain b p : P { name = n };
-    depend a -> b;
-  }
-}
-"#;
-
-const CONFORMANCE_CASES: [ConformanceCase; 4] = [
-    // Linking the existing column into table C1 would give it a second
-    // container; a conformant repair creates, names and links a column.
-    ConformanceCase {
-        name: "second container",
-        metamodels: [
-            include_str!("../examples/data/UML.mm"),
-            include_str!("../examples/data/RDB.mm"),
-        ],
-        spec: include_str!("../examples/data/C2T.qvtr"),
-        models: [
-            r#"model uml : UML {
-                x0 = Attribute { name = "x" }
-                x1 = Attribute { name = "x" }
-                c0 = Class { name = "C0", attrs = [x0] }
-                c1 = Class { name = "C1", attrs = [x1] }
-            }"#,
-            r#"model rdb : RDB {
-                col = Column { name = "x" }
-                t0 = Table { name = "C0", cols = [col] }
-                t1 = Table { name = "C1" }
-            }"#,
-        ],
-        target: 1,
-        cost: UNIFORM,
-        least: 3,
-    },
-    // `x0` already holds the one item `[0..1]` admits; a conformant
-    // repair creates a second holder for `y1`.
-    ConformanceCase {
-        name: "upper bound",
-        metamodels: [
-            "metamodel MA { class P { attr name: Str; } }",
-            "metamodel MB { class A { ref item: B [0..1]; } class B { attr name: Str; } }",
-        ],
-        spec: r#"
-transformation U(a : MA, b : MB) {
-  top relation Held {
-    n : Str;
-    domain a p : P { name = n };
-    domain b x : A { item = y : B { name = n } };
-    depend a -> b;
-  }
-}
-"#,
-        models: [
-            r#"model a : MA { p0 = P { name = "p" } p1 = P { name = "q" } }"#,
-            r#"model b : MB {
-                y0 = B { name = "p" }
-                y1 = B { name = "q" }
-                x0 = A { item = [y0] }
-            }"#,
-        ],
-        target: 1,
-        cost: UNIFORM,
-        least: 2,
-    },
-    // Unlinking `y0` would leave `x0` below the lower bound of
-    // `[1..*]`; a conformant repair renames `y0` to the name `b` holds.
-    ConformanceCase {
-        name: "lower bound",
-        metamodels: LISTED_METAMODELS,
-        spec: LISTED_SPEC,
-        models: [
-            r#"model a : MA { y0 = B { name = "q" } x0 = A { items = [y0] } }"#,
-            r#"model b : MB { p0 = P { name = "p" } }"#,
-        ],
-        target: 0,
-        cost: CHEAP_UNLINK,
-        least: 2,
-    },
-    // Deleting `y0` would scrub the only item of `x0` and of `x1`; the
-    // conformant repair of the same cost renames `y0`.
-    ConformanceCase {
-        name: "scrubbed link",
-        metamodels: LISTED_METAMODELS,
-        spec: LISTED_SPEC,
-        models: [
-            r#"model a : MA {
-                y0 = B { name = "q" }
-                x0 = A { items = [y0] }
-                x1 = A { items = [y0] }
-            }"#,
-            r#"model b : MB { p0 = P { name = "p" } }"#,
-        ],
-        target: 0,
-        cost: UNIFORM,
-        least: 1,
-    },
-];
 
 /// Regression: the search derived edits that break the target's
 /// metamodel — an `AddLink` that gives an object a second container or
