@@ -8,44 +8,20 @@
 //! * `session/n` — one `SyncSession` over the consistent tuple; each
 //!   iteration adds a fresh mandatory feature to the feature model
 //!   (three edits), repairs it warm under the same shape, and rolls the
-//!   journal back, so every iteration starts from the same tuple.
+//!   journal back, so every iteration starts from the same tuple. It
+//!   runs up to n = 10 000: the search walks the session's own checker,
+//!   so a cycle costs in proportion to the repair, not the tuple.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmt_bench::{broken_workload, consistent_workload, paper_transformation};
+use mmt_bench::{broken_workload, consistent_workload, drift_new_mandatory, paper_transformation};
 use mmt_core::{Shape, SyncSession};
-use mmt_deps::DomIdx;
-use mmt_dist::EditOp;
 use mmt_enforce::{RepairEngine, SatEngine, SearchEngine};
 use mmt_gen::Injection;
-use mmt_model::{ObjId, Sym, Value};
 
 /// One session cycle: a new mandatory feature in the feature model, a
 /// warm repair into the configurations, and a rollback of both.
 fn new_mandatory_cycle(session: &mut SyncSession) -> u64 {
-    let fm = DomIdx(2);
-    let meta = session.models()[2].metamodel().clone();
-    let feature = meta.class_named("Feature").expect("static class");
-    let name = meta
-        .attr_of(feature, Sym::new("name"))
-        .expect("static attr");
-    let mandatory = meta
-        .attr_of(feature, Sym::new("mandatory"))
-        .expect("static attr");
-    let id = ObjId(session.models()[2].id_bound() as u32);
-    let mut edit = |op| session.apply(fm, op).expect("drift applies");
-    edit(EditOp::AddObj { id, class: feature });
-    edit(EditOp::SetAttr {
-        id,
-        attr: name,
-        value: Value::str("brakes"),
-        old: Value::str(""),
-    });
-    edit(EditOp::SetAttr {
-        id,
-        attr: mandatory,
-        value: Value::Bool(true),
-        old: Value::Bool(false),
-    });
+    drift_new_mandatory(session);
     let cost = session
         .repair(Shape::of(&[0, 1]))
         .expect("search runs")
@@ -76,7 +52,7 @@ fn bench_enforce(c: &mut Criterion) {
             b.iter(|| engine.repair(t.hir_arc(), &w.models, targets).unwrap())
         });
     }
-    for n in [30usize, 100, 1000] {
+    for n in [30usize, 100, 1000, 10_000] {
         let w = consistent_workload(n, 2, 53);
         let mut session = t.session(&w.models).expect("consistent tuples open");
         assert_eq!(new_mandatory_cycle(&mut session), 2, "cost-2 repair");

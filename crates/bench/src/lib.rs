@@ -48,6 +48,41 @@ pub fn broken_workload(
     w
 }
 
+/// Drifts a session over a paper tuple (`k` configurations, then the
+/// feature model) by adding a fresh mandatory feature, `brakes`, to its
+/// feature model: three edits, after which the least-change repair into
+/// the configurations costs 2.
+pub fn drift_new_mandatory(session: &mut SyncSession) {
+    let fm = session.models().len() - 1;
+    let meta = session.models()[fm].metamodel().clone();
+    let feature = meta.class_named("Feature").expect("static class");
+    let name = meta
+        .attr_of(feature, Sym::new("name"))
+        .expect("static attr");
+    let mandatory = meta
+        .attr_of(feature, Sym::new("mandatory"))
+        .expect("static attr");
+    let id = ObjId(session.models()[fm].id_bound() as u32);
+    let fm = DomIdx(fm as u8);
+    for op in [
+        EditOp::AddObj { id, class: feature },
+        EditOp::SetAttr {
+            id,
+            attr: name,
+            value: Value::str("brakes"),
+            old: Value::str(""),
+        },
+        EditOp::SetAttr {
+            id,
+            attr: mandatory,
+            value: Value::Bool(true),
+            old: Value::Bool(false),
+        },
+    ] {
+        session.apply(fm, op).expect("drift applies");
+    }
+}
+
 /// The §2.1 loophole triple: empty configurations, one mandatory feature.
 pub fn loophole_models() -> [Model; 3] {
     let cf = parse_metamodel(mmt_gen::CF_METAMODEL).expect("static");

@@ -187,8 +187,10 @@ struct CachedCheck {
 /// The live match state of one check, keyed by object so a partial
 /// update touches only the entries an edit can affect.
 ///
-/// Entries live in a slab (`None` slots are free, reused LIFO). Once
-/// the state grows past [`INDEX_THRESHOLD`] live entries it maintains
+/// Entries live in a slab (`None` slots are free, reused LIFO; a freed
+/// last slot is dropped instead, so an entry an edit appends and its
+/// undo removes leaves no slot behind). Once the state grows past
+/// [`INDEX_THRESHOLD`] live entries it maintains
 /// two inverted indexes: `by_obj` maps `(model, object)` to the slots
 /// whose *universal binding* binds that object — the entries a
 /// universal-side edit invalidates and the candidates a `where`-clause
@@ -357,7 +359,15 @@ impl MatchState {
         if !entry.witnessed {
             self.clear_violating(slot);
         }
-        self.free.push(slot);
+        // The last slot leaves the slab instead of joining the free list:
+        // an entry that an edit added and its undo removed (the repair
+        // search walks a session's checker) leaves no slot behind for the
+        // slab scans to pass over.
+        if slot as usize + 1 == self.slab.len() {
+            self.slab.pop();
+        } else {
+            self.free.push(slot);
+        }
     }
 
     /// Replaces one entry's witness record, re-keying `by_wit` (when
@@ -516,10 +526,11 @@ fn unregister(index: &mut FxHashMap<(DomIdx, ObjId), Vec<u32>>, key: (DomIdx, Ob
 /// worked example.
 ///
 /// Cloning a `DeltaChecker` ([`DeltaChecker::fork`]) is O(tuple) and
-/// shares the compiled check statics. The enforcement search holds one
-/// checker per repair (built over the originals, or forked from a
-/// session) and moves it between search states by exact inverse edits,
-/// so a state costs O(|edit|), not O(tuple).
+/// shares the compiled check statics. The enforcement search walks one
+/// checker per repair — a sync session's own, lent for the repair, or
+/// one built over the originals — between search states by exact
+/// inverse edits, so a state costs O(|edit|), not O(tuple), and a
+/// session's repair copies nothing.
 ///
 /// `DeltaChecker` owns its whole world — the model tuple and a shared
 /// handle on the transformation ([`Arc<Hir>`]) — so it is `'static`:
@@ -667,18 +678,15 @@ impl DeltaChecker {
                 extent_class = Some(class);
                 affected.push(id);
                 // The delete will scrub incoming links: record which
-                // references (for footprint tests) and which sources
-                // (their link slots change) are rewired. O(degree) via
-                // the model's inverse link index.
+                // references they use, for the footprint tests. O(degree)
+                // via the model's inverse link index. Their sources are
+                // not affected objects: every pattern that reads a link
+                // binds both of its ends, so each match or witness that
+                // went through a scrubbed link also bound the deleted
+                // object, and the update finds it again through `id`.
                 for &(src, r) in self.models[m].incoming(id) {
-                    if src == id {
-                        continue;
-                    }
-                    if !scrubbed.contains(&r) {
+                    if src != id && !scrubbed.contains(&r) {
                         scrubbed.push(r);
-                    }
-                    if !affected.contains(&src) {
-                        affected.push(src);
                     }
                 }
                 self.indexes[m].remove_obj(&self.models[m], id);
@@ -861,12 +869,17 @@ impl DeltaChecker {
 
     /// Checkpoint this checker: an independent copy owning its own model
     /// tuple and match state, sharing the compiled per-check statics
-    /// behind [`Arc`]. No evaluation happens — forking a warm checker is
-    /// how the enforcement search obtains a pre-warmed root state
-    /// without re-running the initial full check, and how a sync session
-    /// hands its live state to a repair engine while keeping its own.
+    /// behind [`Arc`]. No evaluation happens, but the copy is O(tuple):
+    /// a caller that holds only `&DeltaChecker` (the engines'
+    /// `repair_warm`) forks it to search from its warm state. A sync
+    /// session forks nothing; it lends its own checker to the search.
     pub fn fork(&self) -> DeltaChecker {
         self.clone()
+    }
+
+    /// Gives up the checker for its model tuple, without copying it.
+    pub fn into_models(self) -> Vec<Model> {
+        self.models
     }
 
     /// Drops trailing tombstones of the model at `model` down to
@@ -1647,13 +1660,12 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
         assert_agrees(&checker, "after failed edit");
     }
 
-    /// Pins the `universal_update` dedup: an edit whose affected set
-    /// contains two objects co-bound by one binding through *different*
-    /// pins (here: deleting `x`, whose incoming links make both `p0`
-    /// and `p1` affected, where the binding `(p = p0, c = p1)` is then
-    /// re-found through the `p` pin *and* the `c` pin) must not insert
-    /// the binding twice. A duplicate would double-count the violation
-    /// and break the differential report below.
+    /// Pins the `universal_update` dedup: a binding that binds the
+    /// edited object through two *different* pins (here: linking `p0` to
+    /// itself, so the binding `(p = p0, c = p0)` is re-found through the
+    /// `p` pin *and* the `c` pin) must not be inserted twice. A
+    /// duplicate would double-count the violation and break the
+    /// differential report below.
     #[test]
     fn universal_update_dedups_across_pins() {
         let g =
@@ -1683,13 +1695,16 @@ transformation T(g1 : G, g2 : H) {
         // would surface as a doubled violation in the report.
         let m2 = parse_model("model g2 : H { }", &h).unwrap();
         let mut checker = delta_checker(&hir, &[m1, m2]);
-        let n_class = g.class_named("N").unwrap();
+        let kids = g
+            .ref_of(g.class_named("N").unwrap(), mmt_model::Sym::new("kids"))
+            .unwrap();
         checker
             .apply(
                 DomIdx(0),
-                &EditOp::DelObj {
-                    id: ObjId(2),
-                    class: n_class,
+                &EditOp::AddLink {
+                    src: ObjId(0),
+                    r: kids,
+                    dst: ObjId(0),
                 },
             )
             .unwrap();
@@ -1702,8 +1717,9 @@ transformation T(g1 : G, g2 : H) {
                 );
             }
         }
-        // (p = p0, c = p1) survives as the only binding, unwitnessed.
-        assert_eq!(checker.violation_count(), 1);
-        assert_agrees(&checker, "after DelObj with co-bound affected objects");
+        // (p0, p1), (p0, x), (p1, x) and the self-loop (p0, p0), each
+        // once and unwitnessed.
+        assert_eq!(checker.violation_count(), 4);
+        assert_agrees(&checker, "after a self-loop bound through two pins");
     }
 }

@@ -136,8 +136,9 @@ impl SessionHandle {
 
     /// Locks the session for exclusive use. A client that panicked
     /// mid-call poisons only its own session's mutex; the lock recovers
-    /// the value (the session's own poisoning contract — a
-    /// [`CoreError::Eval`] marks it unusable — is the real safety net).
+    /// the value (the session's own poisoning contract — an error that
+    /// can tear it makes every later call fail with
+    /// [`CoreError::Poisoned`] — is the real safety net).
     ///
     /// # Poisoning policy
     ///
@@ -151,10 +152,13 @@ impl SessionHandle {
     ///   step, so the journal replay invariant (replaying the journal
     ///   over the seed tuple ≡ the live state, byte for byte) survives
     ///   the unwind;
-    /// * a panic *inside* a session call is the session's own error
-    ///   path: eval errors poison the session at the session level
-    ///   (`CoreError::Eval` marks it unusable), which is stricter than
-    ///   mutex poisoning and not recoverable by design.
+    /// * an error *inside* a session call that can tear it — an
+    ///   evaluation error, a checker error while the repair search walks
+    ///   the session's checker, any error of a rollback or a replay —
+    ///   poisons the session at the session level: every later
+    ///   `Result`-returning call fails with [`CoreError::Poisoned`] and
+    ///   touches nothing, which is stricter than mutex poisoning and not
+    ///   recoverable by design.
     ///
     /// Recovering the mutex therefore only ever re-exposes a session
     /// that is consistent or already self-marked unusable — it never

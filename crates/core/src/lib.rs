@@ -200,6 +200,12 @@ pub enum CoreError {
     /// The static-analysis pass rejected the specification (the report
     /// carries every finding, errors first).
     Lint(LintReport),
+    /// An earlier call failed in a way that can leave the session's
+    /// checker torn (an evaluation error, or any error while the repair
+    /// search or a rollback moved it), so the session refuses every
+    /// further call; reopen it (a durable store recovers the last
+    /// commit).
+    Poisoned,
 }
 
 impl fmt::Display for CoreError {
@@ -219,6 +225,9 @@ impl fmt::Display for CoreError {
                 }
                 Ok(())
             }
+            CoreError::Poisoned => {
+                f.write_str("session unusable after an earlier evaluation error; reopen it")
+            }
         }
     }
 }
@@ -236,7 +245,7 @@ impl std::error::Error for CoreError {
             CoreError::Repair(e) => Some(e),
             CoreError::Model(e) => Some(e),
             CoreError::Shape(e) => Some(e),
-            CoreError::Lint(_) => None,
+            CoreError::Lint(_) | CoreError::Poisoned => None,
         }
     }
 }

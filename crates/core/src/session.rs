@@ -13,11 +13,13 @@
 //!   re-established in time proportional to the edit, not the tuple;
 //! * [`SyncSession::status`] / [`SyncSession::report`] read the cached
 //!   verdicts — no evaluation at all;
-//! * [`SyncSession::repair`] forks the warm checker and hands it to the
-//!   repair engine as a pre-warmed search root
-//!   ([`RepairEngine::repair_warm`]),
-//!   skipping the engine's initial full check; the repair delta is
-//!   auto-applied back through the same incremental path and journaled;
+//! * [`SyncSession::repair`] lends the warm checker to the search
+//!   ([`SearchEngine::repair_in_place`]), skipping the engine's initial
+//!   full check: the search walks it to the repaired state and hands
+//!   back the edits its path applied, which the session journals as they
+//!   are — a repair copies no model and diffs no whole tuple. The SAT
+//!   engine grounds from the live tuple ([`RepairEngine::repair_warm`])
+//!   and its delta is applied back through the incremental path;
 //! * [`SyncSession::rollback`] undoes journal entries by replaying
 //!   exact inverse edits ([`Delta::inverse`]) through the same path.
 //!
@@ -34,6 +36,14 @@
 //! [`Transformation::enforce_with`] would return on the session's
 //! current tuple — the warm path changes wall-clock time, not results.
 //!
+//! Poisoning: a checker error other than a rejected edit — an
+//! evaluation error, or any error while the repair search, a rollback
+//! or a replay moves the checker — can leave the tuple out of step with
+//! the journal or the match state out of step with the tuple. The
+//! session then refuses every further call with [`CoreError::Poisoned`]
+//! and changes nothing; reopen it (a durable store recovers its last
+//! commit).
+//!
 //! Ownership: a session owns everything it needs — the model tuple
 //! (inside its warm checker) and a shared [`Arc<Transformation>`] — so
 //! it is a `'static + Send` handle. Nothing pins it to the stack frame
@@ -41,8 +51,8 @@
 //! [`crate::SyncHub`], or hold it across await points in a server.
 
 use crate::{CoreError, EngineKind, Shape, Transformation};
-use mmt_check::{CheckOptions, CheckReport, DeltaChecker};
-use mmt_deps::DomIdx;
+use mmt_check::{CheckOptions, CheckReport, DeltaChecker, DeltaError};
+use mmt_deps::{DomIdx, DomSet};
 use mmt_dist::{expand_op, Delta, EditOp};
 use mmt_enforce::{RepairEngine, RepairError, RepairOptions, SatEngine, SearchEngine};
 use mmt_model::Model;
@@ -181,6 +191,9 @@ pub struct SyncSession {
     /// afterwards are the ones a replay of the shorter journal mints.
     bounds: Vec<usize>,
     opts: SessionOptions,
+    /// Set once an error may have torn the checker: every later call
+    /// fails with [`CoreError::Poisoned`].
+    poisoned: bool,
 }
 
 impl SyncSession {
@@ -219,6 +232,7 @@ impl SyncSession {
             serials: Vec::new(),
             bounds,
             opts,
+            poisoned: false,
         })
     }
 
@@ -255,7 +269,8 @@ impl SyncSession {
     }
 
     /// The warm checker itself — a read-only view for callers that want
-    /// the cached match state (e.g. to fork their own search roots).
+    /// the cached match state (e.g. to fork their own search roots with
+    /// [`RepairEngine::repair_warm`]).
     pub fn checker(&self) -> &DeltaChecker {
         &self.checker
     }
@@ -282,10 +297,10 @@ impl SyncSession {
     /// link, removing an absent one) change nothing and are not
     /// journaled.
     ///
-    /// On [`CoreError::Model`] the session is unchanged; on
-    /// [`CoreError::Eval`] the checker is poisoned and the session must
-    /// be reopened.
+    /// On [`CoreError::Model`] the session is unchanged; on any other
+    /// error it is poisoned (see the [module docs](self)).
     pub fn apply(&mut self, model: DomIdx, op: EditOp) -> Result<SyncStatus, CoreError> {
+        self.usable()?;
         let mut deltas = vec![Delta::new(); self.t.arity()];
         let result = self.apply_into(model, &op, &mut deltas);
         self.commit_entry(JournalKind::Edit, deltas);
@@ -299,6 +314,7 @@ impl SyncSession {
     /// journaled (so they remain rollback-able) and the error is
     /// returned.
     pub fn apply_script(&mut self, model: DomIdx, delta: &Delta) -> Result<SyncStatus, CoreError> {
+        self.usable()?;
         let mut deltas = vec![Delta::new(); self.t.arity()];
         let mut result = Ok(());
         for op in delta.ops() {
@@ -312,16 +328,28 @@ impl SyncSession {
     }
 
     /// Runs a least-change repair under `shape` from the **warm**
-    /// checker state, auto-applies the repair scripts to the session,
-    /// and journals them (one entry). Returns `None` — journaling
-    /// nothing — when no repair exists within the engine's bounds.
+    /// checker state, leaves the session at the repaired tuple, and
+    /// journals the repair as one entry. Returns `None` — journaling
+    /// nothing and changing nothing — when no repair exists within the
+    /// engine's bounds.
     ///
     /// The outcome (cost, scripts, resulting tuple) is exactly what the
     /// stateless [`Transformation::enforce_with`] would produce for the
     /// session's current tuple with the session's options; a consistent
     /// tuple short-circuits to a cost-0 repair without running any
     /// engine.
+    ///
+    /// The search walks the session's own checker
+    /// ([`SearchEngine::repair_in_place`]): the entry journals the edits
+    /// of the search's path, in path order, and the returned deltas are
+    /// the canonical ones. When the search finds no repair or gives up
+    /// ([`RepairError::SearchBudgetExhausted`],
+    /// [`RepairError::CostOverflow`]) the session is as before; a checker
+    /// error during the search poisons it. The SAT engine's deltas are
+    /// applied through [`SyncSession::apply`]'s path and journaled in
+    /// that expanded form.
     pub fn repair(&mut self, shape: Shape) -> Result<Option<SyncRepair>, CoreError> {
+        self.usable()?;
         let targets = shape
             .checked_targets(self.t.arity())
             .map_err(CoreError::Shape)?;
@@ -334,16 +362,13 @@ impl SyncSession {
                 deltas: vec![Delta::new(); self.t.arity()],
             }));
         }
-        let outcome = match self.opts.engine {
-            EngineKind::Search => {
-                SearchEngine::new(self.opts.repair.clone()).repair_warm(&self.checker, targets)
-            }
-            EngineKind::Sat => {
-                SatEngine::new(self.opts.repair.clone()).repair_warm(&self.checker, targets)
-            }
+        if self.opts.engine == EngineKind::Search {
+            return self.repair_in_place(shape, targets);
         }
-        .map_err(CoreError::Repair)?;
-        let Some(out) = outcome else {
+        let out = SatEngine::new(self.opts.repair.clone())
+            .repair_warm(&self.checker, targets)
+            .map_err(CoreError::Repair)?;
+        let Some(out) = out else {
             return Ok(None);
         };
         let mut deltas = vec![Delta::new(); self.t.arity()];
@@ -371,24 +396,60 @@ impl SyncSession {
         }))
     }
 
+    /// [`SyncSession::repair`] by the search, on the session's own
+    /// checker: it is left at the repaired tuple, and the path that
+    /// reached it is journaled as it landed.
+    fn repair_in_place(
+        &mut self,
+        shape: Shape,
+        targets: DomSet,
+    ) -> Result<Option<SyncRepair>, CoreError> {
+        let engine = SearchEngine::new(self.opts.repair.clone());
+        let found = match engine.repair_in_place(&mut self.checker, targets) {
+            Ok(found) => found,
+            Err(e @ (RepairError::Eval(_) | RepairError::Check(_) | RepairError::Model(_))) => {
+                return Err(self.poison(CoreError::Repair(e)));
+            }
+            Err(e) => return Err(CoreError::Repair(e)),
+        };
+        let Some(r) = found else {
+            return Ok(None);
+        };
+        let kind = JournalKind::Repair {
+            shape,
+            cost: r.cost,
+        };
+        self.commit_entry(kind, r.scripts);
+        debug_assert!(self.checker.consistent(), "repair left violations behind");
+        Ok(Some(SyncRepair {
+            cost: r.cost,
+            deltas: r.deltas,
+        }))
+    }
+
     /// Undoes the last `n` journal entries (saturating at the journal
     /// length) by replaying exact inverse edits through the incremental
     /// path, then dropping the tombstones each entry left past the id
     /// bounds it started from. Returns how many entries were undone.
     /// `rollback` of everything restores the seed tuple exactly, id
-    /// bounds included.
+    /// bounds included. Any error poisons the session: the entry being
+    /// undone may be half undone.
     pub fn rollback(&mut self, n: usize) -> Result<usize, CoreError> {
+        self.usable()?;
         let n = n.min(self.journal.len());
         for _ in 0..n {
             let entry = self.journal.pop().expect("n is bounded by the length");
             self.serials.pop();
             let arity = entry.deltas.len();
             self.bounds.truncate(self.bounds.len() - arity);
-            let prior = &self.bounds[self.bounds.len() - arity..];
+            let prior = self.bounds.len() - arity;
             for (i, delta) in entry.deltas.iter().enumerate() {
                 let model = DomIdx(i as u8);
-                self.checker.apply_delta(model, &delta.inverse())?;
-                self.checker.truncate_tombstones(model, prior[i]);
+                if let Err(e) = self.checker.apply_delta(model, &delta.inverse()) {
+                    return Err(self.poison(e.into()));
+                }
+                self.checker
+                    .truncate_tombstones(model, self.bounds[prior + i]);
             }
         }
         Ok(n)
@@ -415,16 +476,18 @@ impl SyncSession {
     /// journals them).
     ///
     /// On error the entry is not journaled but the checker may have
-    /// absorbed a prefix of it — discard the session, as with
-    /// [`CoreError::Eval`] poisoning.
+    /// absorbed a prefix of it, so any error poisons the session.
     pub fn replay_entry(&mut self, entry: JournalEntry) -> Result<SyncStatus, CoreError> {
+        self.usable()?;
         assert_eq!(
             entry.deltas.len(),
             self.t.arity(),
             "journal entry arity matches the session"
         );
         for (i, delta) in entry.deltas.iter().enumerate() {
-            self.checker.apply_delta(DomIdx(i as u8), delta)?;
+            if let Err(e) = self.checker.apply_delta(DomIdx(i as u8), delta) {
+                return Err(self.poison(e.into()));
+            }
         }
         self.commit_entry(entry.kind, entry.deltas);
         Ok(self.status())
@@ -436,6 +499,7 @@ impl SyncSession {
     /// invertible form. Durable stores use this to write an id-faithful
     /// seed without having kept the original models around.
     pub fn seed_models(&self) -> Result<Vec<Model>, CoreError> {
+        self.usable()?;
         let mut models = self.checker.models().to_vec();
         let arity = models.len();
         for (e, entry) in self.journal.iter().enumerate().rev() {
@@ -479,8 +543,9 @@ impl SyncSession {
     }
 
     /// Applies one op in expanded form: checker updated, effective ops
-    /// recorded into `entry`. Ops that fail leave the session unchanged
-    /// and unrecorded.
+    /// recorded into `entry`. An op the model rejects
+    /// ([`DeltaError::Model`]) leaves the session unchanged and
+    /// unrecorded; any other error poisons it.
     fn apply_into(
         &mut self,
         model: DomIdx,
@@ -492,10 +557,27 @@ impl SyncSession {
         let mut script = Vec::new();
         expand_op(&self.checker.models()[m], op, &mut script);
         for e in script {
-            self.checker.apply(model, &e)?;
-            entry[m].push(e);
+            match self.checker.apply(model, &e) {
+                Ok(()) => entry[m].push(e),
+                Err(e @ DeltaError::Model(_)) => return Err(e.into()),
+                Err(e) => return Err(self.poison(e.into())),
+            }
         }
         Ok(())
+    }
+
+    /// Fails with [`CoreError::Poisoned`] once the session is poisoned.
+    fn usable(&self) -> Result<(), CoreError> {
+        if self.poisoned {
+            return Err(CoreError::Poisoned);
+        }
+        Ok(())
+    }
+
+    /// Poisons the session and returns `e`, the error that tore it.
+    fn poison(&mut self, e: CoreError) -> CoreError {
+        self.poisoned = true;
+        e
     }
 }
 
@@ -514,7 +596,7 @@ mod tests {
     use super::*;
     use mmt_deps::DomSet;
     use mmt_gen::{feature_workload, inject, FeatureSpec, Injection};
-    use mmt_model::text::print_model;
+    use mmt_model::text::{parse_model, print_model};
     use mmt_model::{ObjId, Sym, Value};
 
     fn fixture() -> (Transformation, mmt_gen::FeatureWorkload) {
@@ -668,6 +750,222 @@ mod tests {
             session.repair(Shape::from_targets(DomSet::EMPTY)),
             Err(CoreError::Repair(RepairError::NoTargets))
         ));
+    }
+
+    /// Everything a failed call must leave as it was: the printed
+    /// models and their id bounds, the rendered report, the journal and
+    /// its serials.
+    fn observable(session: &SyncSession) -> String {
+        let mut out = String::new();
+        for m in session.models() {
+            out += &format!("{}\nid_bound {}\n", print_model(m), m.id_bound());
+        }
+        out += &format!(
+            "{}\n{:?}\n{:?}",
+            session.report(),
+            session.journal(),
+            session.journal_serials()
+        );
+        out
+    }
+
+    /// The search walks the session's own checker, so every exit that
+    /// finds no repair must walk it back: no repair for a shape that
+    /// cannot fix the drift, an exhausted state budget part-way down a
+    /// path, and a cost overflow. Each leaves the session exactly as it
+    /// was, and the session repairs afterwards as if nothing happened.
+    #[test]
+    fn failed_searches_leave_the_session_as_it_was() {
+        let (t, mut w) = fixture();
+        let seed = w.models.clone();
+        inject(&mut w, Injection::NewMandatoryInFm);
+        let drift = Delta::between(&seed[2], &w.models[2]).unwrap();
+        let drifted = |repair: RepairOptions| {
+            let opts = SessionOptions {
+                engine: EngineKind::Search,
+                repair,
+            };
+            let mut session = t.session_with(&seed, opts).unwrap();
+            session.apply_script(DomIdx(2), &drift).unwrap();
+            session
+        };
+        let mut session = drifted(RepairOptions::default());
+        let before = observable(&session);
+        assert!(session.repair(Shape::towards(0)).unwrap().is_none());
+        assert_eq!(observable(&session), before, "no repair");
+        let repair = session.repair(Shape::of(&[0, 1])).unwrap().unwrap();
+        assert!(repair.cost > 0 && session.status().consistent);
+
+        let mut session = drifted(RepairOptions {
+            max_states: 1,
+            ..RepairOptions::default()
+        });
+        let before = observable(&session);
+        let err = session.repair(Shape::of(&[0, 1])).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Repair(RepairError::SearchBudgetExhausted { states: 1 })
+            ),
+            "{err}"
+        );
+        assert_eq!(observable(&session), before, "budget exhausted");
+
+        let sel = Transformation::from_sources(
+            r#"
+transformation G(cf1 : CF, fm : FM) {
+  top relation Sel {
+    n : Str;
+    domain cf1 s : Feature { name = n };
+    domain fm  f : Feature { name = n };
+    depend cf1 -> fm;
+    depend fm -> cf1;
+  }
+}"#,
+            &[
+                "metamodel CF { class Feature { attr name: Str; } }",
+                "metamodel FM { class Feature { attr name: Str; attr mandatory: Bool; } }",
+            ],
+        )
+        .unwrap();
+        let [cf, fm] = sel.metamodels() else {
+            unreachable!("two metamodels")
+        };
+        let models = [
+            parse_model(r#"model cf1 : CF { f = Feature { name = "engine" } }"#, cf).unwrap(),
+            parse_model(
+                r#"model fm : FM { f = Feature { name = "radio", mandatory = false } }"#,
+                fm,
+            )
+            .unwrap(),
+        ];
+        let opts = SessionOptions {
+            engine: EngineKind::Search,
+            repair: RepairOptions {
+                cost: mmt_dist::CostModel {
+                    set_attr: 4,
+                    ..Default::default()
+                },
+                tuple: mmt_dist::TupleCost::weighted(vec![1, u64::MAX / 4 + 1]),
+                max_cost: 30,
+                ..RepairOptions::default()
+            },
+        };
+        let mut session = sel.session_with(&models, opts).unwrap();
+        let before = observable(&session);
+        let err = session.repair(Shape::of(&[0, 1])).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Repair(RepairError::CostOverflow)),
+            "{err}"
+        );
+        assert_eq!(observable(&session), before, "cost overflow");
+    }
+
+    /// A relation call deeper than the evaluator's recursion limit fails
+    /// an edit with an evaluation error after the model took the edit:
+    /// the tuple and the journal disagree from then on. The session is
+    /// poisoned, and every later call fails without touching anything.
+    #[test]
+    fn an_evaluation_error_poisons_the_session() {
+        let mms = [
+            "metamodel MA { class N { attr name: Str; ref next: N [0..1]; } }",
+            "metamodel MB { class M { attr name: Str; } }",
+        ];
+        let t = Transformation::from_sources(
+            r#"
+transformation R(a : MA, b : MB) {
+  relation Reach {
+    domain a p : N { next = q : N { } };
+    domain b x : M { };
+    where { Hop(q, x) }
+    depend a -> b;
+  }
+  relation Hop {
+    domain a p : N { next = q : N { } };
+    domain b x : M { };
+    where { Reach(q, x) }
+    depend a -> b;
+  }
+  top relation Top {
+    domain a p : N { };
+    domain b x : M { };
+    where { Reach(p, x) }
+    depend a -> b;
+  }
+}"#,
+            &mms,
+        )
+        .unwrap();
+        // Two chains of 40 nodes: n0 → … → n39 and n40 → … → n79.
+        let mut chain = String::from("model a : MA {");
+        for i in 0..80 {
+            let next = if i % 40 == 39 {
+                String::new()
+            } else {
+                format!(", next = [n{}]", i + 1)
+            };
+            chain += &format!(" n{i} = N {{ name = \"n{i}\"{next} }}");
+        }
+        chain += " }";
+        let metas = t.metamodels();
+        let models = [
+            parse_model(&chain, &metas[0]).unwrap(),
+            parse_model(r#"model b : MB { m = M { name = "m" } }"#, &metas[1]).unwrap(),
+        ];
+        let mut session = t.session(&models).unwrap();
+        assert!(session.status().consistent);
+        let n = metas[0].class_named("N").unwrap();
+        let next = metas[0].ref_of(n, Sym::new("next")).unwrap();
+        let name = metas[0].attr_of(n, Sym::new("name")).unwrap();
+        let id = |label: &str| {
+            let m = &session.models()[0];
+            m.objects()
+                .find(|&(o, _)| m.attr(o, name) == Ok(Value::str(label)))
+                .unwrap()
+                .0
+        };
+        let (n39, n40) = (id("n39"), id("n40"));
+        let link = EditOp::AddLink {
+            src: n39,
+            r: next,
+            dst: n40,
+        };
+        let err = session.apply(DomIdx(0), link).unwrap_err();
+        assert!(matches!(err, CoreError::Eval(_)), "{err}");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // The torn state: the model took the link, the journal did not.
+        assert!(session.models()[0].has_link(n39, next, n40));
+        assert!(session.journal().is_empty());
+        let before = observable(&session);
+        let mut script = Delta::new();
+        script.push(EditOp::DelLink {
+            src: n39,
+            r: next,
+            dst: n40,
+        });
+        let entry = JournalEntry {
+            kind: JournalKind::Edit,
+            deltas: vec![script.clone(), Delta::new()],
+        };
+        let calls: [(&str, Result<(), CoreError>); 7] = [
+            ("apply", session.apply(DomIdx(0), link).map(drop)),
+            (
+                "apply_script",
+                session.apply_script(DomIdx(0), &script).map(drop),
+            ),
+            ("repair", session.repair(Shape::towards(1)).map(drop)),
+            ("rollback", session.rollback(1).map(drop)),
+            ("rollback_all", session.rollback_all().map(drop)),
+            ("replay_entry", session.replay_entry(entry).map(drop)),
+            ("seed_models", session.seed_models().map(drop)),
+        ];
+        for (call, result) in calls {
+            assert!(
+                matches!(result, Err(CoreError::Poisoned)),
+                "{call}: {result:?}"
+            );
+        }
+        assert_eq!(observable(&session), before);
     }
 
     #[test]

@@ -76,7 +76,7 @@
 //! vector built for the wrong tuple is an error, never a silently
 //! mispriced repair.
 
-use mmt_model::{AttrId, ClassId, Model, ModelError, ObjId, RefId, Value};
+use mmt_model::{AttrId, ClassId, Model, ModelError, ObjId, Object, RefId, Value};
 use std::fmt;
 
 /// One atomic edit on a model.
@@ -467,7 +467,8 @@ impl TupleCost {
 ///
 /// Scripts from [`Delta::between`] are *canonical*: ops are grouped
 /// del-link, del-obj, add-obj, set-attr, add-link (a safe replay
-/// order) and sorted by id within each group.
+/// order) and in id order within each group, except that the set-attr
+/// and add-link groups list fresh objects' ops before survivors'.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Delta {
     ops: Vec<EditOp>,
@@ -497,97 +498,70 @@ impl Delta {
         if !std::sync::Arc::ptr_eq(old.metamodel(), new.metamodel()) {
             return Err(ModelError::MetamodelMismatch);
         }
-        let meta = old.metamodel();
-        let mut del_links = Vec::new();
-        let mut del_objs = Vec::new();
-        let mut add_objs = Vec::new();
-        let mut set_attrs = Vec::new();
-        let mut add_links = Vec::new();
-        // Ids live on both sides but with different classes: replayed
-        // as a delete/re-add pair, so links *to* them from survivors
-        // are scrubbed by the delete and must be re-added.
-        let mut reclassed: Vec<ObjId> = Vec::new();
+        let ids = (0..old.id_bound().max(new.id_bound())).map(|i| ObjId(i as u32));
+        Ok(diff(new, ids, |id| old.get(id)))
+    }
 
-        // Deletions: live in old, dead (or re-classed) in new.
-        for (id, o) in old.objects() {
-            match new.get(id) {
-                Some(n) if n.class == o.class => {}
-                Some(_) => {
-                    reclassed.push(id);
-                    del_objs.push(EditOp::DelObj { id, class: o.class });
-                }
-                None => del_objs.push(EditOp::DelObj { id, class: o.class }),
-            }
-        }
-        // Additions: live in new, dead (or re-classed) in old. A fresh
-        // object pays only for attributes off the class default.
-        for (id, n) in new.objects() {
-            let fresh = !matches!(old.get(id), Some(o) if o.class == n.class);
-            if fresh {
-                add_objs.push(EditOp::AddObj { id, class: n.class });
-                let defaults = meta.default_attrs(n.class);
-                for (slot, &attr) in meta.class(n.class).all_attrs.iter().enumerate() {
-                    if n.attrs[slot] != defaults[slot] {
-                        set_attrs.push(EditOp::SetAttr {
-                            id,
-                            attr,
-                            value: n.attrs[slot],
-                            old: defaults[slot],
-                        });
-                    }
-                }
-                for (slot, &r) in meta.class(n.class).all_refs.iter().enumerate() {
-                    for &dst in &n.refs[slot] {
-                        add_links.push(EditOp::AddLink { src: id, r, dst });
-                    }
-                }
-            }
-        }
-        // Survivors: slot-wise attribute and link diffs.
-        for (id, o) in old.objects() {
-            let Some(n) = new.get(id) else { continue };
-            if n.class != o.class {
-                continue; // handled as delete + add above
-            }
-            for (slot, &attr) in meta.class(o.class).all_attrs.iter().enumerate() {
-                if o.attrs[slot] != n.attrs[slot] {
-                    set_attrs.push(EditOp::SetAttr {
-                        id,
-                        attr,
-                        value: n.attrs[slot],
-                        old: o.attrs[slot],
+    /// [`Delta::between`] the model `script` was applied to and `new`,
+    /// the model it left, byte for byte, without the old model: the old
+    /// state of the objects `script` touches (the `id` or `src` of each
+    /// op) is rebuilt by running `script` backwards over copies of just
+    /// those objects, and only they are diffed. O(|script| + their
+    /// size), where `between` is O(model).
+    ///
+    /// Every op of `script` must have changed the model, as the ops
+    /// [`expand_op`] emits do when applied in order: a `SetAttr` names
+    /// the value it replaced, a link edit added an absent link or
+    /// removed a present one, and a `DelObj` deleted an object already
+    /// stripped to its class defaults. An op that does not fit the
+    /// rebuilt objects (its object, slot or link is missing, or its link
+    /// already there) is a [`ModelError::NoSuchObject`] naming the
+    /// object.
+    pub fn between_script(script: &[EditOp], new: &Model) -> Result<Delta, ModelError> {
+        let meta = new.metamodel();
+        let mut ids: Vec<ObjId> = script.iter().map(EditOp::primary_obj).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut old: Vec<Option<Object>> = ids.iter().map(|&id| new.get(id).cloned()).collect();
+        let at = |id: ObjId| {
+            ids.binary_search(&id)
+                .expect("every op's object is touched")
+        };
+        for op in script.iter().rev() {
+            let obj = &mut old[at(op.primary_obj())];
+            match *op {
+                EditOp::AddObj { .. } => *obj = None,
+                EditOp::DelObj { class, .. } => {
+                    *obj = Some(Object {
+                        class,
+                        attrs: meta.default_attrs(class),
+                        refs: vec![Vec::new(); meta.class(class).all_refs.len()].into(),
                     });
                 }
-            }
-            for (slot, &r) in meta.class(o.class).all_refs.iter().enumerate() {
-                // Slots are sorted and duplicate-free; set-diff them.
-                for &dst in &o.refs[slot] {
-                    if !n.refs[slot].contains(&dst) {
-                        // A link whose target dies — or is re-classed,
-                        // i.e. replayed as delete + re-add — rides along
-                        // with the DelObj; only survivor→survivor
-                        // removals are edits in their own right.
-                        if new.contains(dst) && !reclassed.contains(&dst) {
-                            del_links.push(EditOp::DelLink { src: id, r, dst });
-                        }
-                    }
+                EditOp::SetAttr { id, attr, old, .. } => {
+                    let o = obj.as_mut().ok_or(ModelError::NoSuchObject(id))?;
+                    let slot = meta.attr_slot(o.class, attr);
+                    *slot
+                        .and_then(|s| o.attrs.get_mut(s))
+                        .ok_or(ModelError::NoSuchObject(id))? = old;
                 }
-                for &dst in &n.refs[slot] {
-                    // Links to a re-classed target are scrubbed by its
-                    // DelObj even when present on both sides, so they
-                    // must be re-established unconditionally.
-                    if !o.refs[slot].contains(&dst) || reclassed.contains(&dst) {
-                        add_links.push(EditOp::AddLink { src: id, r, dst });
+                EditOp::AddLink { src, r, dst } | EditOp::DelLink { src, r, dst } => {
+                    let o = obj.as_mut().ok_or(ModelError::NoSuchObject(src))?;
+                    let slot = meta.ref_slot(o.class, r);
+                    let dsts = slot
+                        .and_then(|s| o.refs.get_mut(s))
+                        .ok_or(ModelError::NoSuchObject(src))?;
+                    match (op, dsts.binary_search(&dst)) {
+                        (EditOp::AddLink { .. }, Ok(pos)) => {
+                            dsts.remove(pos);
+                        }
+                        (EditOp::DelLink { .. }, Err(pos)) => dsts.insert(pos, dst),
+                        _ => return Err(ModelError::NoSuchObject(dst)),
                     }
                 }
             }
         }
-        let mut ops = del_links;
-        ops.append(&mut del_objs);
-        ops.append(&mut add_objs);
-        ops.append(&mut set_attrs);
-        ops.append(&mut add_links);
-        Ok(Delta { ops })
+        Ok(diff(new, ids.iter().copied(), |id| old[at(id)].as_ref()))
     }
 
     /// Replays this script on `m` (which should be graph-equal to the
@@ -656,6 +630,112 @@ impl Delta {
         out.dedup();
         out
     }
+}
+
+/// The canonical script of [`Delta::between`] (see [`Delta`] for its
+/// order) over the objects at `ids` (ascending, each once): `old(id)`
+/// is an object's state before, `new` the model after, and every object
+/// outside `ids` must be the same on both sides.
+fn diff<'a>(
+    new: &Model,
+    ids: impl Iterator<Item = ObjId> + Clone,
+    old: impl Fn(ObjId) -> Option<&'a Object>,
+) -> Delta {
+    let meta = new.metamodel();
+    let mut del_links = Vec::new();
+    let mut del_objs = Vec::new();
+    let mut add_objs = Vec::new();
+    let mut set_attrs = Vec::new();
+    let mut add_links = Vec::new();
+    // Ids live on both sides but with different classes: replayed as a
+    // delete/re-add pair, so links *to* them from survivors are scrubbed
+    // by the delete and must be re-added.
+    let mut reclassed: Vec<ObjId> = Vec::new();
+
+    // Deletions: live in old, dead (or re-classed) in new.
+    for id in ids.clone() {
+        let Some(o) = old(id) else { continue };
+        match new.get(id) {
+            Some(n) if n.class == o.class => {}
+            Some(_) => {
+                reclassed.push(id);
+                del_objs.push(EditOp::DelObj { id, class: o.class });
+            }
+            None => del_objs.push(EditOp::DelObj { id, class: o.class }),
+        }
+    }
+    // Additions: live in new, dead (or re-classed) in old. A fresh
+    // object pays only for attributes off the class default.
+    for id in ids.clone() {
+        let Some(n) = new.get(id) else { continue };
+        if matches!(old(id), Some(o) if o.class == n.class) {
+            continue;
+        }
+        add_objs.push(EditOp::AddObj { id, class: n.class });
+        let defaults = meta.default_attrs(n.class);
+        for (slot, &attr) in meta.class(n.class).all_attrs.iter().enumerate() {
+            if n.attrs[slot] != defaults[slot] {
+                set_attrs.push(EditOp::SetAttr {
+                    id,
+                    attr,
+                    value: n.attrs[slot],
+                    old: defaults[slot],
+                });
+            }
+        }
+        for (slot, &r) in meta.class(n.class).all_refs.iter().enumerate() {
+            for &dst in &n.refs[slot] {
+                add_links.push(EditOp::AddLink { src: id, r, dst });
+            }
+        }
+    }
+    // Survivors: slot-wise attribute and link diffs.
+    for id in ids {
+        let (Some(o), Some(n)) = (old(id), new.get(id)) else {
+            continue;
+        };
+        if n.class != o.class {
+            continue; // handled as delete + add above
+        }
+        for (slot, &attr) in meta.class(o.class).all_attrs.iter().enumerate() {
+            if o.attrs[slot] != n.attrs[slot] {
+                set_attrs.push(EditOp::SetAttr {
+                    id,
+                    attr,
+                    value: n.attrs[slot],
+                    old: o.attrs[slot],
+                });
+            }
+        }
+        for (slot, &r) in meta.class(o.class).all_refs.iter().enumerate() {
+            // Slots are sorted and duplicate-free; set-diff them.
+            for &dst in &o.refs[slot] {
+                if !n.refs[slot].contains(&dst) {
+                    // A link whose target dies — or is re-classed, i.e.
+                    // replayed as delete + re-add — rides along with the
+                    // DelObj; only survivor→survivor removals are edits
+                    // in their own right.
+                    if new.contains(dst) && !reclassed.contains(&dst) {
+                        del_links.push(EditOp::DelLink { src: id, r, dst });
+                    }
+                }
+            }
+            for &dst in &n.refs[slot] {
+                // Links to a re-classed target are scrubbed by its DelObj
+                // even when present on both sides, so they must be
+                // re-established unconditionally.
+                if !o.refs[slot].contains(&dst) || reclassed.contains(&dst) {
+                    add_links.push(EditOp::AddLink { src: id, r, dst });
+                }
+            }
+        }
+    }
+    let mut ops = del_links;
+    ops.append(&mut del_objs);
+    ops.append(&mut add_objs);
+    ops.append(&mut set_attrs);
+    ops.append(&mut add_links);
+    Delta { ops }
 }
 
 impl fmt::Display for Delta {
@@ -1254,6 +1334,65 @@ mod tests {
             class: feat_class,
         };
         assert_eq!(expand(gone), [gone]);
+    }
+
+    /// `between_script` rebuilds the old state of the objects a script
+    /// touched and diffs only them: every op kind, a deletion that
+    /// scrubs links and a name, and an id deleted and re-added under
+    /// another class, and the result equals `between` byte for byte.
+    #[test]
+    fn between_script_equals_between() {
+        let meta = mm();
+        let fm = meta.class_named("FeatureModel").unwrap();
+        let feat = meta.class_named("Feature").unwrap();
+        let features = meta.ref_of(fm, mmt_model::Sym::new("features")).unwrap();
+        let name = meta.attr_of(feat, mmt_model::Sym::new("name")).unwrap();
+        let mut old = Model::new("m", Arc::clone(&meta));
+        let root = old.add(fm).unwrap();
+        let a = feature(&mut old, "a");
+        let b = feature(&mut old, "b");
+        let c = feature(&mut old, "c");
+        for f in [a, b, c] {
+            old.add_link(root, features, f).unwrap();
+        }
+        let fresh = ObjId(old.id_bound() as u32);
+        let mut new = old.clone();
+        let mut script = Vec::new();
+        for op in [
+            EditOp::DelObj { id: a, class: feat },
+            EditOp::SetAttr {
+                id: b,
+                attr: name,
+                value: Value::str("b2"),
+                old: Value::str("b"),
+            },
+            EditOp::DelLink {
+                src: root,
+                r: features,
+                dst: c,
+            },
+            EditOp::AddObj {
+                id: fresh,
+                class: feat,
+            },
+            EditOp::AddLink {
+                src: root,
+                r: features,
+                dst: fresh,
+            },
+            EditOp::DelObj { id: c, class: feat },
+            EditOp::AddObj { id: c, class: fm },
+        ] {
+            let start = script.len();
+            expand_op(&new, &op, &mut script);
+            for op in &script[start..] {
+                op.apply(&mut new).unwrap();
+            }
+        }
+        let whole = Delta::between(&old, &new).unwrap();
+        assert!(whole.ops().contains(&EditOp::DelObj { id: c, class: feat }));
+        assert_eq!(Delta::between_script(&script, &new).unwrap(), whole);
+        assert_eq!(Delta::between_script(&[], &new).unwrap(), Delta::new());
     }
 
     /// The documented caveat: inverting a `between` script whose

@@ -59,6 +59,8 @@
 
 pub mod search;
 
+pub use search::InPlaceRepair;
+
 use mmt_check::{CheckError, DeltaChecker, DeltaError, EvalError};
 use mmt_deps::DomSet;
 use mmt_dist::{CostModel, Delta, TupleCost};
@@ -336,12 +338,13 @@ pub trait RepairEngine: Sync {
         })
     }
 
-    /// Repairs the tuple owned by a **pre-warmed** [`DeltaChecker`] —
-    /// the stateful entry point behind `mmt_core`'s sync sessions.
-    /// Instead of rebuilding the consistency oracle from scratch
-    /// (cold-start cost proportional to the whole tuple), an engine that
-    /// can exploit warm state forks `root` and searches from its cached
-    /// match state.
+    /// Repairs the tuple owned by a **pre-warmed** [`DeltaChecker`],
+    /// which it leaves as it is. Instead of rebuilding the consistency
+    /// oracle from scratch (cold-start cost proportional to the whole
+    /// tuple), an engine that can exploit warm state forks `root` and
+    /// searches from its cached match state. A sync session does not
+    /// come through here for the search: it lends its own checker to
+    /// [`SearchEngine::repair_in_place`], which copies nothing.
     ///
     /// The outcome contract is strict: `repair_warm(root, targets)`
     /// returns **exactly** what [`RepairEngine::repair`] would return
@@ -350,7 +353,7 @@ pub trait RepairEngine: Sync {
     /// simply does that cold call (how [`SatEngine`] seeds its
     /// grounding: from the session's live tuple, since CNF grounding
     /// has no incremental state to reuse); [`SearchEngine`] overrides it
-    /// to seed the incremental search from the forked root.
+    /// to search from a fork of the root.
     fn repair_warm(
         &self,
         root: &DeltaChecker,
@@ -465,6 +468,41 @@ impl SearchEngine {
     pub fn new(opts: RepairOptions) -> SearchEngine {
         SearchEngine { opts }
     }
+
+    /// Repairs the tuple `checker` holds by walking `checker` itself
+    /// through the search: the entry point a sync session lends its
+    /// warm checker to, so a repair copies no model and diffs no whole
+    /// tuple. The returned cost and deltas are exactly
+    /// [`RepairEngine::repair_warm`]'s on the same checker.
+    ///
+    /// On `Ok(Some(_))` the checker holds the repaired tuple, reached by
+    /// the returned scripts. On `Ok(None)`,
+    /// [`RepairError::SearchBudgetExhausted`] and
+    /// [`RepairError::CostOverflow`] it is back where it started, by
+    /// exact undo; so it is on [`RepairError::NoTargets`] and
+    /// [`RepairError::Tuple`], which fail before the search. An error
+    /// raised by the checker itself (`Eval`, `Check` or `Model`) can
+    /// leave it between two search states: discard it.
+    pub fn repair_in_place(
+        &self,
+        checker: &mut DeltaChecker,
+        targets: DomSet,
+    ) -> Result<Option<InPlaceRepair>, RepairError> {
+        let opts = self.resolved(checker.models().len(), targets)?;
+        search::search_from_root(checker, targets, &opts)
+    }
+
+    /// The options for a repair of an `arity`-tuple towards `targets`,
+    /// with the tuple weighting resolved; the errors every entry point
+    /// raises before it searches.
+    fn resolved(&self, arity: usize, targets: DomSet) -> Result<RepairOptions, RepairError> {
+        if targets.is_empty() {
+            return Err(RepairError::NoTargets);
+        }
+        let mut opts = self.opts.clone();
+        opts.tuple = opts.tuple.resolved(arity).map_err(RepairError::Tuple)?;
+        Ok(opts)
+    }
 }
 
 impl RepairEngine for SearchEngine {
@@ -478,34 +516,23 @@ impl RepairEngine for SearchEngine {
         models: &[Model],
         targets: DomSet,
     ) -> Result<Option<RepairOutcome>, RepairError> {
-        if targets.is_empty() {
-            return Err(RepairError::NoTargets);
-        }
-        let mut opts = self.opts.clone();
-        opts.tuple = opts
-            .tuple
-            .resolved(models.len())
-            .map_err(RepairError::Tuple)?;
+        let opts = self.resolved(models.len(), targets)?;
         search::repair_search(hir, models, targets, &opts)
     }
 
-    /// Seeds the incremental search from a fork of `root` — no initial
-    /// full check runs, which is the whole point of keeping a session's
-    /// checker warm. The fork is the only checker the search holds.
+    /// Searches from a fork of `root` ([`SearchEngine::repair_in_place`]
+    /// on the copy) — no initial full check runs, which is the point of
+    /// keeping a session's checker warm. The fork is O(tuple) and is
+    /// the only checker the search holds; a session, which can lend its
+    /// checker, calls [`SearchEngine::repair_in_place`] instead.
     fn repair_warm(
         &self,
         root: &DeltaChecker,
         targets: DomSet,
     ) -> Result<Option<RepairOutcome>, RepairError> {
-        if targets.is_empty() {
-            return Err(RepairError::NoTargets);
-        }
-        let mut opts = self.opts.clone();
-        opts.tuple = opts
-            .tuple
-            .resolved(root.models().len())
-            .map_err(RepairError::Tuple)?;
-        search::search_from_root(root.fork(), targets, &opts)
+        let mut checker = root.fork();
+        let found = self.repair_in_place(&mut checker, targets)?;
+        Ok(found.map(|r| r.into_outcome(checker)))
     }
 }
 

@@ -52,8 +52,8 @@
 //!
 //! ## One checker, moved by exact edits
 //!
-//! The search owns one [`mmt_check::DeltaChecker`] — built over the
-//! originals, or forked from a sync session's warm checker — and keeps
+//! The search walks one [`mmt_check::DeltaChecker`] — built over the
+//! originals, lent by a sync session, or forked from one — and keeps
 //! its states in a tree whose nodes are `(parent, depth, candidate,
 //! fingerprint, g, h)`. To expand a popped state, the checker walks the
 //! tree from the state it holds: it undoes edits up to the common
@@ -61,6 +61,13 @@
 //! the popped state's edit. That is at most 2 × depth edits, each
 //! O(|edit|) through the incremental oracle, where a checker clone per
 //! state would cost O(tuple).
+//!
+//! The search ends with the checker at the goal and hands back the path
+//! that reached it ([`InPlaceRepair`]): the edits it applied, per model,
+//! which a session journals as they are, and the canonical deltas,
+//! diffed from the objects those edits touched
+//! ([`Delta::between_script`]) rather than from two whole tuples. A
+//! search that finds no repair walks the checker back to the root.
 //!
 //! Undo is exact. An edit lands in the expanded form of
 //! [`mmt_dist::expand_op`] (a deletion first strips the links and
@@ -110,14 +117,44 @@ struct Candidate {
 }
 
 /// A* search for a least-change repair, with the incremental oracle:
-/// builds the root checker over `originals` and searches from it.
+/// builds the root checker over `originals`, searches from it and hands
+/// back the repaired tuple it leaves.
 pub fn repair_search(
     hir: &Arc<Hir>,
     originals: &[Model],
     targets: DomSet,
     opts: &RepairOptions,
 ) -> Result<Option<RepairOutcome>, RepairError> {
-    search_from_root(DeltaChecker::new(hir, originals)?, targets, opts)
+    let mut checker = DeltaChecker::new(hir, originals)?;
+    let found = search_from_root(&mut checker, targets, opts)?;
+    Ok(found.map(|r| r.into_outcome(checker)))
+}
+
+/// A repair the search left in place: the checker it walked holds the
+/// repaired tuple.
+#[derive(Clone, Debug)]
+pub struct InPlaceRepair {
+    /// Total weighted distance from the tuple the checker held before.
+    pub cost: u64,
+    /// Per-model canonical scripts, byte-identical to
+    /// [`Delta::between`] the tuple before and the tuple after.
+    pub deltas: Vec<Delta>,
+    /// Per-model scripts of the edits the repair's path applied, in path
+    /// order and in [`expand_op`] form: each inverts exactly, op by op,
+    /// which is what a session journals.
+    pub scripts: Vec<Delta>,
+}
+
+impl InPlaceRepair {
+    /// The outcome of a search that walked `checker`, which it consumes
+    /// for the repaired tuple.
+    pub(crate) fn into_outcome(self, checker: DeltaChecker) -> RepairOutcome {
+        RepairOutcome {
+            cost: self.cost,
+            models: checker.into_models(),
+            deltas: self.deltas,
+        }
+    }
 }
 
 /// One state of the search tree: the state it extends, its depth, the
@@ -253,6 +290,41 @@ impl SearchTree {
         let model = node.cand.expect("only the root has no edit").model;
         (model, &self.ops[node.script.clone()])
     }
+
+    /// The repair at `goal`, the state `checker` holds, reached at
+    /// weighted distance `cost`: the edits on the path from the root, per
+    /// model in path order, and the canonical deltas read off the
+    /// objects they touched ([`Delta::between_script`]).
+    fn in_place(
+        &self,
+        checker: &DeltaChecker,
+        goal: usize,
+        cost: u64,
+    ) -> Result<InPlaceRepair, RepairError> {
+        let mut path = Vec::with_capacity(self.nodes[goal].depth);
+        let mut at = goal;
+        while at != 0 {
+            path.push(at);
+            at = self.nodes[at].parent;
+        }
+        let mut scripts = vec![Delta::new(); checker.models().len()];
+        for &n in path.iter().rev() {
+            let (model, ops) = self.landed(n);
+            for &op in ops {
+                scripts[model.index()].push(op);
+            }
+        }
+        let deltas = scripts
+            .iter()
+            .zip(checker.models())
+            .map(|(script, m)| Delta::between_script(script.ops(), m))
+            .collect::<Result<_, _>>()?;
+        Ok(InPlaceRepair {
+            cost,
+            deltas,
+            scripts,
+        })
+    }
 }
 
 /// Undoes `script`, which landed on the model at `model` when its
@@ -271,33 +343,63 @@ fn undo_ops(
     Ok(())
 }
 
-/// Incremental-oracle search seeded from a **pre-warmed root checker**
-/// (the hot half of [`repair_search`], which builds its root from
-/// scratch and delegates here). The root's owned tuple is taken as the
-/// originals; no initial full check runs. Because
+/// Incremental-oracle search from the state `checker` holds, the root:
+/// the hot half of [`repair_search`], and what a sync session lends its
+/// warm checker to. The root's tuple is taken as the originals; no
+/// initial full check runs. Because
 /// [`DeltaChecker::for_each_violation`] enumerates violations in
 /// canonical (binding-sorted) order, a warm root and a freshly built
 /// one drive the search identically — the outcome is byte-for-byte the
 /// same as a cold [`repair_search`] over the root's models.
 ///
 /// The search moves `checker` itself between states (see the module
-/// docs) and holds no other checker or tuple copy; it consumes the
-/// checker because an error can leave it between states.
+/// docs) and holds no other checker or tuple copy. On success it leaves
+/// `checker` at the repaired state; when it finds no repair, exhausts
+/// [`RepairOptions::max_states`] or overflows a cost, it first walks
+/// `checker` back to the root by exact undo. A [`RepairError`] raised
+/// by the checker itself (`Eval`, `Check` or `Model`) can leave it
+/// between states.
 ///
 /// States pop lowest f = g + h first ([`Frontier`]); ties go to the
 /// larger g, then to the earlier push, so equal states break by
 /// candidate derivation order.
 pub(crate) fn search_from_root(
-    mut checker: DeltaChecker,
+    checker: &mut DeltaChecker,
     targets: DomSet,
     opts: &RepairOptions,
-) -> Result<Option<RepairOutcome>, RepairError> {
+) -> Result<Option<InPlaceRepair>, RepairError> {
+    // Fingerprints are differences from the root (see the module docs).
+    let mut tree = SearchTree::new(0);
+    match walk(checker, &mut tree, targets, opts)? {
+        End::Goal { idx, cost } => tree.in_place(checker, idx, cost).map(Some),
+        End::Stop(stop) => {
+            tree.goto(checker, 0)?;
+            stop.map(|()| None)
+        }
+    }
+}
+
+/// How a search walk ended, the checker having moved without error.
+enum End {
+    /// At the consistent state `idx`, which the checker holds.
+    Goal { idx: usize, cost: u64 },
+    /// No repair (`Ok`), or the search gave up (`Err`); the checker
+    /// still has to go back to the root.
+    Stop(Result<(), RepairError>),
+}
+
+/// The A* loop of [`search_from_root`], over the states of `tree`. Its
+/// own error is the checker's; every other exit is an [`End`].
+fn walk(
+    checker: &mut DeltaChecker,
+    tree: &mut SearchTree,
+    targets: DomSet,
+    opts: &RepairOptions,
+) -> Result<End, DeltaError> {
     let hir: Arc<Hir> = Arc::clone(checker.hir_arc());
     let hir = &*hir;
     let bound = Bound::new(hir, targets, opts);
     let value_pool = ValueDomain::collect(hir, checker.models(), opts.fresh_strings);
-    // Fingerprints are differences from the root (see the module docs).
-    let mut tree = SearchTree::new(0);
     let mut open = Frontier::new();
     let mut evaluations: u64 = 0;
     let mut violations: Vec<Violation> = Vec::new();
@@ -309,26 +411,24 @@ pub(crate) fn search_from_root(
             continue; // a cheaper path reached this state since
         }
         if evaluated {
-            tree.goto(&mut checker, idx)?;
+            tree.goto(checker, idx)?;
         } else {
-            if !tree.enter(&mut checker, idx)? {
+            if !tree.enter(checker, idx)? {
                 continue; // stale states do not count against the budget
             }
             evaluations += 1;
             if evaluations > opts.max_states {
-                return Err(RepairError::SearchBudgetExhausted {
+                return Ok(End::Stop(Err(RepairError::SearchBudgetExhausted {
                     states: opts.max_states,
-                });
+                })));
             }
-            let Some(h) = bound.h(&checker, DomSet::EMPTY) else {
-                return Ok(None); // a failing check reads no target model
+            let Some(h) = bound.h(checker, DomSet::EMPTY) else {
+                return Ok(End::Stop(Ok(()))); // a failing check reads no target model
             };
             // The goal test reads the uncapped verdicts: with a cap of 0 no
             // violation is captured, yet the state may be inconsistent.
             if checker.consistent() {
-                let repaired = checker.models().to_vec();
-                tree.goto(&mut checker, 0)?;
-                return outcome(checker.models(), repaired, g).map(Some);
+                return Ok(End::Goal { idx, cost: g });
             }
             tree.nodes[idx].evaluated = true;
             if open.requeue(f, g, h, idx, opts.max_cost) {
@@ -344,11 +444,11 @@ pub(crate) fn search_from_root(
                 binding: binding.clone(),
             });
         });
-        let lazy = bound.per_model(&checker);
+        let lazy = bound.per_model(checker);
         for cand in candidates_of(hir, checker.models(), targets, &violations, &value_pool) {
-            let total = checked_step(&cand, opts)
-                .and_then(|step| g.checked_add(step))
-                .ok_or(RepairError::CostOverflow)?;
+            let Some(total) = checked_step(&cand, opts).and_then(|step| g.checked_add(step)) else {
+                return Ok(End::Stop(Err(RepairError::CostOverflow)));
+            };
             let f = total.saturating_add(lazy[cand.model.index()]);
             if f > opts.max_cost {
                 continue;
@@ -362,7 +462,7 @@ pub(crate) fn search_from_root(
             }
         }
     }
-    Ok(None)
+    Ok(End::Stop(Ok(())))
 }
 
 /// The A* frontier, with its duplicate filter.
@@ -520,25 +620,6 @@ impl<'a> Bound<'a> {
         }
         lazy
     }
-}
-
-/// A repair outcome: `models` and the per-model deltas that reach them
-/// from `originals`.
-fn outcome(
-    originals: &[Model],
-    models: Vec<Model>,
-    cost: u64,
-) -> Result<RepairOutcome, RepairError> {
-    let deltas = originals
-        .iter()
-        .zip(&models)
-        .map(|(o, n)| Delta::between(o, n))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(RepairOutcome {
-        cost,
-        models,
-        deltas,
-    })
 }
 
 /// The repair-guided candidates of one state, in canonical derivation

@@ -118,9 +118,9 @@ pub struct Model {
     /// `incoming[dst]` = sorted `(src, ref)` pairs with `dst ∈
     /// src.refs[ref]`. Sparse: objects with no incoming links carry no
     /// entry, so ref-less metamodels pay nothing. Behind [`Arc`] with
-    /// copy-on-write semantics: cloning a model — forking a session's
-    /// checker as a repair root, or snapshotting a tuple — shares the
-    /// index, and only the first link-mutating edit on the copy
+    /// copy-on-write semantics: cloning a model — forking a checker, or
+    /// snapshotting a tuple — shares the index, and only the first
+    /// link-mutating edit on the copy
     /// ([`Model::add_link`], [`Model::remove_link`], [`Model::delete`])
     /// pays for the deep copy.
     incoming: Arc<FxHashMap<ObjId, Vec<(ObjId, RefId)>>>,

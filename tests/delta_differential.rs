@@ -7,11 +7,11 @@
 use mmt_bench::consistent_workload;
 use mmtf::check::{CheckOptions, CheckReport, Checker, DeltaChecker, EvalStats};
 use mmtf::deps::DomIdx;
-use mmtf::dist::{Delta, EditOp};
+use mmtf::dist::{expand_op, Delta, EditOp};
 use mmtf::gen::scenario::{all_scenarios, scenario_named};
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
 use mmtf::model::text::{parse_metamodel, parse_model};
-use mmtf::model::Model;
+use mmtf::model::{ClassId, Model, ObjId};
 use mmtf::qvtr::{parse_and_resolve, Hir};
 
 #[path = "cases/edge.rs"]
@@ -390,4 +390,99 @@ fn delta_checker_tracks_diff_scripts() {
         break_script.ops()[0],
         EditOp::AddObj { .. } | EditOp::DelObj { .. } | EditOp::SetAttr { .. }
     ));
+}
+
+/// Deletes each object of `models` that another object links to, one at
+/// a time as a bare `DelObj` (the checker scrubs the links), checks the
+/// checker against a scratch one, then undoes the deletion in expanded
+/// form and checks again. Returns the number of deletions.
+fn delete_each_link_target(hir: &std::sync::Arc<Hir>, models: &[Model], ctx: &str) -> usize {
+    let mut checker = DeltaChecker::with_options(hir, models, uncapped()).unwrap();
+    let mut deletions = 0;
+    for (target, m) in models.iter().enumerate() {
+        let model = DomIdx(target as u8);
+        let victims: Vec<(ObjId, ClassId)> = m
+            .objects()
+            .filter(|&(id, _)| m.incoming(id).iter().any(|&(src, _)| src != id))
+            .map(|(id, obj)| (id, obj.class))
+            .collect();
+        for (id, class) in victims {
+            let del = EditOp::DelObj { id, class };
+            let mut undo = Vec::new();
+            expand_op(m, &del, &mut undo);
+            checker.apply(model, &del).unwrap();
+            let mut deleted = models.to_vec();
+            del.apply(&mut deleted[target]).unwrap();
+            let ctx = format!("{ctx}: model {target}, deleting {id}");
+            assert_agrees(&checker, &deleted, &ctx);
+            for op in undo.iter().rev() {
+                checker.apply(model, &op.inverse()).unwrap();
+            }
+            assert_agrees(&checker, models, &format!("{ctx}, undone"));
+            deletions += 1;
+        }
+    }
+    deletions
+}
+
+/// A deletion scrubs the links into its object, and the checker treats
+/// only the deleted object as affected, not the links' sources: every
+/// pattern that reads a link binds both ends, so whatever went through
+/// a scrubbed link is found again through the deleted object. Every
+/// link target of every scenario (seeds 0–5, undrifted and after a
+/// random drift of each model) and of every edge spec is deleted in
+/// turn.
+#[test]
+fn deleting_a_link_target_matches_scratch() {
+    let mut deletions = 0;
+    for sc in all_scenarios() {
+        for seed in 0..6u64 {
+            let w = sc.workload(seed);
+            let ctx = format!("{} seed={seed}", sc.name());
+            deletions += delete_each_link_target(&w.hir, &w.models, &ctx);
+            let mut drifted = w.models.clone();
+            for (target, m) in drifted.iter_mut().enumerate() {
+                for op in random_edits(m, 4, seed * 13 + target as u64) {
+                    op.apply(m).unwrap();
+                }
+            }
+            deletions += delete_each_link_target(&w.hir, &drifted, &format!("{ctx} drifted"));
+        }
+    }
+    for e in &EDGE_SPECS {
+        let (t, models) = edge_tuple(e, e.spec);
+        deletions += delete_each_link_target(t.hir_arc(), &models, e.name);
+    }
+    // 64 today: the sweep must not quietly lose its cases.
+    assert!(deletions >= 60, "only {deletions} deletions");
+}
+
+/// `Delta::between_script` diffs only the objects a script touched, by
+/// running the script backwards over copies of them; over random
+/// expanded scripts on every scenario model it equals `Delta::between`
+/// byte for byte.
+#[test]
+fn between_script_equals_between_on_random_scripts() {
+    for sc in all_scenarios() {
+        for seed in 0..4u64 {
+            let w = sc.workload(seed);
+            for (target, old) in w.models.iter().enumerate() {
+                let mut new = old.clone();
+                let mut script = Vec::new();
+                for op in random_edits(old, 12, seed * 7 + target as u64) {
+                    let start = script.len();
+                    expand_op(&new, &op, &mut script);
+                    for op in &script[start..] {
+                        op.apply(&mut new).unwrap();
+                    }
+                }
+                assert_eq!(
+                    Delta::between_script(&script, &new).unwrap(),
+                    Delta::between(old, &new).unwrap(),
+                    "{} seed={seed} model {target}",
+                    sc.name()
+                );
+            }
+        }
+    }
 }

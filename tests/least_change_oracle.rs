@@ -8,9 +8,10 @@
 //! single edit of every target model (each live object, `SLACK` fresh
 //! objects per concrete class, and a value pool it collects itself), so
 //! it shares none of the search's candidates and none of the grounding.
-//! Every case then runs through four engine paths (search and SAT, each
-//! cold through `enforce_with` and warm through `SyncSession::repair`)
-//! and checks §3's laws on each:
+//! Every case then runs through six engine paths (search and SAT, each
+//! cold through `enforce_with`, warm through `SyncSession::repair`, and
+//! recovered: `SyncSession::repair` on a session reopened from a store
+//! with `PersistentSession::open`) and checks §3's laws on each:
 //!
 //! - the repaired tuple checks consistent, and every model conforms to
 //!   its metamodel;
@@ -39,6 +40,9 @@ use mmtf::prelude::*;
 use mmtf::qvtr::{Atom, Constraint, HirExpr};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The oracle's cost cap: every case's minimum lies within it, and a
 /// case whose minimum does not fails.
@@ -96,6 +100,12 @@ struct Case {
     models: Vec<Model>,
     shape: Shape,
     opts: RepairOptions,
+    /// The tuple the recovered path's store is created over, and the
+    /// edits, made through its session, that turn it into `models`, so
+    /// that recovery replays them: `models` and none, unless the case
+    /// is a drift.
+    seed: Vec<Model>,
+    drift: Vec<(DomIdx, EditOp)>,
 }
 
 impl Case {
@@ -103,10 +113,49 @@ impl Case {
         Case {
             label,
             t,
+            seed: models.clone(),
             models,
             shape,
             opts: RepairOptions::default(),
+            drift: Vec::new(),
         }
+    }
+}
+
+/// How a case reaches an engine.
+#[derive(Clone, Copy, Debug)]
+enum Via<'a> {
+    /// `enforce_with` on the tuple.
+    Cold,
+    /// A session opened on the tuple.
+    Warm,
+    /// A session reopened from the store at this directory.
+    Recovered(&'a Path),
+}
+
+/// A store holding `case.seed` and its drift, committed, at a fresh
+/// directory that is removed on drop.
+struct Store(PathBuf);
+
+impl Store {
+    fn create(case: &Case) -> Store {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("mmt-oracle-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut session = SyncSession::new(case.t.clone(), &case.seed).unwrap();
+        let mut store = PersistentSession::create(&dir, &session).unwrap();
+        for &(model, op) in &case.drift {
+            session.apply(model, op).unwrap();
+        }
+        store.commit(&session).unwrap();
+        Store(dir)
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -335,27 +384,34 @@ fn replay(originals: &[Model], nodes: &[Node], idx: usize) -> Vec<Model> {
 /// or `None` when the engine found no repair.
 type Repair = Option<(u64, Vec<Model>, Vec<Delta>)>;
 
-/// Runs `case` through `engine`, cold (`enforce_with`) or warm (a sync
-/// session's `repair`).
+/// Runs `case` through `engine`, reached `via` one of its paths.
 fn repair(
     case: &Case,
     engine: EngineKind,
-    warm: bool,
+    via: Via,
     opts: RepairOptions,
 ) -> Result<Repair, String> {
-    if !warm {
-        let out = case
-            .t
-            .enforce_with(&case.models, case.shape, engine, opts)
-            .map_err(|e| e.to_string())?;
-        return Ok(out.map(|o| (o.cost, o.models, o.deltas)));
-    }
-    let opts = SessionOptions {
+    let session_opts = SessionOptions {
         engine,
-        repair: opts,
+        repair: opts.clone(),
     };
-    let mut session =
-        SyncSession::with_options(case.t.clone(), &case.models, opts).map_err(|e| e.to_string())?;
+    let mut session = match via {
+        Via::Cold => {
+            let out = case
+                .t
+                .enforce_with(&case.models, case.shape, engine, opts)
+                .map_err(|e| e.to_string())?;
+            return Ok(out.map(|o| (o.cost, o.models, o.deltas)));
+        }
+        Via::Warm => SyncSession::with_options(case.t.clone(), &case.models, session_opts)
+            .map_err(|e| e.to_string())?,
+        Via::Recovered(dir) => {
+            let t = Arc::new(case.t.clone());
+            PersistentSession::open(dir, &t, session_opts)
+                .map_err(|e| e.to_string())?
+                .1
+        }
+    };
     let out = session.repair(case.shape).map_err(|e| e.to_string())?;
     Ok(out.map(|r| (r.cost, session.models().to_vec(), r.deltas)))
 }
@@ -375,6 +431,7 @@ fn check_case(case: &Case) {
     let objects: usize = case.models.iter().map(Model::len).sum();
     assert!(objects <= MAX_OBJECTS, "{}: {objects} objects", case.label);
     let min = least_change(case).unwrap_or_else(|| panic!("{}: cost past {CAP}", case.label));
+    let store = Store::create(case);
     for engine in [EngineKind::Search, EngineKind::Sat] {
         let gap = KNOWN_GAPS
             .iter()
@@ -383,17 +440,16 @@ fn check_case(case: &Case) {
         if gap.is_some() {
             opts.max_states = GAP_MAX_STATES;
         }
-        for warm in [false, true] {
-            let ctx = format!(
-                "{} on {engine:?} {}",
-                case.label,
-                if warm { "warm" } else { "cold" }
-            );
-            let res = repair(case, engine, warm, opts.clone());
+        for via in [Via::Cold, Via::Warm, Via::Recovered(&store.0)] {
+            let ctx = format!("{} on {engine:?} {via:?}", case.label);
             if let Some(gap) = gap {
-                assert_eq!(render(&res), gap.returns, "{ctx}: a known gap moved");
+                if !matches!(via, Via::Recovered(_)) {
+                    let res = repair(case, engine, via, opts.clone());
+                    assert_eq!(render(&res), gap.returns, "{ctx}: a known gap moved");
+                }
                 continue;
             }
+            let res = repair(case, engine, via, opts.clone());
             let out = res.unwrap_or_else(|e| panic!("{ctx}: {e}"));
             let (cost, models, deltas) =
                 out.unwrap_or_else(|| panic!("{ctx}: no repair, the oracle's costs {min}"));
@@ -573,7 +629,8 @@ fn feature_case(seed: u64, injection: Injection, name: &str, shape: Shape) -> Ca
 
 /// One corpus scenario at three seeds: the consistent seed tuple, then
 /// one `random_edits` drift of one model, repaired under `all` and
-/// `all_but` that model.
+/// `all_but` that model. The recovered path's store holds the seed
+/// tuple and the drift as a journaled edit, which recovery replays.
 fn scenario_matches_the_oracle(name: &str) {
     let sc = scenario_named(name).expect("known scenario");
     for seed in 0..3u64 {
@@ -589,7 +646,8 @@ fn scenario_matches_the_oracle(name: &str) {
         ));
         let target = seed as usize % arity;
         let mut models = w.models.clone();
-        for op in random_edits(&models[target], 1, seed * 7 + 3) {
+        let drift = random_edits(&models[target], 1, seed * 7 + 3);
+        for op in &drift {
             op.apply(&mut models[target]).unwrap();
         }
         for (shape_name, shape) in [
@@ -597,7 +655,10 @@ fn scenario_matches_the_oracle(name: &str) {
             (format!("all_but({target})"), Shape::all_but(target, arity)),
         ] {
             let label = format!("{label} shape={shape_name}");
-            check_case(&Case::new(label, t.clone(), models.clone(), shape));
+            let mut case = Case::new(label, t.clone(), models.clone(), shape);
+            case.seed = w.models.clone();
+            case.drift = drift.iter().map(|&op| (DomIdx(target as u8), op)).collect();
+            check_case(&case);
         }
     }
 }

@@ -10,10 +10,14 @@
 //! unoptimized build would dominate the tier-1 suite. CI runs them in
 //! the release scale-smoke step.
 
+use mmt_bench::{consistent_workload, drift_new_mandatory, paper_transformation};
 use mmtf::check::{CheckOptions, Checker, DeltaChecker, ModelIndex};
+use mmtf::core::{EngineKind, Shape};
 use mmtf::deps::DomIdx;
 use mmtf::dist::{Delta, EditOp};
+use mmtf::enforce::RepairOptions;
 use mmtf::gen::{feature_workload, random_edits, FeatureSpec};
+use mmtf::model::text::print_model;
 use mmtf::model::{ClassId, Model};
 use mmtf::qvtr::Hir;
 use std::collections::HashSet;
@@ -111,6 +115,42 @@ fn delta_checker_matches_scratch_at_100k() {
         mirror.apply(&mut models[0]).unwrap();
     }
     assert_agrees(&checker, &models, "100k script");
+}
+
+/// A warm repair at 5·10⁴ features walks the session's own checker and
+/// journals its path: it must equal a cold `enforce_with` of the same
+/// tuple in cost and rendered deltas, and rolling the session back must
+/// restore the seed byte for byte, id bounds included.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "scale smoke: run with --release")]
+fn warm_in_place_repair_matches_cold_at_50k() {
+    let t = paper_transformation(2);
+    let w = consistent_workload(50_000, 2, 53);
+    let mut session = t.session(&w.models).unwrap();
+    drift_new_mandatory(&mut session);
+    let drifted = session.models().to_vec();
+    let shape = Shape::of(&[0, 1]);
+    let warm = session.repair(shape).unwrap().expect("repairable");
+    let cold = t
+        .enforce_with(
+            &drifted,
+            shape,
+            EngineKind::Search,
+            RepairOptions::default(),
+        )
+        .unwrap()
+        .expect("repairable");
+    let render = |deltas: &[Delta]| deltas.iter().map(Delta::to_string).collect::<Vec<_>>();
+    assert_eq!(warm.cost, cold.cost);
+    assert_eq!(render(&warm.deltas), render(&cold.deltas));
+    for (live, repaired) in session.models().iter().zip(&cold.models) {
+        assert_eq!(print_model(live), print_model(repaired));
+    }
+    session.rollback_all().unwrap();
+    for (live, seed) in session.models().iter().zip(&w.models) {
+        assert_eq!(print_model(live), print_model(seed));
+        assert_eq!(live.id_bound(), seed.id_bound());
+    }
 }
 
 /// Point-updated [`ModelIndex`] iterates identically to a fresh

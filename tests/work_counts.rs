@@ -22,8 +22,8 @@ use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
 
 use mmt_bench::{
-    broken_workload, consistent_workload, paper_transformation, run_cold, run_cold_scenario,
-    run_warm, run_warm_scenario,
+    broken_workload, consistent_workload, drift_new_mandatory, paper_transformation, run_cold,
+    run_cold_scenario, run_warm, run_warm_scenario,
 };
 use mmtf::check::{Checker, DeltaChecker, DeltaStats, EvalStats};
 use mmtf::core::{EngineKind, Shape, SyncSession, Transformation};
@@ -287,6 +287,39 @@ fn repair_rows(out: &mut String) {
     }
 }
 
+/// One warm repair at scale: the model size, its allocations and cost.
+struct WarmRepair {
+    n: usize,
+    allocs: u64,
+    cost: u64,
+}
+
+/// `bench_enforce_scale`'s `session/n` at scale: one warm cost-2 repair
+/// of a new mandatory feature (fm2cfs, k = 2, seed 53) through a
+/// `SyncSession`, counted after a warm-up repair and its rollback;
+/// measured once per test binary run.
+fn warm_repairs() -> &'static [WarmRepair] {
+    static ROWS: OnceLock<Vec<WarmRepair>> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        let t = paper_transformation(2);
+        let repair = |session: &mut SyncSession| {
+            let out = session.repair(Shape::of(&[0, 1])).unwrap();
+            out.expect("repairable").cost
+        };
+        [1000, 10_000]
+            .map(|n| {
+                let w = consistent_workload(n, 2, 53);
+                let mut session = t.session(&w.models).unwrap();
+                drift_new_mandatory(&mut session);
+                repair(&mut session);
+                session.rollback(1).unwrap();
+                let (allocs, cost) = counted(|| repair(&mut session));
+                WarmRepair { n, allocs, cost }
+            })
+            .into()
+    })
+}
+
 /// The whole pin text, in a fixed row order.
 fn render_work_counts() -> String {
     let mut out = String::new();
@@ -309,6 +342,14 @@ fn render_work_counts() -> String {
     session_warm_rows(&mut out);
     session_warm_scenario_rows(&mut out);
     repair_rows(&mut out);
+    for r in warm_repairs() {
+        writeln!(
+            out,
+            "repair/warm/fm{} allocs={} cost={}",
+            r.n, r.allocs, r.cost
+        )
+        .unwrap();
+    }
     out
 }
 
@@ -355,6 +396,25 @@ fn incremental_edit_work_is_flat_in_n() {
         eval.universal_bindings > 0 && eval.existential_probes > 0,
         "{}",
         sizes[0].work()
+    );
+}
+
+/// A warm repair copies nothing of the tuple: the session lends its
+/// checker to the search, which journals its path and diffs only the
+/// objects the path touched. Ten times the features may cost at most
+/// half as many allocations again.
+#[test]
+fn warm_repair_allocations_do_not_grow_with_n() {
+    let [small, large] = warm_repairs() else {
+        unreachable!("two sizes")
+    };
+    assert!(
+        large.allocs * 2 <= small.allocs * 3,
+        "a warm repair allocates {} times at fm{} but {} times at fm{}",
+        small.allocs,
+        small.n,
+        large.allocs,
+        large.n
     );
 }
 
