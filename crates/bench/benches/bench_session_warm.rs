@@ -11,8 +11,9 @@
 //!   rebuilds the full checking state from scratch;
 //! * `warm` — one `SyncSession`: the cold start happens once (inside
 //!   the measured iteration), then every edit is an O(|edit|)
-//!   incremental update and every checkpoint repairs from the warm
-//!   checker (`RepairEngine::repair_warm` seeding the search root).
+//!   incremental update and every checkpoint lends the warm checker
+//!   to the engine (`RepairEngine::repair_in_place`), which repairs it
+//!   where it stands.
 //!
 //! The 16 steps are 5 drift actions and 11 repair checkpoints,
 //! modelling synchronization *traffic* rather than catastrophe: every

@@ -82,7 +82,7 @@ use crate::footprint::{footprints_for, var_model, Footprint};
 use crate::index::ModelIndex;
 use crate::{CheckError, CheckOptions, CheckReport, DirectionalOutcome, ViolationBinding};
 use mmt_deps::{Dep, DomIdx};
-use mmt_dist::{Delta, EditOp};
+use mmt_dist::{expand_op, Delta, EditOp};
 use mmt_model::fx::{FxHashMap, FxHashSet};
 use mmt_model::{ClassId, Model, ModelError, ObjId, RefId};
 use mmt_qvtr::{Constraint, Hir, HirRelation, RelId, VarId};
@@ -663,27 +663,27 @@ impl DeltaChecker {
     pub fn apply(&mut self, model: DomIdx, op: &EditOp) -> Result<(), DeltaError> {
         let m = model.index();
         assert!(m < self.models.len(), "model index out of range");
-        let mut affected: Vec<ObjId> = Vec::new();
         let mut scrubbed: Vec<RefId> = Vec::new();
         let mut extent_class: Option<ClassId> = None;
-        match *op {
+        // The one object whose matches and witnesses the edit can change.
+        let affected = match *op {
             EditOp::AddObj { id, class } => {
                 self.models[m].add_at(id, class)?;
                 self.indexes[m].add_obj(&self.models[m], id);
-                affected.push(id);
                 extent_class = Some(class);
+                id
             }
             EditOp::DelObj { id, .. } => {
                 let class = self.models[m].class_of(id)?;
                 extent_class = Some(class);
-                affected.push(id);
                 // The delete will scrub incoming links: record which
-                // references they use, for the footprint tests. O(degree)
-                // via the model's inverse link index. Their sources are
-                // not affected objects: every pattern that reads a link
-                // binds both of its ends, so each match or witness that
-                // went through a scrubbed link also bound the deleted
-                // object, and the update finds it again through `id`.
+                // references they use, for the footprint tests (O(degree)
+                // via the inverse link index). A link target bound by the
+                // reference alone (`r = x`) has no `Obj` constraint, so
+                // its class can be in no footprint while the reference is.
+                // The links' sources are not affected: every pattern that
+                // reads a link binds both ends, so the update finds each
+                // match or witness that went through one again via `id`.
                 for &(src, r) in self.models[m].incoming(id) {
                     if src != id && !scrubbed.contains(&r) {
                         scrubbed.push(r);
@@ -691,6 +691,7 @@ impl DeltaChecker {
                 }
                 self.indexes[m].remove_obj(&self.models[m], id);
                 self.models[m].delete(id)?;
+                id
             }
             EditOp::SetAttr {
                 id, attr, value, ..
@@ -701,23 +702,23 @@ impl DeltaChecker {
                 }
                 self.models[m].set_attr(id, attr, value)?;
                 self.indexes[m].update_attr(id, attr, old, value);
-                affected.push(id);
+                id
             }
             EditOp::AddLink { src, r, dst } => {
                 if !self.models[m].add_link(src, r, dst)? {
                     return Ok(());
                 }
-                affected.push(src);
+                src
             }
             EditOp::DelLink { src, r, dst } => {
                 if !self.models[m].remove_link(src, r, dst)? {
                     return Ok(());
                 }
-                affected.push(src);
+                src
             }
-        }
+        };
         self.delta_stats.edits += 1;
-        self.update_checks(model, op, extent_class, &affected, &scrubbed)
+        self.update_checks(model, op, extent_class, affected, &scrubbed)
     }
 
     /// Applies a whole edit script to the model at `model`
@@ -729,12 +730,30 @@ impl DeltaChecker {
         Ok(())
     }
 
+    /// Applies `op` to the model at `model` in its exactly invertible
+    /// [`expand_op`] form, pushing each op that lands onto `landed` (what
+    /// a sync session journals); on error the ops before stay applied.
+    pub fn apply_expanded(
+        &mut self,
+        model: DomIdx,
+        op: &EditOp,
+        landed: &mut Delta,
+    ) -> Result<(), DeltaError> {
+        let mut script = Vec::new();
+        expand_op(&self.models[model.index()], op, &mut script);
+        for e in script {
+            self.apply(model, &e)?;
+            landed.push(e);
+        }
+        Ok(())
+    }
+
     fn update_checks(
         &mut self,
         model: DomIdx,
         op: &EditOp,
         extent_class: Option<ClassId>,
-        affected: &[ObjId],
+        affected: ObjId,
         scrubbed: &[RefId],
     ) -> Result<(), DeltaError> {
         let m = model.index();
@@ -869,10 +888,11 @@ impl DeltaChecker {
 
     /// Checkpoint this checker: an independent copy owning its own model
     /// tuple and match state, sharing the compiled per-check statics
-    /// behind [`Arc`]. No evaluation happens, but the copy is O(tuple):
-    /// a caller that holds only `&DeltaChecker` (the engines'
-    /// `repair_warm`) forks it to search from its warm state. A sync
-    /// session forks nothing; it lends its own checker to the search.
+    /// behind [`Arc`]. No evaluation happens, but the copy is O(tuple).
+    /// Its one caller in the engines is the repair trait's default
+    /// `repair_warm`, which holds only `&DeltaChecker` and repairs a
+    /// fork of it in place. A sync session forks nothing; it lends its
+    /// own checker to the engine.
     pub fn fork(&self) -> DeltaChecker {
         self.clone()
     }
@@ -1048,10 +1068,10 @@ fn probe_recording(
     })
 }
 
-/// Universal-side partial update: drop the matches binding an affected
+/// Universal-side partial update: drop the matches binding the affected
 /// object (found through the `by_obj` index — O(affected entries), not
-/// O(match state)), then re-enumerate the join with each affected
-/// object pinned.
+/// O(match state)), then re-enumerate the join with the affected object
+/// pinned at each variable it can bind.
 #[allow(clippy::too_many_arguments)]
 fn universal_update(
     ctx: &mut EvalCtx<'_>,
@@ -1059,23 +1079,25 @@ fn universal_update(
     st: &CheckStatics,
     state: &mut MatchState,
     model: DomIdx,
-    affected: &[ObjId],
+    affected: ObjId,
     live: &Model,
     scratch: &mut UpdateScratch,
 ) -> Result<(), EvalError> {
     let stale = &mut scratch.stale;
     stale.clear();
-    for &o in affected {
-        state.collect_slots_binding(rel, model, o, stale);
-    }
+    state.collect_slots_binding(rel, model, affected, stale);
     stale.sort_unstable();
     stale.dedup();
     for &slot in stale.iter() {
         state.remove(rel, slot);
     }
-    // Dedup across pins: every re-enumerated binding pins an affected
-    // object, and no surviving entry binds one (it was just dropped) —
+    if !live.contains(affected) {
+        return Ok(()); // deleted objects bind nothing
+    }
+    // Dedup across pins: every re-enumerated binding pins the affected
+    // object, and no surviving entry binds it (it was just dropped) —
     // so a hashed set of the fresh bindings alone is a complete dedup.
+    // One object can bind two pins (say, both ends of a self-loop).
     // (This used to be a linear scan of the whole match state per
     // binding: O(#matches) for each of O(#fresh) bindings.)
     let seen = &mut scratch.seen;
@@ -1084,47 +1106,42 @@ fn universal_update(
         if pm != model {
             continue;
         }
-        for &o in affected {
-            if !live.contains(o) {
-                continue; // deleted objects bind nothing
-            }
-            let mut binding: Binding = vec![None; rel.vars.len()];
-            binding[var.index()] = Some(Slot::Obj(o));
-            ctx.solve(
-                rel,
-                &st.plan.src_constraints,
-                &mut binding,
-                &mut |ctx, b| {
-                    ctx.stats.universal_bindings += 1;
-                    if let Some(when) = &rel.when {
-                        if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
-                            return Ok(false);
-                        }
+        let mut binding: Binding = vec![None; rel.vars.len()];
+        binding[var.index()] = Some(Slot::Obj(affected));
+        ctx.solve(
+            rel,
+            &st.plan.src_constraints,
+            &mut binding,
+            &mut |ctx, b| {
+                ctx.stats.universal_bindings += 1;
+                if let Some(when) = &rel.when {
+                    if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
+                        return Ok(false);
                     }
-                    if !seen.insert(b.clone()) {
-                        return Ok(false); // found through another pin already
-                    }
-                    let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
-                    state.insert(
-                        rel,
-                        MatchEntry {
-                            binding: b.clone(),
-                            witnessed,
-                            witness_objs,
-                        },
-                    );
-                    Ok(false)
-                },
-            )?;
-        }
+                }
+                if !seen.insert(b.clone()) {
+                    return Ok(false); // found through another pin already
+                }
+                let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
+                state.insert(
+                    rel,
+                    MatchEntry {
+                        binding: b.clone(),
+                        witnessed,
+                        witness_objs,
+                    },
+                );
+                Ok(false)
+            },
+        )?;
     }
     Ok(())
 }
 
 /// Witness-side partial update: re-probe the matches whose witness (or
-/// `where` clause) read an affected object — found through the `by_wit`
+/// `where` clause) read the affected object — found through the `by_wit`
 /// / `by_obj` indexes, O(affected entries) instead of a full match-state
-/// sweep; for violations, probe for a *new* witness with each affected
+/// sweep; for violations, probe for a *new* witness with the affected
 /// object pinned — unless the edit is purely destructive, in which case
 /// no new witness can exist. The pin pass is inherently O(#violations),
 /// which is zero on a consistent tuple.
@@ -1135,7 +1152,7 @@ fn witness_update(
     st: &CheckStatics,
     state: &mut MatchState,
     model: DomIdx,
-    affected: &[ObjId],
+    o: ObjId,
     op: &EditOp,
     live: &Model,
     scratch: &mut UpdateScratch,
@@ -1151,17 +1168,14 @@ fn witness_update(
     let reprobe = &mut scratch.reprobe;
     let hits = &mut scratch.hits;
     reprobe.clear();
-    for &o in affected {
-        hits.clear();
-        state.collect_slots_witnessing(model, o, hits);
-        for &slot in hits.iter() {
-            if state.entry(slot).witnessed {
-                reprobe.push(slot);
-            }
+    hits.clear();
+    state.collect_slots_witnessing(model, o, hits);
+    for &slot in hits.iter() {
+        if state.entry(slot).witnessed {
+            reprobe.push(slot);
         }
-        if st.where_uni_vars.is_empty() {
-            continue;
-        }
+    }
+    if !st.where_uni_vars.is_empty() {
         hits.clear();
         state.collect_slots_binding(rel, model, o, hits);
         for &slot in hits.iter() {
@@ -1182,7 +1196,7 @@ fn witness_update(
         let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
         state.set_witness(slot, w, objs);
     }
-    if destructive {
+    if destructive || !live.contains(o) {
         return Ok(());
     }
     'entries: for &slot in &scratch.violating_before {
@@ -1193,18 +1207,13 @@ fn witness_update(
             if pm != model {
                 continue;
             }
-            for &o in affected {
-                if !live.contains(o) {
-                    continue;
-                }
-                let mut b = state.entry(slot).binding.clone();
-                b[var.index()] = Some(Slot::Obj(o));
-                let (w, mut objs) = probe_recording(ctx, rel, st, &mut b)?;
-                if w {
-                    objs.push((model, o)); // the pinned object is read too
-                    state.set_witness(slot, true, objs);
-                    continue 'entries;
-                }
+            let mut b = state.entry(slot).binding.clone();
+            b[var.index()] = Some(Slot::Obj(o));
+            let (w, mut objs) = probe_recording(ctx, rel, st, &mut b)?;
+            if w {
+                objs.push((model, o)); // the pinned object is read too
+                state.set_witness(slot, true, objs);
+                continue 'entries;
             }
         }
     }

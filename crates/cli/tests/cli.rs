@@ -736,16 +736,25 @@ fn serve_result(stdout: &str, id: u64) -> String {
 /// The ISSUE 5 acceptance differential: one session driven through the
 /// `mmt serve` line protocol is **byte-identical** — status JSON at
 /// every checkpoint, journal dump, and the final written model tuple —
-/// to the same command sequence run through `mmt sync`.
+/// to the same command sequence run through `mmt sync`, under the
+/// default engine and under SAT.
 #[test]
 fn serve_session_is_byte_identical_to_sync() {
-    let base = std::env::temp_dir().join(format!("mmt-cli-serve-diff-{}", std::process::id()));
+    serve_matches_sync(&[], "default");
+    serve_matches_sync(&["--engine", "sat"], "sat");
+}
+
+/// [`serve_session_is_byte_identical_to_sync`] with `engine_args` passed
+/// to both commands; `tag` keeps the runs' files apart.
+fn serve_matches_sync(engine_args: &[&str], tag: &str) {
+    let base =
+        std::env::temp_dir().join(format!("mmt-cli-serve-diff-{tag}-{}", std::process::id()));
     let sync_out = base.join("sync");
     let serve_out = base.join("serve");
 
     // The shared command sequence: drift, repair, drift again, rollback.
     let script = write_script(
-        "serve-diff",
+        &format!("serve-diff-{tag}"),
         r#"status
 repair cf1,cf2
 status
@@ -762,11 +771,16 @@ journal
         "--json".into(),
     ];
     sync_args.extend(data_args());
+    sync_args.extend(engine_args.iter().map(|a| a.to_string()));
     sync_args.push("--out".into());
     sync_args.push(sync_out.to_string_lossy().into_owned());
     let argrefs: Vec<&str> = sync_args.iter().map(String::as_str).collect();
     let (sync_stdout, sync_stderr, sync_code) = mmt(&argrefs);
-    assert_eq!(sync_code, Some(0), "sync: {sync_stdout}\n{sync_stderr}");
+    assert_eq!(
+        sync_code,
+        Some(0),
+        "{tag} sync: {sync_stdout}\n{sync_stderr}"
+    );
     // The 5 JSON lines: four status dumps and one journal dump.
     let sync_json: Vec<&str> = sync_stdout.lines().filter(|l| l.starts_with('{')).collect();
     assert_eq!(sync_json.len(), 5, "{sync_stdout}");
@@ -785,18 +799,23 @@ journal
 "#;
     let mut serve_args = vec!["serve".to_string()];
     serve_args.extend(data_args());
+    serve_args.extend(engine_args.iter().map(|a| a.to_string()));
     serve_args.push("--out".into());
     serve_args.push(serve_out.to_string_lossy().into_owned());
     let argrefs: Vec<&str> = serve_args.iter().map(String::as_str).collect();
     let (serve_stdout, serve_stderr, serve_code) = mmt_with_stdin(&argrefs, requests);
-    assert_eq!(serve_code, Some(0), "serve: {serve_stdout}\n{serve_stderr}");
+    assert_eq!(
+        serve_code,
+        Some(0),
+        "{tag} serve: {serve_stdout}\n{serve_stderr}"
+    );
 
     // Status JSON byte-identity at every checkpoint, and the journal.
     for (sync_line, id) in sync_json.iter().zip([2u64, 4, 6, 8, 9]) {
         assert_eq!(
             serve_result(&serve_stdout, id),
             **sync_line,
-            "serve response {id} diverged from the sync --json line"
+            "{tag}: serve response {id} diverged from the sync --json line"
         );
     }
     // The repair reported the same least-change distance.
@@ -810,7 +829,7 @@ journal
         let from_sync = std::fs::read_to_string(sync_out.join(format!("{param}.model"))).unwrap();
         let from_serve =
             std::fs::read_to_string(serve_out.join("s").join(format!("{param}.model"))).unwrap();
-        assert_eq!(from_sync, from_serve, "{param}.model diverged");
+        assert_eq!(from_sync, from_serve, "{tag}: {param}.model diverged");
     }
     std::fs::remove_dir_all(&base).ok();
     std::fs::remove_file(&script).ok();

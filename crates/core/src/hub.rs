@@ -153,12 +153,12 @@ impl SessionHandle {
     ///   over the seed tuple ≡ the live state, byte for byte) survives
     ///   the unwind;
     /// * an error *inside* a session call that can tear it — an
-    ///   evaluation error, a checker error while the repair search walks
-    ///   the session's checker, any error of a rollback or a replay —
-    ///   poisons the session at the session level: every later
-    ///   `Result`-returning call fails with [`CoreError::Poisoned`] and
-    ///   touches nothing, which is stricter than mutex poisoning and not
-    ///   recoverable by design.
+    ///   evaluation error, a checker error while a repair (by either
+    ///   engine) moves the session's checker, any error of a rollback or
+    ///   a replay — poisons the session at the session level: every
+    ///   later `Result`-returning call fails with [`CoreError::Poisoned`]
+    ///   and touches nothing, which is stricter than mutex poisoning and
+    ///   not recoverable by design.
     ///
     /// Recovering the mutex therefore only ever re-exposes a session
     /// that is consistent or already self-marked unusable — it never

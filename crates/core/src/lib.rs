@@ -180,6 +180,21 @@ pub enum EngineKind {
     Sat,
 }
 
+impl EngineKind {
+    /// Runs `f` on the engine of this kind, built with `opts`: the one
+    /// place an engine kind becomes an engine.
+    pub(crate) fn with_engine<R>(
+        self,
+        opts: RepairOptions,
+        f: impl FnOnce(&dyn RepairEngine) -> R,
+    ) -> R {
+        match self {
+            EngineKind::Search => f(&SearchEngine::new(opts)),
+            EngineKind::Sat => f(&SatEngine::new(opts)),
+        }
+    }
+}
+
 /// Framework-level errors.
 #[derive(Debug)]
 pub enum CoreError {
@@ -201,8 +216,8 @@ pub enum CoreError {
     /// carries every finding, errors first).
     Lint(LintReport),
     /// An earlier call failed in a way that can leave the session's
-    /// checker torn (an evaluation error, or any error while the repair
-    /// search or a rollback moved it), so the session refuses every
+    /// checker torn (an evaluation error, or any error while a repair
+    /// or a rollback moved it), so the session refuses every
     /// further call; reopen it (a durable store recovers the last
     /// commit).
     Poisoned,
@@ -412,10 +427,7 @@ impl Transformation {
         let targets = shape
             .checked_targets(self.arity())
             .map_err(CoreError::Shape)?;
-        let outcome = match engine {
-            EngineKind::Search => SearchEngine::new(opts).repair(&self.hir, models, targets)?,
-            EngineKind::Sat => SatEngine::new(opts).repair(&self.hir, models, targets)?,
-        };
+        let outcome = engine.with_engine(opts, |e| e.repair(&self.hir, models, targets))?;
         Ok(outcome)
     }
 
@@ -432,10 +444,7 @@ impl Transformation {
         opts: RepairOptions,
         jobs: usize,
     ) -> Vec<Result<Option<RepairOutcome>, RepairError>> {
-        match engine {
-            EngineKind::Search => SearchEngine::new(opts).repair_batch(&self.hir, requests, jobs),
-            EngineKind::Sat => SatEngine::new(opts).repair_batch(&self.hir, requests, jobs),
-        }
+        engine.with_engine(opts, |e| e.repair_batch(&self.hir, requests, jobs))
     }
 
     /// Opens a stateful [`SyncSession`] over `models`: one cold start,

@@ -13,23 +13,24 @@
 //!   re-established in time proportional to the edit, not the tuple;
 //! * [`SyncSession::status`] / [`SyncSession::report`] read the cached
 //!   verdicts — no evaluation at all;
-//! * [`SyncSession::repair`] lends the warm checker to the search
-//!   ([`SearchEngine::repair_in_place`]), skipping the engine's initial
-//!   full check: the search walks it to the repaired state and hands
-//!   back the edits its path applied, which the session journals as they
-//!   are — a repair copies no model and diffs no whole tuple. The SAT
-//!   engine grounds from the live tuple ([`RepairEngine::repair_warm`])
-//!   and its delta is applied back through the incremental path;
+//! * [`SyncSession::repair`] lends the warm checker to the engine
+//!   ([`mmt_enforce::RepairEngine::repair_in_place`]), skipping its
+//!   initial full check: the engine leaves the checker at the repaired
+//!   state and hands back the edits it applied, which the session
+//!   journals as they are. Both engines take this one path. The search
+//!   walks the checker itself, so its repair copies no model and diffs
+//!   no whole tuple; SAT grounds from the live tuple and applies its
+//!   deltas to the checker;
 //! * [`SyncSession::rollback`] undoes journal entries by replaying
 //!   exact inverse edits ([`Delta::inverse`]) through the same path.
 //!
 //! Every mutation lands in the **journal** in an *expanded*, exactly
-//! invertible form ([`expand_op`]): a `DelObj` of an object that still
-//! carries links or non-default attributes is journaled as explicit
-//! `DelLink` / `SetAttr`-to-default ops followed by the bare deletion,
-//! so [`Delta::inverse`] restores the object perfectly. Replaying
-//! [`SyncSession::journal_script`] over the seed tuple reproduces the
-//! live tuple byte for byte.
+//! invertible form ([`mmt_dist::expand_op`]): a `DelObj` of an object
+//! that still carries links or non-default attributes is journaled as
+//! explicit `DelLink` / `SetAttr`-to-default ops followed by the bare
+//! deletion, so [`Delta::inverse`] restores the object perfectly.
+//! Replaying [`SyncSession::journal_script`] over the seed tuple
+//! reproduces the live tuple byte for byte.
 //!
 //! Outcome contract: a session is an *optimization*, never a semantic
 //! fork. [`SyncSession::repair`] returns exactly what the stateless
@@ -37,12 +38,12 @@
 //! current tuple — the warm path changes wall-clock time, not results.
 //!
 //! Poisoning: a checker error other than a rejected edit — an
-//! evaluation error, or any error while the repair search, a rollback
-//! or a replay moves the checker — can leave the tuple out of step with
-//! the journal or the match state out of step with the tuple. The
-//! session then refuses every further call with [`CoreError::Poisoned`]
-//! and changes nothing; reopen it (a durable store recovers its last
-//! commit).
+//! evaluation error, or any error while a repair (by either engine), a
+//! rollback or a replay moves the checker — can leave the tuple out of
+//! step with the journal or the match state out of step with the tuple.
+//! The session then refuses every further call with
+//! [`CoreError::Poisoned`] and changes nothing; reopen it (a durable
+//! store recovers its last commit).
 //!
 //! Ownership: a session owns everything it needs — the model tuple
 //! (inside its warm checker) and a shared [`Arc<Transformation>`] — so
@@ -52,9 +53,9 @@
 
 use crate::{CoreError, EngineKind, Shape, Transformation};
 use mmt_check::{CheckOptions, CheckReport, DeltaChecker, DeltaError};
-use mmt_deps::{DomIdx, DomSet};
-use mmt_dist::{expand_op, Delta, EditOp};
-use mmt_enforce::{RepairEngine, RepairError, RepairOptions, SatEngine, SearchEngine};
+use mmt_deps::DomIdx;
+use mmt_dist::{Delta, EditOp};
+use mmt_enforce::{RepairError, RepairOptions};
 use mmt_model::Model;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,10 +69,12 @@ static NEXT_SERIAL: AtomicU64 = AtomicU64::new(1);
 /// Options a session is opened with.
 #[derive(Clone, Debug)]
 pub struct SessionOptions {
-    /// Engine [`SyncSession::repair`] runs. [`EngineKind::Search`] (the
-    /// default) exploits the warm checker as a pre-warmed search root;
-    /// [`EngineKind::Sat`] re-grounds from the live tuple (CNF has no
-    /// incremental state to reuse).
+    /// Engine [`SyncSession::repair`] runs on the session's checker.
+    /// [`EngineKind::Search`] (the default) walks it from its cached
+    /// match state; [`EngineKind::Sat`] re-grounds from its live tuple
+    /// (CNF has no incremental state to reuse) and applies the deltas to
+    /// it. Either way the repair takes the same path through the
+    /// session.
     pub engine: EngineKind,
     /// Repair options threaded through to the engine.
     pub repair: RepairOptions,
@@ -269,8 +272,9 @@ impl SyncSession {
     }
 
     /// The warm checker itself — a read-only view for callers that want
-    /// the cached match state (e.g. to fork their own search roots with
-    /// [`RepairEngine::repair_warm`]).
+    /// the cached match state (e.g. to repair a fork of it with
+    /// [`mmt_enforce::RepairEngine::repair_warm`], which leaves the
+    /// session as it is).
     pub fn checker(&self) -> &DeltaChecker {
         &self.checker
     }
@@ -339,15 +343,13 @@ impl SyncSession {
     /// tuple short-circuits to a cost-0 repair without running any
     /// engine.
     ///
-    /// The search walks the session's own checker
-    /// ([`SearchEngine::repair_in_place`]): the entry journals the edits
-    /// of the search's path, in path order, and the returned deltas are
-    /// the canonical ones. When the search finds no repair or gives up
-    /// ([`RepairError::SearchBudgetExhausted`],
-    /// [`RepairError::CostOverflow`]) the session is as before; a checker
-    /// error during the search poisons it. The SAT engine's deltas are
-    /// applied through [`SyncSession::apply`]'s path and journaled in
-    /// that expanded form.
+    /// Either engine repairs the session's own checker
+    /// ([`mmt_enforce::RepairEngine::repair_in_place`]): the entry
+    /// journals the edits the engine applied, in the order it applied
+    /// them, and the returned deltas are the canonical ones. When the
+    /// engine finds no repair or gives up (say
+    /// [`RepairError::SearchBudgetExhausted`]) the session is as before;
+    /// a checker error during the repair, by either engine, poisons it.
     pub fn repair(&mut self, shape: Shape) -> Result<Option<SyncRepair>, CoreError> {
         self.usable()?;
         let targets = shape
@@ -362,50 +364,13 @@ impl SyncSession {
                 deltas: vec![Delta::new(); self.t.arity()],
             }));
         }
-        if self.opts.engine == EngineKind::Search {
-            return self.repair_in_place(shape, targets);
-        }
-        let out = SatEngine::new(self.opts.repair.clone())
-            .repair_warm(&self.checker, targets)
-            .map_err(CoreError::Repair)?;
-        let Some(out) = out else {
-            return Ok(None);
-        };
-        let mut deltas = vec![Delta::new(); self.t.arity()];
-        let mut result = Ok(());
-        'models: for (i, script) in out.deltas.iter().enumerate() {
-            for op in script.ops() {
-                result = self.apply_into(DomIdx(i as u8), op, &mut deltas);
-                if result.is_err() {
-                    break 'models;
-                }
-            }
-        }
-        self.commit_entry(
-            JournalKind::Repair {
-                shape,
-                cost: out.cost,
-            },
-            deltas,
-        );
-        result?;
-        debug_assert!(self.checker.consistent(), "repair left violations behind");
-        Ok(Some(SyncRepair {
-            cost: out.cost,
-            deltas: out.deltas,
-        }))
-    }
-
-    /// [`SyncSession::repair`] by the search, on the session's own
-    /// checker: it is left at the repaired tuple, and the path that
-    /// reached it is journaled as it landed.
-    fn repair_in_place(
-        &mut self,
-        shape: Shape,
-        targets: DomSet,
-    ) -> Result<Option<SyncRepair>, CoreError> {
-        let engine = SearchEngine::new(self.opts.repair.clone());
-        let found = match engine.repair_in_place(&mut self.checker, targets) {
+        let found = self
+            .opts
+            .engine
+            .with_engine(self.opts.repair.clone(), |engine| {
+                engine.repair_in_place(&mut self.checker, targets)
+            });
+        let found = match found {
             Ok(found) => found,
             Err(e @ (RepairError::Eval(_) | RepairError::Check(_) | RepairError::Model(_))) => {
                 return Err(self.poison(CoreError::Repair(e)));
@@ -554,16 +519,11 @@ impl SyncSession {
     ) -> Result<(), CoreError> {
         let m = model.index();
         assert!(m < self.t.arity(), "model index out of range");
-        let mut script = Vec::new();
-        expand_op(&self.checker.models()[m], op, &mut script);
-        for e in script {
-            match self.checker.apply(model, &e) {
-                Ok(()) => entry[m].push(e),
-                Err(e @ DeltaError::Model(_)) => return Err(e.into()),
-                Err(e) => return Err(self.poison(e.into())),
-            }
+        match self.checker.apply_expanded(model, op, &mut entry[m]) {
+            Ok(()) => Ok(()),
+            Err(e @ DeltaError::Model(_)) => Err(e.into()),
+            Err(e) => Err(self.poison(e.into())),
         }
-        Ok(())
     }
 
     /// Fails with [`CoreError::Poisoned`] once the session is poisoned.
@@ -859,6 +819,39 @@ transformation G(cf1 : CF, fm : FM) {
             "{err}"
         );
         assert_eq!(observable(&session), before, "cost overflow");
+    }
+
+    /// SAT repairs the session's checker too, but applies nothing until
+    /// it has a repair: a shape that cannot fix the drift, and a cost
+    /// bound one below the drift's cost-3 repair, each leave the session
+    /// exactly as it was.
+    #[test]
+    fn failed_sat_repairs_leave_the_session_as_it_was() {
+        let (t, mut w) = fixture();
+        let seed = w.models.clone();
+        inject(&mut w, Injection::NewMandatoryInFm);
+        let drift = Delta::between(&seed[2], &w.models[2]).unwrap();
+        let drifted = |max_cost: u64| {
+            let opts = SessionOptions {
+                engine: EngineKind::Sat,
+                repair: RepairOptions {
+                    max_cost,
+                    ..RepairOptions::default()
+                },
+            };
+            let mut session = t.session_with(&seed, opts).unwrap();
+            session.apply_script(DomIdx(2), &drift).unwrap();
+            session
+        };
+        for (shape, max_cost) in [(Shape::towards(0), 16), (Shape::of(&[0, 1]), 2)] {
+            let mut session = drifted(max_cost);
+            let before = observable(&session);
+            let ctx = format!("{shape} max_cost={max_cost}");
+            assert!(session.repair(shape).unwrap().is_none(), "{ctx}");
+            assert_eq!(observable(&session), before, "{ctx}");
+        }
+        let repair = drifted(16).repair(Shape::of(&[0, 1])).unwrap().unwrap();
+        assert_eq!(repair.cost, 3);
     }
 
     /// A relation call deeper than the evaluator's recursion limit fails

@@ -23,6 +23,11 @@
 //! against an exhaustive least-change oracle over small tuples
 //! (`tests/least_change_oracle.rs` in the workspace root).
 //!
+//! Each engine implements one repair method,
+//! [`RepairEngine::repair_in_place`]; the trait derives the cold, warm
+//! and batch entry points from it, and [`SatEngine`] overrides the cold
+//! one alone.
+//!
 //! ```
 //! use mmt_model::text::{parse_metamodel, parse_model};
 //! use mmt_qvtr::parse_and_resolve;
@@ -59,10 +64,8 @@
 
 pub mod search;
 
-pub use search::InPlaceRepair;
-
 use mmt_check::{CheckError, DeltaChecker, DeltaError, EvalError};
-use mmt_deps::DomSet;
+use mmt_deps::{DomIdx, DomSet};
 use mmt_dist::{CostModel, Delta, TupleCost};
 use mmt_ground::{GroundError, GroundOptions, GroundProblem, Scope};
 use mmt_model::mmt_sync;
@@ -130,6 +133,17 @@ pub struct RepairOptions {
     pub slack_objs: usize,
 }
 
+impl RepairOptions {
+    /// The tuple weighting resolved for an `arity`-tuple repaired towards
+    /// `targets`; the errors either engine raises before it repairs.
+    fn tuple_for(&self, arity: usize, targets: DomSet) -> Result<TupleCost, RepairError> {
+        if targets.is_empty() {
+            return Err(RepairError::NoTargets);
+        }
+        self.tuple.resolved(arity).map_err(RepairError::Tuple)
+    }
+}
+
 impl Default for RepairOptions {
     fn default() -> Self {
         RepairOptions {
@@ -153,6 +167,33 @@ pub struct RepairOutcome {
     pub models: Vec<Model>,
     /// Per-model edit scripts (empty for untouched models).
     pub deltas: Vec<Delta>,
+}
+
+/// A repair left in place: the [`DeltaChecker`] it was made on holds the
+/// repaired tuple.
+#[derive(Clone, Debug)]
+pub struct InPlaceRepair {
+    /// Total weighted distance from the tuple the checker held before.
+    pub cost: u64,
+    /// Per-model canonical scripts, byte-identical to
+    /// [`Delta::between`] the tuple before and the tuple after.
+    pub deltas: Vec<Delta>,
+    /// Per-model scripts of the edits the repair applied to the checker,
+    /// in the order it applied them and in [`mmt_dist::expand_op`] form:
+    /// each inverts exactly, op by op, which is what a session journals.
+    pub scripts: Vec<Delta>,
+}
+
+impl InPlaceRepair {
+    /// The outcome of a repair made on `checker`, which it consumes for
+    /// the repaired tuple.
+    fn into_outcome(self, checker: DeltaChecker) -> RepairOutcome {
+        RepairOutcome {
+            cost: self.cost,
+            models: checker.into_models(),
+            deltas: self.deltas,
+        }
+    }
 }
 
 /// Errors raised during enforcement.
@@ -250,6 +291,13 @@ pub struct RepairRequest {
 
 /// A least-change repair engine.
 ///
+/// An engine implements one repair method,
+/// [`RepairEngine::repair_in_place`], which a sync session calls on its
+/// own checker. The cold [`RepairEngine::repair`] builds a checker and
+/// repairs that ([`SatEngine`] overrides it to build none),
+/// [`RepairEngine::repair_warm`] repairs a fork of a warm one, and
+/// [`RepairEngine::repair_batch`] runs `repair` over a worker pool.
+///
 /// Both engines implement this trait, so callers can switch (or
 /// differentially compare) them behind one interface:
 ///
@@ -271,20 +319,38 @@ pub trait RepairEngine: Sync {
     /// Engine name (for reports and benches).
     fn name(&self) -> &'static str;
 
+    /// Repairs the tuple `checker` holds, taken as the originals, so that
+    /// every directional check holds, changing only the models in
+    /// `targets`; no initial full check runs. On `Ok(Some(_))` the
+    /// checker holds the repaired tuple, reached by the returned
+    /// [`InPlaceRepair::scripts`]. On `Ok(None)` (no repair within the
+    /// engine's bounds) and on the engine's own errors it holds the
+    /// tuple it started from; an error of the checker itself (`Eval`,
+    /// `Check` or `Model`) can leave it part way: discard it.
+    fn repair_in_place(
+        &self,
+        checker: &mut DeltaChecker,
+        targets: DomSet,
+    ) -> Result<Option<InPlaceRepair>, RepairError>;
+
     /// Repairs `models` so that every directional check of `hir` holds,
     /// changing only the models in `targets`. Returns `None` when no
     /// repair exists within the engine's bounds.
     ///
-    /// The transformation is passed as a shared [`Arc`] handle: engines
-    /// that build long-lived oracle state (the incremental search owns
-    /// one [`DeltaChecker`] and moves it between explored states) clone
-    /// the handle instead of borrowing the caller's stack frame.
+    /// The default builds a [`DeltaChecker`] over `models` (the one full
+    /// check) and repairs it in place. The transformation is passed as a
+    /// shared [`Arc`] handle, which the checker clones instead of
+    /// borrowing the caller's stack frame.
     fn repair(
         &self,
         hir: &Arc<Hir>,
         models: &[Model],
         targets: DomSet,
-    ) -> Result<Option<RepairOutcome>, RepairError>;
+    ) -> Result<Option<RepairOutcome>, RepairError> {
+        let mut checker = DeltaChecker::new(hir, models)?;
+        let found = self.repair_in_place(&mut checker, targets)?;
+        Ok(found.map(|r| r.into_outcome(checker)))
+    }
 
     /// Repairs a batch of independent requests, fanning them across
     /// `jobs` worker threads (`jobs <= 1` runs them in turn on the
@@ -339,27 +405,23 @@ pub trait RepairEngine: Sync {
     }
 
     /// Repairs the tuple owned by a **pre-warmed** [`DeltaChecker`],
-    /// which it leaves as it is. Instead of rebuilding the consistency
-    /// oracle from scratch (cold-start cost proportional to the whole
-    /// tuple), an engine that can exploit warm state forks `root` and
-    /// searches from its cached match state. A sync session does not
-    /// come through here for the search: it lends its own checker to
-    /// [`SearchEngine::repair_in_place`], which copies nothing.
+    /// which it leaves as it is: [`RepairEngine::repair_in_place`] on a
+    /// fork of `root`. The fork is O(tuple) but runs no full check; a
+    /// caller that can lend its checker (a sync session) calls
+    /// `repair_in_place` instead and copies nothing.
     ///
     /// The outcome contract is strict: `repair_warm(root, targets)`
     /// returns **exactly** what [`RepairEngine::repair`] would return
     /// for `(root.hir(), root.models(), targets)` — warmth changes
-    /// wall-clock time, never results. The default implementation
-    /// simply does that cold call (how [`SatEngine`] seeds its
-    /// grounding: from the session's live tuple, since CNF grounding
-    /// has no incremental state to reuse); [`SearchEngine`] overrides it
-    /// to search from a fork of the root.
+    /// wall-clock time, never results.
     fn repair_warm(
         &self,
         root: &DeltaChecker,
         targets: DomSet,
     ) -> Result<Option<RepairOutcome>, RepairError> {
-        self.repair(root.hir_arc(), root.models(), targets)
+        let mut checker = root.fork();
+        let found = self.repair_in_place(&mut checker, targets)?;
+        Ok(found.map(|r| r.into_outcome(checker)))
     }
 }
 
@@ -468,41 +530,6 @@ impl SearchEngine {
     pub fn new(opts: RepairOptions) -> SearchEngine {
         SearchEngine { opts }
     }
-
-    /// Repairs the tuple `checker` holds by walking `checker` itself
-    /// through the search: the entry point a sync session lends its
-    /// warm checker to, so a repair copies no model and diffs no whole
-    /// tuple. The returned cost and deltas are exactly
-    /// [`RepairEngine::repair_warm`]'s on the same checker.
-    ///
-    /// On `Ok(Some(_))` the checker holds the repaired tuple, reached by
-    /// the returned scripts. On `Ok(None)`,
-    /// [`RepairError::SearchBudgetExhausted`] and
-    /// [`RepairError::CostOverflow`] it is back where it started, by
-    /// exact undo; so it is on [`RepairError::NoTargets`] and
-    /// [`RepairError::Tuple`], which fail before the search. An error
-    /// raised by the checker itself (`Eval`, `Check` or `Model`) can
-    /// leave it between two search states: discard it.
-    pub fn repair_in_place(
-        &self,
-        checker: &mut DeltaChecker,
-        targets: DomSet,
-    ) -> Result<Option<InPlaceRepair>, RepairError> {
-        let opts = self.resolved(checker.models().len(), targets)?;
-        search::search_from_root(checker, targets, &opts)
-    }
-
-    /// The options for a repair of an `arity`-tuple towards `targets`,
-    /// with the tuple weighting resolved; the errors every entry point
-    /// raises before it searches.
-    fn resolved(&self, arity: usize, targets: DomSet) -> Result<RepairOptions, RepairError> {
-        if targets.is_empty() {
-            return Err(RepairError::NoTargets);
-        }
-        let mut opts = self.opts.clone();
-        opts.tuple = opts.tuple.resolved(arity).map_err(RepairError::Tuple)?;
-        Ok(opts)
-    }
 }
 
 impl RepairEngine for SearchEngine {
@@ -510,29 +537,16 @@ impl RepairEngine for SearchEngine {
         "search"
     }
 
-    fn repair(
+    /// Walks `checker` itself through the search (see [`search`]), and
+    /// back by exact undo when it finds no repair or gives up.
+    fn repair_in_place(
         &self,
-        hir: &Arc<Hir>,
-        models: &[Model],
+        checker: &mut DeltaChecker,
         targets: DomSet,
-    ) -> Result<Option<RepairOutcome>, RepairError> {
-        let opts = self.resolved(models.len(), targets)?;
-        search::repair_search(hir, models, targets, &opts)
-    }
-
-    /// Searches from a fork of `root` ([`SearchEngine::repair_in_place`]
-    /// on the copy) — no initial full check runs, which is the point of
-    /// keeping a session's checker warm. The fork is O(tuple) and is
-    /// the only checker the search holds; a session, which can lend its
-    /// checker, calls [`SearchEngine::repair_in_place`] instead.
-    fn repair_warm(
-        &self,
-        root: &DeltaChecker,
-        targets: DomSet,
-    ) -> Result<Option<RepairOutcome>, RepairError> {
-        let mut checker = root.fork();
-        let found = self.repair_in_place(&mut checker, targets)?;
-        Ok(found.map(|r| r.into_outcome(checker)))
+    ) -> Result<Option<InPlaceRepair>, RepairError> {
+        let mut opts = self.opts.clone();
+        opts.tuple = self.opts.tuple_for(checker.models().len(), targets)?;
+        search::search_from_root(checker, targets, &opts)
     }
 }
 
@@ -583,27 +597,18 @@ impl SatEngine {
     pub fn new(opts: RepairOptions) -> SatEngine {
         SatEngine { opts }
     }
-}
 
-impl RepairEngine for SatEngine {
-    fn name(&self) -> &'static str {
-        "sat"
-    }
-
-    fn repair(
+    /// Grounds `models` towards `targets`, solves for the least cost and
+    /// diffs each decoded model against its original: the cost and the
+    /// canonical per-model deltas, or `None` when no repair exists within
+    /// the universe bounds.
+    fn solve(
         &self,
-        hir: &Arc<Hir>,
+        hir: &Hir,
         models: &[Model],
         targets: DomSet,
-    ) -> Result<Option<RepairOutcome>, RepairError> {
-        if targets.is_empty() {
-            return Err(RepairError::NoTargets);
-        }
-        let tuple = self
-            .opts
-            .tuple
-            .resolved(models.len())
-            .map_err(RepairError::Tuple)?;
+    ) -> Result<Option<(u64, Vec<Delta>)>, RepairError> {
+        let tuple = self.opts.tuple_for(models.len(), targets)?;
         let gopts = GroundOptions {
             scope: Scope {
                 slack_objs: self.opts.slack_objs,
@@ -615,29 +620,71 @@ impl RepairEngine for SatEngine {
             ..GroundOptions::default()
         };
         let mut problem = GroundProblem::build(hir, models, targets, gopts)?;
-        match problem.solve_min_cost() {
-            None => Ok(None),
-            Some((cost, decoded)) => {
-                // The decoded targets start from empty id spaces, so they
-                // lack the originals' trailing tombstones. Replaying each
-                // delta onto its original keeps the id space a session
-                // would have, and with it the ids the next edit mints.
-                let mut deltas = Vec::with_capacity(models.len());
-                let mut repaired = Vec::with_capacity(models.len());
-                for (o, n) in models.iter().zip(&decoded) {
-                    let delta = Delta::between(o, n)?;
-                    let mut m = o.clone();
-                    delta.apply(&mut m)?;
-                    deltas.push(delta);
-                    repaired.push(m);
-                }
-                Ok(Some(RepairOutcome {
-                    cost,
-                    models: repaired,
-                    deltas,
-                }))
+        let Some((cost, decoded)) = problem.solve_min_cost() else {
+            return Ok(None);
+        };
+        let mut deltas = Vec::with_capacity(models.len());
+        for (o, n) in models.iter().zip(&decoded) {
+            deltas.push(Delta::between(o, n)?);
+        }
+        Ok(Some((cost, deltas)))
+    }
+}
+
+impl RepairEngine for SatEngine {
+    fn name(&self) -> &'static str {
+        "sat"
+    }
+
+    /// Grounds from the tuple `checker` holds (CNF has no incremental
+    /// state to reuse) and applies the deltas to it, expanded.
+    fn repair_in_place(
+        &self,
+        checker: &mut DeltaChecker,
+        targets: DomSet,
+    ) -> Result<Option<InPlaceRepair>, RepairError> {
+        let Some((cost, deltas)) = self.solve(checker.hir(), checker.models(), targets)? else {
+            return Ok(None);
+        };
+        let mut scripts = vec![Delta::new(); deltas.len()];
+        for (i, (delta, script)) in deltas.iter().zip(&mut scripts).enumerate() {
+            for op in delta.ops() {
+                checker.apply_expanded(DomIdx(i as u8), op, script)?;
             }
         }
+        Ok(Some(InPlaceRepair {
+            cost,
+            deltas,
+            scripts,
+        }))
+    }
+
+    /// Grounds from `models` and builds no checker: each delta is
+    /// replayed onto a copy of its original.
+    fn repair(
+        &self,
+        hir: &Arc<Hir>,
+        models: &[Model],
+        targets: DomSet,
+    ) -> Result<Option<RepairOutcome>, RepairError> {
+        let Some((cost, deltas)) = self.solve(hir, models, targets)? else {
+            return Ok(None);
+        };
+        // The decoded targets start from empty id spaces, so they lack
+        // the originals' trailing tombstones. Replaying each delta onto
+        // its original keeps the id space a session would have, and with
+        // it the ids the next edit mints.
+        let mut repaired = Vec::with_capacity(models.len());
+        for (o, delta) in models.iter().zip(&deltas) {
+            let mut m = o.clone();
+            delta.apply(&mut m)?;
+            repaired.push(m);
+        }
+        Ok(Some(RepairOutcome {
+            cost,
+            models: repaired,
+            deltas,
+        }))
     }
 }
 

@@ -95,7 +95,7 @@
 //! over a closed bounded universe, with no engine code, and checks that
 //! the cold and warm search (and SAT) return its minimum.
 
-use crate::{RepairError, RepairOptions, RepairOutcome};
+use crate::{InPlaceRepair, RepairError, RepairOptions};
 use mmt_check::{Binding, DeltaChecker, DeltaError, Slot};
 use mmt_deps::{Dep, DomIdx, DomSet, MAX_DOMAINS};
 use mmt_dist::{expand_op, Delta, EditOp};
@@ -114,47 +114,6 @@ use std::sync::Arc;
 struct Candidate {
     model: DomIdx,
     op: EditOp,
-}
-
-/// A* search for a least-change repair, with the incremental oracle:
-/// builds the root checker over `originals`, searches from it and hands
-/// back the repaired tuple it leaves.
-pub fn repair_search(
-    hir: &Arc<Hir>,
-    originals: &[Model],
-    targets: DomSet,
-    opts: &RepairOptions,
-) -> Result<Option<RepairOutcome>, RepairError> {
-    let mut checker = DeltaChecker::new(hir, originals)?;
-    let found = search_from_root(&mut checker, targets, opts)?;
-    Ok(found.map(|r| r.into_outcome(checker)))
-}
-
-/// A repair the search left in place: the checker it walked holds the
-/// repaired tuple.
-#[derive(Clone, Debug)]
-pub struct InPlaceRepair {
-    /// Total weighted distance from the tuple the checker held before.
-    pub cost: u64,
-    /// Per-model canonical scripts, byte-identical to
-    /// [`Delta::between`] the tuple before and the tuple after.
-    pub deltas: Vec<Delta>,
-    /// Per-model scripts of the edits the repair's path applied, in path
-    /// order and in [`expand_op`] form: each inverts exactly, op by op,
-    /// which is what a session journals.
-    pub scripts: Vec<Delta>,
-}
-
-impl InPlaceRepair {
-    /// The outcome of a search that walked `checker`, which it consumes
-    /// for the repaired tuple.
-    pub(crate) fn into_outcome(self, checker: DeltaChecker) -> RepairOutcome {
-        RepairOutcome {
-            cost: self.cost,
-            models: checker.into_models(),
-            deltas: self.deltas,
-        }
-    }
 }
 
 /// One state of the search tree: the state it extends, its depth, the
@@ -344,13 +303,14 @@ fn undo_ops(
 }
 
 /// Incremental-oracle search from the state `checker` holds, the root:
-/// the hot half of [`repair_search`], and what a sync session lends its
-/// warm checker to. The root's tuple is taken as the originals; no
-/// initial full check runs. Because
-/// [`DeltaChecker::for_each_violation`] enumerates violations in
-/// canonical (binding-sorted) order, a warm root and a freshly built
-/// one drive the search identically — the outcome is byte-for-byte the
-/// same as a cold [`repair_search`] over the root's models.
+/// the body of [`crate::SearchEngine`]'s
+/// [`crate::RepairEngine::repair_in_place`], whichever checker it is
+/// handed — one built over the originals, a session's own, or a fork.
+/// The root's tuple is taken as the originals; no initial full check
+/// runs. Because [`DeltaChecker::for_each_violation`] enumerates
+/// violations in canonical (binding-sorted) order, a warm root and a
+/// freshly built one drive the search identically — the outcome is
+/// byte-for-byte the same.
 ///
 /// The search moves `checker` itself between states (see the module
 /// docs) and holds no other checker or tuple copy. On success it leaves
@@ -1139,7 +1099,7 @@ fn fingerprint_apply(models: &[Model], fp: u64, cand: &Candidate) -> Option<u64>
 #[cfg(test)]
 mod candidate_tests {
     use super::*;
-    use crate::{RepairEngine, SatEngine};
+    use crate::{RepairEngine, SatEngine, SearchEngine};
     use mmt_model::text::{parse_metamodel, parse_model};
     use mmt_model::Sym;
     use mmt_qvtr::{parse_and_resolve, HirDomain};
@@ -1231,7 +1191,10 @@ transformation C2T(uml : UML, rdb : RDB) {
         let targets = DomSet::single(DomIdx(1));
         let opts = RepairOptions::default();
         for (oracle, out) in [
-            ("search", repair_search(&hir, &models, targets, &opts)),
+            (
+                "search",
+                SearchEngine::new(opts.clone()).repair(&hir, &models, targets),
+            ),
             (
                 "sat",
                 SatEngine::new(opts.clone()).repair(&hir, &models, targets),

@@ -425,13 +425,30 @@ fn delete_each_link_target(hir: &std::sync::Arc<Hir>, models: &[Model], ctx: &st
     deletions
 }
 
+/// A reference target bound by the reference alone (`r = x`): `x` gets
+/// no `Obj` constraint, so its class `T` is in no footprint, and only
+/// the scrubbed reference `r` tells the checker that deleting `x`
+/// touches the check.
+const BARE_TARGET_METAMODEL: &str =
+    "metamodel G { class S { attr name: Str; ref r: T [0..*]; } class T { attr name: Str; } }";
+const BARE_TARGET_SPEC: &str = r#"
+transformation B(a : G, b : G) {
+  top relation R {
+    n : Str;
+    domain a s : S { name = n, r = x };
+    domain b t : S { name = n };
+    depend a -> b;
+  }
+}
+"#;
+
 /// A deletion scrubs the links into its object, and the checker treats
 /// only the deleted object as affected, not the links' sources: every
 /// pattern that reads a link binds both ends, so whatever went through
 /// a scrubbed link is found again through the deleted object. Every
 /// link target of every scenario (seeds 0–5, undrifted and after a
-/// random drift of each model) and of every edge spec is deleted in
-/// turn.
+/// random drift of each model), of every edge spec and of a bare
+/// reference target ([`BARE_TARGET_SPEC`]) is deleted in turn.
 #[test]
 fn deleting_a_link_target_matches_scratch() {
     let mut deletions = 0;
@@ -453,8 +470,20 @@ fn deleting_a_link_target_matches_scratch() {
         let (t, models) = edge_tuple(e, e.spec);
         deletions += delete_each_link_target(t.hir_arc(), &models, e.name);
     }
-    // 64 today: the sweep must not quietly lose its cases.
-    assert!(deletions >= 60, "only {deletions} deletions");
+    let g = parse_metamodel(BARE_TARGET_METAMODEL).unwrap();
+    let hir =
+        std::sync::Arc::new(parse_and_resolve(BARE_TARGET_SPEC, &[g.clone(), g.clone()]).unwrap());
+    let models = [
+        parse_model(
+            r#"model a : G { x = T { name = "t" } s = S { name = "k", r = [x] } }"#,
+            &g,
+        )
+        .unwrap(),
+        parse_model("model b : G { }", &g).unwrap(),
+    ];
+    deletions += delete_each_link_target(&hir, &models, "bare reference target");
+    // 65 today: the sweep must not quietly lose its cases.
+    assert!(deletions >= 61, "only {deletions} deletions");
 }
 
 /// `Delta::between_script` diffs only the objects a script touched, by

@@ -3,7 +3,6 @@
 
 use mmt_bench::broken_workload;
 use mmtf::dist::Delta;
-use mmtf::enforce::search::repair_search;
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
 use mmtf::model::conformance;
@@ -217,7 +216,9 @@ fn search_repairs_are_consistent_at_every_violation_cap() {
                     violations_per_check: cap,
                     ..RepairOptions::default()
                 };
-                let cold = repair_search(t.hir_arc(), &w.models, shape.targets(), &opts).unwrap();
+                let cold = SearchEngine::new(opts.clone())
+                    .repair(t.hir_arc(), &w.models, shape.targets())
+                    .unwrap();
                 assert_eq!(
                     cold.as_ref().map(render),
                     warm_search(&t, &w.models, shape, &opts),
@@ -648,7 +649,8 @@ fn search_copies_a_navigated_attribute() {
             let ctx = format!("{spec} shape={shape:?}");
             let targets = Shape::of(shape).targets();
             let opts = RepairOptions::default();
-            let out = repair_search(t.hir_arc(), &models, targets, &opts)
+            let out = SearchEngine::new(opts.clone())
+                .repair(t.hir_arc(), &models, targets)
                 .unwrap()
                 .unwrap_or_else(|| panic!("{ctx}: repairable"));
             assert_eq!(out.cost, 1, "{ctx}: copy `first` into q");

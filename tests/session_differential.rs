@@ -4,15 +4,15 @@
 //! * **warmth** — [`SyncSession::repair`] must be byte-identical (cost +
 //!   printed models + rendered deltas) to the stateless
 //!   [`Transformation::enforce_with`] on the same tuple, under the
-//!   search and the SAT engine, and on the search to
-//!   `SearchEngine::repair_warm` from a fork of the session's checker;
+//!   search and the SAT engine, and under both to
+//!   `RepairEngine::repair_warm` from a fork of the session's checker;
 //! * **journal replay** — replaying [`SyncSession::journal_script`]
 //!   over the seed tuple reproduces the live tuple byte for byte, and
 //!   `rollback_all` restores the seed exactly (via `Delta::inverse`).
 
 use mmtf::core::{SessionOptions, Shape, Transformation};
 use mmtf::dist::Delta;
-use mmtf::enforce::{RepairEngine, RepairOptions, SearchEngine};
+use mmtf::enforce::{RepairEngine, RepairOptions, SatEngine, SearchEngine};
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, FeatureSpec, SessionScriptGen, SessionStep};
 use mmtf::model::text::print_model;
@@ -66,6 +66,10 @@ fn assert_session_matches_stateless_on(
         repair: repair.clone(),
     };
     let mut session = t.session_with(seed_models, opts).unwrap();
+    let forking: Box<dyn RepairEngine> = match engine {
+        EngineKind::Search => Box::new(SearchEngine::new(repair.clone())),
+        EngineKind::Sat => Box::new(SatEngine::new(repair.clone())),
+    };
     let mut stateless: Vec<Model> = seed_models.to_vec();
     let mut gen = SessionScriptGen::new(targets, 3, seed.wrapping_mul(31).wrapping_add(7));
     let ctx = |step: usize| format!("engine={engine:?} seed={seed} step={step}");
@@ -79,23 +83,19 @@ fn assert_session_matches_stateless_on(
             }
             SessionStep::Repair { targets } => {
                 let shape = Shape::from_targets(targets);
-                // The forked path: a search from a copy of the session's
+                // The forked path: a repair of a copy of the session's
                 // checker, which the session itself no longer takes.
-                let forked = (engine == EngineKind::Search).then(|| {
-                    SearchEngine::new(repair.clone())
-                        .repair_warm(session.checker(), targets)
-                        .map(|o| o.map(|r| (r.cost, deltas_text(&r.deltas))))
-                        .map_err(|e| e.to_string())
-                });
+                let forked = forking
+                    .repair_warm(session.checker(), targets)
+                    .map(|o| o.map(|r| (r.cost, deltas_text(&r.deltas))))
+                    .map_err(|e| e.to_string());
                 let warm = session.repair(shape);
-                if let Some(forked) = forked {
-                    let lent = match &warm {
-                        Ok(w) => Ok(w.as_ref().map(|r| (r.cost, deltas_text(&r.deltas)))),
-                        Err(mmtf::core::CoreError::Repair(e)) => Err(e.to_string()),
-                        Err(e) => panic!("{}: {e}", ctx(step_no)),
-                    };
-                    assert_eq!(forked, lent, "{}: forked vs lent", ctx(step_no));
-                }
+                let lent = match &warm {
+                    Ok(w) => Ok(w.as_ref().map(|r| (r.cost, deltas_text(&r.deltas)))),
+                    Err(mmtf::core::CoreError::Repair(e)) => Err(e.to_string()),
+                    Err(e) => panic!("{}: {e}", ctx(step_no)),
+                };
+                assert_eq!(forked, lent, "{}: forked vs lent", ctx(step_no));
                 let cold = t.enforce_with(&stateless, shape, engine, repair.clone());
                 match (warm, cold) {
                     (Ok(None), Ok(None)) => {}

@@ -26,7 +26,7 @@ use mmt_bench::{
     run_cold_scenario, run_warm, run_warm_scenario,
 };
 use mmtf::check::{Checker, DeltaChecker, DeltaStats, EvalStats};
-use mmtf::core::{EngineKind, Shape, SyncSession, Transformation};
+use mmtf::core::{EngineKind, SessionOptions, Shape, SyncSession, Transformation};
 use mmtf::deps::DomIdx;
 use mmtf::dist::EditOp;
 use mmtf::enforce::RepairOptions;
@@ -294,28 +294,35 @@ struct WarmRepair {
     cost: u64,
 }
 
-/// `bench_enforce_scale`'s `session/n` at scale: one warm cost-2 repair
-/// of a new mandatory feature (fm2cfs, k = 2, seed 53) through a
-/// `SyncSession`, counted after a warm-up repair and its rollback;
-/// measured once per test binary run.
+/// One warm cost-2 repair of a new mandatory feature (fm2cfs, k = 2,
+/// seed 53, `n` features) by `engine` through a `SyncSession`, counted
+/// after a warm-up repair and its rollback.
+fn warm_repair(t: &Transformation, engine: EngineKind, n: usize) -> WarmRepair {
+    let repair = |session: &mut SyncSession| {
+        let out = session.repair(Shape::of(&[0, 1])).unwrap();
+        out.expect("repairable").cost
+    };
+    let w = consistent_workload(n, 2, 53);
+    let opts = SessionOptions {
+        engine,
+        ..SessionOptions::default()
+    };
+    let mut session = t.session_with(&w.models, opts).unwrap();
+    drift_new_mandatory(&mut session);
+    repair(&mut session);
+    session.rollback(1).unwrap();
+    let (allocs, cost) = counted(|| repair(&mut session));
+    WarmRepair { n, allocs, cost }
+}
+
+/// `bench_enforce_scale`'s `session/n` at scale: [`warm_repair`] by the
+/// search; measured once per test binary run.
 fn warm_repairs() -> &'static [WarmRepair] {
     static ROWS: OnceLock<Vec<WarmRepair>> = OnceLock::new();
     ROWS.get_or_init(|| {
         let t = paper_transformation(2);
-        let repair = |session: &mut SyncSession| {
-            let out = session.repair(Shape::of(&[0, 1])).unwrap();
-            out.expect("repairable").cost
-        };
         [1000, 10_000]
-            .map(|n| {
-                let w = consistent_workload(n, 2, 53);
-                let mut session = t.session(&w.models).unwrap();
-                drift_new_mandatory(&mut session);
-                repair(&mut session);
-                session.rollback(1).unwrap();
-                let (allocs, cost) = counted(|| repair(&mut session));
-                WarmRepair { n, allocs, cost }
-            })
+            .map(|n| warm_repair(&t, EngineKind::Search, n))
             .into()
     })
 }
@@ -346,6 +353,17 @@ fn render_work_counts() -> String {
         writeln!(
             out,
             "repair/warm/fm{} allocs={} cost={}",
+            r.n, r.allocs, r.cost
+        )
+        .unwrap();
+    }
+    // The same repair through a SAT session, which no row above takes.
+    let t = paper_transformation(2);
+    for n in [10, 30] {
+        let r = warm_repair(&t, EngineKind::Sat, n);
+        writeln!(
+            out,
+            "repair/warm_sat/fm{} allocs={} cost={}",
             r.n, r.allocs, r.cost
         )
         .unwrap();
