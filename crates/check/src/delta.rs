@@ -82,7 +82,7 @@ use crate::footprint::{footprints_for, var_model, Footprint};
 use crate::index::ModelIndex;
 use crate::{CheckError, CheckOptions, CheckReport, DirectionalOutcome, ViolationBinding};
 use mmt_deps::{Dep, DomIdx};
-use mmt_dist::{expand_op, Delta, EditOp};
+use mmt_dist::{Delta, EditOp};
 use mmt_model::fx::{FxHashMap, FxHashSet};
 use mmt_model::{ClassId, Model, ModelError, ObjId, RefId};
 use mmt_qvtr::{Constraint, Hir, HirRelation, RelId, VarId};
@@ -731,19 +731,23 @@ impl DeltaChecker {
     }
 
     /// Applies `op` to the model at `model` in its exactly invertible
-    /// [`expand_op`] form, pushing each op that lands onto `landed` (what
-    /// a sync session journals); on error the ops before stay applied.
+    /// [`expand_op`](mmt_dist::expand_op) form: appends that form to
+    /// `landed` (what a sync session journals), then applies it op by
+    /// op. On error the ops before stay applied, and `landed` keeps
+    /// exactly those.
     pub fn apply_expanded(
         &mut self,
         model: DomIdx,
         op: &EditOp,
         landed: &mut Delta,
     ) -> Result<(), DeltaError> {
-        let mut script = Vec::new();
-        expand_op(&self.models[model.index()], op, &mut script);
-        for e in script {
-            self.apply(model, &e)?;
-            landed.push(e);
+        let start = landed.len();
+        landed.push_expanded(&self.models[model.index()], op);
+        for i in start..landed.len() {
+            if let Err(e) = self.apply(model, &landed.ops()[i]) {
+                landed.truncate(i);
+                return Err(e);
+            }
         }
         Ok(())
     }

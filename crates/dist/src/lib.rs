@@ -576,6 +576,17 @@ impl Delta {
         self.ops.push(op);
     }
 
+    /// Appends `op` in its [`expand_op`] form against `m`, the model
+    /// before the edit.
+    pub fn push_expanded(&mut self, m: &Model, op: &EditOp) {
+        expand_op(m, op, &mut self.ops);
+    }
+
+    /// Keeps the first `len` ops and drops the rest.
+    pub fn truncate(&mut self, len: usize) {
+        self.ops.truncate(len);
+    }
+
     /// The ops, in application order.
     pub fn ops(&self) -> &[EditOp] {
         &self.ops

@@ -7,6 +7,11 @@
 //! [`CnfBuilder::encode_cost_counter`] encodes `Σ wᵢ·xᵢ ≥ j` indicator
 //! outputs, which the repair loop bounds via solver assumptions — the
 //! PMax-SAT-style "increasing distance" search of §3.
+//!
+//! Neither pass allocates per clause: Tseitin collects child literals on
+//! one stack the builder reuses, and the counter writes each output's
+//! clauses straight from its literals. The solver stores every clause in
+//! one arena, so the CNF costs only its arena's amortized growth.
 
 use mmt_sat::{Lit, Solver, Var};
 
@@ -28,37 +33,53 @@ pub enum Formula {
 impl Formula {
     /// Smart conjunction with constant folding.
     pub fn and(parts: Vec<Formula>) -> Formula {
-        let mut out = Vec::with_capacity(parts.len());
-        for p in parts {
-            match p {
-                Formula::Const(true) => {}
-                Formula::Const(false) => return Formula::Const(false),
-                Formula::And(inner) => out.extend(inner),
-                other => out.push(other),
-            }
-        }
-        match out.len() {
-            0 => Formula::Const(true),
-            1 => out.pop().expect("len checked"),
-            _ => Formula::And(out),
-        }
+        Formula::fold(parts, true)
     }
 
     /// Smart disjunction with constant folding.
     pub fn or(parts: Vec<Formula>) -> Formula {
-        let mut out = Vec::with_capacity(parts.len());
-        for p in parts {
-            match p {
-                Formula::Const(false) => {}
-                Formula::Const(true) => return Formula::Const(true),
-                Formula::Or(inner) => out.extend(inner),
-                other => out.push(other),
+        Formula::fold(parts, false)
+    }
+
+    /// Folds the parts of a conjunction (`unit` = true) or a disjunction
+    /// (`unit` = false) inside `parts` itself: the connective's unit is
+    /// dropped, its zero absorbs the whole, and a node of the same
+    /// connective is spliced in where it stood, one level deep.
+    fn fold(mut parts: Vec<Formula>, unit: bool) -> Formula {
+        let nested = |f: &Formula| match (f, unit) {
+            (Formula::And(inner), true) | (Formula::Or(inner), false) => Some(inner.len()),
+            _ => None,
+        };
+        if parts.iter().any(|p| p.is_const(!unit)) {
+            return Formula::Const(!unit);
+        }
+        parts.retain(|p| !p.is_const(unit) && nested(p) != Some(0));
+        // Splice from the back. Every part left yields at least one, so
+        // none lands left of its own index, on a part not yet moved.
+        let kept = parts.len();
+        let len = parts.iter().map(|p| nested(p).unwrap_or(1)).sum();
+        parts.resize_with(len, || Formula::Const(unit));
+        let mut end = len;
+        for i in (0..kept).rev() {
+            match (std::mem::replace(&mut parts[i], Formula::Const(unit)), unit) {
+                (Formula::And(inner), true) | (Formula::Or(inner), false) => {
+                    end -= inner.len();
+                    parts[end..]
+                        .iter_mut()
+                        .zip(inner)
+                        .for_each(|(to, p)| *to = p);
+                }
+                (part, _) => {
+                    end -= 1;
+                    parts[end] = part;
+                }
             }
         }
-        match out.len() {
-            0 => Formula::Const(false),
-            1 => out.pop().expect("len checked"),
-            _ => Formula::Or(out),
+        match parts.len() {
+            0 => Formula::Const(unit),
+            1 => parts.pop().expect("len checked"),
+            _ if unit => Formula::And(parts),
+            _ => Formula::Or(parts),
         }
     }
 
@@ -90,6 +111,8 @@ pub struct CnfBuilder {
     pub solver: Solver,
     /// Clauses added (for statistics).
     pub clauses_added: u64,
+    /// Child literals of the Tseitin nodes being encoded, innermost last.
+    stack: Vec<Lit>,
 }
 
 impl Default for CnfBuilder {
@@ -104,6 +127,7 @@ impl CnfBuilder {
         CnfBuilder {
             solver: Solver::new(),
             clauses_added: 0,
+            stack: Vec::new(),
         }
     }
 
@@ -128,6 +152,25 @@ impl CnfBuilder {
         self.clauses_added += 1;
     }
 
+    /// Pushes the Tseitin literal of each of `parts`, in order, onto the
+    /// stack; returns where they start.
+    fn push_parts(&mut self, parts: Vec<Formula>) -> usize {
+        let base = self.stack.len();
+        for p in parts {
+            let l = self.tseitin(p);
+            self.stack.push(l);
+        }
+        base
+    }
+
+    /// Adds the stack's literals from `base` on as one clause and pops
+    /// them.
+    fn clause_from_stack(&mut self, base: usize) {
+        self.solver.add_clause(&self.stack[base..]);
+        self.clauses_added += 1;
+        self.stack.truncate(base);
+    }
+
     /// Asserts `f` (top-level truth).
     pub fn add_formula(&mut self, f: Formula) {
         match f {
@@ -142,8 +185,8 @@ impl CnfBuilder {
                 }
             }
             Formula::Or(parts) => {
-                let lits: Vec<Lit> = parts.into_iter().map(|p| self.tseitin(p)).collect();
-                self.clause(&lits);
+                let base = self.push_parts(parts);
+                self.clause_from_stack(base);
             }
             Formula::Not(inner) => {
                 let l = self.tseitin(*inner);
@@ -166,29 +209,28 @@ impl CnfBuilder {
             Formula::Lit(l) => l,
             Formula::Not(inner) => self.tseitin(*inner).negate(),
             Formula::And(parts) => {
-                let lits: Vec<Lit> = parts.into_iter().map(|p| self.tseitin(p)).collect();
+                let base = self.push_parts(parts);
                 let out = Lit::pos(self.fresh());
-                // out → each lit; (⋀ lits) → out.
-                let mut back: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
-                for &l in &lits {
+                // out → each lit; (⋀ lits) → out, the lits negated in place.
+                for i in base..self.stack.len() {
+                    let l = self.stack[i];
                     self.clause(&[out.negate(), l]);
-                    back.push(l.negate());
+                    self.stack[i] = l.negate();
                 }
-                back.push(out);
-                self.clause(&back);
+                self.stack.push(out);
+                self.clause_from_stack(base);
                 out
             }
             Formula::Or(parts) => {
-                let lits: Vec<Lit> = parts.into_iter().map(|p| self.tseitin(p)).collect();
+                let base = self.push_parts(parts);
                 let out = Lit::pos(self.fresh());
-                // each lit → out; out → ⋁ lits.
-                let mut fwd: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
-                fwd.push(out.negate());
-                for &l in &lits {
+                // each lit → out; out → ⋁ lits, with ¬out first.
+                for i in base..self.stack.len() {
+                    let l = self.stack[i];
                     self.clause(&[l.negate(), out]);
-                    fwd.push(l);
                 }
-                self.clause(&fwd);
+                self.stack.insert(base, out.negate());
+                self.clause_from_stack(base);
                 out
             }
         }
@@ -200,39 +242,42 @@ impl CnfBuilder {
     /// `Σ wᵢ·xᵢ ≤ k`. Weights are saturated at `bound+1`.
     pub fn encode_cost_counter(&mut self, items: &[(Lit, u64)], bound: u64) -> Vec<Lit> {
         let cap = (bound + 1) as usize;
-        // prev[j-1] = indicator(sum of first i items ≥ j).
+        // prev[j-1] = indicator(sum of first i items ≥ j); cur takes the
+        // next item's, and the two swap after each item.
         let mut prev: Vec<Option<Lit>> = vec![None; cap];
+        let mut cur: Vec<Option<Lit>> = vec![None; cap];
         for &(x, w) in items {
             let w = (w.min(bound + 1)) as usize;
             if w == 0 {
                 continue;
             }
-            let mut cur: Vec<Option<Lit>> = vec![None; cap];
             for j in 1..=cap {
                 // sum ≥ j if: previous sum ≥ j, or (x and previous ≥ j-w).
-                let mut reasons: Vec<Vec<Lit>> = Vec::new();
-                if let Some(p) = prev[j - 1] {
-                    reasons.push(vec![p]);
-                }
-                if j <= w {
-                    reasons.push(vec![x]);
-                } else if let Some(p) = prev[j - w - 1] {
-                    reasons.push(vec![x, p]);
-                }
-                if reasons.is_empty() {
+                // `with_x` is `Some(None)` when x alone reaches j (j ≤ w),
+                // `Some(Some(p))` when it needs p = (previous ≥ j-w).
+                let carry = prev[j - 1];
+                let with_x = if j <= w {
+                    Some(None)
+                } else {
+                    prev[j - w - 1].map(Some)
+                };
+                if carry.is_none() && with_x.is_none() {
                     cur[j - 1] = None;
                     continue;
                 }
                 let out = Lit::pos(self.fresh());
-                for reason in reasons {
-                    // (⋀ reason) → out.
-                    let mut clause: Vec<Lit> = reason.iter().map(|l| l.negate()).collect();
-                    clause.push(out);
-                    self.clause(&clause);
+                // (⋀ reason) → out, one clause per reason.
+                if let Some(p) = carry {
+                    self.clause(&[p.negate(), out]);
+                }
+                match with_x {
+                    Some(None) => self.clause(&[x.negate(), out]),
+                    Some(Some(p)) => self.clause(&[x.negate(), p.negate(), out]),
+                    None => {}
                 }
                 cur[j - 1] = Some(out);
             }
-            prev = cur;
+            std::mem::swap(&mut prev, &mut cur);
         }
         // Materialize missing outputs as constant-false indicators.
         prev.into_iter()

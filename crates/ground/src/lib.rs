@@ -40,6 +40,8 @@
 //! at most `|Str| × (1 + |U_cf1| + |U_cf2|)` bindings instead of
 //! `|U_cf1| × |Str| × |U_cf2|`.
 
+#![forbid(unsafe_code)]
+
 pub mod formula;
 
 use formula::{CnfBuilder, Formula};
@@ -267,7 +269,7 @@ impl ValueDomain {
             d.push(Value::Str(Sym::new(&format!("$new{i}"))));
         }
         // The empty string (attribute default) must be representable.
-        d.push(Value::Str(Sym::new("")));
+        d.push(Value::Str(Sym::EMPTY));
         // Likewise the Int default: a fresh object keeping its zeroed
         // attribute must cost nothing, so 0 has to be in the domain even
         // when every observed value (model or literal) is non-zero.
@@ -397,6 +399,12 @@ impl<'a> GroundProblem<'a> {
     /// Grounding statistics.
     pub fn stats(&self) -> GroundStats {
         self.stats
+    }
+
+    /// The solver's statistics so far: its path through every
+    /// [`solve_min_cost`](Self::solve_min_cost) round.
+    pub fn solver_stats(&self) -> mmt_sat::SolverStats {
+        self.builder.solver.stats()
     }
 
     /// Finds consistent target models at minimal total cost, searching

@@ -20,6 +20,10 @@ use crate::mmt_sync::RwLock;
 pub struct Sym(u32);
 
 impl Sym {
+    /// The empty string, the `Str` attribute default. It is interned when
+    /// the interner is built, so naming it takes no lock.
+    pub const EMPTY: Sym = Sym(0);
+
     /// Interns `s`, returning its handle. Idempotent.
     pub fn new(s: &str) -> Sym {
         interner().write().expect("interner poisoned").intern(s)
@@ -93,7 +97,12 @@ impl Interner {
 
 fn interner() -> &'static RwLock<Interner> {
     static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| RwLock::new(Interner::default()))
+    INTERNER.get_or_init(|| {
+        let mut interner = Interner::default();
+        // `Sym::EMPTY` is the first symbol.
+        interner.intern("");
+        RwLock::new(interner)
+    })
 }
 
 #[cfg(test)]
@@ -139,5 +148,6 @@ mod tests {
     fn empty_string_is_internable() {
         let e = Sym::new("");
         assert_eq!(e.resolve(), "");
+        assert_eq!(e, Sym::EMPTY);
     }
 }

@@ -18,7 +18,7 @@ impl AttrType {
     /// The default value a fresh object carries for this type.
     pub fn default_value(self) -> Value {
         match self {
-            AttrType::Str => Value::Str(Sym::new("")),
+            AttrType::Str => Value::Str(Sym::EMPTY),
             AttrType::Bool => Value::Bool(false),
             AttrType::Int => Value::Int(0),
         }

@@ -19,6 +19,12 @@
 //! assert!(matches!(s.solve(), SatResult::Sat));
 //! assert_eq!(s.value(b), Some(true));
 //! ```
+//!
+//! Every clause, original or learned, lives in one literal arena and is
+//! a start and a length into it, so adding a clause allocates nothing
+//! beyond the arena's amortized growth.
+
+#![forbid(unsafe_code)]
 
 use std::fmt;
 
@@ -114,9 +120,20 @@ pub struct SolverStats {
 
 const UNDEF_CLAUSE: u32 = u32::MAX;
 
-#[derive(Clone)]
+/// A clause: `len` literals of the solver's arena, from `start`. The
+/// first two are the watched ones.
+#[derive(Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
+}
+
+impl Clause {
+    /// The clause's literals as an arena range.
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -212,7 +229,12 @@ impl ActivityHeap {
 
 /// The CDCL solver.
 pub struct Solver {
+    /// The literals of every clause, back to back; an added clause is
+    /// normalized into the tail.
+    arena: Vec<Lit>,
     clauses: Vec<Clause>,
+    /// The clause [`Solver::analyze`] learns, UIP first.
+    learned: Vec<Lit>,
     watches: Vec<Vec<Watch>>, // indexed by Lit
     assign: Vec<Option<bool>>,
     phase: Vec<bool>, // saved phases
@@ -249,7 +271,9 @@ impl Solver {
     /// An empty solver.
     pub fn new() -> Solver {
         Solver {
+            arena: Vec::new(),
             clauses: Vec::new(),
+            learned: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
             phase: Vec::new(),
@@ -305,30 +329,38 @@ impl Solver {
             return false;
         }
         debug_assert!(self.trail_lim.is_empty(), "add clauses at level 0");
-        // Normalize: drop duplicate and false-at-0 literals; detect
-        // tautologies and satisfied clauses.
-        let mut cl: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Normalize into the arena's tail: drop duplicate and false-at-0
+        // literals; detect tautologies and satisfied clauses.
+        let start = self.arena.len();
         for &l in lits {
             match self.lit_value(l) {
-                Some(true) => return true, // already satisfied at level 0
+                Some(true) => {
+                    // Already satisfied at level 0.
+                    self.arena.truncate(start);
+                    return true;
+                }
                 Some(false) => continue,
                 None => {}
             }
+            let cl = &self.arena[start..];
             if cl.contains(&l) {
                 continue;
             }
             if cl.contains(&l.negate()) {
-                return true; // tautology
+                // Tautology.
+                self.arena.truncate(start);
+                return true;
             }
-            cl.push(l);
+            self.arena.push(l);
         }
-        match cl.len() {
+        match self.arena.len() - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                if !self.enqueue(cl[0], UNDEF_CLAUSE) {
+                let unit = self.arena.pop().expect("one literal");
+                if !self.enqueue(unit, UNDEF_CLAUSE) {
                     self.ok = false;
                     return false;
                 }
@@ -339,23 +371,30 @@ impl Solver {
                 true
             }
             _ => {
-                self.attach(cl);
+                self.attach(start);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.watches[lits[0].negate().index()].push(Watch {
+    /// Makes the arena's literals from `start` on a clause (at least
+    /// two) and watches its first two; returns its index.
+    fn attach(&mut self, start: usize) -> u32 {
+        let idx = u32::try_from(self.clauses.len()).expect("clause index fits in u32");
+        let clause = Clause {
+            start: u32::try_from(start).expect("arena offset fits in u32"),
+            len: u32::try_from(self.arena.len() - start).expect("clause length fits in u32"),
+        };
+        let (l0, l1) = (self.arena[start], self.arena[start + 1]);
+        self.watches[l0.negate().index()].push(Watch {
             clause: idx,
-            blocker: lits[1],
+            blocker: l1,
         });
-        self.watches[lits[1].negate().index()].push(Watch {
+        self.watches[l1.negate().index()].push(Watch {
             clause: idx,
-            blocker: lits[0],
+            blocker: l0,
         });
-        self.clauses.push(Clause { lits });
+        self.clauses.push(clause);
         idx
     }
 
@@ -401,26 +440,23 @@ impl Solver {
                     continue;
                 }
                 let ci = w.clause as usize;
-                // Ensure lits[0] is the other watched literal.
-                let false_lit = p.negate();
-                {
-                    let cl = &mut self.clauses[ci];
-                    if cl.lits[0] == false_lit {
-                        cl.lits.swap(0, 1);
-                    }
+                let lits = self.clauses[ci].range();
+                let (at0, at1) = (lits.start, lits.start + 1);
+                // Ensure the first literal is the other watched one.
+                if self.arena[at0] == p.negate() {
+                    self.arena.swap(at0, at1);
                 }
-                let first = self.clauses[ci].lits[0];
+                let first = self.arena[at0];
                 if first != w.blocker && self.lit_value(first) == Some(true) {
                     self.watches[widx][i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new watch.
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci].lits[k];
+                for k in at1 + 1..lits.end {
+                    let lk = self.arena[k];
                     if self.lit_value(lk) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.arena.swap(at1, k);
                         self.watches[widx].swap_remove(i);
                         self.watches[lk.negate().index()].push(Watch {
                             clause: ci as u32,
@@ -455,18 +491,19 @@ impl Solver {
         self.order.bumped(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (UIP first)
-    /// and the backjump level.
-    fn analyze(&mut self, mut conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder for UIP
+    /// First-UIP conflict analysis. Leaves the learned clause (UIP
+    /// first) in `self.learned` and returns the backjump level.
+    fn analyze(&mut self, mut conflict: u32) -> u32 {
+        self.learned.clear();
+        self.learned.push(Lit::pos(Var(0))); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
         loop {
-            let cl = &self.clauses[conflict as usize];
-            let start = if p.is_some() { 1 } else { 0 };
-            let lits: Vec<Lit> = cl.lits[start..].to_vec();
-            for q in lits {
+            // The reason's first literal is `p` itself, past the conflict.
+            let lits = self.clauses[conflict as usize].range();
+            for k in lits.start + usize::from(p.is_some())..lits.end {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -474,7 +511,7 @@ impl Solver {
                     if self.level[v.index()] == self.decision_level() {
                         counter += 1;
                     } else {
-                        learned.push(q);
+                        self.learned.push(q);
                     }
                 }
             }
@@ -491,17 +528,18 @@ impl Solver {
             self.seen[pl.var().index()] = false;
             counter -= 1;
             if counter == 0 {
-                learned[0] = pl.negate();
+                self.learned[0] = pl.negate();
                 break;
             }
             conflict = self.reason[pl.var().index()];
             debug_assert_ne!(conflict, UNDEF_CLAUSE);
         }
-        for l in &learned[1..] {
+        for l in &self.learned[1..] {
             self.seen[l.var().index()] = false;
         }
         // Backjump level: second-highest level in the clause.
-        let bj = if learned.len() == 1 {
+        let learned = &mut self.learned;
+        if learned.len() == 1 {
             0
         } else {
             let mut max_i = 1;
@@ -512,8 +550,7 @@ impl Solver {
             }
             learned.swap(1, max_i);
             self.level[learned[1].var().index()]
-        };
-        (learned, bj)
+        }
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -580,14 +617,16 @@ impl Solver {
                     self.cancel_until(0);
                     return SatResult::Unsat;
                 }
-                let (learned, bj) = self.analyze(conflict);
+                let bj = self.analyze(conflict);
                 let bj = bj.max(self.assumption_level(assumptions));
                 self.cancel_until(bj);
-                let asserting = learned[0];
-                let enq_ok = if learned.len() == 1 {
+                let asserting = self.learned[0];
+                let enq_ok = if self.learned.len() == 1 {
                     self.enqueue(asserting, UNDEF_CLAUSE)
                 } else {
-                    let ci = self.attach(learned);
+                    let start = self.arena.len();
+                    self.arena.extend_from_slice(&self.learned);
+                    let ci = self.attach(start);
                     self.enqueue(asserting, ci)
                 };
                 if !enq_ok {

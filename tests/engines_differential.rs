@@ -581,10 +581,10 @@ fn assert_outcome_contract(case: &PinnedCase, out: &RepairOutcome) {
     }
 }
 
-/// Renders the SAT engine's minimum cost (or `unrepairable`) on every
-/// case of [`sat_pinned_cases`], asserting the repair contract on each
-/// outcome. Costs only: equal-cost repairs may differ with the CNF.
-fn render_sat_costs() -> String {
+/// Renders every SAT repair of [`sat_pinned_cases`]: cost and per-model
+/// edit scripts (or `unrepairable`), one `== <case>` block each,
+/// asserting the repair contract on each outcome.
+fn render_pinned_sat_repairs() -> String {
     let mut out = String::new();
     for case in sat_pinned_cases() {
         let res = case
@@ -597,20 +597,27 @@ fn render_sat_costs() -> String {
             Ok(Some(o)) => {
                 assert_outcome_contract(&case, &o);
                 out.push_str(&format!("cost {}\n", o.cost));
+                for d in &o.deltas {
+                    out.push_str(&format!("{d}\n"));
+                }
             }
         }
     }
     out
 }
 
-/// SAT minimum costs are pinned in `tests/pins/sat_repairs.txt`. Any
-/// change to grounding or solving must leave every cost as it is.
+/// SAT outcomes are pinned byte for byte in `tests/pins/sat_repairs.txt`,
+/// as search outcomes are: the rendered cost and edit scripts of every
+/// case. A change to how the CNF is stored or solved must leave the file
+/// unchanged. A change to the CNF itself or to the solver's heuristics
+/// may swap one equal-cost repair for another; it re-records the file
+/// and says why, and must never move a cost.
 #[test]
-fn sat_repairs_match_pinned_costs() {
-    let got = render_sat_costs();
+fn sat_repairs_match_pinned_outcomes() {
+    let got = render_pinned_sat_repairs();
     let want = include_str!("pins/sat_repairs.txt");
     for (g, w) in got.split("== ").zip(want.split("== ")) {
-        assert_eq!(g, w, "pinned SAT cost changed");
+        assert_eq!(g, w, "pinned SAT outcome changed");
     }
     assert_eq!(got, want, "pinned case list changed");
 }

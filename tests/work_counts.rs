@@ -244,7 +244,9 @@ fn session_warm_scenario_rows(out: &mut String) {
 
 /// A cost-2 repair of a new mandatory feature (fm2cfs, k = 2, seed 53)
 /// into both configurations, through `enforce_with`; the SAT rows add
-/// the grounding statistics of the same problem.
+/// the grounding statistics of the same problem and the solver's path
+/// through `solve_min_cost` (its `SolverStats`), so a change to how the
+/// CNF is stored must keep both the CNF and the path.
 fn repair_rows(out: &mut String) {
     let t = paper_transformation(2);
     let shape = Shape::of(&[0, 1]);
@@ -273,13 +275,24 @@ fn repair_rows(out: &mut String) {
         .unwrap();
         if engine == EngineKind::Sat {
             let targets = shape.checked_targets(w.models.len()).unwrap();
-            let g = GroundProblem::build(t.hir(), &w.models, targets, GroundOptions::default())
-                .unwrap()
-                .stats();
+            let mut problem =
+                GroundProblem::build(t.hir(), &w.models, targets, GroundOptions::default())
+                    .unwrap();
+            let g = problem.stats();
+            problem.solve_min_cost().expect("repairable");
+            let s = problem.solver_stats();
             write!(
                 out,
-                " vars={} clauses={} instantiations={} cost_items={}",
-                g.vars, g.clauses, g.universal_instantiations, g.cost_items
+                " vars={} clauses={} instantiations={} cost_items={} \
+                 decisions={} propagations={} conflicts={} restarts={}",
+                g.vars,
+                g.clauses,
+                g.universal_instantiations,
+                g.cost_items,
+                s.decisions,
+                s.propagations,
+                s.conflicts,
+                s.restarts
             )
             .unwrap();
         }
