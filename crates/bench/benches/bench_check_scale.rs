@@ -2,7 +2,8 @@
 //! dependency-direction ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmt_bench::{consistent_workload, paper_transformation};
+use mmt_bench::{c2t_sources, consistent_workload, paper_transformation, parse_c2t, C2T_ATTRS};
+use mmt_check::DeltaChecker;
 use mmt_core::Transformation;
 use mmt_gen::scenario::all_scenarios;
 
@@ -71,10 +72,33 @@ fn bench_check_scenarios(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cold open, as `mmt sync`, `mmt serve` `open` and store recovery
+/// pay it before their first edit: parse servebench's class↔RDBMS tuple
+/// from text (`parse`), then build the incremental checker over it
+/// (`check`), at 10⁴ and 10⁵ objects per side. The work-count gate pins
+/// the allocations of both at 10³ and 10⁴.
+fn bench_open(c: &mut Criterion) {
+    let mut group = c.benchmark_group("open");
+    group.sample_size(10);
+    for classes in [1_000usize, 10_000] {
+        let (t, sources) = c2t_sources(classes);
+        let label = format!("c2t_{}", classes * (C2T_ATTRS + 1));
+        group.bench_with_input(BenchmarkId::new("parse", &label), &sources, |b, s| {
+            b.iter(|| parse_c2t(&t, s))
+        });
+        let models = parse_c2t(&t, &sources);
+        group.bench_with_input(BenchmarkId::new("check", &label), &models, |b, m| {
+            b.iter(|| DeltaChecker::new(t.hir_arc(), m).unwrap().consistent())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_check,
     bench_check_scale_large,
-    bench_check_scenarios
+    bench_check_scenarios,
+    bench_open
 );
 criterion_main!(benches);

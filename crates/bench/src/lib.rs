@@ -13,8 +13,9 @@ use mmt_gen::{
     feature_workload, inject, FeatureSpec, FeatureWorkload, Injection, SessionScriptGen,
     SessionStep,
 };
-use mmt_model::text::{parse_metamodel, parse_model};
+use mmt_model::text::{parse_metamodel, parse_model, print_model};
 use mmt_model::{Model, ObjId, Sym, Value};
+use std::sync::Arc;
 
 /// The paper's `F = MF ∧ OF` for `k` configurations, via `mmt_gen`.
 pub fn paper_transformation(k: usize) -> Transformation {
@@ -81,6 +82,71 @@ pub fn drift_new_mandatory(session: &mut SyncSession) {
     ] {
         session.apply(fm, op).expect("drift applies");
     }
+}
+
+/// Attributes per class (and columns per table) in [`c2t_sources`].
+pub const C2T_ATTRS: usize = 9;
+
+/// The class↔RDBMS tuple that servebench's `edit_c2t_1e5` opens, as
+/// model text: `classes` classes of [`C2T_ATTRS`] attributes each in
+/// `uml`, mirrored by same-named tables and columns in `rdb`, so
+/// `classes × 10` objects per side. Returns the transformation and the
+/// two sources, printed by [`print_model`]; parsing them is a cold open.
+///
+/// The names carry a `_c2t` tag, as servebench tags them with its seed,
+/// so they are fresh in a process that also runs the corpus scenario,
+/// whose tuple names `C0`, `f0_0`, …: search repairs break ties by
+/// intern index, and interning those names early would reorder them.
+pub fn c2t_sources(classes: usize) -> (Transformation, [String; 2]) {
+    let t = Transformation::from_sources(
+        &mmt_gen::scenario::class2rdbms_transformation_source(),
+        &[
+            mmt_gen::scenario::UML_METAMODEL,
+            mmt_gen::scenario::RDB_METAMODEL,
+        ],
+    )
+    .expect("class2rdbms resolves");
+    let side = |m: usize, container: &str, member: &str, link: &str| {
+        let meta = Arc::clone(&t.hir().models[m].meta);
+        let (outer, inner) = (
+            meta.class_named(container).expect("static class"),
+            meta.class_named(member).expect("static class"),
+        );
+        let r = meta.ref_of(outer, Sym::new(link)).expect("static ref");
+        let name = Sym::new("name");
+        let outer_name = meta.attr_of(outer, name).expect("static attr");
+        let inner_name = meta.attr_of(inner, name).expect("static attr");
+        let param = t.hir().models[m].name.resolve();
+        let mut model = Model::with_capacity(&param, meta, classes * (C2T_ATTRS + 1));
+        for c in 0..classes {
+            let k = model.add(outer).expect("concrete");
+            model
+                .set_attr(k, outer_name, Value::str(&format!("C{c}_c2t")))
+                .expect("typed");
+            for a in 0..C2T_ATTRS {
+                let at = model.add(inner).expect("concrete");
+                model
+                    .set_attr(at, inner_name, Value::str(&format!("f{c}_{a}_c2t")))
+                    .expect("typed");
+                model.add_link(k, r, at).expect("typed link");
+            }
+        }
+        print_model(&model)
+    };
+    let sources = [
+        side(0, "Class", "Attribute", "attrs"),
+        side(1, "Table", "Column", "cols"),
+    ];
+    (t, sources)
+}
+
+/// Parses [`c2t_sources`]' texts against their transformation.
+pub fn parse_c2t(t: &Transformation, sources: &[String; 2]) -> Vec<Model> {
+    sources
+        .iter()
+        .zip(&t.hir().models)
+        .map(|(src, param)| parse_model(src, &param.meta).expect("printed model parses"))
+        .collect()
 }
 
 /// The §2.1 loophole triple: empty configurations, one mandatory feature.
@@ -323,5 +389,10 @@ mod tests {
         let models = loophole_models();
         assert!(!t.check(&models).unwrap().consistent());
         assert!(t.standardized().check(&models).unwrap().consistent());
+        let (t, sources) = c2t_sources(3);
+        let models = parse_c2t(&t, &sources);
+        assert_eq!(models[0].len(), 3 * (C2T_ATTRS + 1));
+        assert_eq!(print_model(&models[1]), sources[1]);
+        assert!(t.check(&models).unwrap().consistent());
     }
 }

@@ -77,7 +77,9 @@
 //! assert!(checker.consistent());
 //! ```
 
-use crate::eval::{plan_check, Binding, CheckPlan, EvalCtx, EvalError, EvalStats, Slot};
+use crate::eval::{
+    collect_constraint_vars, plan_check, Binding, CheckPlan, EvalCtx, EvalError, EvalStats, Slot,
+};
 use crate::footprint::{footprints_for, var_model, Footprint};
 use crate::index::ModelIndex;
 use crate::{CheckError, CheckOptions, CheckReport, DirectionalOutcome, ViolationBinding};
@@ -157,6 +159,10 @@ struct CheckStatics {
     uni_pins: Vec<(DomIdx, VarId)>,
     /// Witness-side object variables, with their models.
     wit_pins: Vec<(DomIdx, VarId)>,
+    /// The object variables a witness probe binds — every object
+    /// variable of the target constraints that the universal side does
+    /// not bind — ascending, with their models: what a witness records.
+    wit_objs: Vec<(DomIdx, VarId)>,
     /// Universal-side object variables the `where` clause reads.
     where_uni_vars: Vec<VarId>,
     /// Per-model universal footprint (source patterns + `when`).
@@ -247,6 +253,9 @@ fn binding_objs<'a>(
 }
 
 impl MatchState {
+    /// The state of a freshly evaluated check, as inserting `entries`
+    /// one by one would leave it: the slab first, in entry order, then
+    /// the indexes in bulk once the state is past [`INDEX_THRESHOLD`].
     fn from_entries(rel: &HirRelation, entries: Vec<MatchEntry>) -> MatchState {
         let mut state = MatchState::default();
         // An eighth of growth headroom: reserving the exact entry count
@@ -255,8 +264,10 @@ impl MatchState {
         // (tens of MB of fresh pages at 10⁶ objects — a multi-ms spike
         // masquerading as per-edit cost).
         state.slab.reserve(entries.len() + entries.len() / 8 + 16);
-        for e in entries {
-            state.insert(rel, e);
+        state.n_violating = entries.iter().filter(|e| !e.witnessed).count();
+        state.slab.extend(entries.into_iter().map(Some));
+        if state.slab.len() > INDEX_THRESHOLD {
+            state.build_indexes(rel);
         }
         state
     }
@@ -300,25 +311,26 @@ impl MatchState {
     }
 
     /// Builds the inverted indexes from the slab and flips the state to
-    /// indexed mode — called once, when the live count first crosses
-    /// [`INDEX_THRESHOLD`].
+    /// indexed mode: once over a freshly evaluated state, or when an
+    /// insert first crosses [`INDEX_THRESHOLD`]. One ascending pass over
+    /// the slab lists the violating slots and every bucket's slots, so
+    /// each bucket is allocated once, at its final size.
     fn build_indexes(&mut self, rel: &HirRelation) {
         self.indexed = true;
+        let mut uni = Vec::new();
+        let mut wit = Vec::new();
+        self.violating.reserve_exact(self.n_violating);
         for (slot, e) in self.slab.iter().enumerate() {
             let Some(e) = e else { continue };
             let slot = slot as u32;
-            for key in binding_objs(rel, &e.binding) {
-                register(&mut self.by_obj, key, slot);
-            }
-            for &(m, o) in &e.witness_objs {
-                register(&mut self.by_wit, (m, o), slot);
-            }
-            // The violating slot vec springs to life with the indexes;
-            // the ascending slab walk keeps it sorted by construction.
+            uni.extend(binding_objs(rel, &e.binding).map(|key| (key, slot)));
+            wit.extend(e.witness_objs.iter().map(|&key| (key, slot)));
             if !e.witnessed {
                 self.violating.push(slot);
             }
         }
+        self.by_obj = bucketed(uni);
+        self.by_wit = bucketed(wit);
     }
 
     fn insert(&mut self, rel: &HirRelation, entry: MatchEntry) {
@@ -494,6 +506,21 @@ impl MatchState {
             );
         }
     }
+}
+
+/// An inverted index over `(key, slot)` pairs: each key's bucket holds
+/// its slots ascending and once, as [`register`] leaves them when slots
+/// arrive in ascending order, and is allocated once, at its final size.
+fn bucketed(mut pairs: Vec<((DomIdx, ObjId), u32)>) -> FxHashMap<(DomIdx, ObjId), Vec<u32>> {
+    pairs.sort_unstable();
+    pairs.dedup();
+    let buckets = pairs.chunk_by(|a, b| a.0 == b.0);
+    let mut index =
+        FxHashMap::with_capacity_and_hasher(buckets.clone().count(), Default::default());
+    for bucket in buckets {
+        index.insert(bucket[0].0, bucket.iter().map(|&(_, slot)| slot).collect());
+    }
+    index
 }
 
 /// Adds one slot to an inverted-index bucket, once — a binding (or
@@ -980,6 +1007,17 @@ fn compile_check(hir: &Hir, rid: RelId, dep: Dep, arity: usize) -> Result<CheckS
     };
     let uni_pins = pins(&plan.src_constraints);
     let wit_pins = pins(&plan.tgt_constraints);
+    let wit_objs = {
+        let mut vars = Vec::new();
+        for c in &plan.tgt_constraints {
+            collect_constraint_vars(c, &mut vars);
+        }
+        vars.retain(|v| !plan.src_vars.contains(v));
+        vars.sort_unstable();
+        vars.into_iter()
+            .filter_map(|v| var_model(rel, v).map(|m| (m, v)))
+            .collect()
+    };
     let where_uni_vars = {
         let mut fv = Vec::new();
         if let Some(w) = &rel.where_ {
@@ -995,6 +1033,7 @@ fn compile_check(hir: &Hir, rid: RelId, dep: Dep, arity: usize) -> Result<CheckS
         plan,
         uni_pins,
         wit_pins,
+        wit_objs,
         where_uni_vars,
         uni_fp: fps.uni,
         wit_fp: fps.wit,
@@ -1022,7 +1061,7 @@ fn full_eval(
                     return Ok(false);
                 }
             }
-            let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
+            let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b, None)?;
             matches.push(MatchEntry {
                 binding: b.clone(),
                 witnessed,
@@ -1039,14 +1078,24 @@ fn full_eval(
 type WitnessRecord = (bool, Vec<(DomIdx, ObjId)>);
 
 /// Existential probe that records which objects the witness bound.
+/// `binding` binds the universal side and, for a pinned probe, the
+/// witness variable `pinned`; every other variable the witness binds is
+/// one of the check's `wit_objs`, which it records in that order.
 fn probe_recording(
     ctx: &mut EvalCtx<'_>,
     rel: &HirRelation,
     st: &CheckStatics,
     binding: &mut Binding,
+    pinned: Option<VarId>,
 ) -> Result<WitnessRecord, EvalError> {
     ctx.stats.existential_probes += 1;
-    let pre: Vec<bool> = binding.iter().map(Option::is_some).collect();
+    debug_assert!(
+        binding.iter().enumerate().all(|(i, s)| {
+            let v = VarId(i as u32);
+            s.is_some() == (st.plan.src_vars.contains(&v) || pinned == Some(v))
+        }),
+        "a witness probe starts from a universal binding and its pin"
+    );
     let mut out: Option<Vec<(DomIdx, ObjId)>> = None;
     ctx.solve(rel, &st.plan.tgt_constraints, binding, &mut |ctx, b| {
         if let Some(w) = &rel.where_ {
@@ -1054,13 +1103,13 @@ fn probe_recording(
                 return Ok(false);
             }
         }
-        let objs = b
+        let objs = st
+            .wit_objs
             .iter()
-            .enumerate()
-            .filter(|(i, s)| !pre[*i] && s.is_some())
-            .filter_map(|(i, s)| match s.unwrap() {
-                Slot::Obj(o) => var_model(rel, VarId(i as u32)).map(|m| (m, o)),
-                Slot::Val(_) => None,
+            .filter(|&&(_, v)| pinned != Some(v))
+            .filter_map(|&(m, v)| match b[v.index()] {
+                Some(Slot::Obj(o)) => Some((m, o)),
+                _ => None,
             })
             .collect();
         out = Some(objs);
@@ -1126,7 +1175,7 @@ fn universal_update(
                 if !seen.insert(b.clone()) {
                     return Ok(false); // found through another pin already
                 }
-                let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
+                let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b, None)?;
                 state.insert(
                     rel,
                     MatchEntry {
@@ -1197,7 +1246,7 @@ fn witness_update(
     reprobe.dedup();
     for &slot in reprobe.iter() {
         let mut b = state.entry(slot).binding.clone();
-        let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
+        let (w, objs) = probe_recording(ctx, rel, st, &mut b, None)?;
         state.set_witness(slot, w, objs);
     }
     if destructive || !live.contains(o) {
@@ -1213,7 +1262,7 @@ fn witness_update(
             }
             let mut b = state.entry(slot).binding.clone();
             b[var.index()] = Some(Slot::Obj(o));
-            let (w, mut objs) = probe_recording(ctx, rel, st, &mut b)?;
+            let (w, mut objs) = probe_recording(ctx, rel, st, &mut b, Some(var))?;
             if w {
                 objs.push((model, o)); // the pinned object is read too
                 state.set_witness(slot, true, objs);

@@ -236,8 +236,8 @@ type CallKey = (RelId, u64, u8, Vec<Slot>);
 /// crate: [`crate::Checker`] and [`crate::DeltaChecker`] each evaluate
 /// through their own.
 ///
-/// The mutable evaluation state (call memo, statistics, recursion depth)
-/// lives in plain fields behind `&mut self` — there is no interior
+/// The mutable evaluation state (call memo, statistics, recursion depth,
+/// search stacks) lives in plain fields behind `&mut self` — there is no interior
 /// mutability, so `EvalCtx` is `Send + Sync` and a `&EvalCtx` can be
 /// shared across threads (each thread evaluating through its own
 /// context).
@@ -251,6 +251,13 @@ pub(crate) struct EvalCtx<'a> {
     call_memo: FxHashMap<CallKey, bool>,
     pub(crate) stats: EvalStats,
     depth: u32,
+    /// The candidate lists of the open levels of [`EvalCtx::solve_rec`],
+    /// each level's above its caller's, so one buffer serves every level
+    /// of every search this context runs.
+    cands: Vec<ObjId>,
+    /// The variables the open levels bound in their deterministic
+    /// passes, stacked the same way: each level unbinds its own.
+    trail: Vec<VarId>,
 }
 
 const MAX_CALL_DEPTH: u32 = 64;
@@ -265,6 +272,8 @@ impl<'a> EvalCtx<'a> {
             call_memo: FxHashMap::default(),
             stats: EvalStats::default(),
             depth: 0,
+            cands: Vec::new(),
+            trail: Vec::new(),
         }
     }
 
@@ -372,6 +381,9 @@ impl<'a> EvalCtx<'a> {
         self.solve_rec(rel, constraints, 0, binding, on_solution)
     }
 
+    /// One search level: the deterministic pass, then a branch over the
+    /// cheapest generator's candidates. On every exit, errors included,
+    /// it unbinds what it bound and pops its candidates.
     fn solve_rec(
         &mut self,
         rel: &HirRelation,
@@ -380,16 +392,24 @@ impl<'a> EvalCtx<'a> {
         binding: &mut Binding,
         on_solution: &mut dyn FnMut(&mut Self, &mut Binding) -> Result<bool, EvalError>,
     ) -> Result<bool, EvalError> {
-        let mut done = done;
-        let mut trail: Vec<VarId> = Vec::new();
-        // Undo helper used at every exit point.
-        macro_rules! undo {
-            () => {
-                for v in trail.drain(..) {
-                    binding[v.index()] = None;
-                }
-            };
+        let (trail_base, cands_base) = (self.trail.len(), self.cands.len());
+        let result = self.solve_level(rel, constraints, done, binding, on_solution);
+        for v in self.trail.drain(trail_base..) {
+            binding[v.index()] = None;
         }
+        self.cands.truncate(cands_base);
+        result
+    }
+
+    fn solve_level(
+        &mut self,
+        rel: &HirRelation,
+        constraints: &[Constraint],
+        done: u64,
+        binding: &mut Binding,
+        on_solution: &mut dyn FnMut(&mut Self, &mut Binding) -> Result<bool, EvalError>,
+    ) -> Result<bool, EvalError> {
+        let mut done = done;
         // Deterministic pass: consume filters and forced assignments.
         loop {
             let mut progressed = false;
@@ -401,7 +421,6 @@ impl<'a> EvalCtx<'a> {
                     Constraint::Obj { var, model, class } => {
                         if let Some(slot) = binding[var.index()] {
                             let Slot::Obj(o) = slot else {
-                                undo!();
                                 return Ok(false);
                             };
                             let m = &self.models[model.index()];
@@ -410,7 +429,6 @@ impl<'a> EvalCtx<'a> {
                                 .map(|obj| m.metamodel().conforms(obj.class, class))
                                 .unwrap_or(false);
                             if !ok {
-                                undo!();
                                 return Ok(false);
                             }
                             done |= 1 << i;
@@ -428,24 +446,19 @@ impl<'a> EvalCtx<'a> {
                         match rhs {
                             Atom::Lit(v) => {
                                 if actual != v {
-                                    undo!();
                                     return Ok(false);
                                 }
                             }
                             Atom::Var(v) => match binding[v.index()] {
                                 Some(Slot::Val(bound)) => {
                                     if actual != bound {
-                                        undo!();
                                         return Ok(false);
                                     }
                                 }
-                                Some(Slot::Obj(_)) => {
-                                    undo!();
-                                    return Ok(false);
-                                }
+                                Some(Slot::Obj(_)) => return Ok(false),
                                 None => {
                                     binding[v.index()] = Some(Slot::Val(actual));
-                                    trail.push(v);
+                                    self.trail.push(v);
                                 }
                             },
                         }
@@ -460,12 +473,10 @@ impl<'a> EvalCtx<'a> {
                             continue; // branching case, handled below
                         };
                         let Slot::Obj(d) = dslot else {
-                            undo!();
                             return Ok(false);
                         };
                         let model = self.model_of(rel, obj);
                         if !self.models[model.index()].has_link(o, r, d) {
-                            undo!();
                             return Ok(false);
                         }
                         done |= 1 << i;
@@ -479,9 +490,7 @@ impl<'a> EvalCtx<'a> {
         }
         // Complete?
         if done.count_ones() as usize == constraints.len() {
-            let stop = on_solution(self, binding)?;
-            undo!();
-            return Ok(stop);
+            return on_solution(self, binding);
         }
         // Choose the cheapest generator among the remaining
         // constraints. Costs are O(1) index cardinalities — no
@@ -612,7 +621,6 @@ impl<'a> EvalCtx<'a> {
                     }
                     _ => None,
                 });
-            undo!();
             return Err(EvalError::UnboundVar {
                 relation: rel.name,
                 var: unbound
@@ -621,22 +629,25 @@ impl<'a> EvalCtx<'a> {
             });
         };
         // Materialize only the winning generator's candidates (ascending
-        // id order either way — the index iterates ascending).
-        let (idx, var, candidates): (usize, VarId, Vec<ObjId>) = match gen {
+        // id order either way — the index iterates ascending), on top of
+        // the candidate stack.
+        let (models, indexes) = (self.models, self.indexes);
+        let base = self.cands.len();
+        let (idx, var) = match gen {
             Gen::RefTraverse {
                 idx,
                 var,
                 model,
                 src,
                 r,
-            } => (
-                idx,
-                var,
-                self.models[model.index()]
-                    .targets(src, r)
-                    .expect("typed pattern reads a declared reference")
-                    .to_vec(),
-            ),
+            } => {
+                self.cands.extend_from_slice(
+                    models[model.index()]
+                        .targets(src, r)
+                        .expect("typed pattern reads a declared reference"),
+                );
+                (idx, var)
+            }
             Gen::AttrProbe {
                 idx,
                 var,
@@ -645,42 +656,36 @@ impl<'a> EvalCtx<'a> {
                 attr,
                 val,
             } => {
-                let m = &self.models[model.index()];
+                let m = &models[model.index()];
                 let meta = m.metamodel();
-                (
-                    idx,
-                    var,
-                    self.indexes[model.index()]
-                        .by_attr_iter(attr, val)
-                        .filter(|&o| {
-                            m.get(o)
-                                .map(|ob| meta.conforms(ob.class, class))
-                                .unwrap_or(false)
-                        })
-                        .collect(),
-                )
+                self.cands
+                    .extend(indexes[model.index()].by_attr_iter(attr, val).filter(|&o| {
+                        m.get(o)
+                            .map(|ob| meta.conforms(ob.class, class))
+                            .unwrap_or(false)
+                    }));
+                (idx, var)
             }
             Gen::Extent {
                 idx,
                 var,
                 model,
                 class,
-            } => (
-                idx,
-                var,
-                self.indexes[model.index()].extent_iter(class).collect(),
-            ),
+            } => {
+                self.cands.extend(indexes[model.index()].extent_iter(class));
+                (idx, var)
+            }
         };
-        for cand in candidates {
-            binding[var.index()] = Some(Slot::Obj(cand));
-            let stop = self.solve_rec(rel, constraints, done | (1 << idx), binding, on_solution)?;
+        // Deeper levels push above `end` and pop back to it.
+        let end = self.cands.len();
+        for k in base..end {
+            binding[var.index()] = Some(Slot::Obj(self.cands[k]));
+            let stop = self.solve_rec(rel, constraints, done | (1 << idx), binding, on_solution);
             binding[var.index()] = None;
-            if stop {
-                undo!();
+            if stop? {
                 return Ok(true);
             }
         }
-        undo!();
         Ok(false)
     }
 
@@ -851,7 +856,9 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-fn collect_constraint_vars(c: &Constraint, out: &mut Vec<VarId>) {
+/// Appends the variables `c` mentions to `out`, each once, in order of
+/// first mention.
+pub(crate) fn collect_constraint_vars(c: &Constraint, out: &mut Vec<VarId>) {
     match *c {
         Constraint::Obj { var, .. } => {
             if !out.contains(&var) {

@@ -959,8 +959,8 @@ fn parse_edit_op<'a>(
             let class = live
                 .class_of(id)
                 .map_err(|_| format!("no object {} in the model", id.index()))?;
-            let attr = meta
-                .attr_of(class, Sym::new(attr_name.trim()))
+            let attr = Sym::lookup(attr_name.trim())
+                .and_then(|s| meta.attr_of(class, s))
                 .ok_or_else(|| format!("unknown attribute `{}`", attr_name.trim()))?;
             let value = parse_value(rhs.trim(), meta.attr(attr).ty)?;
             let old = live.attr(id, attr).unwrap_or(value);
@@ -982,8 +982,8 @@ fn parse_edit_op<'a>(
             let class = live
                 .class_of(src)
                 .map_err(|_| format!("no object {} in the model", src.index()))?;
-            let r = meta
-                .ref_of(class, Sym::new(ref_name))
+            let r = Sym::lookup(ref_name)
+                .and_then(|s| meta.ref_of(class, s))
                 .ok_or_else(|| format!("unknown reference `{ref_name}`"))?;
             Ok(if verb == "link" {
                 EditOp::AddLink { src, r, dst }

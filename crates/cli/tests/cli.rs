@@ -1211,6 +1211,26 @@ fn serve_store_rejects_unsafe_names() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// A model error names the line and column of the token at fault, not
+/// the end of the file.
+#[test]
+fn check_model_error_points_at_the_offending_token() {
+    let bad = write_fixture(
+        "bad-class",
+        "model",
+        "model cf1 : CF {\n  o1 = Klass { }\n  o2 = Feature { name = \"a\" }\n  \
+         o3 = Feature { name = \"b\" }\n}\n",
+    );
+    let mut args = vec!["check".to_string()];
+    args.extend(data_args());
+    let cf1 = args.iter().position(|a| a.ends_with("cf1.model")).unwrap();
+    args[cf1] = bad.to_string_lossy().into_owned();
+    let (_, stderr, code) = run(args, &[]);
+    let _ = std::fs::remove_file(&bad);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("2:8: unknown class `Klass`"), "{stderr}");
+}
+
 // --- ISSUE 8: `mmt lint` and the serve `lint` verb ---
 
 /// Writes a throwaway spec/metamodel fixture and returns its path.

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::mmt_sync::RwLock;
 
@@ -27,6 +27,14 @@ impl Sym {
     /// Interns `s`, returning its handle. Idempotent.
     pub fn new(s: &str) -> Sym {
         interner().write().expect("interner poisoned").intern(s)
+    }
+
+    /// The handle of `s` if it is interned already. Takes the read lock
+    /// and never inserts, so looking up a name that names nothing (an
+    /// unknown class in a request, say) leaves the table as it was.
+    pub fn lookup(s: &str) -> Option<Sym> {
+        let g = interner().read().expect("interner poisoned");
+        g.map.get(s).map(|&id| Sym(id))
     }
 
     /// Returns the string this symbol denotes (allocates a fresh `String`).
@@ -72,10 +80,12 @@ impl From<String> for Sym {
     }
 }
 
+/// The table. The map and `strings` share each string's one
+/// allocation.
 #[derive(Default)]
 struct Interner {
-    map: HashMap<Box<str>, u32>,
-    strings: Vec<Box<str>>,
+    map: HashMap<Arc<str>, u32>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -84,9 +94,9 @@ impl Interner {
             return Sym(id);
         }
         let id = u32::try_from(self.strings.len()).expect("interner overflow");
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, id);
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.map.insert(shared, id);
         Sym(id)
     }
 
@@ -142,6 +152,16 @@ mod tests {
     fn from_impls() {
         assert_eq!(Sym::from("abc"), Sym::new("abc"));
         assert_eq!(Sym::from(String::from("abc")), Sym::new("abc"));
+    }
+
+    #[test]
+    fn lookup_never_interns() {
+        let fresh = "lookup-probe-never-interned";
+        assert_eq!(Sym::lookup(fresh), None);
+        assert_eq!(Sym::lookup(fresh), None, "a failed lookup inserts nothing");
+        let s = Sym::new("lookup-probe-interned");
+        assert_eq!(Sym::lookup("lookup-probe-interned"), Some(s));
+        assert_eq!(Sym::lookup(""), Some(Sym::EMPTY));
     }
 
     #[test]

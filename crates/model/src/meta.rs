@@ -179,9 +179,10 @@ impl Metamodel {
         self.class_by_name.get(&name).copied()
     }
 
-    /// Looks a class up by name given as a string.
+    /// Looks a class up by name given as a string. Interns nothing: a
+    /// name that is not interned names no class.
     pub fn class_named(&self, name: &str) -> Option<ClassId> {
-        self.class_by_name(Sym::new(name))
+        Sym::lookup(name).and_then(|s| self.class_by_name(s))
     }
 
     /// Resolves an attribute by name on `class`, considering inheritance.
@@ -529,6 +530,15 @@ mod tests {
         let r = mm.ref_of(m, Sym::new("features")).unwrap();
         assert_eq!(mm.reference(r).target, f);
         assert!(mm.reference(r).containment);
+    }
+
+    /// A failed lookup of a fresh name leaves the interner without it.
+    #[test]
+    fn class_named_interns_nothing() {
+        let mm = feature_metamodel();
+        let fresh = "class-named-probe-unknown";
+        assert_eq!(mm.class_named(fresh), None);
+        assert_eq!(Sym::lookup(fresh), None);
     }
 
     #[test]

@@ -353,14 +353,7 @@ impl Model {
         name: &str,
         value: Value,
     ) -> Result<(), ModelError> {
-        let class = self.class_of(obj)?;
-        let attr =
-            self.meta
-                .attr_of(class, Sym::new(name))
-                .ok_or_else(|| ModelError::NoSuchProperty {
-                    class: self.meta.class(class).name.resolve(),
-                    name: name.to_owned(),
-                })?;
+        let attr = self.attr_id_named(obj, name)?;
         self.set_attr(obj, attr, value)
     }
 
@@ -379,15 +372,20 @@ impl Model {
 
     /// Reads attribute named `name` of `obj`.
     pub fn attr_named(&self, obj: ObjId, name: &str) -> Result<Value, ModelError> {
-        let class = self.class_of(obj)?;
-        let attr =
-            self.meta
-                .attr_of(class, Sym::new(name))
-                .ok_or_else(|| ModelError::NoSuchProperty {
-                    class: self.meta.class(class).name.resolve(),
-                    name: name.to_owned(),
-                })?;
+        let attr = self.attr_id_named(obj, name)?;
         self.attr(obj, attr)
+    }
+
+    /// The attribute named `name` on `obj`'s class, through inheritance.
+    /// Interns nothing: a name that is not interned names no attribute.
+    fn attr_id_named(&self, obj: ObjId, name: &str) -> Result<AttrId, ModelError> {
+        let class = self.class_of(obj)?;
+        Sym::lookup(name)
+            .and_then(|s| self.meta.attr_of(class, s))
+            .ok_or_else(|| ModelError::NoSuchProperty {
+                class: self.meta.class(class).name.resolve(),
+                name: name.to_owned(),
+            })
     }
 
     /// Adds a link `src --r--> dst`, keeping the slot sorted and duplicate
@@ -525,6 +523,18 @@ mod tests {
         assert_eq!(m.attr(o, mand).unwrap(), Value::Bool(false));
         m.set_attr_named(o, "mandatory", Value::Bool(true)).unwrap();
         assert_eq!(m.attr_named(o, "mandatory").unwrap(), Value::Bool(true));
+    }
+
+    /// Naming an attribute that does not exist interns nothing.
+    #[test]
+    fn unknown_attr_names_are_not_interned() {
+        let (meta, f, _, _, _, _) = mm();
+        let mut m = Model::new("m", meta);
+        let o = m.add(f).unwrap();
+        let fresh = "attr-named-probe-unknown";
+        assert!(m.attr_named(o, fresh).is_err());
+        assert!(m.set_attr_named(o, fresh, Value::Int(1)).is_err());
+        assert_eq!(Sym::lookup(fresh), None);
     }
 
     #[test]

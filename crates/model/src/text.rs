@@ -23,9 +23,10 @@
 //! ```
 
 use crate::intern::Sym;
-use crate::meta::{ClassId, Metamodel, MetamodelBuilder, Upper};
+use crate::meta::{ClassId, Metamodel, MetamodelBuilder, RefId, Upper};
 use crate::model::{Model, ObjId};
 use crate::value::{AttrType, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -50,160 +51,179 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// An error at byte offset `at` of `src`. Tokens carry only their
+/// offset; the line and column (in characters) are counted here, on
+/// the error path.
+fn error_at(src: &str, at: usize, msg: impl Into<String>) -> ParseError {
+    let before = &src[..at];
+    let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+    ParseError {
+        line: before.bytes().filter(|&b| b == b'\n').count() as u32 + 1,
+        col: before[line_start..].chars().count() as u32 + 1,
+        msg: msg.into(),
+    }
+}
+
+/// A token. Identifiers borrow from the source, and so does a string
+/// literal without escapes.
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Str(String),
+enum Tok<'a> {
+    Ident(&'a str),
+    Str(Cow<'a, str>),
     Int(i64),
     Punct(char),
     DotDot,
     Eof,
 }
 
+/// A name and the byte offset it starts at.
+type Spanned<'a> = (&'a str, usize);
+
 struct Lexer<'a> {
     src: &'a str,
     pos: usize,
-    line: u32,
-    col: u32,
-    /// Position of the token most recently returned by `next`.
-    tok_line: u32,
-    tok_col: u32,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src,
-            pos: 0,
-            line: 1,
-            col: 1,
-            tok_line: 1,
-            tok_col: 1,
-        }
+    fn char_at(&self, pos: usize) -> Option<char> {
+        self.src[pos..].chars().next()
     }
 
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.tok_line,
-            col: self.tok_col,
-            msg: msg.into(),
-        }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.src[self.pos..].chars().next()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn peek_char(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-
+    /// Skips whitespace and `//` comments.
     fn skip_trivia(&mut self) {
         loop {
-            match self.peek_char() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('/') if self.src[self.pos..].starts_with("//") => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
+            let rest = &self.src[self.pos..];
+            if rest.starts_with("//") {
+                self.pos += rest.find('\n').map_or(rest.len(), |i| i + 1);
+            } else if let Some(c) = rest.chars().next().filter(|c| c.is_whitespace()) {
+                self.pos += c.len_utf8();
+            } else {
+                break;
             }
         }
     }
 
-    fn next(&mut self) -> Result<Tok, ParseError> {
+    /// Lexes the next token and returns it with its byte offset.
+    fn next(&mut self) -> Result<(Tok<'a>, usize), ParseError> {
         self.skip_trivia();
-        self.tok_line = self.line;
-        self.tok_col = self.col;
-        let Some(c) = self.peek_char() else {
-            return Ok(Tok::Eof);
+        let start = self.pos;
+        let bytes = self.src.as_bytes();
+        let Some(&b) = bytes.get(start) else {
+            return Ok((Tok::Eof, start));
         };
-        if c.is_alphabetic() || c == '_' {
-            let start = self.pos;
-            while matches!(self.peek_char(), Some(c) if c.is_alphanumeric() || c == '_') {
-                self.bump();
+        let tok = match b {
+            b'"' => self.string(start)?,
+            b'0'..=b'9' | b'-' => {
+                let digits = bytes[start + 1..].iter().take_while(|b| b.is_ascii_digit());
+                self.pos = start + 1 + digits.count();
+                let text = &self.src[start..self.pos];
+                text.parse::<i64>().map(Tok::Int).map_err(|_| {
+                    error_at(self.src, start, format!("bad integer literal `{text}`"))
+                })?
             }
-            return Ok(Tok::Ident(self.src[start..self.pos].to_owned()));
-        }
-        if c.is_ascii_digit() || c == '-' {
-            let start = self.pos;
-            self.bump();
-            while matches!(self.peek_char(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
+            b'.' if bytes.get(start + 1) == Some(&b'.') => {
+                self.pos += 2;
+                Tok::DotDot
             }
-            let text = &self.src[start..self.pos];
-            return text
-                .parse::<i64>()
-                .map(Tok::Int)
-                .map_err(|_| self.err(format!("bad integer literal `{text}`")));
-        }
-        if c == '"' {
-            self.bump();
-            let mut s = String::new();
-            loop {
-                match self.bump() {
-                    None => return Err(self.err("unterminated string literal")),
-                    Some('"') => break,
-                    Some('\\') => match self.bump() {
+            _ => {
+                let c = self.char_at(start).expect("a byte remains");
+                if c.is_alphabetic() || c == '_' {
+                    let len: usize = self.src[start..]
+                        .chars()
+                        .take_while(|&c| c.is_alphanumeric() || c == '_')
+                        .map(char::len_utf8)
+                        .sum();
+                    self.pos += len;
+                    Tok::Ident(&self.src[start..self.pos])
+                } else {
+                    self.pos += c.len_utf8();
+                    Tok::Punct(c)
+                }
+            }
+        };
+        Ok((tok, start))
+    }
+
+    /// Lexes the string literal whose opening quote is at `start`: `\"`,
+    /// `\\` and `\n` are its escapes, and it may span lines. The token
+    /// borrows the source unless the literal holds an escape.
+    fn string(&mut self, start: usize) -> Result<Tok<'a>, ParseError> {
+        let bytes = self.src.as_bytes();
+        let mut owned: Option<String> = None;
+        // `run..i` is the stretch since the last escape, not yet copied.
+        let mut run = start + 1;
+        let mut i = run;
+        loop {
+            match bytes.get(i) {
+                None => return Err(error_at(self.src, start, "unterminated string literal")),
+                Some(b'"') => {
+                    self.pos = i + 1;
+                    let tail = &self.src[run..i];
+                    return Ok(Tok::Str(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    }));
+                }
+                Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(&self.src[run..i]);
+                    match self.char_at(i + 1) {
                         Some('"') => s.push('"'),
                         Some('\\') => s.push('\\'),
                         Some('n') => s.push('\n'),
                         other => {
-                            return Err(self.err(format!("bad escape `\\{:?}`", other)));
+                            return Err(error_at(
+                                self.src,
+                                start,
+                                format!("bad escape `\\{:?}`", other),
+                            ));
                         }
-                    },
-                    Some(c) => s.push(c),
+                    }
+                    i += 2;
+                    run = i;
                 }
+                Some(_) => i += 1,
             }
-            return Ok(Tok::Str(s));
         }
-        if c == '.' && self.src[self.pos..].starts_with("..") {
-            self.bump();
-            self.bump();
-            return Ok(Tok::DotDot);
-        }
-        self.bump();
-        Ok(Tok::Punct(c))
     }
 }
 
 struct Parser<'a> {
     lx: Lexer<'a>,
-    tok: Tok,
+    /// The lookahead token and its byte offset.
+    tok: Tok<'a>,
+    at: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Self, ParseError> {
-        let mut lx = Lexer::new(src);
-        let tok = lx.next()?;
-        Ok(Parser { lx, tok })
+        let mut lx = Lexer { src, pos: 0 };
+        let (tok, at) = lx.next()?;
+        Ok(Parser { lx, tok, at })
     }
 
+    /// An error at byte offset `at`.
+    fn err_at(&self, at: usize, msg: impl Into<String>) -> ParseError {
+        error_at(self.lx.src, at, msg)
+    }
+
+    /// An error at the lookahead token.
     fn err(&self, msg: impl Into<String>) -> ParseError {
-        self.lx.err(msg)
+        self.err_at(self.at, msg)
     }
 
-    fn advance(&mut self) -> Result<Tok, ParseError> {
-        let next = self.lx.next()?;
-        Ok(std::mem::replace(&mut self.tok, next))
+    /// Consumes the lookahead token and returns it with its offset.
+    fn advance(&mut self) -> Result<(Tok<'a>, usize), ParseError> {
+        let (next, next_at) = self.lx.next()?;
+        let at = std::mem::replace(&mut self.at, next_at);
+        Ok((std::mem::replace(&mut self.tok, next), at))
     }
 
     fn expect_punct(&mut self, c: char) -> Result<(), ParseError> {
-        if self.tok == Tok::Punct(c) {
-            self.advance()?;
+        if self.eat_punct(c)? {
             Ok(())
         } else {
             Err(self.err(format!("expected `{c}`, found {:?}", self.tok)))
@@ -211,7 +231,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_punct(&mut self, c: char) -> Result<bool, ParseError> {
-        if self.tok == Tok::Punct(c) {
+        if matches!(self.tok, Tok::Punct(p) if p == c) {
             self.advance()?;
             Ok(true)
         } else {
@@ -219,44 +239,70 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.advance()? {
-            Tok::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
+    fn expect_ident(&mut self) -> Result<Spanned<'a>, ParseError> {
+        let Tok::Ident(s) = self.tok else {
+            return Err(self.err(format!("expected identifier, found {:?}", self.tok)));
+        };
+        let at = self.at;
+        self.advance()?;
+        Ok((s, at))
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        let id = self.expect_ident()?;
-        if id == kw {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{kw}`, found `{id}`")))
+        match self.expect_ident()? {
+            (id, _) if id == kw => Ok(()),
+            (id, at) => Err(self.err_at(at, format!("expected `{kw}`, found `{id}`"))),
         }
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.tok, Tok::Ident(s) if s == kw)
+        matches!(self.tok, Tok::Ident(s) if s == kw)
     }
+
+    fn expect_eof(&self, what: &str) -> Result<(), ParseError> {
+        match self.tok {
+            Tok::Eof => Ok(()),
+            _ => Err(self.err(format!("trailing input after {what}"))),
+        }
+    }
+}
+
+/// One class of a metamodel source.
+struct ClassDecl<'a> {
+    name: Spanned<'a>,
+    supers: Vec<Spanned<'a>>,
+    is_abstract: bool,
+    members: Vec<MemberDecl<'a>>,
+}
+
+enum MemberDecl<'a> {
+    Attr {
+        name: Spanned<'a>,
+        ty: AttrType,
+    },
+    Ref {
+        name: Spanned<'a>,
+        target: Spanned<'a>,
+        lower: u32,
+        upper: Upper,
+        containment: bool,
+    },
 }
 
 /// Parses a metamodel from its textual form.
 pub fn parse_metamodel(src: &str) -> Result<Arc<Metamodel>, ParseError> {
     let mut p = Parser::new(src)?;
     p.expect_keyword("metamodel")?;
-    let name = p.expect_ident()?;
+    let (name, _) = p.expect_ident()?;
     p.expect_punct('{')?;
-    // Two passes over class bodies so forward references work: first
-    // declare classes, then fill members.
-    #[allow(clippy::type_complexity)]
-    let mut decls: Vec<(String, Vec<String>, bool, Vec<MemberDecl>)> = Vec::new();
+    // Every class is declared before any member, so that a supertype or
+    // a reference may name a class declared further down.
+    let mut decls: Vec<ClassDecl<'_>> = Vec::new();
     while !p.eat_punct('}')? {
-        let is_abstract = if p.at_keyword("abstract") {
+        let is_abstract = p.at_keyword("abstract");
+        if is_abstract {
             p.advance()?;
-            true
-        } else {
-            false
-        };
+        }
         p.expect_keyword("class")?;
         let cname = p.expect_ident()?;
         let mut supers = Vec::new();
@@ -272,31 +318,40 @@ pub fn parse_metamodel(src: &str) -> Result<Arc<Metamodel>, ParseError> {
         while !p.eat_punct('}')? {
             members.push(parse_member(&mut p)?);
         }
-        decls.push((cname, supers, is_abstract, members));
+        decls.push(ClassDecl {
+            name: cname,
+            supers,
+            is_abstract,
+            members,
+        });
     }
-    if p.tok != Tok::Eof {
-        return Err(p.err("trailing input after metamodel"));
-    }
-    let mut b = MetamodelBuilder::new(&name);
-    let mut ids: HashMap<String, ClassId> = HashMap::new();
-    for (cname, _, is_abstract, _) in &decls {
+    p.expect_eof("metamodel")?;
+    let mut b = MetamodelBuilder::new(name);
+    let mut ids: HashMap<&str, ClassId> = HashMap::with_capacity(decls.len());
+    for d in &decls {
+        let (cname, at) = d.name;
         let id = b
-            .class_full(cname, &[], *is_abstract)
-            .map_err(|e| p.err(e.to_string()))?;
-        ids.insert(cname.clone(), id);
+            .class_full(cname, &[], d.is_abstract)
+            .map_err(|e| p.err_at(at, e.to_string()))?;
+        ids.insert(cname, id);
     }
-    for (cname, supers, _, members) in &decls {
-        let cid = ids[cname];
-        for s in supers {
-            let sid = *ids
-                .get(s)
-                .ok_or_else(|| p.err(format!("unknown supertype `{s}`")))?;
-            b.add_super(cid, sid).map_err(|e| p.err(e.to_string()))?;
+    let class = |(name, at): Spanned<'_>, what: &str| {
+        ids.get(name)
+            .copied()
+            .ok_or_else(|| p.err_at(at, format!("unknown {what} `{name}`")))
+    };
+    for d in &decls {
+        let cid = ids[d.name.0];
+        for &s in &d.supers {
+            let sid = class(s, "supertype")?;
+            b.add_super(cid, sid)
+                .map_err(|e| p.err_at(s.1, e.to_string()))?;
         }
-        for m in members {
-            match m {
+        for m in &d.members {
+            match *m {
                 MemberDecl::Attr { name, ty } => {
-                    b.attr(cid, name, *ty).map_err(|e| p.err(e.to_string()))?;
+                    b.attr(cid, name.0, ty)
+                        .map_err(|e| p.err_at(name.1, e.to_string()))?;
                 }
                 MemberDecl::Ref {
                     name,
@@ -305,11 +360,9 @@ pub fn parse_metamodel(src: &str) -> Result<Arc<Metamodel>, ParseError> {
                     upper,
                     containment,
                 } => {
-                    let tid = *ids
-                        .get(target)
-                        .ok_or_else(|| p.err(format!("unknown class `{target}`")))?;
-                    b.reference(cid, name, tid, *lower, *upper, *containment)
-                        .map_err(|e| p.err(e.to_string()))?;
+                    let tid = class(target, "class")?;
+                    b.reference(cid, name.0, tid, lower, upper, containment)
+                        .map_err(|e| p.err_at(name.1, e.to_string()))?;
                 }
             }
         }
@@ -321,31 +374,16 @@ pub fn parse_metamodel(src: &str) -> Result<Arc<Metamodel>, ParseError> {
     })
 }
 
-enum MemberDecl {
-    Attr {
-        name: String,
-        ty: AttrType,
-    },
-    Ref {
-        name: String,
-        target: String,
-        lower: u32,
-        upper: Upper,
-        containment: bool,
-    },
-}
-
-fn parse_member(p: &mut Parser<'_>) -> Result<MemberDecl, ParseError> {
+fn parse_member<'a>(p: &mut Parser<'a>) -> Result<MemberDecl<'a>, ParseError> {
     if p.at_keyword("attr") {
         p.advance()?;
         let name = p.expect_ident()?;
         p.expect_punct(':')?;
-        let ty_name = p.expect_ident()?;
-        let ty = match ty_name.as_str() {
-            "Str" => AttrType::Str,
-            "Bool" => AttrType::Bool,
-            "Int" => AttrType::Int,
-            other => return Err(p.err(format!("unknown attribute type `{other}`"))),
+        let ty = match p.expect_ident()? {
+            ("Str", _) => AttrType::Str,
+            ("Bool", _) => AttrType::Bool,
+            ("Int", _) => AttrType::Int,
+            (other, at) => return Err(p.err_at(at, format!("unknown attribute type `{other}`"))),
         };
         p.expect_punct(';')?;
         Ok(MemberDecl::Attr { name, ty })
@@ -357,27 +395,29 @@ fn parse_member(p: &mut Parser<'_>) -> Result<MemberDecl, ParseError> {
         let (mut lower, mut upper) = (0u32, Upper::Many);
         if p.eat_punct('[')? {
             lower = match p.advance()? {
-                Tok::Int(i) if i >= 0 => i as u32,
-                other => return Err(p.err(format!("expected lower bound, found {other:?}"))),
+                (Tok::Int(i), _) if i >= 0 => i as u32,
+                (other, at) => {
+                    return Err(p.err_at(at, format!("expected lower bound, found {other:?}")))
+                }
             };
             if p.tok == Tok::DotDot {
                 p.advance()?;
                 upper = match p.advance()? {
-                    Tok::Int(i) if i >= 0 => Upper::Bounded(i as u32),
-                    Tok::Punct('*') => Upper::Many,
-                    other => return Err(p.err(format!("expected upper bound, found {other:?}"))),
+                    (Tok::Int(i), _) if i >= 0 => Upper::Bounded(i as u32),
+                    (Tok::Punct('*'), _) => Upper::Many,
+                    (other, at) => {
+                        return Err(p.err_at(at, format!("expected upper bound, found {other:?}")))
+                    }
                 };
             } else {
                 upper = Upper::Bounded(lower);
             }
             p.expect_punct(']')?;
         }
-        let containment = if p.at_keyword("containment") {
+        let containment = p.at_keyword("containment");
+        if containment {
             p.advance()?;
-            true
-        } else {
-            false
-        };
+        }
         p.expect_punct(';')?;
         Ok(MemberDecl::Ref {
             name,
@@ -391,114 +431,129 @@ fn parse_member(p: &mut Parser<'_>) -> Result<MemberDecl, ParseError> {
     }
 }
 
+/// The class and property names one model source uses, each resolved
+/// on its first use through a read-only interner lookup. A name the
+/// interner does not hold names nothing, and stays out of it.
+#[derive(Default)]
+struct Names<'a>(HashMap<&'a str, Option<Sym>>);
+
+impl<'a> Names<'a> {
+    fn sym(&mut self, name: &'a str) -> Option<Sym> {
+        *self.0.entry(name).or_insert_with(|| Sym::lookup(name))
+    }
+}
+
+/// A link of a model source, added once every label is known.
+struct PendingLink<'a> {
+    src: ObjId,
+    r: RefId,
+    dst: Spanned<'a>,
+}
+
 /// Parses a model in textual form against a known metamodel.
+///
+/// One pass over the source adds each object as it is declared, so
+/// object ids follow declaration order. String values reach the
+/// interner in file order, and the model's name after them.
 pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError> {
     let mut p = Parser::new(src)?;
     p.expect_keyword("model")?;
-    let name = p.expect_ident()?;
+    let (name, _) = p.expect_ident()?;
     p.expect_punct(':')?;
-    let mm_name = p.expect_ident()?;
-    if Sym::new(&mm_name) != meta.name {
-        return Err(p.err(format!(
-            "model declares metamodel `{mm_name}` but `{}` was supplied",
-            meta.name
-        )));
+    let (mm_name, mm_at) = p.expect_ident()?;
+    if Sym::lookup(mm_name) != Some(meta.name) {
+        return Err(p.err_at(
+            mm_at,
+            format!(
+                "model declares metamodel `{mm_name}` but `{}` was supplied",
+                meta.name
+            ),
+        ));
     }
     p.expect_punct('{')?;
-    // First pass: collect object declarations so links can forward-reference.
-    struct ObjDecl {
-        label: String,
-        class: String,
-        props: Vec<(String, PropValue)>,
-    }
-    enum PropValue {
-        Scalar(Value),
-        Objects(Vec<String>),
-    }
-    let mut decls: Vec<ObjDecl> = Vec::new();
+    // The model and each object open one brace: the object count of a
+    // printed model, and an upper bound unless braces sit in strings or
+    // comments.
+    let objects = src.bytes().filter(|&b| b == b'{').count().saturating_sub(1);
+    let mut model = Model::with_capacity("", Arc::clone(meta), objects);
+    let mut labels: HashMap<&str, ObjId> = HashMap::with_capacity(objects);
+    let mut names = Names::default();
+    // A reference list may name an object declared after it.
+    let mut links: Vec<PendingLink<'_>> = Vec::new();
     while !p.eat_punct('}')? {
-        let label = p.expect_ident()?;
+        let (label, label_at) = p.expect_ident()?;
         p.expect_punct('=')?;
-        let class = p.expect_ident()?;
+        let (cname, class_at) = p.expect_ident()?;
+        let class = names
+            .sym(cname)
+            .and_then(|s| meta.class_by_name(s))
+            .ok_or_else(|| p.err_at(class_at, format!("unknown class `{cname}`")))?;
+        let id = model
+            .add(class)
+            .map_err(|e| p.err_at(class_at, e.to_string()))?;
+        if labels.insert(label, id).is_some() {
+            return Err(p.err_at(label_at, format!("duplicate object label `{label}`")));
+        }
         p.expect_punct('{')?;
-        let mut props = Vec::new();
         while !p.eat_punct('}')? {
-            let pname = p.expect_ident()?;
+            let (pname, pname_at) = p.expect_ident()?;
             p.expect_punct('=')?;
-            let value = if p.eat_punct('[')? {
-                let mut labels = Vec::new();
+            if p.eat_punct('[')? {
+                let r = names
+                    .sym(pname)
+                    .and_then(|s| meta.ref_of(class, s))
+                    .ok_or_else(|| {
+                        p.err_at(
+                            pname_at,
+                            format!("class `{cname}` has no reference `{pname}`"),
+                        )
+                    })?;
                 if !p.eat_punct(']')? {
                     loop {
-                        labels.push(p.expect_ident()?);
+                        let dst = p.expect_ident()?;
+                        links.push(PendingLink { src: id, r, dst });
                         if p.eat_punct(']')? {
                             break;
                         }
                         p.expect_punct(',')?;
                     }
                 }
-                PropValue::Objects(labels)
             } else {
-                match p.advance()? {
-                    Tok::Str(s) => PropValue::Scalar(Value::str(&s)),
-                    Tok::Int(i) => PropValue::Scalar(Value::Int(i)),
-                    Tok::Ident(s) if s == "true" => PropValue::Scalar(Value::Bool(true)),
-                    Tok::Ident(s) if s == "false" => PropValue::Scalar(Value::Bool(false)),
-                    other => return Err(p.err(format!("bad property value {other:?}"))),
-                }
-            };
-            props.push((pname, value));
-            let _ = p.eat_punct(',')?;
-        }
-        decls.push(ObjDecl {
-            label,
-            class,
-            props,
-        });
-    }
-    if p.tok != Tok::Eof {
-        return Err(p.err("trailing input after model"));
-    }
-    let mut model = Model::new(&name, Arc::clone(meta));
-    let mut by_label: HashMap<String, ObjId> = HashMap::new();
-    for d in &decls {
-        let class = meta
-            .class_named(&d.class)
-            .ok_or_else(|| p.err(format!("unknown class `{}`", d.class)))?;
-        let id = model.add(class).map_err(|e| p.err(e.to_string()))?;
-        if by_label.insert(d.label.clone(), id).is_some() {
-            return Err(p.err(format!("duplicate object label `{}`", d.label)));
-        }
-    }
-    for d in &decls {
-        let id = by_label[&d.label];
-        let class = model.class_of(id).expect("just added");
-        for (pname, value) in &d.props {
-            let psym = Sym::new(pname);
-            match value {
-                PropValue::Scalar(v) => {
-                    let attr = meta.attr_of(class, psym).ok_or_else(|| {
-                        p.err(format!("class `{}` has no attribute `{pname}`", d.class))
+                let (tok, at) = p.advance()?;
+                let value = match tok {
+                    Tok::Str(s) => Value::str(&s),
+                    Tok::Int(i) => Value::Int(i),
+                    Tok::Ident("true") => Value::Bool(true),
+                    Tok::Ident("false") => Value::Bool(false),
+                    other => return Err(p.err_at(at, format!("bad property value {other:?}"))),
+                };
+                let attr = names
+                    .sym(pname)
+                    .and_then(|s| meta.attr_of(class, s))
+                    .ok_or_else(|| {
+                        p.err_at(
+                            pname_at,
+                            format!("class `{cname}` has no attribute `{pname}`"),
+                        )
                     })?;
-                    model
-                        .set_attr(id, attr, *v)
-                        .map_err(|e| p.err(e.to_string()))?;
-                }
-                PropValue::Objects(labels) => {
-                    let r = meta.ref_of(class, psym).ok_or_else(|| {
-                        p.err(format!("class `{}` has no reference `{pname}`", d.class))
-                    })?;
-                    for l in labels {
-                        let dst = *by_label
-                            .get(l)
-                            .ok_or_else(|| p.err(format!("unknown object label `{l}`")))?;
-                        model
-                            .add_link(id, r, dst)
-                            .map_err(|e| p.err(e.to_string()))?;
-                    }
-                }
+                model
+                    .set_attr(id, attr, value)
+                    .map_err(|e| p.err_at(at, e.to_string()))?;
             }
+            p.eat_punct(',')?;
         }
     }
+    p.expect_eof("model")?;
+    for PendingLink { src, r, dst } in links {
+        let (label, at) = dst;
+        let dst = *labels
+            .get(label)
+            .ok_or_else(|| p.err_at(at, format!("unknown object label `{label}`")))?;
+        model
+            .add_link(src, r, dst)
+            .map_err(|e| p.err_at(at, e.to_string()))?;
+    }
+    model.name = Sym::new(name);
     Ok(model)
 }
 
@@ -674,8 +729,114 @@ metamodel X {
     #[test]
     fn errors_carry_positions() {
         let err = parse_metamodel("metamodel X {\n  klass Y {}\n}").unwrap_err();
-        assert_eq!(err.line, 2);
+        assert_eq!((err.line, err.col), (2, 3));
         assert!(err.msg.contains("class"));
+    }
+
+    /// `line:col` of `err`, for comparing with the expected position.
+    fn at(err: &ParseError) -> (u32, u32, &str) {
+        (err.line, err.col, err.msg.as_str())
+    }
+
+    /// Names are resolved as the parse reaches them, so an error names
+    /// the token at fault, not the end of the input.
+    #[test]
+    fn model_errors_point_at_the_offending_token() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        let cases: [(&str, (u32, u32, &str)); 7] = [
+            (
+                "model m : FM {\n  o1 = Klass { }\n  o2 = Feature { name = \"a\" }\n  \
+                 o3 = Feature { name = \"b\" }\n}\n",
+                (2, 8, "unknown class `Klass`"),
+            ),
+            (
+                "model m : FM {\n  f = Feature { }\n  f = Feature { }\n}\n",
+                (3, 3, "duplicate object label `f`"),
+            ),
+            (
+                "model m : FM {\n  f1 = Feature { }\n  \
+                 root = FeatureModel { features = [f1, ghost] }\n}\n",
+                (3, 41, "unknown object label `ghost`"),
+            ),
+            (
+                "model m : FM {\n  f = Feature { colour = \"red\" }\n}\n",
+                (2, 17, "class `Feature` has no attribute `colour`"),
+            ),
+            (
+                "model m : FM {\n  f = Feature { parts = [f] }\n}\n",
+                (2, 17, "class `Feature` has no reference `parts`"),
+            ),
+            (
+                "model m : FM {\n  f = Feature { mandatory = \"yes\" }\n}\n",
+                (2, 29, "attribute `mandatory` expects Bool, got Str"),
+            ),
+            (
+                "model m : FM {\n  r = FeatureModel { }\n  \
+                 root = FeatureModel { features = [r] }\n}\n",
+                (3, 37, "reference `features`: target @0 has wrong type"),
+            ),
+        ];
+        for (src, want) in cases {
+            let err = parse_model(src, &mm).unwrap_err();
+            assert_eq!(at(&err), want, "{src}");
+        }
+    }
+
+    #[test]
+    fn metamodel_errors_point_at_the_offending_token() {
+        let err = parse_metamodel("metamodel X {\n  class A extends Ghost { }\n}\n").unwrap_err();
+        assert_eq!(at(&err), (2, 19, "unknown supertype `Ghost`"));
+        let err = parse_metamodel("metamodel X {\n  class A { ref b: Ghost; }\n}\n").unwrap_err();
+        assert_eq!(at(&err), (2, 20, "unknown class `Ghost`"));
+        let err = parse_metamodel("metamodel X {\n  class A { }\n  class A { }\n}\n").unwrap_err();
+        assert_eq!(at(&err), (3, 9, "duplicate class `A`"));
+    }
+
+    /// Columns count characters, not bytes, and lexer errors point at
+    /// the start of their token.
+    #[test]
+    fn lexer_errors_point_at_their_token() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        let err =
+            parse_model("model m : FM {\n  é = Feature { name = \"a\\tb\" }\n}", &mm).unwrap_err();
+        assert_eq!(at(&err), (2, 24, "bad escape `\\Some('t')`"));
+        let err = parse_model("model m : FM {\n  f = Feature { name = \"open", &mm).unwrap_err();
+        assert_eq!(at(&err), (2, 24, "unterminated string literal"));
+    }
+
+    /// Search repairs break ties by intern index (see ROADMAP), so the
+    /// parser must intern a model's new strings in file order, and its
+    /// name after them.
+    #[test]
+    fn values_intern_in_file_order_before_the_model_name() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        let src = r#"model intern_order_guard_model : FM {
+  a = Feature { name = "intern-order-guard-c" }
+  b = Feature { name = "intern-order-guard-a" }
+  c = Feature { name = "intern-order-guard-b" }
+}"#;
+        let m = parse_model(src, &mm).unwrap();
+        let syms: Vec<u32> = m
+            .objects()
+            .map(|(id, _)| m.attr_named(id, "name").unwrap().as_sym().unwrap().index())
+            .collect();
+        assert!(syms.windows(2).all(|w| w[0] < w[1]), "{syms:?}");
+        assert!(m.name.index() > syms[2]);
+        assert_eq!(m.name.resolve(), "intern_order_guard_model");
+    }
+
+    #[test]
+    fn unknown_names_are_not_interned() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        let src = "model m : FM { f = UnknownClassProbe { } }";
+        assert!(parse_model(src, &mm).is_err());
+        assert_eq!(Sym::lookup("UnknownClassProbe"), None);
+        let src = "model m : FM { f = Feature { unknownPropProbe = 1 } }";
+        assert!(parse_model(src, &mm).is_err());
+        assert_eq!(Sym::lookup("unknownPropProbe"), None);
+        let src = "model m : UnknownMetamodelProbe { }";
+        assert!(parse_model(src, &mm).is_err());
+        assert_eq!(Sym::lookup("UnknownMetamodelProbe"), None);
     }
 
     #[test]

@@ -86,6 +86,90 @@ fn build_model(meta: &Arc<Metamodel>, script: &[(u8, u8, i64)]) -> Model {
     m
 }
 
+/// Parses `src`, then prints and parses the result again: both parses
+/// must give the same graph over the same id space.
+fn round_trip(meta: &Arc<Metamodel>, src: &str) -> Model {
+    let first = parse_model(src, meta).expect("source parses");
+    let printed = print_model(&first);
+    let second = parse_model(&printed, meta).expect("printer output parses");
+    assert!(first.graph_eq(&second), "{src}\n--- printed ---\n{printed}");
+    assert_eq!(first.id_bound(), second.id_bound());
+    first
+}
+
+/// The `name` of every object, in id order.
+fn names(m: &Model) -> Vec<String> {
+    m.objects()
+        .map(|(id, _)| m.attr_named(id, "name").unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn escapes_round_trip() {
+    let meta = rich_metamodel();
+    let m = round_trip(
+        &meta,
+        r#"model m : Rich {
+  a = Item { name = "say \"hi\"", weight = -3 }
+  b = Item { name = "back\\slash", fragile = true }
+  c = Item { name = "two\nlines" }
+  d = Bin { name = "plain", holds = [a, b, c] }
+}"#,
+    );
+    assert_eq!(
+        names(&m),
+        [
+            r#""say \"hi\"""#,
+            r#""back\\slash""#,
+            r#""two\nlines""#,
+            r#""plain""#
+        ]
+    );
+}
+
+#[test]
+fn raw_newlines_in_strings_round_trip() {
+    let meta = rich_metamodel();
+    let m = round_trip(
+        &meta,
+        "model m : Rich {\n  a = Item { name = \"first\nsecond\n\" }\n  b = Bin { name = \"\" }\n}\n",
+    );
+    assert_eq!(names(&m), [r#""first\nsecond\n""#, r#""""#]);
+}
+
+#[test]
+fn non_ascii_labels_and_values_round_trip() {
+    let meta = rich_metamodel();
+    let m = round_trip(
+        &meta,
+        "model m : Rich {\n  größe = Item { name = \"Straße ✓\", weight = 7 }\n  \
+         箱 = Bin { name = \"日本\", holds = [größe], next = [箱] }\n}\n",
+    );
+    assert_eq!(names(&m), [r#""Straße ✓""#, r#""日本""#]);
+}
+
+#[test]
+fn comments_round_trip() {
+    let meta = rich_metamodel();
+    let m = round_trip(
+        &meta,
+        "// header\nmodel m : Rich { // opening\n  a = Item { name = \"x // not a comment\" } // after\n  \
+         // between\n  b = Bin { holds = [a] }\n} // trailing",
+    );
+    assert_eq!(names(&m), [r#""x // not a comment""#, r#""""#]);
+}
+
+#[test]
+fn crlf_line_ends_round_trip() {
+    let meta = rich_metamodel();
+    let src = "model m : Rich {\r\n  a = Item { name = \"x\",\r\n    weight = 2 }\r\n  \
+               b = Bin { name = \"y\", holds = [a] }\r\n}\r\n";
+    let m = round_trip(&meta, src);
+    assert_eq!(names(&m), [r#""x""#, r#""y""#]);
+    let lf = parse_model(&src.replace("\r\n", "\n"), &meta).unwrap();
+    assert!(m.graph_eq(&lf));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -282,14 +282,14 @@ impl Hir {
         &self.relations[id.index()]
     }
 
-    /// Relation lookup by name.
+    /// Relation lookup by name. Interns nothing.
     pub fn relation_named(&self, name: &str) -> Option<RelId> {
-        self.rel_by_name.get(&Sym::new(name)).copied()
+        self.rel_by_name.get(&Sym::lookup(name)?).copied()
     }
 
-    /// Model-parameter lookup by name.
+    /// Model-parameter lookup by name. Interns nothing.
     pub fn model_named(&self, name: &str) -> Option<DomIdx> {
-        let sym = Sym::new(name);
+        let sym = Sym::lookup(name)?;
         self.models
             .iter()
             .position(|m| m.name == sym)

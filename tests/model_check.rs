@@ -238,6 +238,28 @@ fn interner_races_yield_one_symbol_per_string() {
     println!("interner_races_yield_one_symbol_per_string: {iters} interleavings");
 }
 
+/// A lookup racing the first intern of its string sees the string
+/// either absent or under the one symbol the intern returns, never a
+/// second one, and a lookup never inserts.
+#[test]
+fn lookup_racing_intern_sees_none_or_the_winner() {
+    let iters = loomlite::explore(|| {
+        let looker = thread::spawn(|| Sym::lookup("model-check-lookup-probe"));
+        let interned = Sym::new("model-check-lookup-probe");
+        let seen = looker.join().expect("no panics");
+        if seen.is_some_and(|s| s != interned) {
+            loomlite::fail("a lookup saw a symbol the intern did not return");
+        }
+        if Sym::lookup("model-check-lookup-probe") != Some(interned) {
+            loomlite::fail("a later lookup misses the interned string");
+        }
+        if Sym::lookup("model-check-lookup-never-interned").is_some() {
+            loomlite::fail("a lookup inserted its string");
+        }
+    });
+    println!("lookup_racing_intern_sees_none_or_the_winner: {iters} interleavings");
+}
+
 // ---------------------------------------------------------------------------
 // Seeded-bug selftests: plant the bug the discipline forbids in a local
 // replica of the hub pattern and assert the checker *reports* it.  These are

@@ -22,8 +22,8 @@ use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
 
 use mmt_bench::{
-    broken_workload, consistent_workload, drift_new_mandatory, paper_transformation, run_cold,
-    run_cold_scenario, run_warm, run_warm_scenario,
+    broken_workload, c2t_sources, consistent_workload, drift_new_mandatory, paper_transformation,
+    parse_c2t, run_cold, run_cold_scenario, run_warm, run_warm_scenario, C2T_ATTRS,
 };
 use mmtf::check::{Checker, DeltaChecker, DeltaStats, EvalStats};
 use mmtf::core::{EngineKind, SessionOptions, Shape, SyncSession, Transformation};
@@ -340,6 +340,41 @@ fn warm_repairs() -> &'static [WarmRepair] {
     })
 }
 
+/// One cold open of `bench_check_scale`'s `open` group: both sides of
+/// the class↔RDBMS tuple parsed from text (`mmt_bench::c2t_sources`),
+/// then a `DeltaChecker` built over them.
+struct Open {
+    classes: usize,
+    /// Objects per side.
+    objects: usize,
+    parse_allocs: u64,
+    check_allocs: u64,
+    eval: EvalStats,
+}
+
+fn measure_open(classes: usize) -> Open {
+    let (t, sources) = c2t_sources(classes);
+    parse_c2t(&t, &sources);
+    let (parse_allocs, models) = counted(|| parse_c2t(&t, &sources));
+    let open = || DeltaChecker::new(t.hir_arc(), &models).unwrap();
+    open();
+    let (check_allocs, checker) = counted(open);
+    Open {
+        classes,
+        objects: classes * (C2T_ATTRS + 1),
+        parse_allocs,
+        check_allocs,
+        eval: checker.report().stats,
+    }
+}
+
+/// `open` at 10³ and 10⁴ objects per side; measured once per test
+/// binary run.
+fn opens() -> &'static [Open] {
+    static ROWS: OnceLock<Vec<Open>> = OnceLock::new();
+    ROWS.get_or_init(|| [100, 1000].map(measure_open).into())
+}
+
 /// The whole pin text, in a fixed row order.
 fn render_work_counts() -> String {
     let mut out = String::new();
@@ -378,6 +413,17 @@ fn render_work_counts() -> String {
             out,
             "repair/warm_sat/fm{} allocs={} cost={}",
             r.n, r.allocs, r.cost
+        )
+        .unwrap();
+    }
+    for o in opens() {
+        writeln!(out, "open/parse/c2t{} allocs={}", o.classes, o.parse_allocs).unwrap();
+        writeln!(
+            out,
+            "open/check/c2t{} allocs={} {}",
+            o.classes,
+            o.check_allocs,
+            eval_fields(o.eval)
         )
         .unwrap();
     }
@@ -446,6 +492,25 @@ fn warm_repair_allocations_do_not_grow_with_n() {
         small.n,
         large.allocs,
         large.n
+    );
+}
+
+/// A parse allocates per object, not per model: ten times the objects
+/// may not cost more allocations per object.
+#[test]
+fn parse_allocations_per_object_do_not_grow() {
+    let [small, large] = opens() else {
+        unreachable!("two sizes")
+    };
+    let per_object = |o: &Open| o.parse_allocs as f64 / (2 * o.objects) as f64;
+    assert!(
+        per_object(large) <= per_object(small),
+        "a parse allocates {:.3} times per object at {} objects per side \
+         but {:.3} at {}",
+        per_object(small),
+        small.objects,
+        per_object(large),
+        large.objects
     );
 }
 
