@@ -3,13 +3,17 @@
 //! incremental path should be roughly flat in model size (the edit
 //! touches one object), while the full recheck grows with `n`.
 //! `tests/work_counts.rs` pins the exact work of the same edit and
-//! recheck at the same sizes.
+//! recheck at the same sizes. The `check_incremental_c2t` group does
+//! the same for nested templates: an attribute unlink and an attribute
+//! rename on the class↔RDBMS tuple, each with its undo, at 10³–10⁵
+//! objects per side (the work-count pin's `edit/c2t*` rows count them
+//! at 10³ and 10⁴).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmt_bench::consistent_workload;
+use mmt_bench::{c2t_edit, c2t_sources, consistent_workload, edit_and_undo, parse_c2t, C2T_ATTRS};
 use mmt_check::{Checker, DeltaChecker};
 use mmt_deps::DomIdx;
-use mmt_dist::EditOp;
+use mmt_dist::{Delta, EditOp};
 use mmt_model::{ObjId, Sym, Value};
 
 /// `MMT_BENCH_XL=1` extends the grid to n = 10⁶ (minutes of workload
@@ -75,5 +79,35 @@ fn bench_check_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_check_incremental);
+/// One servebench cycle without the session: a nested-template edit on
+/// the middle class of the C2T tuple, then its undo, through a warm
+/// checker.
+fn bench_check_incremental_c2t(c: &mut Criterion) {
+    let mut group = c.benchmark_group("check_incremental_c2t");
+    group.sample_size(10);
+    for classes in [100usize, 1000, 10_000] {
+        let objects = classes * (C2T_ATTRS + 1);
+        let (t, sources) = c2t_sources(classes);
+        let mut checker = DeltaChecker::new(t.hir_arc(), &parse_c2t(&t, &sources)).unwrap();
+        let mut landed = Delta::new();
+        for kind in ["attr_unlink", "attr_rename"] {
+            let (m, op) = c2t_edit(checker.models(), kind, classes / 2, C2T_ATTRS / 2);
+            edit_and_undo(&mut checker, m, &op, &mut landed);
+            group.bench_with_input(BenchmarkId::new(kind, objects), &op, |b, op| {
+                b.iter(|| edit_and_undo(&mut checker, m, op, &mut landed))
+            });
+            assert!(
+                checker.consistent(),
+                "{kind} and its undo restore the tuple"
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_check_incremental,
+    bench_check_incremental_c2t
+);
 criterion_main!(benches);

@@ -5,6 +5,7 @@
 //! pinned by `tests/work_counts.rs`, which replays the same steps as
 //! the benches.
 
+use mmt_check::DeltaChecker;
 use mmt_core::{EngineKind, SessionOptions, Shape, SyncSession, Transformation};
 use mmt_deps::{DomIdx, DomSet};
 use mmt_dist::{Delta, EditOp};
@@ -93,10 +94,7 @@ pub const C2T_ATTRS: usize = 9;
 /// `classes × 10` objects per side. Returns the transformation and the
 /// two sources, printed by [`print_model`]; parsing them is a cold open.
 ///
-/// The names carry a `_c2t` tag, as servebench tags them with its seed,
-/// so they are fresh in a process that also runs the corpus scenario,
-/// whose tuple names `C0`, `f0_0`, …: search repairs break ties by
-/// intern index, and interning those names early would reorder them.
+/// The names carry a `_c2t` tag, as servebench tags them with its seed.
 pub fn c2t_sources(classes: usize) -> (Transformation, [String; 2]) {
     let t = Transformation::from_sources(
         &mmt_gen::scenario::class2rdbms_transformation_source(),
@@ -147,6 +145,75 @@ pub fn parse_c2t(t: &Transformation, sources: &[String; 2]) -> Vec<Model> {
         .zip(&t.hir().models)
         .map(|(src, param)| parse_model(src, &param.meta).expect("printed model parses"))
         .collect()
+}
+
+/// The edit kinds of servebench's `edit_c2t_1e5`, cheap band first:
+/// unlink an attribute from its class, rename a class, rename an
+/// attribute, rename a column, delete an attribute. The last three read
+/// a nested template from its inner end.
+pub const C2T_EDITS: [&str; 5] = [
+    "attr_unlink",
+    "class_rename",
+    "attr_rename",
+    "col_rename",
+    "attr_del",
+];
+
+/// The edit of kind `kind` (one of [`C2T_EDITS`]) on class `c` and its
+/// attribute `a` (or that attribute's column) of the tuple [`parse_c2t`]
+/// gives: the model it edits and the op. Renames pick a name no other
+/// object carries.
+pub fn c2t_edit(models: &[Model], kind: &str, c: usize, a: usize) -> (DomIdx, EditOp) {
+    let m = if kind == "col_rename" { 1 } else { 0 };
+    let model = &models[m];
+    let meta = model.metamodel();
+    // The printed sources list each class before its attributes, and
+    // parsing numbers objects in text order.
+    let owner = ObjId((c * (C2T_ATTRS + 1)) as u32);
+    let member = ObjId(owner.0 + 1 + a as u32);
+    let rename = |id: ObjId| {
+        let class = model.class_of(id).expect("live object");
+        let name = meta.attr_of(class, Sym::new("name")).expect("static attr");
+        EditOp::SetAttr {
+            id,
+            attr: name,
+            value: Value::str("renamed_c2t"),
+            old: model.attr(id, name).expect("typed"),
+        }
+    };
+    let op = match kind {
+        "attr_unlink" => EditOp::DelLink {
+            src: owner,
+            r: meta
+                .ref_of(
+                    meta.class_named("Class").expect("static class"),
+                    Sym::new("attrs"),
+                )
+                .expect("static ref"),
+            dst: member,
+        },
+        "class_rename" => rename(owner),
+        "attr_rename" | "col_rename" => rename(member),
+        "attr_del" => EditOp::DelObj {
+            id: member,
+            class: model.class_of(member).expect("live object"),
+        },
+        _ => panic!("unknown C2T edit kind `{kind}`"),
+    };
+    (DomIdx(m as u8), op)
+}
+
+/// One cycle of servebench's edit and rollback, without the session:
+/// applies `op` to `checker` in its exactly invertible form (journalled
+/// into `landed`, cleared first), then undoes it op by op.
+pub fn edit_and_undo(checker: &mut DeltaChecker, model: DomIdx, op: &EditOp, landed: &mut Delta) {
+    landed.truncate(0);
+    checker
+        .apply_expanded(model, op, landed)
+        .expect("edit applies");
+    for op in landed.ops().iter().rev() {
+        checker.apply(model, &op.inverse()).expect("undo applies");
+    }
 }
 
 /// The §2.1 loophole triple: empty configurations, one mandatory feature.

@@ -19,22 +19,39 @@
 //! (source patterns + `when`), the **witness** footprint (target
 //! pattern + `where`), and the **call** footprint (everything reachable
 //! through relation invocations). An edit that misses all three footprints of a
-//! check leaves it untouched. An edit that hits only one side triggers a
-//! *partial* update at object granularity:
+//! check leaves it untouched. An edit that hits a side triggers a
+//! *partial* update of that side. Link edits are link-granular:
 //!
-//! * universal side — matches binding an edited object are dropped and
+//! * a pattern reads a link only through a `RefContains` of its
+//!   reference, binding both endpoints (`when` and `where` read none),
+//!   so a `DelLink` drops exactly the universal matches that bind the
+//!   link's two endpoints at such a constraint and enumerates nothing,
+//!   and re-probes exactly the witnesses that read both endpoints;
+//! * an `AddLink` keeps every match and every witness, and enumerates
+//!   only the bindings that pin both endpoints at a `RefContains` of the
+//!   reference: universal bindings that the new link completes, and for
+//!   each violation, witnesses through the new link.
+//!
+//! The other edits (`SetAttr`, `AddObj`, `DelObj`) are object-granular:
+//!
+//! * universal side — matches binding the edited object are dropped and
 //!   re-enumerated with the edited object *pinned*, so only the join
 //!   slice through that object is recomputed (a fresh universal match
 //!   must bind the edited object, because every pattern read is a read
 //!   of a bound object's slots);
 //! * witness side — a surviving witness is re-probed only when it bound
-//!   an edited object (or the `where` clause reads one); a violation is
+//!   the edited object (or reads it through a universal variable: in
+//!   the `where` clause, or in the target pattern at a variable that
+//!   `when` binds); a violation is
 //!   re-probed with the edited object pinned into the target pattern,
 //!   because under the positive pattern language a *new* witness must
 //!   bind it. Purely destructive edits ([`EditOp::is_destructive_only`])
 //!   skip the violation re-probe entirely — deletions never create
 //!   witnesses.
 //!
+//! Either way the pinned enumeration is O(|edit|) when the evaluator
+//! can match a pattern outward from the pinned objects, which its
+//! reverse reference traversal lets it do from either end of a link.
 //! Edits that reach a check through a relation call fall back to a full
 //! re-evaluation of that one check (the call memo lives for one update,
 //! so repeated calls at the same roots are evaluated once).
@@ -86,8 +103,9 @@ use crate::{CheckError, CheckOptions, CheckReport, DirectionalOutcome, Violation
 use mmt_deps::{Dep, DomIdx};
 use mmt_dist::{Delta, EditOp};
 use mmt_model::fx::{FxHashMap, FxHashSet};
-use mmt_model::{ClassId, Model, ModelError, ObjId, RefId};
+use mmt_model::{ClassId, Model, ModelError, ObjId, RefId, Value};
 use mmt_qvtr::{Constraint, Hir, HirRelation, RelId, VarId};
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -142,7 +160,7 @@ pub struct DeltaStats {
     pub edits: u64,
     /// Directional checks an edit left untouched (footprint miss).
     pub checks_skipped: u64,
-    /// Partial (object-granular) check updates performed.
+    /// Partial (object- or link-granular) check updates performed.
     pub partial_updates: u64,
     /// Full single-check re-evaluations (call-reachable edits).
     pub full_reevals: u64,
@@ -157,20 +175,71 @@ struct CheckStatics {
     /// Universal-side object variables, with their models (pin points
     /// for re-enumeration).
     uni_pins: Vec<(DomIdx, VarId)>,
-    /// Witness-side object variables, with their models.
+    /// Witness-side object variables the universal side does not bind,
+    /// with their models (pin points for a new witness).
     wit_pins: Vec<(DomIdx, VarId)>,
     /// The object variables a witness probe binds — every object
     /// variable of the target constraints that the universal side does
     /// not bind — ascending, with their models: what a witness records.
     wit_objs: Vec<(DomIdx, VarId)>,
-    /// Universal-side object variables the `where` clause reads.
-    where_uni_vars: Vec<VarId>,
+    /// Universal-side object variables the witness side reads: those
+    /// the `where` clause reads, and those the target pattern names (a
+    /// target-domain variable that `when` reads is bound universally).
+    wit_uni_vars: Vec<VarId>,
     /// Per-model universal footprint (source patterns + `when`).
     uni_fp: Vec<Footprint>,
     /// Per-model witness footprint (target pattern + `where`).
     wit_fp: Vec<Footprint>,
     /// Per-model footprint of everything reachable through calls.
     call_fp: Vec<Footprint>,
+}
+
+/// One `RefContains { obj, r, dst }` of a check side: the side reads
+/// the links of `r` from the object bound at `obj` to the one bound at
+/// `dst`, both in `model`.
+#[derive(Clone, Copy, Debug)]
+struct LinkRead {
+    model: DomIdx,
+    obj: VarId,
+    dst: VarId,
+}
+
+/// The reads of links of `r` in `model` among the constraints `cs` of
+/// one side of a check.
+fn link_reads<'a>(
+    rel: &'a HirRelation,
+    cs: &'a [Constraint],
+    model: DomIdx,
+    r: RefId,
+) -> impl Iterator<Item = LinkRead> + Clone + 'a {
+    cs.iter().filter_map(move |c| match *c {
+        Constraint::RefContains { obj, r: via, dst }
+            if via == r && var_model(rel, obj) == Some(model) =>
+        {
+            Some(LinkRead { model, obj, dst })
+        }
+        _ => None,
+    })
+}
+
+impl LinkRead {
+    /// Binds the endpoints of a link from `src` to `dst` into `b` at
+    /// this read. False, leaving `b` partly bound, when `b` binds an
+    /// endpoint variable to another object already (or one variable
+    /// would take both ends of a link between two objects).
+    fn pin(&self, b: &mut Binding, src: ObjId, dst: ObjId) -> bool {
+        for (var, o) in [(self.obj, src), (self.dst, dst)] {
+            match b[var.index()] {
+                Some(slot) => {
+                    if slot != Slot::Obj(o) {
+                        return false;
+                    }
+                }
+                None => b[var.index()] = Some(Slot::Obj(o)),
+            }
+        }
+        true
+    }
 }
 
 /// One universal binding with its witness state: the heart of the
@@ -181,6 +250,22 @@ struct MatchEntry {
     binding: Binding,
     witnessed: bool,
     witness_objs: Vec<(DomIdx, ObjId)>,
+}
+
+impl MatchEntry {
+    /// Whether this entry reads the link from `src` to `dst` through
+    /// `lr`: an endpoint the universal binding binds must hold its
+    /// object there, and one left to the witness must be among the
+    /// witness's objects. The record keeps those without their
+    /// variables, so a witness can pass for reading a link it does not
+    /// read — which costs a needless re-probe, never a missed one.
+    fn reads_link(&self, lr: &LinkRead, src: ObjId, dst: ObjId) -> bool {
+        let reads = |var: VarId, o: ObjId| match self.binding[var.index()] {
+            Some(slot) => slot == Slot::Obj(o),
+            None => self.witness_objs.contains(&(lr.model, o)),
+        };
+        reads(lr.obj, src) && reads(lr.dst, dst)
+    }
 }
 
 /// One directional check: shared statics plus the live match state.
@@ -445,6 +530,56 @@ impl MatchState {
                 out.push(slot as u32);
             }
         }
+    }
+
+    /// Fills `out` with the live slots whose entry reads the link from
+    /// `src` to `dst` through one of `reads` ([`MatchEntry::reads_link`]),
+    /// ascending and once each. Indexed, each read walks the smaller of
+    /// its two endpoint buckets: `by_obj` for an endpoint among
+    /// `uni_vars`, `by_wit` for one the witness binds; below the
+    /// threshold, the slab.
+    fn collect_slots_reading_link(
+        &self,
+        reads: impl Iterator<Item = LinkRead> + Clone,
+        uni_vars: &[VarId],
+        src: ObjId,
+        dst: ObjId,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        if !self.indexed {
+            for (slot, e) in self.slab.iter().enumerate() {
+                let Some(e) = e else { continue };
+                if reads.clone().any(|lr| e.reads_link(&lr, src, dst)) {
+                    out.push(slot as u32);
+                }
+            }
+            return;
+        }
+        for lr in reads {
+            let bucket = |var: VarId, o: ObjId| {
+                let index = if uni_vars.contains(&var) {
+                    &self.by_obj
+                } else {
+                    &self.by_wit
+                };
+                index.get(&(lr.model, o)).map_or(&[][..], Vec::as_slice)
+            };
+            let (from_src, from_dst) = (bucket(lr.obj, src), bucket(lr.dst, dst));
+            let smaller = if from_src.len() <= from_dst.len() {
+                from_src
+            } else {
+                from_dst
+            };
+            out.extend(
+                smaller
+                    .iter()
+                    .copied()
+                    .filter(|&s| self.entry(s).reads_link(&lr, src, dst)),
+            );
+        }
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Violating entries in canonical slab order — walked off the slot
@@ -813,6 +948,7 @@ impl DeltaChecker {
                     st,
                     &mut check.state,
                     model,
+                    op,
                     affected,
                     live,
                     &mut self.scratch,
@@ -876,12 +1012,15 @@ impl DeltaChecker {
     }
 
     /// Visits up to `cap` violating universal bindings per directional
-    /// check, in *canonical* order — sorted by binding content, not by
-    /// cache history. The enforcement search derives its repair
-    /// candidates from these, and canonical order is what makes a warm
-    /// (incrementally maintained) checker and a freshly built one drive
-    /// the search identically: both hold the same violation multiset,
-    /// but their internal match orders differ after incremental updates.
+    /// check, in *canonical* order — sorted by binding content, strings
+    /// by their text, not by cache history or intern order. The
+    /// enforcement search derives its repair candidates from these, and
+    /// canonical order is what makes a warm (incrementally maintained)
+    /// checker and a freshly built one drive the search identically:
+    /// both hold the same violation multiset, but their internal match
+    /// orders differ after incremental updates. Content order makes two
+    /// processes that interned their strings in different orders drive
+    /// it identically too.
     pub fn for_each_violation(&self, cap: usize, mut f: impl FnMut(RelId, Dep, &Binding)) {
         for c in &self.checks {
             if c.state.violations() == 0 {
@@ -889,7 +1028,7 @@ impl DeltaChecker {
             }
             let mut violating: Vec<&MatchEntry> = c.state.violating_entries().collect();
             if violating.len() > 1 {
-                violating.sort_by_cached_key(|e| binding_key(&e.binding));
+                violating.sort_by(|a, b| cmp_bindings(&a.binding, &b.binding));
             }
             for e in violating.into_iter().take(cap) {
                 f(c.statics.rel, c.statics.dep, &e.binding);
@@ -948,30 +1087,42 @@ impl DeltaChecker {
     }
 }
 
-/// Total sort key over bindings (slot-wise, by slot content), used to
-/// canonicalize violation enumeration. Within one check every binding
-/// has the same length and shape, so the element-wise key is a genuine
-/// total order there. String values key on their intern index — stable
-/// within a process, which is all the warm-vs-cold identity needs.
-fn binding_key(b: &Binding) -> Vec<(u8, u64)> {
-    fn slot_key(s: &Option<Slot>) -> (u8, u64) {
+/// The canonical order of violation enumeration: bindings compared slot
+/// by slot, in place. Unbound slots sort first, then objects by id,
+/// then booleans, integers and strings, each by value, strings by their
+/// text ([`mmt_model::Sym::cmp_text`]), so the order depends on the
+/// tuple alone and not on which strings the process interned first.
+/// Within one check every binding has the same length and shape, so
+/// this is a total order there.
+fn cmp_bindings(a: &Binding, b: &Binding) -> Ordering {
+    fn rank(s: &Option<Slot>) -> u8 {
         match s {
-            None => (0, 0),
-            Some(Slot::Obj(o)) => (1, o.0 as u64),
-            Some(Slot::Val(v)) => match v {
-                mmt_model::Value::Bool(x) => (2, *x as u64),
-                mmt_model::Value::Int(x) => (3, (*x).wrapping_sub(i64::MIN) as u64),
-                mmt_model::Value::Str(s) => (4, s.index() as u64),
-            },
+            None => 0,
+            Some(Slot::Obj(_)) => 1,
+            Some(Slot::Val(Value::Bool(_))) => 2,
+            Some(Slot::Val(Value::Int(_))) => 3,
+            Some(Slot::Val(Value::Str(_))) => 4,
         }
     }
-    b.iter().map(slot_key).collect()
+    let slot = |x: &Option<Slot>, y: &Option<Slot>| match (x, y) {
+        (Some(Slot::Obj(p)), Some(Slot::Obj(q))) => p.cmp(q),
+        (Some(Slot::Val(Value::Bool(p))), Some(Slot::Val(Value::Bool(q)))) => p.cmp(q),
+        (Some(Slot::Val(Value::Int(p))), Some(Slot::Val(Value::Int(q)))) => p.cmp(q),
+        (Some(Slot::Val(Value::Str(p))), Some(Slot::Val(Value::Str(q)))) => p.cmp_text(*q),
+        _ => rank(x).cmp(&rank(y)),
+    };
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| slot(x, y))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 fn accumulate(into: &mut EvalStats, extra: EvalStats) {
     into.universal_bindings += extra.universal_bindings;
     into.existential_probes += extra.existential_probes;
     into.call_hits += extra.call_hits;
+    into.candidates += extra.candidates;
 }
 
 fn render(rel: &HirRelation, binding: &Binding) -> ViolationBinding {
@@ -1006,25 +1157,38 @@ fn compile_check(hir: &Hir, rid: RelId, dep: Dep, arity: usize) -> Result<CheckS
         out
     };
     let uni_pins = pins(&plan.src_constraints);
-    let wit_pins = pins(&plan.tgt_constraints);
-    let wit_objs = {
-        let mut vars = Vec::new();
-        for c in &plan.tgt_constraints {
-            collect_constraint_vars(c, &mut vars);
-        }
-        vars.retain(|v| !plan.src_vars.contains(v));
-        vars.sort_unstable();
-        vars.into_iter()
-            .filter_map(|v| var_model(rel, v).map(|m| (m, v)))
-            .collect()
-    };
-    let where_uni_vars = {
+    let mut wit_pins = pins(&plan.tgt_constraints);
+    wit_pins.retain(|(_, v)| !plan.src_vars.contains(v));
+    // The target pattern's object variables: those the universal side
+    // leaves to the witness, and those it binds (a target-domain
+    // variable that `when` reads), which the witness reads through the
+    // binding. The second list is empty for most checks, and then
+    // allocates nothing.
+    let mut tgt_objs = Vec::new();
+    for c in &plan.tgt_constraints {
+        collect_constraint_vars(c, &mut tgt_objs);
+    }
+    tgt_objs.retain(|v| var_model(rel, *v).is_some());
+    tgt_objs.sort_unstable();
+    let tgt_uni: Vec<VarId> = tgt_objs
+        .iter()
+        .copied()
+        .filter(|v| plan.src_vars.contains(v))
+        .collect();
+    tgt_objs.retain(|v| !plan.src_vars.contains(v));
+    let wit_objs = tgt_objs
+        .into_iter()
+        .filter_map(|v| var_model(rel, v).map(|m| (m, v)))
+        .collect();
+    let wit_uni_vars = {
         let mut fv = Vec::new();
         if let Some(w) = &rel.where_ {
             w.free_vars(&mut fv);
         }
-        fv.sort_unstable();
         fv.retain(|v| plan.src_vars.contains(v) && var_model(rel, *v).is_some());
+        fv.extend(tgt_uni);
+        fv.sort_unstable();
+        fv.dedup();
         fv
     };
     Ok(CheckStatics {
@@ -1034,7 +1198,7 @@ fn compile_check(hir: &Hir, rid: RelId, dep: Dep, arity: usize) -> Result<CheckS
         uni_pins,
         wit_pins,
         wit_objs,
-        where_uni_vars,
+        wit_uni_vars,
         uni_fp: fps.uni,
         wit_fp: fps.wit,
         call_fp: fps.call,
@@ -1061,7 +1225,7 @@ fn full_eval(
                     return Ok(false);
                 }
             }
-            let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b, None)?;
+            let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
             matches.push(MatchEntry {
                 binding: b.clone(),
                 witnessed,
@@ -1078,23 +1242,27 @@ fn full_eval(
 type WitnessRecord = (bool, Vec<(DomIdx, ObjId)>);
 
 /// Existential probe that records which objects the witness bound.
-/// `binding` binds the universal side and, for a pinned probe, the
-/// witness variable `pinned`; every other variable the witness binds is
-/// one of the check's `wit_objs`, which it records in that order.
+/// `binding` binds the universal side and, for a pinned probe, some of
+/// the witness's object variables (the check's `wit_objs`); the record
+/// lists the objects at every one of those, pinned or not, in
+/// `wit_objs` order.
 fn probe_recording(
     ctx: &mut EvalCtx<'_>,
     rel: &HirRelation,
     st: &CheckStatics,
     binding: &mut Binding,
-    pinned: Option<VarId>,
 ) -> Result<WitnessRecord, EvalError> {
     ctx.stats.existential_probes += 1;
     debug_assert!(
         binding.iter().enumerate().all(|(i, s)| {
             let v = VarId(i as u32);
-            s.is_some() == (st.plan.src_vars.contains(&v) || pinned == Some(v))
+            if st.plan.src_vars.contains(&v) {
+                s.is_some()
+            } else {
+                s.is_none() || st.wit_objs.iter().any(|&(_, w)| w == v)
+            }
         }),
-        "a witness probe starts from a universal binding and its pin"
+        "a witness probe starts from a universal binding and pins witness objects at most"
     );
     let mut out: Option<Vec<(DomIdx, ObjId)>> = None;
     ctx.solve(rel, &st.plan.tgt_constraints, binding, &mut |ctx, b| {
@@ -1106,7 +1274,6 @@ fn probe_recording(
         let objs = st
             .wit_objs
             .iter()
-            .filter(|&&(_, v)| pinned != Some(v))
             .filter_map(|&(m, v)| match b[v.index()] {
                 Some(Slot::Obj(o)) => Some((m, o)),
                 _ => None,
@@ -1121,10 +1288,13 @@ fn probe_recording(
     })
 }
 
-/// Universal-side partial update: drop the matches binding the affected
-/// object (found through the `by_obj` index — O(affected entries), not
-/// O(match state)), then re-enumerate the join with the affected object
-/// pinned at each variable it can bind.
+/// Universal-side partial update. A link edit is link-granular: a
+/// deleted link drops the matches that read it, and an added one
+/// enumerates the matches it completes. Any other edit drops the
+/// matches binding the affected object (found through the `by_obj`
+/// index — O(affected entries), not O(match state)), then re-enumerates
+/// the join with the affected object pinned at each variable it can
+/// bind.
 #[allow(clippy::too_many_arguments)]
 fn universal_update(
     ctx: &mut EvalCtx<'_>,
@@ -1132,10 +1302,37 @@ fn universal_update(
     st: &CheckStatics,
     state: &mut MatchState,
     model: DomIdx,
+    op: &EditOp,
     affected: ObjId,
     live: &Model,
     scratch: &mut UpdateScratch,
 ) -> Result<(), EvalError> {
+    match *op {
+        EditOp::DelLink { src, r, dst } => {
+            // Only a match that read the link loses it, and a deletion
+            // completes no match.
+            let stale = &mut scratch.stale;
+            let reads = link_reads(rel, &st.plan.src_constraints, model, r);
+            state.collect_slots_reading_link(reads, &st.plan.src_vars, src, dst, stale);
+            for &slot in stale.iter() {
+                state.remove(rel, slot);
+            }
+            return Ok(());
+        }
+        EditOp::AddLink { src, r, dst } => {
+            // Every match stays, and a new one reads the new link: pin
+            // both its endpoints at each read of `r`.
+            scratch.seen.clear();
+            for lr in link_reads(rel, &st.plan.src_constraints, model, r) {
+                let mut binding: Binding = vec![None; rel.vars.len()];
+                if lr.pin(&mut binding, src, dst) {
+                    insert_matches(ctx, rel, st, state, &mut binding, &mut scratch.seen)?;
+                }
+            }
+            return Ok(());
+        }
+        _ => {}
+    }
     let stale = &mut scratch.stale;
     stale.clear();
     state.collect_slots_binding(rel, model, affected, stale);
@@ -1147,57 +1344,68 @@ fn universal_update(
     if !live.contains(affected) {
         return Ok(()); // deleted objects bind nothing
     }
-    // Dedup across pins: every re-enumerated binding pins the affected
-    // object, and no surviving entry binds it (it was just dropped) —
-    // so a hashed set of the fresh bindings alone is a complete dedup.
-    // One object can bind two pins (say, both ends of a self-loop).
-    // (This used to be a linear scan of the whole match state per
-    // binding: O(#matches) for each of O(#fresh) bindings.)
-    let seen = &mut scratch.seen;
-    seen.clear();
+    // Every re-enumerated binding pins the affected object, and no
+    // surviving entry binds it (it was just dropped).
+    scratch.seen.clear();
     for &(pm, var) in &st.uni_pins {
         if pm != model {
             continue;
         }
         let mut binding: Binding = vec![None; rel.vars.len()];
         binding[var.index()] = Some(Slot::Obj(affected));
-        ctx.solve(
-            rel,
-            &st.plan.src_constraints,
-            &mut binding,
-            &mut |ctx, b| {
-                ctx.stats.universal_bindings += 1;
-                if let Some(when) = &rel.when {
-                    if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
-                        return Ok(false);
-                    }
-                }
-                if !seen.insert(b.clone()) {
-                    return Ok(false); // found through another pin already
-                }
-                let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b, None)?;
-                state.insert(
-                    rel,
-                    MatchEntry {
-                        binding: b.clone(),
-                        witnessed,
-                        witness_objs,
-                    },
-                );
-                Ok(false)
-            },
-        )?;
+        insert_matches(ctx, rel, st, state, &mut binding, &mut scratch.seen)?;
     }
     Ok(())
 }
 
-/// Witness-side partial update: re-probe the matches whose witness (or
-/// `where` clause) read the affected object — found through the `by_wit`
-/// / `by_obj` indexes, O(affected entries) instead of a full match-state
-/// sweep; for violations, probe for a *new* witness with the affected
-/// object pinned — unless the edit is purely destructive, in which case
-/// no new witness can exist. The pin pass is inherently O(#violations),
-/// which is zero on a consistent tuple.
+/// Enumerates the universal bindings extending `binding`, which pins an
+/// edited object or link that no entry of `state` reads, and inserts
+/// each with its witness record. `seen` collects them, so a binding
+/// that the next pin finds again (one object at two pins, say both ends
+/// of a self-loop) is inserted once: a hashed set of the fresh bindings
+/// alone is a complete dedup, as no surviving entry reads the pin.
+fn insert_matches(
+    ctx: &mut EvalCtx<'_>,
+    rel: &HirRelation,
+    st: &CheckStatics,
+    state: &mut MatchState,
+    binding: &mut Binding,
+    seen: &mut FxHashSet<Binding>,
+) -> Result<(), EvalError> {
+    ctx.solve(rel, &st.plan.src_constraints, binding, &mut |ctx, b| {
+        ctx.stats.universal_bindings += 1;
+        if let Some(when) = &rel.when {
+            if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
+                return Ok(false);
+            }
+        }
+        if !seen.insert(b.clone()) {
+            return Ok(false); // found through another pin already
+        }
+        let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
+        state.insert(
+            rel,
+            MatchEntry {
+                binding: b.clone(),
+                witnessed,
+                witness_objs,
+            },
+        );
+        Ok(false)
+    })?;
+    Ok(())
+}
+
+/// Witness-side partial update. A deleted link re-probes the witnesses
+/// that read it; an added one keeps every witness and probes each
+/// violation for a witness through it. Any other edit re-probes the
+/// matches whose witness (or `where` clause) read the affected object —
+/// found through the `by_wit` / `by_obj` indexes, O(affected entries)
+/// instead of a full match-state sweep — and, for violations, probes
+/// for a *new* witness with the affected object pinned, unless the edit
+/// is purely destructive, in which case no new witness can exist. The
+/// pin passes are inherently O(#violations), which is zero on a
+/// consistent tuple.
 #[allow(clippy::too_many_arguments)]
 fn witness_update(
     ctx: &mut EvalCtx<'_>,
@@ -1210,14 +1418,48 @@ fn witness_update(
     live: &Model,
     scratch: &mut UpdateScratch,
 ) -> Result<(), EvalError> {
+    match *op {
+        EditOp::DelLink { src, r, dst } => {
+            let reprobe = &mut scratch.reprobe;
+            let reads = link_reads(rel, &st.plan.tgt_constraints, model, r);
+            state.collect_slots_reading_link(reads, &st.plan.src_vars, src, dst, reprobe);
+            for &slot in reprobe.iter() {
+                if state.entry(slot).witnessed {
+                    let mut b = state.entry(slot).binding.clone();
+                    let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
+                    state.set_witness(slot, w, objs);
+                }
+            }
+            return Ok(());
+        }
+        EditOp::AddLink { src, r, dst } => {
+            state.snapshot_violating(&mut scratch.violating_before);
+            'violations: for &slot in &scratch.violating_before {
+                for lr in link_reads(rel, &st.plan.tgt_constraints, model, r) {
+                    let mut b = state.entry(slot).binding.clone();
+                    if !lr.pin(&mut b, src, dst) {
+                        continue;
+                    }
+                    let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
+                    if w {
+                        state.set_witness(slot, true, objs);
+                        continue 'violations;
+                    }
+                }
+            }
+            return Ok(());
+        }
+        _ => {}
+    }
     let destructive = op.is_destructive_only();
     // Snapshot the violating set before any re-probe: pin-probing is
     // only for entries that were unwitnessed *and* untouched by the
     // re-probe pass (exactly the old sweep's else-branch).
     state.snapshot_violating(&mut scratch.violating_before);
     // Entries to fully re-probe: witnessed entries whose witness read
-    // an affected object, plus any entry whose `where` clause reads an
-    // affected object through a universal-side variable.
+    // an affected object, plus any entry whose witness side reads an
+    // affected object through a universal-side variable (its `where`
+    // clause, or its target pattern at a variable `when` binds).
     let reprobe = &mut scratch.reprobe;
     let hits = &mut scratch.hits;
     reprobe.clear();
@@ -1228,16 +1470,16 @@ fn witness_update(
             reprobe.push(slot);
         }
     }
-    if !st.where_uni_vars.is_empty() {
+    if !st.wit_uni_vars.is_empty() {
         hits.clear();
         state.collect_slots_binding(rel, model, o, hits);
         for &slot in hits.iter() {
             let e = state.entry(slot);
-            let where_hit = st.where_uni_vars.iter().any(|&v| {
+            let read = st.wit_uni_vars.iter().any(|&v| {
                 var_model(rel, v) == Some(model)
                     && matches!(e.binding[v.index()], Some(Slot::Obj(b)) if b == o)
             });
-            if where_hit {
+            if read {
                 reprobe.push(slot);
             }
         }
@@ -1246,7 +1488,7 @@ fn witness_update(
     reprobe.dedup();
     for &slot in reprobe.iter() {
         let mut b = state.entry(slot).binding.clone();
-        let (w, objs) = probe_recording(ctx, rel, st, &mut b, None)?;
+        let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
         state.set_witness(slot, w, objs);
     }
     if destructive || !live.contains(o) {
@@ -1262,9 +1504,8 @@ fn witness_update(
             }
             let mut b = state.entry(slot).binding.clone();
             b[var.index()] = Some(Slot::Obj(o));
-            let (w, mut objs) = probe_recording(ctx, rel, st, &mut b, Some(var))?;
+            let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
             if w {
-                objs.push((model, o)); // the pinned object is read too
                 state.set_witness(slot, true, objs);
                 continue 'entries;
             }
@@ -1720,6 +1961,315 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
         assert!(matches!(err, Err(DeltaError::Model(_))));
         assert!(checker.models()[2].graph_eq(&models[2]));
         assert_agrees(&checker, "after failed edit");
+    }
+
+    /// Applies every edit, then every undo in reverse order, comparing
+    /// the checker with a from-scratch one after each step.
+    fn replay_with_undo(checker: &mut DeltaChecker, edits: &[(DomIdx, EditOp)]) {
+        for (i, (m, op)) in edits.iter().enumerate() {
+            checker.apply(*m, op).unwrap();
+            assert_agrees(checker, &format!("after edit {i}: {op:?}"));
+        }
+        for (i, (m, op)) in edits.iter().enumerate().rev() {
+            checker.apply(*m, &op.inverse()).unwrap();
+            assert_agrees(checker, &format!("after undoing edit {i}: {op:?}"));
+        }
+    }
+
+    /// Model text of `n` `N` nodes named `x0`, `x1`, `x2`, `x0`, …, each
+    /// linked through `r` to the next two: some 2n links, so at n = 50
+    /// the match states pass the index threshold.
+    fn chain(name: &str, meta: &str, class: &str, r: &str, n: usize) -> String {
+        let mut body = String::new();
+        for i in 0..n {
+            let kids: Vec<String> = (i + 1..n.min(i + 3)).map(|k| format!("n{k}")).collect();
+            body.push_str(&format!(
+                "n{i} = {class} {{ name = \"x{}\", {r} = [{}] }}\n",
+                i % 3,
+                kids.join(", ")
+            ));
+        }
+        format!("model {name} : {meta} {{\n{body}}}")
+    }
+
+    fn link(src: u32, r: RefId, dst: u32) -> (EditOp, EditOp) {
+        let (src, dst) = (ObjId(src), ObjId(dst));
+        (
+            EditOp::AddLink { src, r, dst },
+            EditOp::DelLink { src, r, dst },
+        )
+    }
+
+    /// Link edits on a self-loop, where one object is both ends of the
+    /// link, on either side of both directions, and below and above the
+    /// index threshold.
+    #[test]
+    fn self_loop_link_edits_track_scratch_checker() {
+        let g =
+            parse_metamodel("metamodel G { class N { attr name: Str; ref kids: N; } }").unwrap();
+        let spec = r#"
+transformation T(g1 : G, g2 : G) {
+  top relation R {
+    n, m : Str;
+    domain g1 p : N { name = n, kids = c : N { name = m } };
+    domain g2 q : N { name = n, kids = d : N { name = m } };
+    depend g1 -> g2;
+    depend g2 -> g1;
+  }
+}
+"#;
+        let hir = Arc::new(parse_and_resolve(spec, &[g.clone(), g.clone()]).unwrap());
+        let kids = g
+            .ref_of(g.class_named("N").unwrap(), Sym::new("kids"))
+            .unwrap();
+        for n in [4usize, 50] {
+            let models = [
+                parse_model(&chain("g1", "G", "N", "kids", n), &g).unwrap(),
+                parse_model(&chain("g2", "G", "N", "kids", n), &g).unwrap(),
+            ];
+            let mut checker = delta_checker(&hir, &models);
+            assert_agrees(&checker, "initial");
+            let mut edits = Vec::new();
+            for m in [DomIdx(0), DomIdx(1)] {
+                // Self-loops on a node: added, then removed again.
+                let (add, del) = link(0, kids, 0);
+                edits.extend([(m, add), (m, del)]);
+                let (add, _) = link(3, kids, 3);
+                edits.push((m, add));
+                // An existing link removed, a fresh one added.
+                let (_, del) = link(1, kids, 2);
+                edits.push((m, del));
+                let (add, _) = link(2, kids, 0);
+                edits.push((m, add));
+            }
+            replay_with_undo(&mut checker, &edits);
+        }
+    }
+
+    /// Two `RefContains` over one reference in one pattern: a link edit
+    /// can complete or break a binding at either of them, or at both
+    /// when the link is a self-loop.
+    #[test]
+    fn two_reads_of_one_reference_track_scratch_checker() {
+        let g =
+            parse_metamodel("metamodel G { class N { attr name: Str; ref kids: N; } }").unwrap();
+        let h = parse_metamodel("metamodel H { class P { attr a: Str; attr b: Str; } }").unwrap();
+        let spec = r#"
+transformation T(g : G, h : H) {
+  top relation Grand {
+    n, m : Str;
+    domain g x : N { name = n, kids = y : N { kids = z : N { name = m } } };
+    domain h p : P { a = n, b = m };
+    depend g -> h;
+    depend h -> g;
+  }
+}
+"#;
+        let hir = Arc::new(parse_and_resolve(spec, &[g.clone(), h.clone()]).unwrap());
+        let kids = g
+            .ref_of(g.class_named("N").unwrap(), Sym::new("kids"))
+            .unwrap();
+        for n in [5usize, 50] {
+            let mut pairs = String::new();
+            for i in 0..n {
+                pairs.push_str(&format!(
+                    "p{i} = P {{ a = \"x{}\", b = \"x{}\" }}\n",
+                    i % 3,
+                    (i + 1) % 3
+                ));
+            }
+            let models = [
+                parse_model(&chain("g", "G", "N", "kids", n), &g).unwrap(),
+                parse_model(&format!("model h : H {{\n{pairs}}}"), &h).unwrap(),
+            ];
+            let mut checker = delta_checker(&hir, &models);
+            assert_agrees(&checker, "initial");
+            let mut edits = Vec::new();
+            for (src, dst) in [(0, 0), (1, 1), (2, 0), (4, 1)] {
+                edits.push((DomIdx(0), link(src, kids, dst).0));
+            }
+            for (src, dst) in [(1, 2), (0, 1), (2, 3)] {
+                edits.push((DomIdx(0), link(src, kids, dst).1));
+            }
+            replay_with_undo(&mut checker, &edits);
+        }
+    }
+
+    /// A reference declared on an abstract supertype, read by patterns
+    /// over two of its subclasses: a link between objects of the wrong
+    /// subclasses completes no binding and breaks no witness.
+    #[test]
+    fn reference_declared_on_a_supertype_tracks_scratch_checker() {
+        let s = parse_metamodel(
+            "metamodel S { abstract class Named { attr name: Str; ref kids: Named [0..*]; } \
+             class A extends Named { } class B extends Named { } }",
+        )
+        .unwrap();
+        let spec = r#"
+transformation T(s1 : S, s2 : S) {
+  top relation AB {
+    n : Str;
+    domain s1 a : A { name = n, kids = b : B { name = n } };
+    domain s2 c : A { name = n, kids = d : B { name = n } };
+    depend s1 -> s2;
+    depend s2 -> s1;
+  }
+}
+"#;
+        let hir = Arc::new(parse_and_resolve(spec, &[s.clone(), s.clone()]).unwrap());
+        let named = s.class_named("Named").unwrap();
+        let kids = s.ref_of(named, Sym::new("kids")).unwrap();
+        let text = |name: &str| {
+            format!(
+                r#"model {name} : S {{
+                    a0 = A {{ name = "k", kids = [b0] }}
+                    b0 = B {{ name = "k" }}
+                    a1 = A {{ name = "k" }}
+                    b1 = B {{ name = "k", kids = [a0] }}
+                }}"#
+            )
+        };
+        let models = [
+            parse_model(&text("s1"), &s).unwrap(),
+            parse_model(&text("s2"), &s).unwrap(),
+        ];
+        let mut checker = delta_checker(&hir, &models);
+        assert_agrees(&checker, "initial");
+        let mut edits = Vec::new();
+        for m in [DomIdx(0), DomIdx(1)] {
+            // B → A and B → B are links of `kids` that no pattern reads.
+            edits.push((m, link(3, kids, 2).0));
+            edits.push((m, link(3, kids, 3).0));
+            edits.push((m, link(3, kids, 0).1));
+            // A → B completes a binding; removing A → B breaks one.
+            edits.push((m, link(2, kids, 1).0));
+            edits.push((m, link(0, kids, 1).1));
+        }
+        replay_with_undo(&mut checker, &edits);
+    }
+
+    /// C2T's two directions over one link edit: in `uml → rdb` the
+    /// unlinked attribute's match is the universal side, in
+    /// `rdb → uml` the column's witness read the link. The removal
+    /// enumerates nothing and re-probes only that witness; the undo
+    /// enumerates the one binding the link completes and probes the
+    /// one violation through it.
+    #[test]
+    fn link_edits_in_both_directions_are_link_granular() {
+        let uml = parse_metamodel(
+            "metamodel UML { class Class { attr name: Str; ref attrs: Attribute [0..*] containment; } class Attribute { attr name: Str; } }",
+        )
+        .unwrap();
+        let rdb = parse_metamodel(
+            "metamodel RDB { class Table { attr name: Str; ref cols: Column [0..*] containment; } class Column { attr name: Str; } }",
+        )
+        .unwrap();
+        let spec = r#"
+transformation C2T(uml : UML, rdb : RDB) {
+  top relation AttrToCol {
+    cn, an : Str;
+    domain uml c : Class { name = cn, attrs = a : Attribute { name = an } };
+    domain rdb t : Table { name = cn, cols = col : Column { name = an } };
+    depend uml -> rdb;
+    depend rdb -> uml;
+  }
+}
+"#;
+        let hir = Arc::new(parse_and_resolve(spec, &[uml.clone(), rdb.clone()]).unwrap());
+        let attrs = uml
+            .ref_of(uml.class_named("Class").unwrap(), Sym::new("attrs"))
+            .unwrap();
+        let cols = rdb
+            .ref_of(rdb.class_named("Table").unwrap(), Sym::new("cols"))
+            .unwrap();
+        for classes in [2usize, 30] {
+            let side = |name: &str, meta: &str, outer: &str, inner: &str, r: &str| {
+                let mut body = String::new();
+                for c in 0..classes {
+                    let members: Vec<String> = (0..3).map(|a| format!("m{c}_{a}")).collect();
+                    body.push_str(&format!(
+                        "o{c} = {outer} {{ name = \"C{c}\", {r} = [{}] }}\n",
+                        members.join(", ")
+                    ));
+                    for a in 0..3 {
+                        body.push_str(&format!("m{c}_{a} = {inner} {{ name = \"f{a}\" }}\n"));
+                    }
+                }
+                format!("model {name} : {meta} {{\n{body}}}")
+            };
+            let models = [
+                parse_model(&side("u", "UML", "Class", "Attribute", "attrs"), &uml).unwrap(),
+                parse_model(&side("r", "RDB", "Table", "Column", "cols"), &rdb).unwrap(),
+            ];
+            let mut checker = delta_checker(&hir, &models);
+            assert!(checker.consistent());
+            // Class 1 is object 4, its attributes 5–7.
+            for (m, r) in [(DomIdx(0), attrs), (DomIdx(1), cols)] {
+                let (add, del) = link(4, r, 6);
+                let before = checker.report().stats;
+                checker.apply(m, &del).unwrap();
+                let after = checker.report().stats;
+                assert_agrees(&checker, &format!("{classes} classes: unlinked"));
+                assert_eq!(checker.violation_count(), 1);
+                assert_eq!(after.universal_bindings, before.universal_bindings);
+                assert_eq!(after.existential_probes - before.existential_probes, 1);
+                checker.apply(m, &add).unwrap();
+                let again = checker.report().stats;
+                assert_agrees(&checker, &format!("{classes} classes: relinked"));
+                assert!(checker.consistent());
+                assert_eq!(again.universal_bindings - after.universal_bindings, 1);
+                assert_eq!(again.existential_probes - after.existential_probes, 2);
+                // Moving an attribute to another class: both directions
+                // change, and the undo restores them.
+                let edits = [(m, link(0, r, 6).0), (m, link(4, r, 6).1)];
+                replay_with_undo(&mut checker, &edits);
+            }
+        }
+    }
+
+    /// A target-domain variable that `when` reads is bound by the
+    /// universal side, so the witness reads that object through the
+    /// binding, not through its record: renaming it must re-probe the
+    /// matches that bind it, and a violation must not be pinned at it.
+    #[test]
+    fn when_bound_target_variables_track_scratch_checker() {
+        let a = parse_metamodel("metamodel A { class P { attr name: Str; } }").unwrap();
+        let b = parse_metamodel("metamodel B { class Q { attr name: Str; attr flag: Bool; } }")
+            .unwrap();
+        let spec = r#"
+transformation T(a : A, b : B) {
+  top relation R {
+    n : Str;
+    domain a p : P { name = n };
+    domain b q : Q { name = n };
+    when { q.flag }
+    depend a -> b;
+  }
+}
+"#;
+        let hir = Arc::new(parse_and_resolve(spec, &[a.clone(), b.clone()]).unwrap());
+        let ma = parse_model(r#"model a : A { p = P { name = "x" } }"#, &a).unwrap();
+        let mb = parse_model(
+            r#"model b : B { q = Q { name = "x", flag = true } r = Q { name = "z", flag = true } }"#,
+            &b,
+        )
+        .unwrap();
+        let mut checker = delta_checker(&hir, &[ma, mb]);
+        assert_agrees(&checker, "initial");
+        let name = b
+            .attr_of(b.class_named("Q").unwrap(), Sym::new("name"))
+            .unwrap();
+        let rename = |id: u32, value: &str, old: &str| EditOp::SetAttr {
+            id: ObjId(id),
+            attr: name,
+            value: Value::str(value),
+            old: Value::str(old),
+        };
+        let edits = [
+            (DomIdx(1), rename(0, "y", "x")),
+            (DomIdx(1), rename(1, "x", "z")),
+        ];
+        replay_with_undo(&mut checker, &edits);
     }
 
     /// Pins the `universal_update` dedup: a binding that binds the

@@ -9,8 +9,13 @@
 //! empty-range loophole.
 //!
 //! The enumerator is a backtracking join over the flattened pattern
-//! constraints with greedy generator selection (attribute-index probes
-//! before extent scans, reference traversals before either). Relation
+//! constraints with greedy generator selection: at each level the
+//! cheapest of four generators binds the next object variable — a
+//! forward reference traversal (the targets of a bound source), a
+//! reverse one (the sources of a bound target, off the model's inverse
+//! link index), an attribute-index probe, or a class-extent scan —
+//! costed by out-degree, in-degree, bucket size and extent size, so a
+//! pattern is matched from whichever end is bound. Relation
 //! invocations are cached on `(callee, direction, roots)` in the call
 //! memo; existential probes are not cached, since one check rarely
 //! probes the same witness key twice.
@@ -111,6 +116,11 @@ pub struct EvalStats {
     pub existential_probes: u64,
     /// Relation calls answered from the call memo.
     pub call_hits: u64,
+    /// Candidate objects materialized: at each search level, every
+    /// object the chosen generator offers. An extent scan counts its
+    /// whole extent, so work that grows with the model shows here even
+    /// when the bindings and probes it yields do not.
+    pub candidates: u64,
 }
 
 /// The current direction a check runs in (for projecting calls).
@@ -506,6 +516,13 @@ impl<'a> EvalCtx<'a> {
                 src: ObjId,
                 r: mmt_model::RefId,
             },
+            RefReverse {
+                idx: usize,
+                var: VarId,
+                model: DomIdx,
+                dst: ObjId,
+                r: mmt_model::RefId,
+            },
             AttrProbe {
                 idx: usize,
                 var: VarId,
@@ -528,16 +545,16 @@ impl<'a> EvalCtx<'a> {
             }
             match *c {
                 Constraint::RefContains { obj, r, dst } => {
-                    if let Some(Slot::Obj(o)) = binding[obj.index()] {
-                        debug_assert!(binding[dst.index()].is_none());
-                        let model = self.model_of(rel, obj);
-                        let cost = self.models[model.index()]
-                            .targets(o, r)
-                            .expect("typed pattern reads a declared reference")
-                            .len();
-                        if best.as_ref().map(|(c0, _)| cost < *c0).unwrap_or(true) {
-                            best = Some((
-                                cost,
+                    let model = self.model_of(rel, obj);
+                    let m = &self.models[model.index()];
+                    let (cost, gen) = match (binding[obj.index()], binding[dst.index()]) {
+                        (Some(Slot::Obj(o)), d) => {
+                            debug_assert!(d.is_none());
+                            let targets = m
+                                .targets(o, r)
+                                .expect("typed pattern reads a declared reference");
+                            (
+                                targets.len(),
                                 Gen::RefTraverse {
                                     idx: i,
                                     var: dst,
@@ -545,8 +562,24 @@ impl<'a> EvalCtx<'a> {
                                     src: o,
                                     r,
                                 },
-                            ));
+                            )
                         }
+                        // Matched from the inner end: the sources of a
+                        // bound target, costed by its in-degree.
+                        (None, Some(Slot::Obj(d))) => (
+                            m.incoming(d).len(),
+                            Gen::RefReverse {
+                                idx: i,
+                                var: obj,
+                                model,
+                                dst: d,
+                                r,
+                            },
+                        ),
+                        _ => continue,
+                    };
+                    if best.as_ref().map(|(c0, _)| cost < *c0).unwrap_or(true) {
+                        best = Some((cost, gen));
                     }
                 }
                 Constraint::Obj { var, model, class } => {
@@ -629,8 +662,8 @@ impl<'a> EvalCtx<'a> {
             });
         };
         // Materialize only the winning generator's candidates (ascending
-        // id order either way — the index iterates ascending), on top of
-        // the candidate stack.
+        // id order whichever wins — every index iterates ascending), on
+        // top of the candidate stack.
         let (models, indexes) = (self.models, self.indexes);
         let base = self.cands.len();
         let (idx, var) = match gen {
@@ -645,6 +678,25 @@ impl<'a> EvalCtx<'a> {
                     models[model.index()]
                         .targets(src, r)
                         .expect("typed pattern reads a declared reference"),
+                );
+                (idx, var)
+            }
+            Gen::RefReverse {
+                idx,
+                var,
+                model,
+                dst,
+                r,
+            } => {
+                // The inverse index lists `(source, reference)` pairs
+                // sorted, so one reference's sources come ascending and
+                // once each.
+                self.cands.extend(
+                    models[model.index()]
+                        .incoming(dst)
+                        .iter()
+                        .filter(|&&(_, via)| via == r)
+                        .map(|&(src, _)| src),
                 );
                 (idx, var)
             }
@@ -678,6 +730,7 @@ impl<'a> EvalCtx<'a> {
         };
         // Deeper levels push above `end` and pop back to it.
         let end = self.cands.len();
+        self.stats.candidates += (end - base) as u64;
         for k in base..end {
             binding[var.index()] = Some(Slot::Obj(self.cands[k]));
             let stop = self.solve_rec(rel, constraints, done | (1 << idx), binding, on_solution);

@@ -835,6 +835,79 @@ journal
     std::fs::remove_file(&script).ok();
 }
 
+/// A repair depends on its request, not on the process. `mmt sync`
+/// repairs `cf1,cf2`, names two new `cf1` features `axle` then
+/// `wheels`, and repairs `fm`, which adds both names to `fm` at two
+/// fresh ids. `mmt serve` runs the same requests in session `b` after
+/// session `a` named a feature `wheels`, so that process interns
+/// `wheels` first. The least-change repairs tie, and `b`'s journal and
+/// written tuple must equal sync's byte for byte.
+#[test]
+fn serve_repairs_as_sync_whatever_another_session_interned() {
+    let base = std::env::temp_dir().join(format!("mmt-cli-intern-order-{}", std::process::id()));
+    let (sync_out, serve_out) = (base.join("sync"), base.join("serve"));
+    let script = write_script(
+        "intern-order",
+        r#"repair cf1,cf2
+edit cf1 add Feature
+edit cf1 set @2.name = "axle"
+edit cf1 add Feature
+edit cf1 set @3.name = "wheels"
+repair fm
+journal
+"#,
+    );
+    let mut sync_args = vec![
+        "sync".to_string(),
+        script.to_string_lossy().into_owned(),
+        "--json".into(),
+    ];
+    sync_args.extend(data_args());
+    sync_args.push("--out".into());
+    sync_args.push(sync_out.to_string_lossy().into_owned());
+    let argrefs: Vec<&str> = sync_args.iter().map(String::as_str).collect();
+    let (sync_stdout, sync_stderr, sync_code) = mmt(&argrefs);
+    assert_eq!(sync_code, Some(0), "{sync_stdout}\n{sync_stderr}");
+    let journal = sync_stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("sync --json prints the journal");
+
+    let requests = r#"{"id":1,"cmd":"open","session":"a"}
+{"id":2,"cmd":"edit","session":"a","edit":"cf1 set @0.name = \"wheels\""}
+{"id":3,"cmd":"open","session":"b"}
+{"id":4,"cmd":"repair","session":"b","targets":"cf1,cf2"}
+{"id":5,"cmd":"edit","session":"b","edit":"cf1 add Feature"}
+{"id":6,"cmd":"edit","session":"b","edit":"cf1 set @2.name = \"axle\""}
+{"id":7,"cmd":"edit","session":"b","edit":"cf1 add Feature"}
+{"id":8,"cmd":"edit","session":"b","edit":"cf1 set @3.name = \"wheels\""}
+{"id":9,"cmd":"repair","session":"b","targets":"fm"}
+{"id":10,"cmd":"journal","session":"b"}
+{"id":11,"cmd":"close","session":"b"}
+"#;
+    let mut serve_args = vec!["serve".to_string()];
+    serve_args.extend(data_args());
+    serve_args.push("--out".into());
+    serve_args.push(serve_out.to_string_lossy().into_owned());
+    let argrefs: Vec<&str> = serve_args.iter().map(String::as_str).collect();
+    let (serve_stdout, serve_stderr, serve_code) = mmt_with_stdin(&argrefs, requests);
+    assert_eq!(serve_code, Some(0), "{serve_stdout}\n{serve_stderr}");
+    assert!(
+        serve_result(&serve_stdout, 9).contains("\"repaired\":true"),
+        "{serve_stdout}"
+    );
+    assert!(journal.contains(r#"\"axle\""#), "{journal}");
+    assert_eq!(serve_result(&serve_stdout, 10), journal);
+    for param in ["cf1", "cf2", "fm"] {
+        let from_sync = std::fs::read_to_string(sync_out.join(format!("{param}.model"))).unwrap();
+        let from_serve =
+            std::fs::read_to_string(serve_out.join("b").join(format!("{param}.model"))).unwrap();
+        assert_eq!(from_sync, from_serve, "{param}.model diverged");
+    }
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_file(&script).ok();
+}
+
 /// Multiple named sessions stay independent inside one serve process,
 /// and protocol errors answer `ok:false` without killing the loop.
 #[test]

@@ -50,9 +50,22 @@ impl Sym {
         f(g.resolve(self))
     }
 
-    /// Raw index of this symbol in the global table.
+    /// Raw index of this symbol in the global table. It reflects the
+    /// order in which the process interned its strings, and so does
+    /// `Sym`'s derived `Ord`: order output by [`Sym::cmp_text`] instead.
     pub fn index(self) -> u32 {
         self.0
+    }
+
+    /// Compares the strings two symbols denote, under one read of the
+    /// table: an order that does not depend on which string the process
+    /// interned first. Equal symbols compare equal without a lock.
+    pub fn cmp_text(self, other: Sym) -> std::cmp::Ordering {
+        if self == other {
+            return std::cmp::Ordering::Equal;
+        }
+        let g = interner().read().expect("interner poisoned");
+        g.resolve(self).cmp(g.resolve(other))
     }
 }
 
@@ -162,6 +175,18 @@ mod tests {
         let s = Sym::new("lookup-probe-interned");
         assert_eq!(Sym::lookup("lookup-probe-interned"), Some(s));
         assert_eq!(Sym::lookup(""), Some(Sym::EMPTY));
+    }
+
+    #[test]
+    fn cmp_text_orders_by_content_not_intern_order() {
+        use std::cmp::Ordering;
+        let late = Sym::new("cmp-text-zz");
+        let early = Sym::new("cmp-text-aa");
+        assert!(late.index() < early.index());
+        assert_eq!(early.cmp_text(late), Ordering::Less);
+        assert_eq!(late.cmp_text(early), Ordering::Greater);
+        assert_eq!(late.cmp_text(late), Ordering::Equal);
+        assert_eq!(Sym::EMPTY.cmp_text(early), Ordering::Less);
     }
 
     #[test]

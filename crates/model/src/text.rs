@@ -144,9 +144,12 @@ impl<'a> Lexer<'a> {
         Ok((tok, start))
     }
 
-    /// Lexes the string literal whose opening quote is at `start`: `\"`,
-    /// `\\` and `\n` are its escapes, and it may span lines. The token
-    /// borrows the source unless the literal holds an escape.
+    /// Lexes the string literal whose opening quote is at `start`. It may
+    /// span lines, and its escapes are exactly those a `Str` value's
+    /// `Display` (Rust's `{:?}`) writes: `\"`, `\\`, `\n`, `\t`, `\r`,
+    /// `\0` and `\u{HEX}` naming a Unicode scalar value, so every printed
+    /// model reads back. The token borrows the source unless the literal
+    /// holds an escape.
     fn string(&mut self, start: usize) -> Result<Tok<'a>, ParseError> {
         let bytes = self.src.as_bytes();
         let mut owned: Option<String> = None;
@@ -170,10 +173,30 @@ impl<'a> Lexer<'a> {
                 Some(b'\\') => {
                     let s = owned.get_or_insert_with(String::new);
                     s.push_str(&self.src[run..i]);
-                    match self.char_at(i + 1) {
-                        Some('"') => s.push('"'),
-                        Some('\\') => s.push('\\'),
-                        Some('n') => s.push('\n'),
+                    let escaped = match self.char_at(i + 1) {
+                        Some('"') => '"',
+                        Some('\\') => '\\',
+                        Some('n') => '\n',
+                        Some('t') => '\t',
+                        Some('r') => '\r',
+                        Some('0') => '\0',
+                        Some('u') => {
+                            // `\u{`, one to six hex digits, `}`.
+                            let hex = self.src[i + 2..]
+                                .strip_prefix('{')
+                                .and_then(|r| r.split_once('}'))
+                                .map_or("", |(hex, _)| hex);
+                            let scalar = ((1..=6).contains(&hex.len())
+                                && hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .then(|| u32::from_str_radix(hex, 16).ok())
+                            .flatten()
+                            .and_then(char::from_u32);
+                            let Some(c) = scalar else {
+                                return Err(error_at(self.src, start, "bad escape `\\u`"));
+                            };
+                            i += hex.len() + 2;
+                            c
+                        }
                         other => {
                             return Err(error_at(
                                 self.src,
@@ -181,7 +204,8 @@ impl<'a> Lexer<'a> {
                                 format!("bad escape `\\{:?}`", other),
                             ));
                         }
-                    }
+                    };
+                    s.push(escaped);
                     i += 2;
                     run = i;
                 }
@@ -798,15 +822,17 @@ metamodel X {
     fn lexer_errors_point_at_their_token() {
         let mm = parse_metamodel(FM_SRC).unwrap();
         let err =
-            parse_model("model m : FM {\n  é = Feature { name = \"a\\tb\" }\n}", &mm).unwrap_err();
-        assert_eq!(at(&err), (2, 24, "bad escape `\\Some('t')`"));
+            parse_model("model m : FM {\n  é = Feature { name = \"a\\qb\" }\n}", &mm).unwrap_err();
+        assert_eq!(at(&err), (2, 24, "bad escape `\\Some('q')`"));
         let err = parse_model("model m : FM {\n  f = Feature { name = \"open", &mm).unwrap_err();
         assert_eq!(at(&err), (2, 24, "unterminated string literal"));
     }
 
-    /// Search repairs break ties by intern index (see ROADMAP), so the
-    /// parser must intern a model's new strings in file order, and its
-    /// name after them.
+    /// The parser interns a model's new strings in file order, and its
+    /// name after them. No output is ordered by intern index (the
+    /// checker orders strings by their text), but indices stay
+    /// observable through `Sym::index` and fingerprints, so they follow
+    /// the text.
     #[test]
     fn values_intern_in_file_order_before_the_model_name() {
         let mm = parse_metamodel(FM_SRC).unwrap();
@@ -852,6 +878,35 @@ metamodel X {
         let mm = parse_metamodel(FM_SRC).unwrap();
         let err = parse_model("model m : CF { }", &mm).unwrap_err();
         assert!(err.msg.contains("CF"));
+    }
+
+    /// A `\u` escape names one to six hex digits that make a Unicode
+    /// scalar value, or the literal is rejected at its token (the
+    /// escapes that print round-trips are a property test in
+    /// `tests/text_roundtrip.rs`).
+    #[test]
+    fn malformed_unicode_escapes_are_rejected() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        for bad in [
+            r"\u",
+            r"\u{}",
+            r"\u{+41}",
+            r"\u{110000}",
+            r"\u{d800}",
+            r"\u{1234567}",
+            r"\u{7",
+        ] {
+            let src = format!("model m : FM {{\n  f = Feature {{ name = \"{bad}\" }}\n}}");
+            let err = parse_model(&src, &mm).unwrap_err();
+            assert_eq!(at(&err), (2, 24, "bad escape `\\u`"), "{bad}");
+        }
+        let m = parse_model(
+            r#"model m : FM { f = Feature { name = "\u{41}\u{10ffff}" } }"#,
+            &mm,
+        )
+        .unwrap();
+        let (id, _) = m.objects().next().unwrap();
+        assert_eq!(m.attr_named(id, "name").unwrap(), Value::str("A\u{10ffff}"));
     }
 
     #[test]

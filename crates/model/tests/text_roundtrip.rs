@@ -170,8 +170,65 @@ fn crlf_line_ends_round_trip() {
     assert!(m.graph_eq(&lf));
 }
 
+/// The characters the value property draws from: every control
+/// character Rust's `{:?}` escapes, quotes, backslashes, combining
+/// marks (which it writes as `\u{..}`), a zero-width space and a byte
+/// order mark, non-ASCII letters and the last scalar value.
+const TRICKY: &[char] = &[
+    '\0',
+    '\u{1}',
+    '\u{7}',
+    '\u{8}',
+    '\t',
+    '\n',
+    '\u{b}',
+    '\u{c}',
+    '\r',
+    '\u{1b}',
+    '\u{1f}',
+    '\u{7f}',
+    '\u{85}',
+    '"',
+    '\'',
+    '\\',
+    '\u{300}',
+    '\u{301}',
+    '\u{36f}',
+    '\u{200b}',
+    '\u{feff}',
+    'a',
+    'Z',
+    ' ',
+    '{',
+    '}',
+    'é',
+    'ß',
+    'Ж',
+    '日',
+    '✓',
+    '\u{10ffff}',
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A string value of any of those characters prints and reads back:
+    /// the parsed model is graph-equal to the original, and prints the
+    /// same bytes.
+    #[test]
+    fn tricky_string_values_round_trip(
+        picks in proptest::collection::vec(0usize..TRICKY.len(), 0..24),
+    ) {
+        let meta = rich_metamodel();
+        let value: String = picks.iter().map(|&i| TRICKY[i]).collect();
+        let mut m = Model::new("m", Arc::clone(&meta));
+        let item = m.add(meta.class_named("Item").unwrap()).unwrap();
+        m.set_attr_named(item, "name", Value::str(&value)).unwrap();
+        let printed = print_model(&m);
+        let reparsed = parse_model(&printed, &meta).expect("printer output parses");
+        prop_assert!(m.graph_eq(&reparsed), "{value:?}\n{printed}");
+        prop_assert_eq!(print_model(&reparsed), printed);
+    }
 
     /// print → parse reproduces the exact object graph (modulo ids, which
     /// the printer renumbers densely).

@@ -265,12 +265,19 @@ fn counterexample_caps_agree() {
 }
 
 /// A fresh checker reports the work of its initial evaluation: the
-/// universal bindings, witness probes and call-memo hits of a
-/// from-scratch [`Checker`] over the same consistent tuple (where the
+/// universal bindings, witness probes, call-memo hits and candidates of
+/// a from-scratch [`Checker`] over the same consistent tuple (where the
 /// scratch checker never stops early at the counterexample cap).
 #[test]
 fn fresh_checker_stats_match_scratch() {
-    let fields = |s: EvalStats| (s.universal_bindings, s.existential_probes, s.call_hits);
+    let fields = |s: EvalStats| {
+        (
+            s.universal_bindings,
+            s.existential_probes,
+            s.call_hits,
+            s.candidates,
+        )
+    };
     let mut tuples: Vec<(String, std::sync::Arc<Hir>, Vec<Model>)> = Vec::new();
     for sc in all_scenarios() {
         for seed in 0..4u64 {

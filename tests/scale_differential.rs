@@ -10,7 +10,10 @@
 //! unoptimized build would dominate the tier-1 suite. CI runs them in
 //! the release scale-smoke step.
 
-use mmt_bench::{consistent_workload, drift_new_mandatory, paper_transformation};
+use mmt_bench::{
+    c2t_edit, c2t_sources, consistent_workload, drift_new_mandatory, paper_transformation,
+    parse_c2t, C2T_ATTRS, C2T_EDITS,
+};
 use mmtf::check::{CheckOptions, Checker, DeltaChecker, ModelIndex};
 use mmtf::core::{EngineKind, Shape};
 use mmtf::deps::DomIdx;
@@ -89,6 +92,40 @@ fn delta_checker_matches_scratch_at_10k() {
         seed: 41,
     });
     run_scale_script(&w.hir, &w.models, 40, 0x5CA1E, "10k script");
+}
+
+/// Class↔RDBMS at 10⁴ objects per side (`mmt_bench::c2t_sources`):
+/// nested templates, which the checker matches from whichever end an
+/// edit touches, and whose link edits it updates link by link. Seeded
+/// scripts on both models mix renames, object and link insertions and
+/// deletions.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "scale smoke: run with --release")]
+fn c2t_delta_checker_matches_scratch_at_10k() {
+    let (t, sources) = c2t_sources(1000);
+    let models = parse_c2t(&t, &sources);
+    for seed in [0xC2_7000, 0xC2_7001, 0xC2_7002] {
+        run_scale_script(t.hir_arc(), &models, 60, seed, "c2t 10k script");
+    }
+    // Random scripts rarely remove a link that exists, so the
+    // benchmark's edit kinds (unlinks among them) land on every 37th
+    // class and stay, renames sharing one new name; then all of them
+    // are undone.
+    let mut checker = DeltaChecker::with_options(t.hir_arc(), &models, uncapped()).unwrap();
+    let mut live = models.clone();
+    let mut journal = Vec::new();
+    for (i, c) in (0..1000).step_by(37).enumerate() {
+        let (m, op) = c2t_edit(checker.models(), C2T_EDITS[i % 5], c, i % C2T_ATTRS);
+        let mut landed = Delta::new();
+        checker.apply_expanded(m, &op, &mut landed).unwrap();
+        landed.apply(&mut live[m.index()]).unwrap();
+        journal.push((m, landed));
+    }
+    assert_agrees(&checker, &live, "c2t 10k edit kinds");
+    for (m, landed) in journal.iter().rev() {
+        checker.apply_delta(*m, &landed.inverse()).unwrap();
+    }
+    assert_agrees(&checker, &models, "c2t 10k edit kinds undone");
 }
 
 /// n = 10⁵ on the tuple, 100 edits on the feature model: the CI

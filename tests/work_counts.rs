@@ -22,13 +22,14 @@ use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
 
 use mmt_bench::{
-    broken_workload, c2t_sources, consistent_workload, drift_new_mandatory, paper_transformation,
-    parse_c2t, run_cold, run_cold_scenario, run_warm, run_warm_scenario, C2T_ATTRS,
+    broken_workload, c2t_edit, c2t_sources, consistent_workload, drift_new_mandatory,
+    edit_and_undo, paper_transformation, parse_c2t, run_cold, run_cold_scenario, run_warm,
+    run_warm_scenario, C2T_ATTRS, C2T_EDITS,
 };
 use mmtf::check::{Checker, DeltaChecker, DeltaStats, EvalStats};
 use mmtf::core::{EngineKind, SessionOptions, Shape, SyncSession, Transformation};
 use mmtf::deps::DomIdx;
-use mmtf::dist::EditOp;
+use mmtf::dist::{Delta, EditOp};
 use mmtf::enforce::RepairOptions;
 use mmtf::gen::scenario::all_scenarios;
 use mmtf::gen::{feature_workload, FeatureSpec, Injection, CF_METAMODEL, FM_METAMODEL};
@@ -97,8 +98,8 @@ fn delta_fields(d: DeltaStats) -> String {
 
 fn eval_fields(e: EvalStats) -> String {
     format!(
-        "bindings={} probes={} call_hits={}",
-        e.universal_bindings, e.existential_probes, e.call_hits
+        "bindings={} probes={} call_hits={} candidates={}",
+        e.universal_bindings, e.existential_probes, e.call_hits, e.candidates
     )
 }
 
@@ -116,6 +117,7 @@ fn eval_diff(after: EvalStats, before: EvalStats) -> EvalStats {
         universal_bindings: after.universal_bindings - before.universal_bindings,
         existential_probes: after.existential_probes - before.existential_probes,
         call_hits: after.call_hits - before.call_hits,
+        candidates: after.candidates - before.candidates,
     }
 }
 
@@ -135,10 +137,19 @@ struct IncrementalSize {
 }
 
 impl IncrementalSize {
-    /// The work the edit pair did, apart from allocating: what must
-    /// not depend on `n`.
+    /// The work the edit pair did, apart from allocating and from the
+    /// candidates its witness probes were offered: what must not depend
+    /// on `n`. The candidates are the toggled feature's namesakes in the
+    /// configurations, which the seeded tuple of each size decides.
     fn work(&self) -> String {
-        format!("{} {}", delta_fields(self.delta), eval_fields(self.eval))
+        let e = self.eval;
+        format!(
+            "{} bindings={} probes={} call_hits={}",
+            delta_fields(self.delta),
+            e.universal_bindings,
+            e.existential_probes,
+            e.call_hits
+        )
     }
 }
 
@@ -375,16 +386,69 @@ fn opens() -> &'static [Open] {
     ROWS.get_or_init(|| [100, 1000].map(measure_open).into())
 }
 
+/// One C2T edit kind at one size: an edit and its undo through a warm
+/// `DeltaChecker`, counted after one warm-up cycle of the same pair.
+struct C2tEdit {
+    classes: usize,
+    kind: &'static str,
+    allocs: u64,
+    eval: EvalStats,
+}
+
+impl C2tEdit {
+    /// The counts that must not depend on the model's size.
+    fn work(&self) -> (u64, u64, u64) {
+        let e = self.eval;
+        (e.universal_bindings, e.existential_probes, e.candidates)
+    }
+}
+
+/// Every [`C2T_EDITS`] kind on the middle class of the C2T tuple over
+/// `classes` classes (`mmt_bench::c2t_sources`).
+fn measure_c2t_edits(classes: usize) -> Vec<C2tEdit> {
+    let (t, sources) = c2t_sources(classes);
+    let models = parse_c2t(&t, &sources);
+    let mut checker = DeltaChecker::new(t.hir_arc(), &models).unwrap();
+    let mut landed = Delta::new();
+    C2T_EDITS
+        .iter()
+        .map(|&kind| {
+            let (m, op) = c2t_edit(checker.models(), kind, classes / 2, C2T_ATTRS / 2);
+            edit_and_undo(&mut checker, m, &op, &mut landed);
+            let before = checker.report().stats;
+            let (allocs, ()) = counted(|| edit_and_undo(&mut checker, m, &op, &mut landed));
+            assert!(
+                checker.consistent(),
+                "{kind} and its undo restore the tuple"
+            );
+            C2tEdit {
+                classes,
+                kind,
+                allocs,
+                eval: eval_diff(checker.report().stats, before),
+            }
+        })
+        .collect()
+}
+
+/// The C2T edit rows at 10³ and 10⁴ objects per side; measured once per
+/// test binary run.
+fn c2t_edits() -> &'static [Vec<C2tEdit>] {
+    static ROWS: OnceLock<Vec<Vec<C2tEdit>>> = OnceLock::new();
+    ROWS.get_or_init(|| [100, 1000].map(measure_c2t_edits).into())
+}
+
 /// The whole pin text, in a fixed row order.
 fn render_work_counts() -> String {
     let mut out = String::new();
     for s in incremental_sizes() {
         writeln!(
             out,
-            "check_incremental/incremental/{} allocs={} {}",
+            "check_incremental/incremental/{} allocs={} {} candidates={}",
             s.n,
             s.allocs,
-            s.work()
+            s.work(),
+            s.eval.candidates
         )
         .unwrap();
     }
@@ -424,6 +488,17 @@ fn render_work_counts() -> String {
             o.classes,
             o.check_allocs,
             eval_fields(o.eval)
+        )
+        .unwrap();
+    }
+    for e in c2t_edits().iter().flatten() {
+        writeln!(
+            out,
+            "edit/c2t{}/{} allocs={} {}",
+            e.classes,
+            e.kind,
+            e.allocs,
+            eval_fields(e.eval)
         )
         .unwrap();
     }
@@ -474,6 +549,39 @@ fn incremental_edit_work_is_flat_in_n() {
         "{}",
         sizes[0].work()
     );
+    // Each probe looks the feature's name up in the two configurations,
+    // whose features have distinct names.
+    for s in sizes {
+        assert!(
+            s.eval.candidates <= 2 * s.eval.existential_probes,
+            "an edit at n = {} is offered {} candidates",
+            s.n,
+            s.eval.candidates
+        );
+    }
+}
+
+/// O(|edit|) on nested templates, by count: every C2T edit kind and its
+/// undo enumerate the same bindings, run the same probes and are offered
+/// the same candidates at 10⁴ objects per side as at 10³. An extent
+/// scan offers a whole extent, so a pattern matched from its inner end
+/// by scanning its outer class fails here, whatever the host's speed.
+#[test]
+fn c2t_edit_work_is_flat_in_n() {
+    let [small, large] = c2t_edits() else {
+        unreachable!("two sizes")
+    };
+    for (s, l) in small.iter().zip(large) {
+        assert_eq!(
+            s.work(),
+            l.work(),
+            "{} does other work at {} classes than at {} (bindings, probes, candidates)",
+            s.kind,
+            l.classes,
+            s.classes
+        );
+        assert!(s.eval.existential_probes > 0, "{} probes nothing", s.kind);
+    }
 }
 
 /// A warm repair copies nothing of the tuple: the session lends its
