@@ -98,11 +98,11 @@ use crate::eval::{
     collect_constraint_vars, plan_check, Binding, CheckPlan, EvalCtx, EvalError, EvalStats, Slot,
 };
 use crate::footprint::{footprints_for, var_model, Footprint};
-use crate::index::ModelIndex;
+use crate::index::{IdSet, ModelIndex};
 use crate::{CheckError, CheckOptions, CheckReport, DirectionalOutcome, ViolationBinding};
 use mmt_deps::{Dep, DomIdx};
 use mmt_dist::{Delta, EditOp};
-use mmt_model::fx::{FxHashMap, FxHashSet};
+use mmt_model::fx::FxHashMap;
 use mmt_model::{ClassId, Model, ModelError, ObjId, RefId, Value};
 use mmt_qvtr::{Constraint, Hir, HirRelation, RelId, VarId};
 use std::cmp::Ordering;
@@ -240,31 +240,11 @@ impl LinkRead {
         }
         true
     }
-}
 
-/// One universal binding with its witness state: the heart of the
-/// incremental representation. `witness_objs` is the witness's read-set
-/// at object granularity — the objects the existential side bound.
-#[derive(Clone, Debug)]
-struct MatchEntry {
-    binding: Binding,
-    witnessed: bool,
-    witness_objs: Vec<(DomIdx, ObjId)>,
-}
-
-impl MatchEntry {
-    /// Whether this entry reads the link from `src` to `dst` through
-    /// `lr`: an endpoint the universal binding binds must hold its
-    /// object there, and one left to the witness must be among the
-    /// witness's objects. The record keeps those without their
-    /// variables, so a witness can pass for reading a link it does not
-    /// read — which costs a needless re-probe, never a missed one.
-    fn reads_link(&self, lr: &LinkRead, src: ObjId, dst: ObjId) -> bool {
-        let reads = |var: VarId, o: ObjId| match self.binding[var.index()] {
-            Some(slot) => slot == Slot::Obj(o),
-            None => self.witness_objs.contains(&(lr.model, o)),
-        };
-        reads(lr.obj, src) && reads(lr.dst, dst)
+    /// Whether `b` binds this read's endpoints to `src` and `dst`: reads
+    /// the link from `src` to `dst` here, when the link exists.
+    fn reads(&self, b: &[Option<Slot>], src: ObjId, dst: ObjId) -> bool {
+        b[self.obj.index()] == Some(Slot::Obj(src)) && b[self.dst.index()] == Some(Slot::Obj(dst))
     }
 }
 
@@ -275,21 +255,40 @@ struct CachedCheck {
     state: MatchState,
 }
 
+/// What a [`MatchState`] slot holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Status {
+    /// Nothing: the slot is on the free list, and its rows are stale.
+    Free,
+    /// A universal binding with a witness.
+    Witnessed,
+    /// A universal binding without one: a violation.
+    Violating,
+}
+
 /// The live match state of one check, keyed by object so a partial
-/// update touches only the entries an edit can affect.
+/// update touches only the matches an edit can affect.
 ///
-/// Entries live in a slab (`None` slots are free, reused LIFO; a freed
-/// last slot is dropped instead, so an entry an edit appends and its
-/// undo removes leaves no slot behind). Once the state grows past
-/// [`INDEX_THRESHOLD`] live entries it maintains
-/// two inverted indexes: `by_obj` maps `(model, object)` to the slots
-/// whose *universal binding* binds that object — the entries a
-/// universal-side edit invalidates and the candidates a `where`-clause
+/// Matches live in flat arenas indexed by *slot*: slot `s`'s universal
+/// binding is row `s` of `bindings` (`width` values, one per relation
+/// variable), the objects its witness bound are row `s` of `witnesses`
+/// (`wit_width` objects, in the check's `wit_objs` order, each
+/// variable's model being static), and `status[s]` says whether the
+/// slot is free, witnessed or violating; a violation's witness row is
+/// stale. So a match costs its data and no allocation of its own. Freed
+/// slots are reused LIFO; a freed last slot is truncated instead, so a
+/// match an edit appends and its undo removes leaves no slot behind.
+///
+/// Once the state grows past [`INDEX_THRESHOLD`] live matches it
+/// maintains two inverted indexes: `by_obj` maps `(model, object)` to
+/// the slots whose *universal binding* binds that object — the matches
+/// a universal-side edit invalidates and the candidates a `where`-clause
 /// read can re-key — and `by_wit` maps `(model, object)` to the slots
-/// whose *witness* read that object. Below the threshold the maps stay
-/// empty and lookups scan the slab directly: for the tiny match states
-/// of interactive sessions the scan is cheaper than the hashing and
-/// per-bucket allocations (and makes forking the state a pair of
+/// whose *witness* read that object. Each bucket is an [`IdSet`], which
+/// keeps its first slot inline: most objects are bound by one match.
+/// Below the threshold the maps stay empty and lookups scan the rows
+/// directly: for the tiny match states of interactive sessions the scan
+/// is cheaper than the hashing (and makes forking the state a few
 /// memcpys). The switch is one-way: a state that has been indexed stays
 /// indexed, even after undo edits shrink it again.
 ///
@@ -297,36 +296,45 @@ struct CachedCheck {
 /// as an incremental delta at every mutation — never recomputed by
 /// scanning (debug builds assert it against a scan after each update).
 /// The sorted `violating` slot vec exists only in indexed mode: below
-/// [`INDEX_THRESHOLD`] a slab scan enumerates violations just as fast,
+/// [`INDEX_THRESHOLD`] a status scan enumerates violations just as fast,
 /// and skipping the vec keeps the per-check mutation path free of its
 /// memmoves and heap allocation — maintaining it unconditionally was
 /// measured at a 15–20% warm-session checkpoint regression.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct MatchState {
-    slab: Vec<Option<MatchEntry>>,
+    /// Values per binding row: the relation's variable count.
+    width: usize,
+    /// Objects per witness row: the check's `wit_objs.len()`.
+    wit_width: usize,
+    /// Binding rows, `width` slots each.
+    bindings: Vec<Option<Slot>>,
+    /// Witness rows, `wit_width` objects each.
+    witnesses: Vec<ObjId>,
+    /// One status per slot; its length is the slot count.
+    status: Vec<Status>,
     free: Vec<u32>,
     /// Whether the inverted indexes are live (see type docs).
     indexed: bool,
     /// `(model, object)` → slots whose universal binding binds it.
-    by_obj: FxHashMap<(DomIdx, ObjId), Vec<u32>>,
+    by_obj: FxHashMap<(DomIdx, ObjId), IdSet<u32>>,
     /// `(model, object)` → slots whose witness read it.
-    by_wit: FxHashMap<(DomIdx, ObjId), Vec<u32>>,
+    by_wit: FxHashMap<(DomIdx, ObjId), IdSet<u32>>,
     /// Currently unwitnessed slots, ascending — indexed mode only;
-    /// empty below the threshold (the slab scan serves instead).
+    /// empty below the threshold (the status scan serves instead).
     violating: Vec<u32>,
-    /// Count of currently unwitnessed live entries, always maintained.
+    /// Count of currently unwitnessed live slots, always maintained.
     n_violating: usize,
 }
 
-/// Live-entry count past which a [`MatchState`] builds and maintains
-/// its inverted indexes instead of scanning the slab.
+/// Live-match count past which a [`MatchState`] builds and maintains
+/// its inverted indexes instead of scanning the rows.
 const INDEX_THRESHOLD: usize = 64;
 
 /// The universal-side object variables a binding binds, with their
-/// models — the `by_obj` keys of one entry.
+/// models — the `by_obj` keys of one match.
 fn binding_objs<'a>(
     rel: &'a HirRelation,
-    binding: &'a Binding,
+    binding: &'a [Option<Slot>],
 ) -> impl Iterator<Item = (DomIdx, ObjId)> + 'a {
     binding
         .iter()
@@ -337,24 +345,44 @@ fn binding_objs<'a>(
         })
 }
 
+/// A witness row's objects with their models — the `by_wit` keys of one
+/// witnessed match.
+fn witness_objs<'a>(
+    wit_objs: &'a [(DomIdx, VarId)],
+    row: &'a [ObjId],
+) -> impl Iterator<Item = (DomIdx, ObjId)> + 'a {
+    wit_objs.iter().zip(row).map(|(&(m, _), &o)| (m, o))
+}
+
+/// Sets `arena`'s capacity to its length plus `spare`.
+fn fit<T>(arena: &mut Vec<T>, spare: usize) {
+    arena.reserve_exact(spare);
+    arena.shrink_to(arena.len() + spare);
+}
+
+/// Row `slot` of an arena of `width`-wide rows.
+fn row<T>(arena: &[T], width: usize, slot: u32) -> &[T] {
+    let start = slot as usize * width;
+    &arena[start..start + width]
+}
+
 impl MatchState {
-    /// The state of a freshly evaluated check, as inserting `entries`
-    /// one by one would leave it: the slab first, in entry order, then
-    /// the indexes in bulk once the state is past [`INDEX_THRESHOLD`].
-    fn from_entries(rel: &HirRelation, entries: Vec<MatchEntry>) -> MatchState {
-        let mut state = MatchState::default();
-        // An eighth of growth headroom: reserving the exact entry count
-        // would leave the slab full, and the first constructive edit
-        // after a large build would pay a whole-slab realloc-and-move
-        // (tens of MB of fresh pages at 10⁶ objects — a multi-ms spike
-        // masquerading as per-edit cost).
-        state.slab.reserve(entries.len() + entries.len() / 8 + 16);
-        state.n_violating = entries.iter().filter(|e| !e.witnessed).count();
-        state.slab.extend(entries.into_iter().map(Some));
-        if state.slab.len() > INDEX_THRESHOLD {
-            state.build_indexes(rel);
+    /// An empty state for rows of `width` variables and `wit_width`
+    /// witness objects.
+    fn new(width: usize, wit_width: usize) -> MatchState {
+        MatchState {
+            width,
+            wit_width,
+            bindings: Vec::new(),
+            witnesses: Vec::new(),
+            status: Vec::new(),
+            free: Vec::new(),
+            indexed: false,
+            by_obj: FxHashMap::default(),
+            by_wit: FxHashMap::default(),
+            violating: Vec::new(),
+            n_violating: 0,
         }
-        state
     }
 
     fn violations(&self) -> usize {
@@ -362,11 +390,90 @@ impl MatchState {
     }
 
     fn live(&self) -> usize {
-        self.slab.len() - self.free.len()
+        self.status.len() - self.free.len()
     }
 
-    fn entry(&self, slot: u32) -> &MatchEntry {
-        self.slab[slot as usize].as_ref().expect("live slot")
+    /// The live slots, ascending.
+    fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.status
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s != Status::Free)
+            .map(|(slot, _)| slot as u32)
+    }
+
+    /// Slot `slot`'s universal binding.
+    fn binding(&self, slot: u32) -> &[Option<Slot>] {
+        row(&self.bindings, self.width, slot)
+    }
+
+    /// The objects slot `slot`'s witness bound, or `None` for a
+    /// violation.
+    fn witness(&self, slot: u32) -> Option<&[ObjId]> {
+        self.witnessed(slot)
+            .then(|| row(&self.witnesses, self.wit_width, slot))
+    }
+
+    fn witnessed(&self, slot: u32) -> bool {
+        self.status[slot as usize] == Status::Witnessed
+    }
+
+    /// Stores a match in a slot — the last one freed, or a new last
+    /// one — and returns the slot, leaving the indexes alone: the bulk
+    /// build of [`full_eval`] (which [`MatchState::built`] ends), and the
+    /// first half of [`MatchState::insert`].
+    fn push(&mut self, binding: &[Option<Slot>], witness: Option<&[ObjId]>) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let start = slot as usize * self.width;
+                self.bindings[start..start + self.width].copy_from_slice(binding);
+                slot
+            }
+            None => {
+                self.bindings.extend_from_slice(binding);
+                let len = self.witnesses.len() + self.wit_width;
+                self.witnesses.resize(len, ObjId(0));
+                self.status.push(Status::Free);
+                (self.status.len() - 1) as u32
+            }
+        };
+        self.write_witness(slot, witness);
+        if witness.is_none() {
+            self.mark_violating(slot);
+        }
+        slot
+    }
+
+    /// Stores slot `slot`'s witness record: its row, when witnessed,
+    /// and its status.
+    fn write_witness(&mut self, slot: u32, witness: Option<&[ObjId]>) {
+        self.status[slot as usize] = match witness {
+            Some(objs) => {
+                let start = slot as usize * self.wit_width;
+                self.witnesses[start..start + self.wit_width].copy_from_slice(objs);
+                Status::Witnessed
+            }
+            None => Status::Violating,
+        };
+    }
+
+    /// Ends a bulk build: leaves growth headroom, and builds the
+    /// indexes once the state is past [`INDEX_THRESHOLD`] — the state
+    /// inserting the matches one by one would leave.
+    fn built(mut self, rel: &HirRelation, wit_objs: &[(DomIdx, VarId)]) -> MatchState {
+        // An eighth of growth headroom: a full arena would make the first
+        // constructive edit after a large build pay a whole-arena
+        // realloc-and-move (tens of MB of fresh pages at 10⁶ objects — a
+        // multi-ms spike masquerading as per-edit cost). The build grew
+        // the arenas by doubling, so trim what they hold beyond it.
+        let spare = self.status.len() / 8 + 16;
+        fit(&mut self.bindings, spare * self.width);
+        fit(&mut self.witnesses, spare * self.wit_width);
+        fit(&mut self.status, spare);
+        if self.status.len() > INDEX_THRESHOLD {
+            self.build_indexes(rel, wit_objs);
+        }
+        self
     }
 
     /// Records `slot` turning unwitnessed: bumps the counter and, in
@@ -395,103 +502,109 @@ impl MatchState {
         }
     }
 
-    /// Builds the inverted indexes from the slab and flips the state to
+    /// Builds the inverted indexes from the rows and flips the state to
     /// indexed mode: once over a freshly evaluated state, or when an
     /// insert first crosses [`INDEX_THRESHOLD`]. One ascending pass over
-    /// the slab lists the violating slots and every bucket's slots, so
+    /// the slots lists the violating slots and every bucket's slots, so
     /// each bucket is allocated once, at its final size.
-    fn build_indexes(&mut self, rel: &HirRelation) {
+    fn build_indexes(&mut self, rel: &HirRelation, wit_objs: &[(DomIdx, VarId)]) {
         self.indexed = true;
         let mut uni = Vec::new();
         let mut wit = Vec::new();
         self.violating.reserve_exact(self.n_violating);
-        for (slot, e) in self.slab.iter().enumerate() {
-            let Some(e) = e else { continue };
+        for (slot, &status) in self.status.iter().enumerate() {
             let slot = slot as u32;
-            uni.extend(binding_objs(rel, &e.binding).map(|key| (key, slot)));
-            wit.extend(e.witness_objs.iter().map(|&key| (key, slot)));
-            if !e.witnessed {
-                self.violating.push(slot);
-            }
+            let objs = match status {
+                Status::Free => continue,
+                Status::Witnessed => row(&self.witnesses, self.wit_width, slot),
+                Status::Violating => {
+                    self.violating.push(slot);
+                    &[]
+                }
+            };
+            uni.extend(binding_objs(rel, row(&self.bindings, self.width, slot)).map(|k| (k, slot)));
+            wit.extend(witness_objs(wit_objs, objs).map(|key| (key, slot)));
         }
         self.by_obj = bucketed(uni);
         self.by_wit = bucketed(wit);
     }
 
-    fn insert(&mut self, rel: &HirRelation, entry: MatchEntry) {
+    fn insert(
+        &mut self,
+        rel: &HirRelation,
+        wit_objs: &[(DomIdx, VarId)],
+        binding: &[Option<Slot>],
+        witness: Option<&[ObjId]>,
+    ) {
         if !self.indexed && self.live() >= INDEX_THRESHOLD {
-            self.build_indexes(rel);
+            self.build_indexes(rel, wit_objs);
         }
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slab.push(None);
-                (self.slab.len() - 1) as u32
-            }
-        };
+        let slot = self.push(binding, witness);
         if self.indexed {
-            for key in binding_objs(rel, &entry.binding) {
+            for key in binding_objs(rel, binding) {
                 register(&mut self.by_obj, key, slot);
             }
-            for &(m, o) in &entry.witness_objs {
-                register(&mut self.by_wit, (m, o), slot);
+            for key in witness_objs(wit_objs, witness.unwrap_or_default()) {
+                register(&mut self.by_wit, key, slot);
             }
         }
-        if !entry.witnessed {
-            self.mark_violating(slot);
-        }
-        self.slab[slot as usize] = Some(entry);
     }
 
-    fn remove(&mut self, rel: &HirRelation, slot: u32) {
-        let entry = self.slab[slot as usize].take().expect("live slot");
+    fn remove(&mut self, rel: &HirRelation, wit_objs: &[(DomIdx, VarId)], slot: u32) {
+        let status = self.status[slot as usize];
+        debug_assert_ne!(status, Status::Free, "live slot");
         if self.indexed {
-            for key in binding_objs(rel, &entry.binding) {
+            for key in binding_objs(rel, row(&self.bindings, self.width, slot)) {
                 unregister(&mut self.by_obj, key, slot);
             }
-            for &(m, o) in &entry.witness_objs {
-                unregister(&mut self.by_wit, (m, o), slot);
+            if status == Status::Witnessed {
+                for key in witness_objs(wit_objs, row(&self.witnesses, self.wit_width, slot)) {
+                    unregister(&mut self.by_wit, key, slot);
+                }
             }
         }
-        if !entry.witnessed {
+        if status == Status::Violating {
             self.clear_violating(slot);
         }
-        // The last slot leaves the slab instead of joining the free list:
-        // an entry that an edit added and its undo removed (the repair
-        // search walks a session's checker) leaves no slot behind for the
-        // slab scans to pass over.
-        if slot as usize + 1 == self.slab.len() {
-            self.slab.pop();
+        // The last slot leaves the arenas instead of joining the free
+        // list: a match that an edit added and its undo removed (the
+        // repair search walks a session's checker) leaves no slot behind
+        // for the scans to pass over.
+        if slot as usize + 1 == self.status.len() {
+            self.status.pop();
+            self.bindings.truncate(self.bindings.len() - self.width);
+            self.witnesses
+                .truncate(self.witnesses.len() - self.wit_width);
         } else {
+            self.status[slot as usize] = Status::Free;
             self.free.push(slot);
         }
     }
 
-    /// Replaces one entry's witness record, re-keying `by_wit` (when
+    /// Replaces one match's witness record, re-keying `by_wit` (when
     /// indexed) and updating the violation set as a delta.
-    fn set_witness(&mut self, slot: u32, witnessed: bool, witness_objs: Vec<(DomIdx, ObjId)>) {
-        let entry = self.slab[slot as usize].as_mut().expect("live slot");
-        let was_witnessed = entry.witnessed;
-        let old = std::mem::replace(&mut entry.witness_objs, witness_objs);
-        entry.witnessed = witnessed;
-        if self.indexed {
-            for (m, o) in old {
-                unregister(&mut self.by_wit, (m, o), slot);
-            }
-            let entry = self.slab[slot as usize].as_ref().expect("live slot");
-            for &(m, o) in &entry.witness_objs {
-                register(&mut self.by_wit, (m, o), slot);
+    fn set_witness(&mut self, wit_objs: &[(DomIdx, VarId)], slot: u32, witness: Option<&[ObjId]>) {
+        let was_witnessed = self.witnessed(slot);
+        if self.indexed && was_witnessed {
+            for key in witness_objs(wit_objs, row(&self.witnesses, self.wit_width, slot)) {
+                unregister(&mut self.by_wit, key, slot);
             }
         }
-        if witnessed && !was_witnessed {
+        self.write_witness(slot, witness);
+        if let (true, Some(objs)) = (self.indexed, witness) {
+            for key in witness_objs(wit_objs, objs) {
+                register(&mut self.by_wit, key, slot);
+            }
+        }
+        if witness.is_some() && !was_witnessed {
             self.clear_violating(slot);
-        } else if !witnessed && was_witnessed {
+        } else if witness.is_none() && was_witnessed {
             self.mark_violating(slot);
         }
     }
 
     /// Appends to `out` the live slots whose universal binding binds
-    /// `(model, obj)` — an index lookup when indexed, a slab scan
+    /// `(model, obj)` — an index lookup when indexed, a row scan
     /// otherwise.
     fn collect_slots_binding(
         &self,
@@ -502,44 +615,73 @@ impl MatchState {
     ) {
         if self.indexed {
             if let Some(bucket) = self.by_obj.get(&(model, obj)) {
-                out.extend_from_slice(bucket);
+                out.extend(bucket.iter());
             }
             return;
         }
-        for (slot, e) in self.slab.iter().enumerate() {
-            let Some(e) = e else { continue };
-            if binding_objs(rel, &e.binding).any(|k| k == (model, obj)) {
-                out.push(slot as u32);
-            }
-        }
+        out.extend(
+            self.live_slots()
+                .filter(|&slot| binding_objs(rel, self.binding(slot)).any(|k| k == (model, obj))),
+        );
     }
 
     /// Appends to `out` the live slots whose witness read
-    /// `(model, obj)` — an index lookup when indexed, a slab scan
+    /// `(model, obj)` — an index lookup when indexed, a row scan
     /// otherwise.
-    fn collect_slots_witnessing(&self, model: DomIdx, obj: ObjId, out: &mut Vec<u32>) {
+    fn collect_slots_witnessing(
+        &self,
+        wit_objs: &[(DomIdx, VarId)],
+        model: DomIdx,
+        obj: ObjId,
+        out: &mut Vec<u32>,
+    ) {
         if self.indexed {
             if let Some(bucket) = self.by_wit.get(&(model, obj)) {
-                out.extend_from_slice(bucket);
+                out.extend(bucket.iter());
             }
             return;
         }
-        for (slot, e) in self.slab.iter().enumerate() {
-            let Some(e) = e else { continue };
-            if e.witness_objs.contains(&(model, obj)) {
-                out.push(slot as u32);
-            }
-        }
+        out.extend(self.live_slots().filter(|&slot| {
+            self.witness(slot)
+                .is_some_and(|row| witness_objs(wit_objs, row).any(|k| k == (model, obj)))
+        }));
     }
 
-    /// Fills `out` with the live slots whose entry reads the link from
-    /// `src` to `dst` through one of `reads` ([`MatchEntry::reads_link`]),
+    /// Whether slot `slot` reads the link from `src` to `dst` through
+    /// `lr`: an endpoint the universal binding binds must hold its
+    /// object there, and one left to the witness must be among the
+    /// witness's objects of `lr`'s model. That test does not look at
+    /// which variable holds the object, so a witness can pass for
+    /// reading a link it does not read — which costs a needless
+    /// re-probe, never a missed one.
+    fn reads_link(
+        &self,
+        wit_objs: &[(DomIdx, VarId)],
+        slot: u32,
+        lr: &LinkRead,
+        src: ObjId,
+        dst: ObjId,
+    ) -> bool {
+        let binding = self.binding(slot);
+        let witness = self.witness(slot);
+        let reads = |var: VarId, o: ObjId| match binding[var.index()] {
+            Some(slot) => slot == Slot::Obj(o),
+            None => {
+                witness.is_some_and(|row| witness_objs(wit_objs, row).any(|k| k == (lr.model, o)))
+            }
+        };
+        reads(lr.obj, src) && reads(lr.dst, dst)
+    }
+
+    /// Fills `out` with the live slots that read the link from `src` to
+    /// `dst` through one of `reads` ([`MatchState::reads_link`]),
     /// ascending and once each. Indexed, each read walks the smaller of
     /// its two endpoint buckets: `by_obj` for an endpoint among
     /// `uni_vars`, `by_wit` for one the witness binds; below the
-    /// threshold, the slab.
+    /// threshold, the rows.
     fn collect_slots_reading_link(
         &self,
+        wit_objs: &[(DomIdx, VarId)],
         reads: impl Iterator<Item = LinkRead> + Clone,
         uni_vars: &[VarId],
         src: ObjId,
@@ -548,12 +690,11 @@ impl MatchState {
     ) {
         out.clear();
         if !self.indexed {
-            for (slot, e) in self.slab.iter().enumerate() {
-                let Some(e) = e else { continue };
-                if reads.clone().any(|lr| e.reads_link(&lr, src, dst)) {
-                    out.push(slot as u32);
-                }
-            }
+            out.extend(self.live_slots().filter(|&slot| {
+                reads
+                    .clone()
+                    .any(|lr| self.reads_link(wit_objs, slot, &lr, src, dst))
+            }));
             return;
         }
         for lr in reads {
@@ -563,63 +704,68 @@ impl MatchState {
                 } else {
                     &self.by_wit
                 };
-                index.get(&(lr.model, o)).map_or(&[][..], Vec::as_slice)
+                index.get(&(lr.model, o))
             };
+            let len = |b: Option<&IdSet<u32>>| b.map_or(0, IdSet::len);
             let (from_src, from_dst) = (bucket(lr.obj, src), bucket(lr.dst, dst));
-            let smaller = if from_src.len() <= from_dst.len() {
+            let smaller = if len(from_src) <= len(from_dst) {
                 from_src
             } else {
                 from_dst
             };
             out.extend(
                 smaller
-                    .iter()
-                    .copied()
-                    .filter(|&s| self.entry(s).reads_link(&lr, src, dst)),
+                    .into_iter()
+                    .flat_map(IdSet::iter)
+                    .filter(|&s| self.reads_link(wit_objs, s, &lr, src, dst)),
             );
         }
         out.sort_unstable();
         out.dedup();
     }
 
-    /// Violating entries in canonical slab order — walked off the slot
-    /// vec when indexed, off a slab scan below the threshold. Both
-    /// sides visit slots ascending, so callers see one canonical order
-    /// regardless of mode.
-    fn violating_entries(&self) -> impl Iterator<Item = &MatchEntry> + '_ {
+    /// The violating slots, ascending — walked off the slot vec when
+    /// indexed, off a status scan below the threshold, so callers see
+    /// one canonical order regardless of mode.
+    fn violating_slots(&self) -> impl Iterator<Item = u32> + '_ {
         let from_vec = self
             .indexed
-            .then(|| self.violating.iter().map(|&s| self.entry(s)))
+            .then(|| self.violating.iter().copied())
             .into_iter()
             .flatten();
         let from_scan = (!self.indexed)
-            .then(|| self.slab.iter().flatten().filter(|e| !e.witnessed))
+            .then(|| self.live_slots().filter(|&s| !self.witnessed(s)))
             .into_iter()
             .flatten();
         from_vec.chain(from_scan)
     }
 
+    /// The violating bindings, in slot order.
+    fn violating_bindings(&self) -> impl Iterator<Item = &[Option<Slot>]> + '_ {
+        self.violating_slots().map(|s| self.binding(s))
+    }
+
     /// Fills `out` with the currently violating slots, ascending —
-    /// the mode-agnostic snapshot used by the partial-update pin pass.
+    /// the snapshot the partial-update pin pass walks while it edits.
     fn snapshot_violating(&self, out: &mut Vec<u32>) {
         out.clear();
-        if self.indexed {
-            out.extend_from_slice(&self.violating);
-            return;
-        }
-        for (slot, e) in self.slab.iter().enumerate() {
-            if e.as_ref().is_some_and(|e| !e.witnessed) {
-                out.push(slot as u32);
-            }
-        }
+        out.extend(self.violating_slots());
     }
 
     /// Debug-build differential check: the incrementally maintained
-    /// violation counter must equal a full scan of the slab, and the
-    /// violating set must be sorted (reports iterate it in slab order).
+    /// violation counter must equal a full status scan, the violating
+    /// set must be sorted (reports iterate it in slot order), and the
+    /// arenas must hold one row per slot.
     #[cfg(debug_assertions)]
     fn assert_counters(&self) {
-        let scan = self.slab.iter().flatten().filter(|e| !e.witnessed).count();
+        let slots = self.status.len();
+        assert_eq!(self.bindings.len(), slots * self.width, "binding rows");
+        assert_eq!(self.witnesses.len(), slots * self.wit_width, "witness rows");
+        let scan = self
+            .status
+            .iter()
+            .filter(|&&s| s == Status::Violating)
+            .count();
         assert_eq!(
             self.n_violating, scan,
             "incremental violation counter diverged from the match-state scan"
@@ -644,37 +790,35 @@ impl MatchState {
 }
 
 /// An inverted index over `(key, slot)` pairs: each key's bucket holds
-/// its slots ascending and once, as [`register`] leaves them when slots
-/// arrive in ascending order, and is allocated once, at its final size.
-fn bucketed(mut pairs: Vec<((DomIdx, ObjId), u32)>) -> FxHashMap<(DomIdx, ObjId), Vec<u32>> {
+/// its slots ascending and once, and is allocated once, at its final
+/// size (a one-slot bucket not at all).
+fn bucketed(mut pairs: Vec<((DomIdx, ObjId), u32)>) -> FxHashMap<(DomIdx, ObjId), IdSet<u32>> {
     pairs.sort_unstable();
     pairs.dedup();
     let buckets = pairs.chunk_by(|a, b| a.0 == b.0);
     let mut index =
         FxHashMap::with_capacity_and_hasher(buckets.clone().count(), Default::default());
     for bucket in buckets {
-        index.insert(bucket[0].0, bucket.iter().map(|&(_, slot)| slot).collect());
+        index.insert(
+            bucket[0].0,
+            IdSet::from_sorted(bucket.iter().map(|&(_, slot)| slot)),
+        );
     }
     index
 }
 
-/// Adds one slot to an inverted-index bucket, once — a binding (or
-/// witness) reading the same object through two variables must not
-/// register the slot twice, or `unregister` would leave a stale entry.
-fn register(index: &mut FxHashMap<(DomIdx, ObjId), Vec<u32>>, key: (DomIdx, ObjId), slot: u32) {
-    let bucket = index.entry(key).or_default();
-    if !bucket.contains(&slot) {
-        bucket.push(slot);
-    }
+/// Adds one slot to an inverted-index bucket (once: a binding or
+/// witness reading the same object through two variables holds it
+/// once).
+fn register(index: &mut FxHashMap<(DomIdx, ObjId), IdSet<u32>>, key: (DomIdx, ObjId), slot: u32) {
+    index.entry(key).or_default().insert(slot);
 }
 
 /// Drops one slot from an inverted-index bucket, removing the bucket
 /// when it empties.
-fn unregister(index: &mut FxHashMap<(DomIdx, ObjId), Vec<u32>>, key: (DomIdx, ObjId), slot: u32) {
+fn unregister(index: &mut FxHashMap<(DomIdx, ObjId), IdSet<u32>>, key: (DomIdx, ObjId), slot: u32) {
     if let Some(bucket) = index.get_mut(&key) {
-        if let Some(pos) = bucket.iter().position(|&s| s == slot) {
-            bucket.swap_remove(pos);
-        }
+        bucket.remove(slot);
         if bucket.is_empty() {
             index.remove(&key);
         }
@@ -728,8 +872,10 @@ struct UpdateScratch {
     reprobe: Vec<u32>,
     /// Violating slots snapshotted before the re-probe pass.
     violating_before: Vec<u32>,
-    /// Fresh-binding dedup across universal pins.
-    seen: FxHashSet<Binding>,
+    /// The binding a pinned enumeration or a re-probe extends.
+    binding: Binding,
+    /// The objects a witness probe's witness bound.
+    witness: Vec<ObjId>,
 }
 
 impl Clone for UpdateScratch {
@@ -746,13 +892,26 @@ impl DeltaChecker {
         DeltaChecker::with_options(hir, models, CheckOptions::default())
     }
 
-    /// As [`DeltaChecker::new`] with explicit options.
+    /// As [`DeltaChecker::new`] with explicit options: a copy of
+    /// `models` goes to [`DeltaChecker::from_models`].
     /// [`CheckOptions::max_violations`] caps the counterexamples
     /// *reported*, not the match state — the checker always tracks every
     /// universal binding.
     pub fn with_options(
         hir: &Arc<Hir>,
         models: &[Model],
+        opts: CheckOptions,
+    ) -> Result<DeltaChecker, DeltaError> {
+        DeltaChecker::from_models(hir, models.to_vec(), opts)
+    }
+
+    /// Binds the tuple `models`, taking it over without a copy, and runs
+    /// the initial full evaluation under `opts`: the open path for a
+    /// caller that parsed or recovered a tuple and keeps no copy of its
+    /// own. [`DeltaChecker::with_options`] is this over a copy.
+    pub fn from_models(
+        hir: &Arc<Hir>,
+        models: Vec<Model>,
         opts: CheckOptions,
     ) -> Result<DeltaChecker, DeltaError> {
         if models.len() != hir.arity() {
@@ -772,15 +931,15 @@ impl DeltaChecker {
                 .into());
             }
         }
-        let models: Vec<Model> = models.to_vec();
         let indexes: Vec<ModelIndex> = models.iter().map(ModelIndex::build).collect();
         let arity = hir.arity();
         let mut checks = Vec::new();
+        let mut scratch = UpdateScratch::default();
         let mut ctx = EvalCtx::new(hir, &models, &indexes);
         for (rid, rel) in hir.top_relations() {
             for &dep in rel.deps.deps() {
                 let statics = Arc::new(compile_check(hir, rid, dep, arity)?);
-                let state = full_eval(&mut ctx, rel, &statics)?;
+                let state = full_eval(&mut ctx, rel, &statics, &mut scratch)?;
                 checks.push(CachedCheck { statics, state });
             }
         }
@@ -793,7 +952,7 @@ impl DeltaChecker {
             checks,
             eval_stats,
             delta_stats: DeltaStats::default(),
-            scratch: UpdateScratch::default(),
+            scratch,
         })
     }
 
@@ -937,7 +1096,7 @@ impl DeltaChecker {
             }
             let rel = self.hir.relation(st.rel);
             if hits_call {
-                check.state = full_eval(&mut ctx, rel, st)?;
+                check.state = full_eval(&mut ctx, rel, st, &mut self.scratch)?;
                 self.delta_stats.full_reevals += 1;
                 continue;
             }
@@ -993,9 +1152,9 @@ impl DeltaChecker {
             let rel = self.hir.relation(c.statics.rel);
             let violations: Vec<ViolationBinding> = c
                 .state
-                .violating_entries()
+                .violating_bindings()
                 .take(self.opts.max_violations)
-                .map(|e| render(rel, &e.binding))
+                .map(|b| render(rel, b))
                 .collect();
             checks.push(DirectionalOutcome {
                 relation: c.statics.rel,
@@ -1021,17 +1180,17 @@ impl DeltaChecker {
     /// orders differ after incremental updates. Content order makes two
     /// processes that interned their strings in different orders drive
     /// it identically too.
-    pub fn for_each_violation(&self, cap: usize, mut f: impl FnMut(RelId, Dep, &Binding)) {
+    pub fn for_each_violation(&self, cap: usize, mut f: impl FnMut(RelId, Dep, &[Option<Slot>])) {
         for c in &self.checks {
             if c.state.violations() == 0 {
                 continue;
             }
-            let mut violating: Vec<&MatchEntry> = c.state.violating_entries().collect();
+            let mut violating: Vec<&[Option<Slot>]> = c.state.violating_bindings().collect();
             if violating.len() > 1 {
-                violating.sort_by(|a, b| cmp_bindings(&a.binding, &b.binding));
+                violating.sort_by(|a, b| cmp_bindings(a, b));
             }
-            for e in violating.into_iter().take(cap) {
-                f(c.statics.rel, c.statics.dep, &e.binding);
+            for b in violating.into_iter().take(cap) {
+                f(c.statics.rel, c.statics.dep, b);
             }
         }
     }
@@ -1094,7 +1253,7 @@ impl DeltaChecker {
 /// tuple alone and not on which strings the process interned first.
 /// Within one check every binding has the same length and shape, so
 /// this is a total order there.
-fn cmp_bindings(a: &Binding, b: &Binding) -> Ordering {
+fn cmp_bindings(a: &[Option<Slot>], b: &[Option<Slot>]) -> Ordering {
     fn rank(s: &Option<Slot>) -> u8 {
         match s {
             None => 0,
@@ -1125,7 +1284,7 @@ fn accumulate(into: &mut EvalStats, extra: EvalStats) {
     into.candidates += extra.candidates;
 }
 
-fn render(rel: &HirRelation, binding: &Binding) -> ViolationBinding {
+fn render(rel: &HirRelation, binding: &[Option<Slot>]) -> ViolationBinding {
     let vars = binding
         .iter()
         .enumerate()
@@ -1206,52 +1365,57 @@ fn compile_check(hir: &Hir, rid: RelId, dep: Dep, arity: usize) -> Result<CheckS
 }
 
 /// Full (from-scratch) evaluation of one check: enumerate every
-/// universal binding and probe its witness.
+/// universal binding and probe its witness, writing each match's rows
+/// in place.
 fn full_eval(
     ctx: &mut EvalCtx<'_>,
     rel: &HirRelation,
     st: &CheckStatics,
+    scratch: &mut UpdateScratch,
 ) -> Result<MatchState, EvalError> {
-    let mut matches: Vec<MatchEntry> = Vec::new();
-    let mut binding: Binding = vec![None; rel.vars.len()];
-    ctx.solve(
-        rel,
-        &st.plan.src_constraints,
-        &mut binding,
-        &mut |ctx, b| {
-            ctx.stats.universal_bindings += 1;
-            if let Some(when) = &rel.when {
-                if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
-                    return Ok(false);
-                }
+    let mut state = MatchState::new(rel.vars.len(), st.wit_objs.len());
+    let witness = &mut scratch.witness;
+    let binding = unbound(&mut scratch.binding, rel);
+    ctx.solve(rel, &st.plan.src_constraints, binding, &mut |ctx, b| {
+        ctx.stats.universal_bindings += 1;
+        if let Some(when) = &rel.when {
+            if !ctx.eval_bool(rel, when, b, st.plan.dir)? {
+                return Ok(false);
             }
-            let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
-            matches.push(MatchEntry {
-                binding: b.clone(),
-                witnessed,
-                witness_objs,
-            });
-            Ok(false)
-        },
-    )?;
-    Ok(MatchState::from_entries(rel, matches))
+        }
+        let witnessed = probe_recording(ctx, rel, st, b, witness)?;
+        state.push(b, witnessed.then_some(&witness[..]));
+        Ok(false)
+    })?;
+    Ok(state.built(rel, &st.wit_objs))
 }
 
-/// One witness probe's result: whether a witness exists and, when it
-/// does, the objects it bound (its object-level read-set).
-type WitnessRecord = (bool, Vec<(DomIdx, ObjId)>);
+/// Resets `binding` to `rel`'s variables, all unbound.
+fn unbound<'b>(binding: &'b mut Binding, rel: &HirRelation) -> &'b mut Binding {
+    binding.clear();
+    binding.resize(rel.vars.len(), None);
+    binding
+}
+
+/// Resets `binding` to slot `slot`'s universal binding, to re-probe it.
+fn matched<'b>(binding: &'b mut Binding, state: &MatchState, slot: u32) -> &'b mut Binding {
+    binding.clear();
+    binding.extend_from_slice(state.binding(slot));
+    binding
+}
 
 /// Existential probe that records which objects the witness bound.
 /// `binding` binds the universal side and, for a pinned probe, some of
-/// the witness's object variables (the check's `wit_objs`); the record
-/// lists the objects at every one of those, pinned or not, in
-/// `wit_objs` order.
+/// the witness's object variables (the check's `wit_objs`). True when a
+/// witness exists; `witness` then holds its objects at every one of
+/// those variables, pinned or not, in `wit_objs` order.
 fn probe_recording(
     ctx: &mut EvalCtx<'_>,
     rel: &HirRelation,
     st: &CheckStatics,
     binding: &mut Binding,
-) -> Result<WitnessRecord, EvalError> {
+    witness: &mut Vec<ObjId>,
+) -> Result<bool, EvalError> {
     ctx.stats.existential_probes += 1;
     debug_assert!(
         binding.iter().enumerate().all(|(i, s)| {
@@ -1264,35 +1428,31 @@ fn probe_recording(
         }),
         "a witness probe starts from a universal binding and pins witness objects at most"
     );
-    let mut out: Option<Vec<(DomIdx, ObjId)>> = None;
+    let mut found = false;
     ctx.solve(rel, &st.plan.tgt_constraints, binding, &mut |ctx, b| {
         if let Some(w) = &rel.where_ {
             if !ctx.eval_bool(rel, w, b, st.plan.dir)? {
                 return Ok(false);
             }
         }
-        let objs = st
-            .wit_objs
-            .iter()
-            .filter_map(|&(m, v)| match b[v.index()] {
-                Some(Slot::Obj(o)) => Some((m, o)),
-                _ => None,
-            })
-            .collect();
-        out = Some(objs);
+        // A solution binds every object variable of the target pattern
+        // to an object: the resolver admits none in attribute position.
+        witness.clear();
+        witness.extend(st.wit_objs.iter().map(|&(_, v)| match b[v.index()] {
+            Some(Slot::Obj(o)) => o,
+            _ => unreachable!("a witness binds its object variables to objects"),
+        }));
+        found = true;
         Ok(true) // stop at the first witness
     })?;
-    Ok(match out {
-        Some(objs) => (true, objs),
-        None => (false, Vec::new()),
-    })
+    Ok(found)
 }
 
 /// Universal-side partial update. A link edit is link-granular: a
 /// deleted link drops the matches that read it, and an added one
 /// enumerates the matches it completes. Any other edit drops the
 /// matches binding the affected object (found through the `by_obj`
-/// index — O(affected entries), not O(match state)), then re-enumerates
+/// index — O(affected matches), not O(match state)), then re-enumerates
 /// the join with the affected object pinned at each variable it can
 /// bind.
 #[allow(clippy::too_many_arguments)]
@@ -1307,26 +1467,31 @@ fn universal_update(
     live: &Model,
     scratch: &mut UpdateScratch,
 ) -> Result<(), EvalError> {
+    let wit_objs = &st.wit_objs;
     match *op {
         EditOp::DelLink { src, r, dst } => {
             // Only a match that read the link loses it, and a deletion
             // completes no match.
             let stale = &mut scratch.stale;
             let reads = link_reads(rel, &st.plan.src_constraints, model, r);
-            state.collect_slots_reading_link(reads, &st.plan.src_vars, src, dst, stale);
+            state.collect_slots_reading_link(wit_objs, reads, &st.plan.src_vars, src, dst, stale);
             for &slot in stale.iter() {
-                state.remove(rel, slot);
+                state.remove(rel, wit_objs, slot);
             }
             return Ok(());
         }
         EditOp::AddLink { src, r, dst } => {
             // Every match stays, and a new one reads the new link: pin
-            // both its endpoints at each read of `r`.
-            scratch.seen.clear();
-            for lr in link_reads(rel, &st.plan.src_constraints, model, r) {
-                let mut binding: Binding = vec![None; rel.vars.len()];
-                if lr.pin(&mut binding, src, dst) {
-                    insert_matches(ctx, rel, st, state, &mut binding, &mut scratch.seen)?;
+            // both its endpoints at each read of `r`. A binding that
+            // reads the link at an earlier read was found there.
+            let reads = link_reads(rel, &st.plan.src_constraints, model, r);
+            for (i, lr) in reads.clone().enumerate() {
+                let binding = unbound(&mut scratch.binding, rel);
+                if lr.pin(binding, src, dst) {
+                    let earlier = reads.clone().take(i);
+                    insert_matches(ctx, rel, st, state, binding, &mut scratch.witness, |b| {
+                        earlier.clone().any(|e| e.reads(b, src, dst))
+                    })?;
                 }
             }
             return Ok(());
@@ -1339,38 +1504,42 @@ fn universal_update(
     stale.sort_unstable();
     stale.dedup();
     for &slot in stale.iter() {
-        state.remove(rel, slot);
+        state.remove(rel, wit_objs, slot);
     }
     if !live.contains(affected) {
         return Ok(()); // deleted objects bind nothing
     }
     // Every re-enumerated binding pins the affected object, and no
-    // surviving entry binds it (it was just dropped).
-    scratch.seen.clear();
-    for &(pm, var) in &st.uni_pins {
-        if pm != model {
-            continue;
-        }
-        let mut binding: Binding = vec![None; rel.vars.len()];
+    // surviving match binds it (it was just dropped). A binding that
+    // holds it at an earlier pin was found there.
+    let pins = st.uni_pins.iter().filter(|&&(pm, _)| pm == model);
+    for (i, &(_, var)) in pins.clone().enumerate() {
+        let binding = unbound(&mut scratch.binding, rel);
         binding[var.index()] = Some(Slot::Obj(affected));
-        insert_matches(ctx, rel, st, state, &mut binding, &mut scratch.seen)?;
+        let earlier = pins.clone().take(i);
+        insert_matches(ctx, rel, st, state, binding, &mut scratch.witness, |b| {
+            earlier
+                .clone()
+                .any(|&(_, v)| b[v.index()] == Some(Slot::Obj(affected)))
+        })?;
     }
     Ok(())
 }
 
 /// Enumerates the universal bindings extending `binding`, which pins an
-/// edited object or link that no entry of `state` reads, and inserts
-/// each with its witness record. `seen` collects them, so a binding
-/// that the next pin finds again (one object at two pins, say both ends
-/// of a self-loop) is inserted once: a hashed set of the fresh bindings
-/// alone is a complete dedup, as no surviving entry reads the pin.
+/// edited object or link that no match of `state` reads, and inserts
+/// each with its witness record — except those `found_before` names:
+/// the bindings an earlier pin of the same edit enumerated (one object
+/// at two pins, say both ends of a self-loop), which that pin inserted.
+/// As no surviving match reads the pin, this is a complete dedup.
 fn insert_matches(
     ctx: &mut EvalCtx<'_>,
     rel: &HirRelation,
     st: &CheckStatics,
     state: &mut MatchState,
     binding: &mut Binding,
-    seen: &mut FxHashSet<Binding>,
+    witness: &mut Vec<ObjId>,
+    found_before: impl Fn(&[Option<Slot>]) -> bool,
 ) -> Result<(), EvalError> {
     ctx.solve(rel, &st.plan.src_constraints, binding, &mut |ctx, b| {
         ctx.stats.universal_bindings += 1;
@@ -1379,18 +1548,11 @@ fn insert_matches(
                 return Ok(false);
             }
         }
-        if !seen.insert(b.clone()) {
-            return Ok(false); // found through another pin already
+        if found_before(b) {
+            return Ok(false);
         }
-        let (witnessed, witness_objs) = probe_recording(ctx, rel, st, b)?;
-        state.insert(
-            rel,
-            MatchEntry {
-                binding: b.clone(),
-                witnessed,
-                witness_objs,
-            },
-        );
+        let witnessed = probe_recording(ctx, rel, st, b, witness)?;
+        state.insert(rel, &st.wit_objs, b, witnessed.then_some(&witness[..]));
         Ok(false)
     })?;
     Ok(())
@@ -1400,7 +1562,7 @@ fn insert_matches(
 /// that read it; an added one keeps every witness and probes each
 /// violation for a witness through it. Any other edit re-probes the
 /// matches whose witness (or `where` clause) read the affected object —
-/// found through the `by_wit` / `by_obj` indexes, O(affected entries)
+/// found through the `by_wit` / `by_obj` indexes, O(affected matches)
 /// instead of a full match-state sweep — and, for violations, probes
 /// for a *new* witness with the affected object pinned, unless the edit
 /// is purely destructive, in which case no new witness can exist. The
@@ -1418,16 +1580,18 @@ fn witness_update(
     live: &Model,
     scratch: &mut UpdateScratch,
 ) -> Result<(), EvalError> {
+    let wit_objs = &st.wit_objs;
+    let witness = &mut scratch.witness;
     match *op {
         EditOp::DelLink { src, r, dst } => {
             let reprobe = &mut scratch.reprobe;
             let reads = link_reads(rel, &st.plan.tgt_constraints, model, r);
-            state.collect_slots_reading_link(reads, &st.plan.src_vars, src, dst, reprobe);
+            state.collect_slots_reading_link(wit_objs, reads, &st.plan.src_vars, src, dst, reprobe);
             for &slot in reprobe.iter() {
-                if state.entry(slot).witnessed {
-                    let mut b = state.entry(slot).binding.clone();
-                    let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
-                    state.set_witness(slot, w, objs);
+                if state.witnessed(slot) {
+                    let b = matched(&mut scratch.binding, state, slot);
+                    let w = probe_recording(ctx, rel, st, b, witness)?;
+                    state.set_witness(wit_objs, slot, w.then_some(&witness[..]));
                 }
             }
             return Ok(());
@@ -1436,13 +1600,12 @@ fn witness_update(
             state.snapshot_violating(&mut scratch.violating_before);
             'violations: for &slot in &scratch.violating_before {
                 for lr in link_reads(rel, &st.plan.tgt_constraints, model, r) {
-                    let mut b = state.entry(slot).binding.clone();
-                    if !lr.pin(&mut b, src, dst) {
+                    let b = matched(&mut scratch.binding, state, slot);
+                    if !lr.pin(b, src, dst) {
                         continue;
                     }
-                    let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
-                    if w {
-                        state.set_witness(slot, true, objs);
+                    if probe_recording(ctx, rel, st, b, witness)? {
+                        state.set_witness(wit_objs, slot, Some(witness));
                         continue 'violations;
                     }
                 }
@@ -1453,20 +1616,20 @@ fn witness_update(
     }
     let destructive = op.is_destructive_only();
     // Snapshot the violating set before any re-probe: pin-probing is
-    // only for entries that were unwitnessed *and* untouched by the
+    // only for matches that were unwitnessed *and* untouched by the
     // re-probe pass (exactly the old sweep's else-branch).
     state.snapshot_violating(&mut scratch.violating_before);
-    // Entries to fully re-probe: witnessed entries whose witness read
-    // an affected object, plus any entry whose witness side reads an
+    // Matches to fully re-probe: witnessed matches whose witness read
+    // an affected object, plus any match whose witness side reads an
     // affected object through a universal-side variable (its `where`
     // clause, or its target pattern at a variable `when` binds).
     let reprobe = &mut scratch.reprobe;
     let hits = &mut scratch.hits;
     reprobe.clear();
     hits.clear();
-    state.collect_slots_witnessing(model, o, hits);
+    state.collect_slots_witnessing(wit_objs, model, o, hits);
     for &slot in hits.iter() {
-        if state.entry(slot).witnessed {
+        if state.witnessed(slot) {
             reprobe.push(slot);
         }
     }
@@ -1474,10 +1637,10 @@ fn witness_update(
         hits.clear();
         state.collect_slots_binding(rel, model, o, hits);
         for &slot in hits.iter() {
-            let e = state.entry(slot);
+            let b = state.binding(slot);
             let read = st.wit_uni_vars.iter().any(|&v| {
                 var_model(rel, v) == Some(model)
-                    && matches!(e.binding[v.index()], Some(Slot::Obj(b)) if b == o)
+                    && matches!(b[v.index()], Some(Slot::Obj(x)) if x == o)
             });
             if read {
                 reprobe.push(slot);
@@ -1487,14 +1650,14 @@ fn witness_update(
     reprobe.sort_unstable();
     reprobe.dedup();
     for &slot in reprobe.iter() {
-        let mut b = state.entry(slot).binding.clone();
-        let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
-        state.set_witness(slot, w, objs);
+        let b = matched(&mut scratch.binding, state, slot);
+        let w = probe_recording(ctx, rel, st, b, witness)?;
+        state.set_witness(wit_objs, slot, w.then_some(&witness[..]));
     }
     if destructive || !live.contains(o) {
         return Ok(());
     }
-    'entries: for &slot in &scratch.violating_before {
+    'violations: for &slot in &scratch.violating_before {
         if scratch.reprobe.binary_search(&slot).is_ok() {
             continue; // already fully re-probed above
         }
@@ -1502,12 +1665,11 @@ fn witness_update(
             if pm != model {
                 continue;
             }
-            let mut b = state.entry(slot).binding.clone();
+            let b = matched(&mut scratch.binding, state, slot);
             b[var.index()] = Some(Slot::Obj(o));
-            let (w, objs) = probe_recording(ctx, rel, st, &mut b)?;
-            if w {
-                state.set_witness(slot, true, objs);
-                continue 'entries;
+            if probe_recording(ctx, rel, st, b, witness)? {
+                state.set_witness(wit_objs, slot, Some(witness));
+                continue 'violations;
             }
         }
     }
@@ -2273,11 +2435,11 @@ transformation T(a : A, b : B) {
     }
 
     /// Pins the `universal_update` dedup: a binding that binds the
-    /// edited object through two *different* pins (here: linking `p0` to
-    /// itself, so the binding `(p = p0, c = p0)` is re-found through the
-    /// `p` pin *and* the `c` pin) must not be inserted twice. A
-    /// duplicate would double-count the violation and break the
-    /// differential report below.
+    /// edited object at two *different* pins must not be inserted twice.
+    /// Linking `p0` to itself adds `(p = p0, c = p0)` through the one
+    /// read of `kids`; renaming `p0` then re-finds it through the `p`
+    /// pin *and* the `c` pin. A duplicate would double-count the
+    /// violation and break the differential report below.
     #[test]
     fn universal_update_dedups_across_pins() {
         let g =
@@ -2320,18 +2482,41 @@ transformation T(g1 : G, g2 : H) {
                 },
             )
             .unwrap();
-        for c in &checker.checks {
-            let mut seen: std::collections::HashSet<&Binding> = std::collections::HashSet::new();
-            for e in c.state.slab.iter().flatten() {
-                assert!(
-                    seen.insert(&e.binding),
-                    "duplicate match entry after multi-pin re-enumeration"
-                );
+        let assert_no_duplicate = |checker: &DeltaChecker| {
+            for c in &checker.checks {
+                let mut seen: std::collections::HashSet<&[Option<Slot>]> =
+                    std::collections::HashSet::new();
+                for slot in c.state.live_slots() {
+                    assert!(
+                        seen.insert(c.state.binding(slot)),
+                        "duplicate match after multi-pin re-enumeration"
+                    );
+                }
             }
-        }
+        };
+        assert_no_duplicate(&checker);
         // (p0, p1), (p0, x), (p1, x) and the self-loop (p0, p0), each
         // once and unwitnessed.
         assert_eq!(checker.violation_count(), 4);
         assert_agrees(&checker, "after a self-loop bound through two pins");
+        // Renaming p0 re-enumerates from the `p` pin and the `c` pin,
+        // and both find (p0, p0).
+        let name = g
+            .attr_of(g.class_named("N").unwrap(), mmt_model::Sym::new("name"))
+            .unwrap();
+        checker
+            .apply(
+                DomIdx(0),
+                &EditOp::SetAttr {
+                    id: ObjId(0),
+                    attr: name,
+                    value: Value::str("z"),
+                    old: Value::str("a"),
+                },
+            )
+            .unwrap();
+        assert_no_duplicate(&checker);
+        assert_eq!(checker.violation_count(), 4);
+        assert_agrees(&checker, "after renaming the object at both pins");
     }
 }

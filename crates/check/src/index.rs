@@ -23,19 +23,21 @@
 //! in ascending id order, which is exactly the order the old layout
 //! stored explicitly.
 //!
-//! Attribute buckets are **hybrid sorted sets**: a sorted `Vec` while
-//! small (almost all buckets — names are near-unique), spilling into a
+//! Attribute buckets are **hybrid sorted sets** (`IdSet`): one id
+//! inline, with no heap allocation (almost all buckets — names are
+//! near-unique, so a 10⁵-object model has about 10⁵ one-object
+//! buckets), a sorted `Vec` from the second id, spilling into a
 //! `BTreeSet` past `SPILL` entries so the handful of giant buckets
 //! (e.g. a boolean attribute splitting the model in half) update in
-//! O(log n) instead of O(n). Both halves iterate ascending, so the
-//! spill is invisible to consumers.
+//! O(log n) instead of O(n). Every shape iterates ascending, so the
+//! representation is invisible to consumers.
 
 use mmt_model::fx::FxHashMap;
 use mmt_model::{AttrId, ClassId, Model, ObjId, Value};
 use std::collections::BTreeSet;
 
-/// Bucket size past which an attribute bucket trades its sorted `Vec`
-/// for a `BTreeSet`. Below this, memmove beats tree rebalancing.
+/// Size past which an [`IdSet`] trades its sorted `Vec` for a
+/// `BTreeSet`. Below this, memmove beats tree rebalancing.
 const SPILL: usize = 64;
 
 /// Query indexes for one model.
@@ -45,7 +47,7 @@ pub struct ModelIndex {
     /// to `class`.
     extents: Vec<BitExtent>,
     /// `(attr, value)` → ids of live objects with that attribute value.
-    attr_index: FxHashMap<(AttrId, Value), IdSet>,
+    attr_index: FxHashMap<(AttrId, Value), IdSet<ObjId>>,
 }
 
 impl ModelIndex {
@@ -54,7 +56,7 @@ impl ModelIndex {
         let meta = model.metamodel();
         let n_classes = meta.class_count();
         let mut extents: Vec<BitExtent> = vec![BitExtent::new(); n_classes];
-        let mut attr_index: FxHashMap<(AttrId, Value), IdSet> = FxHashMap::default();
+        let mut attr_index: FxHashMap<(AttrId, Value), IdSet<ObjId>> = FxHashMap::default();
         for (id, obj) in model.objects() {
             // Add to the extent of every (transitive) supertype.
             for (sup, extent) in extents.iter_mut().enumerate() {
@@ -99,7 +101,7 @@ impl ModelIndex {
         self.attr_index
             .get(&(attr, value))
             .map(IdSet::iter)
-            .unwrap_or(IdSetIter::Empty)
+            .unwrap_or(IdSetIter::One(None))
     }
 
     /// Point update: registers the object at `id` (call *after* it was
@@ -240,99 +242,147 @@ impl Iterator for BitIter<'_> {
 
 impl ExactSizeIterator for BitIter<'_> {}
 
-/// One attribute bucket: sorted `Vec` while small, `BTreeSet` once it
-/// spills past [`SPILL`]. Never shrinks back (hysteresis — a bucket
-/// oscillating around the threshold would otherwise thrash).
+/// A sorted set of ids, shaped for the common case of one member: the
+/// first is kept inline, and the heap is used only from the second — a
+/// sorted `Vec` up to [`SPILL`] members, a `BTreeSet` past it. An
+/// attribute bucket here (names are near-unique, so almost every bucket
+/// holds one object) and a match-state bucket of the
+/// [`DeltaChecker`](crate::DeltaChecker) (most objects are bound by one
+/// match) are both one. A set keeps its `Vec` while it has a member, and
+/// its tree for good (hysteresis — a bucket oscillating around a
+/// threshold would otherwise thrash); an emptied set takes its next
+/// member inline. Every shape iterates ascending, so the representation
+/// is invisible to consumers.
 #[derive(Clone, Debug)]
-enum IdSet {
-    Small(Vec<ObjId>),
-    Large(BTreeSet<ObjId>),
+pub(crate) enum IdSet<T> {
+    /// Exactly one member, inline.
+    One(T),
+    /// No member, or two up to [`SPILL`] members, ascending.
+    Few(Vec<T>),
+    /// More than [`SPILL`] members. Boxed so that the set stays three
+    /// words (24 bytes, not 32): the maps holding a bucket per object
+    /// have about 10⁵ entries at 10⁵ objects, and only a bucket past
+    /// `SPILL` pays the box's allocation.
+    #[allow(clippy::box_collection)]
+    Many(Box<BTreeSet<T>>),
 }
 
-impl Default for IdSet {
-    fn default() -> IdSet {
-        IdSet::Small(Vec::new())
+impl<T> Default for IdSet<T> {
+    fn default() -> IdSet<T> {
+        IdSet::Few(Vec::new())
     }
 }
 
-impl IdSet {
-    fn len(&self) -> usize {
-        match self {
-            IdSet::Small(v) => v.len(),
-            IdSet::Large(s) => s.len(),
+impl<T: Copy + Ord> IdSet<T> {
+    /// The set of `ids`, which come ascending and once each, allocated
+    /// at its final size.
+    pub(crate) fn from_sorted(mut ids: impl ExactSizeIterator<Item = T>) -> IdSet<T> {
+        match ids.len() {
+            1 => IdSet::One(ids.next().expect("one id")),
+            n if n <= SPILL => IdSet::Few(ids.collect()),
+            _ => IdSet::Many(Box::new(ids.collect())),
         }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            IdSet::One(_) => 1,
+            IdSet::Few(v) => v.len(),
+            IdSet::Many(s) => s.len(),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn insert(&mut self, id: ObjId) {
+    /// Adds `id`; a no-op when it is a member already.
+    pub(crate) fn insert(&mut self, id: T) {
         match self {
-            IdSet::Small(v) => {
+            IdSet::One(first) => {
+                if *first != id {
+                    // The `Vec`'s first growth step, as a push would take.
+                    let mut v = Vec::with_capacity(4);
+                    v.extend([id.min(*first), id.max(*first)]);
+                    *self = IdSet::Few(v);
+                }
+            }
+            IdSet::Few(v) if v.is_empty() => *self = IdSet::One(id),
+            IdSet::Few(v) => {
                 if let Err(pos) = v.binary_search(&id) {
                     v.insert(pos, id);
                     if v.len() > SPILL {
-                        *self = IdSet::Large(v.iter().copied().collect());
+                        *self = IdSet::Many(Box::new(v.iter().copied().collect()));
                     }
                 }
             }
-            IdSet::Large(s) => {
+            IdSet::Many(s) => {
                 s.insert(id);
             }
         }
     }
 
-    fn remove(&mut self, id: ObjId) {
+    /// Removes `id`; a no-op when it is not a member.
+    pub(crate) fn remove(&mut self, id: T) {
         match self {
-            IdSet::Small(v) => {
+            IdSet::One(only) => {
+                if *only == id {
+                    *self = IdSet::default();
+                }
+            }
+            IdSet::Few(v) => {
                 if let Ok(pos) = v.binary_search(&id) {
                     v.remove(pos);
                 }
             }
-            IdSet::Large(s) => {
+            IdSet::Many(s) => {
                 s.remove(&id);
             }
         }
     }
 
-    fn iter(&self) -> IdSetIter<'_> {
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> IdSetIter<'_, T> {
         match self {
-            IdSet::Small(v) => IdSetIter::Small(v.iter()),
-            IdSet::Large(s) => IdSetIter::Large(s.iter()),
+            IdSet::One(only) => IdSetIter::One(Some(*only)),
+            IdSet::Few(v) => IdSetIter::Few(v.iter()),
+            IdSet::Many(s) => IdSetIter::Many(s.iter()),
         }
     }
 }
 
 /// Ascending iterator over an [`IdSet`] (or nothing, for absent
 /// buckets).
-enum IdSetIter<'a> {
-    Empty,
-    Small(std::slice::Iter<'a, ObjId>),
-    Large(std::collections::btree_set::Iter<'a, ObjId>),
+pub(crate) enum IdSetIter<'a, T> {
+    One(Option<T>),
+    Few(std::slice::Iter<'a, T>),
+    Many(std::collections::btree_set::Iter<'a, T>),
 }
 
-impl Iterator for IdSetIter<'_> {
-    type Item = ObjId;
+impl<T: Copy> Iterator for IdSetIter<'_, T> {
+    type Item = T;
 
-    fn next(&mut self) -> Option<ObjId> {
+    fn next(&mut self) -> Option<T> {
         match self {
-            IdSetIter::Empty => None,
-            IdSetIter::Small(it) => it.next().copied(),
-            IdSetIter::Large(it) => it.next().copied(),
+            IdSetIter::One(only) => only.take(),
+            IdSetIter::Few(it) => it.next().copied(),
+            IdSetIter::Many(it) => it.next().copied(),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            IdSetIter::Empty => (0, Some(0)),
-            IdSetIter::Small(it) => it.size_hint(),
-            IdSetIter::Large(it) => it.size_hint(),
+            IdSetIter::One(only) => {
+                let n = usize::from(only.is_some());
+                (n, Some(n))
+            }
+            IdSetIter::Few(it) => it.size_hint(),
+            IdSetIter::Many(it) => it.size_hint(),
         }
     }
 }
 
-impl ExactSizeIterator for IdSetIter<'_> {}
+impl<T: Copy> ExactSizeIterator for IdSetIter<'_, T> {}
 
 #[cfg(test)]
 mod tests {

@@ -736,7 +736,7 @@ fn run_sync(p: &Parsed) -> Result<ExitCode, String> {
                     models.len()
                 ));
             }
-            let s = SyncSession::with_options(Arc::clone(&t), &models, opts)
+            let s = SyncSession::from_models(Arc::clone(&t), models, opts)
                 .map_err(|e| e.to_string())?;
             let ps = store_dir
                 .map(|dir| PersistentSession::create(dir, &s))

@@ -215,10 +215,23 @@ impl SyncSession {
         SyncSession::with_options(t, models, SessionOptions::default())
     }
 
-    /// As [`SyncSession::new`] with explicit options.
+    /// As [`SyncSession::new`] with explicit options: a copy of `models`
+    /// goes to [`SyncSession::from_models`].
     pub fn with_options(
         t: impl Into<Arc<Transformation>>,
         models: &[Model],
+        opts: SessionOptions,
+    ) -> Result<SyncSession, CoreError> {
+        SyncSession::from_models(t, models.to_vec(), opts)
+    }
+
+    /// Opens a session that takes the tuple `models` over without a
+    /// copy: the open path for a caller that parsed or recovered a tuple
+    /// and keeps none of its own ([`DeltaChecker::from_models`]).
+    /// [`SyncSession::with_options`] is this over a copy.
+    pub fn from_models(
+        t: impl Into<Arc<Transformation>>,
+        models: Vec<Model>,
         opts: SessionOptions,
     ) -> Result<SyncSession, CoreError> {
         let t = t.into();
@@ -226,7 +239,7 @@ impl SyncSession {
             max_violations: usize::MAX,
             ..CheckOptions::default()
         };
-        let checker = DeltaChecker::with_options(t.hir_arc(), models, check_opts)?;
+        let checker = DeltaChecker::from_models(t.hir_arc(), models, check_opts)?;
         let bounds = checker.models().iter().map(Model::id_bound).collect();
         Ok(SyncSession {
             t,

@@ -401,7 +401,7 @@ fn walk(
             violations.push(Violation {
                 rel,
                 dep,
-                binding: binding.clone(),
+                binding: binding.to_vec(),
             });
         });
         let lazy = bound.per_model(checker);
@@ -1646,7 +1646,7 @@ transformation T(a : X, b : X) {
                             violations.push(Violation {
                                 rel,
                                 dep,
-                                binding: binding.clone(),
+                                binding: binding.to_vec(),
                             });
                         });
                         let cands =
@@ -1755,7 +1755,7 @@ transformation T(a : X, b : X) {
                         violations.push(Violation {
                             rel,
                             dep,
-                            binding: binding.clone(),
+                            binding: binding.to_vec(),
                         });
                     });
                     let lazy = bound.per_model(&checker);

@@ -16,7 +16,7 @@ pub mod scenario;
 use mmt_deps::{Dep, DepSet, DomIdx, DomSet};
 use mmt_dist::EditOp;
 use mmt_model::text::parse_metamodel;
-use mmt_model::{AttrType, ClassId, Metamodel, Model, ObjId, Value};
+use mmt_model::{AttrType, ClassId, Metamodel, Model, ObjId, RefId, Value};
 use mmt_qvtr::{parse_and_resolve, Hir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -380,6 +380,75 @@ pub fn random_edits(model: &Model, n_edits: usize, seed: u64) -> Vec<EditOp> {
             }
         }
     }
+    ops
+}
+
+/// Generates a seeded script of up to `n_edits` structural edits on
+/// the links `model` already has, valid when applied to it in order:
+/// unlinks of existing links, relinks (an existing link's target moved
+/// to another source with the same reference, or an unlinked link put
+/// back while its target has no other link through that reference, so
+/// a contained object keeps one container), and deletions of linked
+/// objects, which scrub their links. [`random_edits`] mostly adds
+/// links; this covers their removal. The script is replayed on a
+/// scratch copy as it is generated, and stops early once no link is
+/// left to edit.
+pub fn link_edits(model: &Model, n_edits: usize, seed: u64) -> Vec<EditOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut scratch = model.clone();
+    let meta = Arc::clone(scratch.metamodel());
+    let mut unlinked: Vec<(ObjId, RefId, ObjId)> = Vec::new();
+    let mut ops = Vec::with_capacity(n_edits);
+    while ops.len() < n_edits {
+        let mut links: Vec<(ObjId, RefId, ObjId)> = Vec::new();
+        for (src, obj) in scratch.objects() {
+            for &r in &meta.class(obj.class).all_refs {
+                let targets = scratch.targets(src, r).expect("declared ref");
+                links.extend(targets.iter().map(|&dst| (src, r, dst)));
+            }
+        }
+        unlinked.retain(|&(src, r, dst)| {
+            scratch.contains(src)
+                && scratch.contains(dst)
+                && !scratch.incoming(dst).iter().any(|&(_, via)| via == r)
+        });
+        if links.is_empty() && unlinked.is_empty() {
+            break;
+        }
+        let roll = rng.gen_range(0..100usize);
+        if links.is_empty() || (roll < 20 && !unlinked.is_empty()) {
+            // Put an unlinked link back.
+            let (src, r, dst) = unlinked.swap_remove(rng.gen_range(0..unlinked.len()));
+            scratch.add_link(src, r, dst).expect("typed link");
+            ops.push(EditOp::AddLink { src, r, dst });
+            continue;
+        }
+        let (src, r, dst) = links[rng.gen_range(0..links.len())];
+        if roll < 55 {
+            scratch.remove_link(src, r, dst).expect("typed link");
+            ops.push(EditOp::DelLink { src, r, dst });
+            unlinked.push((src, r, dst));
+        } else if roll < 80 {
+            // Move the target to another source of the reference.
+            let owner = meta.reference(r).owner;
+            let others: Vec<ObjId> = scratch.objects_of(owner).filter(|&o| o != src).collect();
+            if others.is_empty() {
+                continue;
+            }
+            let to = others[rng.gen_range(0..others.len())];
+            scratch.remove_link(src, r, dst).expect("typed link");
+            scratch.add_link(to, r, dst).expect("typed link");
+            ops.push(EditOp::DelLink { src, r, dst });
+            ops.push(EditOp::AddLink { src: to, r, dst });
+        } else {
+            // Delete one end of the link.
+            let id = if rng.gen_bool(0.5) { src } else { dst };
+            let class = scratch.class_of(id).expect("live");
+            scratch.delete(id).expect("live");
+            ops.push(EditOp::DelObj { id, class });
+        }
+    }
+    ops.truncate(n_edits);
     ops
 }
 

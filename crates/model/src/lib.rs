@@ -20,7 +20,8 @@ pub mod value;
 
 pub use intern::Sym;
 pub use meta::{
-    Attr, AttrId, Class, ClassId, MetaError, Metamodel, MetamodelBuilder, RefId, Reference, Upper,
+    Attr, AttrId, Class, ClassId, MetaError, Metamodel, MetamodelBuilder, PropId, RefId, Reference,
+    Upper,
 };
 pub use model::{Model, ModelError, ObjId, Object};
 pub use value::{AttrType, Value};

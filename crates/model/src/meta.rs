@@ -43,6 +43,15 @@ impl RefId {
     }
 }
 
+/// A declared property: an attribute or a reference.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum PropId {
+    /// An attribute.
+    Attr(AttrId),
+    /// A reference.
+    Ref(RefId),
+}
+
 /// An attribute declaration: a named, typed, single-valued property.
 #[derive(Clone, Debug)]
 pub struct Attr {
@@ -246,6 +255,11 @@ pub enum MetaError {
         class: String,
         /// The clashing property name.
         name: String,
+        /// The later of the two clashing declarations in the class's
+        /// layout (inherited properties first, then its own, each in
+        /// declaration order): the class's own member when it
+        /// redeclares an inherited name.
+        decl: PropId,
     },
     /// The inheritance graph has a cycle through the named class.
     InheritanceCycle(String),
@@ -257,7 +271,7 @@ impl fmt::Display for MetaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MetaError::DuplicateClass(n) => write!(f, "duplicate class `{n}`"),
-            MetaError::DuplicateProperty { class, name } => {
+            MetaError::DuplicateProperty { class, name, .. } => {
                 write!(f, "duplicate property `{name}` on class `{class}`")
             }
             MetaError::InheritanceCycle(n) => {
@@ -428,6 +442,7 @@ impl MetamodelBuilder {
                         return Err(MetaError::DuplicateProperty {
                             class: self.classes[ci].name.resolve(),
                             name: self.attrs[a.index()].name.resolve(),
+                            decl: PropId::Attr(b),
                         });
                     }
                 }
@@ -438,6 +453,7 @@ impl MetamodelBuilder {
                         return Err(MetaError::DuplicateProperty {
                             class: self.classes[ci].name.resolve(),
                             name: self.refs[a.index()].name.resolve(),
+                            decl: PropId::Ref(b),
                         });
                     }
                 }

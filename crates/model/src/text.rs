@@ -23,7 +23,7 @@
 //! ```
 
 use crate::intern::Sym;
-use crate::meta::{ClassId, Metamodel, MetamodelBuilder, RefId, Upper};
+use crate::meta::{ClassId, MetaError, Metamodel, MetamodelBuilder, PropId, RefId, Upper};
 use crate::model::{Model, ObjId};
 use crate::value::{AttrType, Value};
 use std::borrow::Cow;
@@ -391,10 +391,37 @@ pub fn parse_metamodel(src: &str) -> Result<Arc<Metamodel>, ParseError> {
             }
         }
     }
-    b.build().map_err(|e| ParseError {
-        line: 0,
-        col: 0,
-        msg: e.to_string(),
+    b.build().map_err(|e| {
+        // The class's name, or for a clash its own clashing member (two
+        // inherited properties clash at no member of the class).
+        let class_at = |name: &str| ids.get(name).map_or(0, |c| decls[c.index()].name.1);
+        let at = match &e {
+            MetaError::DuplicateProperty { class, decl, .. } => {
+                // Ids count the attributes and the references in the
+                // order the loop above declared them.
+                let (attr, index) = match *decl {
+                    PropId::Attr(a) => (true, a.index()),
+                    PropId::Ref(r) => (false, r.index()),
+                };
+                let declared = decls
+                    .iter()
+                    .flat_map(|d| d.members.iter().map(move |m| (d, m)));
+                let owned = declared
+                    .filter(|(_, m)| matches!(m, MemberDecl::Attr { .. }) == attr)
+                    .nth(index)
+                    .filter(|(d, _)| d.name.0 == class);
+                match owned {
+                    Some((_, MemberDecl::Attr { name, .. } | MemberDecl::Ref { name, .. })) => {
+                        name.1
+                    }
+                    None => class_at(class),
+                }
+            }
+            MetaError::InheritanceCycle(class)
+            | MetaError::DuplicateClass(class)
+            | MetaError::UnknownClass(class) => class_at(class),
+        };
+        p.err_at(at, e.to_string())
     })
 }
 
@@ -760,6 +787,41 @@ metamodel X {
     /// `line:col` of `err`, for comparing with the expected position.
     fn at(err: &ParseError) -> (u32, u32, &str) {
         (err.line, err.col, err.msg.as_str())
+    }
+
+    /// A property clash is reported at the member that clashes: the
+    /// second of two declarations in one class, and for a name a class
+    /// inherits, the subclass's own member.
+    #[test]
+    fn duplicate_property_points_at_the_clashing_member() {
+        let own = "metamodel X {\n  class A {\n    attr n: Str;\n    attr n: Int;\n  }\n}";
+        let err = parse_metamodel(own).unwrap_err();
+        assert_eq!(
+            at(&err),
+            (4, 10, "duplicate property `n` on class `A`"),
+            "{err}"
+        );
+        let inherited = "metamodel X {\n  class B extends A {\n    ref r: A;\n  }\n  \
+                         class A {\n    ref r: B;\n  }\n}";
+        let err = parse_metamodel(inherited).unwrap_err();
+        assert_eq!(
+            at(&err),
+            (3, 9, "duplicate property `r` on class `B`"),
+            "{err}"
+        );
+    }
+
+    /// An inheritance cycle is reported at the name of the class the
+    /// cycle closes on.
+    #[test]
+    fn inheritance_cycle_points_at_the_class_name() {
+        let src = "metamodel X {\n  class A extends B { }\n  class B extends A { }\n}";
+        let err = parse_metamodel(src).unwrap_err();
+        assert_eq!(
+            at(&err),
+            (2, 9, "inheritance cycle through class `A`"),
+            "{err}"
+        );
     }
 
     /// Names are resolved as the parse reaches them, so an error names

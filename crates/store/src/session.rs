@@ -126,7 +126,7 @@ impl PersistentSession {
                 })?,
             );
         }
-        let mut session = SyncSession::with_options(Arc::clone(t), &models, opts)?;
+        let mut session = SyncSession::from_models(Arc::clone(t), models, opts)?;
         let wal_path = dir.join("wal");
         let (wal, payloads) = Wal::open(&wal_path)?;
         let mut serials = Vec::with_capacity(payloads.len());

@@ -9,7 +9,7 @@ use mmtf::check::{CheckOptions, CheckReport, Checker, DeltaChecker, EvalStats};
 use mmtf::deps::DomIdx;
 use mmtf::dist::{expand_op, Delta, EditOp};
 use mmtf::gen::scenario::{all_scenarios, scenario_named};
-use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
+use mmtf::gen::{feature_workload, inject, link_edits, random_edits, FeatureSpec, Injection};
 use mmtf::model::text::{parse_metamodel, parse_model};
 use mmtf::model::{ClassId, Model, ObjId};
 use mmtf::qvtr::{parse_and_resolve, Hir};
@@ -77,6 +77,38 @@ fn run_sequence(
             &format!("seed={seed} target={target} edit {i} ({op})"),
         );
     }
+}
+
+/// Runs one seeded link-edit script (`link_edits`: unlinks, relinks,
+/// deletions of linked objects) against `target` in its exactly
+/// invertible form, checking agreement after every edit, then undoes
+/// the whole script and checks agreement on the seed tuple. Returns the
+/// script's edits.
+fn run_link_script(
+    hir: &std::sync::Arc<Hir>,
+    seed_models: &[Model],
+    target: usize,
+    n_edits: usize,
+    seed: u64,
+) -> Vec<EditOp> {
+    let mut models = seed_models.to_vec();
+    let mut checker = DeltaChecker::with_options(hir, &models, uncapped()).unwrap();
+    let m = DomIdx(target as u8);
+    let edits = link_edits(&models[target], n_edits, seed);
+    let mut landed = Delta::new();
+    for (i, op) in edits.iter().enumerate() {
+        let start = landed.len();
+        checker.apply_expanded(m, op, &mut landed).unwrap();
+        for op in &landed.ops()[start..] {
+            op.apply(&mut models[target]).unwrap();
+        }
+        let ctx = format!("seed={seed} target={target} link edit {i} ({op})");
+        assert_agrees(&checker, &models, &ctx);
+    }
+    checker.apply_delta(m, &landed.inverse()).unwrap();
+    let ctx = format!("seed={seed} target={target} link script undone");
+    assert_agrees(&checker, seed_models, &ctx);
+    edits
 }
 
 /// ≥100 random edit sequences over the paper's feature workload (the
@@ -158,22 +190,22 @@ transformation C2T(uml : UML, rdb : RDB) {
 }
 
 /// The scenario sweep: the incremental ≡ from-scratch property over
-/// one named corpus scenario, seeded random edit sequences against
-/// every model of the tuple, agreement checked after every single op.
-fn scenario_sweep(name: &str) {
+/// one named corpus scenario, seeded random edit sequences and link-edit
+/// scripts against every model of the tuple, agreement checked after
+/// every single op and after each link script's undo. Returns the link
+/// scripts' edits.
+fn scenario_sweep(name: &str) -> Vec<EditOp> {
     let sc = scenario_named(name).expect("known scenario");
+    let mut link_script_edits = Vec::new();
     for seed in 0..4u64 {
         let w = sc.workload(seed);
         for target in 0..w.models.len() {
-            run_sequence(
-                &w.hir,
-                &w.models,
-                target,
-                6,
-                seed * 101 + target as u64 * 17 + 5,
-            );
+            let seed = seed * 101 + target as u64 * 17 + 5;
+            run_sequence(&w.hir, &w.models, target, 6, seed);
+            link_script_edits.extend(run_link_script(&w.hir, &w.models, target, 8, seed));
         }
     }
+    link_script_edits
 }
 
 #[test]
@@ -188,7 +220,12 @@ fn scenario_company_incremental_matches_scratch() {
 
 #[test]
 fn scenario_class2rdbms_incremental_matches_scratch() {
-    scenario_sweep("class2rdbms");
+    // The link scripts reached every kind of link edit.
+    let link_edits = scenario_sweep("class2rdbms");
+    let has = |kind: fn(&EditOp) -> bool| link_edits.iter().any(kind);
+    assert!(has(|op| matches!(op, EditOp::DelLink { .. })), "no unlink");
+    assert!(has(|op| matches!(op, EditOp::AddLink { .. })), "no relink");
+    assert!(has(|op| matches!(op, EditOp::DelObj { .. })), "no deletion");
 }
 
 /// The edge specs read universal objects in `where`, call relations

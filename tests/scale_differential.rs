@@ -19,7 +19,7 @@ use mmtf::core::{EngineKind, Shape};
 use mmtf::deps::DomIdx;
 use mmtf::dist::{Delta, EditOp};
 use mmtf::enforce::RepairOptions;
-use mmtf::gen::{feature_workload, random_edits, FeatureSpec};
+use mmtf::gen::{feature_workload, link_edits, random_edits, FeatureSpec};
 use mmtf::model::text::print_model;
 use mmtf::model::{ClassId, Model};
 use mmtf::qvtr::Hir;
@@ -106,6 +106,25 @@ fn c2t_delta_checker_matches_scratch_at_10k() {
     let models = parse_c2t(&t, &sources);
     for seed in [0xC2_7000, 0xC2_7001, 0xC2_7002] {
         run_scale_script(t.hir_arc(), &models, 60, seed, "c2t 10k script");
+    }
+    // Seeded link-edit scripts (unlinks, relinks, deletions of linked
+    // objects) on each model, checked against a scratch checker after
+    // every edit and after the whole script is undone.
+    for (target, seed) in [(0, 0xC2_7100), (1, 0xC2_7101)] {
+        let mut checker = DeltaChecker::with_options(t.hir_arc(), &models, uncapped()).unwrap();
+        let mut live = models.clone();
+        let m = DomIdx(target as u8);
+        let mut landed = Delta::new();
+        for (i, op) in link_edits(&models[target], 30, seed).iter().enumerate() {
+            let start = landed.len();
+            checker.apply_expanded(m, op, &mut landed).unwrap();
+            for op in &landed.ops()[start..] {
+                op.apply(&mut live[target]).unwrap();
+            }
+            assert_agrees(&checker, &live, &format!("c2t 10k link edit {i} ({op})"));
+        }
+        checker.apply_delta(m, &landed.inverse()).unwrap();
+        assert_agrees(&checker, &models, "c2t 10k link script undone");
     }
     // Random scripts rarely remove a link that exists, so the
     // benchmark's edit kinds (unlinks among them) land on every 37th

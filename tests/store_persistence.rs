@@ -331,3 +331,78 @@ fn rollback_then_new_edits_reuses_the_committed_wal_prefix() {
     assert_eq!(Snapshot::of(&reopened), Snapshot::of(&session));
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The two open paths are one: a session that takes its tuple over
+/// (`SyncSession::from_models`, as `mmt sync` and store recovery open)
+/// reports, edits and repairs exactly as one that copies a borrowed
+/// tuple (`SyncSession::with_options`, as `mmt serve` opens), under
+/// either engine, and recovering it from its store gives the borrowed
+/// session's state back.
+#[test]
+fn owned_open_reports_repairs_and_recovers_as_a_borrowed_one() {
+    for (engine, seed) in [(EngineKind::Search, 3), (EngineKind::Sat, 8)] {
+        let (t, seed_models) = fixture(seed);
+        let opts = SessionOptions {
+            engine,
+            ..SessionOptions::default()
+        };
+        let ctx = |step: usize| format!("engine={engine:?} seed={seed} step={step}");
+        let mut borrowed =
+            SyncSession::with_options(Arc::clone(&t), &seed_models, opts.clone()).unwrap();
+        let mut owned =
+            SyncSession::from_models(Arc::clone(&t), seed_models.clone(), opts.clone()).unwrap();
+        assert_eq!(owned.report().to_string(), borrowed.report().to_string());
+        let dir = scratch(&format!("owned-open-{seed}"));
+        let mut store = PersistentSession::create(&dir, &owned).unwrap();
+        let mut gen = SessionScriptGen::new(targets(), 3, seed.wrapping_mul(31).wrapping_add(7));
+        let mut repairs = 0;
+        for step_no in 0..12 {
+            match gen.next_step(borrowed.models()) {
+                SessionStep::Edit { model, op } => {
+                    borrowed.apply(model, op).unwrap();
+                    owned.apply(model, op).unwrap();
+                }
+                SessionStep::Repair { targets } => {
+                    let shape = Shape::from_targets(targets);
+                    let rendered = |r: Option<mmtf::core::SyncRepair>| {
+                        r.map(|r| (r.cost, r.deltas.iter().map(|d| d.to_string()).collect()))
+                    };
+                    let want: Option<(u64, Vec<String>)> =
+                        rendered(borrowed.repair(shape).unwrap());
+                    assert_eq!(
+                        rendered(owned.repair(shape).unwrap()),
+                        want,
+                        "{}",
+                        ctx(step_no)
+                    );
+                    repairs += usize::from(want.is_some_and(|(cost, _)| cost > 0));
+                }
+            }
+            assert_eq!(
+                Snapshot::of(&owned),
+                Snapshot::of(&borrowed),
+                "{}",
+                ctx(step_no)
+            );
+            assert_eq!(
+                owned.report().to_string(),
+                borrowed.report().to_string(),
+                "{}",
+                ctx(step_no)
+            );
+        }
+        assert!(
+            repairs > 0,
+            "engine={engine:?}: the script repaired nothing"
+        );
+        store.commit(&owned).unwrap();
+        drop((store, owned));
+        let (_, recovered) = PersistentSession::open(&dir, &t, opts).unwrap();
+        assert_eq!(Snapshot::of(&recovered), Snapshot::of(&borrowed));
+        assert_eq!(
+            recovered.report().to_string(),
+            borrowed.report().to_string()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

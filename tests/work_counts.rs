@@ -13,7 +13,10 @@
 //! Each row is counted after one warm-up pass of the same work, so
 //! first-touch costs (string interning, scratch-buffer growth) do not
 //! count. Allocations are counted per thread, so the tests of this
-//! binary may run in parallel.
+//! binary may run in parallel. The allocator also keeps each thread's
+//! live requested bytes, so a row can pin the heap a result holds
+//! (`bytes=` on the `open/check` rows: a bigger match state fails the
+//! gate by count, as more allocations do).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -43,36 +46,54 @@ thread_local! {
     /// Allocations made by the current thread. `const`-initialized and
     /// without a destructor, so bumping it never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes the current thread requested minus those it freed (a block
+    /// freed by another thread than the one that allocated it moves
+    /// bytes between their counts). Like `ALLOCS`, never allocates.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Counts one allocation of `grown` more live bytes.
+fn bump(grown: i64) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    track(grown);
+}
+
+/// Moves the current thread's live bytes by `grown`.
+fn track(grown: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + grown));
+}
+
+/// A request size as a byte delta: a block never exceeds `isize::MAX`
+/// bytes, so the conversion is exact.
+fn bytes(size: usize) -> i64 {
+    size as i64
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// thread-local integer and never allocates.
+// which upholds the `GlobalAlloc` contract; the counters are
+// thread-local integers and never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(bytes(layout.size()));
         // SAFETY: the caller's layout requirements pass through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(bytes(layout.size()));
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr` was allocated by `System` through this allocator
         // with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-bytes(layout.size()));
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -84,9 +105,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Runs `f` and returns its result with the allocations it made on
 /// this thread.
 fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
+    let (allocs, _, r) = counted_held(f);
+    (allocs, r)
+}
+
+/// As [`counted`], with the bytes that `f`'s allocations on this thread
+/// still hold when it returns: the heap of its result, when `f` frees
+/// everything else.
+fn counted_held<R>(f: impl FnOnce() -> R) -> (u64, i64, R) {
+    let before = (ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
     let r = f();
-    (ALLOCS.with(Cell::get) - before, r)
+    let after = (ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    (after.0 - before.0, after.1 - before.1, r)
 }
 
 fn delta_fields(d: DeltaStats) -> String {
@@ -360,6 +390,9 @@ struct Open {
     objects: usize,
     parse_allocs: u64,
     check_allocs: u64,
+    /// The heap the opened checker holds: its copy of the tuple, the
+    /// model indexes and every check's match state.
+    check_bytes: i64,
     eval: EvalStats,
 }
 
@@ -369,12 +402,13 @@ fn measure_open(classes: usize) -> Open {
     let (parse_allocs, models) = counted(|| parse_c2t(&t, &sources));
     let open = || DeltaChecker::new(t.hir_arc(), &models).unwrap();
     open();
-    let (check_allocs, checker) = counted(open);
+    let (check_allocs, check_bytes, checker) = counted_held(open);
     Open {
         classes,
         objects: classes * (C2T_ATTRS + 1),
         parse_allocs,
         check_allocs,
+        check_bytes,
         eval: checker.report().stats,
     }
 }
@@ -484,9 +518,10 @@ fn render_work_counts() -> String {
         writeln!(out, "open/parse/c2t{} allocs={}", o.classes, o.parse_allocs).unwrap();
         writeln!(
             out,
-            "open/check/c2t{} allocs={} {}",
+            "open/check/c2t{} allocs={} bytes={} {}",
             o.classes,
             o.check_allocs,
+            o.check_bytes,
             eval_fields(o.eval)
         )
         .unwrap();
