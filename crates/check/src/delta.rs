@@ -279,27 +279,17 @@ enum Status {
 /// slots are reused LIFO; a freed last slot is truncated instead, so a
 /// match an edit appends and its undo removes leaves no slot behind.
 ///
-/// Once the state grows past [`INDEX_THRESHOLD`] live matches it
-/// maintains two inverted indexes: `by_obj` maps `(model, object)` to
-/// the slots whose *universal binding* binds that object — the matches
-/// a universal-side edit invalidates and the candidates a `where`-clause
-/// read can re-key — and `by_wit` maps `(model, object)` to the slots
-/// whose *witness* read that object. Each bucket is an [`IdSet`], which
-/// keeps its first slot inline: most objects are bound by one match.
-/// Below the threshold the maps stay empty and lookups scan the rows
-/// directly: for the tiny match states of interactive sessions the scan
-/// is cheaper than the hashing (and makes forking the state a few
-/// memcpys). The switch is one-way: a state that has been indexed stays
-/// indexed, even after undo edits shrink it again.
-///
-/// The violation count is a plain counter (`n_violating`), maintained
-/// as an incremental delta at every mutation — never recomputed by
-/// scanning (debug builds assert it against a scan after each update).
-/// The sorted `violating` slot vec exists only in indexed mode: below
-/// [`INDEX_THRESHOLD`] a status scan enumerates violations just as fast,
-/// and skipping the vec keeps the per-check mutation path free of its
-/// memmoves and heap allocation — maintaining it unconditionally was
-/// measured at a 15–20% warm-session checkpoint regression.
+/// Two inverted indexes find the matches an edit can affect: `by_obj`
+/// maps `(model, object)` to the slots whose *universal binding* binds
+/// that object — the matches a universal-side edit invalidates and the
+/// candidates a `where`-clause read can re-key — and `by_wit` maps
+/// `(model, object)` to the slots whose *witness* read that object.
+/// Each bucket is an [`IdSet`], which keeps its first slot inline: most
+/// objects are bound by one match. `violating` lists the unwitnessed
+/// slots, ascending; its length is the check's violation count. The
+/// bulk build of [`full_eval`] builds the two maps once, and every later
+/// mutation updates them and `violating` as a delta, whatever the
+/// state's size.
 #[derive(Clone, Debug)]
 struct MatchState {
     /// Values per binding row: the relation's variable count.
@@ -313,22 +303,13 @@ struct MatchState {
     /// One status per slot; its length is the slot count.
     status: Vec<Status>,
     free: Vec<u32>,
-    /// Whether the inverted indexes are live (see type docs).
-    indexed: bool,
     /// `(model, object)` → slots whose universal binding binds it.
     by_obj: FxHashMap<(DomIdx, ObjId), IdSet<u32>>,
     /// `(model, object)` → slots whose witness read it.
     by_wit: FxHashMap<(DomIdx, ObjId), IdSet<u32>>,
-    /// Currently unwitnessed slots, ascending — indexed mode only;
-    /// empty below the threshold (the status scan serves instead).
+    /// Currently unwitnessed slots, ascending.
     violating: Vec<u32>,
-    /// Count of currently unwitnessed live slots, always maintained.
-    n_violating: usize,
 }
-
-/// Live-match count past which a [`MatchState`] builds and maintains
-/// its inverted indexes instead of scanning the rows.
-const INDEX_THRESHOLD: usize = 64;
 
 /// The universal-side object variables a binding binds, with their
 /// models — the `by_obj` keys of one match.
@@ -377,23 +358,18 @@ impl MatchState {
             witnesses: Vec::new(),
             status: Vec::new(),
             free: Vec::new(),
-            indexed: false,
             by_obj: FxHashMap::default(),
             by_wit: FxHashMap::default(),
             violating: Vec::new(),
-            n_violating: 0,
         }
     }
 
     fn violations(&self) -> usize {
-        self.n_violating
-    }
-
-    fn live(&self) -> usize {
-        self.status.len() - self.free.len()
+        self.violating.len()
     }
 
     /// The live slots, ascending.
+    #[cfg(test)]
     fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
         self.status
             .iter()
@@ -419,9 +395,9 @@ impl MatchState {
     }
 
     /// Stores a match in a slot — the last one freed, or a new last
-    /// one — and returns the slot, leaving the indexes alone: the bulk
-    /// build of [`full_eval`] (which [`MatchState::built`] ends), and the
-    /// first half of [`MatchState::insert`].
+    /// one — and returns the slot, leaving `by_obj` and `by_wit` alone:
+    /// the bulk build of [`full_eval`] (which [`MatchState::built`]
+    /// ends), and the first half of [`MatchState::insert`].
     fn push(&mut self, binding: &[Option<Slot>], witness: Option<&[ObjId]>) -> u32 {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -458,8 +434,7 @@ impl MatchState {
     }
 
     /// Ends a bulk build: leaves growth headroom, and builds the
-    /// indexes once the state is past [`INDEX_THRESHOLD`] — the state
-    /// inserting the matches one by one would leave.
+    /// indexes that inserting the matches one by one would leave.
     fn built(mut self, rel: &HirRelation, wit_objs: &[(DomIdx, VarId)]) -> MatchState {
         // An eighth of growth headroom: a full arena would make the first
         // constructive edit after a large build pay a whole-arena
@@ -470,57 +445,37 @@ impl MatchState {
         fit(&mut self.bindings, spare * self.width);
         fit(&mut self.witnesses, spare * self.wit_width);
         fit(&mut self.status, spare);
-        if self.status.len() > INDEX_THRESHOLD {
-            self.build_indexes(rel, wit_objs);
-        }
+        self.build_indexes(rel, wit_objs);
         self
     }
 
-    /// Records `slot` turning unwitnessed: bumps the counter and, in
-    /// indexed mode, keeps the slot vec sorted. Callers invoke this
-    /// only on a genuine witnessed→unwitnessed transition (or a fresh
-    /// unwitnessed insert), so no idempotency check is needed for the
-    /// counter.
+    /// Adds `slot` to the sorted violating slots.
     fn mark_violating(&mut self, slot: u32) {
-        self.n_violating += 1;
-        if self.indexed {
-            if let Err(pos) = self.violating.binary_search(&slot) {
-                self.violating.insert(pos, slot);
-            }
+        if let Err(pos) = self.violating.binary_search(&slot) {
+            self.violating.insert(pos, slot);
         }
     }
 
-    /// Records `slot` leaving the violating set — the inverse of
-    /// [`MatchState::mark_violating`], with the same only-on-transition
-    /// contract.
+    /// Drops `slot` from the sorted violating slots.
     fn clear_violating(&mut self, slot: u32) {
-        self.n_violating -= 1;
-        if self.indexed {
-            if let Ok(pos) = self.violating.binary_search(&slot) {
-                self.violating.remove(pos);
-            }
+        if let Ok(pos) = self.violating.binary_search(&slot) {
+            self.violating.remove(pos);
         }
     }
 
-    /// Builds the inverted indexes from the rows and flips the state to
-    /// indexed mode: once over a freshly evaluated state, or when an
-    /// insert first crosses [`INDEX_THRESHOLD`]. One ascending pass over
-    /// the slots lists the violating slots and every bucket's slots, so
-    /// each bucket is allocated once, at its final size.
+    /// Builds `by_obj` and `by_wit` from the rows, once over a freshly
+    /// evaluated state. One ascending pass over the slots lists every
+    /// bucket's slots, so each bucket is allocated once, at its final
+    /// size.
     fn build_indexes(&mut self, rel: &HirRelation, wit_objs: &[(DomIdx, VarId)]) {
-        self.indexed = true;
         let mut uni = Vec::new();
         let mut wit = Vec::new();
-        self.violating.reserve_exact(self.n_violating);
         for (slot, &status) in self.status.iter().enumerate() {
             let slot = slot as u32;
             let objs = match status {
                 Status::Free => continue,
                 Status::Witnessed => row(&self.witnesses, self.wit_width, slot),
-                Status::Violating => {
-                    self.violating.push(slot);
-                    &[]
-                }
+                Status::Violating => &[],
             };
             uni.extend(binding_objs(rel, row(&self.bindings, self.width, slot)).map(|k| (k, slot)));
             wit.extend(witness_objs(wit_objs, objs).map(|key| (key, slot)));
@@ -536,34 +491,26 @@ impl MatchState {
         binding: &[Option<Slot>],
         witness: Option<&[ObjId]>,
     ) {
-        if !self.indexed && self.live() >= INDEX_THRESHOLD {
-            self.build_indexes(rel, wit_objs);
-        }
         let slot = self.push(binding, witness);
-        if self.indexed {
-            for key in binding_objs(rel, binding) {
-                register(&mut self.by_obj, key, slot);
-            }
-            for key in witness_objs(wit_objs, witness.unwrap_or_default()) {
-                register(&mut self.by_wit, key, slot);
-            }
+        for key in binding_objs(rel, binding) {
+            register(&mut self.by_obj, key, slot);
+        }
+        for key in witness_objs(wit_objs, witness.unwrap_or_default()) {
+            register(&mut self.by_wit, key, slot);
         }
     }
 
     fn remove(&mut self, rel: &HirRelation, wit_objs: &[(DomIdx, VarId)], slot: u32) {
         let status = self.status[slot as usize];
         debug_assert_ne!(status, Status::Free, "live slot");
-        if self.indexed {
-            for key in binding_objs(rel, row(&self.bindings, self.width, slot)) {
-                unregister(&mut self.by_obj, key, slot);
-            }
-            if status == Status::Witnessed {
-                for key in witness_objs(wit_objs, row(&self.witnesses, self.wit_width, slot)) {
-                    unregister(&mut self.by_wit, key, slot);
-                }
-            }
+        for key in binding_objs(rel, row(&self.bindings, self.width, slot)) {
+            unregister(&mut self.by_obj, key, slot);
         }
-        if status == Status::Violating {
+        if status == Status::Witnessed {
+            for key in witness_objs(wit_objs, row(&self.witnesses, self.wit_width, slot)) {
+                unregister(&mut self.by_wit, key, slot);
+            }
+        } else {
             self.clear_violating(slot);
         }
         // The last slot leaves the arenas instead of joining the free
@@ -581,20 +528,18 @@ impl MatchState {
         }
     }
 
-    /// Replaces one match's witness record, re-keying `by_wit` (when
-    /// indexed) and updating the violation set as a delta.
+    /// Replaces one match's witness record, re-keying `by_wit` and
+    /// updating the violating slots as a delta.
     fn set_witness(&mut self, wit_objs: &[(DomIdx, VarId)], slot: u32, witness: Option<&[ObjId]>) {
         let was_witnessed = self.witnessed(slot);
-        if self.indexed && was_witnessed {
+        if was_witnessed {
             for key in witness_objs(wit_objs, row(&self.witnesses, self.wit_width, slot)) {
                 unregister(&mut self.by_wit, key, slot);
             }
         }
         self.write_witness(slot, witness);
-        if let (true, Some(objs)) = (self.indexed, witness) {
-            for key in witness_objs(wit_objs, objs) {
-                register(&mut self.by_wit, key, slot);
-            }
+        for key in witness_objs(wit_objs, witness.unwrap_or_default()) {
+            register(&mut self.by_wit, key, slot);
         }
         if witness.is_some() && !was_witnessed {
             self.clear_violating(slot);
@@ -604,47 +549,19 @@ impl MatchState {
     }
 
     /// Appends to `out` the live slots whose universal binding binds
-    /// `(model, obj)` — an index lookup when indexed, a row scan
-    /// otherwise.
-    fn collect_slots_binding(
-        &self,
-        rel: &HirRelation,
-        model: DomIdx,
-        obj: ObjId,
-        out: &mut Vec<u32>,
-    ) {
-        if self.indexed {
-            if let Some(bucket) = self.by_obj.get(&(model, obj)) {
-                out.extend(bucket.iter());
-            }
-            return;
+    /// `(model, obj)`.
+    fn collect_slots_binding(&self, model: DomIdx, obj: ObjId, out: &mut Vec<u32>) {
+        if let Some(bucket) = self.by_obj.get(&(model, obj)) {
+            out.extend(bucket.iter());
         }
-        out.extend(
-            self.live_slots()
-                .filter(|&slot| binding_objs(rel, self.binding(slot)).any(|k| k == (model, obj))),
-        );
     }
 
     /// Appends to `out` the live slots whose witness read
-    /// `(model, obj)` — an index lookup when indexed, a row scan
-    /// otherwise.
-    fn collect_slots_witnessing(
-        &self,
-        wit_objs: &[(DomIdx, VarId)],
-        model: DomIdx,
-        obj: ObjId,
-        out: &mut Vec<u32>,
-    ) {
-        if self.indexed {
-            if let Some(bucket) = self.by_wit.get(&(model, obj)) {
-                out.extend(bucket.iter());
-            }
-            return;
+    /// `(model, obj)`.
+    fn collect_slots_witnessing(&self, model: DomIdx, obj: ObjId, out: &mut Vec<u32>) {
+        if let Some(bucket) = self.by_wit.get(&(model, obj)) {
+            out.extend(bucket.iter());
         }
-        out.extend(self.live_slots().filter(|&slot| {
-            self.witness(slot)
-                .is_some_and(|row| witness_objs(wit_objs, row).any(|k| k == (model, obj)))
-        }));
     }
 
     /// Whether slot `slot` reads the link from `src` to `dst` through
@@ -675,28 +592,19 @@ impl MatchState {
 
     /// Fills `out` with the live slots that read the link from `src` to
     /// `dst` through one of `reads` ([`MatchState::reads_link`]),
-    /// ascending and once each. Indexed, each read walks the smaller of
-    /// its two endpoint buckets: `by_obj` for an endpoint among
-    /// `uni_vars`, `by_wit` for one the witness binds; below the
-    /// threshold, the rows.
+    /// ascending and once each. Each read walks the smaller of its two
+    /// endpoint buckets: `by_obj` for an endpoint among `uni_vars`,
+    /// `by_wit` for one the witness binds.
     fn collect_slots_reading_link(
         &self,
         wit_objs: &[(DomIdx, VarId)],
-        reads: impl Iterator<Item = LinkRead> + Clone,
+        reads: impl Iterator<Item = LinkRead>,
         uni_vars: &[VarId],
         src: ObjId,
         dst: ObjId,
         out: &mut Vec<u32>,
     ) {
         out.clear();
-        if !self.indexed {
-            out.extend(self.live_slots().filter(|&slot| {
-                reads
-                    .clone()
-                    .any(|lr| self.reads_link(wit_objs, slot, &lr, src, dst))
-            }));
-            return;
-        }
         for lr in reads {
             let bucket = |var: VarId, o: ObjId| {
                 let index = if uni_vars.contains(&var) {
@@ -724,38 +632,27 @@ impl MatchState {
         out.dedup();
     }
 
-    /// The violating slots, ascending — walked off the slot vec when
-    /// indexed, off a status scan below the threshold, so callers see
-    /// one canonical order regardless of mode.
-    fn violating_slots(&self) -> impl Iterator<Item = u32> + '_ {
-        let from_vec = self
-            .indexed
-            .then(|| self.violating.iter().copied())
-            .into_iter()
-            .flatten();
-        let from_scan = (!self.indexed)
-            .then(|| self.live_slots().filter(|&s| !self.witnessed(s)))
-            .into_iter()
-            .flatten();
-        from_vec.chain(from_scan)
-    }
-
-    /// The violating bindings, in slot order.
-    fn violating_bindings(&self) -> impl Iterator<Item = &[Option<Slot>]> + '_ {
-        self.violating_slots().map(|s| self.binding(s))
+    /// The violating bindings in canonical order ([`cmp_bindings`]):
+    /// what a report lists and what the search reads, in an order that
+    /// depends on the tuple alone and not on the slots an edit history
+    /// left the matches in.
+    fn sorted_violations(&self) -> Vec<&[Option<Slot>]> {
+        let mut violating: Vec<&[Option<Slot>]> =
+            self.violating.iter().map(|&s| self.binding(s)).collect();
+        violating.sort_unstable_by(|a, b| cmp_bindings(a, b));
+        violating
     }
 
     /// Fills `out` with the currently violating slots, ascending —
     /// the snapshot the partial-update pin pass walks while it edits.
     fn snapshot_violating(&self, out: &mut Vec<u32>) {
         out.clear();
-        out.extend(self.violating_slots());
+        out.extend_from_slice(&self.violating);
     }
 
-    /// Debug-build differential check: the incrementally maintained
-    /// violation counter must equal a full status scan, the violating
-    /// set must be sorted (reports iterate it in slot order), and the
-    /// arenas must hold one row per slot.
+    /// Debug-build check after every update: the arenas hold one row
+    /// per slot, and the violating slots are as many as a status scan
+    /// finds, ascending.
     #[cfg(debug_assertions)]
     fn assert_counters(&self) {
         let slots = self.status.len();
@@ -767,25 +664,50 @@ impl MatchState {
             .filter(|&&s| s == Status::Violating)
             .count();
         assert_eq!(
-            self.n_violating, scan,
-            "incremental violation counter diverged from the match-state scan"
+            self.violating.len(),
+            scan,
+            "violating slots diverged from the match-state scan"
         );
-        if self.indexed {
-            assert_eq!(
-                self.violating.len(),
-                scan,
-                "indexed violating set diverged from the match-state scan"
-            );
-            assert!(
-                self.violating.windows(2).all(|w| w[0] < w[1]),
-                "violating set lost its sorted order"
-            );
-        } else {
-            assert!(
-                self.violating.is_empty(),
-                "violating slot vec must stay empty below the index threshold"
-            );
+        assert!(
+            self.violating.windows(2).all(|w| w[0] < w[1]),
+            "violating slots lost their sorted order"
+        );
+    }
+
+    /// Test oracle for the inverted indexes: `by_obj`, `by_wit` and
+    /// `violating` must hold exactly what a scan of the rows finds,
+    /// bucket by bucket, with no empty bucket left behind.
+    #[cfg(test)]
+    fn assert_indexes(&self, rel: &HirRelation, wit_objs: &[(DomIdx, VarId)]) {
+        use std::collections::BTreeMap;
+        type Buckets = BTreeMap<(DomIdx, ObjId), Vec<u32>>;
+        let live = |index: &FxHashMap<(DomIdx, ObjId), IdSet<u32>>| -> Buckets {
+            index
+                .iter()
+                .map(|(&k, b)| (k, b.iter().collect()))
+                .collect()
+        };
+        let (mut uni, mut wit) = (Buckets::new(), Buckets::new());
+        for slot in self.live_slots() {
+            for key in binding_objs(rel, self.binding(slot)) {
+                uni.entry(key).or_default().push(slot);
+            }
+            for key in witness_objs(wit_objs, self.witness(slot).unwrap_or_default()) {
+                wit.entry(key).or_default().push(slot);
+            }
         }
+        // A match that reads one object through two variables is in its
+        // bucket once.
+        uni.values_mut()
+            .chain(wit.values_mut())
+            .for_each(Vec::dedup);
+        assert_eq!(live(&self.by_obj), uni, "by_obj diverged from the rows");
+        assert_eq!(live(&self.by_wit), wit, "by_wit diverged from the rows");
+        let violating: Vec<u32> = self.live_slots().filter(|&s| !self.witnessed(s)).collect();
+        assert_eq!(
+            self.violating, violating,
+            "violating slots diverged from the rows"
+        );
     }
 }
 
@@ -1126,8 +1048,8 @@ impl DeltaChecker {
                     &mut self.scratch,
                 )?;
             }
-            // Differential check: the incrementally maintained counter
-            // must agree with a full match-state scan.
+            // Differential check: the incrementally maintained violating
+            // slots must agree with a full match-state scan.
             #[cfg(debug_assertions)]
             check.state.assert_counters();
             self.delta_stats.partial_updates += 1;
@@ -1143,16 +1065,20 @@ impl DeltaChecker {
     }
 
     /// The current [`CheckReport`], assembled from the cached match
-    /// state (no evaluation happens here). Violations are capped at
-    /// [`CheckOptions::max_violations`] per check; `stats` are
-    /// cumulative over the initial evaluation and every update.
+    /// state (no evaluation happens here). Each check lists its
+    /// violations in the canonical order of
+    /// [`DeltaChecker::for_each_violation`], capped at
+    /// [`CheckOptions::max_violations`], so a session reports the same
+    /// bytes whatever its history; `stats` are cumulative over the
+    /// initial evaluation and every update.
     pub fn report(&self) -> CheckReport {
         let mut checks = Vec::with_capacity(self.checks.len());
         for c in &self.checks {
             let rel = self.hir.relation(c.statics.rel);
             let violations: Vec<ViolationBinding> = c
                 .state
-                .violating_bindings()
+                .sorted_violations()
+                .into_iter()
                 .take(self.opts.max_violations)
                 .map(|b| render(rel, b))
                 .collect();
@@ -1182,14 +1108,7 @@ impl DeltaChecker {
     /// it identically too.
     pub fn for_each_violation(&self, cap: usize, mut f: impl FnMut(RelId, Dep, &[Option<Slot>])) {
         for c in &self.checks {
-            if c.state.violations() == 0 {
-                continue;
-            }
-            let mut violating: Vec<&[Option<Slot>]> = c.state.violating_bindings().collect();
-            if violating.len() > 1 {
-                violating.sort_by(|a, b| cmp_bindings(a, b));
-            }
-            for b in violating.into_iter().take(cap) {
+            for b in c.state.sorted_violations().into_iter().take(cap) {
                 f(c.statics.rel, c.statics.dep, b);
             }
         }
@@ -1500,7 +1419,7 @@ fn universal_update(
     }
     let stale = &mut scratch.stale;
     stale.clear();
-    state.collect_slots_binding(rel, model, affected, stale);
+    state.collect_slots_binding(model, affected, stale);
     stale.sort_unstable();
     stale.dedup();
     for &slot in stale.iter() {
@@ -1627,7 +1546,7 @@ fn witness_update(
     let hits = &mut scratch.hits;
     reprobe.clear();
     hits.clear();
-    state.collect_slots_witnessing(wit_objs, model, o, hits);
+    state.collect_slots_witnessing(model, o, hits);
     for &slot in hits.iter() {
         if state.witnessed(slot) {
             reprobe.push(slot);
@@ -1635,7 +1554,7 @@ fn witness_update(
     }
     if !st.wit_uni_vars.is_empty() {
         hits.clear();
-        state.collect_slots_binding(rel, model, o, hits);
+        state.collect_slots_binding(model, o, hits);
         for &slot in hits.iter() {
             let b = state.binding(slot);
             let read = st.wit_uni_vars.iter().any(|&v| {
@@ -1734,8 +1653,13 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
 
     /// Asserts the incremental checker and a from-scratch [`Checker`]
     /// agree on the current models: same per-check verdicts and the same
-    /// violation multiset (compared order-insensitively).
+    /// violation multiset (compared order-insensitively). Each match
+    /// state's inverted indexes must also agree with its rows.
     fn assert_agrees(checker: &DeltaChecker, ctx: &str) {
+        for c in &checker.checks {
+            let rel = checker.hir().relation(c.statics.rel);
+            c.state.assert_indexes(rel, &c.statics.wit_objs);
+        }
         let opts = CheckOptions {
             max_violations: usize::MAX,
             ..CheckOptions::default()
@@ -2140,7 +2064,8 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
 
     /// Model text of `n` `N` nodes named `x0`, `x1`, `x2`, `x0`, …, each
     /// linked through `r` to the next two: some 2n links, so at n = 50
-    /// the match states pass the index threshold.
+    /// a match state holds about a hundred matches and its buckets hold
+    /// several slots each.
     fn chain(name: &str, meta: &str, class: &str, r: &str, n: usize) -> String {
         let mut body = String::new();
         for i in 0..n {
@@ -2163,8 +2088,8 @@ transformation F(cf1 : CF, cf2 : CF, fm : FM) {
     }
 
     /// Link edits on a self-loop, where one object is both ends of the
-    /// link, on either side of both directions, and below and above the
-    /// index threshold.
+    /// link, on either side of both directions, over a few matches and
+    /// over about a hundred.
     #[test]
     fn self_loop_link_edits_track_scratch_checker() {
         let g =

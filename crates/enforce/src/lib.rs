@@ -134,13 +134,22 @@ pub struct RepairOptions {
 }
 
 impl RepairOptions {
-    /// The tuple weighting resolved for an `arity`-tuple repaired towards
-    /// `targets`; the errors either engine raises before it repairs.
-    fn tuple_for(&self, arity: usize, targets: DomSet) -> Result<TupleCost, RepairError> {
+    /// The errors either engine raises before it repairs an
+    /// `arity`-tuple towards `targets`: no target, or an explicit
+    /// weighting of another arity. Nothing is resolved: the search reads
+    /// weights through [`TupleCost::weight`], which weighs every model 1
+    /// under [`TupleCost::auto`], and grounding resolves its own copy.
+    fn check_tuple(&self, arity: usize, targets: DomSet) -> Result<(), RepairError> {
         if targets.is_empty() {
             return Err(RepairError::NoTargets);
         }
-        self.tuple.resolved(arity).map_err(RepairError::Tuple)
+        match self.tuple.arity() {
+            Some(got) if got != arity => Err(RepairError::Tuple(mmt_dist::TupleArityError {
+                expected: arity,
+                got,
+            })),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -544,9 +553,8 @@ impl RepairEngine for SearchEngine {
         checker: &mut DeltaChecker,
         targets: DomSet,
     ) -> Result<Option<InPlaceRepair>, RepairError> {
-        let mut opts = self.opts.clone();
-        opts.tuple = self.opts.tuple_for(checker.models().len(), targets)?;
-        search::search_from_root(checker, targets, &opts)
+        self.opts.check_tuple(checker.models().len(), targets)?;
+        search::search_from_root(checker, targets, &self.opts)
     }
 }
 
@@ -608,14 +616,14 @@ impl SatEngine {
         models: &[Model],
         targets: DomSet,
     ) -> Result<Option<(u64, Vec<Delta>)>, RepairError> {
-        let tuple = self.opts.tuple_for(models.len(), targets)?;
+        self.opts.check_tuple(models.len(), targets)?;
         let gopts = GroundOptions {
             scope: Scope {
                 slack_objs: self.opts.slack_objs,
                 fresh_strings: self.opts.fresh_strings,
             },
             cost: self.opts.cost,
-            tuple,
+            tuple: self.opts.tuple.clone(),
             max_cost: self.opts.max_cost,
             ..GroundOptions::default()
         };

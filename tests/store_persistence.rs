@@ -1,13 +1,13 @@
 //! Persistence property testing of the WAL-backed session store
 //! (ISSUE 6): over generated edit/repair scripts, a session that is
 //! persisted, dropped, and reopened mid-flight must be observably
-//! identical — status, printed models and their id bounds, rendered
-//! journal, and the final written tuple, byte for byte — to one
-//! uninterrupted in-memory session, under the search and the SAT
-//! engine. Plus the
-//! `rollback(n)` edge cases: saturation past the journal start,
-//! rolling back across a persisted/recovered boundary, and
-//! rollback-then-new-edits reusing the committed WAL prefix.
+//! identical — status, rendered report, printed models and their id
+//! bounds, rendered journal, and the final written tuple, byte for
+//! byte — to one uninterrupted in-memory session, under the search and
+//! the SAT engine. Plus the `rollback(n)` edge cases: saturation past
+//! the journal start, rolling back across a persisted/recovered
+//! boundary, and rollback-then-new-edits reusing the committed WAL
+//! prefix.
 
 use std::fs;
 use std::path::PathBuf;
@@ -37,9 +37,14 @@ fn fixture(seed: u64) -> (Arc<Transformation>, Vec<Model>) {
     (Arc::new(t), w.models)
 }
 
+/// What a session shows from outside. The rendered report lists each
+/// check's violations in order: a recovered session replays only the
+/// journal, not the search walks and undos of the live one, so a
+/// listing that follows the match history would differ here.
 #[derive(Debug, PartialEq)]
 struct Snapshot {
     status: SyncStatus,
+    report: String,
     models: Vec<String>,
     id_bounds: Vec<usize>,
     journal: Vec<String>,
@@ -49,6 +54,7 @@ impl Snapshot {
     fn of(session: &SyncSession) -> Snapshot {
         Snapshot {
             status: session.status(),
+            report: session.report().to_string(),
             models: session.models().iter().map(print_model).collect(),
             id_bounds: session.models().iter().map(Model::id_bound).collect(),
             journal: session.journal().iter().map(render_entry).collect(),
@@ -133,9 +139,6 @@ fn assert_persisted_equals_uninterrupted_on(
             );
         }
     }
-    // The final written tuple is byte-identical, and so is the
-    // human-facing report.
-    assert_eq!(live.report().to_string(), durable.report().to_string());
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -384,12 +387,6 @@ fn owned_open_reports_repairs_and_recovers_as_a_borrowed_one() {
                 "{}",
                 ctx(step_no)
             );
-            assert_eq!(
-                owned.report().to_string(),
-                borrowed.report().to_string(),
-                "{}",
-                ctx(step_no)
-            );
         }
         assert!(
             repairs > 0,
@@ -399,10 +396,6 @@ fn owned_open_reports_repairs_and_recovers_as_a_borrowed_one() {
         drop((store, owned));
         let (_, recovered) = PersistentSession::open(&dir, &t, opts).unwrap();
         assert_eq!(Snapshot::of(&recovered), Snapshot::of(&borrowed));
-        assert_eq!(
-            recovered.report().to_string(),
-            borrowed.report().to_string()
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

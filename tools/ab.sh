@@ -18,8 +18,12 @@
 # sides for `seconds` (default 20) with `--trace 0`: the parent runs
 # first in odd pairs, the change in even ones. Then, for each
 # end-to-end metric of the result line, the script prints the median
-# of each side over the pairs, the parent's interquartile range, and in
-# how many pairs the change read lower; `failed` is summed. The raw
+# of each side over the pairs, the parent's interquartile range, in how
+# many pairs the change read lower, and the change's median relative to
+# the parent's beside the metric's `bound` in the parent's
+# BENCHMARK.json. It marks WORSE a metric whose median moved against its
+# `better` direction by more than that bound, and a `failed` sum above
+# the parent's: what the benchmark's no-regression rule refuses. The raw
 # output of every run stays in the results directory it names.
 set -euo pipefail
 
@@ -103,6 +107,34 @@ for ((i = 1; i <= pairs; i++)); do
 	fi
 done
 
+# Each end-to-end metric's gate, "<metric> <better> <bound>" per line,
+# from the "end_to_end" list of the parent's BENCHMARK.json (none when it
+# has no such file).
+touch "$results/gates"
+if [ -f "$base/tree/BENCHMARK.json" ]; then
+	awk '
+	# The value of "key" in one JSON object, quotes stripped.
+	function field(obj, key,    v) {
+		if (!match(obj, "\"" key "\"[ \t\n]*:[ \t\n]*(\"[^\"]*\"|[-+.0-9eE]+)"))
+			return "-"
+		v = substr(obj, RSTART, RLENGTH)
+		sub(/^"[^"]*"[ \t\n]*:[ \t\n]*/, "", v)
+		gsub(/"/, "", v)
+		return v
+	}
+	{ json = json $0 "\n" }
+	END {
+		if (!match(json, /"end_to_end"[ \t\n]*:[ \t\n]*\[[^]]*\]/))
+			exit
+		list = substr(json, RSTART, RLENGTH)
+		while (match(list, /[{][^}]*[}]/)) {
+			obj = substr(list, RSTART, RLENGTH)
+			list = substr(list, RSTART + RLENGTH)
+			print field(obj, "name"), field(obj, "better"), field(obj, "bound")
+		}
+	}' "$base/tree/BENCHMARK.json" >"$results/gates"
+fi
+
 echo "# $workload: parent ${sha:0:12} vs snapshot $change/tree, $pairs pairs of ${seconds} s, results in $results"
 awk -v pairs="$pairs" '
 function sort(a, n,    i, j, t) {
@@ -117,18 +149,21 @@ function quantile(a, n, q,    h, lo) {
 	lo = int(h)
 	return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 }
+# The gates file comes first: "<metric> <better> <bound>".
+FILENAME ~ /gates$/ { better[$1] = $2; bound[$1] = $3; next }
 {
 	v[$1, $2, $3] = $4
 	if (!($3 in seen)) { seen[$3] = 1; order[++metrics] = $3 }
 }
 END {
-	printf "%-18s %14s %14s %14s %8s\n", "metric", "parent_median", "parent_iqr", "change_median", "lower"
+	fmt = "%-18s %14s %14s %14s %8s %9s %7s  %s\n"
+	printf fmt, "metric", "parent_median", "parent_iqr", "change_median", "lower", "change", "bound", "gate"
 	for (k = 1; k <= metrics; k++) {
 		m = order[k]
 		if (m == "failed") {
 			pf = cf = 0
 			for (i = 1; i <= pairs; i++) { pf += v["parent", i, m]; cf += v["change", i, m] }
-			printf "%-18s %14d %14s %14d %8s\n", m, pf, "(sum)", cf, ""
+			printf fmt, m, pf, "(sum)", cf, "", "", "", (cf > pf ? "WORSE" : "ok")
 			continue
 		}
 		lower = 0
@@ -139,8 +174,21 @@ END {
 		}
 		sort(p, pairs)
 		sort(c, pairs)
-		printf "%-18s %14.6g %14.6g %14.6g %8s\n", m, quantile(p, pairs, 0.5),
-			quantile(p, pairs, 0.75) - quantile(p, pairs, 0.25), quantile(c, pairs, 0.5),
-			lower "/" pairs
+		pm = quantile(p, pairs, 0.5)
+		cm = quantile(c, pairs, 0.5)
+		change = gate = "-"
+		limit = ""
+		if (pm != 0)
+			change = sprintf("%+.1f%%", 100 * (cm - pm) / pm)
+		if (m in better) {
+			limit = sprintf("%g%%", 100 * bound[m])
+			# How far the change moved the worse way, as a fraction of
+			# the parent median (any move from a zero median is too far).
+			worse = better[m] == "higher" ? pm - cm : cm - pm
+			too_far = pm != 0 ? (worse / pm > bound[m] + 0) : (worse > 0)
+			gate = too_far ? "WORSE" : "ok"
+		}
+		printf fmt, m, sprintf("%.6g", pm), sprintf("%.6g", quantile(p, pairs, 0.75) - quantile(p, pairs, 0.25)),
+			sprintf("%.6g", cm), lower "/" pairs, change, limit, gate
 	}
-}' "$results/rows"
+}' "$results/gates" "$results/rows"
