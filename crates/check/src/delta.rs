@@ -103,7 +103,7 @@ use crate::{CheckError, CheckOptions, CheckReport, DirectionalOutcome, Violation
 use mmt_deps::{Dep, DomIdx};
 use mmt_dist::{Delta, EditOp};
 use mmt_model::fx::FxHashMap;
-use mmt_model::{ClassId, Model, ModelError, ObjId, RefId, Value};
+use mmt_model::{ClassId, Model, ModelError, ObjId, RefId, Sym, Value};
 use mmt_qvtr::{Constraint, Hir, HirRelation, RelId, VarId};
 use std::cmp::Ordering;
 use std::fmt;
@@ -632,17 +632,6 @@ impl MatchState {
         out.dedup();
     }
 
-    /// The violating bindings in canonical order ([`cmp_bindings`]):
-    /// what a report lists and what the search reads, in an order that
-    /// depends on the tuple alone and not on the slots an edit history
-    /// left the matches in.
-    fn sorted_violations(&self) -> Vec<&[Option<Slot>]> {
-        let mut violating: Vec<&[Option<Slot>]> =
-            self.violating.iter().map(|&s| self.binding(s)).collect();
-        violating.sort_unstable_by(|a, b| cmp_bindings(a, b));
-        violating
-    }
-
     /// Fills `out` with the currently violating slots, ascending —
     /// the snapshot the partial-update pin pass walks while it edits.
     fn snapshot_violating(&self, out: &mut Vec<u32>) {
@@ -747,6 +736,40 @@ fn unregister(index: &mut FxHashMap<(DomIdx, ObjId), IdSet<u32>>, key: (DomIdx, 
     }
 }
 
+/// One directional check as [`DeltaChecker::visit_report`] lends it:
+/// what its [`DirectionalOutcome`] holds, borrowed from the match state
+/// instead of rendered into owned strings.
+#[derive(Clone, Copy, Debug)]
+pub struct CheckView<'a> {
+    /// Relation id.
+    pub relation: RelId,
+    /// Relation name.
+    pub relation_name: Sym,
+    /// The dependency that induced this check.
+    pub dep: Dep,
+    /// Whether the check holds.
+    pub holds: bool,
+    rel: &'a HirRelation,
+    violations: &'a [&'a [Option<Slot>]],
+}
+
+impl<'a> CheckView<'a> {
+    /// The recorded counterexamples, as
+    /// [`DirectionalOutcome::violations`] lists them: each violating
+    /// binding as its bound variables, named, in variable order.
+    pub fn violations(
+        &self,
+    ) -> impl ExactSizeIterator<Item = impl Iterator<Item = (Sym, Slot)> + 'a> + 'a {
+        let (rel, violations) = (self.rel, self.violations);
+        violations.iter().map(move |binding| {
+            binding
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, slot)| slot.map(|s| (rel.vars[i].name, s)))
+        })
+    }
+}
+
 /// An incremental checkonly engine: binds a transformation to an
 /// *owned* model tuple and keeps the [`CheckReport`] up to date across
 /// [`mmt_dist::EditOp`]s in time proportional to the edit, not the
@@ -788,7 +811,8 @@ pub struct DeltaChecker {
 struct UpdateScratch {
     /// Slots invalidated by a universal-side edit.
     stale: Vec<u32>,
-    /// Per-object index-lookup staging.
+    /// The `by_obj` bucket the witness-side pass filters for matches
+    /// whose `where` clause reads the edited object.
     hits: Vec<u32>,
     /// Slots to fully re-probe on a witness-side edit (sorted).
     reprobe: Vec<u32>,
@@ -1064,36 +1088,54 @@ impl DeltaChecker {
         self.checks.iter().all(|c| c.state.violations() == 0)
     }
 
-    /// The current [`CheckReport`], assembled from the cached match
-    /// state (no evaluation happens here). Each check lists its
-    /// violations in the canonical order of
-    /// [`DeltaChecker::for_each_violation`], capped at
-    /// [`CheckOptions::max_violations`], so a session reports the same
-    /// bytes whatever its history; `stats` are cumulative over the
-    /// initial evaluation and every update.
+    /// The current [`CheckReport`], collected from
+    /// [`DeltaChecker::visit_report`] (no evaluation happens here), so a
+    /// session reports the same bytes whatever its history; `stats` are
+    /// cumulative over the initial evaluation and every update.
     pub fn report(&self) -> CheckReport {
         let mut checks = Vec::with_capacity(self.checks.len());
-        for c in &self.checks {
-            let rel = self.hir.relation(c.statics.rel);
-            let violations: Vec<ViolationBinding> = c
-                .state
-                .sorted_violations()
-                .into_iter()
-                .take(self.opts.max_violations)
-                .map(|b| render(rel, b))
+        self.visit_report(|check| {
+            let violations = check
+                .violations()
+                .map(|vars| ViolationBinding {
+                    vars: vars.map(|(name, slot)| (name, slot.to_string())).collect(),
+                })
                 .collect();
             checks.push(DirectionalOutcome {
-                relation: c.statics.rel,
-                relation_name: rel.name,
-                dep: c.statics.dep,
-                holds: c.state.violations() == 0,
+                relation: check.relation,
+                relation_name: check.relation_name,
+                dep: check.dep,
+                holds: check.holds,
                 violations,
             });
-        }
+        });
         CheckReport {
             checks,
             stats: self.eval_stats,
         }
+    }
+
+    /// The current report, lent check by check and rendered into
+    /// nothing: calls `f` once per directional check, in check order,
+    /// with what [`DeltaChecker::report`] holds for it, borrowed from the
+    /// match state. Each check's violations come in the canonical order
+    /// of [`DeltaChecker::for_each_violation`], capped at
+    /// [`CheckOptions::max_violations`]. A check that holds costs no
+    /// allocation, and a failing one the one list its violations are
+    /// sorted in; a caller that renders text writes it straight from
+    /// the view (`mmt serve` does).
+    pub fn visit_report(&self, mut f: impl FnMut(CheckView<'_>)) {
+        self.visit_capped(self.opts.max_violations, |c, violations| {
+            let rel = self.hir.relation(c.statics.rel);
+            f(CheckView {
+                relation: c.statics.rel,
+                relation_name: rel.name,
+                dep: c.statics.dep,
+                holds: c.state.violations() == 0,
+                rel,
+                violations,
+            });
+        });
     }
 
     /// Visits up to `cap` violating universal bindings per directional
@@ -1107,10 +1149,26 @@ impl DeltaChecker {
     /// processes that interned their strings in different orders drive
     /// it identically too.
     pub fn for_each_violation(&self, cap: usize, mut f: impl FnMut(RelId, Dep, &[Option<Slot>])) {
-        for c in &self.checks {
-            for b in c.state.sorted_violations().into_iter().take(cap) {
+        self.visit_capped(cap, |c, violations| {
+            for b in violations {
                 f(c.statics.rel, c.statics.dep, b);
             }
+        });
+    }
+
+    /// Calls `f` with each check, in check order, and its first `cap`
+    /// violating bindings in canonical order ([`cmp_bindings`]): the one
+    /// place that orders and caps violations, for the report and the
+    /// search alike. The order depends on the tuple alone, not on the
+    /// slots an edit history left the matches in.
+    fn visit_capped(&self, cap: usize, mut f: impl FnMut(&CachedCheck, &[&[Option<Slot>]])) {
+        for c in &self.checks {
+            let state = &c.state;
+            let mut violating: Vec<&[Option<Slot>]> =
+                state.violating.iter().map(|&s| state.binding(s)).collect();
+            violating.sort_unstable_by(|a, b| cmp_bindings(a, b));
+            violating.truncate(cap);
+            f(c, &violating);
         }
     }
 
@@ -1201,15 +1259,6 @@ fn accumulate(into: &mut EvalStats, extra: EvalStats) {
     into.existential_probes += extra.existential_probes;
     into.call_hits += extra.call_hits;
     into.candidates += extra.candidates;
-}
-
-fn render(rel: &HirRelation, binding: &[Option<Slot>]) -> ViolationBinding {
-    let vars = binding
-        .iter()
-        .enumerate()
-        .filter_map(|(i, slot)| slot.map(|s| (rel.vars[i].name, s.to_string())))
-        .collect();
-    ViolationBinding { vars }
 }
 
 fn compile_check(hir: &Hir, rid: RelId, dep: Dep, arity: usize) -> Result<CheckStatics, EvalError> {
@@ -1420,8 +1469,8 @@ fn universal_update(
     let stale = &mut scratch.stale;
     stale.clear();
     state.collect_slots_binding(model, affected, stale);
-    stale.sort_unstable();
-    stale.dedup();
+    // One `IdSet` bucket: ascending and once each already.
+    debug_assert!(stale.windows(2).all(|w| w[0] < w[1]), "bucket order");
     for &slot in stale.iter() {
         state.remove(rel, wit_objs, slot);
     }
@@ -1543,16 +1592,13 @@ fn witness_update(
     // affected object through a universal-side variable (its `where`
     // clause, or its target pattern at a variable `when` binds).
     let reprobe = &mut scratch.reprobe;
-    let hits = &mut scratch.hits;
     reprobe.clear();
-    hits.clear();
-    state.collect_slots_witnessing(model, o, hits);
-    for &slot in hits.iter() {
-        if state.witnessed(slot) {
-            reprobe.push(slot);
-        }
-    }
+    // `by_wit` holds witnessed slots only: `insert` and `set_witness`
+    // register none for a violation.
+    state.collect_slots_witnessing(model, o, reprobe);
+    debug_assert!(reprobe.iter().all(|&s| state.witnessed(s)), "by_wit");
     if !st.wit_uni_vars.is_empty() {
+        let hits = &mut scratch.hits;
         hits.clear();
         state.collect_slots_binding(model, o, hits);
         for &slot in hits.iter() {

@@ -40,7 +40,7 @@ pub mod eval;
 pub mod footprint;
 pub mod index;
 
-pub use delta::{DeltaChecker, DeltaError, DeltaStats};
+pub use delta::{CheckView, DeltaChecker, DeltaError, DeltaStats};
 pub use eval::{Binding, EvalError, EvalStats, Slot};
 pub use footprint::{check_footprints, CheckFootprints, Footprint};
 pub use index::ModelIndex;

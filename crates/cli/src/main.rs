@@ -14,7 +14,7 @@
 mod json;
 mod serve;
 
-use json::{journal_json, lint_json, status_json};
+use json::{write_journal, write_lint, write_status};
 use mmt_core::{
     EngineKind, LintCode, LintOptions, RepairRequest, SessionOptions, Shape, SyncSession,
     Transformation,
@@ -181,7 +181,8 @@ tuple given with -m). Requests:
 
 Responses echo the request id: {"id":1,"ok":true,"result":...} on
 success, {"id":1,"ok":false,"error":"..."} on failure (the loop keeps
-serving). The `edit` string is exactly a `mmt sync` edit line without
+serving). A request line longer than 1 MiB is answered with id null
+and skipped. The `edit` string is exactly a `mmt sync` edit line without
 the leading `edit` keyword, and `status`/`journal` results are byte-
 identical to `mmt sync --json` output for the same commands. The
 `lint` request needs no session and returns the static-analysis report
@@ -664,7 +665,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             let report = t.lint_with(&opts);
             if p.json {
-                outln!("{}", lint_json(&report));
+                let mut out = String::new();
+                write_lint(&mut out, &report);
+                outln!("{out}");
             } else {
                 emit(format_args!("{}", report.render_text()));
             }
@@ -815,7 +818,9 @@ fn exec_sync_line(
     match words.next() {
         Some("status") => {
             if json {
-                outln!("{}", status_json(session));
+                let mut out = String::new();
+                write_status(&mut out, session);
+                outln!("{out}");
             } else {
                 let s = session.status();
                 if s.consistent {
@@ -861,7 +866,9 @@ fn exec_sync_line(
         }
         Some("journal") => {
             if json {
-                outln!("{}", journal_json(session));
+                let mut out = String::new();
+                write_journal(&mut out, session);
+                outln!("{out}");
             } else {
                 let entries = session.journal().len();
                 outln!(

@@ -21,18 +21,35 @@
 //! --json` output — the serve differential e2e test pins that down.
 //! Errors answer `{"ok":false,"error":...}` and the loop keeps
 //! serving; EOF exits 0.
+//!
+//! The answer path copies nothing it need not: each line is read into
+//! one reused buffer, and the request's fields are parsed borrowed from
+//! it; the whole answer, `{"id":…,"ok":true,"result":…}` and its
+//! newline, is written into one reused buffer, the status straight
+//! from the session's match state ([`crate::json`]), and leaves in one
+//! `write_all`, one `write` call whatever its size. A line longer than
+//! [`MAX_LINE`] bytes is answered as a bad request without being held.
 
 use crate::json::{
-    field, journal_json, json_str, lint_json, parse_request, status_json, str_field, Json,
+    field, parse_request, push_str_of, str_field, write_journal, write_json, write_lint,
+    write_repair, write_status, Json, Request,
 };
 use crate::{apply_session_edit, load, repair_options, shape_of_names, write_models_quiet, Parsed};
 use mmt_core::{EngineKind, SessionHandle, SessionOptions, SyncHub, Transformation};
 use mmt_model::Model;
 use mmt_store::{write_hub_manifest, HubStore, PersistentSession};
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// The longest request line served, in bytes (its `\n` not counted).
+/// A longer line is answered `{"id":null,"ok":false,…}` and skipped:
+/// it is read to its end in the input buffer's chunks and never held
+/// whole, so one line without a newline cannot grow the loop's memory
+/// without bound. Real requests are a few hundred bytes.
+const MAX_LINE: usize = 1 << 20;
 
 /// The durable side of a serving hub: the store directory plus the open
 /// per-session stores the loop commits to after every mutating request.
@@ -73,6 +90,16 @@ fn remove_store_dir(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// What one serving process holds between requests.
+struct Server<'a> {
+    hub: SyncHub,
+    t: &'a Transformation,
+    seed_models: &'a [Model],
+    opts: SessionOptions,
+    out_dir: Option<&'a str>,
+    store: Option<ServeStore>,
+}
+
 /// The serve loop: reads one JSON request per stdin line, writes one
 /// JSON response per stdout line. See [`crate::USAGE_SERVE`] and the
 /// module docs for the protocol.
@@ -104,7 +131,7 @@ pub(crate) fn run_serve(p: &Parsed) -> Result<ExitCode, String> {
     }
     // With --store, recover every session the previous process left
     // behind before serving the first request.
-    let mut store = match &p.store {
+    let store = match &p.store {
         None => None,
         Some(dir) => {
             let dir = PathBuf::from(dir);
@@ -121,224 +148,292 @@ pub(crate) fn run_serve(p: &Parsed) -> Result<ExitCode, String> {
             Some(ServeStore { dir, sessions })
         }
     };
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    // Read raw byte lines: a line that is not UTF-8 is a bad request to
-    // answer, not a reason to kill the loop.
-    for raw in stdin.lock().split(b'\n') {
-        let mut raw = raw.map_err(|e| format!("stdin: {e}"))?;
-        if raw.last() == Some(&b'\r') {
-            raw.pop();
-        }
-        let response = match String::from_utf8(raw) {
-            Ok(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                respond(
-                    &hub,
-                    &t,
-                    &models,
-                    &opts,
-                    p.out.as_deref(),
-                    &mut store,
-                    &line,
-                )
-            }
-            Err(_) => "{\"id\":null,\"ok\":false,\"error\":\"bad request: line is not UTF-8\"}"
-                .to_string(),
-        };
-        writeln!(stdout, "{response}").map_err(|e| format!("stdout: {e}"))?;
-        stdout.flush().map_err(|e| format!("stdout: {e}"))?;
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// One request → one response line. Never errors the loop: every
-/// failure becomes an `{"ok":false}` response carrying the request id
-/// (when one could be parsed at all).
-fn respond(
-    hub: &SyncHub,
-    t: &Transformation,
-    seed_models: &[Model],
-    opts: &SessionOptions,
-    out_dir: Option<&str>,
-    store: &mut Option<ServeStore>,
-    line: &str,
-) -> String {
-    let (id, outcome) = match parse_request(line) {
-        Err(e) => (Json::Null, Err(format!("bad request: {e}"))),
-        Ok(obj) => {
-            let id = field(&obj, "id").cloned().unwrap_or(Json::Null);
-            (
-                id,
-                dispatch(hub, t, seed_models, opts, out_dir, store, &obj),
-            )
-        }
+    let mut server = Server {
+        hub,
+        t: &t,
+        seed_models: &models,
+        opts,
+        out_dir: p.out.as_deref(),
+        store,
     };
-    let id = id.render();
-    match outcome {
-        Ok(result) => format!("{{\"id\":{id},\"ok\":true,\"result\":{result}}}"),
-        Err(e) => format!("{{\"id\":{id},\"ok\":false,\"error\":{}}}", json_str(&e)),
+    let mut input = io::stdin().lock();
+    let mut stdout = io::stdout().lock();
+    let mut line = Vec::new();
+    let mut answer = String::new();
+    loop {
+        answer.clear();
+        match read_line(&mut input, &mut line).map_err(|e| format!("stdin: {e}"))? {
+            Line::End => return Ok(ExitCode::SUCCESS),
+            Line::TooLong => {
+                let _ = write!(
+                    answer,
+                    "{{\"id\":null,\"ok\":false,\"error\":\"bad request: line longer than {MAX_LINE} bytes\"}}"
+                );
+            }
+            Line::Read => {
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+                // A line that is not UTF-8 is a bad request to answer,
+                // not a reason to end the loop.
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => server.respond(text, &mut answer),
+                    Err(_) => answer.push_str(
+                        "{\"id\":null,\"ok\":false,\"error\":\"bad request: line is not UTF-8\"}",
+                    ),
+                }
+            }
+        }
+        answer.push('\n');
+        stdout
+            .write_all(answer.as_bytes())
+            .and_then(|()| stdout.flush())
+            .map_err(|e| format!("stdout: {e}"))?;
     }
 }
 
-/// Executes one parsed request against the hub; returns the `result`
-/// payload as raw JSON text.
-fn dispatch(
-    hub: &SyncHub,
-    t: &Transformation,
-    seed_models: &[Model],
-    opts: &SessionOptions,
-    out_dir: Option<&str>,
-    store: &mut Option<ServeStore>,
-    obj: &[(String, Json)],
-) -> Result<String, String> {
-    let cmd = str_field(obj, "cmd")?;
-    if cmd == "lint" {
-        // The report recorded when the spec was registered; no session.
-        let report = hub.lint_report("default").map_err(|e| e.to_string())?;
-        return Ok(lint_json(&report));
+/// What [`read_line`] read.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// A line of at most [`MAX_LINE`] bytes, now in the buffer.
+    Read,
+    /// A longer line, read to its end and dropped.
+    TooLong,
+    /// End of input, with nothing read.
+    End,
+}
+
+/// Reads the next line of `input` into `line`, without its `\n` (the
+/// last line may lack one). A line longer than [`MAX_LINE`] bytes is
+/// consumed to its end in `input`'s own chunks but not stored.
+fn read_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Line> {
+    line.clear();
+    let mut read_any = false;
+    let mut too_long = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let text = &chunk[..newline.unwrap_or(chunk.len())];
+        if !too_long && line.len() + text.len() > MAX_LINE {
+            too_long = true;
+            line.clear();
+        }
+        if !too_long {
+            line.extend_from_slice(text);
+        }
+        let (used, at_end) = match newline {
+            Some(i) => (i + 1, true),
+            None => (chunk.len(), chunk.is_empty()),
+        };
+        read_any |= used > 0;
+        input.consume(used);
+        if at_end {
+            return Ok(match (read_any, too_long) {
+                (false, _) => Line::End,
+                (true, true) => Line::TooLong,
+                (true, false) => Line::Read,
+            });
+        }
     }
-    let name = str_field(obj, "session")?;
-    match cmd.as_str() {
-        "open" => {
-            // Session names become `--out` path components on close:
-            // refuse anything that could escape the output directory.
-            if name.is_empty()
-                || name == "."
-                || name == ".."
-                || name.contains(['/', '\\'])
-                || name.contains('\0')
-            {
-                return Err(format!(
-                    "invalid session name {}: must be non-empty and contain no path separators",
-                    json_str(&name)
-                ));
+}
+
+impl Server<'_> {
+    /// Appends the answer to one request line to `out`. Never errors
+    /// the loop: every failure becomes an `{"ok":false}` answer carrying
+    /// the request id (when one could be parsed at all).
+    fn respond(&mut self, line: &str, out: &mut String) {
+        let request = match parse_request(line) {
+            Ok(request) => request,
+            Err(e) => {
+                out.push_str("{\"id\":null,\"ok\":false,\"error\":");
+                push_str_of(out, format_args!("bad request: {e}"));
+                out.push('}');
+                return;
             }
-            // Durable names additionally become store manifest tokens.
-            if store.is_some() && name.chars().any(char::is_whitespace) {
-                return Err(format!(
-                    "invalid session name {}: durable session names must carry no whitespace",
-                    json_str(&name)
-                ));
+        };
+        out.push_str("{\"id\":");
+        write_json(out, field(&request, "id").unwrap_or(&Json::Null));
+        let fields = out.len();
+        out.push_str(",\"ok\":true,\"result\":");
+        match self.dispatch(&request, out) {
+            Ok(()) => out.push('}'),
+            Err(e) => {
+                // Drop whatever the failed request wrote of a result.
+                out.truncate(fields);
+                out.push_str(",\"ok\":false,\"error\":");
+                push_str_of(out, e);
+                out.push('}');
             }
-            let handle = hub
-                .open_with(&name, "default", seed_models, opts.clone())
-                .map_err(|e| e.to_string())?;
-            if let Some(st) = store {
-                // Snapshot the fresh session; if the store cannot hold
-                // it, the open fails as a whole (close the hub slot so
-                // memory and disk never disagree about what exists).
-                // The hub manifest is the visibility point, and it does
-                // not name this session: a directory left under its name
-                // by an `open` or `close` cut short belongs to no one.
-                let dir = st.dir.join("sessions").join(&name);
-                let created = remove_store_dir(&dir)
-                    .and_then(|()| {
-                        handle
-                            .with(|s| PersistentSession::create(&dir, s))
-                            .map_err(|e| format!("store: {e}"))
-                    })
-                    .and_then(|ps| {
-                        st.sessions.insert(name.clone(), ps);
-                        st.sync_manifest(hub)
-                    });
-                if let Err(e) = created {
-                    let _ = hub.close(&name);
-                    st.sessions.remove(&name);
-                    return Err(e);
+        }
+    }
+
+    /// Executes one parsed request against the hub, appending its
+    /// `result` payload to `out`.
+    fn dispatch(&mut self, obj: &Request<'_>, out: &mut String) -> Result<(), String> {
+        let Server {
+            hub,
+            t,
+            seed_models,
+            opts,
+            out_dir,
+            store,
+        } = self;
+        let cmd = str_field(obj, "cmd")?;
+        if cmd == "lint" {
+            // The report recorded when the spec was registered; no session.
+            let report = hub.lint_report("default").map_err(|e| e.to_string())?;
+            write_lint(out, &report);
+            return Ok(());
+        }
+        let name = str_field(obj, "session")?;
+        match cmd {
+            "open" => {
+                // Session names become `--out` path components on close:
+                // refuse anything that could escape the output directory.
+                if name.is_empty()
+                    || name == "."
+                    || name == ".."
+                    || name.contains(['/', '\\'])
+                    || name.contains('\0')
+                {
+                    return Err(format!(
+                        "invalid session name {}: must be non-empty and contain no path separators",
+                        quoted(name)
+                    ));
                 }
-            }
-            Ok(handle.with(|s| status_json(s)))
-        }
-        "status" => {
-            let handle = hub.get(&name).map_err(|e| e.to_string())?;
-            Ok(handle.with(|s| status_json(s)))
-        }
-        "edit" => {
-            let spec = str_field(obj, "edit")?;
-            let handle = hub.get(&name).map_err(|e| e.to_string())?;
-            let result =
-                handle.with(|s| apply_session_edit(t, s, &spec).map(|_| status_json(s)))?;
-            if let Some(st) = store {
-                st.commit(&name, &handle)?;
-            }
-            Ok(result)
-        }
-        "repair" => {
-            let shape = shape_of_names(t, &str_field(obj, "targets")?)?;
-            let handle = hub.get(&name).map_err(|e| e.to_string())?;
-            let result = handle.with(|s| match s.repair(shape).map_err(|e| e.to_string())? {
-                None => Ok::<String, String>("{\"repaired\":false}".to_string()),
-                Some(out) => {
-                    let deltas: Vec<String> = out
-                        .deltas
-                        .iter()
-                        .map(|d| json_str(&d.to_string()))
-                        .collect();
-                    Ok(format!(
-                        "{{\"repaired\":true,\"cost\":{},\"deltas\":[{}]}}",
-                        out.cost,
-                        deltas.join(",")
-                    ))
+                // Durable names additionally become store manifest tokens.
+                if store.is_some() && name.chars().any(char::is_whitespace) {
+                    return Err(format!(
+                        "invalid session name {}: durable session names must carry no whitespace",
+                        quoted(name)
+                    ));
                 }
-            })?;
-            if let Some(st) = store {
-                st.commit(&name, &handle)?;
+                let handle = hub
+                    .open_with(name, "default", seed_models, opts.clone())
+                    .map_err(|e| e.to_string())?;
+                if let Some(st) = store {
+                    // Snapshot the fresh session; if the store cannot hold
+                    // it, the open fails as a whole (close the hub slot so
+                    // memory and disk never disagree about what exists).
+                    // The hub manifest is the visibility point, and it does
+                    // not name this session: a directory left under its name
+                    // by an `open` or `close` cut short belongs to no one.
+                    let dir = st.dir.join("sessions").join(name);
+                    let created = remove_store_dir(&dir)
+                        .and_then(|()| {
+                            handle
+                                .with(|s| PersistentSession::create(&dir, s))
+                                .map_err(|e| format!("store: {e}"))
+                        })
+                        .and_then(|ps| {
+                            st.sessions.insert(name.to_string(), ps);
+                            st.sync_manifest(hub)
+                        });
+                    if let Err(e) = created {
+                        let _ = hub.close(name);
+                        st.sessions.remove(name);
+                        return Err(e);
+                    }
+                }
+                handle.with(|s| write_status(out, s));
+                Ok(())
             }
-            Ok(result)
-        }
-        "rollback" => {
-            let n = match field(obj, "n") {
-                Some(Json::Int(n)) if *n >= 0 => *n as usize,
-                Some(Json::Str(s)) if s == "all" => usize::MAX,
-                Some(_) => return Err("field \"n\" must be a non-negative int or \"all\"".into()),
-                None => return Err("missing field \"n\"".into()),
-            };
-            let handle = hub.get(&name).map_err(|e| e.to_string())?;
-            let result = handle.with(|s| {
+            "status" => {
+                let handle = hub.get(name).map_err(|e| e.to_string())?;
+                handle.with(|s| write_status(out, s));
+                Ok(())
+            }
+            "edit" => {
+                let spec = str_field(obj, "edit")?;
+                let handle = hub.get(name).map_err(|e| e.to_string())?;
+                handle.with(|s| apply_session_edit(t, s, spec).map(|_| write_status(out, s)))?;
+                if let Some(st) = store {
+                    st.commit(name, &handle)?;
+                }
+                Ok(())
+            }
+            "repair" => {
+                let shape = shape_of_names(t, str_field(obj, "targets")?)?;
+                let handle = hub.get(name).map_err(|e| e.to_string())?;
+                handle.with(|s| {
+                    let repair = s.repair(shape).map_err(|e| e.to_string())?;
+                    write_repair(out, repair.as_ref());
+                    Ok::<(), String>(())
+                })?;
+                if let Some(st) = store {
+                    st.commit(name, &handle)?;
+                }
+                Ok(())
+            }
+            "rollback" => {
+                let n = match field(obj, "n") {
+                    Some(Json::Int(n)) if *n >= 0 => *n as usize,
+                    Some(Json::Str(s)) if s == "all" => usize::MAX,
+                    Some(_) => {
+                        return Err("field \"n\" must be a non-negative int or \"all\"".into())
+                    }
+                    None => return Err("missing field \"n\"".into()),
+                };
+                let handle = hub.get(name).map_err(|e| e.to_string())?;
                 // `rollback` saturates at the journal length itself, so
                 // the "all" sentinel needs no pre-clamping here.
-                let undone = s.rollback(n).map_err(|e| e.to_string())?;
-                Ok::<String, String>(format!("{{\"undone\":{undone}}}"))
-            })?;
-            if let Some(st) = store {
-                st.commit(&name, &handle)?;
+                let undone = handle.with(|s| s.rollback(n).map_err(|e| e.to_string()))?;
+                let _ = write!(out, "{{\"undone\":{undone}}}");
+                if let Some(st) = store {
+                    st.commit(name, &handle)?;
+                }
+                Ok(())
             }
-            Ok(result)
-        }
-        "journal" => {
-            let handle = hub.get(&name).map_err(|e| e.to_string())?;
-            Ok(handle.with(|s| journal_json(s)))
-        }
-        "close" => {
-            // Write the final tuple *before* unregistering: a failed
-            // write leaves the session open so the client can retry,
-            // instead of dropping the only copy of its state.
-            let handle = hub.get(&name).map_err(|e| e.to_string())?;
-            if let Some(dir) = out_dir {
-                handle.with(|s| write_models_quiet(&Path::new(dir).join(&name), t, s.models()))?;
+            "journal" => {
+                let handle = hub.get(name).map_err(|e| e.to_string())?;
+                handle.with(|s| write_journal(out, s));
+                Ok(())
             }
-            hub.close(&name).map_err(|e| e.to_string())?;
-            if let Some(st) = store {
-                // A closed session's story is over: drop it from the
-                // manifest first (the visibility point), then retire its
-                // store. A crash in between leaves a directory no manifest
-                // names, which the next `open` of the name removes.
-                st.sessions.remove(&name);
-                st.sync_manifest(hub)?;
-                remove_store_dir(&st.dir.join("sessions").join(&name))?;
+            "close" => {
+                // Write the final tuple *before* unregistering: a failed
+                // write leaves the session open so the client can retry,
+                // instead of dropping the only copy of its state.
+                let handle = hub.get(name).map_err(|e| e.to_string())?;
+                if let Some(dir) = out_dir {
+                    handle
+                        .with(|s| write_models_quiet(&Path::new(dir).join(name), t, s.models()))?;
+                }
+                hub.close(name).map_err(|e| e.to_string())?;
+                if let Some(st) = store {
+                    // A closed session's story is over: drop it from the
+                    // manifest first (the visibility point), then retire its
+                    // store. A crash in between leaves a directory no manifest
+                    // names, which the next `open` of the name removes.
+                    st.sessions.remove(name);
+                    st.sync_manifest(hub)?;
+                    remove_store_dir(&st.dir.join("sessions").join(name))?;
+                }
+                out.push_str("{\"closed\":");
+                push_str_of(out, name);
+                out.push('}');
+                Ok(())
             }
-            Ok(format!("{{\"closed\":{}}}", json_str(&name)))
+            other => Err(format!("unknown cmd `{other}`")),
         }
-        other => Err(format!("unknown cmd `{other}`")),
     }
+}
+
+/// `s` as a JSON string, for an error message.
+fn quoted(s: &str) -> String {
+    let mut out = String::new();
+    push_str_of(&mut out, s);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     #[test]
     fn json_reader_roundtrips_protocol_shapes() {
@@ -362,10 +457,26 @@ mod tests {
                 Json::Str("x".into())
             ]))
         );
-        // Ids echo verbatim through render().
-        assert_eq!(Json::Int(7).render(), "7");
-        assert_eq!(Json::Str("x\"y".into()).render(), r#""x\"y""#);
-        assert_eq!(Json::Null.render(), "null");
+        // A string without escapes borrows from the line; one with
+        // them is decoded.
+        assert!(matches!(
+            field(&obj, "cmd"),
+            Some(Json::Str(Cow::Borrowed(_)))
+        ));
+        assert!(matches!(
+            field(&obj, "edit"),
+            Some(Json::Str(Cow::Owned(_)))
+        ));
+        // Ids echo verbatim through write_json().
+        let echo = |id: Json| {
+            let mut out = String::new();
+            write_json(&mut out, &id);
+            out
+        };
+        assert_eq!(echo(Json::Int(7)), "7");
+        assert_eq!(echo(Json::Str("x\"y".into())), r#""x\"y""#);
+        assert_eq!(echo(Json::Null), "null");
+        assert_eq!(echo(field(&obj, "list").unwrap().clone()), r#"[1,-2,"x"]"#);
     }
 
     #[test]
@@ -381,5 +492,27 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// A line over [`MAX_LINE`] is consumed to its newline in the
+    /// reader's chunks, never stored, and the next line reads whole;
+    /// a last line without a newline still counts.
+    #[test]
+    fn read_line_drops_an_oversized_line_and_reads_on() {
+        let mut input = vec![b'x'; MAX_LINE + 1];
+        input.extend_from_slice(b"\nnext\n");
+        input.extend(std::iter::repeat_n(b'y', MAX_LINE));
+        input.extend_from_slice(b"\nlast");
+        let mut reader = io::BufReader::with_capacity(4096, &input[..]);
+        let mut line = Vec::new();
+        let mut read = || {
+            let got = read_line(&mut reader, &mut line).unwrap();
+            (got, line.len(), line.first().copied())
+        };
+        assert_eq!(read(), (Line::TooLong, 0, None));
+        assert_eq!(read(), (Line::Read, 4, Some(b'n')));
+        assert_eq!(read(), (Line::Read, MAX_LINE, Some(b'y')));
+        assert_eq!(read(), (Line::Read, 4, Some(b'l')));
+        assert_eq!(read(), (Line::End, 0, None));
     }
 }

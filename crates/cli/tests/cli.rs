@@ -835,6 +835,82 @@ journal
     std::fs::remove_file(&script).ok();
 }
 
+/// serve ≡ sync for an answer longer than stdout's 1 KiB line buffer:
+/// renaming a class of nine attributes in the class↔RDBMS fixture
+/// breaks both `ClassToTable` and every `AttrToCol` match of the
+/// class, and the status that lists them must reach the client whole
+/// and byte-identical to `mmt sync --json`'s.
+#[test]
+fn serve_answers_a_long_status_as_sync_prints_it() {
+    let base = std::env::temp_dir().join(format!("mmt-cli-long-status-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let side = |param: &str, meta: &str, owner: &str, members: &str, member: &str| {
+        let mut src = format!("model {param} : {meta} {{\n");
+        for a in 0..9 {
+            src.push_str(&format!(
+                "  m{a} = {member} {{ name = \"attribute_{a}\" }}\n"
+            ));
+        }
+        let all: Vec<String> = (0..9).map(|a| format!("m{a}")).collect();
+        src.push_str(&format!(
+            "  o = {owner} {{ name = \"Person\", {members} = [{}] }}\n}}\n",
+            all.join(", ")
+        ));
+        let path = base.join(format!("{param}.model"));
+        std::fs::write(&path, src).unwrap();
+        path.to_string_lossy().into_owned()
+    };
+    let models = [
+        side("uml", "UML", "Class", "attrs", "Attribute"),
+        side("rdb", "RDB", "Table", "cols", "Column"),
+    ];
+    let data: Vec<String> = [
+        "-t".to_string(),
+        repo_file("examples/data/C2T.qvtr"),
+        "-M".into(),
+        repo_file("examples/data/UML.mm"),
+        repo_file("examples/data/RDB.mm"),
+        "-m".into(),
+    ]
+    .into_iter()
+    .chain(models)
+    .collect();
+    let script = write_script(
+        "long-status",
+        "edit uml set @9.name = \"Customer\"\nstatus\n",
+    );
+    let mut sync_args = vec![
+        "sync".to_string(),
+        script.to_string_lossy().into_owned(),
+        "--json".into(),
+    ];
+    sync_args.extend(data.iter().cloned());
+    let argrefs: Vec<&str> = sync_args.iter().map(String::as_str).collect();
+    let (sync_stdout, sync_stderr, _) = mmt(&argrefs);
+    let sync_status = sync_stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .unwrap_or_else(|| panic!("no status line: {sync_stdout}\n{sync_stderr}"));
+    assert!(sync_status.len() > 1024, "{} bytes", sync_status.len());
+    assert!(sync_status.contains("\"violations\":20,"), "{sync_status}");
+
+    let requests = r#"{"id":1,"cmd":"open","session":"s"}
+{"id":2,"cmd":"edit","session":"s","edit":"uml set @9.name = \"Customer\""}
+{"id":3,"cmd":"status","session":"s"}
+"#;
+    let mut serve_args = vec!["serve".to_string()];
+    serve_args.extend(data);
+    let argrefs: Vec<&str> = serve_args.iter().map(String::as_str).collect();
+    let (serve_stdout, serve_stderr, serve_code) = mmt_with_stdin(&argrefs, requests);
+    assert_eq!(serve_code, Some(0), "{serve_stdout}\n{serve_stderr}");
+    assert_eq!(serve_stdout.lines().count(), 3, "{serve_stdout}");
+    for id in [2, 3] {
+        assert_eq!(serve_result(&serve_stdout, id), sync_status, "answer {id}");
+    }
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_file(&script).ok();
+}
+
 /// A repair depends on its request, not on the process. `mmt sync`
 /// repairs `cf1,cf2`, names two new `cf1` features `axle` then
 /// `wheels`, and repairs `fm`, which adds both names to `fm` at two

@@ -269,3 +269,34 @@ fn invalid_utf8_lines_are_answered_not_fatal() {
     );
     assert_eq!(serve_result(&stdout, 2), serve_result(&baseline, 2));
 }
+
+/// A request line of several MiB, past the server's 1 MiB cap, is
+/// answered `ok:false` with id `null` and dropped without being held,
+/// and the `status` right after it gets the answer an undisturbed
+/// session gives. Served over the feature-model scenario.
+#[test]
+fn oversized_lines_are_answered_and_skipped() {
+    let open = b"{\"id\":1,\"cmd\":\"open\",\"session\":\"s\"}\n";
+    let status = b"{\"id\":2,\"cmd\":\"status\",\"session\":\"s\"}\n";
+    let mut input = open.to_vec();
+    // A well-formed edit, were it not for its length.
+    input.extend_from_slice(
+        b"{\"id\":9,\"cmd\":\"edit\",\"session\":\"s\",\"edit\":\"cf1 set @0.name = ",
+    );
+    input.extend(std::iter::repeat_n(b'x', 3 << 20));
+    input.extend_from_slice(b"\"}\n");
+    input.extend_from_slice(status);
+    let stdout = serve_bytes_on(0, &input);
+    let rejected: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("{\"id\":null,\"ok\":false") && l.contains("line longer than"))
+        .collect();
+    assert_eq!(
+        rejected.len(),
+        1,
+        "one oversized-line rejection in:\n{stdout}"
+    );
+    assert_eq!(stdout.lines().count(), 3, "{stdout}");
+    let baseline = serve_bytes_on(0, &[&open[..], &status[..]].concat());
+    assert_eq!(serve_result(&stdout, 2), serve_result(&baseline, 2));
+}

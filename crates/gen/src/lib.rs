@@ -584,6 +584,56 @@ fn render_value(v: Value) -> String {
     }
 }
 
+/// Characters that stress every layer that escapes text: every control
+/// character Rust's `{:?}` escapes, quotes, backslashes, combining
+/// marks (which it writes as `\u{..}`), a zero-width space and a byte
+/// order mark, non-ASCII letters and the last scalar value. The model
+/// text round trip and the JSON status writer are tested on strings of
+/// them ([`tricky_string`]).
+pub const TRICKY_CHARS: &[char] = &[
+    '\0',
+    '\u{1}',
+    '\u{7}',
+    '\u{8}',
+    '\t',
+    '\n',
+    '\u{b}',
+    '\u{c}',
+    '\r',
+    '\u{1b}',
+    '\u{1f}',
+    '\u{7f}',
+    '\u{85}',
+    '"',
+    '\'',
+    '\\',
+    '\u{300}',
+    '\u{301}',
+    '\u{36f}',
+    '\u{200b}',
+    '\u{feff}',
+    'a',
+    'Z',
+    ' ',
+    '{',
+    '}',
+    'é',
+    'ß',
+    'Ж',
+    '日',
+    '✓',
+    '\u{10ffff}',
+];
+
+/// The string of [`TRICKY_CHARS`] that `picks` index, in order.
+///
+/// # Panics
+///
+/// If a pick is not below `TRICKY_CHARS.len()`.
+pub fn tricky_string(picks: &[usize]) -> String {
+    picks.iter().map(|&i| TRICKY_CHARS[i]).collect()
+}
+
 /// A random dependency set over `arity` domains (for entailment benches).
 pub fn random_depset(arity: usize, n_deps: usize, seed: u64) -> DepSet {
     let mut rng = StdRng::seed_from_u64(seed);

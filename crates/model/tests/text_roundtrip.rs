@@ -1,6 +1,7 @@
 //! Property-based round-trip tests for the textual model format over
 //! randomly generated models.
 
+use mmt_gen::{tricky_string, TRICKY_CHARS};
 use mmt_model::text::{parse_metamodel, parse_model, print_metamodel, print_model};
 use mmt_model::{conformance, AttrType, Metamodel, MetamodelBuilder, Model, Upper, Value};
 use proptest::prelude::*;
@@ -170,45 +171,6 @@ fn crlf_line_ends_round_trip() {
     assert!(m.graph_eq(&lf));
 }
 
-/// The characters the value property draws from: every control
-/// character Rust's `{:?}` escapes, quotes, backslashes, combining
-/// marks (which it writes as `\u{..}`), a zero-width space and a byte
-/// order mark, non-ASCII letters and the last scalar value.
-const TRICKY: &[char] = &[
-    '\0',
-    '\u{1}',
-    '\u{7}',
-    '\u{8}',
-    '\t',
-    '\n',
-    '\u{b}',
-    '\u{c}',
-    '\r',
-    '\u{1b}',
-    '\u{1f}',
-    '\u{7f}',
-    '\u{85}',
-    '"',
-    '\'',
-    '\\',
-    '\u{300}',
-    '\u{301}',
-    '\u{36f}',
-    '\u{200b}',
-    '\u{feff}',
-    'a',
-    'Z',
-    ' ',
-    '{',
-    '}',
-    'é',
-    'ß',
-    'Ж',
-    '日',
-    '✓',
-    '\u{10ffff}',
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -217,10 +179,10 @@ proptest! {
     /// same bytes.
     #[test]
     fn tricky_string_values_round_trip(
-        picks in proptest::collection::vec(0usize..TRICKY.len(), 0..24),
+        picks in proptest::collection::vec(0usize..TRICKY_CHARS.len(), 0..24),
     ) {
         let meta = rich_metamodel();
-        let value: String = picks.iter().map(|&i| TRICKY[i]).collect();
+        let value = tricky_string(&picks);
         let mut m = Model::new("m", Arc::clone(&meta));
         let item = m.add(meta.class_named("Item").unwrap()).unwrap();
         m.set_attr_named(item, "name", Value::str(&value)).unwrap();

@@ -472,6 +472,56 @@ fn c2t_edits() -> &'static [Vec<C2tEdit>] {
     ROWS.get_or_init(|| [100, 1000].map(measure_c2t_edits).into())
 }
 
+/// What rendering a status from the warm checker costs: the report
+/// visitor over the C2T tuple of 1 000 classes, consistent and after a
+/// class rename (which fails four checks with 20 violations), every
+/// field visited and written into a reused buffer, as `mmt serve`
+/// renders a status, counted after one warm-up visit. A visitor that
+/// renders a field into a `String` of its own fails the pin by count.
+struct ReportCost {
+    state: &'static str,
+    allocs: u64,
+    failing_checks: usize,
+}
+
+fn measure_reports() -> Vec<ReportCost> {
+    let (t, sources) = c2t_sources(1000);
+    let models = parse_c2t(&t, &sources);
+    let mut session = SyncSession::new(t, &models).unwrap();
+    let mut out = String::new();
+    let mut measure = |session: &SyncSession, state| {
+        let checker = session.checker();
+        let mut visit = || {
+            out.clear();
+            checker.visit_report(|check| {
+                write!(out, "{}{}{}", check.relation_name, check.dep, check.holds).unwrap();
+                for vars in check.violations() {
+                    for (var, value) in vars {
+                        write!(out, "{var}{value}").unwrap();
+                    }
+                }
+            });
+        };
+        visit();
+        ReportCost {
+            state,
+            allocs: counted(visit).0,
+            failing_checks: checker.failing_checks().count(),
+        }
+    };
+    let consistent = measure(&session, "consistent");
+    let (m, op) = c2t_edit(session.models(), "class_rename", 500, C2T_ATTRS / 2);
+    session.apply(m, op).unwrap();
+    assert_eq!(session.status().violations, 2 * (C2T_ATTRS + 1));
+    vec![consistent, measure(&session, "class_rename")]
+}
+
+/// The report rows; measured once per test binary run.
+fn report_costs() -> &'static [ReportCost] {
+    static ROWS: OnceLock<Vec<ReportCost>> = OnceLock::new();
+    ROWS.get_or_init(measure_reports)
+}
+
 /// The whole pin text, in a fixed row order.
 fn render_work_counts() -> String {
     let mut out = String::new();
@@ -537,6 +587,9 @@ fn render_work_counts() -> String {
         )
         .unwrap();
     }
+    for r in report_costs() {
+        writeln!(out, "report/c2t1000/{} allocs={}", r.state, r.allocs).unwrap();
+    }
     out
 }
 
@@ -557,6 +610,24 @@ fn work_counts_match_the_pin() {
              give the reason in CHANGES.md:\n{got}"
         );
     }
+}
+
+/// The status an answer renders costs no allocation on a consistent
+/// tuple and at most one per failing check (the list its violations
+/// are sorted in), however many violations and fields it lists.
+#[test]
+fn report_allocations_are_at_most_one_per_failing_check() {
+    for r in report_costs() {
+        assert!(
+            r.allocs as usize <= r.failing_checks,
+            "{}: {} allocations for {} failing checks",
+            r.state,
+            r.allocs,
+            r.failing_checks
+        );
+    }
+    assert_eq!(report_costs()[0].failing_checks, 0);
+    assert_eq!(report_costs()[1].failing_checks, 4);
 }
 
 /// O(|edit|) as an assertion: the toggle pair touches the same checks

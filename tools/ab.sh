@@ -23,8 +23,15 @@
 # the parent's beside the metric's `bound` in the parent's
 # BENCHMARK.json. It marks WORSE a metric whose median moved against its
 # `better` direction by more than that bound, and a `failed` sum above
-# the parent's: what the benchmark's no-regression rule refuses. The raw
-# output of every run stays in the results directory it names.
+# the parent's: what the benchmark's no-regression rule refuses. After
+# the pairs, each side makes one traced run (`--trace 1`, seed
+# pairs + 1), and the script prints every metric of the two traced
+# result lines side by side, the per-layer ones included, with the
+# change's relative difference, marking whether each count metric
+# (allocations, per-edit counts, `cli.resp_bytes_mean`) is the same on
+# both sides or DIFFERS: where a saving appears, and that the answers
+# kept their bytes. The raw output of every run stays in the results
+# directory it names.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -97,6 +104,23 @@ run() {
 		>>"$results/rows"
 }
 
+# traced <side>: one traced run of seed pairs + 1, its result line kept
+# as "<side> <metric> <value>" rows in $results/traced.
+traced() {
+	local name tree target out
+	read -r name tree target <<<"${sides[$1]}"
+	out="$results/$name-traced.out"
+	echo "traced: $name" >&2
+	CARGO_TARGET_DIR=$target bash "$tree/servebench/run.sh" --workload "$workload" \
+		--seed "$((pairs + 1))" --seconds "$seconds" --trace 1 >"$out"
+	tail -n 1 "$out" |
+		grep -o '"[a-z0-9_.]*": {"value": [^,}]*' |
+		sed 's/^"\([a-z0-9_.]*\)": {"value": \(.*\)$/\1 \2/' |
+		while read -r metric value; do
+			echo "$name $metric $value"
+		done >>"$results/traced"
+}
+
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2 == 1)); then
 		run 0 "$i"
@@ -106,6 +130,9 @@ for ((i = 1; i <= pairs; i++)); do
 		run 0 "$i"
 	fi
 done
+
+traced 0
+traced 1
 
 # Each end-to-end metric's gate, "<metric> <better> <bound>" per line,
 # from the "end_to_end" list of the parent's BENCHMARK.json (none when it
@@ -192,3 +219,24 @@ END {
 			sprintf("%.6g", cm), lower "/" pairs, change, limit, gate
 	}
 }' "$results/gates" "$results/rows"
+
+echo "# $workload: one traced run per side (--trace 1, seed $((pairs + 1)))"
+awk '
+{
+	v[$1, $2] = $3
+	if (!($2 in seen)) { seen[$2] = 1; order[++metrics] = $2 }
+}
+END {
+	fmt = "%-34s %14s %14s %9s  %s\n"
+	printf fmt, "metric", "parent", "change", "change", "count"
+	for (k = 1; k <= metrics; k++) {
+		m = order[k]
+		p = v["parent", m]
+		c = v["change", m]
+		change = p + 0 != 0 ? sprintf("%+.1f%%", 100 * (c - p) / p) : "-"
+		count = ""
+		if (m ~ /allocs|_per_edit|resp_bytes/)
+			count = p == c ? "same" : "DIFFERS"
+		printf fmt, m, p, c, change, count
+	}
+}' "$results/traced"
