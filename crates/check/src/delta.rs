@@ -1209,12 +1209,12 @@ impl DeltaChecker {
     }
 
     /// Drops trailing tombstones of the model at `model` down to
-    /// `bound` ([`Model::truncate_tombstones`]). Exact undo of an
+    /// `bound` ([`Model::set_id_bound`]). Exact undo of an
     /// `AddObj` past the id bound ends with this, so ids minted from
     /// `id_bound()` afterwards are the ones minted before the edit. The
     /// match state and indexes need no update: tombstones match nothing.
     pub fn truncate_tombstones(&mut self, model: DomIdx, bound: usize) {
-        self.models[model.index()].truncate_tombstones(bound);
+        self.models[model.index()].set_id_bound(bound);
     }
 
     /// Cumulative incremental-update statistics.

@@ -67,18 +67,19 @@ fn write_checker_status(out: &mut String, checker: &DeltaChecker, journal: usize
 
 /// Appends the `--json` journal dump (also the `serve` protocol's
 /// `journal` result) to `out`: entry count plus the flattened per-model
-/// replay script, in model-space order.
+/// replay script, in model-space order, written op by op from the
+/// journal.
 pub(crate) fn write_journal(out: &mut String, session: &SyncSession) {
     let _ = write!(
         out,
         "{{\"entries\":{},\"script\":[",
         session.journal().len()
     );
-    for (i, delta) in session.journal_script().iter().enumerate() {
+    for (i, script) in session.replay_scripts().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_str_of(out, delta);
+        push_str_of(out, script);
     }
     out.push_str("]}");
 }

@@ -21,7 +21,7 @@ use mmt_core::{
 };
 use mmt_dist::{EditOp, TupleCost};
 use mmt_enforce::RepairOptions;
-use mmt_model::text::{parse_metamodel, parse_model, print_model};
+use mmt_model::text::{parse_metamodel, parse_model, print_model, read_literal};
 use mmt_model::{AttrType, Metamodel, Model, ObjId, Sym, Value};
 use mmt_store::PersistentSession;
 use std::io::Write;
@@ -131,10 +131,14 @@ start, then O(|edit|) per command) and executes the script line by
 line. `<script>` may be `-` to read the script from stdin, so sessions
 can be piped. Script commands:
 
-  edit <param> add <Class> [@id]        create an object
+  edit <param> add <Class> [@id]        create an object (at the next id,
+                                        or at a free id below it)
   edit <param> del @id                  delete an object
   edit <param> set @id.<attr> = <val>   overwrite an attribute
-                                        (<val>: "str" | true|false | int)
+                                        (<val>: "str" | true|false | int,
+                                        written as in model files: strings
+                                        take the escapes \" \\ \n \t \r \0
+                                        and \u{HEX})
   edit <param> link @src.<ref> @dst     insert a link
   edit <param> unlink @src.<ref> @dst   remove a link
   status                                print consistency status
@@ -147,7 +151,8 @@ can be piped. Script commands:
 
 With `--json`, `status` dumps a JSON object instead of text. The repair
 engine defaults to `search` (it reuses the warm state). With
-`--out <dir>` the final tuple is written as `<dir>/<param>.model`.
+`--out <dir>` the final tuple is written as `<dir>/<param>.model`; model
+text keeps object ids, so the files reload to the ids edit lines name.
 Exits 0 when the final state is consistent, 1 otherwise.
 
 With `--store <dir>`, the session is durable: every journal entry is
@@ -875,9 +880,9 @@ fn exec_sync_line(
                     "journal: {entries} entr{}",
                     if entries == 1 { "y" } else { "ies" }
                 );
-                for (param, delta) in t.hir().models.iter().zip(&session.journal_script()) {
-                    if !delta.is_empty() {
-                        outln!("--- {} ---\n{delta}", param.name);
+                for (param, script) in t.hir().models.iter().zip(session.replay_scripts()) {
+                    if !script.is_empty() {
+                        outln!("--- {} ---\n{script}", param.name);
                     }
                 }
             }
@@ -940,10 +945,18 @@ fn parse_edit_op<'a>(
             let class = meta
                 .class_named(class_name)
                 .ok_or_else(|| format!("unknown class `{class_name}`"))?;
+            // An explicit id is the next one or a free slot below it: an
+            // id past the bound would pad the id space up to it.
             let id = match words.next() {
                 Some(tok) => parse_obj(tok)?,
                 None => ObjId(live.id_bound() as u32),
             };
+            if id.index() > live.id_bound() {
+                return Err(format!(
+                    "cannot add {id}: ids of new objects go up to the next id, @{}",
+                    live.id_bound()
+                ));
+            }
             Ok(EditOp::AddObj { id, class })
         }
         Some("del") => {
@@ -1013,26 +1026,15 @@ fn parse_obj(tok: &str) -> Result<ObjId, String> {
         .map_err(|e| format!("bad object id `{tok}`: {e}"))
 }
 
-/// Parses a script value against the attribute's declared type.
+/// Parses a script value, written as in model files
+/// ([`read_literal`]), against the attribute's declared type.
 fn parse_value(raw: &str, ty: AttrType) -> Result<Value, String> {
-    match ty {
-        AttrType::Str => {
-            let inner = raw
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| format!("string value must be quoted, got `{raw}`"))?;
-            Ok(Value::str(
-                &inner.replace("\\\"", "\"").replace("\\\\", "\\"),
-            ))
-        }
-        AttrType::Bool => match raw {
-            "true" => Ok(Value::Bool(true)),
-            "false" => Ok(Value::Bool(false)),
-            _ => Err(format!("bool value must be true|false, got `{raw}`")),
-        },
-        AttrType::Int => raw
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|e| format!("bad int `{raw}`: {e}")),
+    let (lit, len) = read_literal(raw).map_err(|e| format!("bad value `{raw}`: {e}"))?;
+    if len < raw.len() {
+        return Err(format!("trailing input after the value in `{raw}`"));
     }
+    if lit.ty() != ty {
+        return Err(format!("attribute expects {ty}, got `{raw}`"));
+    }
+    Ok(lit.value())
 }

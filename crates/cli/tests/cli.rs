@@ -1560,3 +1560,304 @@ fn full_stdout_exits_two_with_an_error() {
     assert!(stderr.contains("error: stdout:"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+// --- Model text keeps ids, and one literal grammar reads every value ---
+
+/// `sync` over `data_args()` with `extra` arguments, `script` as its
+/// script; returns stdout, stderr and the exit code.
+fn sync_data(tag: &str, script: &str, extra: &[&str]) -> (String, String, Option<i32>) {
+    let script = write_script(tag, script);
+    let mut args = vec!["sync".to_string(), script.to_string_lossy().into_owned()];
+    args.extend(data_args());
+    args.extend(extra.iter().map(|a| a.to_string()));
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let out = mmt(&argrefs);
+    std::fs::remove_file(&script).ok();
+    out
+}
+
+/// The `--out` files of a session that deleted `@0` reload to the ids
+/// their labels show: editing `@1` after the reload changes the object
+/// the file labels `@1`, and the id bound survives with the ids.
+#[test]
+fn out_files_reload_to_the_ids_their_labels_show() {
+    let base = std::env::temp_dir().join(format!("mmt-cli-ids-{}", std::process::id()));
+    let (first, second) = (base.join("first"), base.join("second"));
+    let (stdout, stderr, code) = sync_data(
+        "ids-first",
+        "edit fm add Feature\nedit fm set @2.name = \"third\"\nedit fm del @0\n",
+        &["--out", first.to_str().unwrap()],
+    );
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    let written = std::fs::read_to_string(first.join("fm.model")).unwrap();
+    assert!(
+        written.contains("\n  @1 = Feature { name = \"brakes\""),
+        "{written}"
+    );
+    assert!(
+        written.contains("\n  @2 = Feature { name = \"third\""),
+        "{written}"
+    );
+
+    let script = write_script(
+        "ids-second",
+        "edit fm set @1.name = \"renamed\"\nedit fm add Feature\n",
+    );
+    let mut args = vec!["sync".to_string(), script.to_string_lossy().into_owned()];
+    args.extend(data_args().into_iter().take(6));
+    for param in ["cf1", "cf2", "fm"] {
+        args.push(
+            first
+                .join(format!("{param}.model"))
+                .to_string_lossy()
+                .into_owned(),
+        );
+    }
+    args.push("--out".into());
+    args.push(second.to_string_lossy().into_owned());
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, code) = mmt(&argrefs);
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    let reloaded = std::fs::read_to_string(second.join("fm.model")).unwrap();
+    assert!(
+        reloaded.contains("\n  @1 = Feature { name = \"renamed\""),
+        "{reloaded}"
+    );
+    assert!(
+        reloaded.contains("\n  @2 = Feature { name = \"third\""),
+        "{reloaded}"
+    );
+    // The fresh object takes the next id after the reloaded ones.
+    assert!(
+        reloaded.contains("\n  @3 = Feature { name = \"\""),
+        "{reloaded}"
+    );
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_file(&script).ok();
+}
+
+/// A `set` value is read as a model file reads it: `\t` is a tab in
+/// `mmt sync` and `mmt serve` alike, and the journal and the written
+/// model print it back as `\t`.
+#[test]
+fn edit_values_take_the_model_file_escapes() {
+    let base = std::env::temp_dir().join(format!("mmt-cli-escapes-{}", std::process::id()));
+    let (stdout, stderr, code) = sync_data(
+        "escapes",
+        "edit fm set @1.name = \"tab\\there\"\njournal\n",
+        &["--json", "--out", base.join("sync").to_str().unwrap()],
+    );
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    let journal = stdout
+        .lines()
+        .find(|l| l.starts_with("{\"entries\""))
+        .unwrap();
+    assert!(
+        journal.contains(r#"@1.attr#0 = \"tab\\there\" (was \"brakes\")"#),
+        "{journal}"
+    );
+    let written = std::fs::read_to_string(base.join("sync").join("fm.model")).unwrap();
+    assert!(written.contains(r#"name = "tab\there""#), "{written}");
+    let meta = std::fs::read_to_string(repo_file("examples/data/FM.mm")).unwrap();
+    let meta = mmt_model::text::parse_metamodel(&meta).unwrap();
+    let fm = mmt_model::text::parse_model(&written, &meta).unwrap();
+    assert_eq!(
+        fm.attr_named(mmt_model::ObjId(1), "name").unwrap(),
+        mmt_model::Value::str("tab\there")
+    );
+
+    let requests = r#"{"id":1,"cmd":"open","session":"s"}
+{"id":2,"cmd":"edit","session":"s","edit":"fm set @1.name = \"tab\\there\""}
+{"id":3,"cmd":"journal","session":"s"}
+{"id":4,"cmd":"close","session":"s"}
+"#;
+    let mut args = vec!["serve".to_string()];
+    args.extend(data_args());
+    args.push("--out".into());
+    args.push(base.join("serve").to_string_lossy().into_owned());
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, code) = mmt_with_stdin(&argrefs, requests);
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    assert_eq!(serve_result(&stdout, 3), journal);
+    let served = std::fs::read_to_string(base.join("serve").join("s").join("fm.model")).unwrap();
+    assert_eq!(served, written);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Every string of `TRICKY_CHARS`, each character alone and all of them
+/// in one string, set through script lines that `render_step` writes,
+/// reads back equal through `mmt sync` and through recovery from its
+/// store's write-ahead log.
+#[test]
+fn rendered_tricky_strings_read_back_through_sync_and_its_store() {
+    use mmt_gen::{render_step, tricky_string, SessionStep, TRICKY_CHARS};
+    let read = |p: &str| std::fs::read_to_string(repo_file(p)).unwrap();
+    let t = mmt_core::Transformation::from_sources(
+        &read("examples/data/F.qvtr"),
+        &[&read("examples/data/CF.mm"), &read("examples/data/FM.mm")],
+    )
+    .unwrap();
+    let fm = &t.metamodels()[2];
+    let feature = fm.class_named("Feature").unwrap();
+    let name = fm.attr_of(feature, mmt_model::Sym::new("name")).unwrap();
+    let mut strings: Vec<String> = (0..TRICKY_CHARS.len())
+        .map(|i| tricky_string(&[i]))
+        .collect();
+    let all: Vec<usize> = (0..TRICKY_CHARS.len()).collect();
+    strings.push(tricky_string(&all));
+    strings.push(tricky_string(
+        &all.iter().rev().copied().collect::<Vec<_>>(),
+    ));
+    // Objects @2 onwards are fresh; each gets one of the strings.
+    let mut script = String::new();
+    for (i, s) in strings.iter().enumerate() {
+        let id = mmt_model::ObjId(2 + i as u32);
+        for op in [
+            mmt_dist::EditOp::AddObj { id, class: feature },
+            mmt_dist::EditOp::SetAttr {
+                id,
+                attr: name,
+                value: mmt_model::Value::str(s),
+                old: mmt_model::Value::str(""),
+            },
+        ] {
+            let step = SessionStep::Edit {
+                model: mmt_deps::DomIdx(2),
+                op,
+            };
+            script.push_str(&render_step(t.hir(), &step));
+            script.push('\n');
+        }
+    }
+    let base = std::env::temp_dir().join(format!("mmt-cli-tricky-{}", std::process::id()));
+    let store = base.join("store");
+    let check = |out: &std::path::Path, how: &str| {
+        let text = std::fs::read_to_string(out.join("fm.model")).unwrap();
+        let model = mmt_model::text::parse_model(&text, fm).unwrap();
+        for (i, s) in strings.iter().enumerate() {
+            let id = mmt_model::ObjId(2 + i as u32);
+            assert_eq!(
+                model.attr(id, name).unwrap(),
+                mmt_model::Value::str(s),
+                "{how}: {s:?}"
+            );
+        }
+        text
+    };
+    let (stdout, stderr, code) = sync_data(
+        "tricky",
+        &script,
+        &[
+            "--store",
+            store.to_str().unwrap(),
+            "--out",
+            base.join("live").to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    let live = check(&base.join("live"), "sync");
+    // A second run resumes from the store: seed plus replayed WAL.
+    let (stdout, stderr, code) = sync_data(
+        "tricky-resume",
+        "status\n",
+        &[
+            "--store",
+            store.to_str().unwrap(),
+            "--out",
+            base.join("recovered").to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    assert_eq!(check(&base.join("recovered"), "recovery"), live);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// An `add` may name the next id or a free id below it, not one past
+/// the bound, whose padding would grow the id space to it: `mmt sync`
+/// stops with an error, `mmt serve` answers `ok:false` and serves on.
+#[test]
+fn add_ids_past_the_bound_are_refused_in_sync_and_serve() {
+    let (stdout, stderr, code) = sync_data(
+        "add-bound",
+        "edit fm add Feature @2\nedit fm del @0\nedit fm add Feature @0\nedit fm add Feature @10000000\n",
+        &[],
+    );
+    assert_eq!(code, Some(2), "{stdout}\n{stderr}");
+    assert!(stderr.contains(":4: cannot add @10000000"), "{stderr}");
+
+    let requests = r#"{"id":1,"cmd":"open","session":"s"}
+{"id":2,"cmd":"edit","session":"s","edit":"fm add Feature @3"}
+{"id":3,"cmd":"edit","session":"s","edit":"fm add Feature @4294967295"}
+{"id":4,"cmd":"edit","session":"s","edit":"fm add Feature @2"}
+{"id":5,"cmd":"status","session":"s"}
+"#;
+    let mut args = vec!["serve".to_string()];
+    args.extend(data_args());
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, code) = mmt_with_stdin(&argrefs, requests);
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    for id in [2, 3] {
+        assert!(
+            stdout.contains(&format!(
+                "{{\"id\":{id},\"ok\":false,\"error\":\"cannot add @"
+            )),
+            "id {id}: {stdout}"
+        );
+    }
+    assert!(
+        serve_result(&stdout, 5).contains("\"journal\":1"),
+        "{stdout}"
+    );
+}
+
+/// A spec nested past the parser's limit is a syntax error, exit 2,
+/// not a stack overflow: 10⁵ nested templates, parentheses and `not`s.
+#[test]
+fn lint_refuses_specs_nested_past_the_limit() {
+    let n = 100_000;
+    let open: String = (0..n).map(|i| format!("x{i} : K {{ r = ")).collect();
+    let shapes = [
+        (
+            "templates",
+            format!("{open}z : K {{ }}{}", " }".repeat(n)),
+            "true".to_string(),
+        ),
+        (
+            "parens",
+            "x : K { }".to_string(),
+            format!("{}x.n = 1{}", "(".repeat(n), ")".repeat(n)),
+        ),
+        (
+            "nots",
+            "x : K { }".to_string(),
+            format!("{}x.n = 1", "not ".repeat(n)),
+        ),
+    ];
+    let mm = write_fixture(
+        "deep",
+        "mm",
+        "metamodel M { class K { attr n: Int; ref r: K; } }\n",
+    );
+    for (shape, template, when) in shapes {
+        let spec = write_fixture(
+            &format!("deep-{shape}"),
+            "qvtr",
+            &format!(
+                "transformation T(a : M, b : M) {{\n  top relation R {{\n    domain a {template};\n    \
+                 domain b y : K {{ }};\n    when {{ {when} }}\n  }}\n}}\n"
+            ),
+        );
+        let (stdout, stderr, code) = mmt(&[
+            "lint",
+            "-t",
+            spec.to_str().unwrap(),
+            "-M",
+            mm.to_str().unwrap(),
+            mm.to_str().unwrap(),
+        ]);
+        assert_eq!(code, Some(2), "{shape}: {stdout}\n{stderr}");
+        assert!(stderr.contains("nesting deeper than"), "{shape}: {stderr}");
+        std::fs::remove_file(&spec).ok();
+    }
+    std::fs::remove_file(&mm).ok();
+}

@@ -25,7 +25,9 @@ pub mod hub;
 pub mod session;
 
 pub use hub::{HubError, SessionHandle, SyncHub};
-pub use session::{JournalEntry, JournalKind, SessionOptions, SyncRepair, SyncSession, SyncStatus};
+pub use session::{
+    JournalEntry, JournalKind, ReplayScript, SessionOptions, SyncRepair, SyncSession, SyncStatus,
+};
 
 use mmt_check::{CheckError, CheckOptions, CheckReport, Checker, DeltaError, EvalError};
 use mmt_deps::{DepSet, DomIdx, DomSet};

@@ -29,8 +29,8 @@
 //! that still carries links or non-default attributes is journaled as
 //! explicit `DelLink` / `SetAttr`-to-default ops followed by the bare
 //! deletion, so [`Delta::inverse`] restores the object perfectly.
-//! Replaying [`SyncSession::journal_script`] over the seed tuple
-//! reproduces the live tuple byte for byte.
+//! Replaying the journal ([`SyncSession::replay_scripts`]) over the
+//! seed tuple reproduces the live tuple byte for byte.
 //!
 //! Outcome contract: a session is an *optimization*, never a semantic
 //! fork. [`SyncSession::repair`] returns exactly what the stateless
@@ -486,26 +486,21 @@ impl SyncSession {
                     .inverse()
                     .apply(&mut models[i])
                     .map_err(CoreError::Model)?;
-                models[i].truncate_tombstones(self.bounds[e * arity + i]);
+                models[i].set_id_bound(self.bounds[e * arity + i]);
             }
         }
         Ok(models)
     }
 
-    /// Flattens the journal into one per-model script, in entry order.
-    /// Applying slot `i` to the seed tuple's model `i` reproduces the
-    /// live model byte for byte — the replay invariant the differential
-    /// suite checks.
-    pub fn journal_script(&self) -> Vec<Delta> {
-        let mut out = vec![Delta::new(); self.t.arity()];
-        for entry in &self.journal {
-            for (i, delta) in entry.deltas.iter().enumerate() {
-                for &op in delta.ops() {
-                    out[i].push(op);
-                }
-            }
-        }
-        out
+    /// Each model's part of every journal entry, in model order: the
+    /// script whose replay over the seed tuple's model reproduces the
+    /// live one byte for byte (the invariant the differential suite
+    /// checks). Views of the journal, so printing them copies no entry.
+    pub fn replay_scripts(&self) -> impl ExactSizeIterator<Item = ReplayScript<'_>> {
+        (0..self.t.arity()).map(|model| ReplayScript {
+            journal: &self.journal,
+            model,
+        })
     }
 
     /// Pushes a journal entry under a fresh serial, with the id bounds
@@ -551,6 +546,44 @@ impl SyncSession {
     fn poison(&mut self, e: CoreError) -> CoreError {
         self.poisoned = true;
         e
+    }
+}
+
+/// One model's part of a session's journal, in entry order
+/// ([`SyncSession::replay_scripts`]). It displays as the [`Delta`] of
+/// its ops would: one op per line, or `(no changes)` when there are
+/// none. Each op is written straight from its journal entry.
+#[derive(Clone, Copy, Debug)]
+pub struct ReplayScript<'a> {
+    journal: &'a [JournalEntry],
+    model: usize,
+}
+
+impl<'a> ReplayScript<'a> {
+    /// The ops, in entry order.
+    fn ops(self) -> impl Iterator<Item = &'a EditOp> {
+        let model = self.model;
+        self.journal.iter().flat_map(move |e| e.deltas[model].ops())
+    }
+
+    /// True iff no journal entry touches the model.
+    pub fn is_empty(self) -> bool {
+        self.ops().next().is_none()
+    }
+}
+
+impl std::fmt::Display for ReplayScript<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.is_empty() {
+            return f.write_str("(no changes)");
+        }
+        for (i, op) in self.ops().enumerate() {
+            if i > 0 {
+                f.write_str("\n")?;
+            }
+            write!(f, "{op}")?;
+        }
+        Ok(())
     }
 }
 

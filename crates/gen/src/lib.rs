@@ -531,7 +531,8 @@ impl SessionScriptGen {
 
 /// Renders one [`SessionStep`] in the `mmt sync` script syntax (see the
 /// CLI), resolving parameter, class, attribute, and reference names
-/// through `hir`.
+/// through `hir`. Ids and values are written as their `Display` writes
+/// them, the syntax of model text.
 pub fn render_step(hir: &Hir, step: &SessionStep) -> String {
     match step {
         SessionStep::Repair { targets } => {
@@ -542,45 +543,24 @@ pub fn render_step(hir: &Hir, step: &SessionStep) -> String {
             format!("repair {}", names.join(","))
         }
         SessionStep::Edit { model, op } => {
-            let param = hir.models[model.index()].name.resolve();
+            let param = hir.models[model.index()].name;
             let meta = &hir.models[model.index()].meta;
             match *op {
-                EditOp::AddObj { id, class } => format!(
-                    "edit {param} add {} @{}",
-                    meta.class(class).name.resolve(),
-                    id.index()
-                ),
-                EditOp::DelObj { id, .. } => format!("edit {param} del @{}", id.index()),
+                EditOp::AddObj { id, class } => {
+                    format!("edit {param} add {} {id}", meta.class(class).name)
+                }
+                EditOp::DelObj { id, .. } => format!("edit {param} del {id}"),
                 EditOp::SetAttr {
                     id, attr, value, ..
-                } => format!(
-                    "edit {param} set @{}.{} = {}",
-                    id.index(),
-                    meta.attr(attr).name.resolve(),
-                    render_value(value)
-                ),
-                EditOp::AddLink { src, r, dst } => format!(
-                    "edit {param} link @{}.{} @{}",
-                    src.index(),
-                    meta.reference(r).name.resolve(),
-                    dst.index()
-                ),
-                EditOp::DelLink { src, r, dst } => format!(
-                    "edit {param} unlink @{}.{} @{}",
-                    src.index(),
-                    meta.reference(r).name.resolve(),
-                    dst.index()
-                ),
+                } => format!("edit {param} set {id}.{} = {value}", meta.attr(attr).name),
+                EditOp::AddLink { src, r, dst } => {
+                    format!("edit {param} link {src}.{} {dst}", meta.reference(r).name)
+                }
+                EditOp::DelLink { src, r, dst } => {
+                    format!("edit {param} unlink {src}.{} {dst}", meta.reference(r).name)
+                }
             }
         }
-    }
-}
-
-fn render_value(v: Value) -> String {
-    match v {
-        Value::Str(s) => format!("{:?}", s.resolve()),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
     }
 }
 

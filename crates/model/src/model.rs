@@ -215,14 +215,20 @@ impl Model {
         Ok(())
     }
 
-    /// Drops trailing tombstones until [`Model::id_bound`] is `bound`,
-    /// stopping early at a live object (which is never dropped).
+    /// Moves [`Model::id_bound`] to `bound` over tombstones: pads the id
+    /// space with tombstones up to it, or drops trailing tombstones down
+    /// to it, stopping early at a live object (which is never dropped).
     ///
-    /// Undo of an `add_at` past the id bound needs this: deleting the
-    /// object again leaves it, and the padding before it, as tombstones,
-    /// so the next [`Model::add`] (or any id minted from `id_bound()`)
-    /// would land elsewhere than before the edit.
-    pub fn truncate_tombstones(&mut self, bound: usize) {
+    /// Undo of an `add_at` past the id bound needs the drop: deleting
+    /// the object again leaves it, and the padding before it, as
+    /// tombstones, so the next [`Model::add`] (or any id minted from
+    /// `id_bound()`) would land elsewhere than before the edit. The
+    /// model text parser needs the padding: a printed model whose last
+    /// ids are tombstones declares its bound.
+    pub fn set_id_bound(&mut self, bound: usize) {
+        if bound > self.objs.len() {
+            self.objs.resize(bound, None);
+        }
         while self.objs.len() > bound && matches!(self.objs.last(), Some(None)) {
             self.objs.pop();
         }
@@ -459,7 +465,7 @@ impl Model {
     }
 
     /// Iterates over all live objects as `(id, object)`.
-    pub fn objects(&self) -> impl Iterator<Item = (ObjId, &Object)> {
+    pub fn objects(&self) -> impl DoubleEndedIterator<Item = (ObjId, &Object)> {
         self.objs
             .iter()
             .enumerate()
@@ -595,9 +601,9 @@ mod tests {
         assert!(m.delete(a).is_err());
     }
 
-    /// Truncation drops trailing tombstones only: it restores the id
-    /// bound an `add_at` past a gap raised, and never drops a live
-    /// object or a tombstone below a live one.
+    /// Lowering the bound drops trailing tombstones only: it restores
+    /// the id bound an `add_at` past a gap raised, and never drops a
+    /// live object or a tombstone below a live one. Raising it pads.
     #[test]
     fn truncate_tombstones_drops_trailing_tombstones_only() {
         let (meta, f, _, _, _, _) = mm();
@@ -611,19 +617,23 @@ mod tests {
         m.add_at(fresh, f).unwrap();
         assert_eq!(m.id_bound(), bound + 2);
         // A live object blocks truncation entirely.
-        m.truncate_tombstones(bound);
+        m.set_id_bound(bound);
         assert_eq!(m.id_bound(), bound + 2);
         assert!(m.contains(fresh));
         // Once it is deleted, the bound comes back — but not past `b`,
         // and the tombstone of `a` below it stays.
         m.delete(fresh).unwrap();
-        m.truncate_tombstones(bound);
+        m.set_id_bound(bound);
         assert_eq!(m.id_bound(), bound);
-        m.truncate_tombstones(0);
+        m.set_id_bound(0);
         assert_eq!(m.id_bound(), b.index() + 1);
         assert!(m.contains(b) && !m.contains(a));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.add(f).unwrap(), ObjId(bound as u32));
+        // Raising the bound pads with tombstones, and the next id
+        // minted is the new bound.
+        m.set_id_bound(bound + 3);
+        assert_eq!((m.id_bound(), m.len()), (bound + 3, 1));
+        assert_eq!(m.add(f).unwrap(), ObjId(bound as u32 + 3));
     }
 
     #[test]

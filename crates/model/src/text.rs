@@ -1,7 +1,8 @@
 //! Textual serialization for metamodels and models.
 //!
 //! The format is line-oriented and human-editable; it is what the `mmt`
-//! CLI reads and writes. Example:
+//! CLI reads and writes, and what a durable store keeps its seeds in.
+//! Example:
 //!
 //! ```text
 //! metamodel FM {
@@ -16,11 +17,29 @@
 //! ```
 //!
 //! ```text
-//! model fm : FM {
-//!   f1 = Feature { name = "engine", mandatory = true }
-//!   root = FeatureModel { features = [f1] }
+//! model fm : FM bound 4 {
+//!   @0 = Feature { name = "engine", mandatory = true }
+//!   @2 = FeatureModel { features = [@0] }
 //! }
 //! ```
+//!
+//! Model text keeps object ids. [`print_model`] labels every object
+//! `@<id>`, the syntax edit lines, journals and reports use, and writes
+//! `bound <n>` after the metamodel name only when the last ids are
+//! tombstones (above, ids 1 and 3 are); a gap below the last live id
+//! shows in the labels. [`parse_model`] puts an `@<id>` object at that
+//! id and pads the id space to the bound, so print → parse keeps every
+//! id and [`Model::id_bound`]. A hand-written file may label objects by
+//! identifiers instead (`f1 = Feature { … }`, `features = [f1]`); they
+//! get the next free id in declaration order.
+//!
+//! Attribute values are literals, and [`read_literal`] is the one
+//! reader of their grammar, whatever the input: model files, `mmt sync`
+//! edit lines, WAL records and QVT-R string literals. A string is
+//! written as [`Value`]'s `Display` writes it (Rust's `{:?}`: the
+//! escapes `\"`, `\\`, `\n`, `\t`, `\r`, `\0` and `\u{HEX}`), an
+//! integer in decimal with an optional `-`, a boolean as `true` or
+//! `false`.
 
 use crate::intern::Sym;
 use crate::meta::{ClassId, MetaError, Metamodel, MetamodelBuilder, PropId, RefId, Upper};
@@ -64,13 +83,144 @@ fn error_at(src: &str, at: usize, msg: impl Into<String>) -> ParseError {
     }
 }
 
+/// A literal of the text format: what an attribute value is written
+/// as in model files, edit lines, journals and WAL records alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Literal<'a> {
+    /// A string, unescaped. It borrows the source unless it held an
+    /// escape.
+    Str(Cow<'a, str>),
+    /// An integer.
+    Int(i64),
+    /// `true` or `false`.
+    Bool(bool),
+}
+
+impl Literal<'_> {
+    /// The type of the value the literal denotes.
+    pub fn ty(&self) -> AttrType {
+        match self {
+            Literal::Str(_) => AttrType::Str,
+            Literal::Int(_) => AttrType::Int,
+            Literal::Bool(_) => AttrType::Bool,
+        }
+    }
+
+    /// The value the literal denotes; a string is interned.
+    pub fn value(&self) -> Value {
+        match self {
+            Literal::Str(s) => Value::str(s),
+            Literal::Int(i) => Value::Int(*i),
+            Literal::Bool(b) => Value::Bool(*b),
+        }
+    }
+}
+
+/// Reads the literal that `src` starts with, and returns it with its
+/// length in bytes. This is the one reader of the grammar [`Value`]'s
+/// `Display` writes:
+///
+/// - a string in double quotes, which may span lines, with exactly the
+///   escapes a string's `{:?}` writes: `\"`, `\\`, `\n`, `\t`, `\r`,
+///   `\0` and `\u{HEX}` (one to six hex digits naming a Unicode scalar
+///   value);
+/// - an integer: an optional `-` and decimal digits, within `i64`;
+/// - `true` or `false`, not followed by a letter, digit or `_`.
+///
+/// An error explains what is wrong; it belongs at the literal's start.
+pub fn read_literal(src: &str) -> Result<(Literal<'_>, usize), String> {
+    let bytes = src.as_bytes();
+    match bytes.first() {
+        Some(b'"') => read_string(src),
+        Some(b'0'..=b'9' | b'-') => {
+            let digits = bytes[1..].iter().take_while(|b| b.is_ascii_digit());
+            let len = 1 + digits.count();
+            let text = &src[..len];
+            text.parse()
+                .map(|i| (Literal::Int(i), len))
+                .map_err(|_| format!("bad integer literal `{text}`"))
+        }
+        _ => {
+            let word_end = src
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(src.len());
+            match &src[..word_end] {
+                "true" => Ok((Literal::Bool(true), 4)),
+                "false" => Ok((Literal::Bool(false), 5)),
+                _ => Err("expected a string, integer or boolean literal".into()),
+            }
+        }
+    }
+}
+
+/// [`read_literal`] of a string: `src` starts with its opening quote.
+fn read_string(src: &str) -> Result<(Literal<'_>, usize), String> {
+    let bytes = src.as_bytes();
+    let mut owned: Option<String> = None;
+    // `run..i` is the stretch since the last escape, not yet copied.
+    let mut run = 1;
+    let mut i = run;
+    loop {
+        match bytes.get(i) {
+            None => return Err("unterminated string literal".into()),
+            Some(b'"') => {
+                let tail = &src[run..i];
+                let s = match owned {
+                    None => Cow::Borrowed(tail),
+                    Some(mut s) => {
+                        s.push_str(tail);
+                        Cow::Owned(s)
+                    }
+                };
+                return Ok((Literal::Str(s), i + 1));
+            }
+            Some(b'\\') => {
+                let s = owned.get_or_insert_with(String::new);
+                s.push_str(&src[run..i]);
+                let escaped = match src[i + 1..].chars().next() {
+                    Some('"') => '"',
+                    Some('\\') => '\\',
+                    Some('n') => '\n',
+                    Some('t') => '\t',
+                    Some('r') => '\r',
+                    Some('0') => '\0',
+                    Some('u') => {
+                        // `\u{`, one to six hex digits, `}`.
+                        let hex = src[i + 2..]
+                            .strip_prefix('{')
+                            .and_then(|r| r.split_once('}'))
+                            .map_or("", |(hex, _)| hex);
+                        let scalar = ((1..=6).contains(&hex.len())
+                            && hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .then(|| u32::from_str_radix(hex, 16).ok())
+                        .flatten()
+                        .and_then(char::from_u32);
+                        let Some(c) = scalar else {
+                            return Err("bad escape `\\u`".into());
+                        };
+                        i += hex.len() + 2;
+                        c
+                    }
+                    other => return Err(format!("bad escape `\\{other:?}`")),
+                };
+                s.push(escaped);
+                i += 2;
+                run = i;
+            }
+            Some(_) => i += 1,
+        }
+    }
+}
+
 /// A token. Identifiers borrow from the source, and so does a string
 /// literal without escapes.
 #[derive(Debug, Clone, PartialEq)]
 enum Tok<'a> {
     Ident(&'a str),
-    Str(Cow<'a, str>),
-    Int(i64),
+    /// A string or an integer; `true` and `false` lex as identifiers.
+    Lit(Literal<'a>),
+    /// `@<id>`: an object named by its id.
+    Id(u32),
     Punct(char),
     DotDot,
     Eof,
@@ -85,10 +235,6 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn char_at(&self, pos: usize) -> Option<char> {
-        self.src[pos..].chars().next()
-    }
-
     /// Skips whitespace and `//` comments.
     fn skip_trivia(&mut self) {
         loop {
@@ -112,21 +258,27 @@ impl<'a> Lexer<'a> {
             return Ok((Tok::Eof, start));
         };
         let tok = match b {
-            b'"' => self.string(start)?,
-            b'0'..=b'9' | b'-' => {
+            b'"' | b'0'..=b'9' | b'-' => {
+                let (lit, len) = read_literal(&self.src[start..])
+                    .map_err(|msg| error_at(self.src, start, msg))?;
+                self.pos += len;
+                Tok::Lit(lit)
+            }
+            b'@' => {
                 let digits = bytes[start + 1..].iter().take_while(|b| b.is_ascii_digit());
                 self.pos = start + 1 + digits.count();
                 let text = &self.src[start..self.pos];
-                text.parse::<i64>().map(Tok::Int).map_err(|_| {
-                    error_at(self.src, start, format!("bad integer literal `{text}`"))
-                })?
+                text[1..]
+                    .parse()
+                    .map(Tok::Id)
+                    .map_err(|_| error_at(self.src, start, format!("bad object id `{text}`")))?
             }
             b'.' if bytes.get(start + 1) == Some(&b'.') => {
                 self.pos += 2;
                 Tok::DotDot
             }
             _ => {
-                let c = self.char_at(start).expect("a byte remains");
+                let c = self.src[start..].chars().next().expect("a byte remains");
                 if c.is_alphabetic() || c == '_' {
                     let len: usize = self.src[start..]
                         .chars()
@@ -142,76 +294,6 @@ impl<'a> Lexer<'a> {
             }
         };
         Ok((tok, start))
-    }
-
-    /// Lexes the string literal whose opening quote is at `start`. It may
-    /// span lines, and its escapes are exactly those a `Str` value's
-    /// `Display` (Rust's `{:?}`) writes: `\"`, `\\`, `\n`, `\t`, `\r`,
-    /// `\0` and `\u{HEX}` naming a Unicode scalar value, so every printed
-    /// model reads back. The token borrows the source unless the literal
-    /// holds an escape.
-    fn string(&mut self, start: usize) -> Result<Tok<'a>, ParseError> {
-        let bytes = self.src.as_bytes();
-        let mut owned: Option<String> = None;
-        // `run..i` is the stretch since the last escape, not yet copied.
-        let mut run = start + 1;
-        let mut i = run;
-        loop {
-            match bytes.get(i) {
-                None => return Err(error_at(self.src, start, "unterminated string literal")),
-                Some(b'"') => {
-                    self.pos = i + 1;
-                    let tail = &self.src[run..i];
-                    return Ok(Tok::Str(match owned {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    }));
-                }
-                Some(b'\\') => {
-                    let s = owned.get_or_insert_with(String::new);
-                    s.push_str(&self.src[run..i]);
-                    let escaped = match self.char_at(i + 1) {
-                        Some('"') => '"',
-                        Some('\\') => '\\',
-                        Some('n') => '\n',
-                        Some('t') => '\t',
-                        Some('r') => '\r',
-                        Some('0') => '\0',
-                        Some('u') => {
-                            // `\u{`, one to six hex digits, `}`.
-                            let hex = self.src[i + 2..]
-                                .strip_prefix('{')
-                                .and_then(|r| r.split_once('}'))
-                                .map_or("", |(hex, _)| hex);
-                            let scalar = ((1..=6).contains(&hex.len())
-                                && hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                            .then(|| u32::from_str_radix(hex, 16).ok())
-                            .flatten()
-                            .and_then(char::from_u32);
-                            let Some(c) = scalar else {
-                                return Err(error_at(self.src, start, "bad escape `\\u`"));
-                            };
-                            i += hex.len() + 2;
-                            c
-                        }
-                        other => {
-                            return Err(error_at(
-                                self.src,
-                                start,
-                                format!("bad escape `\\{:?}`", other),
-                            ));
-                        }
-                    };
-                    s.push(escaped);
-                    i += 2;
-                    run = i;
-                }
-                Some(_) => i += 1,
-            }
-        }
     }
 }
 
@@ -270,6 +352,17 @@ impl<'a> Parser<'a> {
         let at = self.at;
         self.advance()?;
         Ok((s, at))
+    }
+
+    /// An object label: an identifier, or `@<id>`.
+    fn expect_label(&mut self) -> Result<(Label<'a>, usize), ParseError> {
+        let label = match self.tok {
+            Tok::Ident(name) => Label::Name(name),
+            Tok::Id(id) => Label::Id(ObjId(id)),
+            _ => return Err(self.err(format!("expected object label, found {:?}", self.tok))),
+        };
+        let (_, at) = self.advance()?;
+        Ok((label, at))
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
@@ -446,7 +539,7 @@ fn parse_member<'a>(p: &mut Parser<'a>) -> Result<MemberDecl<'a>, ParseError> {
         let (mut lower, mut upper) = (0u32, Upper::Many);
         if p.eat_punct('[')? {
             lower = match p.advance()? {
-                (Tok::Int(i), _) if i >= 0 => i as u32,
+                (Tok::Lit(Literal::Int(i)), _) if u32::try_from(i).is_ok() => i as u32,
                 (other, at) => {
                     return Err(p.err_at(at, format!("expected lower bound, found {other:?}")))
                 }
@@ -454,7 +547,9 @@ fn parse_member<'a>(p: &mut Parser<'a>) -> Result<MemberDecl<'a>, ParseError> {
             if p.tok == Tok::DotDot {
                 p.advance()?;
                 upper = match p.advance()? {
-                    (Tok::Int(i), _) if i >= 0 => Upper::Bounded(i as u32),
+                    (Tok::Lit(Literal::Int(i)), _) if u32::try_from(i).is_ok() => {
+                        Upper::Bounded(i as u32)
+                    }
                     (Tok::Punct('*'), _) => Upper::Many,
                     (other, at) => {
                         return Err(p.err_at(at, format!("expected upper bound, found {other:?}")))
@@ -494,17 +589,39 @@ impl<'a> Names<'a> {
     }
 }
 
-/// A link of a model source, added once every label is known.
+/// A link of a model source, added once every object is known.
 struct PendingLink<'a> {
     src: ObjId,
     r: RefId,
-    dst: Spanned<'a>,
+    dst: Label<'a>,
+    at: usize,
+}
+
+/// How a model source names an object: by an identifier label, or as
+/// `@<id>` by its id.
+#[derive(Clone, Copy)]
+enum Label<'a> {
+    Name(&'a str),
+    Id(ObjId),
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Name(name) => f.write_str(name),
+            Label::Id(id) => write!(f, "{id}"),
+        }
+    }
 }
 
 /// Parses a model in textual form against a known metamodel.
 ///
-/// One pass over the source adds each object as it is declared, so
-/// object ids follow declaration order. String values reach the
+/// One pass over the source adds each object as it is declared. An
+/// object labelled `@<id>` gets that id; one labelled by an identifier
+/// gets the model's next id, so a file of identifier labels numbers its
+/// objects in declaration order. A `bound` in the header pads the id
+/// space with tombstones up to it, so a printed model reads back with
+/// its ids and its [`Model::id_bound`]. String values reach the
 /// interner in file order, and the model's name after them.
 pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError> {
     let mut p = Parser::new(src)?;
@@ -521,30 +638,56 @@ pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError
             ),
         ));
     }
+    let mut bound = None;
+    if p.at_keyword("bound") {
+        p.advance()?;
+        bound = match p.advance()? {
+            (Tok::Lit(Literal::Int(n)), at) if u32::try_from(n).is_ok() => Some((n as usize, at)),
+            (other, at) => return Err(p.err_at(at, format!("expected id bound, found {other:?}"))),
+        };
+    }
     p.expect_punct('{')?;
     // The model and each object open one brace: the object count of a
     // printed model, and an upper bound unless braces sit in strings or
     // comments.
     let objects = src.bytes().filter(|&b| b == b'{').count().saturating_sub(1);
     let mut model = Model::with_capacity("", Arc::clone(meta), objects);
-    let mut labels: HashMap<&str, ObjId> = HashMap::with_capacity(objects);
+    let mut labels: HashMap<&str, ObjId> = HashMap::new();
     let mut names = Names::default();
     // A reference list may name an object declared after it.
     let mut links: Vec<PendingLink<'_>> = Vec::new();
     while !p.eat_punct('}')? {
-        let (label, label_at) = p.expect_ident()?;
+        let (label, label_at) = p.expect_label()?;
         p.expect_punct('=')?;
         let (cname, class_at) = p.expect_ident()?;
         let class = names
             .sym(cname)
             .and_then(|s| meta.class_by_name(s))
             .ok_or_else(|| p.err_at(class_at, format!("unknown class `{cname}`")))?;
-        let id = model
-            .add(class)
-            .map_err(|e| p.err_at(class_at, e.to_string()))?;
-        if labels.insert(label, id).is_some() {
-            return Err(p.err_at(label_at, format!("duplicate object label `{label}`")));
-        }
+        let duplicate = || p.err_at(label_at, format!("duplicate object label `{label}`"));
+        let id = match label {
+            Label::Name(name) => {
+                let id = model
+                    .add(class)
+                    .map_err(|e| p.err_at(class_at, e.to_string()))?;
+                if labels.is_empty() {
+                    labels.reserve(objects);
+                }
+                if labels.insert(name, id).is_some() {
+                    return Err(duplicate());
+                }
+                id
+            }
+            Label::Id(id) => {
+                if model.contains(id) {
+                    return Err(duplicate());
+                }
+                model
+                    .add_at(id, class)
+                    .map_err(|e| p.err_at(class_at, e.to_string()))?;
+                id
+            }
+        };
         p.expect_punct('{')?;
         while !p.eat_punct('}')? {
             let (pname, pname_at) = p.expect_ident()?;
@@ -561,8 +704,13 @@ pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError
                     })?;
                 if !p.eat_punct(']')? {
                     loop {
-                        let dst = p.expect_ident()?;
-                        links.push(PendingLink { src: id, r, dst });
+                        let (dst, at) = p.expect_label()?;
+                        links.push(PendingLink {
+                            src: id,
+                            r,
+                            dst,
+                            at,
+                        });
                         if p.eat_punct(']')? {
                             break;
                         }
@@ -572,8 +720,7 @@ pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError
             } else {
                 let (tok, at) = p.advance()?;
                 let value = match tok {
-                    Tok::Str(s) => Value::str(&s),
-                    Tok::Int(i) => Value::Int(i),
+                    Tok::Lit(lit) => lit.value(),
                     Tok::Ident("true") => Value::Bool(true),
                     Tok::Ident("false") => Value::Bool(false),
                     other => return Err(p.err_at(at, format!("bad property value {other:?}"))),
@@ -595,14 +742,24 @@ pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError
         }
     }
     p.expect_eof("model")?;
-    for PendingLink { src, r, dst } in links {
-        let (label, at) = dst;
-        let dst = *labels
-            .get(label)
-            .ok_or_else(|| p.err_at(at, format!("unknown object label `{label}`")))?;
+    for PendingLink { src, r, dst, at } in links {
+        let target = match dst {
+            Label::Name(name) => labels.get(name).copied(),
+            Label::Id(id) => model.contains(id).then_some(id),
+        };
+        let target = target.ok_or_else(|| p.err_at(at, format!("unknown object label `{dst}`")))?;
         model
-            .add_link(src, r, dst)
+            .add_link(src, r, target)
             .map_err(|e| p.err_at(at, e.to_string()))?;
+    }
+    if let Some((bound, at)) = bound {
+        if bound < model.id_bound() {
+            return Err(p.err_at(
+                at,
+                format!("id bound {bound} is below object @{}", model.id_bound() - 1),
+            ));
+        }
+        model.set_id_bound(bound);
     }
     model.name = Sym::new(name);
     Ok(model)
@@ -651,14 +808,25 @@ pub fn print_metamodel(meta: &Metamodel) -> String {
     s
 }
 
-/// Renders a model in the textual format accepted by [`parse_model`].
+/// Renders a model in the textual format accepted by [`parse_model`]:
+/// every object labelled `@<id>`, and the id bound in the header when
+/// the last ids are tombstones, so the text reads back with the model's
+/// ids and [`Model::id_bound`].
 pub fn print_model(model: &Model) -> String {
     let meta = model.metamodel();
     let mut s = String::new();
-    let _ = writeln!(s, "model {} : {} {{", model.name, meta.name);
+    let _ = write!(s, "model {} : {}", model.name, meta.name);
+    let end = model
+        .objects()
+        .next_back()
+        .map_or(0, |(id, _)| id.index() + 1);
+    if model.id_bound() > end {
+        let _ = write!(s, " bound {}", model.id_bound());
+    }
+    s.push_str(" {\n");
     for (id, obj) in model.objects() {
         let class = meta.class(obj.class);
-        let _ = write!(s, "  o{} = {} {{ ", id.0, class.name);
+        let _ = write!(s, "  {id} = {} {{ ", class.name);
         let mut first = true;
         for (slot, &attr_id) in class.all_attrs.iter().enumerate() {
             if !first {
@@ -675,15 +843,16 @@ pub fn print_model(model: &Model) -> String {
                 s.push_str(", ");
             }
             first = false;
-            let targets: Vec<String> = obj.refs[slot].iter().map(|t| format!("o{}", t.0)).collect();
-            let _ = write!(
-                s,
-                "{} = [{}]",
-                meta.reference(ref_id).name,
-                targets.join(", ")
-            );
+            let _ = write!(s, "{} = [", meta.reference(ref_id).name);
+            for (i, target) in obj.refs[slot].iter().enumerate() {
+                if i > 0 {
+                    s.push_str(", ");
+                }
+                let _ = write!(s, "{target}");
+            }
+            s.push(']');
         }
-        let _ = writeln!(s, " }}");
+        s.push_str(" }\n");
     }
     s.push_str("}\n");
     s
@@ -981,6 +1150,134 @@ metamodel X {
         // And the printer escapes them back.
         let m2 = parse_model(&print_model(&m), &mm).unwrap();
         assert!(m.graph_eq(&m2));
+    }
+
+    /// Printed text keeps ids: interior gaps show in the labels, and
+    /// trailing tombstones in the header's bound, so the parsed model is
+    /// graph-equal on the same ids, agrees on `id_bound` (where the
+    /// next fresh id comes from), and prints the same bytes.
+    #[test]
+    fn ids_and_trailing_tombstones_round_trip() {
+        let meta = parse_metamodel(FM_SRC).unwrap();
+        let feature = meta.class_named("Feature").unwrap();
+        let fm = meta.class_named("FeatureModel").unwrap();
+        let features = meta.ref_of(fm, Sym::new("features")).unwrap();
+        let mut m = Model::new("fm", Arc::clone(&meta));
+        let root = m.add(fm).unwrap();
+        let a = m.add(feature).unwrap();
+        let b = m.add(feature).unwrap();
+        let c = m.add(feature).unwrap();
+        m.set_attr_named(a, "name", Value::str("a\"b")).unwrap();
+        m.set_attr_named(b, "mandatory", Value::Bool(true)).unwrap();
+        m.add_link(root, features, a).unwrap();
+        m.add_link(root, features, b).unwrap();
+        // Interior gap at `b`, trailing tombstone at `c`.
+        m.delete(b).unwrap();
+        m.delete(c).unwrap();
+
+        let text = print_model(&m);
+        assert!(
+            text.starts_with("model fm : FM bound 4 {\n  @0 = "),
+            "{text}"
+        );
+        assert!(text.contains("\n  @1 = Feature {"), "{text}");
+        assert!(text.contains("features = [@1]"), "{text}");
+        let back = parse_model(&text, &meta).unwrap();
+        assert!(back.graph_eq(&m));
+        assert_eq!(back.id_bound(), 4);
+        assert_eq!(back.name, m.name);
+        assert_eq!(print_model(&back), text);
+        assert!(!back.contains(ObjId(2)) && !back.contains(ObjId(3)));
+        // Without trailing tombstones no bound is written.
+        m.add_at(c, feature).unwrap();
+        let text = print_model(&m);
+        assert!(text.starts_with("model fm : FM {\n"), "{text}");
+        assert_eq!(parse_model(&text, &meta).unwrap().id_bound(), 4);
+    }
+
+    /// Identifier labels get the next free id in declaration order, also
+    /// after `@<id>` labels, and `@<id>` names any object by its id.
+    #[test]
+    fn identifier_and_id_labels_mix() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        let src = "model m : FM {\n  @3 = Feature { name = \"x\" }\n  f = Feature { }\n  \
+                   r = FeatureModel { features = [@3, f] }\n}\n";
+        let m = parse_model(src, &mm).unwrap();
+        assert_eq!(m.id_bound(), 6);
+        assert_eq!(m.len(), 3);
+        let fm = mm.class_named("FeatureModel").unwrap();
+        let features = mm.ref_of(fm, Sym::new("features")).unwrap();
+        assert_eq!(
+            m.targets(ObjId(5), features).unwrap(),
+            &[ObjId(3), ObjId(4)]
+        );
+    }
+
+    /// Ids are `u32`s that never wrap, a repeated id is a duplicate
+    /// label, and a bound may not cut off a declared object.
+    #[test]
+    fn malformed_ids_and_bounds_are_rejected() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        let cases: [(&str, (u32, u32, &str)); 8] = [
+            (
+                "model m : FM {\n  @4294967296 = Feature { }\n}",
+                (2, 3, "bad object id `@4294967296`"),
+            ),
+            (
+                "model m : FM {\n  @ = Feature { }\n}",
+                (2, 3, "bad object id `@`"),
+            ),
+            (
+                "model m : FM {\n  @1 = Feature { }\n  @1 = Feature { }\n}",
+                (3, 3, "duplicate object label `@1`"),
+            ),
+            (
+                "model m : FM {\n  f = Feature { }\n  @0 = Feature { }\n}",
+                (3, 3, "duplicate object label `@0`"),
+            ),
+            (
+                "model m : FM {\n  @0 = FeatureModel { features = [@4294967296] }\n}",
+                (2, 35, "bad object id `@4294967296`"),
+            ),
+            (
+                "model m : FM {\n  @0 = FeatureModel { features = [@1] }\n}",
+                (2, 35, "unknown object label `@1`"),
+            ),
+            (
+                "model m : FM bound 2 {\n  @2 = Feature { }\n}",
+                (1, 20, "id bound 2 is below object @2"),
+            ),
+            (
+                "model m : FM bound -1 {\n}",
+                (1, 20, "expected id bound, found Lit(Int(-1))"),
+            ),
+        ];
+        for (src, want) in cases {
+            let err = parse_model(src, &mm).unwrap_err();
+            assert_eq!(at(&err), want, "{src}");
+        }
+    }
+
+    /// The literal reader reads each value form and says how many bytes
+    /// it took; a boolean must end at a word boundary.
+    #[test]
+    fn read_literal_reads_every_value_form() {
+        let read = |src| read_literal(src).map(|(lit, len)| (lit.value(), len));
+        assert_eq!(read(r#""a\tb" (was"#), Ok((Value::str("a\tb"), 6)));
+        assert_eq!(read("-41)"), Ok((Value::Int(-41), 3)));
+        assert_eq!(read("true (was"), Ok((Value::Bool(true), 4)));
+        assert_eq!(read("false"), Ok((Value::Bool(false), 5)));
+        assert!(read("trueish").is_err());
+        assert!(read("maybe").is_err());
+        assert!(read("9223372036854775808").is_err());
+        assert!(read("-").is_err());
+        assert!(read(r#""open"#).is_err());
+        assert!(read(r#""\'""#).is_err());
+        // A string without escapes borrows the source.
+        assert!(matches!(
+            read_literal(r#""plain""#),
+            Ok((Literal::Str(Cow::Borrowed("plain")), 7))
+        ));
     }
 
     #[test]

@@ -192,31 +192,39 @@ proptest! {
         prop_assert_eq!(print_model(&reparsed), printed);
     }
 
-    /// print → parse reproduces the exact object graph (modulo ids, which
-    /// the printer renumbers densely).
+    /// print → parse reproduces the exact object graph on the same ids,
+    /// and the same id bound: scripts that delete leave interior gaps
+    /// and trailing tombstones, which the text must carry.
     #[test]
     fn model_text_round_trip(script in proptest::collection::vec((0u8..6, 0u8..8, -50i64..50), 0..30)) {
         let meta = rich_metamodel();
         let m = build_model(&meta, &script);
         let printed = print_model(&m);
         let reparsed = parse_model(&printed, &meta).expect("printer output parses");
-        // Same number of objects per class, same multiset of attribute
-        // tuples, same link count.
-        prop_assert_eq!(m.len(), reparsed.len());
-        let sig = |m: &Model| {
-            let mut v: Vec<String> = m
-                .objects()
-                .map(|(_id, o)| {
-                    let links: usize = o.refs.iter().map(Vec::len).sum();
-                    format!("{:?}|{:?}|{}", o.class, o.attrs, links)
-                })
-                .collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(sig(&m), sig(&reparsed));
-        // And the reparsed model still conforms.
+        prop_assert!(m.graph_eq(&reparsed), "{printed}");
+        prop_assert_eq!(m.id_bound(), reparsed.id_bound(), "{}", printed);
+        prop_assert_eq!(print_model(&reparsed), printed);
         prop_assert!(conformance::is_conformant(&reparsed));
+    }
+
+    /// The scripts above do reach deleted ids: some leave an interior
+    /// gap, some a trailing tombstone.
+    #[test]
+    fn round_trip_scripts_leave_gaps_and_trailing_tombstones(_x in 0u8..1) {
+        let meta = rich_metamodel();
+        let item = (0u8, 0u8, 3i64);
+        let delete_first = (5u8, 0u8, 3i64);
+        let gap = build_model(&meta, &[item, item, delete_first]);
+        prop_assert!(gap.len() < gap.id_bound());
+        prop_assert!(!print_model(&gap).contains(" bound "));
+        let delete_last = (5u8, 1u8, 3i64);
+        let trailing = build_model(&meta, &[item, item, delete_last]);
+        prop_assert!(print_model(&trailing).starts_with("model m : Rich bound 2 {"));
+        for m in [gap, trailing] {
+            let back = parse_model(&print_model(&m), &meta).unwrap();
+            prop_assert!(m.graph_eq(&back));
+            prop_assert_eq!(m.id_bound(), back.id_bound());
+        }
     }
 
     /// Metamodel printing round-trips structurally.

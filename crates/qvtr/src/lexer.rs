@@ -3,6 +3,7 @@
 //! Tokens carry [`Span`]s (1-based line/column) so the parser and resolver
 //! can produce precise diagnostics.
 
+use mmt_model::text::{read_literal, Literal};
 use std::fmt;
 
 /// A source position range (start line/col inclusive).
@@ -25,7 +26,7 @@ impl fmt::Display for Span {
 pub enum TokenKind {
     /// Identifier or keyword.
     Ident(String),
-    /// String literal (unescaped).
+    /// String literal, unescaped as [`read_literal`] reads model text.
     Str(String),
     /// Integer literal.
     Int(i64),
@@ -174,48 +175,17 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                 }
             }
             TokenKind::Ident(src[start..end].to_owned())
-        } else if c.is_ascii_digit() {
-            let mut end = start;
-            while let Some(&(i, c)) = chars.peek() {
-                if c.is_ascii_digit() {
-                    end = i + 1;
-                    bump!();
-                } else {
-                    break;
-                }
+        } else if c == '"' || c.is_ascii_digit() {
+            // String and integer literals read as model files read them.
+            let (lit, len) = read_literal(&src[start..]).map_err(|msg| LexError { span, msg })?;
+            while chars.peek().is_some_and(|&(i, _)| i < start + len) {
+                bump!();
             }
-            let text = &src[start..end];
-            TokenKind::Int(text.parse().map_err(|_| LexError {
-                span,
-                msg: format!("integer literal `{text}` out of range"),
-            })?)
-        } else if c == '"' {
-            bump!();
-            let mut s = String::new();
-            loop {
-                match bump!() {
-                    None => {
-                        return Err(LexError {
-                            span,
-                            msg: "unterminated string literal".into(),
-                        })
-                    }
-                    Some((_, '"')) => break,
-                    Some((_, '\\')) => match bump!() {
-                        Some((_, '"')) => s.push('"'),
-                        Some((_, '\\')) => s.push('\\'),
-                        Some((_, 'n')) => s.push('\n'),
-                        other => {
-                            return Err(LexError {
-                                span,
-                                msg: format!("invalid escape `\\{:?}`", other.map(|x| x.1)),
-                            })
-                        }
-                    },
-                    Some((_, c)) => s.push(c),
-                }
+            match lit {
+                Literal::Str(s) => TokenKind::Str(s.into_owned()),
+                Literal::Int(i) => TokenKind::Int(i),
+                Literal::Bool(_) => unreachable!("a quote or a digit starts no boolean"),
             }
-            TokenKind::Str(s)
         } else {
             bump!();
             match c {
@@ -350,5 +320,24 @@ mod tests {
             use TokenKind::*;
             vec![Str("a\nb".into()), Eof]
         });
+    }
+
+    /// String literals take every escape a model file takes, and a
+    /// literal spanning lines keeps the spans after it right.
+    #[test]
+    fn strings_take_the_model_file_escapes() {
+        use TokenKind::*;
+        assert_eq!(
+            kinds(r#""t\tr\r0\0u\u{e9}" 7"#),
+            vec![Str("t\tr\r0\0u\u{e9}".into()), Int(7), Eof]
+        );
+        let toks = tokenize("\"a\nb\" x").unwrap();
+        assert_eq!(toks[1].span, Span { line: 2, col: 4 });
+        let err = tokenize("x \"a\\qb\"").unwrap_err();
+        assert_eq!(
+            (err.span, err.msg.as_str()),
+            (Span { line: 1, col: 3 }, "bad escape `\\Some('q')`")
+        );
+        assert!(tokenize("99999999999999999999").is_err());
     }
 }

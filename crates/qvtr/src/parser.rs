@@ -41,13 +41,26 @@ impl fmt::Display for SyntaxError {
 
 impl std::error::Error for SyntaxError {}
 
+/// The deepest nesting a spec may have. A template nested in a
+/// template is one level deeper, and so is an expression in
+/// parentheses, after `not` or right of `implies`, and each further
+/// operand of an `and` or `or` chain (it nests the chain so far one
+/// level down). The parser and every pass over the tree after it
+/// recurse once per level, so a deeper spec is refused here instead of
+/// overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete transformation source.
 pub fn parse(src: &str) -> Result<AstTransformation, SyntaxError> {
     let tokens = tokenize(src).map_err(|e| SyntaxError {
         span: e.span,
         msg: e.msg,
     })?;
-    let mut p = P { tokens, pos: 0 };
+    let mut p = P {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let t = p.transformation()?;
     p.expect_eof()?;
     Ok(t)
@@ -56,9 +69,22 @@ pub fn parse(src: &str) -> Result<AstTransformation, SyntaxError> {
 struct P {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting entered and not yet left ([`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl P {
+    /// Enters one level of nesting at the lookahead token, or fails
+    /// there past [`MAX_DEPTH`]. The caller leaves it by lowering
+    /// `depth` again.
+    fn enter(&mut self) -> Result<(), SyntaxError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -276,7 +302,9 @@ impl P {
         // Nested template: IDENT ':' IDENT '{'
         if matches!(self.peek().kind, TokenKind::Ident(_)) && self.peek2().kind == TokenKind::Colon
         {
+            self.enter()?;
             let template = self.template()?;
+            self.depth -= 1;
             return Ok(AstTemplateItem::RefTemplate {
                 name,
                 template,
@@ -334,7 +362,9 @@ impl P {
     fn implies(&mut self) -> Result<AstExpr, SyntaxError> {
         let lhs = self.or()?;
         if self.eat_ident("implies") {
+            self.enter()?;
             let rhs = self.implies()?; // right associative
+            self.depth -= 1;
             Ok(AstExpr::Implies(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -342,20 +372,26 @@ impl P {
     }
 
     fn or(&mut self) -> Result<AstExpr, SyntaxError> {
+        let depth = self.depth;
         let mut lhs = self.and()?;
         while self.eat_ident("or") {
+            self.enter()?;
             let rhs = self.and()?;
             lhs = AstExpr::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn and(&mut self) -> Result<AstExpr, SyntaxError> {
+        let depth = self.depth;
         let mut lhs = self.cmp()?;
         while self.eat_ident("and") {
+            self.enter()?;
             let rhs = self.cmp()?;
             lhs = AstExpr::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -378,7 +414,9 @@ impl P {
     fn unary(&mut self) -> Result<AstExpr, SyntaxError> {
         if self.at_ident("not") {
             let span = self.bump().span;
+            self.enter()?;
             let inner = self.unary()?;
+            self.depth -= 1;
             return Ok(AstExpr::Not(Box::new(inner), span));
         }
         self.primary()
@@ -396,7 +434,9 @@ impl P {
             }
             TokenKind::LParen => {
                 self.bump();
+                self.enter()?;
                 let e = self.expr()?;
+                self.depth -= 1;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
@@ -586,6 +626,57 @@ transformation T(a : A, b : B) {
         assert!(parse(src).is_err());
         let src2 = src.replace("depend -> b;", "depend a -> ;");
         assert!(parse(&src2).is_err());
+    }
+
+    /// A spec with `n` levels of one shape of nesting.
+    fn nested_spec(shape: &str, n: usize) -> String {
+        let (template, when) = match shape {
+            "templates" => {
+                let open: String = (0..n).map(|i| format!("x{i} : K {{ r = ")).collect();
+                (
+                    format!("{open}z : K {{ }}{}", " }".repeat(n)),
+                    "true".to_string(),
+                )
+            }
+            "parens" => (
+                "x : K { }".into(),
+                format!("{}x.n = 1{}", "(".repeat(n), ")".repeat(n)),
+            ),
+            "nots" => ("x : K { }".into(), format!("{}x.n = 1", "not ".repeat(n))),
+            "ands" => ("x : K { }".into(), vec!["x.n = 1"; n + 1].join(" and ")),
+            "ors" => ("x : K { }".into(), vec!["x.n = 1"; n + 1].join(" or ")),
+            "implies" => ("x : K { }".into(), vec!["x.n = 1"; n + 1].join(" implies ")),
+            _ => unreachable!("a known shape"),
+        };
+        format!(
+            "transformation T(a : M, b : M) {{\n  top relation R {{\n    domain a {template};\n    \
+             domain b y : K {{ }};\n    when {{ {when} }}\n  }}\n}}\n"
+        )
+    }
+
+    /// Nesting past [`MAX_DEPTH`] is a syntax error at the token that
+    /// would open the level past it, not a stack overflow: 10⁵ levels of
+    /// each shape are refused, and a spec at the limit parses.
+    #[test]
+    fn nesting_past_the_limit_is_a_syntax_error() {
+        for shape in ["templates", "parens", "nots", "ands", "ors", "implies"] {
+            let err = parse(&nested_spec(shape, 100_000)).unwrap_err();
+            assert_eq!(
+                err.msg,
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                "{shape}"
+            );
+            assert!(err.span.line >= 3, "{shape}: {}", err.span);
+            assert!(parse(&nested_spec(shape, MAX_DEPTH)).is_ok(), "{shape}");
+            assert!(
+                parse(&nested_spec(shape, MAX_DEPTH + 1)).is_err(),
+                "{shape}"
+            );
+        }
+        // Sibling levels do not add up: the depth is left on the way out.
+        let deep = format!("{}x.n{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        let src = nested_spec("parens", 0).replace("x.n = 1", &format!("{deep} = {deep}"));
+        parse(&src).unwrap();
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Text codec for journal entries and seed tuples.
+//! Text codec for journal entries.
 //!
-//! WAL record payloads reuse the session's own `journal_script` line
-//! format — the [`mmt_dist::EditOp`] `Display` form (`+ @5 : class#1`,
-//! `@5.attr#0 = "x" (was "")`, `+ @0 --ref#1--> @2`) — under a one-line
-//! header naming the entry kind:
+//! WAL record payloads are the [`mmt_dist::EditOp`] `Display` lines a
+//! session's journal prints (`+ @5 : class#1`, `@5.attr#0 = "x" (was
+//! "")`, `+ @0 --ref#1--> @2`) under a one-line header naming the entry
+//! kind:
 //!
 //! ```text
 //! repair 0,1 3      (or: edit)
@@ -14,16 +14,14 @@
 //! - @1 --ref#0--> @0
 //! ```
 //!
-//! Seeds use the same op lines (an add-only script reconstructing the
-//! model) under `model <name>` / `bound <id_bound>` headers; the
-//! recorded id bound keeps the seed **id-faithful** — trailing
-//! tombstones are re-padded on load, because journal replay and fresh-id
-//! allocation are both id-sensitive and a dense re-numbering (what the
-//! plain model text format would do) would be silent divergence.
+//! Attribute values are read by [`mmt_model::text::read_literal`], the
+//! reader model files use too. Seeds are model text
+//! ([`mmt_model::text::print_model`]), which keeps ids and the id bound.
 
 use mmt_core::{JournalEntry, JournalKind, Shape};
 use mmt_dist::{Delta, EditOp};
-use mmt_model::{AttrId, ClassId, Metamodel, Model, ObjId, RefId, Value};
+use mmt_model::text::read_literal;
+use mmt_model::{AttrId, ClassId, Metamodel, ObjId, RefId, Value};
 use std::sync::Arc;
 
 /// Renders one journal entry as a WAL record payload.
@@ -147,47 +145,12 @@ fn model_header(line: &str) -> Option<usize> {
 
 /// Parses one [`EditOp`] `Display` line.
 pub(crate) fn parse_op(line: &str) -> Result<EditOp, String> {
-    let mut c = Cursor::new(line);
-    let op = if c.eat("+ @") {
-        let id = ObjId(c.int()? as u32);
-        if c.eat(" : class#") {
-            EditOp::AddObj {
-                id,
-                class: ClassId(c.int()? as u32),
-            }
-        } else if c.eat(" --ref#") {
-            let r = RefId(c.int()? as u32);
-            c.expect("--> @")?;
-            EditOp::AddLink {
-                src: id,
-                r,
-                dst: ObjId(c.int()? as u32),
-            }
-        } else {
-            return Err(format!("bad op line {line:?}"));
-        }
-    } else if c.eat("- @") {
-        let id = ObjId(c.int()? as u32);
-        if c.eat(" : class#") {
-            EditOp::DelObj {
-                id,
-                class: ClassId(c.int()? as u32),
-            }
-        } else if c.eat(" --ref#") {
-            let r = RefId(c.int()? as u32);
-            c.expect("--> @")?;
-            EditOp::DelLink {
-                src: id,
-                r,
-                dst: ObjId(c.int()? as u32),
-            }
-        } else {
-            return Err(format!("bad op line {line:?}"));
-        }
-    } else if c.eat("@") {
-        let id = ObjId(c.int()? as u32);
+    let mut c = Cursor { s: line };
+    let bad = || format!("bad op line {line:?}");
+    let op = if c.eat("@") {
+        let id = ObjId(c.id()?);
         c.expect(".attr#")?;
-        let attr = AttrId(c.int()? as u32);
+        let attr = AttrId(c.id()?);
         c.expect(" = ")?;
         let value = c.value()?;
         c.expect(" (was ")?;
@@ -200,79 +163,34 @@ pub(crate) fn parse_op(line: &str) -> Result<EditOp, String> {
             old,
         }
     } else {
-        return Err(format!("bad op line {line:?}"));
+        // `+ @…` adds what `- @…` deletes: an object or a link.
+        let add = c.eat("+ @");
+        if !add && !c.eat("- @") {
+            return Err(bad());
+        }
+        let src = ObjId(c.id()?);
+        if c.eat(" : class#") {
+            let class = ClassId(c.id()?);
+            match add {
+                true => EditOp::AddObj { id: src, class },
+                false => EditOp::DelObj { id: src, class },
+            }
+        } else if c.eat(" --ref#") {
+            let r = RefId(c.id()?);
+            c.expect("--> @")?;
+            let dst = ObjId(c.id()?);
+            match add {
+                true => EditOp::AddLink { src, r, dst },
+                false => EditOp::DelLink { src, r, dst },
+            }
+        } else {
+            return Err(bad());
+        }
     };
-    if !c.rest().is_empty() {
-        return Err(format!(
-            "trailing garbage {:?} in op line {line:?}",
-            c.rest()
-        ));
+    if !c.s.is_empty() {
+        return Err(format!("trailing garbage {:?} in op line {line:?}", c.s));
     }
     Ok(op)
-}
-
-/// Renders an id-faithful seed script of one model: its name, its total
-/// id-space size, and an add-only op script reconstructing every live
-/// object, attribute, and link.
-pub fn render_seed(model: &Model) -> String {
-    let name = model.name.resolve();
-    let empty = Model::new(&name, Arc::clone(model.metamodel()));
-    let delta = Delta::between(&empty, model).expect("same metamodel instance");
-    let mut out = format!("model {name}\nbound {}\n", model.id_bound());
-    for op in delta.ops() {
-        out.push_str(&op.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a seed script back into a model over `meta`. Inverse of
-/// [`render_seed`]: the returned model is `graph_eq` to the original
-/// **and** agrees on `id_bound` (trailing tombstones re-padded), so
-/// journal replay and fresh-id allocation behave identically.
-pub fn parse_seed(src: &str, meta: &Arc<Metamodel>) -> Result<Model, String> {
-    let mut lines = src.lines();
-    let name = lines
-        .next()
-        .and_then(|l| l.strip_prefix("model "))
-        .ok_or("seed must start with `model <name>`")?;
-    let bound: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("bound "))
-        .ok_or("seed needs a `bound <n>` line")?
-        .parse()
-        .map_err(|e| format!("bad seed bound: {e}"))?;
-    let mut delta = Delta::new();
-    for line in lines {
-        let op = parse_op(line)?;
-        check_op(&op, meta)?;
-        delta.push(op);
-    }
-    let mut model = Model::new(name, Arc::clone(meta));
-    delta
-        .apply(&mut model)
-        .map_err(|e| format!("seed script refused to apply: {e}"))?;
-    if model.id_bound() < bound {
-        // Trailing tombstones: occupy the last id, then free it again —
-        // the id space grows to `bound` with every new slot dead.
-        let pad = ObjId((bound - 1) as u32);
-        let class = meta
-            .classes()
-            .find(|(_, c)| !c.is_abstract)
-            .map(|(id, _)| id)
-            .ok_or("seed has tombstones but the metamodel has no concrete class")?;
-        model
-            .add_at(pad, class)
-            .and_then(|()| model.delete(pad))
-            .map_err(|e| format!("seed tombstone padding failed: {e}"))?;
-    }
-    if model.id_bound() != bound {
-        return Err(format!(
-            "seed declares id bound {bound} but its script reaches {}",
-            model.id_bound()
-        ));
-    }
-    Ok(model)
 }
 
 /// A tiny cursor over one op line.
@@ -280,15 +198,7 @@ struct Cursor<'a> {
     s: &'a str,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor { s }
-    }
-
-    fn rest(&self) -> &'a str {
-        self.s
-    }
-
+impl Cursor<'_> {
     /// Consumes `prefix` if present.
     fn eat(&mut self, prefix: &str) -> bool {
         match self.s.strip_prefix(prefix) {
@@ -309,90 +219,28 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Consumes a decimal integer (optionally signed).
-    fn int(&mut self) -> Result<i64, String> {
-        let bytes = self.s.as_bytes();
-        let mut end = usize::from(bytes.first() == Some(&b'-'));
-        while bytes.get(end).is_some_and(u8::is_ascii_digit) {
-            end += 1;
-        }
+    /// Consumes an object, class, attribute or reference id: decimal
+    /// digits within `u32`.
+    fn id(&mut self) -> Result<u32, String> {
+        let end = self.s.bytes().take_while(u8::is_ascii_digit).count();
         let (tok, rest) = self.s.split_at(end);
-        let n = tok
-            .parse::<i64>()
-            .map_err(|e| format!("bad number {tok:?}: {e}"))?;
+        let id = tok.parse().map_err(|e| format!("bad id {tok:?}: {e}"))?;
         self.s = rest;
-        Ok(n)
+        Ok(id)
     }
 
-    /// Consumes one attribute value in its `Display` form: a
-    /// Rust-debug-quoted string, `true`/`false`, or an integer.
+    /// Consumes one attribute value, as [`read_literal`] reads it.
     fn value(&mut self) -> Result<Value, String> {
-        if self.s.starts_with('"') {
-            return self.quoted().map(|s| Value::str(&s));
-        }
-        if self.eat("true") {
-            return Ok(Value::Bool(true));
-        }
-        if self.eat("false") {
-            return Ok(Value::Bool(false));
-        }
-        self.int().map(Value::Int)
-    }
-
-    /// Consumes a `{s:?}`-quoted string, undoing Rust debug escaping.
-    fn quoted(&mut self) -> Result<String, String> {
-        let mut chars = self.s.char_indices();
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected opening quote, found {other:?}")),
-        }
-        let mut out = String::new();
-        while let Some((i, ch)) = chars.next() {
-            match ch {
-                '"' => {
-                    self.s = &self.s[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, '0')) => out.push('\0'),
-                    Some((_, '\'')) => out.push('\''),
-                    Some((_, 'u')) => {
-                        match chars.next() {
-                            Some((_, '{')) => {}
-                            other => return Err(format!("bad \\u escape at {other:?}")),
-                        }
-                        let mut hex = String::new();
-                        loop {
-                            match chars.next() {
-                                Some((_, '}')) => break,
-                                Some((_, h)) if h.is_ascii_hexdigit() && hex.len() < 6 => {
-                                    hex.push(h)
-                                }
-                                other => return Err(format!("bad \\u escape at {other:?}")),
-                            }
-                        }
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape: not a scalar")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
+        let (lit, len) = read_literal(self.s)?;
+        self.s = &self.s[len..];
+        Ok(lit.value())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_model::{AttrType, MetamodelBuilder, Sym, Upper};
+    use mmt_model::{AttrType, MetamodelBuilder, Upper};
 
     fn mm() -> Arc<Metamodel> {
         let mut b = MetamodelBuilder::new("FM");
@@ -487,6 +335,11 @@ mod tests {
             "@1.attr#0 = \"a\" (was \"b\"",
             "@1.attr#0 = maybe (was true)",
             "m0",
+            // Ids are `u32`s that never wrap.
+            "+ @4294967296 : class#0",
+            "+ @-1 : class#0",
+            "- @0 --ref#4294967296--> @1",
+            "@1.attr#0 = 9223372036854775808 (was 0)",
         ] {
             assert!(parse_op(bad).is_err(), "{bad:?}");
         }
@@ -546,50 +399,5 @@ mod tests {
         assert!(parse_entry("edit\nm0\n+ @0 : class#99\n", &metas).is_err());
         assert!(parse_entry("edit\nm0\n@0.attr#99 = 1 (was 0)\n", &metas).is_err());
         assert!(parse_entry("edit\nm0\n+ @0 --ref#99--> @1\n", &metas).is_err());
-    }
-
-    #[test]
-    fn seed_round_trips_with_tombstones() {
-        let meta = mm();
-        let mut m = Model::new("fm", Arc::clone(&meta));
-        let feature = meta.class_named("Feature").unwrap();
-        let fm = meta.class_named("FeatureModel").unwrap();
-        let features = meta.ref_of(fm, Sym::new("features")).unwrap();
-        let root = m.add(fm).unwrap();
-        let a = m.add(feature).unwrap();
-        let b = m.add(feature).unwrap();
-        let c = m.add(feature).unwrap();
-        m.set_attr_named(a, "name", Value::str("a\"b")).unwrap();
-        m.set_attr_named(b, "rank", Value::Int(-3)).unwrap();
-        m.add_link(root, features, a).unwrap();
-        m.add_link(root, features, b).unwrap();
-        // Interior gap at `b`, trailing tombstone at `c`.
-        m.delete(b).unwrap();
-        m.delete(c).unwrap();
-
-        let text = render_seed(&m);
-        let back = parse_seed(&text, &meta).unwrap();
-        assert!(back.graph_eq(&m));
-        assert_eq!(back.id_bound(), m.id_bound());
-        assert_eq!(back.name, m.name);
-        assert_eq!(
-            mmt_model::text::print_model(&back),
-            mmt_model::text::print_model(&m)
-        );
-        // Fresh-id allocation agrees — the property journal replay needs.
-        assert_eq!(back.id_bound(), 4);
-        assert!(!back.contains(ObjId(2)) && !back.contains(ObjId(3)));
-    }
-
-    #[test]
-    fn malformed_seeds_are_rejected() {
-        let meta = mm();
-        assert!(parse_seed("", &meta).is_err());
-        assert!(parse_seed("model x\n", &meta).is_err()); // no bound
-        assert!(parse_seed("model x\nbound z\n", &meta).is_err());
-        // Bound smaller than the script's id space.
-        assert!(parse_seed("model x\nbound 0\n+ @3 : class#0\n", &meta).is_err());
-        // Script that cannot apply (abstract-free metamodel, bad class).
-        assert!(parse_seed("model x\nbound 1\n+ @0 : class#99\n", &meta).is_err());
     }
 }

@@ -5,12 +5,16 @@
 //! whose replay over the seed tuple reproduces the live tuple byte for
 //! byte. This crate turns that invariant into a storage subsystem:
 //!
-//! * [`PersistentSession`] — one session on disk: an id-faithful seed
-//!   of the tuple it was opened over, plus a **write-ahead log** with
-//!   one length-prefixed, CRC-checksummed record per journal entry,
-//!   fsynced at every commit point;
-//! * [`PersistentSession::open`] — crash recovery: the seed is reloaded,
-//!   the committed WAL prefix is replayed into a warm
+//! * [`PersistentSession`] — one session on disk: the tuple it was
+//!   opened over as model text (`seed/<i>.model`, which keeps object
+//!   ids and the id bound), each file's FNV-1a checksum in the
+//!   `mmt-store 2` manifest, plus a **write-ahead log** with one
+//!   length-prefixed, CRC-checksummed record per journal entry, fsynced
+//!   at every commit point;
+//! * [`PersistentSession::open`] — crash recovery: the seed is checked
+//!   against its checksums and reloaded with
+//!   [`mmt_model::text::parse_model`], the committed WAL prefix is
+//!   replayed into a warm
 //!   [`DeltaChecker`](mmt_core::SyncSession::checker) via
 //!   [`mmt_core::SyncSession::replay_entry`], and the recovered session's
 //!   tuple, status and journal are identical to the session that
@@ -30,18 +34,22 @@
 //! 1. the longest committed WAL prefix replays cleanly and the session
 //!    is byte-identical to an uninterrupted session at that prefix, or
 //! 2. a typed [`StoreError`] (corruption, short read, version or spec
-//!    mismatch) — never a silently diverged session.
+//!    mismatch) — never a silently diverged session. A seed file whose
+//!    checksum differs from the manifest's is corruption too, and a
+//!    store of another format version (such as `mmt-store 1`, whose
+//!    seeds were op scripts) is [`StoreError::Version`].
 //!
 //! The fault-injection harness (`tests/store_crash.rs` at the workspace
 //! root) pins this down by cutting the WAL at every record boundary and
-//! at mid-record offsets, and by flipping bytes.
+//! at mid-record offsets, and by flipping bytes of the WAL and of a
+//! seed file.
 
 mod codec;
 mod hub;
 mod session;
 mod wal;
 
-pub use codec::{parse_entry, parse_seed, render_entry, render_seed};
+pub use codec::{parse_entry, render_entry};
 pub use hub::{read_hub_manifest, write_hub_manifest, HubStore};
 pub use session::PersistentSession;
 

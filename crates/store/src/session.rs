@@ -1,10 +1,17 @@
 //! One session on disk: manifest + seed tuple + WAL.
 //!
 //! ```text
-//! <dir>/manifest      mmt-store 1 / spec <hex> / arity <n>
-//! <dir>/seed/<i>.seed id-faithful seed script per model
-//! <dir>/wal           journal entries, one WAL record each
+//! <dir>/manifest         mmt-store 2 / spec <hex> / arity <n> / seed <hex>...
+//! <dir>/seed/<i>.model   model text of the seed's model i
+//! <dir>/wal              journal entries, one WAL record each
 //! ```
+//!
+//! Seeds are [`print_model`] text, which keeps object ids and the id
+//! bound, so journal replay and fresh-id allocation see the id space
+//! the session had. The manifest records each seed file's FNV-1a
+//! checksum, one `seed` line per model in model order: a seed that
+//! changed on disk is [`StoreError::Corrupt`], as a WAL record that
+//! fails its CRC is.
 //!
 //! The manifest is written **last** during [`PersistentSession::create`]
 //! (after seeds and WAL are on disk and the directory is fsynced), so a
@@ -12,17 +19,15 @@
 //! leaves no half-store that [`PersistentSession::open`] would trust.
 
 use crate::wal::Wal;
-use crate::{
-    io_err, parse_entry, parse_seed, render_entry, render_seed, spec_fingerprint, sync_dir,
-    StoreError,
-};
+use crate::{fnv1a, io_err, parse_entry, render_entry, spec_fingerprint, sync_dir, StoreError};
 use mmt_core::{SessionOptions, SyncSession, Transformation};
+use mmt_model::text::{parse_model, print_model};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const MANIFEST_VERSION: &str = "mmt-store 1";
+const MANIFEST_VERSION: &str = "mmt-store 2";
 
 /// The durable shadow of one [`SyncSession`]: owns the store directory
 /// and its open WAL, and keeps them in sync with the live session via
@@ -49,10 +54,10 @@ impl PersistentSession {
         dir.join("manifest").is_file()
     }
 
-    /// Snapshots `session` into a fresh store at `dir`: seed scripts
-    /// reconstructed via [`SyncSession::seed_models`], one WAL record
-    /// per journal entry, and the manifest last. Refuses to overwrite an
-    /// existing store.
+    /// Snapshots `session` into a fresh store at `dir`: the seed tuple
+    /// reconstructed via [`SyncSession::seed_models`] as model text, one
+    /// WAL record per journal entry, and the manifest, with the seeds'
+    /// checksums, last. Refuses to overwrite an existing store.
     pub fn create(dir: &Path, session: &SyncSession) -> Result<PersistentSession, StoreError> {
         let manifest = dir.join("manifest");
         if manifest.exists() {
@@ -66,9 +71,15 @@ impl PersistentSession {
         }
         let seed_dir = dir.join("seed");
         fs::create_dir_all(&seed_dir).map_err(|e| io_err(&seed_dir, e))?;
+        let mut manifest_text = format!(
+            "{MANIFEST_VERSION}\nspec {}\narity {}\n",
+            spec_fingerprint(session.transformation()),
+            session.transformation().arity()
+        );
         for (i, model) in session.seed_models()?.iter().enumerate() {
-            let path = seed_dir.join(format!("{i}.seed"));
-            write_sync(&path, render_seed(model).as_bytes())?;
+            let text = print_model(model);
+            write_sync(&seed_path(dir, i), text.as_bytes())?;
+            manifest_text.push_str(&format!("seed {}\n", checksum(text.as_bytes())));
         }
         sync_dir(&seed_dir)?;
         let mut wal = Wal::create(&dir.join("wal"))?;
@@ -76,11 +87,6 @@ impl PersistentSession {
             wal.append(&render_entry(entry))?;
         }
         wal.sync()?;
-        let manifest_text = format!(
-            "{MANIFEST_VERSION}\nspec {}\narity {}\n",
-            spec_fingerprint(session.transformation()),
-            session.transformation().arity()
-        );
         write_sync(&manifest, manifest_text.as_bytes())?;
         sync_dir(dir)?;
         Ok(PersistentSession {
@@ -105,7 +111,7 @@ impl PersistentSession {
         opts: SessionOptions,
     ) -> Result<(PersistentSession, SyncSession), StoreError> {
         let manifest = dir.join("manifest");
-        let (spec, arity) = read_manifest(&manifest)?;
+        let (spec, arity, seeds) = read_manifest(&manifest)?;
         let expected = spec_fingerprint(t);
         if spec != expected || arity != t.arity() {
             return Err(StoreError::SpecMismatch {
@@ -115,16 +121,22 @@ impl PersistentSession {
             });
         }
         let mut models = Vec::with_capacity(arity);
-        for (i, meta) in t.metamodels().iter().enumerate() {
-            let path = dir.join("seed").join(format!("{i}.seed"));
-            let text = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-            models.push(
-                parse_seed(&text, meta).map_err(|detail| StoreError::Corrupt {
-                    path: path.clone(),
-                    offset: 0,
-                    detail,
-                })?,
-            );
+        for ((i, meta), recorded) in t.metamodels().iter().enumerate().zip(seeds) {
+            let path = seed_path(dir, i);
+            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+            let corrupt = |detail| StoreError::Corrupt {
+                path: path.clone(),
+                offset: 0,
+                detail,
+            };
+            let found = checksum(&bytes);
+            if found != recorded {
+                return Err(corrupt(format!(
+                    "seed checksum {found} differs from the manifest's {recorded}"
+                )));
+            }
+            let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(e.to_string()))?;
+            models.push(parse_model(text, meta).map_err(|e| corrupt(e.to_string()))?);
         }
         let mut session = SyncSession::from_models(Arc::clone(t), models, opts)?;
         let wal_path = dir.join("wal");
@@ -208,8 +220,21 @@ pub(crate) fn write_sync(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         .map_err(|e| io_err(path, e))
 }
 
-/// Parses the manifest into (spec fingerprint, arity).
-fn read_manifest(path: &Path) -> Result<(String, usize), StoreError> {
+/// The seed file of model `i` in the store at `dir`.
+fn seed_path(dir: &Path, i: usize) -> PathBuf {
+    dir.join("seed").join(format!("{i}.model"))
+}
+
+/// The FNV-1a checksum of a seed file, as the manifest records it.
+fn checksum(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(&mut h, bytes);
+    format!("{h:016x}")
+}
+
+/// Parses the manifest into (spec fingerprint, arity, one seed checksum
+/// per model).
+fn read_manifest(path: &Path) -> Result<(String, usize, Vec<String>), StoreError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
     let mut lines = text.lines();
     let header = lines.next().unwrap_or("");
@@ -240,7 +265,16 @@ fn read_manifest(path: &Path) -> Result<(String, usize), StoreError> {
         .ok_or_else(|| corrupt("manifest needs an `arity <n>` line"))?
         .parse()
         .map_err(|_| corrupt("manifest arity is not a number"))?;
-    Ok((spec.to_string(), arity))
+    let seeds: Vec<String> = lines
+        .map(|l| l.strip_prefix("seed ").map(str::to_string))
+        .collect::<Option<_>>()
+        .ok_or_else(|| corrupt("manifest lines after `arity` must be `seed <checksum>`"))?;
+    if seeds.len() != arity {
+        return Err(corrupt(
+            "manifest needs one `seed <checksum>` line per model",
+        ));
+    }
+    Ok((spec.to_string(), arity, seeds))
 }
 
 #[cfg(test)]
@@ -549,11 +583,15 @@ mod tests {
         let dir = tmp("manifest");
         PersistentSession::create(&dir, &session).unwrap();
         let manifest = dir.join("manifest");
-        std::fs::write(&manifest, "mmt-store 99\nspec x\narity 3\n").unwrap();
-        assert!(matches!(
-            PersistentSession::open(&dir, &t, SessionOptions::default()).unwrap_err(),
-            StoreError::Version { .. }
-        ));
+        // A store of the first format, whose seeds were op scripts, is
+        // a version error too: no reader of it is kept.
+        for old in ["mmt-store 99", "mmt-store 1"] {
+            std::fs::write(&manifest, format!("{old}\nspec x\narity 3\n")).unwrap();
+            assert!(matches!(
+                PersistentSession::open(&dir, &t, SessionOptions::default()).unwrap_err(),
+                StoreError::Version { .. }
+            ));
+        }
         std::fs::write(&manifest, "mm").unwrap();
         assert!(matches!(
             PersistentSession::open(&dir, &t, SessionOptions::default()).unwrap_err(),

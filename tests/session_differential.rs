@@ -6,9 +6,10 @@
 //!   [`Transformation::enforce_with`] on the same tuple, under the
 //!   search and the SAT engine, and under both to
 //!   `RepairEngine::repair_warm` from a fork of the session's checker;
-//! * **journal replay** — replaying [`SyncSession::journal_script`]
-//!   over the seed tuple reproduces the live tuple byte for byte, and
-//!   `rollback_all` restores the seed exactly (via `Delta::inverse`).
+//! * **journal replay** — replaying the journal, flattened into one
+//!   script per model, over the seed tuple reproduces the live tuple
+//!   byte for byte, and `rollback_all` restores the seed exactly (via
+//!   `Delta::inverse`).
 
 use mmtf::core::{SessionOptions, Shape, Transformation};
 use mmtf::dist::Delta;
@@ -212,8 +213,20 @@ fn journal_replays_and_rolls_back_exactly() {
                 }
             }
         }
-        // Replay the journal over a copy of the seed tuple.
-        let script = session.journal_script();
+        // Flatten the journal into one script per model, in entry
+        // order, and replay it over a copy of the seed tuple.
+        let mut script = vec![Delta::new(); seed_models.len()];
+        for entry in session.journal() {
+            for (flat, delta) in script.iter_mut().zip(&entry.deltas) {
+                for &op in delta.ops() {
+                    flat.push(op);
+                }
+            }
+        }
+        // The journal answer prints exactly these scripts.
+        for (flat, view) in script.iter().zip(session.replay_scripts()) {
+            assert_eq!(flat.to_string(), view.to_string(), "seed={seed}");
+        }
         let mut replayed = seed_models.clone();
         for (m, delta) in replayed.iter_mut().zip(&script) {
             delta.apply(m).unwrap();

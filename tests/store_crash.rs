@@ -8,7 +8,10 @@
 //! * **bit rot** — flipping any single byte of the store either still
 //!   recovers a committed prefix (bitwise equal to the reference) or
 //!   fails with a *typed* [`StoreError`]. There is no third outcome:
-//!   recovery never silently diverges from what was committed.
+//!   recovery never silently diverges from what was committed;
+//! * **seed rot** — the manifest checksums every seed file, so flipping
+//!   any byte of one is [`StoreError::Corrupt`], even where the flipped
+//!   text would still parse.
 //!
 //! The WAL format is part of the store's public contract (documented
 //! in `mmt_store`): an 8-byte magic, then per record a little-endian
@@ -269,14 +272,42 @@ fn every_byte_flip_recovers_a_prefix_or_fails_typed() {
     let _ = fs::remove_dir_all(&crash);
 }
 
+/// Every byte of a seed file is covered by the manifest's checksum: a
+/// flip anywhere, say `"brakes"` to `"brakez"`, which would still parse
+/// into a different seed, is `Corrupt`, never a recovery.
+#[test]
+fn every_seed_byte_flip_fails_typed() {
+    let (t, dir, refs) = committed_store("seed-flip", 5, 8);
+    let seed = dir.join("seed").join("2.model");
+    let good = fs::read(&seed).unwrap();
+    let (_, back) = PersistentSession::open(&dir, &t, SessionOptions::default()).unwrap();
+    assert_eq!(Snapshot::of(&back), *refs.last().unwrap());
+    for i in 0..good.len() {
+        let mut bad = good.clone();
+        bad[i] ^= if bad[i].is_ascii_alphanumeric() {
+            0x01
+        } else {
+            0x80
+        };
+        fs::write(&seed, &bad).unwrap();
+        match PersistentSession::open(&dir, &t, SessionOptions::default()) {
+            Err(StoreError::Corrupt { path, .. }) => assert_eq!(path, seed, "byte {i}"),
+            other => panic!("seed byte {i} flipped: expected Corrupt, got {other:?}"),
+        }
+    }
+    fs::write(&seed, &good).unwrap();
+    assert!(PersistentSession::open(&dir, &t, SessionOptions::default()).is_ok());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn seed_and_manifest_rot_is_typed_not_silent() {
     let (t, dir, _) = committed_store("rot", 5, 8);
 
     // Garbage in a seed file: typed corruption, not a panic.
-    let seed0 = dir.join("seed").join("0.seed");
+    let seed0 = dir.join("seed").join("0.model");
     let mut text = fs::read_to_string(&seed0).unwrap();
-    text.push_str("+ @0 : class#99\n");
+    text.push_str("@99 = Ghost { }\n");
     fs::write(&seed0, text).unwrap();
     match PersistentSession::open(&dir, &t, SessionOptions::default()) {
         Err(StoreError::Corrupt { .. }) => {}

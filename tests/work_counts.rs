@@ -590,6 +590,9 @@ fn render_work_counts() -> String {
     for r in report_costs() {
         writeln!(out, "report/c2t1000/{} allocs={}", r.state, r.allocs).unwrap();
     }
+    for (entries, allocs) in journal_answers() {
+        writeln!(out, "journal/answer/{entries} allocs={allocs}").unwrap();
+    }
     out
 }
 
@@ -728,18 +731,30 @@ fn parse_allocations_per_object_do_not_grow() {
     );
 }
 
-/// Mean allocations of a one-entry commit over a journal of `journal`
-/// one-attribute edits. The edits alternate two names of equal length,
-/// so every WAL record has the same size.
-fn allocs_per_commit(t: &Arc<Transformation>, journal: usize, tag: &str) -> f64 {
-    /// Commits measured at each journal length.
-    const COMMITS: usize = 100;
+/// The paper's transformation at k = 2, over the default feature
+/// workload's metamodels.
+fn feature_transformation() -> Arc<Transformation> {
+    Arc::new(
+        Transformation::from_sources(
+            &mmtf::gen::transformation_source(2),
+            &[CF_METAMODEL, FM_METAMODEL],
+        )
+        .unwrap(),
+    )
+}
+
+/// A session over the default feature workload, and a function that
+/// journals its `i`-th one-attribute edit: a rename of feature `@0`,
+/// alternating two names of equal length, so every entry has the same
+/// size. Feature `@0` starts under neither name, so the first edit
+/// counts.
+fn rename_session(t: &Arc<Transformation>) -> (SyncSession, impl Fn(&mut SyncSession, usize)) {
     let w = feature_workload(FeatureSpec::default());
     let feature = w.fm.class_named("Feature").unwrap();
     let name = w.fm.attr_of(feature, Sym::new("name")).unwrap();
     let (a, b) = (Value::str("alpha"), Value::str("omega"));
-    let mut session = SyncSession::new(Arc::clone(t), &w.models).unwrap();
-    let rename = |session: &mut SyncSession, i: usize| {
+    let session = SyncSession::new(Arc::clone(t), &w.models).unwrap();
+    let rename = move |session: &mut SyncSession, i: usize| {
         let (value, old) = if i.is_multiple_of(2) { (a, b) } else { (b, a) };
         session
             .apply(
@@ -753,7 +768,64 @@ fn allocs_per_commit(t: &Arc<Transformation>, journal: usize, tag: &str) -> f64 
             )
             .unwrap();
     };
-    // Feature @0 starts under neither name, so the first edit counts.
+    (session, rename)
+}
+
+/// Allocations of one `journal` answer written into a reused buffer, as
+/// the CLI's `write_journal` writes it: every model's replay script, op
+/// by op from the journal. The journal holds `entries` renames and the
+/// three entries of a drift that adds an object and sets two of its
+/// attributes.
+fn journal_answer_allocs(entries: usize) -> u64 {
+    let (mut session, rename) = rename_session(&feature_transformation());
+    for i in 0..entries {
+        rename(&mut session, i);
+    }
+    drift_new_mandatory(&mut session);
+    assert_eq!(session.journal().len(), entries + 3);
+    let mut out = String::new();
+    let mut answer = || {
+        out.clear();
+        let entries = session.journal().len();
+        write!(out, "{{\"entries\":{entries},\"script\":[").unwrap();
+        for (i, script) in session.replay_scripts().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(out, "\"{script}\"").unwrap();
+        }
+        out.push_str("]}");
+    };
+    answer();
+    counted(answer).0
+}
+
+/// The journal rows; measured once per test binary run.
+fn journal_answers() -> &'static [(usize, u64)] {
+    static ROWS: OnceLock<Vec<(usize, u64)>> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        [100, 1000]
+            .into_iter()
+            .map(|n| (n, journal_answer_allocs(n)))
+            .collect()
+    })
+}
+
+/// A journal answer allocates nothing per entry: it is written from the
+/// journal itself, with no per-model copy of its ops.
+#[test]
+fn journal_answers_allocate_nothing_per_entry() {
+    for &(entries, allocs) in journal_answers() {
+        assert_eq!(allocs, 0, "a journal answer over {entries} entries");
+    }
+}
+
+/// Mean allocations of a one-entry commit over a journal of `journal`
+/// one-attribute edits, all of one size.
+fn allocs_per_commit(t: &Arc<Transformation>, journal: usize, tag: &str) -> f64 {
+    /// Commits measured at each journal length.
+    const COMMITS: usize = 100;
+    let (mut session, rename) = rename_session(t);
     for i in 0..journal {
         rename(&mut session, i);
     }
@@ -780,13 +852,7 @@ fn allocs_per_commit(t: &Arc<Transformation>, journal: usize, tag: &str) -> f64 
 /// length of the journal behind it.
 #[test]
 fn commit_allocations_do_not_grow_with_the_journal() {
-    let t = Arc::new(
-        Transformation::from_sources(
-            &mmtf::gen::transformation_source(2),
-            &[CF_METAMODEL, FM_METAMODEL],
-        )
-        .unwrap(),
-    );
+    let t = feature_transformation();
     let short = allocs_per_commit(&t, 20, "short");
     let long = allocs_per_commit(&t, 2000, "long");
     assert!(
