@@ -80,6 +80,37 @@ fn enforce_with_impossible_shape_exits_one() {
     assert!(stdout.contains("no repair"));
 }
 
+/// A `--max-cost` past what any repair can cost answers as the default
+/// does, on both engines: SAT's cost counter is no wider than its cost
+/// items can sum to, so `u64::MAX` neither overflows nor allocates an
+/// output per unit of the bound.
+#[test]
+fn enforce_with_the_largest_max_cost_answers_as_the_default() {
+    for engine in ["sat", "search"] {
+        let enforce = |extra: &[&str]| {
+            let mut args = vec!["enforce".to_string()];
+            args.extend(data_args());
+            for a in ["--targets", "cf1,cf2", "--engine", engine]
+                .iter()
+                .chain(extra)
+            {
+                args.push(a.to_string());
+            }
+            let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+            mmt(&argrefs)
+        };
+        let default = enforce(&[]);
+        assert_eq!(default.2, Some(0), "{engine}: {default:?}");
+        assert!(
+            default.0.contains("repaired at distance 4"),
+            "{engine}: {}",
+            default.0
+        );
+        let largest = enforce(&["--max-cost", "18446744073709551615"]);
+        assert_eq!(largest, default, "{engine}");
+    }
+}
+
 /// `mmt repair --batch <dir> --jobs N`: every subdirectory is one
 /// request; results are per-request and written under `--out/<request>/`.
 #[test]

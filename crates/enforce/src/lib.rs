@@ -981,6 +981,51 @@ transformation G(cf1 : CF, fm : FM) {
         }
     }
 
+    /// SAT's half of the overflow rule: the grounding prices an edit as
+    /// `cost × weight` saturating, so flipping `mandatory` in an `fm`
+    /// weighted `u64::MAX / 4 + 1` at `set_attr` 4 costs more than any
+    /// bound, not 0. The one repair towards `fm` is that flip, so both
+    /// engines find none.
+    #[test]
+    fn an_overflowing_price_is_out_of_reach_on_both_engines() {
+        let (cf, fm) = metamodels();
+        let src = r#"
+transformation F(cf1 : CF, fm : FM) {
+  top relation Sel {
+    n : Str;
+    domain cf1 s : Feature { name = n };
+    domain fm  f : Feature { name = n, mandatory = true };
+    depend cf1 -> fm;
+  }
+}
+"#;
+        let hir = Arc::new(parse_and_resolve(src, &[cf.clone(), fm.clone()]).unwrap());
+        let models = [
+            cf_model(&cf, "cf1", &["engine"]),
+            fm_model(&fm, &[("engine", false)]),
+        ];
+        let opts = RepairOptions {
+            cost: mmt_dist::CostModel {
+                set_attr: 4,
+                ..Default::default()
+            },
+            tuple: TupleCost::weighted(vec![1, u64::MAX / 4 + 1]),
+            ..RepairOptions::default()
+        };
+        for engine in [
+            Box::new(SearchEngine::new(opts.clone())) as Box<dyn RepairEngine>,
+            Box::new(SatEngine::new(opts.clone())),
+        ] {
+            let out = engine.repair(&hir, &models, targets(&[1])).unwrap();
+            assert!(
+                out.is_none(),
+                "{}: repaired at {:?}",
+                engine.name(),
+                out.map(|o| o.cost)
+            );
+        }
+    }
+
     /// Weighted tuple distance (§3 future work, implemented): making FM
     /// expensive steers the repair into the configurations.
     #[test]

@@ -11,9 +11,20 @@
 //! Neither pass allocates per clause: Tseitin collects child literals on
 //! one stack the builder reuses, and the counter writes each output's
 //! clauses straight from its literals. The solver stores every clause in
-//! one arena, so the CNF costs only its arena's amortized growth.
+//! one arena and every watch list in another, so the CNF costs only the
+//! arenas' amortized growth, and not even that on a warm thread: each
+//! thread keeps the solver of the last builder it dropped, cleared, and
+//! the next builder takes it (see [`CnfBuilder::new`]). What that spare
+//! holds is the storage of the largest problem it has solved.
 
 use mmt_sat::{Lit, Solver, Var};
+use std::cell::Cell;
+
+thread_local! {
+    /// The solver of the last [`CnfBuilder`] dropped on this thread,
+    /// cleared, for the next builder to take.
+    static SPARE: Cell<Option<Solver>> = const { Cell::new(None) };
+}
 
 /// A propositional formula with constants.
 #[derive(Clone, Debug)]
@@ -105,7 +116,9 @@ impl Formula {
     }
 }
 
-/// Builds CNF into an [`mmt_sat::Solver`].
+/// Builds CNF into an [`mmt_sat::Solver`], its thread's spare when it
+/// has one: dropping the builder clears the solver and leaves it as the
+/// thread's spare, in place of any spare left before.
 pub struct CnfBuilder {
     /// The backing solver.
     pub solver: Solver,
@@ -121,11 +134,21 @@ impl Default for CnfBuilder {
     }
 }
 
+impl Drop for CnfBuilder {
+    fn drop(&mut self) {
+        let mut solver = std::mem::take(&mut self.solver);
+        solver.clear();
+        // Past the thread's exit the spare is gone, and so is this solver.
+        let _ = SPARE.try_with(|spare| spare.set(Some(solver)));
+    }
+}
+
 impl CnfBuilder {
-    /// A fresh builder.
+    /// A builder over an empty solver: the thread's spare, whose tables
+    /// keep the capacity of the problems it solved before, or a new one.
     pub fn new() -> CnfBuilder {
         CnfBuilder {
-            solver: Solver::new(),
+            solver: SPARE.take().unwrap_or_default(),
             clauses_added: 0,
             stack: Vec::new(),
         }
@@ -238,16 +261,28 @@ impl CnfBuilder {
 
     /// Weighted sequential counter: returns `outs` where `outs[j-1]`
     /// (1-based j) is forced true whenever `Σ wᵢ·xᵢ ≥ j`, for
-    /// `j ∈ 1..=bound+1`. Assuming `¬outs[k]` therefore enforces
-    /// `Σ wᵢ·xᵢ ≤ k`. Weights are saturated at `bound+1`.
+    /// `j ∈ 1..=width`. Assuming `¬outs[k]` therefore enforces
+    /// `Σ wᵢ·xᵢ ≤ k`. Weights are saturated at `bound+1`, and `width` is
+    /// `min(bound, Σ saturated wᵢ) + 1`: past what the items can sum to,
+    /// every output would be constant false, so the last output already
+    /// bounds nothing, and a huge `bound` costs nothing.
     pub fn encode_cost_counter(&mut self, items: &[(Lit, u64)], bound: u64) -> Vec<Lit> {
-        let cap = (bound + 1) as usize;
+        let saturated = bound.saturating_add(1);
+        let reach = items
+            .iter()
+            .fold(0u64, |sum, &(_, w)| sum.saturating_add(w.min(saturated)));
+        let cap = usize::try_from(bound.min(reach))
+            .ok()
+            .and_then(|top| top.checked_add(1))
+            .expect("cost counter width fits in usize");
         // prev[j-1] = indicator(sum of first i items ≥ j); cur takes the
         // next item's, and the two swap after each item.
         let mut prev: Vec<Option<Lit>> = vec![None; cap];
         let mut cur: Vec<Option<Lit>> = vec![None; cap];
         for &(x, w) in items {
-            let w = (w.min(bound + 1)) as usize;
+            // Saturating at the width is saturating at `bound + 1`: the
+            // width is that, or above every weight.
+            let w = usize::try_from(w).map_or(cap, |w| w.min(cap));
             if w == 0 {
                 continue;
             }
@@ -371,6 +406,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The counter is `min(bound, Σ saturated wᵢ) + 1` outputs wide, so a
+    /// bound past what the items can sum to costs nothing, `u64::MAX`
+    /// included. Its last output then bounds nothing: assuming it false
+    /// admits every item at once.
+    #[test]
+    fn cost_counter_width_is_what_its_items_can_sum_to() {
+        let width = |weights: &[u64], bound: u64| {
+            let mut b = CnfBuilder::new();
+            let items: Vec<(Lit, u64)> =
+                weights.iter().map(|&w| (Lit::pos(b.fresh()), w)).collect();
+            let outs = b.encode_cost_counter(&items, bound);
+            for &(x, _) in &items {
+                b.solver.add_clause(&[x]);
+            }
+            let last = *outs.last().expect("at least one output");
+            let all_items = b.solver.solve_with(&[last.negate()]) == SatResult::Sat;
+            (outs.len(), all_items)
+        };
+        assert_eq!(width(&[1, 2, 1, 3], 4), (5, false));
+        assert_eq!(width(&[1, 2, 1, 3], 7), (8, true));
+        assert_eq!(width(&[1, 2, 1, 3], 100), (8, true));
+        assert_eq!(width(&[1, 2, 1, 3], u64::MAX), (8, true));
+        // A weight saturates at `bound + 1` before it is summed.
+        assert_eq!(width(&[1000, 1000], 3), (4, false));
+        assert_eq!(width(&[0, 0], u64::MAX), (1, true));
+        assert_eq!(width(&[], 16), (1, true));
     }
 
     #[test]

@@ -81,7 +81,9 @@ pub struct GroundOptions {
     pub cost: CostModel,
     /// Per-model weight multipliers (§3 weighted tuple distance).
     pub tuple: TupleCost,
-    /// Maximum total cost considered (the counter's bound).
+    /// Maximum total cost considered (the counter's bound). The counter
+    /// is no wider than the cost items can sum to, so a bound past that
+    /// costs nothing.
     pub max_cost: u64,
     /// Cap on instantiations, as [`GroundStats::universal_instantiations`]
     /// counts them (guards against scope blow-ups).
@@ -101,7 +103,7 @@ impl Default for GroundOptions {
 }
 
 /// Grounding statistics.
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct GroundStats {
     /// SAT variables allocated.
     pub vars: usize,
@@ -334,7 +336,6 @@ type GBinding = Vec<Option<GVal>>;
 /// A built ground problem, ready for minimal-cost solving.
 pub struct GroundProblem<'a> {
     originals: &'a [Model],
-    opts: GroundOptions,
     builder: CnfBuilder,
     /// Symbolic state of each model, `None` for the frozen ones.
     muts: Vec<Option<MutModel>>,
@@ -365,10 +366,10 @@ impl<'a> GroundProblem<'a> {
         let mut g = Grounder {
             hir,
             models,
-            opts: opts.clone(),
+            domains: ValueDomain::collect(hir, models, opts.scope.fresh_strings),
+            opts,
             builder: CnfBuilder::new(),
             muts: Vec::with_capacity(models.len()),
-            domains: ValueDomain::collect(hir, models, opts.scope.fresh_strings),
             extents: Vec::new(),
             cost_items: Vec::new(),
             instantiations: 0,
@@ -378,7 +379,7 @@ impl<'a> GroundProblem<'a> {
         g.build_extents();
         g.encode_consistency()?;
         let cost_items = std::mem::take(&mut g.cost_items);
-        let cost_outs = g.builder.encode_cost_counter(&cost_items, opts.max_cost);
+        let cost_outs = g.builder.encode_cost_counter(&cost_items, g.opts.max_cost);
         let stats = GroundStats {
             vars: g.builder.solver.num_vars(),
             clauses: g.builder.clauses_added,
@@ -387,7 +388,6 @@ impl<'a> GroundProblem<'a> {
         };
         Ok(GroundProblem {
             originals: models,
-            opts,
             builder: g.builder,
             muts: g.muts,
             domains: g.domains,
@@ -408,15 +408,15 @@ impl<'a> GroundProblem<'a> {
     }
 
     /// Finds consistent target models at minimal total cost, searching
-    /// cost bounds `0, 1, …, max_cost` (§3's increasing-distance loop).
-    /// Returns `(cost, decoded model tuple)` or `None` when no repair
-    /// exists within the scope and cost bound.
+    /// cost bounds `0, 1, …` (§3's increasing-distance loop) up to
+    /// `max_cost`, or up to what the cost items can sum to if that is
+    /// less: the cost counter's last output. Returns `(cost, decoded
+    /// model tuple)` or `None` when no repair exists within the scope and
+    /// cost bound.
     pub fn solve_min_cost(&mut self) -> Option<(u64, Vec<Model>)> {
-        for k in 0..=self.opts.max_cost {
-            let assumption = self.cost_outs[k as usize].negate();
-            if self.builder.solver.solve_with(&[assumption]) == SatResult::Sat {
-                let models = self.decode();
-                return Some((k, models));
+        for (k, out) in (0..).zip(&self.cost_outs) {
+            if self.builder.solver.solve_with(&[out.negate()]) == SatResult::Sat {
+                return Some((k, self.decode()));
             }
         }
         None
@@ -728,6 +728,8 @@ impl<'a> Grounder<'a> {
                 next += 1;
             }
         }
+        // Prices saturate, which is exact: the cost counter caps every
+        // weight at `max_cost + 1` anyway.
         let weight = self.opts.tuple.weight(t);
         let cost = self.opts.cost;
         // Liveness + object-level costs.
@@ -736,9 +738,9 @@ impl<'a> Grounder<'a> {
             let v = self.builder.fresh();
             alive.push(v);
             self.cost_items.push(if obj.original {
-                (Lit::neg(v), cost.del_obj * weight)
+                (Lit::neg(v), cost.del_obj.saturating_mul(weight))
             } else {
-                (Lit::pos(v), cost.add_obj * weight)
+                (Lit::pos(v), cost.add_obj.saturating_mul(weight))
             });
         }
         // Attribute one-hots + change costs.
@@ -775,7 +777,8 @@ impl<'a> Grounder<'a> {
                             .clause(&[Lit::neg(alive[u]), Lit::neg(var(i)), chg]);
                     }
                 }
-                self.cost_items.push((chg, cost.set_attr * weight));
+                self.cost_items
+                    .push((chg, cost.set_attr.saturating_mul(weight)));
             }
         }
         // Links + costs + structural constraints.
@@ -803,11 +806,13 @@ impl<'a> Grounder<'a> {
                         let chg = Lit::pos(self.builder.fresh());
                         self.builder
                             .clause(&[Lit::neg(alive[su]), Lit::neg(alive[du]), l, chg]);
-                        self.cost_items.push((chg, cost.del_link * weight));
+                        self.cost_items
+                            .push((chg, cost.del_link.saturating_mul(weight)));
                         // A present link defaults to present: no cost
                         // for keeping it.
                     } else {
-                        self.cost_items.push((l, cost.add_link * weight));
+                        self.cost_items
+                            .push((l, cost.add_link.saturating_mul(weight)));
                     }
                     slot.push((du as u32, v));
                 }

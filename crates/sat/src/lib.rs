@@ -21,8 +21,16 @@
 //! ```
 //!
 //! Every clause, original or learned, lives in one literal arena and is
-//! a start and a length into it, so adding a clause allocates nothing
-//! beyond the arena's amortized growth.
+//! a start and a length into it, and every literal's watch list is a
+//! segment of one watch arena. So adding a clause allocates nothing
+//! beyond the two arenas' amortized growth. [`Solver::clear`] empties a
+//! solver for the next problem and keeps all of that storage: a caller
+//! that solves many problems in turn allocates only where one outgrows
+//! those before it, and takes the path a new solver would.
+//!
+//! Clauses may be added after a solve: [`Solver::add_clause`] first
+//! backtracks to level 0, and so drops the last `Sat` answer's model.
+//! Read the model with [`Solver::value`] before adding more.
 
 #![forbid(unsafe_code)]
 
@@ -106,7 +114,7 @@ pub enum SatResult {
 }
 
 /// Aggregate statistics (exposed for benches).
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct SolverStats {
     /// Decisions taken.
     pub decisions: u64,
@@ -142,6 +150,91 @@ struct Watch {
     blocker: Lit,
 }
 
+/// Where one literal's watch list lives in [`Watches::arena`]: `len`
+/// watches from `start`, with room for `cap`.
+#[derive(Clone, Copy, Default)]
+struct Segment {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Segment {
+    fn at(self, i: usize) -> usize {
+        debug_assert!(i < self.len as usize, "watch index in its list");
+        self.start as usize + i
+    }
+}
+
+/// Every literal's watch list in one arena, a [`Segment`] per literal.
+/// A push into a full segment moves it to the arena's end at twice its
+/// capacity and leaves the old space unused; `swap_remove` swaps within
+/// the segment. So each list keeps the order a `Vec` of its own would
+/// give it, and [`Solver::propagate`] visits watches as it always has.
+#[derive(Default)]
+struct Watches {
+    arena: Vec<Watch>,
+    /// Indexed by [`Lit`]; at least two per variable, and more after a
+    /// [`Solver::clear`], whose segments wait for the next variables.
+    segs: Vec<Segment>,
+}
+
+impl Watches {
+    /// The capacity of a literal's first segment.
+    const FIRST_CAP: u32 = 4;
+
+    fn len(&self, l: usize) -> usize {
+        self.segs[l].len as usize
+    }
+
+    fn get(&self, l: usize, i: usize) -> Watch {
+        self.arena[self.segs[l].at(i)]
+    }
+
+    fn get_mut(&mut self, l: usize, i: usize) -> &mut Watch {
+        let at = self.segs[l].at(i);
+        &mut self.arena[at]
+    }
+
+    fn push(&mut self, l: usize, w: Watch) {
+        let seg = &mut self.segs[l];
+        if seg.len == seg.cap {
+            let cap = (seg.cap * 2).max(Self::FIRST_CAP);
+            let start = self.arena.len();
+            let old = seg.start as usize..(seg.start + seg.len) as usize;
+            self.arena.extend_from_within(old);
+            self.arena.resize(start + cap as usize, w);
+            seg.start = u32::try_from(start).expect("watch arena offset fits in u32");
+            seg.cap = cap;
+        }
+        let at = (seg.start + seg.len) as usize;
+        seg.len += 1;
+        self.arena[at] = w;
+    }
+
+    /// Removes watch `i` of `l`'s list, moving its last watch there.
+    fn swap_remove(&mut self, l: usize, i: usize) {
+        let seg = &mut self.segs[l];
+        let (at, last) = (seg.at(i), seg.at(seg.len as usize - 1));
+        self.arena[at] = self.arena[last];
+        seg.len -= 1;
+    }
+
+    /// Makes sure literals `0..lits` have a segment.
+    fn reserve_lits(&mut self, lits: usize) {
+        if self.segs.len() < lits {
+            self.segs.resize(lits, Segment::default());
+        }
+    }
+
+    /// Empties every list, keeping its segment.
+    fn clear(&mut self) {
+        for seg in &mut self.segs {
+            seg.len = 0;
+        }
+    }
+}
+
 /// Indexed max-heap over variable activities (MiniSat's VarOrder).
 struct ActivityHeap {
     heap: Vec<Var>,
@@ -154,6 +247,11 @@ impl ActivityHeap {
             heap: Vec::new(),
             pos: Vec::new(),
         }
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.pos.clear();
     }
 
     fn grow(&mut self) {
@@ -235,7 +333,7 @@ pub struct Solver {
     clauses: Vec<Clause>,
     /// The clause [`Solver::analyze`] learns, UIP first.
     learned: Vec<Lit>,
-    watches: Vec<Vec<Watch>>, // indexed by Lit
+    watches: Watches,
     assign: Vec<Option<bool>>,
     phase: Vec<bool>, // saved phases
     reason: Vec<u32>, // clause index or UNDEF_CLAUSE
@@ -274,7 +372,7 @@ impl Solver {
             arena: Vec::new(),
             clauses: Vec::new(),
             learned: Vec::new(),
-            watches: Vec::new(),
+            watches: Watches::default(),
             assign: Vec::new(),
             phase: Vec::new(),
             reason: Vec::new(),
@@ -300,11 +398,35 @@ impl Solver {
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.reserve_lits(2 * self.assign.len());
         self.order.grow();
         self.order.push(v, &self.activity);
         v
+    }
+
+    /// Empties the solver: no variable, no clause, fresh statistics, as
+    /// [`Solver::new`] leaves it, but every table keeps its capacity and
+    /// every literal its watch segment. A problem solved next takes the
+    /// same path and gives the same answers as on a new solver, and
+    /// allocates only where it outgrows the problems solved before.
+    pub fn clear(&mut self) {
+        self.arena.clear();
+        self.clauses.clear();
+        self.learned.clear();
+        self.watches.clear();
+        self.assign.clear();
+        self.phase.clear();
+        self.reason.clear();
+        self.level.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.order.clear();
+        self.ok = true;
+        self.stats = SolverStats::default();
+        self.seen.clear();
     }
 
     /// Number of allocated variables.
@@ -324,11 +446,16 @@ impl Solver {
 
     /// Adds a clause. Returns `false` if the formula became trivially
     /// unsatisfiable (empty clause, or conflicting units at level 0).
+    ///
+    /// The solver first backtracks to level 0, so the clause is
+    /// normalized against what the formula implies, not against the
+    /// model of a `Sat` answer, which it drops: [`Solver::value`] reads
+    /// that model only until the next `add_clause` or solve.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         if !self.ok {
             return false;
         }
-        debug_assert!(self.trail_lim.is_empty(), "add clauses at level 0");
+        self.cancel_until(0);
         // Normalize into the arena's tail: drop duplicate and false-at-0
         // literals; detect tautologies and satisfied clauses.
         let start = self.arena.len();
@@ -386,14 +513,20 @@ impl Solver {
             len: u32::try_from(self.arena.len() - start).expect("clause length fits in u32"),
         };
         let (l0, l1) = (self.arena[start], self.arena[start + 1]);
-        self.watches[l0.negate().index()].push(Watch {
-            clause: idx,
-            blocker: l1,
-        });
-        self.watches[l1.negate().index()].push(Watch {
-            clause: idx,
-            blocker: l0,
-        });
+        self.watches.push(
+            l0.negate().index(),
+            Watch {
+                clause: idx,
+                blocker: l1,
+            },
+        );
+        self.watches.push(
+            l1.negate().index(),
+            Watch {
+                clause: idx,
+                blocker: l0,
+            },
+        );
         self.clauses.push(clause);
         idx
     }
@@ -403,7 +536,9 @@ impl Solver {
         self.assign[l.var().index()].map(|b| b == l.sign())
     }
 
-    /// Model value of `v` after a `Sat` answer.
+    /// Model value of `v` after a `Sat` answer, until the next
+    /// [`Solver::add_clause`] or solve; before a solve, or after an
+    /// `Unsat` one, the value `v` has at level 0, if any.
     pub fn value(&self, v: Var) -> Option<bool> {
         self.assign[v.index()]
     }
@@ -433,8 +568,8 @@ impl Solver {
             // p became true: scan watchers of p's falsified side.
             let mut i = 0;
             let widx = p.index();
-            'watchers: while i < self.watches[widx].len() {
-                let w = self.watches[widx][i];
+            'watchers: while i < self.watches.len(widx) {
+                let w = self.watches.get(widx, i);
                 if self.lit_value(w.blocker) == Some(true) {
                     i += 1;
                     continue;
@@ -448,7 +583,7 @@ impl Solver {
                 }
                 let first = self.arena[at0];
                 if first != w.blocker && self.lit_value(first) == Some(true) {
-                    self.watches[widx][i].blocker = first;
+                    self.watches.get_mut(widx, i).blocker = first;
                     i += 1;
                     continue;
                 }
@@ -457,11 +592,14 @@ impl Solver {
                     let lk = self.arena[k];
                     if self.lit_value(lk) != Some(false) {
                         self.arena.swap(at1, k);
-                        self.watches[widx].swap_remove(i);
-                        self.watches[lk.negate().index()].push(Watch {
-                            clause: ci as u32,
-                            blocker: first,
-                        });
+                        self.watches.swap_remove(widx, i);
+                        self.watches.push(
+                            lk.negate().index(),
+                            Watch {
+                                clause: ci as u32,
+                                blocker: first,
+                            },
+                        );
                         continue 'watchers;
                     }
                 }
@@ -827,6 +965,79 @@ mod tests {
         assert!(s.stats().propagations > 0);
     }
 
+    /// A clause added after a `Sat` answer is normalized at level 0, not
+    /// against that answer's model (a = false, b = true), which would
+    /// drop `¬b` as false and leave the empty clause.
+    #[test]
+    fn clause_added_after_sat_is_normalized_at_level_0() {
+        let (mut s, v) = solver_with(2);
+        assert!(s.add_clause(&[lit(&v, 1), lit(&v, 2)]));
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!((s.value(v[0]), s.value(v[1])), (Some(false), Some(true)));
+        assert!(s.add_clause(&[lit(&v, -2)]));
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!((s.value(v[0]), s.value(v[1])), (Some(true), Some(false)));
+    }
+
+    /// A random CNF over `1..=max_vars` variables, as signed 1-based
+    /// literals (each clause's variables are folded into the count).
+    fn cnf(max_vars: i32, max_clauses: usize) -> impl Strategy<Value = (usize, Vec<Vec<i32>>)> {
+        (
+            1..=max_vars,
+            proptest::collection::vec(
+                proptest::collection::vec((1..=max_vars, proptest::bool::ANY), 1..4),
+                0..max_clauses,
+            ),
+        )
+            .prop_map(|(n, clauses)| {
+                let signed = clauses
+                    .iter()
+                    .map(|cl| {
+                        cl.iter()
+                            .map(|&(v, s)| {
+                                let v = (v - 1) % n + 1;
+                                if s {
+                                    v
+                                } else {
+                                    -v
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (n as usize, signed)
+            })
+    }
+
+    /// Adds `clauses` to `s` over `vars`, stopping at the first that
+    /// makes the formula unsatisfiable; `false` then.
+    fn add_all(s: &mut Solver, vars: &[Var], clauses: &[Vec<i32>]) -> bool {
+        clauses.iter().all(|cl| {
+            let lits: Vec<Lit> = cl.iter().map(|&l| lit(vars, l)).collect();
+            s.add_clause(&lits)
+        })
+    }
+
+    /// Solves `n` fresh variables under `clauses` and `assumed` on `s`:
+    /// the answer, every variable's value and the statistics.
+    fn solve_fresh_vars(
+        s: &mut Solver,
+        (n, clauses): &(usize, Vec<Vec<i32>>),
+        assumed: &[i32],
+    ) -> (SatResult, Vec<Option<bool>>, SolverStats) {
+        let vars: Vec<Var> = (0..*n).map(|_| s.new_var()).collect();
+        add_all(s, &vars, clauses);
+        let alits: Vec<Lit> = assumed
+            .iter()
+            .map(|&a| {
+                let v = (a.abs() - 1) % *n as i32 + 1;
+                lit(&vars, if a > 0 { v } else { -v })
+            })
+            .collect();
+        let res = s.solve_with(&alits);
+        (res, vars.iter().map(|&v| s.value(v)).collect(), s.stats())
+    }
+
     /// Brute-force reference check.
     fn brute_force(n: usize, clauses: &[Vec<i32>]) -> bool {
         'outer: for mask in 0u32..(1 << n) {
@@ -888,6 +1099,65 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// A CNF added in two halves, with a solve between them, gets
+        /// the answer brute force gives the whole, and a model of it.
+        #[test]
+        fn clauses_added_after_a_solve_match_brute_force(
+            first in proptest::collection::vec(
+                proptest::collection::vec((1i32..=8, proptest::bool::ANY), 1..4),
+                0..12
+            ),
+            second in proptest::collection::vec(
+                proptest::collection::vec((1i32..=8, proptest::bool::ANY), 1..4),
+                0..12
+            )
+        ) {
+            let n = 8usize;
+            let sign = |cls: &[Vec<(i32, bool)>]| -> Vec<Vec<i32>> {
+                cls.iter()
+                    .map(|cl| cl.iter().map(|&(v, s)| if s { v } else { -v }).collect())
+                    .collect()
+            };
+            let (first, second) = (sign(&first), sign(&second));
+            let (mut s, vars) = solver_with(n);
+            let first_ok = add_all(&mut s, &vars, &first);
+            prop_assert_eq!(first_ok && s.solve() == SatResult::Sat, brute_force(n, &first));
+            let all: Vec<Vec<i32>> = first.iter().chain(&second).cloned().collect();
+            let expected = brute_force(n, &all);
+            let ok = add_all(&mut s, &vars, &second);
+            let got = ok && s.solve() == SatResult::Sat;
+            prop_assert_eq!(got, expected);
+            if got {
+                for cl in &all {
+                    let holds = cl.iter().any(|&l| {
+                        s.value(vars[(l.unsigned_abs() - 1) as usize]) == Some(l > 0)
+                    });
+                    prop_assert!(holds, "model does not satisfy clause {:?}", cl);
+                }
+            }
+        }
+
+        /// A solver that solved one CNF and was cleared solves the next
+        /// as a new solver does: the same answer, every variable's value
+        /// and the same statistics, whichever of the two is larger.
+        #[test]
+        fn cleared_solver_answers_as_a_fresh_one(
+            a in cnf(10, 40),
+            a_assumed in proptest::collection::vec(-10i32..=10, 0..3),
+            b in cnf(10, 40),
+            b_assumed in proptest::collection::vec(-10i32..=10, 0..3)
+        ) {
+            let nonzero = |xs: Vec<i32>| -> Vec<i32> { xs.into_iter().filter(|&x| x != 0).collect() };
+            let (a_assumed, b_assumed) = (nonzero(a_assumed), nonzero(b_assumed));
+            let mut reused = Solver::new();
+            solve_fresh_vars(&mut reused, &a, &a_assumed);
+            reused.solve();
+            reused.clear();
+            let got = solve_fresh_vars(&mut reused, &b, &b_assumed);
+            let want = solve_fresh_vars(&mut Solver::new(), &b, &b_assumed);
+            prop_assert_eq!(got, want);
         }
 
         /// Incremental assumption solving agrees with adding units.

@@ -1,12 +1,14 @@
 //! Randomized differential testing of the two enforcement engines and
 //! the checking engine, across seeded workloads and injections.
 
-use mmt_bench::broken_workload;
+use mmt_bench::{broken_workload, paper_transformation};
 use mmtf::dist::Delta;
 use mmtf::gen::scenario::scenario_named;
 use mmtf::gen::{feature_workload, inject, random_edits, FeatureSpec, Injection};
+use mmtf::ground::{GroundOptions, GroundProblem, GroundStats};
 use mmtf::model::conformance;
 use mmtf::prelude::*;
+use mmtf::sat::SolverStats;
 
 #[path = "cases/conformance.rs"]
 mod conformance_cases;
@@ -466,7 +468,9 @@ fn render_pinned_sat_repairs() -> String {
 /// case. A change to how the CNF is stored or solved must leave the file
 /// unchanged. A change to the CNF itself or to the solver's heuristics
 /// may swap one equal-cost repair for another; it re-records the file
-/// and says why, and must never move a cost.
+/// and says why, and must never move a cost. Every case is solved on
+/// this test's thread, so each after the first runs on the solver the
+/// one before it left, cleared.
 #[test]
 fn sat_repairs_match_pinned_outcomes() {
     let got = render_pinned_sat_repairs();
@@ -475,6 +479,32 @@ fn sat_repairs_match_pinned_outcomes() {
         assert_eq!(g, w, "pinned SAT outcome changed");
     }
     assert_eq!(got, want, "pinned case list changed");
+}
+
+/// A thread reuses the solver of its last ground problem: fm10 solved
+/// after fm30 runs on fm30's storage, and must ground and solve as the
+/// first fm10 did on a new solver, with the same grounding statistics,
+/// the same solver path and the same decoded models.
+#[test]
+fn a_reused_solver_grounds_and_solves_as_a_new_one() {
+    let t = paper_transformation(2);
+    let targets = Shape::of(&[0, 1]).targets();
+    let solve = |n: usize| -> (GroundStats, SolverStats, u64, Vec<String>) {
+        let w = broken_workload(n, 2, 53, Injection::NewMandatoryInFm);
+        let mut problem =
+            GroundProblem::build(t.hir(), &w.models, targets, GroundOptions::default()).unwrap();
+        let (cost, models) = problem.solve_min_cost().expect("repairable");
+        let printed = models.iter().map(print_model).collect();
+        (problem.stats(), problem.solver_stats(), cost, printed)
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let first = solve(10);
+            let larger = solve(30);
+            assert_ne!(first.0, larger.0, "fm30 grounds a larger problem");
+            assert_eq!(solve(10), first);
+        });
+    });
 }
 
 /// Regression: a SAT comparison on a mutable object read the first
