@@ -35,13 +35,12 @@ use crate::json::{
     write_repair, write_status, Json, Request,
 };
 use crate::{apply_session_edit, load, repair_options, shape_of_names, write_models_quiet, Parsed};
-use mmt_core::{EngineKind, SessionHandle, SessionOptions, SyncHub, Transformation};
+use mmt_core::{EngineKind, SessionOptions, SyncHub, Transformation};
 use mmt_model::Model;
-use mmt_store::{write_hub_manifest, HubStore, PersistentSession};
-use std::collections::HashMap;
+use mmt_store::HubStore;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// The longest request line served, in bytes (its `\n` not counted).
@@ -51,45 +50,6 @@ use std::process::ExitCode;
 /// without bound. Real requests are a few hundred bytes.
 const MAX_LINE: usize = 1 << 20;
 
-/// The durable side of a serving hub: the store directory plus the open
-/// per-session stores the loop commits to after every mutating request.
-struct ServeStore {
-    dir: PathBuf,
-    sessions: HashMap<String, PersistentSession>,
-}
-
-impl ServeStore {
-    /// Rewrites the hub manifest from the hub's current registry — the
-    /// visibility point for `open`/`close` under `--store`.
-    fn sync_manifest(&self, hub: &SyncHub) -> Result<(), String> {
-        let entries: Vec<(String, String)> = hub
-            .sessions()
-            .iter()
-            .map(|h| (h.name().to_string(), h.transformation_id().to_string()))
-            .collect();
-        write_hub_manifest(&self.dir, &entries).map_err(|e| format!("store: {e}"))
-    }
-
-    /// Commits the named session's journal to its WAL (the commit point
-    /// of one mutating request).
-    fn commit(&mut self, name: &str, handle: &SessionHandle) -> Result<(), String> {
-        if let Some(ps) = self.sessions.get_mut(name) {
-            handle
-                .with(|s| ps.commit(s))
-                .map_err(|e| format!("store: {e}"))?;
-        }
-        Ok(())
-    }
-}
-
-/// Removes a session store directory, if there is one.
-fn remove_store_dir(dir: &Path) -> Result<(), String> {
-    if dir.exists() {
-        std::fs::remove_dir_all(dir).map_err(|e| format!("store: {}: {e}", dir.display()))?;
-    }
-    Ok(())
-}
-
 /// What one serving process holds between requests.
 struct Server<'a> {
     hub: SyncHub,
@@ -97,7 +57,7 @@ struct Server<'a> {
     seed_models: &'a [Model],
     opts: SessionOptions,
     out_dir: Option<&'a str>,
-    store: Option<ServeStore>,
+    store: Option<HubStore>,
 }
 
 /// The serve loop: reads one JSON request per stdin line, writes one
@@ -131,23 +91,12 @@ pub(crate) fn run_serve(p: &Parsed) -> Result<ExitCode, String> {
     }
     // With --store, recover every session the previous process left
     // behind before serving the first request.
-    let store = match &p.store {
-        None => None,
-        Some(dir) => {
-            let dir = PathBuf::from(dir);
-            std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-            let mut sessions = HashMap::new();
-            if dir.join("hub").is_file() {
-                for (handle, ps) in hub
-                    .restore_from(&dir, &opts)
-                    .map_err(|e| format!("store: {e}"))?
-                {
-                    sessions.insert(handle.name().to_string(), ps);
-                }
-            }
-            Some(ServeStore { dir, sessions })
-        }
-    };
+    let store = p
+        .store
+        .as_ref()
+        .map(|dir| HubStore::open(Path::new(dir), &hub, &opts))
+        .transpose()
+        .map_err(|e| format!("store: {e}"))?;
     let mut server = Server {
         hub,
         t: &t,
@@ -302,42 +251,19 @@ impl Server<'_> {
                     || name.contains('\0')
                 {
                     return Err(format!(
-                        "invalid session name {}: must be non-empty and contain no path separators",
-                        quoted(name)
-                    ));
-                }
-                // Durable names additionally become store manifest tokens.
-                if store.is_some() && name.chars().any(char::is_whitespace) {
-                    return Err(format!(
-                        "invalid session name {}: durable session names must carry no whitespace",
-                        quoted(name)
+                        "invalid session name {name:?}: must be non-empty, not `.` or `..`, and contain no path separators or NUL"
                     ));
                 }
                 let handle = hub
                     .open_with(name, "default", seed_models, opts.clone())
                     .map_err(|e| e.to_string())?;
-                if let Some(st) = store {
-                    // Snapshot the fresh session; if the store cannot hold
-                    // it, the open fails as a whole (close the hub slot so
-                    // memory and disk never disagree about what exists).
-                    // The hub manifest is the visibility point, and it does
-                    // not name this session: a directory left under its name
-                    // by an `open` or `close` cut short belongs to no one.
-                    let dir = st.dir.join("sessions").join(name);
-                    let created = remove_store_dir(&dir)
-                        .and_then(|()| {
-                            handle
-                                .with(|s| PersistentSession::create(&dir, s))
-                                .map_err(|e| format!("store: {e}"))
-                        })
-                        .and_then(|ps| {
-                            st.sessions.insert(name.to_string(), ps);
-                            st.sync_manifest(hub)
-                        });
-                    if let Err(e) = created {
+                if let Some(store) = store {
+                    // If the store cannot hold the fresh session, the open
+                    // fails as a whole: close the hub slot so memory and
+                    // disk never disagree about what exists.
+                    if let Err(e) = store.create(&handle) {
                         let _ = hub.close(name);
-                        st.sessions.remove(name);
-                        return Err(e);
+                        return Err(e.to_string());
                     }
                 }
                 handle.with(|s| write_status(out, s));
@@ -352,8 +278,8 @@ impl Server<'_> {
                 let spec = str_field(obj, "edit")?;
                 let handle = hub.get(name).map_err(|e| e.to_string())?;
                 handle.with(|s| apply_session_edit(t, s, spec).map(|_| write_status(out, s)))?;
-                if let Some(st) = store {
-                    st.commit(name, &handle)?;
+                if let Some(store) = store {
+                    store.commit(&handle).map_err(|e| e.to_string())?;
                 }
                 Ok(())
             }
@@ -365,8 +291,8 @@ impl Server<'_> {
                     write_repair(out, repair.as_ref());
                     Ok::<(), String>(())
                 })?;
-                if let Some(st) = store {
-                    st.commit(name, &handle)?;
+                if let Some(store) = store {
+                    store.commit(&handle).map_err(|e| e.to_string())?;
                 }
                 Ok(())
             }
@@ -384,8 +310,8 @@ impl Server<'_> {
                 // the "all" sentinel needs no pre-clamping here.
                 let undone = handle.with(|s| s.rollback(n).map_err(|e| e.to_string()))?;
                 let _ = write!(out, "{{\"undone\":{undone}}}");
-                if let Some(st) = store {
-                    st.commit(name, &handle)?;
+                if let Some(store) = store {
+                    store.commit(&handle).map_err(|e| e.to_string())?;
                 }
                 Ok(())
             }
@@ -404,14 +330,8 @@ impl Server<'_> {
                         .with(|s| write_models_quiet(&Path::new(dir).join(name), t, s.models()))?;
                 }
                 hub.close(name).map_err(|e| e.to_string())?;
-                if let Some(st) = store {
-                    // A closed session's story is over: drop it from the
-                    // manifest first (the visibility point), then retire its
-                    // store. A crash in between leaves a directory no manifest
-                    // names, which the next `open` of the name removes.
-                    st.sessions.remove(name);
-                    st.sync_manifest(hub)?;
-                    remove_store_dir(&st.dir.join("sessions").join(name))?;
+                if let Some(store) = store {
+                    store.close(name).map_err(|e| e.to_string())?;
                 }
                 out.push_str("{\"closed\":");
                 push_str_of(out, name);
@@ -421,13 +341,6 @@ impl Server<'_> {
             other => Err(format!("unknown cmd `{other}`")),
         }
     }
-}
-
-/// `s` as a JSON string, for an error message.
-fn quoted(s: &str) -> String {
-    let mut out = String::new();
-    push_str_of(&mut out, s);
-    out
 }
 
 #[cfg(test)]

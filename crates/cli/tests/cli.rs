@@ -111,6 +111,35 @@ fn enforce_with_the_largest_max_cost_answers_as_the_default() {
     }
 }
 
+/// Heavy weights under the largest `--max-cost` would make SAT's cost
+/// counter 2⁶⁴ outputs wide: the counter's cells count against the
+/// grounding budget, so the command answers a grounding error (exit 2)
+/// instead of aborting.
+#[test]
+fn enforce_refuses_a_cost_counter_past_the_grounding_budget() {
+    let mut args = vec!["enforce".to_string()];
+    args.extend(data_args());
+    for a in [
+        "--targets",
+        "cf1,cf2",
+        "--engine",
+        "sat",
+        "--max-cost",
+        "18446744073709551615",
+        "--weights",
+        "18446744073709551615,1,1",
+    ] {
+        args.push(a.to_string());
+    }
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, code) = mmt(&argrefs);
+    assert_eq!(code, Some(2), "{stdout}\n{stderr}");
+    assert!(
+        stderr.contains("grounding error: cost counter 18446744073709551616 outputs wide"),
+        "{stderr}"
+    );
+}
+
 /// `mmt repair --batch <dir> --jobs N`: every subdirectory is one
 /// request; results are per-request and written under `--out/<request>/`.
 #[test]
@@ -1391,6 +1420,58 @@ fn serve_store_rejects_unsafe_names() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// Closing a durable session retires it: the next life answers for it
+/// as for a name never opened, its store directory is gone, the
+/// manifest names only the session still open, and that one recovers
+/// with its journal.
+#[test]
+fn serve_store_close_retires_the_session() {
+    let store = std::env::temp_dir().join(format!("mmt-cli-serve-close-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let args = serve_store_args(&store);
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let edit = |id: u64, session: &str, to: &str| {
+        format!(
+            "{{\"id\":{id},\"cmd\":\"edit\",\"session\":\"{session}\",\"edit\":\"cf1 set @0.name = \\\"{to}\\\"\"}}\n"
+        )
+    };
+    let first = [
+        "{\"id\":1,\"cmd\":\"open\",\"session\":\"a\"}\n".to_string(),
+        "{\"id\":2,\"cmd\":\"open\",\"session\":\"b\"}\n".to_string(),
+        edit(3, "a", "motor"),
+        edit(4, "b", "wheel"),
+        "{\"id\":5,\"cmd\":\"journal\",\"session\":\"b\"}\n".to_string(),
+        "{\"id\":6,\"cmd\":\"close\",\"session\":\"a\"}\n".to_string(),
+    ]
+    .concat();
+    let (out, err, code) = mmt_with_stdin(&argrefs, &first);
+    assert_eq!(code, Some(0), "{out}\n{err}");
+    for id in 1..=4 {
+        serve_result(&out, id);
+    }
+    let journal = serve_result(&out, 5);
+    assert!(journal.contains("wheel"), "{journal}");
+    assert_eq!(serve_result(&out, 6), "{\"closed\":\"a\"}");
+
+    let (out, err, code) = mmt_with_stdin(
+        &argrefs,
+        "{\"id\":7,\"cmd\":\"status\",\"session\":\"a\"}\n{\"id\":8,\"cmd\":\"journal\",\"session\":\"b\"}\n",
+    );
+    assert_eq!(code, Some(0), "{out}\n{err}");
+    assert!(
+        out.contains("{\"id\":7,\"ok\":false,\"error\":\"no session open as `a`\"}"),
+        "{out}"
+    );
+    assert_eq!(serve_result(&out, 8), journal);
+    assert!(!store.join("sessions").join("a").exists());
+    assert!(store.join("sessions").join("b").is_dir());
+    assert_eq!(
+        std::fs::read_to_string(store.join("hub")).unwrap(),
+        "mmt-hub 1\nsession b default\n"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 /// A model error names the line and column of the token at fault, not
 /// the end of the file.
 #[test]
@@ -1409,6 +1490,29 @@ fn check_model_error_points_at_the_offending_token() {
     let _ = std::fs::remove_file(&bad);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("2:8: unknown class `Klass`"), "{stderr}");
+}
+
+/// A model header whose `bound` is past the id-space ceiling is a
+/// positioned parse error, not a 160 GB allocation that aborts.
+#[test]
+fn check_refuses_an_id_bound_past_the_ceiling() {
+    let fm = std::fs::read_to_string(repo_file("examples/data/fm.model")).unwrap();
+    let huge = write_fixture(
+        "huge-bound",
+        "model",
+        &fm.replacen("model fm : FM {", "model fm : FM bound 4294967295 {", 1),
+    );
+    let mut args = vec!["check".to_string()];
+    args.extend(data_args());
+    let at = args.iter().position(|a| a.ends_with("fm.model")).unwrap();
+    args[at] = huge.to_string_lossy().into_owned();
+    let (_, stderr, code) = run(args, &[]);
+    let _ = std::fs::remove_file(&huge);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("1:21: id bound 4294967295 is past the id space's 4194304 ids"),
+        "{stderr}"
+    );
 }
 
 // --- ISSUE 8: `mmt lint` and the serve `lint` verb ---

@@ -382,8 +382,8 @@ impl SyncHub {
             .ok_or_else(|| HubError::UnknownSession(name.to_string()))
     }
 
-    /// Handles of every open session, sorted by name — the enumeration
-    /// a whole-hub snapshot walks.
+    /// Handles of every open session, sorted by name: a snapshot of the
+    /// registry, each handle lockable on its own.
     pub fn sessions(&self) -> Vec<Arc<SessionHandle>> {
         let mut handles: Vec<Arc<SessionHandle>> = self
             .sessions

@@ -118,13 +118,6 @@ pub struct RepairOptions {
     /// with [`RepairError::SearchBudgetExhausted`] rather than silently
     /// reporting unrepairable.
     pub max_states: u64,
-    /// Search engine: counterexamples consumed per directional check
-    /// when deriving repair candidates. Higher values widen the
-    /// branching factor (more candidate edits per state, more heap
-    /// pressure) but can find repairs that need to fix a *specific*
-    /// violation first; lower values keep expansion cheap but may
-    /// detour through longer edit sequences.
-    pub violations_per_check: usize,
     /// SAT engine: universe slack (fresh objects per class). Grounding
     /// size — and thus CNF size and solve time — grows roughly linearly
     /// in the slack per quantifier nest; repairs that must *create*
@@ -161,7 +154,6 @@ impl Default for RepairOptions {
             max_cost: 16,
             fresh_strings: 1,
             max_states: 200_000,
-            violations_per_check: 4,
             slack_objs: 2,
         }
     }

@@ -109,6 +109,13 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Counterexamples consumed per failing directional check when a state
+/// derives its candidates. More widen the branching factor (more
+/// candidate edits per state) but can find a repair that must fix one
+/// specific violation first; fewer keep expansion cheap but may detour
+/// through longer edit sequences.
+const VIOLATIONS_PER_CHECK: usize = 4;
+
 /// One candidate edit on a specific model.
 #[derive(Clone, Copy, Debug)]
 struct Candidate {
@@ -397,7 +404,7 @@ fn walk(
         }
         // Oracle: the cached (incrementally maintained) violations.
         violations.clear();
-        checker.for_each_violation(opts.violations_per_check, |rel, dep, binding| {
+        checker.for_each_violation(VIOLATIONS_PER_CHECK, |rel, dep, binding| {
             violations.push(Violation {
                 rel,
                 dep,
@@ -1642,7 +1649,7 @@ transformation T(a : X, b : X) {
                             ctx(step)
                         );
                         let mut violations = Vec::new();
-                        checker.for_each_violation(4, |rel, dep, binding| {
+                        checker.for_each_violation(VIOLATIONS_PER_CHECK, |rel, dep, binding| {
                             violations.push(Violation {
                                 rel,
                                 dep,
@@ -1751,7 +1758,7 @@ transformation T(a : X, b : X) {
                     let (n, h) = entered[next(&mut rng, entered.len())];
                     tree.goto(&mut checker, n).unwrap();
                     let mut violations = Vec::new();
-                    checker.for_each_violation(4, |rel, dep, binding| {
+                    checker.for_each_violation(VIOLATIONS_PER_CHECK, |rel, dep, binding| {
                         violations.push(Violation {
                             rel,
                             dep,

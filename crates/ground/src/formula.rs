@@ -263,17 +263,13 @@ impl CnfBuilder {
     /// (1-based j) is forced true whenever `Σ wᵢ·xᵢ ≥ j`, for
     /// `j ∈ 1..=width`. Assuming `¬outs[k]` therefore enforces
     /// `Σ wᵢ·xᵢ ≤ k`. Weights are saturated at `bound+1`, and `width` is
-    /// `min(bound, Σ saturated wᵢ) + 1`: past what the items can sum to,
-    /// every output would be constant false, so the last output already
-    /// bounds nothing, and a huge `bound` costs nothing.
+    /// `min(bound, Σ saturated wᵢ) + 1` ([`cost_counter_width`]): past
+    /// what the items can sum to, every output would be constant false,
+    /// so the last output already bounds nothing. The counter makes up
+    /// to `width × items.len()` cells, so callers count them against
+    /// their budget first: heavy weights under a huge `bound` widen it.
     pub fn encode_cost_counter(&mut self, items: &[(Lit, u64)], bound: u64) -> Vec<Lit> {
-        let saturated = bound.saturating_add(1);
-        let reach = items
-            .iter()
-            .fold(0u64, |sum, &(_, w)| sum.saturating_add(w.min(saturated)));
-        let cap = usize::try_from(bound.min(reach))
-            .ok()
-            .and_then(|top| top.checked_add(1))
+        let cap = usize::try_from(cost_counter_width(items, bound))
             .expect("cost counter width fits in usize");
         // prev[j-1] = indicator(sum of first i items ≥ j); cur takes the
         // next item's, and the two swap after each item.
@@ -327,6 +323,17 @@ impl CnfBuilder {
             })
             .collect()
     }
+}
+
+/// The number of outputs [`CnfBuilder::encode_cost_counter`] gives
+/// `items` under `bound`: `min(bound, Σ wᵢ saturated at bound + 1) + 1`,
+/// computed without overflow.
+pub fn cost_counter_width(items: &[(Lit, u64)], bound: u64) -> u128 {
+    let saturated = bound.saturating_add(1);
+    let reach = items
+        .iter()
+        .fold(0u64, |sum, &(_, w)| sum.saturating_add(w.min(saturated)));
+    u128::from(bound.min(reach)) + 1
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@
 
 pub mod formula;
 
-use formula::{CnfBuilder, Formula};
+use formula::{cost_counter_width, CnfBuilder, Formula};
 use mmt_deps::{Dep, DomIdx, DomSet};
 use mmt_dist::{CostModel, TupleCost};
 use mmt_model::fx::FxHashMap;
@@ -86,7 +86,8 @@ pub struct GroundOptions {
     /// costs nothing.
     pub max_cost: u64,
     /// Cap on instantiations, as [`GroundStats::universal_instantiations`]
-    /// counts them (guards against scope blow-ups).
+    /// counts them (guards against scope blow-ups), and, separately, on
+    /// the cost counter's cells (its width times the cost items).
     pub max_instantiations: u64,
 }
 
@@ -136,6 +137,17 @@ pub enum GroundError {
         /// Relation name.
         relation: Sym,
     },
+    /// The cost counter would have more cells (its width times the cost
+    /// items) than the instantiation cap allows: heavy weights under a
+    /// large cost bound.
+    CostCounterTooWide {
+        /// Outputs the counter would have.
+        width: u128,
+        /// Cost items it would count.
+        items: usize,
+        /// The cap on instantiations it exceeds.
+        cap: u64,
+    },
     /// Relation call grounding recursed past the depth limit.
     RecursionLimit,
     /// Wrong number of models supplied.
@@ -161,6 +173,10 @@ impl fmt::Display for GroundError {
             GroundError::NoTargetDomain { relation } => {
                 write!(f, "relation `{relation}`: dependency target lacks a domain")
             }
+            GroundError::CostCounterTooWide { width, items, cap } => write!(
+                f,
+                "cost counter {width} outputs wide over {items} cost items exceeds {cap} cells"
+            ),
             GroundError::RecursionLimit => f.write_str("call grounding recursion limit"),
             GroundError::ModelCountMismatch { expected, got } => {
                 write!(f, "expected {expected} models, got {got}")
@@ -379,6 +395,16 @@ impl<'a> GroundProblem<'a> {
         g.build_extents();
         g.encode_consistency()?;
         let cost_items = std::mem::take(&mut g.cost_items);
+        // The counter's cells come out of the instantiation budget too
+        // (in u128, a width of at most 2⁶⁴ times a `usize` cannot overflow).
+        let width = cost_counter_width(&cost_items, g.opts.max_cost);
+        if width * cost_items.len() as u128 > u128::from(g.opts.max_instantiations) {
+            return Err(GroundError::CostCounterTooWide {
+                width,
+                items: cost_items.len(),
+                cap: g.opts.max_instantiations,
+            });
+        }
         let cost_outs = g.builder.encode_cost_counter(&cost_items, g.opts.max_cost);
         let stats = GroundStats {
             vars: g.builder.solver.num_vars(),
@@ -1679,5 +1705,38 @@ transformation G(cf1 : CF, fm : FM) {
             GroundProblem::build(&hir, &models, targets(&[0, 1]), opts),
             Err(GroundError::ScopeTooLarge { .. })
         ));
+    }
+
+    /// The cost counter's cells, its width times the cost items, count
+    /// against the instantiation cap: at the cap the problem grounds,
+    /// one cell past it the typed error names the width.
+    #[test]
+    fn cost_counter_cells_are_capped() {
+        let (cf, fm) = metamodels();
+        let hir = parse_and_resolve(F_SRC, &[cf.clone(), fm.clone()]).unwrap();
+        let models = [
+            cf_model(&cf, "cf1", &["engine"]),
+            cf_model(&cf, "cf2", &["engine"]),
+            fm_model(&fm, &[("engine", true), ("brakes", true)]),
+        ];
+        let opts = |max_instantiations| GroundOptions {
+            max_cost: 2,
+            max_instantiations,
+            ..GroundOptions::default()
+        };
+        let build = |cap| GroundProblem::build(&hir, &models, targets(&[0, 1]), opts(cap));
+        let stats = build(u64::MAX).unwrap().stats();
+        // Every cost item weighs at least 1, so the width is max_cost + 1.
+        let cells = 3 * stats.cost_items as u64;
+        assert!(stats.universal_instantiations <= cells);
+        assert!(build(cells).is_ok());
+        assert_eq!(
+            build(cells - 1).err(),
+            Some(GroundError::CostCounterTooWide {
+                width: 3,
+                items: stats.cost_items,
+                cap: cells - 1,
+            })
+        );
     }
 }

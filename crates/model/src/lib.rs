@@ -23,5 +23,5 @@ pub use meta::{
     Attr, AttrId, Class, ClassId, MetaError, Metamodel, MetamodelBuilder, PropId, RefId, Reference,
     Upper,
 };
-pub use model::{Model, ModelError, ObjId, Object};
+pub use model::{Model, ModelError, ObjId, Object, MAX_IDS};
 pub use value::{AttrType, Value};

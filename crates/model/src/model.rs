@@ -11,6 +11,15 @@ use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
+/// The ceiling on a model's id space: ids are below 2²² = 4 194 304,
+/// four times the largest grid the benchmarks build (n = 10⁶ under
+/// `MMT_BENCH_XL`). Every id costs a slot of the object table (40 bytes,
+/// so at most 168 MB of tombstone padding), and [`Model::add`],
+/// [`Model::add_at`] and the model text's `bound` refuse to grow the
+/// space past it, so no model file, store seed, WAL record or edit line
+/// can ask for more.
+pub const MAX_IDS: usize = 1 << 22;
+
 /// Identifier of an object within one model. Stable across edits.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ObjId(pub u32);
@@ -73,6 +82,8 @@ pub enum ModelError {
     },
     /// The two models belong to different metamodels.
     MetamodelMismatch,
+    /// The id is at or past [`MAX_IDS`].
+    IdPastCeiling(ObjId),
 }
 
 impl fmt::Display for ModelError {
@@ -92,6 +103,9 @@ impl fmt::Display for ModelError {
                 write!(f, "reference `{reference}`: target {target} has wrong type")
             }
             ModelError::MetamodelMismatch => f.write_str("metamodel mismatch"),
+            ModelError::IdPastCeiling(o) => {
+                write!(f, "object id {o} is past the id space's {MAX_IDS} ids")
+            }
         }
     }
 }
@@ -178,6 +192,9 @@ impl Model {
             return Err(ModelError::AbstractClass(c.name.resolve()));
         }
         let id = ObjId(self.objs.len() as u32);
+        if id.index() >= MAX_IDS {
+            return Err(ModelError::IdPastCeiling(id));
+        }
         let n_refs = c.all_refs.len();
         self.objs.push(Some(Object {
             class,
@@ -189,7 +206,8 @@ impl Model {
     }
 
     /// Creates an object of class `class` at a specific id, padding the id
-    /// space with tombstones as needed. Errors when the id is already live.
+    /// space with tombstones as needed. Errors when the id is already live
+    /// or at or past [`MAX_IDS`].
     ///
     /// Used to replay deltas deterministically
     /// (`mmt_dist::Delta::apply`): ids in a delta refer to the edited
@@ -201,6 +219,9 @@ impl Model {
         }
         if self.contains(id) {
             return Err(ModelError::NoSuchObject(id)); // occupied: cannot re-add
+        }
+        if id.index() >= MAX_IDS {
+            return Err(ModelError::IdPastCeiling(id));
         }
         if id.index() >= self.objs.len() {
             self.objs.resize(id.index() + 1, None);
@@ -224,7 +245,8 @@ impl Model {
     /// tombstones, so the next [`Model::add`] (or any id minted from
     /// `id_bound()`) would land elsewhere than before the edit. The
     /// model text parser needs the padding: a printed model whose last
-    /// ids are tombstones declares its bound.
+    /// ids are tombstones declares its bound, which it holds to
+    /// [`MAX_IDS`] first.
     pub fn set_id_bound(&mut self, bound: usize) {
         if bound > self.objs.len() {
             self.objs.resize(bound, None);

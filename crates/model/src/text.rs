@@ -29,7 +29,8 @@
 //! tombstones (above, ids 1 and 3 are); a gap below the last live id
 //! shows in the labels. [`parse_model`] puts an `@<id>` object at that
 //! id and pads the id space to the bound, so print → parse keeps every
-//! id and [`Model::id_bound`]. A hand-written file may label objects by
+//! id and [`Model::id_bound`]. Neither an `@<id>` nor the bound may
+//! reach past [`MAX_IDS`]. A hand-written file may label objects by
 //! identifiers instead (`f1 = Feature { … }`, `features = [f1]`); they
 //! get the next free id in declaration order.
 //!
@@ -43,7 +44,7 @@
 
 use crate::intern::Sym;
 use crate::meta::{ClassId, MetaError, Metamodel, MetamodelBuilder, PropId, RefId, Upper};
-use crate::model::{Model, ObjId};
+use crate::model::{Model, ModelError, ObjId, MAX_IDS};
 use crate::value::{AttrType, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -621,7 +622,8 @@ impl fmt::Display for Label<'_> {
 /// gets the model's next id, so a file of identifier labels numbers its
 /// objects in declaration order. A `bound` in the header pads the id
 /// space with tombstones up to it, so a printed model reads back with
-/// its ids and its [`Model::id_bound`]. String values reach the
+/// its ids and its [`Model::id_bound`]; an id or a bound past
+/// [`MAX_IDS`] is an error at its position. String values reach the
 /// interner in file order, and the model's name after them.
 pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError> {
     let mut p = Parser::new(src)?;
@@ -642,7 +644,11 @@ pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError
     if p.at_keyword("bound") {
         p.advance()?;
         bound = match p.advance()? {
-            (Tok::Lit(Literal::Int(n)), at) if u32::try_from(n).is_ok() => Some((n as usize, at)),
+            (Tok::Lit(Literal::Int(n)), at) if n > MAX_IDS as i64 => {
+                let past = format!("id bound {n} is past the id space's {MAX_IDS} ids");
+                return Err(p.err_at(at, past));
+            }
+            (Tok::Lit(Literal::Int(n)), at) if n >= 0 => Some((n as usize, at)),
             (other, at) => return Err(p.err_at(at, format!("expected id bound, found {other:?}"))),
         };
     }
@@ -682,9 +688,13 @@ pub fn parse_model(src: &str, meta: &Arc<Metamodel>) -> Result<Model, ParseError
                 if model.contains(id) {
                     return Err(duplicate());
                 }
-                model
-                    .add_at(id, class)
-                    .map_err(|e| p.err_at(class_at, e.to_string()))?;
+                model.add_at(id, class).map_err(|e| {
+                    let at = match e {
+                        ModelError::IdPastCeiling(_) => label_at,
+                        _ => class_at,
+                    };
+                    p.err_at(at, e.to_string())
+                })?;
                 id
             }
         };
@@ -1214,11 +1224,12 @@ metamodel X {
     }
 
     /// Ids are `u32`s that never wrap, a repeated id is a duplicate
-    /// label, and a bound may not cut off a declared object.
+    /// label, a bound may not cut off a declared object, and neither
+    /// spelling grows the id space past [`MAX_IDS`].
     #[test]
     fn malformed_ids_and_bounds_are_rejected() {
         let mm = parse_metamodel(FM_SRC).unwrap();
-        let cases: [(&str, (u32, u32, &str)); 8] = [
+        let cases: [(&str, (u32, u32, &str)); 11] = [
             (
                 "model m : FM {\n  @4294967296 = Feature { }\n}",
                 (2, 3, "bad object id `@4294967296`"),
@@ -1251,11 +1262,54 @@ metamodel X {
                 "model m : FM bound -1 {\n}",
                 (1, 20, "expected id bound, found Lit(Int(-1))"),
             ),
+            (
+                "model m : FM bound 4194305 {\n}",
+                (1, 20, "id bound 4194305 is past the id space's 4194304 ids"),
+            ),
+            (
+                "model m : FM bound 4294967295 {\n}",
+                (
+                    1,
+                    20,
+                    "id bound 4294967295 is past the id space's 4194304 ids",
+                ),
+            ),
+            (
+                "model m : FM {\n  @4194304 = Feature { }\n}",
+                (
+                    2,
+                    3,
+                    "object id @4194304 is past the id space's 4194304 ids",
+                ),
+            ),
         ];
         for (src, want) in cases {
             let err = parse_model(src, &mm).unwrap_err();
             assert_eq!(at(&err), want, "{src}");
         }
+    }
+
+    /// Both spellings reach the id-space ceiling, and a model there
+    /// refuses to grow (the models are built one at a time: each pads
+    /// 168 MB of tombstones).
+    #[test]
+    fn the_id_space_reaches_its_ceiling_and_stops() {
+        let mm = parse_metamodel(FM_SRC).unwrap();
+        let feature = mm.class_named("Feature").unwrap();
+        let last = ObjId(MAX_IDS as u32 - 1);
+        let m = parse_model("model m : FM bound 4194304 {\n}", &mm).unwrap();
+        assert_eq!(m.id_bound(), MAX_IDS);
+        drop(m);
+        let mut m = parse_model("model m : FM {\n  @4194303 = Feature { }\n}", &mm).unwrap();
+        assert_eq!(m.id_bound(), MAX_IDS);
+        assert!(m.contains(last));
+        let past = ObjId(MAX_IDS as u32);
+        assert_eq!(m.add(feature), Err(ModelError::IdPastCeiling(past)));
+        assert_eq!(
+            m.add_at(past, feature),
+            Err(ModelError::IdPastCeiling(past))
+        );
+        assert_eq!(m.id_bound(), MAX_IDS);
     }
 
     /// The literal reader reads each value form and says how many bytes

@@ -1,29 +1,127 @@
-//! Whole-hub snapshot/restore.
+//! The durable side of a served hub.
 //!
 //! ```text
 //! <dir>/hub               mmt-hub 1 / session <name> <transformation-id> ...
 //! <dir>/sessions/<name>/  one PersistentSession store per session
 //! ```
 //!
-//! The hub manifest is the unit of visibility: `persist_to` writes every
-//! session store first and the manifest last, so a crash mid-snapshot
-//! leaves either the previous manifest (naming only fully written
-//! stores) or the new one. `restore_from` trusts only sessions the
-//! manifest names.
+//! [`HubStore`] owns this layout. The hub manifest is the unit of
+//! visibility: [`HubStore::create`] writes a session's store first and
+//! the manifest naming it last, and [`HubStore::close`] rewrites the
+//! manifest before it removes the store, so a crash at any point leaves
+//! a manifest that names only whole stores. [`HubStore::open`] trusts
+//! only the sessions the manifest names; a directory it does not name
+//! (left by a `create` or `close` cut short) belongs to no one, and the
+//! next `create` of that name clears it.
 
 use crate::session::write_sync;
 use crate::{io_err, sync_dir, PersistentSession, StoreError};
-use mmt_core::{SessionHandle, SessionOptions, SyncHub};
+use mmt_core::{HubError, SessionHandle, SessionOptions, SyncHub};
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 
 const HUB_VERSION: &str = "mmt-hub 1";
 
-/// Session names double as store directory components and manifest
-/// tokens, so a snapshot refuses names that would escape or alias
-/// (`..`, separators, NUL) or break the space-delimited manifest
-/// (whitespace).
+/// The store of a served [`SyncHub`]: its directory, and every durable
+/// session's transformation id and open store by name, the record the
+/// manifest is written from.
+#[derive(Debug)]
+pub struct HubStore {
+    dir: PathBuf,
+    sessions: BTreeMap<String, (String, PersistentSession)>,
+}
+
+impl HubStore {
+    /// Opens the store at `dir`, creating the directory if need be, and
+    /// recovers every session its manifest names
+    /// ([`PersistentSession::open`]) into `hub`. The transformations the
+    /// manifest references must already be registered under the same
+    /// ids, with the same specs ([`StoreError::SpecMismatch`] otherwise).
+    pub fn open(dir: &Path, hub: &SyncHub, opts: &SessionOptions) -> Result<HubStore, StoreError> {
+        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        let mut store = HubStore {
+            dir: dir.to_path_buf(),
+            sessions: BTreeMap::new(),
+        };
+        if dir.join("hub").is_file() {
+            for (name, tid) in read_manifest(dir)? {
+                let t = hub.transformation(&tid)?;
+                let (ps, session) =
+                    PersistentSession::open(&store.session_dir(&name), &t, opts.clone())?;
+                hub.adopt(&name, &tid, session)?;
+                store.sessions.insert(name, (tid, ps));
+            }
+        }
+        Ok(store)
+    }
+
+    /// Makes `handle`'s session durable. Refuses a name or transformation
+    /// id that is not a safe directory component and manifest token, or
+    /// a name already durable, before it writes anything; then clears a
+    /// stale `sessions/<name>`, writes the session's store, and only then
+    /// rewrites the manifest to name it.
+    pub fn create(&mut self, handle: &SessionHandle) -> Result<(), StoreError> {
+        let (name, tid) = (handle.name(), handle.transformation_id());
+        check_name(name)?;
+        check_name(tid)?;
+        if self.sessions.contains_key(name) {
+            return Err(HubError::DuplicateSession(name.to_string()).into());
+        }
+        let dir = self.session_dir(name);
+        remove_dir(&dir)?;
+        let ps = handle.with(|s| PersistentSession::create(&dir, s))?;
+        self.sessions
+            .insert(name.to_string(), (tid.to_string(), ps));
+        let written = self.write_manifest();
+        if written.is_err() {
+            self.sessions.remove(name);
+        }
+        written
+    }
+
+    /// Commits `handle`'s journal to its session's store: the commit
+    /// point of one mutating request ([`PersistentSession::commit`]).
+    pub fn commit(&mut self, handle: &SessionHandle) -> Result<(), StoreError> {
+        let (_, ps) = self
+            .sessions
+            .get_mut(handle.name())
+            .ok_or_else(|| HubError::UnknownSession(handle.name().to_string()))?;
+        handle.with(|s| ps.commit(s))
+    }
+
+    /// Retires the durable session `name`: rewrites the manifest without
+    /// it, then removes its store. A crash in between leaves a directory
+    /// the manifest does not name.
+    pub fn close(&mut self, name: &str) -> Result<(), StoreError> {
+        if self.sessions.remove(name).is_none() {
+            return Err(HubError::UnknownSession(name.to_string()).into());
+        }
+        self.write_manifest()?;
+        remove_dir(&self.session_dir(name))
+    }
+
+    fn session_dir(&self, name: &str) -> PathBuf {
+        self.dir.join("sessions").join(name)
+    }
+
+    /// Rewrites the manifest from the record, one `session <name> <id>`
+    /// line per durable session under a version header, and fsyncs it
+    /// and the directory.
+    fn write_manifest(&self) -> Result<(), StoreError> {
+        let mut text = format!("{HUB_VERSION}\n");
+        for (name, (tid, _)) in &self.sessions {
+            text.push_str(&format!("session {name} {tid}\n"));
+        }
+        write_sync(&self.dir.join("hub"), text.as_bytes())?;
+        sync_dir(&self.dir)
+    }
+}
+
+/// Session names and transformation ids double as store directory
+/// components and manifest tokens, so the store refuses those that would
+/// escape or alias (empty, `.`, `..`, separators, NUL) or break the
+/// space-delimited manifest (whitespace).
 fn check_name(name: &str) -> Result<(), StoreError> {
     let bad = name.is_empty()
         || name == "."
@@ -36,25 +134,20 @@ fn check_name(name: &str) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Writes the hub manifest (fsynced): one `session <name> <id>` line per
-/// entry, under a version header. Used by [`HubStore::persist_to`] and
-/// by servers that keep a store directory live-updated as sessions come
-/// and go.
-pub fn write_hub_manifest(dir: &Path, entries: &[(String, String)]) -> Result<(), StoreError> {
-    let mut text = format!("{HUB_VERSION}\n");
-    for (name, tid) in entries {
-        check_name(name)?;
-        check_name(tid)?;
-        text.push_str(&format!("session {name} {tid}\n"));
+/// Removes a session store directory, if there is one.
+fn remove_dir(dir: &Path) -> Result<(), StoreError> {
+    if dir.exists() {
+        fs::remove_dir_all(dir).map_err(|e| io_err(dir, e))?;
     }
-    write_sync(&dir.join("hub"), text.as_bytes())?;
-    sync_dir(dir)
+    Ok(())
 }
 
 /// Reads the hub manifest back into `(session name, transformation id)`
-/// pairs. Inverse of [`write_hub_manifest`], with the same typed errors
-/// as every other store file (version header, corrupt lines).
-pub fn read_hub_manifest(dir: &Path) -> Result<Vec<(String, String)>, StoreError> {
+/// pairs, with the same typed errors as every other store file (version
+/// header, corrupt lines). A name `create` would refuse is corrupt too:
+/// it would put a session's store, and `close`'s removal, outside
+/// `sessions/`.
+fn read_manifest(dir: &Path) -> Result<Vec<(String, String)>, StoreError> {
     let path = dir.join("hub");
     let text = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
     let mut lines = text.lines();
@@ -78,7 +171,7 @@ pub fn read_hub_manifest(dir: &Path) -> Result<Vec<(String, String)>, StoreError
             .strip_prefix("session ")
             .and_then(|rest| rest.split_once(' '));
         match entry {
-            Some((name, tid)) if !name.is_empty() && !tid.is_empty() => {
+            Some((name, tid)) if check_name(name).is_ok() && check_name(tid).is_ok() => {
                 entries.push((name.to_string(), tid.to_string()));
             }
             _ => {
@@ -92,69 +185,6 @@ pub fn read_hub_manifest(dir: &Path) -> Result<Vec<(String, String)>, StoreError
         offset += line.len() as u64 + 1;
     }
     Ok(entries)
-}
-
-/// Durable snapshot/restore for a [`SyncHub`]: every open session's seed
-/// tuple + journal, plus the registry manifest binding session names to
-/// transformation ids.
-pub trait HubStore {
-    /// Snapshots every open session into `dir`, replacing any previous
-    /// snapshot there. Each session is captured under its own lock (the
-    /// snapshot is per-session consistent; sessions keep running in
-    /// between). Returns the number of sessions persisted.
-    fn persist_to(&self, dir: &Path) -> Result<usize, StoreError>;
-
-    /// Restores every session a snapshot at `dir` names, adopting each
-    /// recovered session into this hub. The transformations the manifest
-    /// references must already be registered (under the same ids, with
-    /// the same specs — [`StoreError::SpecMismatch`] otherwise). Returns
-    /// each adopted handle paired with its still-open store, so a server
-    /// can keep committing to it.
-    fn restore_from(
-        &self,
-        dir: &Path,
-        opts: &SessionOptions,
-    ) -> Result<Vec<(Arc<SessionHandle>, PersistentSession)>, StoreError>;
-}
-
-impl HubStore for SyncHub {
-    fn persist_to(&self, dir: &Path) -> Result<usize, StoreError> {
-        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let sessions_dir = dir.join("sessions");
-        if sessions_dir.exists() {
-            fs::remove_dir_all(&sessions_dir).map_err(|e| io_err(&sessions_dir, e))?;
-        }
-        fs::create_dir_all(&sessions_dir).map_err(|e| io_err(&sessions_dir, e))?;
-        let mut entries = Vec::new();
-        for handle in self.sessions() {
-            check_name(handle.name())?;
-            let session_dir = sessions_dir.join(handle.name());
-            handle.with(|s| PersistentSession::create(&session_dir, s))?;
-            entries.push((
-                handle.name().to_string(),
-                handle.transformation_id().to_string(),
-            ));
-        }
-        sync_dir(&sessions_dir)?;
-        write_hub_manifest(dir, &entries)?;
-        Ok(entries.len())
-    }
-
-    fn restore_from(
-        &self,
-        dir: &Path,
-        opts: &SessionOptions,
-    ) -> Result<Vec<(Arc<SessionHandle>, PersistentSession)>, StoreError> {
-        let mut out = Vec::new();
-        for (name, tid) in read_hub_manifest(dir)? {
-            let t = self.transformation(&tid)?;
-            let session_dir = dir.join("sessions").join(&name);
-            let (store, session) = PersistentSession::open(&session_dir, &t, opts.clone())?;
-            let handle = self.adopt(&name, &tid, session)?;
-            out.push((handle, store));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -194,28 +224,32 @@ mod tests {
     #[test]
     fn hub_snapshot_round_trips() {
         let (t, w) = fixture();
+        let dir = tmp("roundtrip");
+        let opts = SessionOptions::default();
         let hub = SyncHub::new();
         hub.register("F", t.clone()).unwrap();
+        let mut store = HubStore::open(&dir, &hub, &opts).unwrap();
         let alice = hub.open("alice", "F", &w.models).unwrap();
-        hub.open("bob", "F", &w.models).unwrap();
+        store.create(&alice).unwrap();
+        store
+            .create(&hub.open("bob", "F", &w.models).unwrap())
+            .unwrap();
         // Drift alice so the two sessions are distinguishable.
         let feature = w.fm.class_named("Feature").unwrap();
         let id = ObjId(w.models[2].id_bound() as u32);
         alice
             .with(|s| s.apply(DomIdx(2), EditOp::AddObj { id, class: feature }))
             .unwrap();
+        store.commit(&alice).unwrap();
         let (alice_tuple, bob_tuple) = (alice.with(tuple), hub.get("bob").unwrap().with(tuple));
         assert_ne!(alice_tuple, bob_tuple);
-
-        let dir = tmp("roundtrip");
-        assert_eq!(hub.persist_to(&dir).unwrap(), 2);
+        assert_eq!(store.sessions.len(), 2);
+        drop(store);
 
         let restored = SyncHub::new();
         restored.register("F", t).unwrap();
-        let opened = restored
-            .restore_from(&dir, &SessionOptions::default())
-            .unwrap();
-        assert_eq!(opened.len(), 2);
+        let reopened = HubStore::open(&dir, &restored, &opts).unwrap();
+        assert_eq!(reopened.sessions.len(), 2);
         assert_eq!(restored.list(), ["alice", "bob"]);
         assert_eq!(restored.get("alice").unwrap().with(tuple), alice_tuple);
         assert_eq!(restored.get("bob").unwrap().with(tuple), bob_tuple);
@@ -229,49 +263,81 @@ mod tests {
     #[test]
     fn restore_requires_the_transformation() {
         let (t, w) = fixture();
+        let dir = tmp("missing-t");
+        let opts = SessionOptions::default();
         let hub = SyncHub::new();
         hub.register("F", t).unwrap();
-        hub.open("a", "F", &w.models).unwrap();
-        let dir = tmp("missing-t");
-        hub.persist_to(&dir).unwrap();
+        let mut store = HubStore::open(&dir, &hub, &opts).unwrap();
+        store
+            .create(&hub.open("a", "F", &w.models).unwrap())
+            .unwrap();
 
         let empty = SyncHub::new();
-        let err = empty
-            .restore_from(&dir, &SessionOptions::default())
-            .unwrap_err();
+        let err = HubStore::open(&dir, &empty, &opts).unwrap_err();
         assert!(matches!(err, StoreError::Hub(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The manifest names durable sessions in name order, `close` drops
+    /// a name from it before its store goes, and an unsafe name is
+    /// refused before anything is written.
     #[test]
     fn manifest_round_trips_and_rejects_garbage() {
+        let (t, w) = fixture();
         let dir = tmp("manifest");
-        std::fs::create_dir_all(&dir).unwrap();
+        let hub = SyncHub::new();
+        hub.register("F", t.clone()).unwrap();
+        hub.register("G", t).unwrap();
+        let mut store = HubStore::open(&dir, &hub, &SessionOptions::default()).unwrap();
+        let bob = hub.open("bob", "G", &w.models).unwrap();
+        store.create(&bob).unwrap();
+        store
+            .create(&hub.open("alice", "F", &w.models).unwrap())
+            .unwrap();
+        assert!(matches!(
+            store.create(&bob),
+            Err(StoreError::Hub(HubError::DuplicateSession(_)))
+        ));
+        let text = "mmt-hub 1\nsession alice F\nsession bob G\n";
+        assert_eq!(std::fs::read_to_string(dir.join("hub")).unwrap(), text);
         let entries = vec![
             ("alice".to_string(), "F".to_string()),
             ("bob".to_string(), "G".to_string()),
         ];
-        write_hub_manifest(&dir, &entries).unwrap();
-        assert_eq!(read_hub_manifest(&dir).unwrap(), entries);
+        assert_eq!(read_manifest(&dir).unwrap(), entries);
 
-        assert!(matches!(
-            write_hub_manifest(&dir, &[("../escape".to_string(), "F".to_string())]),
-            Err(StoreError::InvalidName(_))
-        ));
+        for bad in ["../escape", "a b", "tab\there", ".", ""] {
+            let handle = hub.open(bad, "F", &w.models).unwrap();
+            assert!(
+                matches!(store.create(&handle), Err(StoreError::InvalidName(_))),
+                "{bad:?}"
+            );
+            hub.close(bad).unwrap();
+        }
+        assert!(!dir.join("escape").exists());
+        assert_eq!(std::fs::read_to_string(dir.join("hub")).unwrap(), text);
 
-        std::fs::write(dir.join("hub"), "mmt-hub 1\nbanana\n").unwrap();
-        assert!(matches!(
-            read_hub_manifest(&dir).unwrap_err(),
-            StoreError::Corrupt { .. }
-        ));
+        store.close("bob").unwrap();
+        assert_eq!(read_manifest(&dir).unwrap(), entries[..1]);
+        assert!(!dir.join("sessions").join("bob").exists());
+        assert!(store.close("bob").is_err());
+        assert!(store.commit(&bob).is_err());
+
+        for garbage in ["banana", "session ../escape F", "session a F G"] {
+            std::fs::write(dir.join("hub"), format!("mmt-hub 1\n{garbage}\n")).unwrap();
+            assert!(
+                matches!(read_manifest(&dir).unwrap_err(), StoreError::Corrupt { .. }),
+                "{garbage}"
+            );
+        }
         std::fs::write(dir.join("hub"), "mmt-hub 99\n").unwrap();
         assert!(matches!(
-            read_hub_manifest(&dir).unwrap_err(),
+            read_manifest(&dir).unwrap_err(),
             StoreError::Version { .. }
         ));
         std::fs::write(dir.join("hub"), "x").unwrap();
         assert!(matches!(
-            read_hub_manifest(&dir).unwrap_err(),
+            read_manifest(&dir).unwrap_err(),
             StoreError::ShortRead { .. }
         ));
         std::fs::remove_dir_all(&dir).ok();

@@ -20,9 +20,13 @@
 //!   tuple, status and journal are identical to the session that
 //!   crashed (a torn tail — a record cut mid-write — is dropped, because
 //!   it was never acknowledged as committed);
-//! * [`HubStore`] — whole-hub snapshot/restore for
-//!   [`mmt_core::SyncHub`]: seed tuples + journals per session, plus a
-//!   registry manifest mapping session names to transformation ids.
+//! * [`HubStore`] — the store of a served [`mmt_core::SyncHub`]: one
+//!   session store per durable session under `sessions/<name>/`, plus a
+//!   `hub` manifest mapping session names to transformation ids.
+//!   [`HubStore::open`] recovers every session the manifest names,
+//!   [`HubStore::create`] and [`HubStore::close`] write a session's
+//!   store before the manifest names it and drop the name before the
+//!   store goes, and [`HubStore::commit`] is one session's commit point.
 //!
 //! ## Recovery ≡ replay, and the "no third outcome" contract
 //!
@@ -50,7 +54,7 @@ mod session;
 mod wal;
 
 pub use codec::{parse_entry, render_entry};
-pub use hub::{read_hub_manifest, write_hub_manifest, HubStore};
+pub use hub::HubStore;
 pub use session::PersistentSession;
 
 use mmt_core::{CoreError, HubError, Transformation};
@@ -105,7 +109,8 @@ pub enum StoreError {
         /// Spec fingerprint the store recorded.
         found: String,
     },
-    /// A session name unusable as a store directory component.
+    /// A session name or transformation id unusable as a store
+    /// directory component and manifest token.
     InvalidName(String),
     /// The in-memory session layer failed (e.g. the cold-start check
     /// while reopening a seed tuple).
@@ -157,7 +162,7 @@ impl fmt::Display for StoreError {
             ),
             StoreError::InvalidName(name) => write!(
                 f,
-                "invalid session name {name:?}: must be non-empty and contain no path separators"
+                "invalid session name {name:?}: must be non-empty, not `.` or `..`, and contain no path separators, NUL or whitespace"
             ),
             StoreError::Core(e) => write!(f, "session layer: {e}"),
             StoreError::Replay { record, source } => {

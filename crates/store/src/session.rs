@@ -29,12 +29,11 @@ use std::sync::Arc;
 
 const MANIFEST_VERSION: &str = "mmt-store 2";
 
-/// The durable shadow of one [`SyncSession`]: owns the store directory
-/// and its open WAL, and keeps them in sync with the live session via
+/// The durable shadow of one [`SyncSession`]: owns the store's open WAL
+/// and keeps it in sync with the live session via
 /// [`PersistentSession::commit`].
 #[derive(Debug)]
 pub struct PersistentSession {
-    dir: PathBuf,
     wal: Wal,
     /// The [journal serial](SyncSession::journal_serials) of the entry
     /// each WAL record holds, one per record. A record that holds no
@@ -90,7 +89,6 @@ impl PersistentSession {
         write_sync(&manifest, manifest_text.as_bytes())?;
         sync_dir(dir)?;
         Ok(PersistentSession {
-            dir: dir.to_path_buf(),
             wal,
             serials: session.journal_serials().to_vec(),
             arity: session.transformation().arity(),
@@ -158,18 +156,12 @@ impl PersistentSession {
         }
         Ok((
             PersistentSession {
-                dir: dir.to_path_buf(),
                 wal,
                 serials,
                 arity,
             },
             session,
         ))
-    }
-
-    /// The store directory this session persists to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Makes the WAL agree with `session`'s journal, then fsyncs — the

@@ -189,54 +189,6 @@ fn fresh_objects_keep_default_int_attrs_on_both_engines() {
     assert_eq!(texts(&search), texts(&sat));
 }
 
-/// §3's correctness law at every counterexample cap: with
-/// `violations_per_check` at 0 or 1, the cold search and the warm one a
-/// sync session runs return the same repair, and every repair checks
-/// consistent. A cap of 0 captures no counterexample, so a search whose
-/// goal test is "nothing captured" accepts the inconsistent root at
-/// cost 0.
-#[test]
-fn search_repairs_are_consistent_at_every_violation_cap() {
-    let injections = [
-        Injection::NewMandatoryInFm,
-        Injection::RenameInConfig { config: 0 },
-        Injection::SelectEverywhere,
-        Injection::SelectUnknown { config: 1 },
-    ];
-    for seed in [53u64, 7] {
-        for &injection in &injections {
-            let mut w = feature_workload(FeatureSpec {
-                n_features: 5,
-                k_configs: 2,
-                mandatory_ratio: 0.35,
-                select_prob: 0.45,
-                seed,
-            });
-            inject(&mut w, injection);
-            let t = Transformation::from_hir(w.hir.clone());
-            let shape = Shape::of(&[0, 1]);
-            for cap in [0usize, 1] {
-                let ctx = format!("seed={seed} {injection:?} violations_per_check={cap}");
-                let opts = RepairOptions {
-                    violations_per_check: cap,
-                    ..RepairOptions::default()
-                };
-                let cold = SearchEngine::new(opts.clone())
-                    .repair(t.hir_arc(), &w.models, shape.targets())
-                    .unwrap();
-                assert_eq!(
-                    cold.as_ref().map(render),
-                    warm_search(&t, &w.models, shape, &opts),
-                    "{ctx}: cold and warm disagree"
-                );
-                if let Some(out) = &cold {
-                    assert!(t.check(&out.models).unwrap().consistent(), "{ctx}");
-                }
-            }
-        }
-    }
-}
-
 /// A repair's cost and rendered edit scripts.
 fn render(out: &RepairOutcome) -> (u64, Vec<String>) {
     (out.cost, out.deltas.iter().map(|d| d.to_string()).collect())

@@ -206,30 +206,33 @@ fn close_while_repair_keeps_the_survivor_byte_identical() {
     }
 }
 
-/// Restoring a snapshot into a hub whose *other* sessions are live and
-/// being driven: the restore adopts exactly the persisted sessions at
-/// their persisted states, the live session's outcome stays
+/// Opening a hub store into a hub whose *other* sessions are live and
+/// being driven: the recovery adopts exactly the durable sessions at
+/// their committed states, the live session's outcome stays
 /// byte-identical to an undisturbed reference, and the hub ends with
-/// the union. Mirrored in the loomlite suite
-/// (`snapshot_enumeration_vs_concurrent_open`), which explores the
-/// registry-walk-vs-insert window exhaustively.
+/// the union. The loomlite suite explores the registry's side of the
+/// race, a walk of it against an insert
+/// (`snapshot_enumeration_vs_concurrent_open`), exhaustively.
 #[test]
 fn restore_from_while_sessions_are_driven() {
     let (t, models) = fixture();
     let dir = std::env::temp_dir().join(format!("mmt-hub-restore-race-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    // Build the snapshot: two sessions at distinct, known states.
+    // Build the store: two durable sessions at distinct, known states.
     let source = SyncHub::new();
     source.register("F", t.clone()).unwrap();
+    let mut store = HubStore::open(&dir, &source, &SessionOptions::default()).unwrap();
     let mut persisted = Vec::new();
     for i in 0..2u64 {
         let name = format!("stored-{i}");
         let handle = source.open(&name, "F", &models).unwrap();
+        store.create(&handle).unwrap();
         let outcome = handle.with(|session| drive(session, 2000 + i));
+        store.commit(&handle).unwrap();
         persisted.push((name, outcome));
     }
-    source.persist_to(&dir).unwrap();
+    drop(store);
 
     let reference = {
         let mut session = t.session(&models).unwrap();
@@ -239,7 +242,7 @@ fn restore_from_while_sessions_are_driven() {
     let hub = Arc::new(SyncHub::new());
     hub.register("F", t).unwrap();
     let live = hub.open("live", "F", &models).unwrap();
-    let (live_outcome, adopted) = std::thread::scope(|s| {
+    let (live_outcome, _store) = std::thread::scope(|s| {
         let driver = {
             let live = Arc::clone(&live);
             s.spawn(move || live.with(|session| drive(session, 3000)))
@@ -247,7 +250,7 @@ fn restore_from_while_sessions_are_driven() {
         let restorer = {
             let hub = Arc::clone(&hub);
             let dir = dir.clone();
-            s.spawn(move || hub.restore_from(&dir, &SessionOptions::default()).unwrap())
+            s.spawn(move || HubStore::open(&dir, &hub, &SessionOptions::default()).unwrap())
         };
         (driver.join().unwrap(), restorer.join().unwrap())
     });
@@ -256,7 +259,11 @@ fn restore_from_while_sessions_are_driven() {
         live_outcome, reference,
         "restore disturbed the live session"
     );
-    assert_eq!(adopted.len(), persisted.len());
+    assert_eq!(
+        hub.list().len(),
+        1 + persisted.len(),
+        "adopted as many as stored"
+    );
     for (name, outcome) in &persisted {
         let handle = hub.get(name).unwrap();
         let restored = handle.with(|session| observe(session));

@@ -158,7 +158,7 @@ fn snapshot_enumeration_vs_live_edit_sees_consistent_states() {
                 tuple(s)
             })
         });
-        // The persist walk: enumerate handles, lock each, read state.
+        // A registry walk: enumerate handles, lock each, read state.
         let mut snapshot = Vec::new();
         for h in hub.sessions() {
             snapshot.push(h.with(tuple));
@@ -187,7 +187,7 @@ fn snapshot_enumeration_vs_concurrent_open() {
         let opener = thread::spawn(move || {
             hub2.open("s2", "t", &models2).expect("open s2");
         });
-        // Restore/persist-shaped walk racing the open: the walk must see a
+        // A registry walk racing the open: the walk must see a
         // clean prefix of the registry (1 or 2 sessions), lock each handle
         // without deadlock, and never observe a half-inserted slot.
         let seen = hub.sessions();
