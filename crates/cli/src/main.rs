@@ -192,17 +192,18 @@ the leading `edit` keyword, and `status`/`journal` results are byte-
 identical to `mmt sync --json` output for the same commands. The
 `lint` request needs no session and returns the static-analysis report
 recorded when the spec was registered (same JSON as `mmt lint --json`);
-a spec with lint errors refuses to serve at all. With
-`--out <dir>`, `close` writes the session's final tuple to
+a spec with lint errors refuses to serve at all. A session name must
+be non-empty, not `.` or `..`, and contain no path separators or NUL.
+With `--out <dir>`, `close` writes the session's final tuple to
 `<dir>/<session>/<param>.model`. EOF on stdin exits 0.
 
-With `--store <dir>`, sessions are durable: `open` snapshots the seed
-tuple, every `edit`/`repair`/`rollback` appends to (or rewinds) a
-per-session write-ahead log before answering, and `close` retires the
-session's store. A restarted `mmt serve --store <dir>` recovers every
-session that was open when the previous process died, with identical
-`status`/`journal` answers. Durable session names must carry no
-whitespace.
+With `--store <dir>`, sessions are durable: `open` writes the session's
+store to `<dir>/sessions/<session>/` (the seed tuple, a write-ahead log,
+and last, by atomic rename, its manifest), every `edit`/`repair`/
+`rollback` appends to (or rewinds) the log before answering, and
+`close` unlinks the manifest before it removes the rest. A restarted
+`mmt serve --store <dir>` recovers every session whose manifest is
+there, with identical `status`/`journal` answers.
 "#;
 
 const USAGE_LINT: &str = r#"mmt lint — static analysis of a transformation spec

@@ -37,7 +37,7 @@ use crate::json::{
 use crate::{apply_session_edit, load, repair_options, shape_of_names, write_models_quiet, Parsed};
 use mmt_core::{EngineKind, SessionOptions, SyncHub, Transformation};
 use mmt_model::Model;
-use mmt_store::HubStore;
+use mmt_store::{check_session_name, HubStore};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -94,7 +94,7 @@ pub(crate) fn run_serve(p: &Parsed) -> Result<ExitCode, String> {
     let store = p
         .store
         .as_ref()
-        .map(|dir| HubStore::open(Path::new(dir), &hub, &opts))
+        .map(|dir| HubStore::open(Path::new(dir), &hub, "default", &opts))
         .transpose()
         .map_err(|e| format!("store: {e}"))?;
     let mut server = Server {
@@ -242,18 +242,9 @@ impl Server<'_> {
         let name = str_field(obj, "session")?;
         match cmd {
             "open" => {
-                // Session names become `--out` path components on close:
-                // refuse anything that could escape the output directory.
-                if name.is_empty()
-                    || name == "."
-                    || name == ".."
-                    || name.contains(['/', '\\'])
-                    || name.contains('\0')
-                {
-                    return Err(format!(
-                        "invalid session name {name:?}: must be non-empty, not `.` or `..`, and contain no path separators or NUL"
-                    ));
-                }
+                // Session names become `--out` and store directory
+                // components: refuse anything that could escape them.
+                check_session_name(name).map_err(|e| e.to_string())?;
                 let handle = hub
                     .open_with(name, "default", seed_models, opts.clone())
                     .map_err(|e| e.to_string())?;
@@ -321,18 +312,19 @@ impl Server<'_> {
                 Ok(())
             }
             "close" => {
-                // Write the final tuple *before* unregistering: a failed
-                // write leaves the session open so the client can retry,
-                // instead of dropping the only copy of its state.
+                // Write the final tuple and retire the store *before*
+                // unregistering: a failed write leaves the session open
+                // so the client can retry, instead of dropping the only
+                // copy of its state or leaving a store that recovers it.
                 let handle = hub.get(name).map_err(|e| e.to_string())?;
                 if let Some(dir) = out_dir {
                     handle
                         .with(|s| write_models_quiet(&Path::new(dir).join(name), t, s.models()))?;
                 }
-                hub.close(name).map_err(|e| e.to_string())?;
                 if let Some(store) = store {
                     store.close(name).map_err(|e| e.to_string())?;
                 }
+                hub.close(name).map_err(|e| e.to_string())?;
                 out.push_str("{\"closed\":");
                 push_str_of(out, name);
                 out.push('}');

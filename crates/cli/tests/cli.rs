@@ -1143,11 +1143,15 @@ fn sync_reads_script_from_stdin() {
 
 /// `mmt sync --store` persists the session; a second invocation picks
 /// it up where the first left off (the `-m` tuple is ignored on
-/// resume) and sees the identical status JSON.
+/// resume) and sees the identical status JSON. The first finds only a
+/// `manifest.tmp`, as a `create` cut before its rename leaves it: that
+/// is no store, so it creates one.
 #[test]
 fn sync_store_resumes_across_invocations() {
     let store = std::env::temp_dir().join(format!("mmt-cli-sync-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
+    std::fs::create_dir_all(&store).unwrap();
+    std::fs::write(store.join("manifest.tmp"), "mmt-store 2\nspec").unwrap();
 
     // First life: drift the session, dump status, crash (exit).
     let script1 = write_script("store-life1", "edit cf1 set @0.name = \"motor\"\nstatus\n");
@@ -1163,6 +1167,7 @@ fn sync_store_resumes_across_invocations() {
     let (out1, err1, code1) = mmt(&argrefs);
     // Exit 1: the drifted tuple is (deliberately) left inconsistent.
     assert_eq!(code1, Some(1), "{out1}\n{err1}");
+    assert!(!store.join("manifest.tmp").exists());
     let last_status = out1
         .lines()
         .rfind(|l| l.starts_with('{'))
@@ -1344,10 +1349,10 @@ fn serve_store_recovers_a_rewritten_tail_after_kill() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
-/// The hub manifest is the one visibility point of `serve --store`: a
-/// session directory it does not name, left by an `open` or a `close`
-/// that was cut short, neither stops a restart nor blocks a later
-/// `open` of that name.
+/// Each session's manifest is the one visibility point of `serve
+/// --store`: a session directory without one, left by an `open` or a
+/// `close` that was cut short, neither stops a restart nor blocks a
+/// later `open` of that name.
 #[test]
 fn serve_store_reclaims_a_directory_the_manifest_does_not_name() {
     let store = std::env::temp_dir().join(format!("mmt-cli-serve-stale-{}", std::process::id()));
@@ -1362,18 +1367,11 @@ fn serve_store_reclaims_a_directory_the_manifest_does_not_name() {
     serve_result(&out, 1);
     serve_result(&out, 2);
 
-    // Leave `a` as a `close` cut short would: gone from the manifest,
-    // its directory half removed.
-    let hub = store.join("hub");
-    let manifest = std::fs::read_to_string(&hub).unwrap();
-    let kept: String = manifest
-        .lines()
-        .filter(|l| !l.starts_with("session a "))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_ne!(kept, manifest);
-    std::fs::write(&hub, kept).unwrap();
-    std::fs::remove_file(store.join("sessions").join("a").join("wal")).unwrap();
+    // Leave `a` as a `close` cut short would: its manifest unlinked,
+    // the rest of its directory half removed.
+    let a = store.join("sessions").join("a");
+    std::fs::remove_file(a.join("manifest")).unwrap();
+    std::fs::remove_file(a.join("wal")).unwrap();
 
     let (out, err, code) = mmt_with_stdin(
         &argrefs,
@@ -1396,34 +1394,45 @@ fn serve_store_reclaims_a_directory_the_manifest_does_not_name() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
-/// Durable session names must be filesystem- and manifest-safe:
-/// whitespace is rejected up front (only when a store is attached).
+/// One session-name rule with and without a store: a name with a space
+/// opens durably and recovers after a restart, and a name that would
+/// escape its directory is refused either way.
 #[test]
 fn serve_store_rejects_unsafe_names() {
     let store = std::env::temp_dir().join(format!("mmt-cli-serve-names-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
-    let mut args = vec!["serve".to_string()];
-    args.extend(data_args());
-    args.push("--store".into());
-    args.push(store.to_string_lossy().into_owned());
-    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let durable = serve_store_args(&store);
+    let mut plain = vec!["serve".to_string()];
+    plain.extend(data_args());
+    for args in [&durable, &plain] {
+        let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (stdout, stderr, code) = mmt_with_stdin(
+            &argrefs,
+            "{\"id\":1,\"cmd\":\"open\",\"session\":\"../x\"}\n{\"id\":2,\"cmd\":\"open\",\"session\":\"a b\"}\n{\"id\":3,\"cmd\":\"edit\",\"session\":\"a b\",\"edit\":\"cf1 set @0.name = \\\"motor\\\"\"}\n",
+        );
+        assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+        assert!(
+            stdout.contains("{\"id\":1,\"ok\":false,\"error\":\"invalid session name"),
+            "{stdout}"
+        );
+        serve_result(&stdout, 2);
+        serve_result(&stdout, 3);
+    }
+    assert!(!store.join("x").exists());
+    let argrefs: Vec<&str> = durable.iter().map(String::as_str).collect();
     let (stdout, stderr, code) = mmt_with_stdin(
         &argrefs,
-        "{\"id\":1,\"cmd\":\"open\",\"session\":\"a b\"}\n{\"id\":2,\"cmd\":\"open\",\"session\":\"ok\"}\n",
+        "{\"id\":4,\"cmd\":\"journal\",\"session\":\"a b\"}\n",
     );
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    assert!(
-        stdout.contains("{\"id\":1,\"ok\":false,\"error\":\"invalid session name"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("{\"id\":2,\"ok\":true"), "{stdout}");
+    assert!(serve_result(&stdout, 4).contains("motor"), "{stdout}");
     let _ = std::fs::remove_dir_all(&store);
 }
 
 /// Closing a durable session retires it: the next life answers for it
-/// as for a name never opened, its store directory is gone, the
-/// manifest names only the session still open, and that one recovers
-/// with its journal.
+/// as for a name never opened, its store directory is gone, only the
+/// session still open keeps one, and that one recovers with its
+/// journal.
 #[test]
 fn serve_store_close_retires_the_session() {
     let store = std::env::temp_dir().join(format!("mmt-cli-serve-close-{}", std::process::id()));
@@ -1463,12 +1472,12 @@ fn serve_store_close_retires_the_session() {
         "{out}"
     );
     assert_eq!(serve_result(&out, 8), journal);
-    assert!(!store.join("sessions").join("a").exists());
-    assert!(store.join("sessions").join("b").is_dir());
-    assert_eq!(
-        std::fs::read_to_string(store.join("hub")).unwrap(),
-        "mmt-hub 1\nsession b default\n"
-    );
+    let left: Vec<_> = std::fs::read_dir(store.join("sessions"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["b"]);
+    assert!(!store.join("hub").exists());
     let _ = std::fs::remove_dir_all(&store);
 }
 

@@ -105,14 +105,13 @@ impl From<CoreError> for HubError {
 }
 
 /// One named session slot: the session behind its own lock, plus the
-/// shared transformation it synchronizes against. Handles are
+/// id of the transformation it synchronizes against. Handles are
 /// reference-counted — [`SyncHub::close`] removes the slot from the
 /// registry, but a client still holding the handle can finish (and
 /// drain) its work.
 pub struct SessionHandle {
     name: String,
     transformation_id: String,
-    transformation: Arc<Transformation>,
     session: Mutex<SyncSession>,
 }
 
@@ -123,15 +122,10 @@ impl SessionHandle {
     }
 
     /// The registry id of the transformation this session was opened
-    /// against — what a durable snapshot records so a restore can
-    /// re-bind the session to the same registered specification.
+    /// against. A durable store serves one id and refuses a session
+    /// opened against another.
     pub fn transformation_id(&self) -> &str {
         &self.transformation_id
-    }
-
-    /// The shared transformation this session synchronizes against.
-    pub fn transformation(&self) -> &Arc<Transformation> {
-        &self.transformation
     }
 
     /// Locks the session for exclusive use. A client that panicked
@@ -269,19 +263,6 @@ impl SyncHub {
             .ok_or_else(|| HubError::UnknownTransformation(id.to_string()))
     }
 
-    /// Registered transformation ids, sorted.
-    pub fn transformations(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .transformations
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .cloned()
-            .collect();
-        ids.sort();
-        ids
-    }
-
     /// Opens a session named `name` over `models` against the
     /// transformation registered as `transformation_id`, with default
     /// [`SessionOptions`]. The cold start (initial full consistency
@@ -314,8 +295,8 @@ impl SyncHub {
         {
             return Err(HubError::DuplicateSession(name.to_string()));
         }
-        let session = SyncSession::with_options(Arc::clone(&t), models, opts)?;
-        self.insert(name, transformation_id, t, session)
+        let session = SyncSession::with_options(t, models, opts)?;
+        self.insert(name, transformation_id, session)
     }
 
     /// Adopts an already-running session into the registry under `name`,
@@ -331,21 +312,19 @@ impl SyncHub {
         transformation_id: &str,
         session: SyncSession,
     ) -> Result<Arc<SessionHandle>, HubError> {
-        let t = self.transformation(transformation_id)?;
-        self.insert(name, transformation_id, t, session)
+        self.transformation(transformation_id)?;
+        self.insert(name, transformation_id, session)
     }
 
     fn insert(
         &self,
         name: &str,
         transformation_id: &str,
-        t: Arc<Transformation>,
         session: SyncSession,
     ) -> Result<Arc<SessionHandle>, HubError> {
         let handle = Arc::new(SessionHandle {
             name: name.to_string(),
             transformation_id: transformation_id.to_string(),
-            transformation: t,
             session: Mutex::new(session),
         });
         let mut map = self
@@ -380,20 +359,6 @@ impl SyncHub {
             .unwrap_or_else(PoisonError::into_inner)
             .remove(name)
             .ok_or_else(|| HubError::UnknownSession(name.to_string()))
-    }
-
-    /// Handles of every open session, sorted by name: a snapshot of the
-    /// registry, each handle lockable on its own.
-    pub fn sessions(&self) -> Vec<Arc<SessionHandle>> {
-        let mut handles: Vec<Arc<SessionHandle>> = self
-            .sessions
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .cloned()
-            .collect();
-        handles.sort_by(|a, b| a.name.cmp(&b.name));
-        handles
     }
 
     /// Names of every open session, sorted.
@@ -454,12 +419,13 @@ mod tests {
         let (t, w) = fixture();
         let hub = SyncHub::new();
         let shared = hub.register("F", t).unwrap();
-        assert_eq!(hub.transformations(), ["F"]);
+        assert!(Arc::ptr_eq(&hub.transformation("F").unwrap(), &shared));
         assert!(hub.is_empty());
 
         let a = hub.open("alice", "F", &w.models).unwrap();
         assert_eq!(a.name(), "alice");
-        assert!(Arc::ptr_eq(a.transformation(), &shared));
+        assert_eq!(a.transformation_id(), "F");
+        assert!(a.with(|s| Arc::ptr_eq(s.transformation(), &shared)));
         hub.open("bob", "F", &w.models).unwrap();
         assert_eq!(hub.list(), ["alice", "bob"]);
         assert_eq!(hub.len(), 2);
@@ -501,7 +467,7 @@ mod tests {
             matches!(&err, HubError::Core(CoreError::Lint(r)) if r.has_errors()),
             "{err}"
         );
-        assert!(hub.transformations().is_empty());
+        assert!(hub.transformation("broken").is_err());
         assert!(hub.lint_report("broken").is_err());
     }
 
@@ -555,7 +521,8 @@ mod tests {
         hub.register("F", t).unwrap();
         let a = hub.open("a", "F", &w.models).unwrap();
         let b = hub.open("b", "F", &w.models).unwrap();
-        assert!(Arc::ptr_eq(a.transformation(), b.transformation()));
+        let shared = |h: &SessionHandle| h.with(|s| Arc::clone(s.transformation()));
+        assert!(Arc::ptr_eq(&shared(&a), &shared(&b)));
         // Repairing in one session leaves the sibling's tuple alone.
         let fm = w.fm.class_named("Feature").unwrap();
         let id = mmt_model::ObjId(w.models[2].id_bound() as u32);

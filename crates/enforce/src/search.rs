@@ -1705,22 +1705,24 @@ transformation T(a : X, b : X) {
     }
 
     /// The A* bound's laws on random search states of every corpus
-    /// scenario, under random op prices and model weights. Consistency:
+    /// scenario, under random op prices and model weights, towards every
+    /// model and towards each model alone. Consistency:
     /// h(parent) ≤ step + h(child) for every entered child, and the lazy
     /// bound a child is pushed with never exceeds its exact h. Goal
     /// detection: h = 0 exactly on consistent states. Admissibility at
     /// the root: h(root) ≤ SAT's least-change cost under the same
     /// options. SAT uses no h, so an inadmissible h fails here, where a
     /// search ordered by h itself never returns a cost below h(root).
+    /// Where h(root) is `None` (a failing check reads no target model),
+    /// SAT must find no repair either.
     #[test]
     fn bound_is_admissible_and_consistent() {
-        let mut admissible_checked = 0;
+        let (mut admissible_checked, mut single_checked, mut unreachable) = (0, 0, 0);
         for sc in all_scenarios() {
             for seed in 0..3u64 {
                 let w = sc.workload(seed);
                 let hir = &w.hir;
                 let originals = drifted(&w.models, seed);
-                let targets = DomSet::full(originals.len());
                 let mut rng = seed ^ 0xb0_0d;
                 let mut price = || 1 + next(&mut rng, 3) as u64;
                 let cost = mmt_dist::CostModel {
@@ -1740,65 +1742,78 @@ transformation T(a : X, b : X) {
                     max_states: 5_000,
                     ..RepairOptions::default()
                 };
-                let ctx = |step: usize| format!("{} seed={seed} step={step}", sc.name());
-                let bound = Bound::new(hir, targets, &opts);
-                let h_of = |checker: &DeltaChecker| {
-                    let h = bound.h(checker, DomSet::EMPTY);
-                    let h = h.expect("every check reads a target");
-                    assert_eq!(h == 0, checker.consistent());
-                    h
-                };
                 let pool = ValueDomain::collect(hir, &originals, 1);
-                let mut checker = checker_over(hir, &originals);
-                let root_h = h_of(&checker);
-                assert!(root_h > 0, "{}: drift", ctx(0));
-                let mut tree = SearchTree::new(0);
-                let mut entered = vec![(0usize, root_h)];
-                for step in 0..40 {
-                    let (n, h) = entered[next(&mut rng, entered.len())];
-                    tree.goto(&mut checker, n).unwrap();
-                    let mut violations = Vec::new();
-                    checker.for_each_violation(VIOLATIONS_PER_CHECK, |rel, dep, binding| {
-                        violations.push(Violation {
-                            rel,
-                            dep,
-                            binding: binding.to_vec(),
+                let full = DomSet::full(originals.len());
+                let singles = (0..originals.len()).map(|m| DomSet::single(DomIdx(m as u8)));
+                for targets in std::iter::once(full).chain(singles) {
+                    let ctx = |step: usize| {
+                        format!("{} seed={seed} targets={targets:?} step={step}", sc.name())
+                    };
+                    let bound = Bound::new(hir, targets, &opts);
+                    let h_of = |checker: &DeltaChecker| {
+                        let h = bound.h(checker, DomSet::EMPTY);
+                        let h = h.expect("an edit of a target cannot break a check it cannot fix");
+                        assert_eq!(h == 0, checker.consistent());
+                        h
+                    };
+                    let mut checker = checker_over(hir, &originals);
+                    let sat = SatEngine::new(opts.clone())
+                        .repair(hir, &originals, targets)
+                        .unwrap_or_else(|e| panic!("{}: {e}", ctx(0)));
+                    let Some(root_h) = bound.h(&checker, DomSet::EMPTY) else {
+                        assert!(targets != full, "{}: every check reads a target", ctx(0));
+                        assert!(sat.is_none(), "{}: h(root) is None, SAT repaired", ctx(0));
+                        unreachable += 1;
+                        continue;
+                    };
+                    assert!(root_h > 0, "{}: drift", ctx(0));
+                    let mut tree = SearchTree::new(0);
+                    let mut entered = vec![(0usize, root_h)];
+                    for step in 0..40 {
+                        let (n, h) = entered[next(&mut rng, entered.len())];
+                        tree.goto(&mut checker, n).unwrap();
+                        let mut violations = Vec::new();
+                        checker.for_each_violation(VIOLATIONS_PER_CHECK, |rel, dep, binding| {
+                            violations.push(Violation {
+                                rel,
+                                dep,
+                                binding: binding.to_vec(),
+                            });
                         });
-                    });
-                    let lazy = bound.per_model(&checker);
-                    let cands = candidates_of(hir, checker.models(), targets, &violations, &pool);
-                    for _ in 0..cands.len().min(4) {
-                        let cand = cands[next(&mut rng, cands.len())];
-                        let child = tree.push(n, cand, 0, 0);
-                        if !tree.enter(&mut checker, child).unwrap() {
-                            continue;
+                        let lazy = bound.per_model(&checker);
+                        let cands =
+                            candidates_of(hir, checker.models(), targets, &violations, &pool);
+                        for _ in 0..cands.len().min(4) {
+                            let cand = cands[next(&mut rng, cands.len())];
+                            let child = tree.push(n, cand, 0, 0);
+                            if !tree.enter(&mut checker, child).unwrap() {
+                                continue;
+                            }
+                            let step_cost = checked_step(&cand, &opts).unwrap();
+                            let child_h = h_of(&checker);
+                            assert!(
+                                h <= step_cost + child_h,
+                                "{}: h {h} > step {step_cost} + h {child_h} after {}",
+                                ctx(step),
+                                cand.op
+                            );
+                            assert!(lazy[cand.model.index()] <= child_h, "{}", ctx(step));
+                            entered.push((child, child_h));
                         }
-                        let step_cost = checked_step(&cand, &opts).unwrap();
-                        let child_h = h_of(&checker);
-                        assert!(
-                            h <= step_cost + child_h,
-                            "{}: h {h} > step {step_cost} + h {child_h} after {}",
-                            ctx(step),
-                            cand.op
-                        );
-                        assert!(lazy[cand.model.index()] <= child_h, "{}", ctx(step));
-                        entered.push((child, child_h));
                     }
-                }
-                assert!(entered.len() > 10, "{}: the walk went somewhere", sc.name());
-                match SatEngine::new(opts.clone()).repair(hir, &originals, targets) {
-                    Ok(Some(out)) => {
+                    assert!(entered.len() > 10, "{}: the walk went somewhere", ctx(0));
+                    if let Some(out) = sat {
                         assert!(root_h <= out.cost, "{}: h(root) {root_h}", ctx(0));
                         admissible_checked += 1;
+                        single_checked += usize::from(targets != full);
                     }
-                    Ok(None) => {}
-                    Err(e) => panic!("{}: {e}", ctx(0)),
                 }
             }
         }
         assert!(
-            admissible_checked >= 3,
-            "{admissible_checked} roots repaired"
+            admissible_checked >= 3 && single_checked > 0 && unreachable > 0,
+            "{admissible_checked} roots repaired, {single_checked} towards one model, \
+             {unreachable} out of reach"
         );
     }
 }

@@ -21,12 +21,12 @@
 //!   crashed (a torn tail — a record cut mid-write — is dropped, because
 //!   it was never acknowledged as committed);
 //! * [`HubStore`] — the store of a served [`mmt_core::SyncHub`]: one
-//!   session store per durable session under `sessions/<name>/`, plus a
-//!   `hub` manifest mapping session names to transformation ids.
-//!   [`HubStore::open`] recovers every session the manifest names,
-//!   [`HubStore::create`] and [`HubStore::close`] write a session's
-//!   store before the manifest names it and drop the name before the
-//!   store goes, and [`HubStore::commit`] is one session's commit point.
+//!   session store per durable session under `sessions/<name>/`, each
+//!   visible exactly when its own manifest is. [`HubStore::open`]
+//!   recovers every session directory that holds a manifest,
+//!   [`HubStore::create`] publishes a session's manifest after the rest
+//!   of its store, [`HubStore::close`] unlinks the manifest before the
+//!   rest goes, and [`HubStore::commit`] is one session's commit point.
 //!
 //! ## Recovery ≡ replay, and the "no third outcome" contract
 //!
@@ -46,7 +46,8 @@
 //! The fault-injection harness (`tests/store_crash.rs` at the workspace
 //! root) pins this down by cutting the WAL at every record boundary and
 //! at mid-record offsets, and by flipping bytes of the WAL and of a
-//! seed file.
+//! seed file; it also cuts a hub store's `create` and `close` at each
+//! step and restarts from what they leave.
 
 mod codec;
 mod hub;
@@ -54,7 +55,7 @@ mod session;
 mod wal;
 
 pub use codec::{parse_entry, render_entry};
-pub use hub::HubStore;
+pub use hub::{check_session_name, HubStore};
 pub use session::PersistentSession;
 
 use mmt_core::{CoreError, HubError, Transformation};
@@ -109,9 +110,16 @@ pub enum StoreError {
         /// Spec fingerprint the store recorded.
         found: String,
     },
-    /// A session name or transformation id unusable as a store
-    /// directory component and manifest token.
+    /// A session name unusable as a directory component.
     InvalidName(String),
+    /// A session opened against another transformation than the one
+    /// the hub store serves.
+    ForeignTransformation {
+        /// The transformation id the store serves.
+        expected: String,
+        /// The id the session was opened against.
+        found: String,
+    },
     /// The in-memory session layer failed (e.g. the cold-start check
     /// while reopening a seed tuple).
     Core(CoreError),
@@ -162,7 +170,11 @@ impl fmt::Display for StoreError {
             ),
             StoreError::InvalidName(name) => write!(
                 f,
-                "invalid session name {name:?}: must be non-empty, not `.` or `..`, and contain no path separators, NUL or whitespace"
+                "invalid session name {name:?}: must be non-empty, not `.` or `..`, and contain no path separators or NUL"
+            ),
+            StoreError::ForeignTransformation { expected, found } => write!(
+                f,
+                "the store serves transformation `{expected}`, not `{found}`"
             ),
             StoreError::Core(e) => write!(f, "session layer: {e}"),
             StoreError::Replay { record, source } => {
@@ -229,11 +241,11 @@ pub fn spec_fingerprint(t: &Transformation) -> String {
     format!("{h:016x}")
 }
 
-/// Best-effort directory fsync (so a freshly created store survives a
-/// crash of the *directory* metadata, not just the file contents).
+/// Fsyncs a directory, so the entries created, renamed or removed in it
+/// survive a crash, not just the files' contents. Every error, opening
+/// the directory included, is returned.
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    match std::fs::File::open(dir) {
-        Ok(f) => f.sync_all().map_err(|e| io_err(dir, e)),
-        Err(e) => Err(io_err(dir, e)),
-    }
+    std::fs::File::open(dir)
+        .and_then(|f| f.sync_all())
+        .map_err(|e| io_err(dir, e))
 }

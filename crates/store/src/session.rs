@@ -13,10 +13,14 @@
 //! changed on disk is [`StoreError::Corrupt`], as a WAL record that
 //! fails its CRC is.
 //!
-//! The manifest is written **last** during [`PersistentSession::create`]
-//! (after seeds and WAL are on disk and the directory is fsynced), so a
-//! store is either visibly absent or complete — a crash mid-create
-//! leaves no half-store that [`PersistentSession::open`] would trust.
+//! The manifest is the store's one visibility point.
+//! [`PersistentSession::create`] first fsyncs the new directory into its
+//! parent, then writes and fsyncs the seeds and the WAL, and publishes
+//! the manifest **last**, by atomic replace: it writes and fsyncs
+//! `manifest.tmp`, renames it over `manifest` and fsyncs the directory.
+//! So `manifest` is never seen cut short, and a crash mid-create leaves
+//! a directory without one, which [`PersistentSession::open`] does not
+//! trust and a later `create` overwrites.
 
 use crate::wal::Wal;
 use crate::{fnv1a, io_err, parse_entry, render_entry, spec_fingerprint, sync_dir, StoreError};
@@ -56,7 +60,9 @@ impl PersistentSession {
     /// Snapshots `session` into a fresh store at `dir`: the seed tuple
     /// reconstructed via [`SyncSession::seed_models`] as model text, one
     /// WAL record per journal entry, and the manifest, with the seeds'
-    /// checksums, last. Refuses to overwrite an existing store.
+    /// checksums, published last. Refuses to overwrite an existing
+    /// store; the files of one whose manifest was never published are
+    /// overwritten.
     pub fn create(dir: &Path, session: &SyncSession) -> Result<PersistentSession, StoreError> {
         let manifest = dir.join("manifest");
         if manifest.exists() {
@@ -70,6 +76,8 @@ impl PersistentSession {
         }
         let seed_dir = dir.join("seed");
         fs::create_dir_all(&seed_dir).map_err(|e| io_err(&seed_dir, e))?;
+        // The new directory's own entry, in whatever directory holds it.
+        sync_dir(&dir.join(".."))?;
         let mut manifest_text = format!(
             "{MANIFEST_VERSION}\nspec {}\narity {}\n",
             spec_fingerprint(session.transformation()),
@@ -86,8 +94,7 @@ impl PersistentSession {
             wal.append(&render_entry(entry))?;
         }
         wal.sync()?;
-        write_sync(&manifest, manifest_text.as_bytes())?;
-        sync_dir(dir)?;
+        publish_manifest(dir, manifest_text.as_bytes())?;
         Ok(PersistentSession {
             wal,
             serials: session.journal_serials().to_vec(),
@@ -205,11 +212,23 @@ impl PersistentSession {
 }
 
 /// Writes a whole file and fsyncs it before returning.
-pub(crate) fn write_sync(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+fn write_sync(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let mut f = fs::File::create(path).map_err(|e| io_err(path, e))?;
     f.write_all(bytes)
         .and_then(|()| f.sync_all())
         .map_err(|e| io_err(path, e))
+}
+
+/// Publishes `bytes` as the manifest of the store at `dir` by atomic
+/// replace: writes and fsyncs `manifest.tmp`, renames it over
+/// `manifest`, and fsyncs `dir`. A crash leaves the old manifest or the
+/// new one, never a cut one, and the file `manifest` named before is
+/// never written.
+fn publish_manifest(dir: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let (tmp, manifest) = (dir.join("manifest.tmp"), dir.join("manifest"));
+    write_sync(&tmp, bytes)?;
+    fs::rename(&tmp, &manifest).map_err(|e| io_err(&manifest, e))?;
+    sync_dir(dir)
 }
 
 /// The seed file of model `i` in the store at `dir`.
@@ -565,6 +584,23 @@ mod tests {
             );
             assert_eq!(a.id_bound(), b.id_bound());
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A manifest is replaced by rename: a hard link to the one it
+    /// replaced keeps the old bytes, so no reader ever sees it cut, and
+    /// no temporary file is left.
+    #[test]
+    fn publish_replaces_and_never_writes_in_place() {
+        let dir = tmp("publish");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("manifest");
+        publish_manifest(&dir, b"old\n").unwrap();
+        fs::hard_link(&path, dir.join("pin")).unwrap();
+        publish_manifest(&dir, b"new\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new\n");
+        assert_eq!(fs::read(dir.join("pin")).unwrap(), b"old\n");
+        assert!(!dir.join("manifest.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -107,7 +107,7 @@ fn concurrent_sessions_match_single_threaded_reference() {
     // Every session shares the one registered transformation.
     for name in hub.list() {
         let h = hub.get(&name).unwrap();
-        assert!(Arc::ptr_eq(h.transformation(), &shared));
+        assert!(h.with(|s| Arc::ptr_eq(s.transformation(), &shared)));
     }
 }
 
@@ -222,7 +222,7 @@ fn restore_from_while_sessions_are_driven() {
     // Build the store: two durable sessions at distinct, known states.
     let source = SyncHub::new();
     source.register("F", t.clone()).unwrap();
-    let mut store = HubStore::open(&dir, &source, &SessionOptions::default()).unwrap();
+    let mut store = HubStore::open(&dir, &source, "F", &SessionOptions::default()).unwrap();
     let mut persisted = Vec::new();
     for i in 0..2u64 {
         let name = format!("stored-{i}");
@@ -250,7 +250,7 @@ fn restore_from_while_sessions_are_driven() {
         let restorer = {
             let hub = Arc::clone(&hub);
             let dir = dir.clone();
-            s.spawn(move || HubStore::open(&dir, &hub, &SessionOptions::default()).unwrap())
+            s.spawn(move || HubStore::open(&dir, &hub, "F", &SessionOptions::default()).unwrap())
         };
         (driver.join().unwrap(), restorer.join().unwrap())
     });

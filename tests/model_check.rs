@@ -158,10 +158,13 @@ fn snapshot_enumeration_vs_live_edit_sees_consistent_states() {
                 tuple(s)
             })
         });
-        // A registry walk: enumerate handles, lock each, read state.
+        // A registry walk: list the names, then look up and lock each;
+        // a name closed between the two calls is gone.
         let mut snapshot = Vec::new();
-        for h in hub.sessions() {
-            snapshot.push(h.with(tuple));
+        for name in hub.list() {
+            if let Ok(h) = hub.get(&name) {
+                snapshot.push(h.with(tuple));
+            }
         }
         let after = editor.join().expect("no panics");
         // Each snapshotted tuple is the pre- or post-edit state, never a
@@ -188,14 +191,21 @@ fn snapshot_enumeration_vs_concurrent_open() {
             hub2.open("s2", "t", &models2).expect("open s2");
         });
         // A registry walk racing the open: the walk must see a
-        // clean prefix of the registry (1 or 2 sessions), lock each handle
-        // without deadlock, and never observe a half-inserted slot.
-        let seen = hub.sessions();
+        // clean prefix of the registry (1 or 2 sessions), look up and
+        // lock each listed handle without deadlock, and never observe a
+        // half-inserted slot. Nothing closes here, so every listed name
+        // is still there when it is looked up.
+        let seen = hub.list();
         if seen.is_empty() || seen.len() > 2 {
             loomlite::fail("enumeration saw an impossible session count");
         }
-        for h in &seen {
-            let _ = h.with(|s| s.status());
+        for name in &seen {
+            match hub.get(name) {
+                Ok(h) => {
+                    let _ = h.with(|s| s.status());
+                }
+                Err(_) => loomlite::fail("a listed session vanished"),
+            }
         }
         opener.join().expect("no panics");
         if hub.len() != 2 {

@@ -11,7 +11,12 @@
 //!   recovery never silently diverges from what was committed;
 //! * **seed rot** — the manifest checksums every seed file, so flipping
 //!   any byte of one is [`StoreError::Corrupt`], even where the flipped
-//!   text would still parse.
+//!   text would still parse;
+//! * **cut creates and closes** — a session's manifest is its one
+//!   visibility point, published last by atomic rename and unlinked
+//!   first on close, so a hub store cut at any step of either restarts
+//!   with exactly the sessions whose manifest was published, and a
+//!   later `create` of the cut name succeeds.
 //!
 //! The WAL format is part of the store's public contract (documented
 //! in `mmt_store`): an 8-byte magic, then per record a little-endian
@@ -22,12 +27,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mmtf::core::{JournalEntry, SessionOptions, Shape, SyncSession, SyncStatus, Transformation};
+use mmtf::core::{
+    JournalEntry, SessionHandle, SessionOptions, Shape, SyncHub, SyncSession, SyncStatus,
+    Transformation,
+};
 use mmtf::gen::{feature_workload, FeatureSpec, SessionScriptGen, SessionStep};
 use mmtf::model::text::print_model;
 use mmtf::model::Model;
 use mmtf::prelude::{DomSet, PersistentSession, StoreError};
-use mmtf::store::render_entry;
+use mmtf::store::{render_entry, HubStore};
 
 const WAL_HEADER: usize = 8;
 
@@ -331,5 +339,151 @@ fn seed_and_manifest_rot_is_typed_not_silent() {
         Err(StoreError::SpecMismatch { .. }) => {}
         other => panic!("forged spec: expected SpecMismatch, got {other:?}"),
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Where a crash can cut a durable session's `create` or `close`: the
+/// files `PersistentSession::create` writes, in its order (seeds, WAL,
+/// `manifest.tmp`, then the rename to `manifest`), and `HubStore::close`
+/// once it has unlinked the manifest.
+#[derive(Clone, Copy, Debug)]
+enum Cut {
+    CreateAfterSeeds,
+    CreateAfterWal,
+    CreateBeforeRename,
+    CloseAfterUnlink,
+}
+
+impl Cut {
+    /// Turns the whole session store at `dir` into what the cut leaves.
+    fn apply(self, dir: &Path) {
+        let manifest = dir.join("manifest");
+        match self {
+            Cut::CreateAfterSeeds => {
+                fs::remove_file(&manifest).unwrap();
+                fs::remove_file(dir.join("wal")).unwrap();
+            }
+            Cut::CreateAfterWal | Cut::CloseAfterUnlink => fs::remove_file(&manifest).unwrap(),
+            Cut::CreateBeforeRename => fs::rename(&manifest, dir.join("manifest.tmp")).unwrap(),
+        }
+    }
+}
+
+/// A fresh hub with `t` registered as `F`.
+fn hub_of(t: &Arc<Transformation>) -> SyncHub {
+    let hub = SyncHub::new();
+    hub.register("F", Arc::clone(t)).unwrap();
+    hub
+}
+
+/// Drives `handle`'s session through `steps` generated steps, committing
+/// each to `store`.
+fn drive(store: &mut HubStore, handle: &SessionHandle, seed: u64, steps: usize) {
+    let targets = DomSet::from_iter([mmtf::deps::DomIdx(0), mmtf::deps::DomIdx(1)]);
+    let mut gen = SessionScriptGen::new(targets, 3, seed);
+    for _ in 0..steps {
+        handle.with(|s| match gen.next_step(s.models()) {
+            SessionStep::Edit { model, op } => {
+                s.apply(model, op).unwrap();
+            }
+            SessionStep::Repair { targets } => {
+                s.repair(Shape::from_targets(targets)).unwrap();
+            }
+        });
+        store.commit(handle).unwrap();
+    }
+}
+
+/// A hard link to the manifest `sessions/<name>` just published, and its
+/// bytes: if any later write went into the published file instead of
+/// replacing it, the link would see it.
+fn pin(dir: &Path, name: &str, pins: &Path, pinned: &mut Vec<(PathBuf, Vec<u8>)>) {
+    let manifest = dir.join("sessions").join(name).join("manifest");
+    let link = pins.join(pinned.len().to_string());
+    fs::hard_link(&manifest, &link).unwrap();
+    pinned.push((link, fs::read(&manifest).unwrap()));
+}
+
+/// A hub store cut inside a `create` (after the seeds, after the WAL,
+/// after `manifest.tmp` but before its rename) or inside a `close` (after
+/// the unlink) restarts without error and recovers exactly the sessions
+/// whose manifest was published, at their committed states; a later
+/// `create` of the cut name succeeds and recovers too. No write along
+/// the way touches a published manifest.
+#[test]
+fn a_cut_create_or_close_recovers_exactly_the_published_sessions() {
+    let (t, models) = fixture(7);
+    let opts = SessionOptions::default();
+    for cut in [
+        Cut::CreateAfterSeeds,
+        Cut::CreateAfterWal,
+        Cut::CreateBeforeRename,
+        Cut::CloseAfterUnlink,
+    ] {
+        let dir = scratch(&format!("hub-{cut:?}"));
+        let pins = scratch(&format!("pins-{cut:?}"));
+        fs::create_dir_all(&pins).unwrap();
+        let mut pinned = Vec::new();
+        let hub = hub_of(&t);
+        let mut store = HubStore::open(&dir, &hub, "F", &opts).unwrap();
+        for (i, name) in ["kept", "cut"].into_iter().enumerate() {
+            let handle = hub.open_with(name, "F", &models, opts.clone()).unwrap();
+            store.create(&handle).unwrap();
+            pin(&dir, name, &pins, &mut pinned);
+            drive(&mut store, &handle, 40 + i as u64, 6);
+        }
+        let kept = hub.get("kept").unwrap().with(|s| Snapshot::of(s));
+        drop(store);
+        cut.apply(&dir.join("sessions").join("cut"));
+
+        let restarted = hub_of(&t);
+        let mut store = HubStore::open(&dir, &restarted, "F", &opts)
+            .unwrap_or_else(|e| panic!("{cut:?}: restart failed: {e}"));
+        assert_eq!(restarted.list(), ["kept"], "{cut:?}");
+        let back = restarted.get("kept").unwrap().with(|s| Snapshot::of(s));
+        assert_eq!(back, kept, "{cut:?}");
+        let again = restarted
+            .open_with("cut", "F", &models, opts.clone())
+            .unwrap();
+        store.create(&again).unwrap();
+        pin(&dir, "cut", &pins, &mut pinned);
+        let fresh = again.with(|s| Snapshot::of(s));
+        drop(store);
+
+        let third = hub_of(&t);
+        let mut store = HubStore::open(&dir, &third, "F", &opts).unwrap();
+        assert_eq!(third.list(), ["cut", "kept"], "{cut:?}");
+        assert_eq!(third.get("cut").unwrap().with(|s| Snapshot::of(s)), fresh);
+        store.close("kept").unwrap();
+        for (link, bytes) in &pinned {
+            assert_eq!(
+                &fs::read(link).unwrap(),
+                bytes,
+                "{cut:?}: {}",
+                link.display()
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&pins);
+    }
+}
+
+/// `mmt sync --store` resumes a directory only if it holds a published
+/// manifest. One that holds only a `manifest.tmp` (a `create` cut before
+/// its rename) is no store, so a fresh one is created there and opens.
+#[test]
+fn an_unpublished_manifest_is_no_store() {
+    let (t, models) = fixture(3);
+    let dir = scratch("unpublished");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("manifest.tmp"), "mmt-store 2\nspec").unwrap();
+    assert!(!PersistentSession::exists(&dir));
+    let session =
+        SyncSession::with_options(Arc::clone(&t), &models, SessionOptions::default()).unwrap();
+    PersistentSession::create(&dir, &session).unwrap();
+    assert!(PersistentSession::exists(&dir));
+    assert!(!dir.join("manifest.tmp").exists());
+    let (_, back) = PersistentSession::open(&dir, &t, SessionOptions::default()).unwrap();
+    assert_eq!(Snapshot::of(&back), Snapshot::of(&session));
     let _ = fs::remove_dir_all(&dir);
 }
