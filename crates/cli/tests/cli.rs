@@ -140,6 +140,63 @@ fn enforce_refuses_a_cost_counter_past_the_grounding_budget() {
     );
 }
 
+/// A SAT repair of a configuration whose id space is full: no slack
+/// object fits below the ceiling, so `cf1` cannot gain the missing
+/// feature. `enforce` answers "no repair" (exit 1), and `serve` answers
+/// `{"repaired":false}` and then the next request. Slack objects used to
+/// take ids past the ceiling, and decoding a repair that revived one
+/// panicked: `enforce` exited 101 and `serve` died. Each process holds
+/// one model padded with 168 MB of tombstones.
+#[test]
+fn sat_repairs_at_the_id_ceiling_answer_no_repair() {
+    let dir = std::env::temp_dir().join(format!("mmt-cli-id-ceiling-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cf1 = dir.join("cf1.model");
+    std::fs::write(
+        &cf1,
+        "model cf1 : CF bound 4194304 {\n  @0 = Feature { name = \"engine\" }\n}\n",
+    )
+    .unwrap();
+    let models: Vec<String> = data_args()
+        .into_iter()
+        .map(|a| {
+            if a.ends_with("cf1.model") {
+                cf1.to_string_lossy().into_owned()
+            } else {
+                a
+            }
+        })
+        .collect();
+    let command = |verb: &str| {
+        let mut args = vec![verb.to_string()];
+        args.extend(models.iter().cloned());
+        args.extend(["--engine".to_string(), "sat".to_string()]);
+        args
+    };
+
+    let mut args = command("enforce");
+    args.extend(["--targets".to_string(), "cf1,cf2".to_string()]);
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, code) = mmt(&argrefs);
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    assert!(stdout.contains("no repair"), "{stdout}");
+
+    let requests = r#"{"id":1,"cmd":"open","session":"s"}
+{"id":2,"cmd":"repair","session":"s","targets":"cf1,cf2"}
+{"id":3,"cmd":"status","session":"s"}
+"#;
+    let args = command("serve");
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, code) = mmt_with_stdin(&argrefs, requests);
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    assert_eq!(serve_result(&stdout, 2), "{\"repaired\":false}");
+    assert!(
+        serve_result(&stdout, 3).starts_with("{\"consistent\":false,"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `mmt repair --batch <dir> --jobs N`: every subdirectory is one
 /// request; results are per-request and written under `--out/<request>/`.
 #[test]

@@ -101,9 +101,11 @@ pub struct RepairOptions {
     /// Maximum total weighted cost to consider before giving up.
     /// The hard bound on both engines' runtime: search explores
     /// O(branching^depth) states and the SAT engine relaxes its cost
-    /// counter `k = 0, 1, 2, …` up to this bound. Too small → repairable
-    /// tuples report `None`; too large → worst-case blow-up on
-    /// unrepairable inputs.
+    /// counter `k = 0, 1, 2, …` up to this bound. Both stop at the least
+    /// cost, and SAT builds the counter's columns only as far as its
+    /// rounds reach, so a bound above a repair's cost costs neither
+    /// anything. Too small → repairable tuples report `None`; too large
+    /// → worst-case blow-up on unrepairable inputs.
     pub max_cost: u64,
     /// Fresh string symbols available to repairs (values not occurring
     /// in any model or pattern literal). Each fresh string multiplies
@@ -551,10 +553,12 @@ impl RepairEngine for SearchEngine {
 }
 
 /// The SAT-based engine: bounded grounding to CNF with a sequential
-/// cost counter, relaxed `k = 0, 1, 2, …` until satisfiable — the
+/// cost counter, relaxed `k = 0, 1, 2, …` until satisfiable and grown a
+/// column per bound it reaches (a cost-c repair builds c + 1) — the
 /// Alloy/Kodkod/PMax-SAT realization the paper's Echo tool uses. Unlike
 /// [`SearchEngine`] it is complete within its universe bounds
-/// ([`RepairOptions::slack_objs`] fresh objects per class,
+/// ([`RepairOptions::slack_objs`] fresh objects per class, fewer where a
+/// model's ids reach [`mmt_model::MAX_IDS`];
 /// [`RepairOptions::fresh_strings`] fresh strings).
 ///
 /// ```

@@ -4,12 +4,15 @@
 //! The grounder builds [`Formula`] trees while instantiating quantifiers
 //! and folds constants aggressively; [`CnfBuilder::add_formula`] then
 //! clausifies via Tseitin (two-sided equivalences, safe under negation).
-//! [`CnfBuilder::encode_cost_counter`] encodes `Σ wᵢ·xᵢ ≥ j` indicator
-//! outputs, which the repair loop bounds via solver assumptions — the
-//! PMax-SAT-style "increasing distance" search of §3.
+//! `CostCounter` encodes `Σ wᵢ·xᵢ ≥ j` indicator outputs, which the
+//! repair loop bounds via solver assumptions — the PMax-SAT-style
+//! "increasing distance" search of §3. It builds output `j`'s column only
+//! when the loop reaches bound `j - 1`, into the live solver, as
+//! linear-search MaxSAT solvers extend their cardinality encodings: a
+//! cost-c repair builds c + 1 columns whatever the bound's ceiling.
 //!
 //! Neither pass allocates per clause: Tseitin collects child literals on
-//! one stack the builder reuses, and the counter writes each output's
+//! one stack the builder reuses, and the counter writes each cell's
 //! clauses straight from its literals. The solver stores every clause in
 //! one arena and every watch list in another, so the CNF costs only the
 //! arenas' amortized growth, and not even that on a warm thread: each
@@ -258,77 +261,104 @@ impl CnfBuilder {
             }
         }
     }
+}
 
-    /// Weighted sequential counter: returns `outs` where `outs[j-1]`
-    /// (1-based j) is forced true whenever `Σ wᵢ·xᵢ ≥ j`, for
-    /// `j ∈ 1..=width`. Assuming `¬outs[k]` therefore enforces
-    /// `Σ wᵢ·xᵢ ≤ k`. Weights are saturated at `bound+1`, and `width` is
-    /// `min(bound, Σ saturated wᵢ) + 1` ([`cost_counter_width`]): past
-    /// what the items can sum to, every output would be constant false,
-    /// so the last output already bounds nothing. The counter makes up
-    /// to `width × items.len()` cells, so callers count them against
-    /// their budget first: heavy weights under a huge `bound` widen it.
-    pub fn encode_cost_counter(&mut self, items: &[(Lit, u64)], bound: u64) -> Vec<Lit> {
-        let cap = usize::try_from(cost_counter_width(items, bound))
-            .expect("cost counter width fits in usize");
-        // prev[j-1] = indicator(sum of first i items ≥ j); cur takes the
-        // next item's, and the two swap after each item.
-        let mut prev: Vec<Option<Lit>> = vec![None; cap];
-        let mut cur: Vec<Option<Lit>> = vec![None; cap];
-        for &(x, w) in items {
-            // Saturating at the width is saturating at `bound + 1`: the
-            // width is that, or above every weight.
-            let w = usize::try_from(w).map_or(cap, |w| w.min(cap));
+/// A weighted sequential counter over cost items `(xᵢ, wᵢ)`, built one
+/// column at a time as a search over cost bounds reaches them. Column `j`
+/// (from 1) has one cell per item: cell `i` is forced true whenever items
+/// `0..=i` sum to at least `j`, and is `None` where they cannot. Its
+/// output, the last cell, is forced true whenever `Σ wᵢ·xᵢ ≥ j`, so
+/// assuming it false enforces `Σ wᵢ·xᵢ < j`.
+///
+/// A cell of column `j` reads the cell above it in the same column and
+/// one cell of column `j - wᵢ`, so columns are built in order, and a
+/// weight past `j` needs no saturation: the item alone reaches `j`.
+pub(crate) struct CostCounter {
+    items: Vec<(Lit, u64)>,
+    /// The built columns' cells, column after column, one per item.
+    cells: Vec<Option<Lit>>,
+    /// Each built column's output: its last cell, or a constant-false
+    /// literal where the items cannot sum that high.
+    outs: Vec<Lit>,
+}
+
+impl CostCounter {
+    /// A counter over `items` with no column built.
+    pub(crate) fn new(items: Vec<(Lit, u64)>) -> CostCounter {
+        CostCounter {
+            items,
+            cells: Vec::new(),
+            outs: Vec::new(),
+        }
+    }
+
+    /// The number of cost items it counts.
+    pub(crate) fn items(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The output of column `j ≥ 1`, forced true whenever the items sum
+    /// to at least `j`; builds columns up to `j` into `b` first.
+    pub(crate) fn at_least(&mut self, j: usize, b: &mut CnfBuilder) -> Lit {
+        while self.outs.len() < j {
+            self.grow(b);
+        }
+        self.outs[j - 1]
+    }
+
+    /// Builds the next column.
+    fn grow(&mut self, b: &mut CnfBuilder) {
+        let n = self.items.len();
+        let j = self.outs.len() + 1;
+        self.cells.reserve(n);
+        // The cell above: items before this one sum to at least j.
+        let mut carry: Option<Lit> = None;
+        for (i, &(x, w)) in self.items.iter().enumerate() {
             if w == 0 {
+                self.cells.push(carry);
                 continue;
             }
-            for j in 1..=cap {
-                // sum ≥ j if: previous sum ≥ j, or (x and previous ≥ j-w).
-                // `with_x` is `Some(None)` when x alone reaches j (j ≤ w),
-                // `Some(Some(p))` when it needs p = (previous ≥ j-w).
-                let carry = prev[j - 1];
-                let with_x = if j <= w {
-                    Some(None)
-                } else {
-                    prev[j - w - 1].map(Some)
-                };
-                if carry.is_none() && with_x.is_none() {
-                    cur[j - 1] = None;
-                    continue;
-                }
-                let out = Lit::pos(self.fresh());
-                // (⋀ reason) → out, one clause per reason.
-                if let Some(p) = carry {
-                    self.clause(&[p.negate(), out]);
-                }
-                match with_x {
-                    Some(None) => self.clause(&[x.negate(), out]),
-                    Some(Some(p)) => self.clause(&[x.negate(), p.negate(), out]),
-                    None => {}
-                }
-                cur[j - 1] = Some(out);
+            // sum ≥ j if: previous sum ≥ j, or (x and previous ≥ j-w).
+            // `with_x` is `Some(None)` when x alone reaches j (j ≤ w),
+            // `Some(Some(p))` when it needs p = (previous ≥ j-w).
+            let with_x = match usize::try_from(w) {
+                Ok(w) if w < j => match i {
+                    0 => None,
+                    _ => self.cells[(j - w - 1) * n + i - 1].map(Some),
+                },
+                _ => Some(None),
+            };
+            if carry.is_none() && with_x.is_none() {
+                self.cells.push(None);
+                continue;
             }
-            std::mem::swap(&mut prev, &mut cur);
+            let out = Lit::pos(b.fresh());
+            // (⋀ reason) → out, one clause per reason.
+            if let Some(p) = carry {
+                b.clause(&[p.negate(), out]);
+            }
+            match with_x {
+                Some(None) => b.clause(&[x.negate(), out]),
+                Some(Some(p)) => b.clause(&[x.negate(), p.negate(), out]),
+                None => {}
+            }
+            self.cells.push(Some(out));
+            carry = Some(out);
         }
-        // Materialize missing outputs as constant-false indicators.
-        prev.into_iter()
-            .map(|o| match o {
-                Some(l) => l,
-                None => {
-                    let v = self.fresh();
-                    let l = Lit::pos(v);
-                    self.clause(&[l.negate()]);
-                    l
-                }
-            })
-            .collect()
+        let out = carry.unwrap_or_else(|| {
+            let l = Lit::pos(b.fresh());
+            b.clause(&[l.negate()]);
+            l
+        });
+        self.outs.push(out);
     }
 }
 
-/// The number of outputs [`CnfBuilder::encode_cost_counter`] gives
-/// `items` under `bound`: `min(bound, Σ wᵢ saturated at bound + 1) + 1`,
-/// computed without overflow.
-pub fn cost_counter_width(items: &[(Lit, u64)], bound: u64) -> u128 {
+/// The number of [`CostCounter`] columns a search over the cost bounds
+/// `0..=bound` can reach: `min(bound, Σ wᵢ saturated at bound + 1) + 1`,
+/// computed without overflow. Its last column, past what the items can
+/// sum to when `bound` is, is constant false and bounds nothing.
+pub(crate) fn cost_counter_width(items: &[(Lit, u64)], bound: u64) -> u128 {
     let saturated = bound.saturating_add(1);
     let reach = items
         .iter()
@@ -380,6 +410,11 @@ mod tests {
         assert_eq!(b.solver.solve(), SatResult::Unsat);
     }
 
+    /// Fresh item literals with the given weights.
+    fn items_of(b: &mut CnfBuilder, weights: &[u64]) -> Vec<(Lit, u64)> {
+        weights.iter().map(|&w| (Lit::pos(b.fresh()), w)).collect()
+    }
+
     /// Exhaustively verify the weighted counter against arithmetic for
     /// small item sets.
     #[test]
@@ -388,23 +423,22 @@ mod tests {
         let bound = 4u64;
         for mask in 0u32..(1 << weights.len()) {
             let mut b = CnfBuilder::new();
-            let lits: Vec<Lit> = weights.iter().map(|_| Lit::pos(b.fresh())).collect();
-            let items: Vec<(Lit, u64)> =
-                lits.iter().copied().zip(weights.iter().copied()).collect();
-            let outs = b.encode_cost_counter(&items, bound);
-            assert_eq!(outs.len(), (bound + 1) as usize);
+            let items = items_of(&mut b, &weights);
+            assert_eq!(cost_counter_width(&items, bound), u128::from(bound) + 1);
+            let mut counter = CostCounter::new(items.clone());
             // Fix the inputs according to the mask.
             let mut sum = 0u64;
-            for (i, &l) in lits.iter().enumerate() {
+            for (i, &(l, w)) in items.iter().enumerate() {
                 if mask & (1 << i) != 0 {
                     b.solver.add_clause(&[l]);
-                    sum += weights[i];
+                    sum += w;
                 } else {
                     b.solver.add_clause(&[l.negate()]);
                 }
             }
-            for k in 0..=bound {
-                let res = b.solver.solve_with(&[outs[k as usize].negate()]);
+            for (k, j) in (0..=bound).zip(1..) {
+                let out = counter.at_least(j, &mut b);
+                let res = b.solver.solve_with(&[out.negate()]);
                 let expect_sat = sum <= k;
                 assert_eq!(
                     res == SatResult::Sat,
@@ -415,23 +449,23 @@ mod tests {
         }
     }
 
-    /// The counter is `min(bound, Σ saturated wᵢ) + 1` outputs wide, so a
+    /// The counter reaches `min(bound, Σ saturated wᵢ) + 1` columns, so a
     /// bound past what the items can sum to costs nothing, `u64::MAX`
-    /// included. Its last output then bounds nothing: assuming it false
-    /// admits every item at once.
+    /// included. Its last column then bounds nothing: assuming its
+    /// output false admits every item at once.
     #[test]
     fn cost_counter_width_is_what_its_items_can_sum_to() {
         let width = |weights: &[u64], bound: u64| {
             let mut b = CnfBuilder::new();
-            let items: Vec<(Lit, u64)> =
-                weights.iter().map(|&w| (Lit::pos(b.fresh()), w)).collect();
-            let outs = b.encode_cost_counter(&items, bound);
+            let items = items_of(&mut b, weights);
+            let width = cost_counter_width(&items, bound);
+            let last =
+                CostCounter::new(items.clone()).at_least(usize::try_from(width).unwrap(), &mut b);
             for &(x, _) in &items {
                 b.solver.add_clause(&[x]);
             }
-            let last = *outs.last().expect("at least one output");
             let all_items = b.solver.solve_with(&[last.negate()]) == SatResult::Sat;
-            (outs.len(), all_items)
+            (width, all_items)
         };
         assert_eq!(width(&[1, 2, 1, 3], 4), (5, false));
         assert_eq!(width(&[1, 2, 1, 3], 7), (8, true));
@@ -447,25 +481,69 @@ mod tests {
     fn cost_counter_zero_weight_items_free() {
         let mut b = CnfBuilder::new();
         let x = Lit::pos(b.fresh());
-        let outs = b.encode_cost_counter(&[(x, 0)], 2);
+        let out = CostCounter::new(vec![(x, 0)]).at_least(1, &mut b);
         b.solver.add_clause(&[x]);
         // Even at bound 0 the formula is satisfiable.
-        assert_eq!(b.solver.solve_with(&[outs[0].negate()]), SatResult::Sat);
+        assert_eq!(b.solver.solve_with(&[out.negate()]), SatResult::Sat);
     }
 
+    /// A weight past every column reaches each one alone.
     #[test]
     fn cost_counter_saturates_large_weights() {
         let mut b = CnfBuilder::new();
         let x = Lit::pos(b.fresh());
-        let outs = b.encode_cost_counter(&[(x, 1000)], 3);
+        let mut counter = CostCounter::new(vec![(x, 1000)]);
         b.solver.add_clause(&[x]);
         // Sum exceeds every bound ≤ 3.
-        for (k, out) in outs.iter().enumerate().take(4) {
+        for k in 0..4 {
+            let out = counter.at_least(k + 1, &mut b);
             assert_eq!(
                 b.solver.solve_with(&[out.negate()]),
                 SatResult::Unsat,
                 "k={k}"
             );
+        }
+    }
+
+    /// Columns grown between solves, as the least-cost search grows
+    /// them, over seeded weights 0–4 and bounds 0–6: once column k + 1
+    /// is built, each assignment of the items satisfies `¬out[k]` exactly
+    /// when its weights sum to at most k, so `out[k]` is forced whenever
+    /// they reach k + 1 (brute force over every assignment).
+    #[test]
+    fn cost_counter_grows_between_solves() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next_weight = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % 5
+        };
+        for case in 0..40 {
+            let weights: Vec<u64> = (0..1 + case % 5).map(|_| next_weight()).collect();
+            let mut b = CnfBuilder::new();
+            let items = items_of(&mut b, &weights);
+            let mut counter = CostCounter::new(items.clone());
+            for k in 0..=6u64 {
+                let out = counter.at_least(k as usize + 1, &mut b);
+                for mask in 0u32..(1 << items.len()) {
+                    let mut assumed: Vec<Lit> = items
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(x, _))| if mask & (1 << i) != 0 { x } else { x.negate() })
+                        .collect();
+                    let sum: u64 = (0..items.len())
+                        .filter(|i| mask & (1 << i) != 0)
+                        .map(|i| weights[i])
+                        .sum();
+                    assumed.push(out.negate());
+                    assert_eq!(
+                        b.solver.solve_with(&assumed) == SatResult::Sat,
+                        sum <= k,
+                        "weights={weights:?} mask={mask:b} k={k}"
+                    );
+                }
+            }
         }
     }
 }

@@ -17,7 +17,10 @@
 //! weighted sequential counter bounds the total cost, and
 //! [`GroundProblem::solve_min_cost`] relaxes the bound `k = 0, 1, 2, …` —
 //! precisely the paper's "iterative process of searching for all
-//! consistent models at increasing distance".
+//! consistent models at increasing distance". The counter grows with the
+//! bound: just before the loop tries `k`, it adds the column that bounds
+//! the cost by `k` to the live solver, so a cost-c repair carries c + 1
+//! columns, however high `max_cost` is.
 //!
 //! ## Grounding a check by what its witness side reads
 //!
@@ -44,11 +47,13 @@
 
 pub mod formula;
 
-use formula::{cost_counter_width, CnfBuilder, Formula};
+use formula::{cost_counter_width, CnfBuilder, CostCounter, Formula};
 use mmt_deps::{Dep, DomIdx, DomSet};
 use mmt_dist::{CostModel, TupleCost};
 use mmt_model::fx::FxHashMap;
-use mmt_model::{AttrId, AttrType, ClassId, Metamodel, Model, ObjId, RefId, Sym, Upper, Value};
+use mmt_model::{
+    AttrId, AttrType, ClassId, Metamodel, Model, ObjId, RefId, Sym, Upper, Value, MAX_IDS,
+};
 use mmt_qvtr::{Atom, CmpOp, Constraint, Hir, HirExpr, HirRelation, RelId, VarId, VarTy};
 use mmt_sat::{Lit, SatResult, Var};
 use std::fmt;
@@ -57,7 +62,8 @@ use std::sync::Arc;
 /// Universe bounds for the grounding.
 #[derive(Clone, Copy, Debug)]
 pub struct Scope {
-    /// Fresh objects added per concrete class per mutable model.
+    /// Fresh objects added per concrete class per mutable model, while
+    /// the model's id space has room below [`MAX_IDS`].
     pub slack_objs: usize,
     /// Fresh string symbols added to the string domain.
     pub fresh_strings: usize,
@@ -82,8 +88,9 @@ pub struct GroundOptions {
     /// Per-model weight multipliers (§3 weighted tuple distance).
     pub tuple: TupleCost,
     /// Maximum total cost considered (the counter's bound). The counter
-    /// is no wider than the cost items can sum to, so a bound past that
-    /// costs nothing.
+    /// gains a column per bound tried, so a bound past the repair's cost
+    /// costs nothing; it only caps the search when no cheaper repair
+    /// exists, at what the cost items can sum to if that is less.
     pub max_cost: u64,
     /// Cap on instantiations, as [`GroundStats::universal_instantiations`]
     /// counts them (guards against scope blow-ups), and, separately, on
@@ -106,9 +113,10 @@ impl Default for GroundOptions {
 /// Grounding statistics.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct GroundStats {
-    /// SAT variables allocated.
+    /// SAT variables allocated, the cost counter's built columns
+    /// included.
     pub vars: usize,
-    /// Clauses emitted.
+    /// Clauses emitted, the cost counter's built columns included.
     pub clauses: u64,
     /// Universal bindings enumerated: each binding of a check's `D` (the
     /// universal variables its witness side reads) and each binding of a
@@ -356,8 +364,12 @@ pub struct GroundProblem<'a> {
     /// Symbolic state of each model, `None` for the frozen ones.
     muts: Vec<Option<MutModel>>,
     domains: ValueDomain,
-    cost_outs: Vec<Lit>,
-    stats: GroundStats,
+    /// The cost counter, grown a column per bound
+    /// [`solve_min_cost`](Self::solve_min_cost) tries.
+    counter: CostCounter,
+    /// The bounds it tries, `0..rounds`: the counter's full width.
+    rounds: u64,
+    instantiations: u64,
 }
 
 impl<'a> GroundProblem<'a> {
@@ -405,26 +417,30 @@ impl<'a> GroundProblem<'a> {
                 cap: g.opts.max_instantiations,
             });
         }
-        let cost_outs = g.builder.encode_cost_counter(&cost_items, g.opts.max_cost);
-        let stats = GroundStats {
-            vars: g.builder.solver.num_vars(),
-            clauses: g.builder.clauses_added,
-            universal_instantiations: g.instantiations,
-            cost_items: cost_items.len(),
-        };
         Ok(GroundProblem {
             originals: models,
             builder: g.builder,
             muts: g.muts,
             domains: g.domains,
-            cost_outs,
-            stats,
+            counter: CostCounter::new(cost_items),
+            // Past the check, a width over any cost item is at most the
+            // cap, and one over none is 1.
+            rounds: u64::try_from(width).expect("the cell cap bounds the width"),
+            instantiations: g.instantiations,
         })
     }
 
-    /// Grounding statistics.
+    /// Grounding statistics, read live: `vars` and `clauses` count the
+    /// cost counter's columns built so far, none before
+    /// [`solve_min_cost`](Self::solve_min_cost) and, after it, those
+    /// its rounds reached.
     pub fn stats(&self) -> GroundStats {
-        self.stats
+        GroundStats {
+            vars: self.builder.solver.num_vars(),
+            clauses: self.builder.clauses_added,
+            universal_instantiations: self.instantiations,
+            cost_items: self.counter.items(),
+        }
     }
 
     /// The solver's statistics so far: its path through every
@@ -436,11 +452,15 @@ impl<'a> GroundProblem<'a> {
     /// Finds consistent target models at minimal total cost, searching
     /// cost bounds `0, 1, …` (§3's increasing-distance loop) up to
     /// `max_cost`, or up to what the cost items can sum to if that is
-    /// less: the cost counter's last output. Returns `(cost, decoded
-    /// model tuple)` or `None` when no repair exists within the scope and
-    /// cost bound.
+    /// less. Just before it tries bound `k` it adds the cost counter's
+    /// column `k + 1` to the solver, so a cost-c repair builds c + 1
+    /// columns, and a bound past the answer costs nothing. Returns
+    /// `(cost, decoded model tuple)` or `None` when no repair exists
+    /// within the scope and cost bound.
     pub fn solve_min_cost(&mut self) -> Option<(u64, Vec<Model>)> {
-        for (k, out) in (0..).zip(&self.cost_outs) {
+        for (k, j) in (0..self.rounds).zip(1..) {
+            // Bound k: assume the cost does not reach k + 1.
+            let out = self.counter.at_least(j, &mut self.builder);
             if self.builder.solver.solve_with(&[out.negate()]) == SatResult::Sat {
                 return Some((k, self.decode()));
             }
@@ -740,22 +760,23 @@ impl<'a> Grounder<'a> {
                 original: true,
             });
         }
-        let mut next = model.id_bound() as u32;
+        // Slack objects take the ids past the model's, up to the id
+        // space's ceiling: a model near it gets fewer.
+        let mut fresh = (model.id_bound()..MAX_IDS).map(|i| ObjId(i as u32));
         for (cid, class) in meta.classes() {
             if class.is_abstract {
                 continue;
             }
-            for _ in 0..self.opts.scope.slack_objs {
+            for id in fresh.by_ref().take(self.opts.scope.slack_objs) {
                 universe.push(UObj {
-                    id: ObjId(next),
+                    id,
                     class: cid,
                     original: false,
                 });
-                next += 1;
             }
         }
-        // Prices saturate, which is exact: the cost counter caps every
-        // weight at `max_cost + 1` anyway.
+        // Prices saturate, which is exact: a price past `max_cost` alone
+        // reaches every column of the cost counter a round can build.
         let weight = self.opts.tuple.weight(t);
         let cost = self.opts.cost;
         // Liveness + object-level costs.

@@ -459,6 +459,31 @@ fn a_reused_solver_grounds_and_solves_as_a_new_one() {
     });
 }
 
+/// The cost counter grows one column per bound `solve_min_cost` tries,
+/// so a bound past the answer costs nothing: the cost-2 fm10 repair
+/// grounds and solves alike under `max_cost` 16 and 1 000, with the same
+/// grounding statistics, the same solver path and the same decoded
+/// models.
+#[test]
+fn a_repairs_work_does_not_depend_on_max_cost() {
+    let t = paper_transformation(2);
+    let targets = Shape::of(&[0, 1]).targets();
+    let w = broken_workload(10, 2, 53, Injection::NewMandatoryInFm);
+    let solve = |max_cost: u64| -> (GroundStats, SolverStats, u64, Vec<String>) {
+        let opts = GroundOptions {
+            max_cost,
+            ..GroundOptions::default()
+        };
+        let mut problem = GroundProblem::build(t.hir(), &w.models, targets, opts).unwrap();
+        let (cost, models) = problem.solve_min_cost().expect("repairable");
+        let printed = models.iter().map(print_model).collect();
+        (problem.stats(), problem.solver_stats(), cost, printed)
+    };
+    let bounded = solve(16);
+    assert_eq!(bounded.2, 2);
+    assert_eq!(solve(1_000), bounded);
+}
+
 /// Regression: a SAT comparison on a mutable object read the first
 /// attribute of the object whose domain held the value, in hash-map
 /// order, instead of the attribute it navigates. Repairs of this tuple

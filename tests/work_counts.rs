@@ -285,8 +285,9 @@ fn session_warm_scenario_rows(out: &mut String) {
 
 /// A cost-2 repair of a new mandatory feature (fm2cfs, k = 2, seed 53)
 /// into both configurations, through `enforce_with`; the SAT rows add
-/// the grounding statistics of the same problem and the solver's path
-/// through `solve_min_cost` (its `SolverStats`), so a change to how the
+/// the grounding statistics of the same problem after `solve_min_cost`
+/// (the cost-counter columns its rounds built included) and the
+/// solver's path through it (its `SolverStats`), so a change to how the
 /// CNF is stored must keep both the CNF and the path.
 fn repair_rows(out: &mut String) {
     let t = paper_transformation(2);
@@ -319,9 +320,8 @@ fn repair_rows(out: &mut String) {
             let mut problem =
                 GroundProblem::build(t.hir(), &w.models, targets, GroundOptions::default())
                     .unwrap();
-            let g = problem.stats();
             problem.solve_min_cost().expect("repairable");
-            let s = problem.solver_stats();
+            let (g, s) = (problem.stats(), problem.solver_stats());
             write!(
                 out,
                 " vars={} clauses={} instantiations={} cost_items={} \

@@ -25,13 +25,15 @@
 # `better` direction by more than that bound, and a `failed` sum above
 # the parent's: what the benchmark's no-regression rule refuses. After
 # the pairs, each side makes one traced run (`--trace 1`, seed
-# pairs + 1), and the script prints every metric of the two traced
-# result lines side by side, the per-layer ones included, with the
-# change's relative difference, marking whether each count metric
-# (allocations, per-edit counts, `cli.resp_bytes_mean`) is the same on
-# both sides or DIFFERS: where a saving appears, and that the answers
-# kept their bytes. The raw output of every run stays in the results
-# directory it names.
+# pairs + 1), and the script prints every metric the two traced runs
+# print, one `<workload> <metric> <value> <unit> n=<count>` line each
+# (the per-layer ones included, not only those of the result line),
+# side by side with its unit and the change's relative difference. It
+# marks whether each metric counted in `count` or `bytes` (allocations,
+# per-edit counts, grounding sizes, repair costs, answer bytes) is the
+# same on both sides or DIFFERS: where a saving appears, and that the
+# repairs and answers kept their size. The raw output of every run stays
+# in the results directory it names.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -104,8 +106,9 @@ run() {
 		>>"$results/rows"
 }
 
-# traced <side>: one traced run of seed pairs + 1, its result line kept
-# as "<side> <metric> <value>" rows in $results/traced.
+# traced <side>: one traced run of seed pairs + 1, each metric line it
+# prints ("<workload> <metric> <value> <unit> n=<count>") kept as
+# "<side> <metric> <value> <unit>" rows in $results/traced.
 traced() {
 	local name tree target out
 	read -r name tree target <<<"${sides[$1]}"
@@ -113,12 +116,9 @@ traced() {
 	echo "traced: $name" >&2
 	CARGO_TARGET_DIR=$target bash "$tree/servebench/run.sh" --workload "$workload" \
 		--seed "$((pairs + 1))" --seconds "$seconds" --trace 1 >"$out"
-	tail -n 1 "$out" |
-		grep -o '"[a-z0-9_.]*": {"value": [^,}]*' |
-		sed 's/^"\([a-z0-9_.]*\)": {"value": \(.*\)$/\1 \2/' |
-		while read -r metric value; do
-			echo "$name $metric $value"
-		done >>"$results/traced"
+	awk -v side="$name" -v w="$workload" '$1 == w && NF == 5 && $5 ~ /^n=/ {
+		print side, $2, $3, $4
+	}' "$out" >>"$results/traced"
 }
 
 for ((i = 1; i <= pairs; i++)); do
@@ -224,19 +224,20 @@ echo "# $workload: one traced run per side (--trace 1, seed $((pairs + 1)))"
 awk '
 {
 	v[$1, $2] = $3
+	unit[$2] = $4
 	if (!($2 in seen)) { seen[$2] = 1; order[++metrics] = $2 }
 }
 END {
-	fmt = "%-34s %14s %14s %9s  %s\n"
-	printf fmt, "metric", "parent", "change", "change", "count"
+	fmt = "%-34s %14s %14s %-6s %9s  %s\n"
+	printf fmt, "metric", "parent", "change", "unit", "change", "count"
 	for (k = 1; k <= metrics; k++) {
 		m = order[k]
-		p = v["parent", m]
-		c = v["change", m]
-		change = p + 0 != 0 ? sprintf("%+.1f%%", 100 * (c - p) / p) : "-"
+		p = (("parent", m) in v) ? v["parent", m] : "-"
+		c = (("change", m) in v) ? v["change", m] : "-"
+		change = p != "-" && c != "-" && p + 0 != 0 ? sprintf("%+.1f%%", 100 * (c - p) / p) : "-"
 		count = ""
-		if (m ~ /allocs|_per_edit|resp_bytes/)
+		if (unit[m] == "count" || unit[m] == "bytes")
 			count = p == c ? "same" : "DIFFERS"
-		printf fmt, m, p, c, change, count
+		printf fmt, m, p, c, unit[m], change, count
 	}
 }' "$results/traced"
